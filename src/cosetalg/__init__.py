@@ -9,8 +9,8 @@ the algebraic laws on a catalog of concrete pairs.
 
 from ._kernels import BACKEND
 from .errors import (AmbiguousElement, CapExceeded, CarrierMismatch,
-                     CosetAlgError, FormulaMismatch, NoIdentity, NoInverse,
-                     NonPositive, NotAPermutation, NotAssociative, NotClosed,
+                     CosetAlgError, NoIdentity, NoInverse, NonPositive,
+                     NotAPermutation, NotAssociative, NotClosed,
                      NotCosetConstant, UnknownCheckId, UnknownName)
 from .groups import (FiniteGroup, QuotientSpace, Subgroup,
                      build_coset_space, build_from_cayley_table,

@@ -1,23 +1,19 @@
 """Hot numeric kernels: group convolution, structure counts, quotient convolution.
 
-Two interchangeable backends:
-
-  * numba  -- @njit(cache=True, nogil=True) loops, used by default;
-  * numpy  -- vectorized fallback, selected by setting COSETALG_NO_NUMBA=1
-              (or automatically when numba is not importable).
-
-`BACKEND` names the active one. Tests and the benchmark script reach the
-per-backend implementations directly through `IMPLEMENTATIONS`.
+One vectorized numpy implementation of each.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# Kept as a constant: benchmark results are stamped with it.
+BACKEND = "numpy"
 
-def _group_convolve_np(mul: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+
+def group_convolve_weights(mul: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Weights of the convolution of two weight vectors on a group:
+    out[m[x, y]] += w1[x] * w2[y]."""
     n = mul.shape[0]
     prod = np.outer(w1, w2).ravel()
     flat = mul.ravel()
@@ -26,109 +22,17 @@ def _group_convolve_np(mul: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.nd
     return out
 
 
-def _structure_counts_np(mul: np.ndarray, reps: np.ndarray, members: np.ndarray,
-                         coset_of: np.ndarray) -> np.ndarray:
+def structure_counts(mul: np.ndarray, reps: np.ndarray, members: np.ndarray,
+                     coset_of: np.ndarray) -> np.ndarray:
+    """Integer tensor counts[a, b, z] = #{h in H : rep_a * h * rep_b in coset z}."""
     k = reps.shape[0]
     # z[a, i, b] = coset of rep_a * h_i * rep_b
-    left = mul[reps[:, None], members[None, :]]            # (k, |H|)
+    left = mul[reps[:, None], members[None, :]]               # (k, |H|)
     z = coset_of[mul[left[:, :, None], reps[None, None, :]]]  # (k, |H|, k)
     onehot = z[:, :, :, None] == np.arange(k)[None, None, None, :]
     return onehot.sum(axis=1, dtype=np.int64)
 
 
-def _quotient_convolve_np(c: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    return np.einsum("abz,a,b->z", c, s1, s2)
-
-
-_IMPL_NUMPY = {
-    "group_convolve": _group_convolve_np,
-    "structure_counts": _structure_counts_np,
-    "quotient_convolve": _quotient_convolve_np,
-}
-
-IMPLEMENTATIONS = {"numpy": _IMPL_NUMPY}
-BACKEND = "numpy"
-
-if not os.environ.get("COSETALG_NO_NUMBA"):
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-
-        @njit(cache=True, nogil=True)
-        def _group_convolve_nb(mul, w1, w2):  # pragma: no cover - jitted
-            n = mul.shape[0]
-            out = np.zeros(n, dtype=np.complex128)
-            for x in range(n):
-                wx = w1[x]
-                if wx == 0:
-                    continue
-                for y in range(n):
-                    out[mul[x, y]] += wx * w2[y]
-            return out
-
-        @njit(cache=True, nogil=True)
-        def _structure_counts_nb(mul, reps, members, coset_of):  # pragma: no cover
-            k = reps.shape[0]
-            h = members.shape[0]
-            counts = np.zeros((k, k, k), dtype=np.int64)
-            for a in range(k):
-                for i in range(h):
-                    left = mul[reps[a], members[i]]
-                    for b in range(k):
-                        counts[a, b, coset_of[mul[left, reps[b]]]] += 1
-            return counts
-
-        @njit(cache=True, nogil=True)
-        def _quotient_convolve_nb(c, s1, s2):  # pragma: no cover - jitted
-            k = s1.shape[0]
-            out = np.zeros(k, dtype=np.complex128)
-            for a in range(k):
-                if s1[a] == 0:
-                    continue
-                for b in range(k):
-                    w = s1[a] * s2[b]
-                    if w == 0:
-                        continue
-                    for z in range(k):
-                        out[z] += w * c[a, b, z]
-            return out
-
-        IMPLEMENTATIONS["numba"] = {
-            "group_convolve": _group_convolve_nb,
-            "structure_counts": _structure_counts_nb,
-            "quotient_convolve": _quotient_convolve_nb,
-        }
-        BACKEND = "numba"
-
-_ACTIVE = IMPLEMENTATIONS[BACKEND]
-
-
-def group_convolve_weights(mul: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Weights of the convolution of two weight vectors on a group:
-    out[m[x, y]] += w1[x] * w2[y]."""
-    return _ACTIVE["group_convolve"](mul, np.ascontiguousarray(w1),
-                                     np.ascontiguousarray(w2))
-
-
-def structure_counts(mul: np.ndarray, reps: np.ndarray, members: np.ndarray,
-                     coset_of: np.ndarray) -> np.ndarray:
-    """Integer tensor counts[a, b, z] = #{h in H : rep_a * h * rep_b in coset z}."""
-    return _ACTIVE["structure_counts"](mul, reps, members, coset_of)
-
-
 def quotient_convolve_weights(c: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """out[z] = sum_{a,b} s1[a] * s2[b] * c[a, b, z]."""
-    return _ACTIVE["quotient_convolve"](c, np.ascontiguousarray(s1),
-                                        np.ascontiguousarray(s2))
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on tiny inputs so later timings are clean."""
-    mul = np.zeros((1, 1), dtype=np.int64)
-    one = np.ones(1, dtype=np.complex128)
-    group_convolve_weights(mul, one, one)
-    structure_counts(mul, np.zeros(1, np.int64), np.zeros(1, np.int64),
-                     np.zeros(1, np.int64))
-    quotient_convolve_weights(np.ones((1, 1, 1)), one, one)
+    return np.einsum("abz,a,b->z", c, s1, s2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -50,7 +51,8 @@ def _resolve_group(token: str) -> FiniteGroup:
 
 
 def _split_tokens(arg: str) -> list[str]:
-    toks = [t for t in (s.strip() for s in arg.split(",")) if t]
+    # split on commas outside parentheses: "(2,12)(3,11),(1,2)" is two cycle tokens
+    toks = [t for t in (s.strip() for s in re.split(r",(?![^()]*\))", arg)) if t]
     if not toks:
         raise CosetAlgError("empty generator list")
     return toks

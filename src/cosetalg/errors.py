@@ -53,9 +53,5 @@ class NotCosetConstant(CosetAlgError):
     """A per-element weight function is not constant on left cosets."""
 
 
-class FormulaMismatch(CosetAlgError):
-    """Two formulas that must agree internally do not; indicates a bug."""
-
-
 class UnknownCheckId(CosetAlgError):
     """Check id not in the registry."""

@@ -17,17 +17,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import (group_convolve_weights, quotient_convolve_weights,
-                       structure_counts)
-from .errors import CarrierMismatch, FormulaMismatch
+from ._kernels import quotient_convolve_weights, structure_counts
+from .errors import CarrierMismatch
 from .exact import ComplexFraction
 from .groups import QuotientSpace
-from .measures import (ComplexMeasure, DensityFunction, group_carrier,
-                       group_convolve, point_mass, quotient_carrier)
-from .quotient_ops import (QuotientMeasure, RhoFunction, compose_with_projection,
-                           lift_to_invariant, pushforward_rh, weighted_average_th)
-
-_INTERNAL_AGREEMENT_TOL = 1e-10
+from .measures import (ComplexMeasure, DensityFunction, group_convolve,
+                       point_mass, quotient_carrier)
+from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
+                           pushforward_rh)
 
 
 @dataclass(frozen=True)
@@ -135,26 +132,17 @@ def _translation_tensors(Q: QuotientSpace, left: bool) -> np.ndarray:
 
 def l1_convolve(Q: QuotientSpace, rho: RhoFunction, lam: QuotientMeasure,
                 phi: DensityFunction, psi: DensityFunction) -> DensityFunction:
-    """Convolution of two coset densities against lambda.
-
-    Computed two ways and cross-checked: the explicit double sum
+    """Convolution of two coset densities against lambda, the explicit double sum
         out(xH) = sum_y lambda(yH) (1/|H|) sum_h phi(yH) psi(h y^-1 x H)
-                  * rho(h y^-1 x) / rho(x)
-    and the operator route (weighted average of the group convolution of the
-    rho-weighted lifts). Disagreement beyond 1e-10 raises FormulaMismatch.
+                  * rho(h y^-1 x) / rho(x).
+    It equals the weighted average of the group convolution of the
+    rho-weighted lifts; the verifier's P19_LP compares the two routes.
     """
+    _require_quotient_operands(Q, phi, psi)
     h = Q.subgroup.order
     z = _translation_tensors(Q, left=True)                    # (h, y, x)
     inner = (psi.values * rho.values)[z].sum(axis=0)          # (y, x)
     explicit = ((lam.weights * phi.values) @ inner) / (h * rho.values)
-
-    lift_phi = compose_with_projection(Q, phi).values * rho.values[Q.coset_of]
-    lift_psi = compose_with_projection(Q, psi).values * rho.values[Q.coset_of]
-    conv = group_convolve_weights(Q.group.mul, lift_phi, lift_psi)
-    operator = weighted_average_th(Q, rho, 1.0,
-                                   DensityFunction(group_carrier(Q.group), conv)).values
-
-    _check_agreement(explicit, operator, "coset density convolution")
     return DensityFunction(quotient_carrier(Q), explicit)
 
 
@@ -165,14 +153,15 @@ def lp_action(Q: QuotientSpace, rho: RhoFunction, side: str,
     side="left":  out(xH) = sum_y sigma({yH}) (1/|H|) sum_h
                   phi(h y^-1 x H) (rho(h y^-1 x)/rho(x))^(1/p)
     side="right": the mirrored form with x h y^-1 (the modular factor is 1 on
-    a finite group). Both are cross-checked against the operator route and
+    a finite group). Both equal the operator route (weighted average of a
+    group convolution of lifts; compared by the verifier's P19_LP) and
     satisfy the contraction: p-norm of the result <= ||sigma|| * p-norm of phi.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _require_quotient_pair(Q, sigma, phi)
+    _require_quotient_operands(Q, sigma, phi)
     h = Q.subgroup.order
     rp = rho.values ** (1.0 / p)
     weighted = phi.values * rp
@@ -181,21 +170,10 @@ def lp_action(Q: QuotientSpace, rho: RhoFunction, side: str,
         z = _translation_tensors(Q, left=True)                # (h, y, x)
         inner = weighted[z].sum(axis=0)                       # (y, x)
         explicit = (sigma.weights @ inner) / (h * rp)
-        conv = group_convolve_weights(
-            Q.group.mul,
-            lift_to_invariant(Q, sigma).weights,
-            weighted[Q.coset_of])
     else:
         z = _translation_tensors(Q, left=False)               # (x, h, y)
         inner = weighted[z].sum(axis=1)                       # (x, y)
         explicit = (inner @ sigma.weights) / (h * rp)
-        conv = group_convolve_weights(
-            Q.group.mul,
-            weighted[Q.coset_of],
-            lift_to_invariant(Q, sigma).weights)
-    operator = weighted_average_th(Q, rho, p,
-                                   DensityFunction(group_carrier(Q.group), conv)).values
-    _check_agreement(explicit, operator, f"{side} action on L^{p}")
     return DensityFunction(quotient_carrier(Q), explicit)
 
 
@@ -282,14 +260,8 @@ def find_two_sided_identity(T: StructureTable) -> IdentitySolution:
 
 # --- helpers -------------------------------------------------------------------
 
-def _require_quotient_pair(Q: QuotientSpace, sigma: ComplexMeasure,
-                           phi: DensityFunction) -> None:
+def _require_quotient_operands(Q: QuotientSpace, *operands) -> None:
     qc = quotient_carrier(Q)
-    if sigma.carrier != qc or phi.carrier != qc:
+    if any(x.carrier != qc for x in operands):
         raise CarrierMismatch("operands must live on the coset carrier")
 
-
-def _check_agreement(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    gap = float(np.max(np.abs(a - b), initial=0.0))
-    if gap > _INTERNAL_AGREEMENT_TOL:
-        raise FormulaMismatch(f"{what}: explicit and operator forms differ by {gap:.3e}")

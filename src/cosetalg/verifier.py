@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import exact
-from .errors import CosetAlgError, UnknownCheckId
+from ._kernels import group_convolve_weights
+from .errors import UnknownCheckId
 from .exact import ComplexFraction
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      builtin_from_token, group_from_dict, subgroup_from_tokens,
@@ -40,7 +41,8 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
 from .quotient_ops import (QuotientMeasure, RhoFunction, compose_with_projection,
                            lift_to_invariant, membership_mgh, pushforward_rh,
                            quasi_invariant_lambda, quotient_integral_check,
-                           rho_from_dict, rho_ones, solve_mhg_space, validate_rho)
+                           rho_from_dict, rho_ones, solve_mhg_space, validate_rho,
+                           weighted_average_th)
 
 CHECK_IDS = (
     "C13_UNIQUE_ID", "C14_INVOLUTION", "D6_CONV", "L11_RIGHT_ID", "L17_COMPAT",
@@ -591,6 +593,31 @@ def _check_t18_ideal(spec, ctx, rng):
     return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
 
 
+def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
+                    w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The rho-weighted coset average of the group convolution of two lifts."""
+    conv = group_convolve_weights(Q.group.mul, w1, w2)
+    return weighted_average_th(Q, rho, p, DensityFunction(group_carrier(Q.group), conv)).values
+
+
+def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,
+                        sigma: ComplexMeasure, phi: DensityFunction, p: float) -> np.ndarray:
+    """Operator route of lp_action: the lift of sigma convolved with the
+    rho^(1/p)-weighted lift of phi (on the left or the right)."""
+    weighted = (phi.values * rho.values ** (1.0 / p))[Q.coset_of]
+    lifted = lift_to_invariant(Q, sigma).weights
+    if side == "left":
+        return _operator_route(Q, rho, p, lifted, weighted)
+    return _operator_route(Q, rho, p, weighted, lifted)
+
+
+def _l1_convolve_operator(Q: QuotientSpace, rho: RhoFunction,
+                          phi: DensityFunction, psi: DensityFunction) -> np.ndarray:
+    """Operator route of l1_convolve: the rho-weighted lifts of both densities."""
+    r = rho.values[Q.coset_of]
+    return _operator_route(Q, rho, 1.0, phi.values[Q.coset_of] * r, psi.values[Q.coset_of] * r)
+
+
 def _check_p19_lp(spec, ctx, rng):
     Q = ctx.Q
     worst, witness = 0.0, None
@@ -601,8 +628,10 @@ def _check_p19_lp(spec, ctx, rng):
         sigma = draw_measure(rng, ctx.qc)
         phi = draw_density(rng, ctx.qc)
         bound = total_variation(sigma) * lp_norm(lam, phi, p)
+        routes = []     # (side, explicit result, operator route)
         for side in ("left", "right"):
             out = lp_action(Q, rho_t, side, sigma, phi, p)
+            routes.append((side, out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
             excess = lp_norm(lam, out, p) - bound
             if excess > worst:
                 worst, witness = excess, {"trial": t, "p": p, "side": side}
@@ -610,11 +639,23 @@ def _check_p19_lp(spec, ctx, rng):
             # embedding the acting density turns the p=1 action into the
             # coset density convolution
             phi2 = draw_density(rng, ctx.qc)
-            via_action = lp_action(Q, rho_t, "left", embed_density(lam, phi2), phi, 1.0)
+            acting = embed_density(lam, phi2)
+            via_action = lp_action(Q, rho_t, "left", acting, phi, 1.0)
             via_densities = l1_convolve(Q, rho_t, lam, phi2, phi)
+            routes.append(("left", via_action,
+                           _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
+            routes.append(("left", via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))
             gap = float(np.max(np.abs(via_action.values - via_densities.values)))
             if gap > worst:
                 worst, witness = gap, {"trial": t, "part": "density convolution cross-check"}
+        # each result must match its operator route; the gap is a pass/fail
+        # cross-check and stays out of the reported residual
+        for side, explicit, operator in routes:
+            gap = float(np.max(np.abs(explicit.values - operator)))
+            if gap > spec.tol:
+                return ("fail", gap, {"trial": t, "p": p, "side": side,
+                                      "reason": "explicit and operator routes differ"},
+                        "", t + 1)
     ok = worst <= spec.tol
     return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
 
@@ -649,7 +690,8 @@ def run_check(spec: CheckSpec, G: FiniteGroup, H: Subgroup,
     start = time.perf_counter()
     try:
         status, worst, counterexample, notes, trials_run = _CHECKS[spec.id](spec, ctx, rng)
-    except CosetAlgError as exc:
+    except Exception as exc:
+        # any crash in one check becomes a failing record, not a suite abort
         status, worst, notes, trials_run = "fail", float("nan"), "", 0
         counterexample = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
@@ -716,23 +758,23 @@ def run_suite(catalog: Sequence[CatalogEntry], specs: Sequence[CheckSpec],
     def run_one(task):
         payload, idx, entry, exc = task
         if exc is not None:
-            return CheckReport(
+            return idx, CheckReport(
                 id="CONSTRUCTION", entry=entry.name, status="fail",
                 max_residual=float("nan"), trials_run=0,
                 counterexample={"entry": entry.name,
                                 "error": f"{type(exc).__name__}: {exc}"},
                 notes="catalog entry could not be constructed")
         spec, G, H, rho = payload
-        return run_check(spec, G, H, rho, entry_name=entry.name, entry_index=idx)
+        return idx, run_check(spec, G, H, rho, entry_name=entry.name, entry_index=idx)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, tasks))
+            indexed = list(pool.map(run_one, tasks))
     else:
-        reports = [run_one(t) for t in tasks]
-    order = {entry.name: i for i, entry in enumerate(catalog)}
-    reports.sort(key=lambda r: (r.id, order.get(r.entry, 0)))
-    return reports
+        indexed = [run_one(t) for t in tasks]
+    # key on the catalog index, not the entry name: names need not be unique
+    indexed.sort(key=lambda pair: (pair[1].id, pair[0]))
+    return [report for _, report in indexed]
 
 
 def exit_code(reports: Sequence[CheckReport]) -> int:

@@ -13,7 +13,6 @@ import pytest
 
 import cosetalg as ca
 from cosetalg import exact
-from cosetalg._kernels import warm_up
 from cosetalg.exact import ComplexFraction
 from cosetalg.verifier import (CatalogEntry, CheckSpec, all_check_specs,
                                build_entry, default_catalog, draw_rational_weights,
@@ -31,7 +30,6 @@ def _report(num, desc, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def catalog_ctx():
-    warm_up()
     pairs = []
     for entry in default_catalog():
         G, H, rho = build_entry(entry)

@@ -30,6 +30,22 @@ def test_groups_with_subgroup_text(capsys):
     assert "C0" in out
 
 
+def test_subgroup_cycle_tokens_with_commas(capsys):
+    # degree >= 10 labels carry commas inside cycles; they must parse back
+    G = ca.builtin_from_token("D12")
+    label = "(2,12)(3,11)(4,10)(5,9)(6,8)"
+    assert label in G.labels
+    code, out, err = run_cli(capsys, "groups", "--group", "builtin:D12",
+                             "--format", "json", "--subgroup", label)
+    assert code == 0, err
+    assert json.loads(out)["subgroup"]["members"] == ["e", label]
+    # commas outside parentheses still separate generators
+    code, out, err = run_cli(capsys, "groups", "--group", "builtin:D12", "--format",
+                             "json", "--subgroup", f"{label}, (1,3,5,7,9,11)(2,4,6,8,10,12)")
+    assert code == 0, err
+    assert len(json.loads(out)["subgroup"]["members"]) == 12
+
+
 def test_table_worked_example(capsys):
     code, out, _ = run_cli(capsys, "table", "--group", "builtin:S3",
                            "--subgroup", "(12)", "--format", "json")

@@ -1,5 +1,6 @@
-"""Backend agreement: the jitted kernels and the numpy fallbacks are the same
-functions up to float roundoff (counts are integers, so those must be equal)."""
+"""Kernel oracles: each kernel against its slow definition, on normal
+(Q8/<i>) and non-normal (S3/<(12)>, D4/<(24)>, S4/S3) pairs. Counts are
+integers, so those must be equal."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import cosetalg as ca
 from cosetalg import _kernels
 
-BACKENDS = sorted(_kernels.IMPLEMENTATIONS)
+PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
 
 def _setup(token, gens):
@@ -17,39 +18,8 @@ def _setup(token, gens):
     return G, Q
 
 
-@pytest.mark.parametrize("token,gens", [("S3", ["(12)"]), ("D4", ["(24)"]),
-                                        ("Q8", ["i"]), ("S4", ["(12)", "(123)"])])
-def test_all_backends_agree(token, gens):
-    G, Q = _setup(token, gens)
-    members = np.array(Q.subgroup.members, dtype=np.int64)
-    outs = {}
-    for name in BACKENDS:
-        impl = _kernels.IMPLEMENTATIONS[name]
-        rng = np.random.Generator(np.random.PCG64(21))  # same draws per backend
-        w1 = rng.random(G.order) + 1j * rng.random(G.order)
-        w2 = rng.random(G.order) + 1j * rng.random(G.order)
-        s1 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
-        s2 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
-        counts = impl["structure_counts"](G.mul, Q.reps, members, Q.coset_of)
-        outs[name] = (
-            impl["group_convolve"](G.mul, w1, w2),
-            counts,
-            impl["quotient_convolve"](counts / Q.subgroup.order, s1, s2),
-        )
-    ref = outs[BACKENDS[0]]
-    for name in BACKENDS[1:]:
-        conv, counts, qconv = outs[name]
-        assert np.max(np.abs(conv - ref[0])) < 1e-13
-        assert np.array_equal(counts, ref[1])
-        assert np.max(np.abs(qconv - ref[2])) < 1e-13
-
-
-def test_numba_backend_present_by_default():
-    import os
-    if os.environ.get("COSETALG_NO_NUMBA"):
-        pytest.skip("numba disabled via env flag")
-    assert "numba" in BACKENDS
-    assert _kernels.BACKEND == "numba"
+def test_backend_is_numpy():
+    assert ca.BACKEND == "numpy"
 
 
 def test_group_convolve_kernel_oracle(s3):
@@ -62,26 +32,34 @@ def test_group_convolve_kernel_oracle(s3):
             z = s3.op(x, y)
             out[z] = out.get(z, 0j) + w1[x] * w2[y]
     want = np.array([out.get(z, 0j) for z in range(6)])
-    for name in BACKENDS:
-        got = _kernels.IMPLEMENTATIONS[name]["group_convolve"](s3.mul, w1, w2)
-        assert np.max(np.abs(got - want)) < 1e-13
+    got = _kernels.group_convolve_weights(s3.mul, w1, w2)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
-def test_structure_counts_kernel_oracle(s3_q):
-    members = np.array(s3_q.subgroup.members, dtype=np.int64)
-    G = s3_q.group
-    k = s3_q.coset_count
+@pytest.mark.parametrize("token,gens", PAIRS)
+def test_structure_counts_kernel_oracle(token, gens):
+    G, Q = _setup(token, gens)
+    members = np.array(Q.subgroup.members, dtype=np.int64)
+    k = Q.coset_count
     want = np.zeros((k, k, k), dtype=np.int64)
     for a in range(k):
         for b in range(k):
             for h in members:
-                z = s3_q.coset_of[G.op(G.op(int(s3_q.reps[a]), int(h)), int(s3_q.reps[b]))]
+                z = Q.coset_of[G.op(G.op(int(Q.reps[a]), int(h)), int(Q.reps[b]))]
                 want[a, b, z] += 1
-    for name in BACKENDS:
-        got = _kernels.IMPLEMENTATIONS[name]["structure_counts"](
-            G.mul, s3_q.reps, members, s3_q.coset_of)
-        assert np.array_equal(got, want)
+    got = _kernels.structure_counts(G.mul, Q.reps, members, Q.coset_of)
+    assert np.array_equal(got, want)
 
 
-def test_warm_up_runs():
-    _kernels.warm_up()
+@pytest.mark.parametrize("token,gens", PAIRS)
+def test_quotient_convolve_kernel_oracle(token, gens):
+    # the group route: push(lift(s1) * lift(s2))
+    G, Q = _setup(token, gens)
+    rng = np.random.Generator(np.random.PCG64(21))
+    s1 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
+    s2 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
+    got = _kernels.quotient_convolve_weights(ca.structure_table(Q).c, s1, s2)
+    qc = ca.quotient_carrier(Q)
+    lifted = [ca.lift_to_invariant(Q, ca.ComplexMeasure(qc, s)) for s in (s1, s2)]
+    want = ca.pushforward_rh(Q, ca.group_convolve(G, *lifted)).weights
+    assert np.max(np.abs(got - want)) < 1e-13

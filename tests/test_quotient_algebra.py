@@ -7,6 +7,7 @@ import pytest
 import cosetalg as ca
 from cosetalg.errors import CarrierMismatch
 from cosetalg.exact import ComplexFraction
+from cosetalg.verifier import _l1_convolve_operator, _lp_action_operator
 
 from conftest import random_weights, rng
 
@@ -273,6 +274,31 @@ def test_lp_contraction(s3_q, p, side):
         out = ca.lp_action(s3_q, rho, side, sigma, phi, p)
         assert ca.lp_norm(lam, out, p) <= \
             ca.total_variation(sigma) * ca.lp_norm(lam, phi, p) + 1e-10
+
+
+@pytest.mark.parametrize("token,gens", [("S3", ["(12)"]), ("D4", ["(24)"]),
+                                        ("S3", ["(123)"]), ("Q8", ["i"])])
+def test_explicit_matches_operator_route(token, gens):
+    # lp_action and l1_convolve compute the explicit double sum; the operator
+    # route (group convolution of rho-weighted lifts, averaged back) must agree
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    qcar = ca.quotient_carrier(Q)
+    g = rng(51)
+    rho = ca.validate_rho(
+        Q, [Fraction(int(a), int(b)) for a, b in g.integers(1, 5, (Q.coset_count, 2))])
+    assert not np.all(rho.values == 1.0)
+    lam = ca.quasi_invariant_lambda(Q, rho)
+    sigma = random_measure(g, Q)
+    phi = ca.DensityFunction(qcar, random_weights(g, Q.coset_count))
+    psi = ca.DensityFunction(qcar, random_weights(g, Q.coset_count))
+    for p in (1.0, 2.0, 3.0):
+        for side in ("left", "right"):
+            explicit = ca.lp_action(Q, rho, side, sigma, phi, p).values
+            operator = _lp_action_operator(Q, rho, side, sigma, phi, p)
+            assert np.max(np.abs(explicit - operator)) < 1e-12, (p, side)
+    explicit = ca.l1_convolve(Q, rho, lam, phi, psi).values
+    assert np.max(np.abs(explicit - _l1_convolve_operator(Q, rho, phi, psi))) < 1e-12
 
 
 def test_lp_action_argument_validation(s3_q):

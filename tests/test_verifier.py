@@ -3,6 +3,7 @@ import json
 import pytest
 
 import cosetalg as ca
+from cosetalg import verifier
 from cosetalg.errors import UnknownCheckId
 from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_specs,
                                build_entry, default_catalog, exit_code, run_check,
@@ -129,6 +130,51 @@ def test_run_suite_error_isolation():
     good = [r for r in reports if r.entry == "S3/A3"]
     assert good[0].status == "pass"
     assert exit_code(reports) == 1
+
+
+def test_crashing_check_does_not_abort_suite(monkeypatch):
+    def crash(spec, ctx, rng):
+        raise ValueError("planted crash")
+
+    monkeypatch.setitem(verifier._CHECKS, "W0_WEIL", crash)
+    specs = [CheckSpec(id="W0_WEIL", trials=5), CheckSpec(id="L11_RIGHT_ID", trials=5)]
+    reports = run_suite(default_catalog()[:2], specs)
+    assert len(reports) == 4
+    crashed = [r for r in reports if r.id == "W0_WEIL"]
+    assert all(r.status == "fail" for r in crashed)
+    assert crashed[0].counterexample == {"error": "ValueError: planted crash"}
+    assert all(r.status == "pass" for r in reports if r.id == "L11_RIGHT_ID")
+    assert exit_code(reports) == 1
+
+
+def test_duplicate_entry_names_keep_catalog_order():
+    catalog = [CatalogEntry("X", "builtin:S3", ("(12)",)),
+               CatalogEntry("Y", "builtin:C6", ("(135)(246)",)),
+               CatalogEntry("X", "builtin:D4", ("(24)",))]
+    reports = run_suite(catalog, [CheckSpec(id="L11_RIGHT_ID", trials=5),
+                                  CheckSpec(id="D6_CONV", trials=5)])
+    assert [r.entry for r in reports] == ["X", "Y", "X"] * 2
+    # the two X entries are distinct groups: each report matches a lone run
+    for idx, entry in enumerate(catalog):
+        G, H, rho = build_entry(entry)
+        alone = run_check(CheckSpec(id="D6_CONV", trials=5), G, H, rho,
+                          entry_name=entry.name, entry_index=idx)
+        assert reports[idx].to_dict() == alone.to_dict()
+
+
+def test_p19_fails_on_perturbed_operator_route(s3_pair, monkeypatch):
+    route = verifier._operator_route
+
+    def perturbed(*args):
+        return route(*args) + 1e-6
+
+    monkeypatch.setattr(verifier, "_operator_route", perturbed)
+    G, H, rho = s3_pair
+    report = run_check(CheckSpec(id="P19_LP", trials=6), G, H, rho)
+    assert report.status == "fail"
+    assert report.counterexample["side"] == "left"
+    assert report.counterexample["p"] == 1.0
+    assert report.max_residual > 1e-7
 
 
 def test_parallel_matches_serial():
