@@ -236,15 +236,26 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
                 elems.append(y)
 
     n = len(elems)
-    earr = np.array(elems, dtype=np.int64).reshape(n, degree)
-    powers = (degree ** np.arange(degree)).astype(np.int64)  # degree <= 15 fits int64
-    keys = {int(k): i for i, k in enumerate(earr @ powers)}
+    earr = np.array(elems, dtype=np.min_scalar_type(max(degree - 1, 0))).reshape(n, degree)
+    keys = _row_keys(earr)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        row_keys = earr[a][earr] @ powers  # entry b = key of a∘b
-        table[a] = [keys[int(k)] for k in row_keys]
+    block = max(1, (1 << 25) // (n * (earr.itemsize * degree + 16)))  # ~32 MB
+    for start in range(0, n, block):
+        comp = earr[start:start + block][:, earr]    # comp[a, b] = a∘b
+        table[start:start + block] = order[np.searchsorted(sorted_keys, _row_keys(comp))]
     labels = tuple(perm_label(p) for p in elems)
     return build_from_cayley_table(labels, table, name=name, perms=tuple(elems))
+
+
+def _row_keys(perms: np.ndarray) -> np.ndarray:
+    """Each permutation (last axis) as one opaque bytes key: exact for any
+    degree, ordered consistently by sort and searchsorted."""
+    perms = np.ascontiguousarray(perms)
+    if perms.shape[-1] == 0:  # degree 0: the single empty permutation
+        return np.zeros(perms.shape[:-1], dtype=np.int8)
+    return perms.view(np.dtype((np.void, perms.shape[-1] * perms.itemsize)))[..., 0]
 
 
 # --- builtin catalog -------------------------------------------------------

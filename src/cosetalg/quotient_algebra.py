@@ -207,37 +207,33 @@ class IdentitySolution:
     unique: bool
 
 
-def _identity_system(T: StructureTable, acting_side: str) -> tuple[list, list]:
-    """Rows of the exact system 'sigma acts as the identity on every basis
-    point mass' from the given side; acting_side='left' means sigma * delta_b."""
+def _identity_system(T: StructureTable, acting_side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The exact system 'sigma acts as the identity on every basis point mass'
+    from the given side, scaled by |H| to integers: rows (b, z) in row-major
+    order, columns a. acting_side='left' means sigma * delta_b."""
     k = T.coset_count
-    den = T.denominator
-    rows, rhs = [], []
-    for b in range(k):
-        for z in range(k):
-            if acting_side == "left":
-                rows.append([Fraction(int(T.counts[a, b, z]), den) for a in range(k)])
-            else:
-                rows.append([Fraction(int(T.counts[b, a, z]), den) for a in range(k)])
-            rhs.append(Fraction(1 if z == b else 0))
+    axes = (1, 2, 0) if acting_side == "left" else (0, 2, 1)
+    rows = T.counts.transpose(axes).reshape(k * k, k)
+    rhs = T.denominator * np.eye(k, dtype=np.int64).reshape(k * k)
     return rows, rhs
 
 
 def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
-    rows, rhs = [], []
-    for side in sides:
-        r, b = _identity_system(T, side)
-        rows += r
-        rhs += b
-    sol = exact.solve(rows, rhs)
-    if sol is not None:
-        unique = len(exact.nullspace(rows, ncols=T.coset_count)) == 0
+    k = T.coset_count
+    systems = [_identity_system(T, side) for side in sides]
+    A = np.vstack([rows for rows, _ in systems])
+    b = np.concatenate([rhs for _, rhs in systems])
+    m, pivots = exact.rref(list(np.column_stack([A, b])))
+    if k not in pivots:  # no pivot in the rhs column: consistent
+        sol = [Fraction(0)] * k
+        for r, pc in enumerate(pivots):
+            sol[pc] = m[r][k]
         w = np.array([float(v) for v in sol], dtype=np.complex128)
         return IdentitySolution(solution=tuple(sol),
                                 measure=ComplexMeasure(quotient_carrier(T.quotient), w),
-                                residual=0.0, unique=unique)
-    A = np.array([[float(v) for v in row] for row in rows])
-    bb = np.array([float(v) for v in rhs])
+                                residual=0.0, unique=len(pivots) == k)
+    A = A / T.denominator
+    bb = b / T.denominator
     lsq = np.linalg.lstsq(A, bb, rcond=None)[0]
     residual = float(np.linalg.norm(A @ lsq - bb))
     return IdentitySolution(solution=None, measure=None, residual=residual,

@@ -210,14 +210,10 @@ def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:
     vector, so callers can report its dimension.
     """
     G, k, n = Q.group, Q.coset_count, Q.group.order
-    rows: list[list[Fraction]] = []
-    for x in range(n):
-        for c in range(k):
-            row = [Fraction(0)] * n
-            for y in np.flatnonzero(Q.coset_of == c):
-                row[int(G.mul[x, int(y)])] += 1
-            row[x] -= 1
-            rows.append(row)
+    x = np.arange(n)
+    rows = np.zeros((n * k, n), dtype=np.int64)           # row (x, C) at x*k + C
+    np.add.at(rows, (x[:, None] * k + Q.coset_of[None, :], G.mul), 1)
+    rows[np.arange(n * k), np.repeat(x, k)] -= 1
     basis = exact.nullspace(rows, ncols=n)
     gc = group_carrier(G)
     return [ComplexMeasure(gc, np.array([float(v) for v in vec], dtype=np.complex128))

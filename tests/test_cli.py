@@ -172,6 +172,15 @@ def test_group_file_input(tmp_path, capsys):
     assert run_cli(capsys, "groups", "--group", str(bad))[0] == 2
 
 
+def test_group_file_of_high_degree_permutations(tmp_path, capsys):
+    from test_groups import HIGH_CYCLE_SPEC
+    path = tmp_path / "c18.json"
+    path.write_text(json.dumps(HIGH_CYCLE_SPEC))
+    code, out, err = run_cli(capsys, "groups", "--group", str(path), "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)["elements"]) == 18
+
+
 def test_check_exact_mode_cli(capsys):
     code, out, _ = run_cli(capsys, "check", "--group", "builtin:S3",
                            "--subgroup", "(12)", "--prop", "L11_RIGHT_ID",

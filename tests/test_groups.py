@@ -181,6 +181,26 @@ def test_group_from_permutation_spec():
     assert G.order == 6 and G.name == "sym3"
 
 
+# An 18-cycle on points 23..40 of degree 40. A base-40 int64 row key gives
+# each of those points weight 0 mod 2**64, so all 18 elements once shared a
+# key and the table collapsed (NoIdentity).
+HIGH_CYCLE_SPEC = {"name": "C18", "permutations": {
+    "degree": 40, "generators": [list(range(22)) + list(range(23, 40)) + [22]]}}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ca.group_from_dict(HIGH_CYCLE_SPEC),
+    lambda: ca.builtin_catalog("cyclic", 17),
+    lambda: ca.builtin_catalog("dihedral", 20),
+], ids=["C18-on-points-23-40", "C17", "D20"])
+def test_permutation_table_matches_composition_at_large_degree(make):
+    G = make()
+    assert G.order == len(set(G.perms))
+    for a in range(G.order):
+        for b in range(G.order):
+            assert G.perms[G.op(a, b)] == compose(G.perms[a], G.perms[b])
+
+
 def test_find_element_by_label_and_cycles(s3, q8):
     assert ca.find_element(s3, "(12)") == 1
     assert ca.find_element(s3, "e") == 0

@@ -1,13 +1,17 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cosetalg as ca
+from cosetalg import exact
 from cosetalg.errors import CarrierMismatch
-from cosetalg.exact import ComplexFraction
-from cosetalg.verifier import _l1_convolve_operator, _lp_action_operator
+from cosetalg.exact import ComplexFraction, _rref_fractions
+from cosetalg.groups import perm_label
+from cosetalg.verifier import (_l1_convolve_operator, _lp_action_operator,
+                               build_entry, default_catalog)
 
 from conftest import random_weights, rng
 
@@ -348,6 +352,74 @@ def test_two_sided_identity(s3, s3_t, s3_a3):
     T = ca.structure_table(ca.build_coset_space(s3, s3_a3))
     sol = ca.find_two_sided_identity(T)
     assert sol.solution == (Fraction(1), Fraction(0)) and sol.unique
+
+
+def _d60_table(generator):
+    G = ca.builtin_catalog("dihedral", 60)
+    H = ca.generate_subgroup(G, [ca.find_element(G, perm_label(generator))])
+    return ca.structure_table(ca.build_coset_space(G, H))
+
+
+def _count_fraction_rows(monkeypatch):
+    """Row counts of every Fraction elimination the solvers run."""
+    calls = []
+    monkeypatch.setattr(exact, "_rref_fractions",
+                        lambda m: calls.append(len(m)) or _rref_fractions(m))
+    return calls
+
+
+def test_d60_reflection_subgroup_has_no_identity(monkeypatch):
+    T = _d60_table(tuple(-i % 60 for i in range(60)))
+    calls = _count_fraction_rows(monkeypatch)
+    for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+        sol = solver(T)
+        assert sol.solution is None and not sol.unique
+        assert sol.residual == pytest.approx(math.sqrt(29), rel=1e-12)
+    assert calls == []  # inconsistent means full rank: certified mod p alone
+
+
+def test_d60_center_has_unique_left_identity(monkeypatch):
+    T = _d60_table(tuple((i + 30) % 60 for i in range(60)))
+    calls = _count_fraction_rows(monkeypatch)
+    sol = ca.find_left_identity(T)
+    base = T.quotient.base_coset
+    assert sol.unique and sol.residual == 0.0
+    assert sol.solution == tuple(Fraction(int(c == base)) for c in range(60))
+    assert calls == [60]  # the basis rows only, not the 3600 system rows
+
+
+def _oracle_identity(T, sides):
+    """The Fraction-row identity system and its solve, as first written:
+    (solution, unique, residual)."""
+    k, den = T.coset_count, T.denominator
+    rows, rhs = [], []
+    for side in sides:
+        for b in range(k):
+            for z in range(k):
+                rows.append([Fraction(int(T.counts[a, b, z] if side == "left"
+                                          else T.counts[b, a, z]), den)
+                             for a in range(k)])
+                rhs.append(Fraction(int(z == b)))
+    m, pivots = _rref_fractions([r + [v] for r, v in zip(rows, rhs)])
+    if k not in pivots:
+        sol = [Fraction(0)] * k
+        for r, pc in enumerate(pivots):
+            sol[pc] = m[r][k]
+        return tuple(sol), len(_rref_fractions(rows)[1]) == k, 0.0
+    A = np.array([[float(v) for v in row] for row in rows])
+    bb = np.array([float(v) for v in rhs])
+    lsq = np.linalg.lstsq(A, bb, rcond=None)[0]
+    return None, False, float(np.linalg.norm(A @ lsq - bb))
+
+
+@pytest.mark.parametrize("entry", default_catalog(), ids=lambda e: e.name)
+def test_identity_solvers_match_fraction_oracle(entry):
+    G, H, _ = build_entry(entry)
+    T = ca.structure_table(ca.build_coset_space(G, H))
+    for solver, sides in ((ca.find_left_identity, ("left",)),
+                          (ca.find_two_sided_identity, ("left", "right"))):
+        sol = solver(T)
+        assert (sol.solution, sol.unique, sol.residual) == _oracle_identity(T, sides)
 
 
 def test_degenerate_whole_group(s3):

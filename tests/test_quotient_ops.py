@@ -264,6 +264,13 @@ def test_solution_space_c2_full():
     assert len(ca.solve_mhg_space(Q)) == 0
 
 
+def test_solution_space_s5_point_stabilizer_is_zero():
+    s5 = ca.builtin_catalog("symmetric", 5)
+    Q = ca.build_coset_space(s5, ca.subgroup_from_tokens(s5, ["(12)", "(1234)"]))
+    assert Q.coset_count == 5
+    assert ca.solve_mhg_space(Q) == []
+
+
 def test_solution_space_closed_under_left_convolution(s3):
     Qe = ca.build_coset_space(s3, ca.generate_subgroup(s3, []))
     basis = ca.solve_mhg_space(Qe)
