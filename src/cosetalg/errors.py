@@ -30,7 +30,7 @@ class NotAPermutation(GroupBuildError):
 
 
 class CapExceeded(CosetAlgError):
-    """Generated group exceeds the configured order cap."""
+    """A group exceeds the order cap, or an array the byte budget."""
 
 
 class UnknownName(CosetAlgError):

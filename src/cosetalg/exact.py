@@ -262,21 +262,17 @@ def lift_exact(coset_of, subgroup_order: int,
     return [s[int(coset_of[y])].scale(inv_h) for y in range(len(coset_of))]
 
 
-def quotient_convolve_exact(counts, denominator: int,
+def quotient_convolve_exact(entries, denominator: int,
                             s1: Sequence[ComplexFraction],
                             s2: Sequence[ComplexFraction]) -> list[ComplexFraction]:
-    k = len(s1)
-    out = [CF_ZERO] * k
-    for a in range(k):
-        if s1[a].is_zero():
-            continue
-        for b in range(k):
-            if s2[b].is_zero():
-                continue
-            w = s1[a] * s2[b]
-            row = counts[a][b]
-            for z in range(k):
-                cz = int(row[z])
-                if cz:
-                    out[z] = out[z] + w.scale(Fraction(cz, denominator))
+    """entries: the count tensor's nonzero entries as arrays (a, b, z, count)
+    in row-major order, so the entries of one (a, b) row are adjacent."""
+    out = [CF_ZERO] * len(s1)
+    row, w = None, None
+    for a, b, z, cz in zip(*(x.tolist() for x in entries)):
+        if (a, b) != row:
+            row = (a, b)
+            w = None if s1[a].is_zero() or s2[b].is_zero() else s1[a] * s2[b]
+        if w is not None:
+            out[z] = out[z] + w.scale(Fraction(cz, denominator))
     return out

@@ -23,6 +23,13 @@ from .errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
 
 DEFAULT_ORDER_CAP = 10080
 
+# Largest single array, in bytes, that the library allocates for a group
+# table, a structure-tensor scratch array, an identity system or a dense
+# tensor view. It admits the table of any group within DEFAULT_ORDER_CAP
+# (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
+# larger requests raise CapExceeded.
+BYTE_BUDGET = 1 << 30
+
 Perm = tuple[int, ...]
 
 
@@ -102,18 +109,29 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise CapExceeded before allocating an array of nbytes over BYTE_BUDGET."""
+    if nbytes > BYTE_BUDGET:
+        raise CapExceeded(f"{what} needs {nbytes} bytes, over the byte budget "
+                          f"of {BYTE_BUDGET} bytes")
+
+
 def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
                             name: str = "",
                             perms: Optional[tuple[Perm, ...]] = None) -> FiniteGroup:
     """Validate a full multiplication table and wrap it as a FiniteGroup.
 
-    Checks, in order: closure, identity, inverses, associativity (full triple
-    scan). Errors name the first offending tuple in row-major order.
+    Checks, in order: closure, associativity, identity, inverses. Errors name
+    the first offending tuple in row-major order. Associativity is decided by
+    Light's test on a generating set (O(n²) per generator); only a table that
+    fails it pays for the full triple scan that finds the first offending
+    (a, b, c).
     """
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     if len(set(labels)) != n:
         raise NotClosed("duplicate element labels")
+    require_bytes(n * n * 8, f"Cayley table of order {n}")
     table = np.asarray(mul, dtype=np.int64)
     if table.shape != (n, n):
         raise NotClosed(f"table shape {table.shape} does not match {n} labels")
@@ -122,15 +140,9 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
         a, b = map(int, bad[0])
         raise NotClosed(f"entry mul({a},{b}) = {int(table[a, b])} out of range")
 
-    block = max(1, (1 << 22) // max(n * n, 1))  # keep the triple scan ~32 MB
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        lhs = table[table[start:stop, :], :]   # lhs[a,b,c] = (a*b)*c
-        rhs = table[start:stop][:, table]      # rhs[a,b,c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            a, b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAssociative(
-                f"(a*b)*c != a*(b*c) at (a,b,c)=({a + start},{b},{c})")
+    if not _light_associative(table):
+        a, b, c = _first_non_associative(table)
+        raise NotAssociative(f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})")
 
     rng = np.arange(n)
     ident_candidates = [e for e in range(n)
@@ -148,6 +160,59 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
 
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
                        identity=e, name=name, perms=perms)
+
+
+def _generating_set(table: np.ndarray) -> list[int]:
+    """Greedy generators of the magma: the smallest element not yet reached,
+    then everything reached from the chosen set by right multiplication by
+    it. Every element is then a left-nested product of generators."""
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    gens: list[int] = []
+    while not reached.all():
+        s = int(np.argmin(reached))
+        gens.append(s)
+        new = np.append(table[reached, s], s)
+        while len(new):
+            fresh = np.zeros(n, dtype=bool)
+            fresh[new] = True
+            new = np.flatnonzero(fresh & ~reached)
+            reached[new] = True
+            new = table[new][:, gens].ravel()
+    return gens
+
+
+def _light_associative(table: np.ndarray) -> bool:
+    """Light's associativity test: (x*s)*y == x*(s*y) for every generator s.
+
+    The elements s that satisfy it for all x, y are closed under products,
+    so they are the whole magma once they include a generating set
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, §1.2).
+    """
+    n = table.shape[0]
+    block = max(1, (1 << 22) // max(n, 1))   # (block, n) int64 sides: ~32 MB each
+    for s in _generating_set(table):
+        s_row = table[s]
+        for start in range(0, n, block):
+            rows = table[start:start + block]
+            if not np.array_equal(table[rows[:, s]], rows[:, s_row]):
+                return False
+    return True
+
+
+def _first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """Full triple scan: the first (a, b, c) in row-major order with
+    (a*b)*c != a*(b*c), or None for an associative table."""
+    n = table.shape[0]
+    block = max(1, (1 << 22) // max(n * n, 1))  # keep the triple scan ~32 MB
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        lhs = table[table[start:stop, :], :]   # lhs[a,b,c] = (a*b)*c
+        rhs = table[start:stop][:, table]      # rhs[a,b,c] = a*(b*c)
+        if not np.array_equal(lhs, rhs):
+            a, b, c = map(int, np.argwhere(lhs != rhs)[0])
+            return a + start, b, c
+    return None
 
 
 # --- permutations ---------------------------------------------------------
@@ -236,6 +301,7 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
                 elems.append(y)
 
     n = len(elems)
+    require_bytes(n * n * 8, f"Cayley table of order {n}")
     earr = np.array(elems, dtype=np.min_scalar_type(max(degree - 1, 0))).reshape(n, degree)
     keys = _row_keys(earr)
     order = np.argsort(keys)

@@ -5,13 +5,15 @@ function algebra on cosets, its isometric embedding, and the p-norm actions.
 The tensor entry c[a][b][z] counts, over h in H, how often rep_a * h * rep_b
 lands in coset z, divided by |H|. Rows are probability vectors; they collapse
 to 0/1 exactly when H is normal, in which case the tensor is the Cayley table
-of the factor group.
+of the factor group. Each row has at most |H| nonzero entries, so the tensor
+is stored as its nonzero entries (COO), at most |G|·k of them against k³.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +22,7 @@ from . import exact
 from ._kernels import quotient_convolve_weights, structure_counts
 from .errors import CarrierMismatch
 from .exact import ComplexFraction
-from .groups import QuotientSpace
+from .groups import QuotientSpace, _freeze, require_bytes
 from .measures import (ComplexMeasure, DensityFunction, group_convolve,
                        point_mass, quotient_carrier)
 from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
@@ -29,37 +31,97 @@ from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
 
 @dataclass(frozen=True)
 class StructureTable:
+    """The count tensor of G/H by its nonzero entries: counts[a[i], b[i], z[i]]
+    = count[i], in row-major (a, b, z) order; every other entry is 0. The
+    rational tensor is c = counts / denominator. The dense views `counts` and
+    `c` are built on first access, within the byte budget."""
+
     quotient: QuotientSpace
-    counts: np.ndarray        # (k, k, k) int64; row sums all equal denominator
-    denominator: int          # |H|
-    c: np.ndarray             # counts / denominator, float64
+    denominator: int          # |H|; the counts of each (a, b) row sum to it
+    a: np.ndarray             # (nnz,) int64
+    b: np.ndarray             # (nnz,) int64
+    z: np.ndarray             # (nnz,) int64
+    count: np.ndarray         # (nnz,) int64, all positive
 
     @property
     def coset_count(self) -> int:
         return self.quotient.coset_count
 
+    @property
+    def entries(self) -> tuple[np.ndarray, ...]:
+        return self.a, self.b, self.z, self.count
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """c at the nonzero entries: count / denominator, float64."""
+        return _freeze(self.count / self.denominator)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """(2z, 2z + 1) per entry: the places of z in a float view of a
+        complex weight vector, as quotient_convolve_weights takes them."""
+        return _freeze((2 * self.z[:, None] + np.arange(2)).ravel())
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        k = self.coset_count
+        return (self.a * k + self.b) * k + self.z
+
+    def counts_at(self, a, b, z) -> np.ndarray:
+        """counts[a, b, z] for broadcastable index arrays, by binary search
+        in the sorted entries."""
+        k = self.coset_count
+        key = (np.asarray(a, dtype=np.int64) * k + b) * k + z
+        i = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        return np.where(self._keys[i] == key, self.count[i], 0)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The dense (k, k, k) int64 count tensor, read-only."""
+        return _freeze(_dense(self.coset_count, *self.entries))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """The dense (k, k, k) float64 tensor counts / denominator, read-only;
+        the same size as counts, whose byte check covers it."""
+        return _freeze(self.counts / self.denominator)
+
     def row(self, a: int, b: int) -> list[Fraction]:
-        return [Fraction(int(v), self.denominator) for v in self.counts[a, b]]
+        k = self.coset_count
+        return [Fraction(int(v), self.denominator)
+                for v in self.counts_at(a, b, np.arange(k))]
 
     def is_point_mass_table(self) -> bool:
         """True iff every row is concentrated on a single coset."""
-        return bool((self.counts.max(axis=2) == self.denominator).all())
+        return bool((self.count == self.denominator).all())
 
 
-def structure_counts_for_reps(Q: QuotientSpace, reps: Sequence[int]) -> np.ndarray:
-    """Count tensor computed from an arbitrary representative choice."""
+def _dense(k: int, a, b, z, count) -> np.ndarray:
+    require_bytes(k ** 3 * 8, f"dense structure tensor with {k} cosets")
+    out = np.zeros((k, k, k), dtype=np.int64)
+    out[a, b, z] = count
+    return out
+
+
+def structure_entries_for_reps(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Nonzero entries (a, b, z, count) of the count tensor computed from an
+    arbitrary representative choice."""
+    k, h = Q.coset_count, Q.subgroup.order
+    require_bytes(k * h * k * 8, f"structure scratch for {k} cosets of order {h}")
     members = np.array(Q.subgroup.members, dtype=np.int64)
     return structure_counts(Q.group.mul, np.asarray(reps, dtype=np.int64),
                             members, Q.coset_of)
 
 
+def structure_counts_for_reps(Q: QuotientSpace, reps: Sequence[int]) -> np.ndarray:
+    """Dense count tensor computed from an arbitrary representative choice."""
+    return _dense(Q.coset_count, *structure_entries_for_reps(Q, reps))
+
+
 def structure_table(Q: QuotientSpace) -> StructureTable:
-    counts = structure_counts_for_reps(Q, Q.reps)
-    counts.setflags(write=False)
-    c = counts / Q.subgroup.order
-    c.setflags(write=False)
-    return StructureTable(quotient=Q, counts=counts,
-                          denominator=Q.subgroup.order, c=c)
+    a, b, z, count = (_freeze(x) for x in structure_entries_for_reps(Q, Q.reps))
+    return StructureTable(quotient=Q, denominator=Q.subgroup.order,
+                          a=a, b=b, z=z, count=count)
 
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
@@ -79,7 +141,8 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
     """(sigma1 * sigma2)({z}) = sum_{a,b} sigma1({a}) sigma2({b}) c[a][b][z]."""
     _require_on_quotient(T, sigma1)
     _require_on_quotient(T, sigma2)
-    w = quotient_convolve_weights(T.c, sigma1.weights, sigma2.weights)
+    w = quotient_convolve_weights(T.a, T.b, T.slots, T.weights,
+                                  sigma1.weights, sigma2.weights)
     return ComplexMeasure(sigma1.carrier, w)
 
 
@@ -87,7 +150,7 @@ def quotient_convolve_exact(T: StructureTable,
                             s1: Sequence[ComplexFraction],
                             s2: Sequence[ComplexFraction]) -> list[ComplexFraction]:
     """Exact-rational convolution of Gaussian-rational weight vectors."""
-    return exact.quotient_convolve_exact(T.counts, T.denominator, s1, s2)
+    return exact.quotient_convolve_exact(T.entries, T.denominator, s1, s2)
 
 
 def module_action(Q: QuotientSpace, mu: ComplexMeasure,
@@ -212,8 +275,11 @@ def _identity_system(T: StructureTable, acting_side: str) -> tuple[np.ndarray, n
     from the given side, scaled by |H| to integers: rows (b, z) in row-major
     order, columns a. acting_side='left' means sigma * delta_b."""
     k = T.coset_count
-    axes = (1, 2, 0) if acting_side == "left" else (0, 2, 1)
-    rows = T.counts.transpose(axes).reshape(k * k, k)
+    # left: row (b, z), column a; right: row (a, z), column b
+    row, col = (T.b, T.a) if acting_side == "left" else (T.a, T.b)
+    require_bytes(k * k * k * 8, f"identity system with {k} cosets")
+    rows = np.zeros((k * k, k), dtype=np.int64)
+    rows[row * k + T.z, col] = T.count
     rhs = T.denominator * np.eye(k, dtype=np.int64).reshape(k * k)
     return rows, rhs
 

@@ -37,7 +37,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
-                               structure_counts_for_reps, structure_table)
+                               structure_entries_for_reps, structure_table)
 from .quotient_ops import (QuotientMeasure, RhoFunction, compose_with_projection,
                            lift_to_invariant, membership_mgh, pushforward_rh,
                            quasi_invariant_lambda, quotient_integral_check,
@@ -330,11 +330,14 @@ def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace) -> np.ndarray:
 
 def _check_d6_conv(spec, ctx, rng):
     T, Q = ctx.T, ctx.Q
-    if not (T.counts.sum(axis=2) == T.denominator).all():
+    k = T.coset_count
+    row_sums = np.bincount(T.a * k + T.b, weights=T.count, minlength=k * k)
+    if not (row_sums == T.denominator).all():
         return "fail", 1.0, {"reason": "row sums differ from |H|"}, "", 0
     for _ in range(10):
         alt = _alternative_reps(rng, Q)
-        if not np.array_equal(structure_counts_for_reps(Q, alt), T.counts):
+        if not all(np.array_equal(x, y) for x, y in
+                   zip(structure_entries_for_reps(Q, alt), T.entries)):
             return ("fail", 1.0,
                     {"reason": "tensor depends on representative choice",
                      "reps": alt.tolist()}, "", 0)
@@ -428,12 +431,11 @@ def _is_delta_h(sol: IdentitySolution, Q: QuotientSpace) -> bool:
 def _check_l11_right_id(spec, ctx, rng):
     T, Q = ctx.T, ctx.Q
     b0 = Q.base_coset
-    for a in range(T.coset_count):
-        for z in range(T.coset_count):
-            want = T.denominator if z == a else 0
-            if int(T.counts[a, b0, z]) != want:
-                return ("fail", 1.0,
-                        {"reason": "basis right-identity failed", "coset": a}, "", 0)
+    ar = np.arange(T.coset_count)
+    bad = T.counts_at(ar[:, None], b0, ar[None, :]) != T.denominator * np.eye(len(ar))
+    if bad.any():
+        return ("fail", 1.0, {"reason": "basis right-identity failed",
+                              "coset": int(np.argmax(bad.any(axis=1)))}, "", 0)
     worst, witness = 0.0, None
     dh = delta_h(Q)
     for t in range(spec.trials):
@@ -469,11 +471,9 @@ def _check_c13_unique_id(spec, ctx, rng):
 def _left_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
     """None when the base coset acts as a left identity on every point mass;
     otherwise the first coset index witnessing failure."""
-    b0 = Q.base_coset
-    for b in range(T.coset_count):
-        if int(T.counts[b0, b, b]) != T.denominator:
-            return b
-    return None
+    ar = np.arange(T.coset_count)
+    bad = np.flatnonzero(T.counts_at(Q.base_coset, ar, ar) != T.denominator)
+    return int(bad[0]) if len(bad) else None
 
 
 def _check_c14_involution(spec, ctx, rng):
@@ -499,15 +499,10 @@ def _check_p15_normality(spec, ctx, rng):
     T, Q, G = ctx.T, ctx.Q, ctx.G
     normal = test_normality(G, ctx.H)
     left_id = _left_identity_on_basis(T, Q) is None
-    point_mass_mult = True
-    for a in range(T.coset_count):
-        for b in range(T.coset_count):
-            z = int(Q.coset_of[G.mul[int(Q.reps[a]), int(Q.reps[b])]])
-            if int(T.counts[a, b, z]) != T.denominator:
-                point_mass_mult = False
-                break
-        if not point_mass_mult:
-            break
+    ar = np.arange(T.coset_count)
+    z = Q.coset_of[G.mul[Q.reps[:, None], Q.reps[None, :]]]
+    point_mass_mult = bool((T.counts_at(ar[:, None], ar[None, :], z)
+                            == T.denominator).all())
     if not (normal == left_id == point_mass_mult):
         return ("fail", 1.0,
                 {"normal": normal, "left_identity": left_id,

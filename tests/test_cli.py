@@ -147,6 +147,27 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget,what", [
+    (4000, "Cayley table of order 24 needs 4608 bytes"),
+    (8000, "dense structure tensor with 12 cosets needs 13824 bytes"),
+])
+def test_table_over_byte_budget_exits_2(capsys, monkeypatch, budget, what):
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)
+    code, out, err = run_cli(capsys, "table", "--group", "builtin:S4",
+                             "--subgroup", "(12)", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"error: {what}, over the byte budget of {budget} bytes\n"
+
+
+def test_group_file_over_byte_budget_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(ca.group_to_dict(ca.builtin_from_token("S3"))))
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 287)
+    code, _, err = run_cli(capsys, "groups", "--group", str(path))
+    assert code == 2
+    assert "Cayley table of order 6 needs 288 bytes" in err
+
+
 def test_unknown_prop_rejected(capsys):
     assert run_cli(capsys, "check", "--prop", "NOT_A_CHECK")[0] == 2
 

@@ -1,9 +1,14 @@
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetalg as ca
+from cosetalg import groups
 from cosetalg.errors import (AmbiguousElement, CapExceeded, NoInverse,
                              NotAPermutation, NotAssociative, NotClosed,
                              UnknownName)
@@ -46,6 +51,60 @@ def test_non_associative_rejected():
     ca.build_from_cayley_table(list("eab"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     with pytest.raises(NotAssociative, match=r"\(1,1,1\)"):
         ca.build_from_cayley_table(list("eab"), [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+# Builtin groups up to order 24, Cayley-table and permutation built alike.
+LIGHT_GROUPS = ("C5", "S3", "C6", "D4", "Q8", "D5", "A4", "D6",
+                "direct_product(2,6)", "S4", "D12", "C24")
+
+
+@functools.lru_cache(maxsize=None)
+def _light_group(token):
+    return ca.builtin_from_token(token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_light_test_matches_full_scan(data):
+    """Light's test on a generating set against the full triple scan, on
+    relabelled and perturbed group tables: anywhere, in the last quarter of
+    the rows, and at products of two non-generators."""
+    G = _light_group(data.draw(st.sampled_from(LIGHT_GROUPS), label="group"))
+    n = G.order
+    table = np.array(G.mul)
+    if data.draw(st.booleans(), label="relabel"):
+        p = np.array(data.draw(st.permutations(range(n)), label="relabelling"))
+        relabelled = np.empty_like(table)
+        relabelled[np.ix_(p, p)] = p[table]
+        table = relabelled
+    where = data.draw(st.sampled_from(["anywhere", "late rows", "non-generators"]),
+                      label="where")
+    rows = cols = list(range(n))
+    if where == "late rows":
+        rows = rows[3 * n // 4:]
+    elif where == "non-generators":
+        gens = set(groups._generating_set(table))
+        rows = cols = [x for x in range(n) if x not in gens]
+    for _ in range(data.draw(st.integers(0, 3), label="perturbations")):
+        x = data.draw(st.sampled_from(rows))
+        y = data.draw(st.sampled_from(cols))
+        table[x, y] = data.draw(st.integers(0, n - 1))
+
+    witness = groups._first_non_associative(table)
+    assert groups._light_associative(table) == (witness is None)
+    if witness is None:
+        return
+    with pytest.raises(NotAssociative,
+                       match=re.escape("at (a,b,c)=({},{},{})".format(*witness))):
+        ca.build_from_cayley_table([str(i) for i in range(n)], table)
+
+
+def test_generating_set_generates():
+    for token in LIGHT_GROUPS:
+        G = _light_group(token)
+        gens = groups._generating_set(G.mul)
+        assert len(gens) <= 1 + int(np.log2(G.order))
+        assert ca.generate_subgroup(G, gens).order == G.order
 
 
 def test_permutation_closure_s3():

@@ -10,12 +10,29 @@ from cosetalg import _kernels
 
 PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
+# The sparse tensor against the dense one, on normal and non-normal pairs up
+# to k = 120; D60/<s> takes the reflection i -> -i, which fixes points 1, 31.
+DIFFERENTIAL_PAIRS = [
+    ("S3", ["(12)"]), ("S4", ["(12)", "(123)"]), ("Q8", ["i"]),
+    ("D60", ["".join(f"({p},{62 - p})" for p in range(2, 31))]), ("S5", []),
+]
+
 
 def _setup(token, gens):
     G = ca.builtin_from_token(token)
     H = ca.subgroup_from_tokens(G, gens)
     Q = ca.build_coset_space(G, H)
     return G, Q
+
+
+def _onehot_counts(mul, reps, members, coset_of):
+    """The dense count kernel the sparse one replaced: a one-hot
+    (k, |H|, k, k) intermediate summed over H."""
+    k = reps.shape[0]
+    left = mul[reps[:, None], members[None, :]]
+    z = coset_of[mul[left[:, :, None], reps[None, None, :]]]
+    onehot = z[:, :, :, None] == np.arange(k)[None, None, None, :]
+    return onehot.sum(axis=1, dtype=np.int64)
 
 
 def test_backend_is_numpy():
@@ -47,7 +64,11 @@ def test_structure_counts_kernel_oracle(token, gens):
             for h in members:
                 z = Q.coset_of[G.op(G.op(int(Q.reps[a]), int(h)), int(Q.reps[b]))]
                 want[a, b, z] += 1
-    got = _kernels.structure_counts(G.mul, Q.reps, members, Q.coset_of)
+    a, b, z, count = _kernels.structure_counts(G.mul, Q.reps, members, Q.coset_of)
+    keys = (a * k + b) * k + z
+    assert (np.diff(keys) > 0).all() and (count > 0).all()
+    got = np.zeros((k, k, k), dtype=np.int64)
+    got[a, b, z] = count
     assert np.array_equal(got, want)
 
 
@@ -58,8 +79,33 @@ def test_quotient_convolve_kernel_oracle(token, gens):
     rng = np.random.Generator(np.random.PCG64(21))
     s1 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     s2 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
-    got = _kernels.quotient_convolve_weights(ca.structure_table(Q).c, s1, s2)
+    T = ca.structure_table(Q)
+    got = _kernels.quotient_convolve_weights(T.a, T.b, T.slots, T.weights, s1, s2)
     qc = ca.quotient_carrier(Q)
     lifted = [ca.lift_to_invariant(Q, ca.ComplexMeasure(qc, s)) for s in (s1, s2)]
     want = ca.pushforward_rh(Q, ca.group_convolve(G, *lifted)).weights
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("token,gens", DIFFERENTIAL_PAIRS,
+                         ids=["S3/<(12)>", "S4/S3", "Q8/<i>", "D60/<s>", "S5/{e}"])
+def test_sparse_tensor_matches_dense(token, gens):
+    G, Q = _setup(token, gens)
+    members = np.array(Q.subgroup.members, dtype=np.int64)
+    dense = _onehot_counts(G.mul, Q.reps, members, Q.coset_of)
+    T = ca.structure_table(Q)
+    assert np.array_equal(T.counts, dense)
+    assert np.array_equal(T.c, dense / T.denominator)
+    qc = ca.quotient_carrier(Q)
+    rng = np.random.Generator(np.random.PCG64(23))
+    for _ in range(3):
+        # unit total variation, so 1e-13 bounds the error relative to ||s1||·||s2||
+        s1, s2 = (w / np.abs(w).sum() for w in
+                  (rng.random((2, Q.coset_count)) + 1j * rng.random((2, Q.coset_count))))
+        m1, m2 = ca.ComplexMeasure(qc, s1), ca.ComplexMeasure(qc, s2)
+        got = ca.quotient_convolve(T, m1, m2).weights
+        oracle = np.einsum("abz,a,b->z", dense / T.denominator, s1, s2)
+        route = ca.pushforward_rh(Q, ca.group_convolve(
+            G, ca.lift_to_invariant(Q, m1), ca.lift_to_invariant(Q, m2))).weights
+        assert np.max(np.abs(got - oracle)) < 1e-13
+        assert np.max(np.abs(got - route)) < 1e-13
