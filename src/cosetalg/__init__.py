@@ -12,6 +12,7 @@ from .errors import (AmbiguousElement, CapExceeded, CarrierMismatch,
                      CosetAlgError, NoIdentity, NoInverse, NonPositive,
                      NotAPermutation, NotAssociative, NotClosed,
                      NotCosetConstant, UnknownCheckId, UnknownName)
+from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup,
                      build_coset_space, build_from_cayley_table,
                      build_from_permutation_generators, builtin_catalog,

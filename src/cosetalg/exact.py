@@ -1,10 +1,14 @@
-"""Exact rational arithmetic: Gaussian rationals and small linear solvers.
+"""Exact rational arithmetic: Gaussian-rational vectors and small linear solvers.
 
-Results are plain Python lists of Fraction / ComplexFraction; they back the
-identity-solving and the "exactly" claims that floating point cannot honor
-(division by a non-power-of-two subgroup order rounds). The linear solvers
-take integer systems as numpy arrays, so the library's large systems never
-become one Fraction per entry (see rref).
+They back the "exactly" claims that floating point cannot honor (division by
+a non-power-of-two subgroup order rounds). An ExactVector holds integer
+numerator arrays over one denominator, so the exact lift is an index and a
+larger denominator, and pushforward, group and quotient convolution are
+integer scatters over the index arrays the float kernels use; the numerators
+are int64 while an overflow bound holds and Python ints beyond it. The
+linear solvers return lists of Fractions and take integer systems as numpy
+arrays, so the library's large systems never become one Fraction per entry
+(see rref).
 """
 
 from __future__ import annotations
@@ -26,49 +30,115 @@ Matrix = Union[Sequence[Sequence], np.ndarray]
 # Row-basis prime (2**31 - 1): residues below 2**31 keep products in int64.
 _PRIME = 2_147_483_647
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_INT64_BOUND = 2 ** 63
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 
-@dataclass(frozen=True)
-class ComplexFraction:
-    """Complex number with exact rational real and imaginary parts."""
+@dataclass(frozen=True, eq=False)
+class ExactVector:
+    """A vector of Gaussian rationals (re + i·im) / den: integer numerator
+    arrays over one positive integer denominator.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    `bound` bounds every |numerator|: measured when not given, else derived
+    by the operation that made the vector from its operands' bounds. The
+    arrays are int64 when bound < 2**63 and object (Python ints) otherwise,
+    so no operation wraps. == compares values, not representations.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    den: int = 1
+    bound: Optional[int] = None
+
+    def __post_init__(self):
+        re, im = np.asarray(self.re), np.asarray(self.im)
+        if self.den < 1 or re.shape != im.shape or re.ndim != 1:
+            raise ValueError("need two 1-D numerator arrays of one length and den >= 1")
+        bound = self.bound if self.bound is not None else _magnitude(re, im)
+        re, im = _integers(bound, re, im)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "den", int(self.den))
+        object.__setattr__(self, "bound", bound)
 
     @classmethod
-    def of(cls, re, im=0) -> "ComplexFraction":
-        return cls(Fraction(re), Fraction(im))
+    def from_fractions(cls, re: Sequence, im: Optional[Sequence] = None) -> "ExactVector":
+        """The vector re + i·im from rationals (anything Fraction accepts)."""
+        im = [0] * len(re) if im is None else im
+        parts = [[Fraction(v) for v in part] for part in (re, im)]
+        den = math.lcm(*(v.denominator for part in parts for v in part))
+        return cls(*(np.array([int(v * den) for v in part], dtype=object) for part in parts), den)
 
-    def __add__(self, other: "ComplexFraction") -> "ComplexFraction":
-        return ComplexFraction(self.re + other.re, self.im + other.im)
+    def __len__(self) -> int:
+        return len(self.re)
 
-    def __sub__(self, other: "ComplexFraction") -> "ComplexFraction":
-        return ComplexFraction(self.re - other.re, self.im - other.im)
+    def __getitem__(self, index) -> "ExactVector":
+        return ExactVector(self.re[index], self.im[index], self.den, self.bound)
 
-    def __mul__(self, other: "ComplexFraction") -> "ComplexFraction":
-        return ComplexFraction(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other) -> "ExactVector":
+        """Entrywise product with an ExactVector, or with integers."""
+        if not isinstance(other, ExactVector):
+            bound = _bound(self.bound, _magnitude(other))
+            re, im, scale = _integers(bound, self.re, self.im, other)
+            return ExactVector(re * scale, im * scale, self.den, bound)
+        bound = _bound(2, self.bound, other.bound)
+        r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
+        return ExactVector(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2,
+                           self.den * other.den, bound)
 
-    def __neg__(self) -> "ComplexFraction":
-        return ComplexFraction(-self.re, -self.im)
+    def __truediv__(self, q: int) -> "ExactVector":
+        """Division by a positive integer: the denominator grows by q."""
+        return ExactVector(self.re, self.im, self.den * q, self.bound)
 
-    def scale(self, c: Fraction) -> "ComplexFraction":
-        c = Fraction(c)
-        return ComplexFraction(self.re * c, self.im * c)
+    def abs_squared(self) -> "ExactVector":
+        """|v_i|^2 entrywise, with zero imaginary part."""
+        return self * ExactVector(self.re, -self.im, self.den, self.bound)
 
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+    def scatter(self, index: np.ndarray, size: int) -> "ExactVector":
+        """out[index[i]] += self[i], for a vector of `size` entries."""
+        bound = _bound(self.bound, len(index))
+        parts = []
+        for part in _integers(bound, self.re, self.im):
+            parts.append(np.zeros(size, dtype=part.dtype))
+            np.add.at(parts[-1], index, part)
+        return ExactVector(*parts, self.den, bound)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactVector):
+            return NotImplemented
+        bound = max(_bound(self.bound, other.den), _bound(other.bound, self.den))
+        r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
+        return (len(self) == len(other) and np.array_equal(r1 * other.den, r2 * self.den)
+                and np.array_equal(i1 * other.den, i2 * self.den))
 
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+    def to_complex(self) -> np.ndarray:
+        """complex128 values, each part rounded as float(Fraction) rounds."""
+        out = np.empty(len(self), dtype=np.complex128)
+        out.real = self.re.astype(object) / self.den
+        out.imag = self.im.astype(object) / self.den
+        return out
 
 
-CF_ZERO = ComplexFraction()
+def _magnitude(*arrays) -> int:
+    """max |v| over integer arrays (0 when empty); exact at -2**63, where
+    np.abs wraps."""
+    return max((max(int(a.max()), -int(a.min())) for a in map(np.asarray, arrays)
+                if a.size), default=0)
+
+
+def _bound(*factors: int) -> int:
+    """Bounds a product of values bounded by the factors, and each factor."""
+    return math.prod(max(int(f), 1) for f in factors)
+
+
+def _integers(bound: int, *arrays) -> list[np.ndarray]:
+    """The integer arrays as int64 when bound < 2**63, else as object arrays
+    of Python ints: one dtype per operation, chosen from its bound."""
+    dtype = _INT64 if bound < _INT64_BOUND else _OBJECT
+    out = [np.asarray(a) for a in arrays]
+    if any(a.dtype.kind not in "iubO" for a in out):
+        raise TypeError("exact vectors hold and scale by integers only")
+    return [a if a.dtype == dtype else a.astype(dtype) for a in out]
 
 
 def rref(matrix: Matrix) -> tuple[FractionMat, list[int]]:
@@ -143,7 +213,7 @@ def _integer_matrix(matrix: Matrix) -> np.ndarray:
 def _row_basis_mod_p(A: np.ndarray) -> np.ndarray:
     """Indices of rows of A that are independent mod _PRIME and span its row
     space mod _PRIME, found by one vectorized elimination."""
-    M = (A % _PRIME).astype(np.int64)   # residues < 2**31: products fit int64
+    M = (A % _PRIME).astype(np.int64, copy=False)   # residues < 2**31: products fit int64
     basis = []
     for col in range(M.shape[1]):
         nz = np.flatnonzero(M[:, col])
@@ -195,8 +265,7 @@ def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[FractionVec]:
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = unit_vector(ncols, j)
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][j]
         basis.append(v)
@@ -222,57 +291,3 @@ def unit_vector(n: int, j: int) -> FractionVec:
     v = [Fraction(0)] * n
     v[j] = Fraction(1)
     return v
-
-
-# --- exact convolution-side helpers -------------------------------------
-#
-# These mirror the float operations in measures/quotient_ops/quotient_algebra
-# over ComplexFraction weights, taking raw index tables as input.
-
-def group_convolve_exact(mul, w1: Sequence[ComplexFraction],
-                         w2: Sequence[ComplexFraction]) -> list[ComplexFraction]:
-    n = len(w1)
-    out = [CF_ZERO] * n
-    for x in range(n):
-        wx = w1[x]
-        if wx.is_zero():
-            continue
-        row = mul[x]
-        for y in range(n):
-            wy = w2[y]
-            if wy.is_zero():
-                continue
-            z = int(row[y])
-            out[z] = out[z] + wx * wy
-    return out
-
-
-def pushforward_exact(coset_of, coset_count: int,
-                      w: Sequence[ComplexFraction]) -> list[ComplexFraction]:
-    out = [CF_ZERO] * coset_count
-    for y, wy in enumerate(w):
-        c = int(coset_of[y])
-        out[c] = out[c] + wy
-    return out
-
-
-def lift_exact(coset_of, subgroup_order: int,
-               s: Sequence[ComplexFraction]) -> list[ComplexFraction]:
-    inv_h = Fraction(1, subgroup_order)
-    return [s[int(coset_of[y])].scale(inv_h) for y in range(len(coset_of))]
-
-
-def quotient_convolve_exact(entries, denominator: int,
-                            s1: Sequence[ComplexFraction],
-                            s2: Sequence[ComplexFraction]) -> list[ComplexFraction]:
-    """entries: the count tensor's nonzero entries as arrays (a, b, z, count)
-    in row-major order, so the entries of one (a, b) row are adjacent."""
-    out = [CF_ZERO] * len(s1)
-    row, w = None, None
-    for a, b, z, cz in zip(*(x.tolist() for x in entries)):
-        if (a, b) != row:
-            row = (a, b)
-            w = None if s1[a].is_zero() or s2[b].is_zero() else s1[a] * s2[b]
-        if w is not None:
-            out[z] = out[z] + w.scale(Fraction(cz, denominator))
-    return out

@@ -24,8 +24,9 @@ from .errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
 DEFAULT_ORDER_CAP = 10080
 
 # Largest single array, in bytes, that the library allocates for a group
-# table, a structure-tensor scratch array, an identity system or a dense
-# tensor view. It admits the table of any group within DEFAULT_ORDER_CAP
+# table, a structure-tensor scratch array or a dense tensor view, and the
+# most an identity solve holds at once (its system and the solve's copies).
+# It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
 # larger requests raise CapExceeded.
 BYTE_BUDGET = 1 << 30

@@ -25,7 +25,7 @@ import numpy as np
 from . import exact
 from ._kernels import group_convolve_weights
 from .errors import UnknownCheckId
-from .exact import ComplexFraction
+from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      builtin_from_token, group_from_dict, subgroup_from_tokens,
                      test_normality)
@@ -146,16 +146,13 @@ def draw_rho(rng: np.random.Generator, Q: QuotientSpace) -> RhoFunction:
     return validate_rho(Q, [Fraction(int(a), int(b)) for a, b in zip(nums, dens)])
 
 
-def draw_rational_weights(rng: np.random.Generator, size: int) -> list[ComplexFraction]:
+def draw_rational_weights(rng: np.random.Generator, size: int) -> ExactVector:
+    """Gaussian rationals a/b + (c/d)i with a, c in -4..4 and b, d in 1..4,
+    over the denominator 12 = lcm(1, 2, 3, 4)."""
     re_n = rng.integers(-4, 5, size)
     im_n = rng.integers(-4, 5, size)
     de = rng.integers(1, 5, (2, size))
-    return [ComplexFraction(Fraction(int(a), int(b)), Fraction(int(c), int(d)))
-            for a, b, c, d in zip(re_n, de[0], im_n, de[1])]
-
-
-def _floats(ws: Sequence[ComplexFraction], carrier: Carrier) -> ComplexMeasure:
-    return ComplexMeasure(carrier, np.array([w.to_complex() for w in ws]))
+    return ExactVector(re_n * (12 // de[0]), im_n * (12 // de[1]), 12)
 
 
 # --- entry context --------------------------------------------------------------
@@ -289,14 +286,12 @@ def _check_p3_lift(spec, ctx, rng):
     h = Q.subgroup.order
     for t in range(min(spec.trials, 10)):
         s = draw_rational_weights(rng, Q.coset_count)
-        lifted = exact.lift_exact(Q.coset_of, h, s)
-        back = exact.pushforward_exact(Q.coset_of, Q.coset_count, lifted)
-        if any(not (a - b).is_zero() for a, b in zip(back, s)):
+        lifted = s[Q.coset_of] / h
+        if lifted.scatter(Q.coset_of, Q.coset_count) != s:
             return "fail", 1.0, {"trial": t, "reason": "exact section failed"}, "", t + 1
-        for y, w in enumerate(lifted):
-            if w.abs_squared() * h * h != s[int(Q.coset_of[y])].abs_squared():
-                return ("fail", 1.0,
-                        {"trial": t, "reason": "exact lift norm identity failed"}, "", t + 1)
+        if lifted.abs_squared() * (h * h) != s.abs_squared()[Q.coset_of]:
+            return ("fail", 1.0,
+                    {"trial": t, "reason": "exact lift norm identity failed"}, "", t + 1)
     ok = worst <= spec.tol
     return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
 
@@ -328,6 +323,13 @@ def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
+def _exact_convolution(mul: np.ndarray, w1: ExactVector, w2: ExactVector) -> ExactVector:
+    """Group convolution over Gaussian rationals: out[mul[x, y]] += w1[x] * w2[y]."""
+    n = mul.shape[0]
+    x, y = np.divmod(np.arange(n * n), n)
+    return (w1[x] * w2[y]).scatter(mul.ravel(), n)
+
+
 def _check_d6_conv(spec, ctx, rng):
     T, Q = ctx.T, ctx.Q
     k = T.coset_count
@@ -348,12 +350,10 @@ def _check_d6_conv(spec, ctx, rng):
             s1 = draw_rational_weights(rng, Q.coset_count)
             s2 = draw_rational_weights(rng, Q.coset_count)
             via_table = quotient_convolve_exact(T, s1, s2)
-            conv = exact.group_convolve_exact(
-                Q.group.mul,
-                exact.lift_exact(Q.coset_of, Q.subgroup.order, s1),
-                exact.lift_exact(Q.coset_of, Q.subgroup.order, s2))
-            via_lift = exact.pushforward_exact(Q.coset_of, Q.coset_count, conv)
-            r = 0.0 if all((a - b).is_zero() for a, b in zip(via_table, via_lift)) else 1.0
+            h = Q.subgroup.order
+            conv = _exact_convolution(Q.group.mul, s1[Q.coset_of] / h, s2[Q.coset_of] / h)
+            via_lift = conv.scatter(Q.coset_of, Q.coset_count)
+            r = 0.0 if via_table == via_lift else 1.0
         else:
             s1 = draw_measure(rng, ctx.qc)
             s2 = draw_measure(rng, ctx.qc)
@@ -396,8 +396,8 @@ def _check_t8_algebra(spec, ctx, rng):
             s1, s2, s3 = (draw_rational_weights(rng, T.coset_count) for _ in range(3))
             lhs = quotient_convolve_exact(T, quotient_convolve_exact(T, s1, s2), s3)
             rhs = quotient_convolve_exact(T, s1, quotient_convolve_exact(T, s2, s3))
-            r = 0.0 if all((a - b).is_zero() for a, b in zip(lhs, rhs)) else 1.0
-            m1, m2 = _floats(s1, ctx.qc), _floats(s2, ctx.qc)
+            r = 0.0 if lhs == rhs else 1.0
+            m1, m2 = (ComplexMeasure(ctx.qc, s.to_complex()) for s in (s1, s2))
         else:
             m1, m2, m3 = (draw_measure(rng, ctx.qc) for _ in range(3))
             lhs = quotient_convolve(T, quotient_convolve(T, m1, m2), m3)
@@ -422,10 +422,8 @@ def _check_t8_algebra(spec, ctx, rng):
 
 
 def _is_delta_h(sol: IdentitySolution, Q: QuotientSpace) -> bool:
-    if sol.solution is None:
-        return False
-    want = [Fraction(1 if c == Q.base_coset else 0) for c in range(Q.coset_count)]
-    return list(sol.solution) == want
+    return (sol.solution is not None
+            and list(sol.solution) == exact.unit_vector(Q.coset_count, Q.base_coset))
 
 
 def _check_l11_right_id(spec, ctx, rng):
@@ -438,12 +436,11 @@ def _check_l11_right_id(spec, ctx, rng):
                               "coset": int(np.argmax(bad.any(axis=1)))}, "", 0)
     worst, witness = 0.0, None
     dh = delta_h(Q)
+    dh_exact = ExactVector.from_fractions(exact.unit_vector(T.coset_count, b0))
     for t in range(spec.trials):
         if spec.mode == "exact":
             s = draw_rational_weights(rng, T.coset_count)
-            d = [ComplexFraction(Fraction(1 if c == b0 else 0)) for c in range(T.coset_count)]
-            out = quotient_convolve_exact(T, s, d)
-            r = 0.0 if all((a - b).is_zero() for a, b in zip(out, s)) else 1.0
+            r = 0.0 if quotient_convolve_exact(T, s, dh_exact) == s else 1.0
         else:
             s = draw_measure(rng, ctx.qc)
             r = total_variation(quotient_convolve(T, s, dh) - s)
@@ -535,11 +532,10 @@ def _check_p16_embed(spec, ctx, rng):
     # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise
     for t in range(min(spec.trials, 10)):
         rho_t = draw_rho(rng, Q)
-        lam_exact = [Fraction(Q.subgroup.order) * v for v in rho_t.exact]
+        lam = ExactVector.from_fractions([Q.subgroup.order * v for v in rho_t.exact])
         phi = draw_rational_weights(rng, Q.coset_count)
-        for w, lv in zip(phi, lam_exact):
-            if (w.scale(lv)).abs_squared() != w.abs_squared() * lv * lv:
-                return "fail", 1.0, {"trial": t, "reason": "exact norm identity failed"}, "", t + 1
+        if (phi * lam).abs_squared() != phi.abs_squared() * (lam * lam):
+            return "fail", 1.0, {"trial": t, "reason": "exact norm identity failed"}, "", t + 1
     ok = worst <= spec.tol
     return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
 

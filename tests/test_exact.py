@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cosetalg as ca
 from cosetalg import exact
-from cosetalg.exact import ComplexFraction, _rref_fractions
+from cosetalg.exact import ExactVector, _rref_fractions
+from cosetalg.verifier import _exact_convolution
 
 
 def F(*args):
@@ -48,40 +50,198 @@ def test_solve_consistent_and_inconsistent():
     assert sol == [F(5), F(0)]
 
 
-def test_complex_fraction_arithmetic():
-    a = ComplexFraction.of(F(1, 2), F(-1, 3))
-    b = ComplexFraction.of(F(2), F(1))
-    assert (a + b).re == F(5, 2)
-    assert (a * b).re == F(1, 2) * F(2) - F(-1, 3) * F(1)
-    assert (a * b).im == F(1, 2) * F(1) + F(-1, 3) * F(2)
-    assert a.abs_squared() == F(1, 4) + F(1, 9)
-    assert (a - a).is_zero()
-    assert a.scale(F(2)).re == F(1)
-    assert abs(a.to_complex() - (0.5 - 1 / 3 * 1j)) < 1e-15
+def test_exact_vector_arithmetic():
+    a = ExactVector.from_fractions([F(1, 2)], [F(-1, 3)])
+    b = ExactVector.from_fractions([F(2)], [F(1)])
+    assert values(a * b) == [(F(1, 2) * F(2) - F(-1, 3) * F(1),
+                              F(1, 2) * F(1) + F(-1, 3) * F(2))]
+    assert values(a.abs_squared()) == [(F(1, 4) + F(1, 9), F(0))]
+    assert values(a * 2) == [(F(1), F(-2, 3))]
+    assert values(a / 3) == [(F(1, 6), F(-1, 9))]
+    # entries sent to one target add up
+    pair = ExactVector.from_fractions([F(1, 2), F(2)], [F(-1, 3), F(1)])
+    assert values(pair.scatter(np.array([0, 0]), 1)) == [(F(5, 2), F(2, 3))]
+    # equality compares values: the same numbers over another denominator
+    assert a == ExactVector(a.re * 5, a.im * 5, a.den * 5)
+    assert a != b and a != pair
+    assert abs(a.to_complex()[0] - (0.5 - 1 / 3 * 1j)) < 1e-15
 
 
 def test_exact_group_convolve_matches_float(s3):
     rng = np.random.Generator(np.random.PCG64(11))
     num = rng.integers(-3, 4, (2, 6))
     den = rng.integers(1, 4, (2, 6))
-    w1 = [ComplexFraction.of(F(int(num[0, i]), int(den[0, i]))) for i in range(6)]
-    w2 = [ComplexFraction.of(0, F(int(num[1, i]), int(den[1, i]))) for i in range(6)]
-    out = exact.group_convolve_exact(s3.mul, w1, w2)
+    w1 = ExactVector.from_fractions([F(int(num[0, i]), int(den[0, i])) for i in range(6)])
+    w2 = ExactVector.from_fractions([0] * 6, [F(int(num[1, i]), int(den[1, i]))
+                                              for i in range(6)])
+    out = _exact_convolution(s3.mul, w1, w2)
     from cosetalg._kernels import group_convolve_weights
-    f1 = np.array([w.to_complex() for w in w1])
-    f2 = np.array([w.to_complex() for w in w2])
-    got = group_convolve_weights(s3.mul, f1, f2)
-    want = np.array([w.to_complex() for w in out])
-    assert np.max(np.abs(got - want)) < 1e-14
+    got = group_convolve_weights(s3.mul, w1.to_complex(), w2.to_complex())
+    assert np.max(np.abs(got - out.to_complex())) < 1e-14
 
 
 def test_exact_lift_and_pushforward_are_sections(s3_q):
     rng = np.random.Generator(np.random.PCG64(12))
-    s = [ComplexFraction.of(F(int(a), 2), F(int(b), 3))
-         for a, b in rng.integers(-4, 5, (3, 2))]
-    lifted = exact.lift_exact(s3_q.coset_of, s3_q.subgroup.order, s)
-    back = exact.pushforward_exact(s3_q.coset_of, s3_q.coset_count, lifted)
-    assert all((x - y).is_zero() for x, y in zip(back, s))
+    s = ExactVector.from_fractions(*zip(*((F(int(a), 2), F(int(b), 3))
+                                          for a, b in rng.integers(-4, 5, (3, 2)))))
+    lifted = s[s3_q.coset_of] / s3_q.subgroup.order
+    assert lifted.scatter(s3_q.coset_of, s3_q.coset_count) == s
+
+
+# --- the exact vector operations against Fraction oracles --------------------------
+#
+# The oracles are the per-entry loops the library used before its exact
+# vectors held integer numerators: Gaussian rationals as (re, im) Fraction
+# pairs.
+
+ZERO = (F(0), F(0))
+
+
+def values(v):
+    return [(F(int(r), v.den), F(int(i), v.den)) for r, i in zip(v.re, v.im)]
+
+
+def c_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def c_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def oracle_lift(coset_of, subgroup_order, s):
+    return [(s[c][0] / subgroup_order, s[c][1] / subgroup_order)
+            for c in map(int, coset_of)]
+
+
+def oracle_pushforward(coset_of, coset_count, w):
+    out = [ZERO] * coset_count
+    for y, wy in enumerate(w):
+        out[int(coset_of[y])] = c_add(out[int(coset_of[y])], wy)
+    return out
+
+
+def oracle_group_convolve(mul, w1, w2):
+    n = len(w1)
+    out = [ZERO] * n
+    for x in range(n):
+        for y in range(n):
+            z = int(mul[x, y])
+            out[z] = c_add(out[z], c_mul(w1[x], w2[y]))
+    return out
+
+
+def oracle_quotient_convolve(entries, denominator, s1, s2):
+    out = [ZERO] * len(s1)
+    for a, b, z, cz in zip(*(x.tolist() for x in entries)):
+        w = c_mul(s1[a], s2[b])
+        out[z] = c_add(out[z], (w[0] * F(cz, denominator), w[1] * F(cz, denominator)))
+    return out
+
+
+PAIRS = {
+    "S3/<(12)>": ("builtin:S3", ["(12)"]),
+    "S3/A3": ("builtin:S3", ["(123)"]),
+    "D4/<s>": ("builtin:D4", ["(24)"]),
+    "Q8/<i>": ("builtin:Q8", ["i"]),
+    "S4/S3": ("builtin:S4", ["(12)", "(123)"]),
+}
+
+
+@pytest.fixture(scope="module", params=list(PAIRS))
+def pair(request):
+    token, gens = PAIRS[request.param]
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    return Q, ca.structure_table(Q)
+
+
+small_numerators = st.integers(-4, 4)
+# with some numerators past 2**40, whose products leave int64
+mixed_numerators = st.one_of(
+    small_numerators, st.sampled_from([2 ** 40 + 3, -(2 ** 62), 2 ** 63 - 1, 3 ** 45]))
+
+
+@st.composite
+def vectors(draw, size):
+    numerators = draw(st.sampled_from([small_numerators, mixed_numerators]))
+    parts = [[F(draw(numerators), draw(st.integers(1, 5))) for _ in range(size)]
+             for _ in range(2)]
+    return ExactVector.from_fractions(*parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_exact_operations_match_fraction_oracles(pair, data):
+    Q, T = pair
+    G, k, h = Q.group, Q.coset_count, Q.subgroup.order
+    s1, s2 = data.draw(vectors(k)), data.draw(vectors(k))
+    w1, w2 = data.draw(vectors(G.order)), data.draw(vectors(G.order))
+    lifted = s1[Q.coset_of] / h
+    assert values(lifted) == oracle_lift(Q.coset_of, h, values(s1))
+    assert values(w1.scatter(Q.coset_of, k)) == oracle_pushforward(Q.coset_of, k, values(w1))
+    assert values(_exact_convolution(G.mul, w1, w2)) == \
+        oracle_group_convolve(G.mul, values(w1), values(w2))
+    assert values(ca.quotient_convolve_exact(T, s1, s2)) == \
+        oracle_quotient_convolve(T.entries, T.denominator, values(s1), values(s2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_equality_matches_fraction_oracle(data):
+    size = data.draw(st.integers(0, 4))
+    v, w = data.draw(vectors(size)), data.draw(vectors(size))
+    if data.draw(st.booleans()):
+        # w: v's values under another representation, one entry maybe changed
+        scale = data.draw(st.sampled_from([1, 7, 2 ** 64]))
+        w = ExactVector(v.re.astype(object) * scale, v.im.astype(object) * scale,
+                        v.den * scale)
+        if size and data.draw(st.booleans()):
+            re = w.re.copy()
+            re[data.draw(st.integers(0, size - 1))] += 1
+            w = ExactVector(re, w.im, w.den)
+    assert (v == w) == (values(v) == values(w))
+    assert (v != w) == (values(v) != values(w))
+
+
+def test_large_numerators_take_the_object_path(pair):
+    Q, T = pair
+    k = Q.coset_count
+    big = ExactVector(np.arange(k) + 2 ** 40, np.full(k, -(2 ** 41)), 3)
+    small = ExactVector.from_fractions([F(1, 2)] * k, [F(-1, 3)] * k)
+    assert big.re.dtype == np.int64 and small.re.dtype == np.int64
+    out = ca.quotient_convolve_exact(T, big, big)
+    assert out.re.dtype == object   # products near 2**82 would wrap in int64
+    assert values(out) == oracle_quotient_convolve(T.entries, T.denominator,
+                                                   values(big), values(big))
+    assert ca.quotient_convolve_exact(T, small, small).re.dtype == np.int64
+    lifted = big[Q.coset_of] / Q.subgroup.order
+    conv = _exact_convolution(Q.group.mul, lifted, lifted)
+    assert conv.re.dtype == object
+    assert values(conv) == oracle_group_convolve(Q.group.mul, values(lifted), values(lifted))
+
+
+def test_int64_edge_sums_and_scales_stay_exact():
+    # each operand fits int64, the result does not
+    top = ExactVector(np.full(2, 2 ** 62), np.array([-(2 ** 62), 0]))
+    assert top.re.dtype == np.int64
+    total = top.scatter(np.array([0, 0]), 1)
+    assert values(total) == [(F(2 ** 63), F(-(2 ** 62)))] and total.re.dtype == object
+    assert values(top * 2) == [(F(2 ** 63), F(-(2 ** 63))), (F(2 ** 63), F(0))]
+    assert values(top * top) == [(F(0), F(-(2 ** 125))), (F(2 ** 124), F(0))]
+    assert top == ExactVector(np.full(2, 2 ** 63), np.array([-(2 ** 63), 0]), 2)
+    assert ExactVector(np.array([-(2 ** 63)]), np.array([0])).re.dtype == object
+
+
+def test_exact_vector_rejects_bad_input():
+    with pytest.raises(TypeError):
+        ExactVector(np.array([0.5]), np.array([0]))
+    with pytest.raises(TypeError):
+        ExactVector(np.array([1]), np.array([0])) * 0.5
+    with pytest.raises(ValueError):
+        ExactVector(np.array([1]), np.array([0]), 0)
+    with pytest.raises(ValueError):
+        ExactVector(np.array([1, 2]), np.array([0]))
 
 
 # --- the certified rref against the Fraction oracle -------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import cosetalg as ca
 from cosetalg import exact
-from cosetalg.errors import CarrierMismatch
-from cosetalg.exact import ComplexFraction, _rref_fractions
+from cosetalg import quotient_algebra as qa
+from cosetalg.errors import CapExceeded, CarrierMismatch
+from cosetalg.exact import ExactVector, _rref_fractions
 from cosetalg.groups import perm_label
 from cosetalg.verifier import (_l1_convolve_operator, _lp_action_operator,
                                build_entry, default_catalog)
@@ -125,14 +127,16 @@ def test_quotient_convolve_exact_matches_float(s3_t):
     g = rng(43)
     k = s3_t.coset_count
     nums = g.integers(-4, 5, (2, k, 2))
-    s1 = [ComplexFraction.of(int(nums[0, i, 0]), int(nums[0, i, 1])) for i in range(k)]
-    s2 = [ComplexFraction.of(int(nums[1, i, 0]), int(nums[1, i, 1])) for i in range(k)]
+    s1 = ExactVector(nums[0, :, 0], nums[0, :, 1])
+    s2 = ExactVector(nums[1, :, 0], nums[1, :, 1])
     out = ca.quotient_convolve_exact(s3_t, s1, s2)
     qcar = ca.quotient_carrier(s3_t.quotient)
-    f1 = ca.ComplexMeasure(qcar, [w.to_complex() for w in s1])
-    f2 = ca.ComplexMeasure(qcar, [w.to_complex() for w in s2])
+    f1 = ca.ComplexMeasure(qcar, s1.to_complex())
+    f2 = ca.ComplexMeasure(qcar, s2.to_complex())
     want = ca.quotient_convolve(s3_t, f1, f2)
-    assert np.max(np.abs(np.array([w.to_complex() for w in out]) - want.weights)) < 1e-13
+    assert np.max(np.abs(out.to_complex() - want.weights)) < 1e-13
+    with pytest.raises(CarrierMismatch):
+        ca.quotient_convolve_exact(s3_t, s1, s2[np.arange(k - 1)])
 
 
 def test_module_action(s3, s3_q, s3_t):
@@ -386,6 +390,39 @@ def test_d60_center_has_unique_left_identity(monkeypatch):
     assert sol.unique and sol.residual == 0.0
     assert sol.solution == tuple(Fraction(int(c == base)) for c in range(60))
     assert calls == [60]  # the basis rows only, not the 3600 system rows
+
+
+@pytest.mark.parametrize("solver", [ca.find_left_identity, ca.find_two_sided_identity],
+                         ids=["left", "two-sided"])
+@pytest.mark.parametrize("perm", [tuple(-i % 60 for i in range(60)),
+                                  tuple((i + 30) % 60 for i in range(60))],
+                         ids=["inconsistent", "unique"])
+def test_identity_byte_check_covers_the_solve_peak(monkeypatch, solver, perm):
+    T = _d60_table(perm)
+    checked = []
+    monkeypatch.setattr(qa, "require_bytes",
+                        lambda nbytes, what: checked.append(nbytes))
+    tracemalloc.start()
+    try:
+        solver(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= checked[0]
+
+
+def test_identity_solve_over_budget_refused_before_allocating(monkeypatch):
+    T = _d60_table(tuple(-i % 60 for i in range(60)))
+    system = 60 ** 3 * 8   # one k²×k int64 system fits the budget
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", system)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="identity solve with 60 cosets"):
+            ca.find_two_sided_identity(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system // 100
 
 
 def _oracle_identity(T, sides):

@@ -210,8 +210,7 @@ def test_invariant_measures_absorb_left_convolution(s3, s3_q):
 
 
 def test_lift_of_pushforward_recovers_invariant_measures(s3_q):
-    from cosetalg import exact
-    from cosetalg.exact import ComplexFraction
+    from cosetalg.exact import ExactVector
     from fractions import Fraction
     qcar, _ = qc_gc(s3_q)
     g = rng(40)
@@ -222,11 +221,11 @@ def test_lift_of_pushforward_recovers_invariant_measures(s3_q):
         assert np.max(np.abs(again.weights - mu.weights)) < 1e-15
     # exact route: identity on the nose
     nums = g.integers(-4, 5, (3, 2))
-    s = [ComplexFraction.of(Fraction(int(a), 3), Fraction(int(b), 2)) for a, b in nums]
-    lifted = exact.lift_exact(s3_q.coset_of, 2, s)
-    back = exact.lift_exact(
-        s3_q.coset_of, 2, exact.pushforward_exact(s3_q.coset_of, 3, lifted))
-    assert all((x - y).is_zero() for x, y in zip(back, lifted))
+    s = ExactVector.from_fractions([Fraction(int(a), 3) for a in nums[:, 0]],
+                                   [Fraction(int(b), 2) for b in nums[:, 1]])
+    lifted = s[s3_q.coset_of] / 2
+    back = lifted.scatter(s3_q.coset_of, 3)[s3_q.coset_of] / 2
+    assert back == lifted
 
 
 def test_generate_subgroup_index_validation(s3):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -62,6 +63,33 @@ def test_conv_and_algebra_exact_mode(s3_pair):
         report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), G, H, rho)
         assert report.status == "pass"
         assert report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("entry", [0, 1, 5])
+def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
+    # one structure count off by one, in the table the exact convolution reads
+    G, H, rho = s3_pair
+    convolve = verifier.quotient_convolve_exact
+
+    def planted(T, s1, s2):
+        count = T.count.copy()
+        count[entry] += 1
+        return convolve(dataclasses.replace(T, count=count), s1, s2)
+
+    monkeypatch.setattr(verifier, "quotient_convolve_exact", planted)
+    for cid in ("D6_CONV", "T8_ALGEBRA"):
+        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), G, H, rho)
+        assert report.status == "fail" and report.max_residual == 1.0, (cid, report)
+
+
+def test_conv_and_algebra_exact_mode_at_scale():
+    # D60/<s>, s the reflection i -> -i: 60 cosets of a group of order 120
+    s = "".join(f"({i},{62 - i})" for i in range(2, 31))
+    G, H, rho = build_entry(CatalogEntry("D60/<s>", "builtin:D60", (s,)))
+    assert (G.order, H.order) == (120, 2)
+    for cid in ("D6_CONV", "T8_ALGEBRA"):
+        report = run_check(CheckSpec(id=cid, trials=5, mode="exact"), G, H, rho)
+        assert (report.status, report.max_residual) == ("pass", 0.0), report
 
 
 def test_reports_are_deterministic(s3_pair):
