@@ -141,6 +141,13 @@ def _integers(bound: int, *arrays) -> list[np.ndarray]:
     return [a if a.dtype == dtype else a.astype(dtype) for a in out]
 
 
+def solve_bytes(rows: int, cols: int) -> int:
+    """Bytes an exact solve of a rows x cols integer system holds at once: per
+    entry the system, rref's integer copy, its residues mod p (or the pivot
+    columns) and a result reference; per row, a row view and a result list."""
+    return rows * (cols * 4 * 8 + 192)
+
+
 def rref(matrix: Matrix) -> tuple[FractionMat, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices), one
     output row per input row, the zero rows last.

@@ -23,9 +23,9 @@ from .errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
 
 DEFAULT_ORDER_CAP = 10080
 
-# Largest single array, in bytes, that the library allocates for a group
-# table, a structure-tensor scratch array or a dense tensor view, and the
-# most an identity solve holds at once (its system and the solve's copies).
+# Most bytes the library holds at once for one large operation: a group
+# table, a structure table or its derived views, a group convolution, a right
+# L^p action, or an exact solve (its system and the solve's copies).
 # It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
 # larger requests raise CapExceeded.

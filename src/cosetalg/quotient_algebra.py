@@ -5,8 +5,10 @@ function algebra on cosets, its isometric embedding, and the p-norm actions.
 The tensor entry c[a][b][z] counts, over h in H, how often rep_a * h * rep_b
 lands in coset z, divided by |H|. Rows are probability vectors; they collapse
 to 0/1 exactly when H is normal, in which case the tensor is the Cayley table
-of the factor group. Each row has at most |H| nonzero entries, so the tensor
-is stored as its nonzero entries (COO), at most |G|·k of them against k³.
+of the factor group. As delta_a * sigma = rep_a . (delta_H * sigma), the
+tensor is stored as two coset actions, k^2 + |H|*k integers against k^3:
+shift[a, z], the coset of rep_a^-1 * rep_z, and h_action[i, b], the coset of
+h_i * rep_b. Then counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import quotient_convolve_weights, structure_counts
+from ._kernels import quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
 from .groups import QuotientSpace, _freeze, require_bytes
@@ -31,54 +33,65 @@ from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
 
 @dataclass(frozen=True)
 class StructureTable:
-    """The count tensor of G/H by its nonzero entries: counts[a[i], b[i], z[i]]
-    = count[i], in row-major (a, b, z) order; every other entry is 0. The
-    rational tensor is c = counts / denominator. The dense views `counts` and
-    `c` are built on first access, within the byte budget."""
+    """The count tensor of G/H in factored form (see the module docs):
+    counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}. The rational
+    tensor is c = counts / denominator. The dense views `counts` and `c` are
+    built on first access, within the byte budget."""
 
     quotient: QuotientSpace
     denominator: int          # |H|; the counts of each (a, b) row sum to it
-    a: np.ndarray             # (nnz,) int64
-    b: np.ndarray             # (nnz,) int64
-    z: np.ndarray             # (nnz,) int64
-    count: np.ndarray         # (nnz,) int64, all positive
+    shift: np.ndarray         # (k, k) int32: coset of rep_a^-1 * rep_z
+    h_action: np.ndarray      # (|H|, k) int32: coset of h_i * rep_b
 
     @property
     def coset_count(self) -> int:
         return self.quotient.coset_count
 
-    @property
-    def entries(self) -> tuple[np.ndarray, ...]:
-        return self.a, self.b, self.z, self.count
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """c at the nonzero entries: count / denominator, float64."""
-        return _freeze(self.count / self.denominator)
-
-    @cached_property
-    def slots(self) -> np.ndarray:
-        """(2z, 2z + 1) per entry: the places of z in a float view of a
-        complex weight vector, as quotient_convolve_weights takes them."""
-        return _freeze((2 * self.z[:, None] + np.arange(2)).ravel())
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        k = self.coset_count
-        return (self.a * k + self.b) * k + self.z
-
     def counts_at(self, a, b, z) -> np.ndarray:
-        """counts[a, b, z] for broadcastable index arrays, by binary search
-        in the sorted entries."""
+        """counts[a, b, z] for broadcastable index arrays."""
+        a, b, z = np.broadcast_arrays(a, b, z)
+        return (self.h_action[:, b] == self.shift[a, z]).sum(axis=0)
+
+    def entries(self) -> tuple[np.ndarray, ...]:
+        """The nonzero entries (a, b, z, count) of counts as int64 arrays in
+        row-major (a, b, z) order, derived within the byte budget. Row (a, b)
+        holds count m at z for each coset w that m of the h_i * rep_b reach,
+        where z = the coset of rep_a * rep_w."""
+        k, h = self.coset_count, self.denominator
+        bw, mult = np.unique(np.arange(k) * k + self.h_action.astype(np.int64),
+                             return_counts=True)
+        nnz = k * len(bw)
+        # shift's inverse, then five int64 arrays of nnz at once and one of slack
+        require_bytes(8 * (k * k + 6 * nnz), f"structure entries with {k} cosets")
+        action = self._action()
+        b, w = np.divmod(bw, k)
+        # one key ((a * k + b) * k + z) * (h + 1) + count per entry, sorted in place
+        key = ((np.repeat(np.arange(k) * k, len(bw)) + np.tile(b, k)) * k
+               + action[:, w].ravel()) * (h + 1) + np.tile(mult, k)
+        key.sort()
+        key, count = np.divmod(key, h + 1)
+        key, z = np.divmod(key, k)
+        a, b = np.divmod(key, k)
+        return a, b, z, count
+
+    def _action(self) -> np.ndarray:
+        """(k, k) int64: action[a, w], the coset of rep_a * rep_w (shift's inverse)."""
         k = self.coset_count
-        key = (np.asarray(a, dtype=np.int64) * k + b) * k + z
-        i = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
-        return np.where(self._keys[i] == key, self.count[i], 0)
+        action = np.empty((k, k), dtype=np.int64)
+        action[np.arange(k)[:, None], self.shift] = np.arange(k)
+        return action
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """The dense (k, k, k) int64 count tensor, read-only."""
-        return _freeze(_dense(self.coset_count, *self.entries))
+        """The dense (k, k, k) int64 count tensor, read-only: each h_i adds 1
+        to row (a, b) at the coset of rep_a * h_i * rep_b."""
+        k = self.coset_count
+        require_bytes(k ** 3 * 8, f"dense structure tensor with {k} cosets")
+        ar, action = np.arange(k), self._action()
+        out = np.zeros((k, k, k), dtype=np.int64)
+        for row in self.h_action:
+            out[ar[:, None], ar, action[:, row]] += 1
+        return _freeze(out)
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -93,35 +106,29 @@ class StructureTable:
 
     def is_point_mass_table(self) -> bool:
         """True iff every row is concentrated on a single coset."""
-        return bool((self.count == self.denominator).all())
+        return bool((self.h_action == self.h_action[0]).all())
 
 
-def _dense(k: int, a, b, z, count) -> np.ndarray:
-    require_bytes(k ** 3 * 8, f"dense structure tensor with {k} cosets")
-    out = np.zeros((k, k, k), dtype=np.int64)
-    out[a, b, z] = count
-    return out
+def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, h_action) for a representative choice, as int32 arrays."""
+    G, k, h = Q.group, Q.coset_count, Q.subgroup.order
+    # per entry: the int64 product, its int64 coset and the int32 copy
+    require_bytes(20 * (k * k + h * k), f"structure table with {k} cosets")
+    reps = np.asarray(reps, dtype=np.int64)
+    members = np.array(Q.subgroup.members, dtype=np.int64)
+    shift = Q.coset_of[G.mul[G.inv[reps][:, None], reps]].astype(np.int32)
+    h_action = Q.coset_of[G.mul[members[:, None], reps]].astype(np.int32)
+    return _freeze(shift), _freeze(h_action)
 
 
 def structure_entries_for_reps(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Nonzero entries (a, b, z, count) of the count tensor computed from an
     arbitrary representative choice."""
-    k, h = Q.coset_count, Q.subgroup.order
-    require_bytes(k * h * k * 8, f"structure scratch for {k} cosets of order {h}")
-    members = np.array(Q.subgroup.members, dtype=np.int64)
-    return structure_counts(Q.group.mul, np.asarray(reps, dtype=np.int64),
-                            members, Q.coset_of)
-
-
-def structure_counts_for_reps(Q: QuotientSpace, reps: Sequence[int]) -> np.ndarray:
-    """Dense count tensor computed from an arbitrary representative choice."""
-    return _dense(Q.coset_count, *structure_entries_for_reps(Q, reps))
+    return StructureTable(Q, Q.subgroup.order, *_factors(Q, reps)).entries()
 
 
 def structure_table(Q: QuotientSpace) -> StructureTable:
-    a, b, z, count = (_freeze(x) for x in structure_entries_for_reps(Q, Q.reps))
-    return StructureTable(quotient=Q, denominator=Q.subgroup.order,
-                          a=a, b=b, z=z, count=count)
+    return StructureTable(Q, Q.subgroup.order, *_factors(Q, Q.reps))
 
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
@@ -141,19 +148,21 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
     """(sigma1 * sigma2)({z}) = sum_{a,b} sigma1({a}) sigma2({b}) c[a][b][z]."""
     _require_on_quotient(T, sigma1)
     _require_on_quotient(T, sigma2)
-    w = quotient_convolve_weights(T.a, T.b, T.slots, T.weights,
-                                  sigma1.weights, sigma2.weights)
+    w = quotient_convolve_weights(T.shift, T.h_action, sigma1.weights, sigma2.weights)
     return ComplexMeasure(sigma1.carrier, w)
 
 
 def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
                             s2: ExactVector) -> ExactVector:
-    """Exact convolution of Gaussian-rational weight vectors: the scatter of
-    s1[a] * s2[b] * count / |H| over the tensor's nonzero entries."""
+    """Exact convolution of Gaussian-rational weight vectors, the float
+    kernel's formula as two scatters: v = (1/|H|) sum_i s2[h_action[i]],
+    then out[z] = sum_a s1[a] * v[shift[a, z]]."""
     k = T.coset_count
     if len(s1) != k or len(s2) != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    return (s1[T.a] * s2[T.b] * T.count / T.denominator).scatter(T.z, k)
+    v = s2[T.h_action.ravel()].scatter(np.arange(T.h_action.size) % k, k) / T.denominator
+    a, z = np.divmod(np.arange(k * k), k)
+    return (s1[a] * v[T.shift.ravel()]).scatter(z, k)
 
 
 def module_action(Q: QuotientSpace, mu: ComplexMeasure,
@@ -180,20 +189,21 @@ def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p: float) -> float:
     return float(np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p))
 
 
-def _translation_tensors(Q: QuotientSpace, left: bool) -> np.ndarray:
-    """Coset indices of h y^-1 x (left) or x h y^-1 (right) over
-    (h, source coset y, target coset x); shape (|H|, k, k) resp. (k, |H|, k)."""
-    G = Q.group
+def _right_translations(Q: QuotientSpace) -> np.ndarray:
+    """Coset indices of x h y^-1 over (target coset x, h, source coset y);
+    shape (k, |H|, k)."""
+    G, k, h = Q.group, Q.coset_count, Q.subgroup.order
+    # measured lp_action peaks from 120 entries up: 24 to 33 bytes per entry
+    require_bytes(40 * k * h * k, f"right translation tensor with {k} cosets")
     members = np.array(Q.subgroup.members, dtype=np.int64)
-    reps = Q.reps
-    inv_reps = G.inv[reps]
-    if left:
-        t = G.mul[np.ix_(members, inv_reps)]                  # h * y^-1
-        t = G.mul[t[:, :, None], reps[None, None, :]]         # (h, y, x)
-    else:
-        t = G.mul[np.ix_(reps, members)]                      # x * h
-        t = G.mul[t[:, :, None], inv_reps[None, None, :]]     # (x, h, y)
-    return Q.coset_of[t]
+    t = G.mul[Q.reps[:, None], members]                           # x * h
+    return Q.coset_of[G.mul[t[:, :, None], G.inv[Q.reps][None, None, :]]]
+
+
+def _left_translate_sums(Q: QuotientSpace, f: np.ndarray) -> np.ndarray:
+    """(y, x) -> sum_h f(h y^-1 x H): u[shift] with u = sum_i f[h_action[i]]."""
+    shift, h_action = _factors(Q, Q.reps)
+    return f[h_action].sum(axis=0)[shift]
 
 
 def l1_convolve(Q: QuotientSpace, rho: RhoFunction, lam: QuotientMeasure,
@@ -206,8 +216,7 @@ def l1_convolve(Q: QuotientSpace, rho: RhoFunction, lam: QuotientMeasure,
     """
     _require_quotient_operands(Q, phi, psi)
     h = Q.subgroup.order
-    z = _translation_tensors(Q, left=True)                    # (h, y, x)
-    inner = (psi.values * rho.values)[z].sum(axis=0)          # (y, x)
+    inner = _left_translate_sums(Q, psi.values * rho.values)      # (y, x)
     explicit = ((lam.weights * phi.values) @ inner) / (h * rho.values)
     return DensityFunction(quotient_carrier(Q), explicit)
 
@@ -233,12 +242,10 @@ def lp_action(Q: QuotientSpace, rho: RhoFunction, side: str,
     weighted = phi.values * rp
 
     if side == "left":
-        z = _translation_tensors(Q, left=True)                # (h, y, x)
-        inner = weighted[z].sum(axis=0)                       # (y, x)
+        inner = _left_translate_sums(Q, weighted)                 # (y, x)
         explicit = (sigma.weights @ inner) / (h * rp)
     else:
-        z = _translation_tensors(Q, left=False)               # (x, h, y)
-        inner = weighted[z].sum(axis=1)                       # (x, y)
+        inner = weighted[_right_translations(Q)].sum(axis=1)      # (x, y)
         explicit = (inner @ sigma.weights) / (h * rp)
     return DensityFunction(quotient_carrier(Q), explicit)
 
@@ -273,14 +280,6 @@ class IdentitySolution:
     unique: bool
 
 
-# What an identity solve holds at once, per entry of its augmented system:
-# the int64 system, rref's integer copy, its residues mod p (or its
-# certificate's pivot columns) and its result rows (a reference per entry);
-# per row, a row view and a result list. Least squares needs less. Measured
-# peaks on D60 and S5 systems: 3.2 to 3.5 times the system.
-_SOLVE_BYTES_PER_ENTRY, _SOLVE_BYTES_PER_ROW = 4 * 8, 192
-
-
 def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
     """Solve 'sigma acts as the identity on every basis point mass' from each
     side. The system is scaled by |H| to integers, the rhs its last column:
@@ -288,14 +287,14 @@ def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySoluti
     rows (a, z), columns b. The byte check covers the whole solve."""
     k = T.coset_count
     block = k * k
-    require_bytes(len(sides) * block * ((k + 1) * _SOLVE_BYTES_PER_ENTRY
-                                        + _SOLVE_BYTES_PER_ROW),
+    require_bytes(exact.solve_bytes(len(sides) * block, k + 1),
                   f"identity solve with {k} cosets")
+    a, b, z, count = T.entries()
     system = np.zeros((len(sides) * block, k + 1), dtype=np.int64)
     diagonal = np.arange(k) * (k + 1)       # rows (b, b): the unit masses
     for i, side in enumerate(sides):
-        row, col = (T.b, T.a) if side == "left" else (T.a, T.b)
-        system[i * block + row * k + T.z, col] = T.count
+        row, col = (b, a) if side == "left" else (a, b)
+        system[i * block + row * k + z, col] = count
         system[i * block + diagonal, k] = T.denominator
     m, pivots = exact.rref(list(system))
     if k not in pivots:  # no pivot in the rhs column: consistent

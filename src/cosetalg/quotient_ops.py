@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact
 from .errors import CarrierMismatch, NonPositive, NotCosetConstant
-from .groups import FiniteGroup, QuotientSpace
+from .groups import FiniteGroup, QuotientSpace, require_bytes
 from .measures import (Carrier, ComplexMeasure, DensityFunction, group_carrier,
                        quotient_carrier)
 
@@ -210,6 +210,8 @@ def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:
     vector, so callers can report its dimension.
     """
     G, k, n = Q.group, Q.coset_count, Q.group.order
+    require_bytes(exact.solve_bytes(n * k, n),
+                  f"invariance system with {n} elements and {k} cosets")
     x = np.arange(n)
     rows = np.zeros((n * k, n), dtype=np.int64)           # row (x, C) at x*k + C
     np.add.at(rows, (x[:, None] * k + Q.coset_of[None, :], G.mul), 1)

@@ -183,7 +183,7 @@ def test_exact_operations_match_fraction_oracles(pair, data):
     assert values(_exact_convolution(G.mul, w1, w2)) == \
         oracle_group_convolve(G.mul, values(w1), values(w2))
     assert values(ca.quotient_convolve_exact(T, s1, s2)) == \
-        oracle_quotient_convolve(T.entries, T.denominator, values(s1), values(s2))
+        oracle_quotient_convolve(T.entries(), T.denominator, values(s1), values(s2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -212,7 +212,7 @@ def test_large_numerators_take_the_object_path(pair):
     assert big.re.dtype == np.int64 and small.re.dtype == np.int64
     out = ca.quotient_convolve_exact(T, big, big)
     assert out.re.dtype == object   # products near 2**82 would wrap in int64
-    assert values(out) == oracle_quotient_convolve(T.entries, T.denominator,
+    assert values(out) == oracle_quotient_convolve(T.entries(), T.denominator,
                                                    values(big), values(big))
     assert ca.quotient_convolve_exact(T, small, small).re.dtype == np.int64
     lifted = big[Q.coset_of] / Q.subgroup.order

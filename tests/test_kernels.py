@@ -1,17 +1,21 @@
-"""Kernel oracles: each kernel against its slow definition, on normal
-(Q8/<i>) and non-normal (S3/<(12)>, D4/<(24)>, S4/S3) pairs. Counts are
-integers, so those must be equal."""
+"""Kernel oracles: each kernel and the factored structure table against
+their slow definitions, on normal (Q8/<i>) and non-normal (S3/<(12)>,
+D4/<(24)>, S4/S3) pairs. Counts are integers, so those must be equal."""
 
 import numpy as np
 import pytest
 
 import cosetalg as ca
 from cosetalg import _kernels
+from cosetalg.errors import CapExceeded
+
+from conftest import checked_peak, onehot_counts, random_weights, rng
 
 PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
-# The sparse tensor against the dense one, on normal and non-normal pairs up
-# to k = 120; D60/<s> takes the reflection i -> -i, which fixes points 1, 31.
+# The factored table against the one-hot dense tensor, on normal and
+# non-normal pairs up to k = 120; D60/<s> takes the reflection i -> -i,
+# which fixes points 1, 31.
 DIFFERENTIAL_PAIRS = [
     ("S3", ["(12)"]), ("S4", ["(12)", "(123)"]), ("Q8", ["i"]),
     ("D60", ["".join(f"({p},{62 - p})" for p in range(2, 31))]), ("S5", []),
@@ -23,16 +27,6 @@ def _setup(token, gens):
     H = ca.subgroup_from_tokens(G, gens)
     Q = ca.build_coset_space(G, H)
     return G, Q
-
-
-def _onehot_counts(mul, reps, members, coset_of):
-    """The dense count kernel the sparse one replaced: a one-hot
-    (k, |H|, k, k) intermediate summed over H."""
-    k = reps.shape[0]
-    left = mul[reps[:, None], members[None, :]]
-    z = coset_of[mul[left[:, :, None], reps[None, None, :]]]
-    onehot = z[:, :, :, None] == np.arange(k)[None, None, None, :]
-    return onehot.sum(axis=1, dtype=np.int64)
 
 
 def test_backend_is_numpy():
@@ -64,12 +58,15 @@ def test_structure_counts_kernel_oracle(token, gens):
             for h in members:
                 z = Q.coset_of[G.op(G.op(int(Q.reps[a]), int(h)), int(Q.reps[b]))]
                 want[a, b, z] += 1
-    a, b, z, count = _kernels.structure_counts(G.mul, Q.reps, members, Q.coset_of)
+    T = ca.structure_table(Q)
+    a, b, z, count = T.entries()
     keys = (a * k + b) * k + z
     assert (np.diff(keys) > 0).all() and (count > 0).all()
     got = np.zeros((k, k, k), dtype=np.int64)
     got[a, b, z] = count
     assert np.array_equal(got, want)
+    ar = np.arange(k)
+    assert np.array_equal(T.counts_at(ar[:, None, None], ar[None, :, None], ar), want)
 
 
 @pytest.mark.parametrize("token,gens", PAIRS)
@@ -80,7 +77,7 @@ def test_quotient_convolve_kernel_oracle(token, gens):
     s1 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     s2 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     T = ca.structure_table(Q)
-    got = _kernels.quotient_convolve_weights(T.a, T.b, T.slots, T.weights, s1, s2)
+    got = _kernels.quotient_convolve_weights(T.shift, T.h_action, s1, s2)
     qc = ca.quotient_carrier(Q)
     lifted = [ca.lift_to_invariant(Q, ca.ComplexMeasure(qc, s)) for s in (s1, s2)]
     want = ca.pushforward_rh(Q, ca.group_convolve(G, *lifted)).weights
@@ -91,8 +88,7 @@ def test_quotient_convolve_kernel_oracle(token, gens):
                          ids=["S3/<(12)>", "S4/S3", "Q8/<i>", "D60/<s>", "S5/{e}"])
 def test_sparse_tensor_matches_dense(token, gens):
     G, Q = _setup(token, gens)
-    members = np.array(Q.subgroup.members, dtype=np.int64)
-    dense = _onehot_counts(G.mul, Q.reps, members, Q.coset_of)
+    dense = onehot_counts(Q)
     T = ca.structure_table(Q)
     assert np.array_equal(T.counts, dense)
     assert np.array_equal(T.c, dense / T.denominator)
@@ -109,3 +105,15 @@ def test_sparse_tensor_matches_dense(token, gens):
             G, ca.lift_to_invariant(Q, m1), ca.lift_to_invariant(Q, m2))).weights
         assert np.max(np.abs(got - oracle)) < 1e-13
         assert np.max(np.abs(got - route)) < 1e-13
+
+
+def test_group_convolve_byte_check(monkeypatch):
+    # order 120: the check covers the peak and refuses a budget one byte short
+    G = ca.builtin_from_token("S5")
+    w = random_weights(rng(24), G.order)
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: _kernels.group_convolve_weights(G.mul, w, w))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match="group convolution of order 120"):
+        _kernels.group_convolve_weights(G.mul, w, w)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
 from cosetalg import exact
@@ -15,7 +17,7 @@ from cosetalg.groups import perm_label
 from cosetalg.verifier import (_l1_convolve_operator, _lp_action_operator,
                                build_entry, default_catalog)
 
-from conftest import random_weights, rng
+from conftest import checked_peak, onehot_counts, random_weights, rng, traced_peak
 
 # independently derived count tensor for S3 / <(12)>, cosets
 # C0={e,(12)}, C1={(123),(13)}, C2={(23),(132)}, denominator 2
@@ -65,17 +67,48 @@ def test_trivial_subgroup_table_is_cayley(s3):
 
 
 def test_representative_independence_exhaustive(s3_q, d4):
-    # every joint choice of representatives yields the same tensor
-    base = ca.structure_table(s3_q).counts
-    member_lists = [list(map(int, s3_q.members(c))) for c in range(s3_q.coset_count)]
-    for choice in itertools.product(*member_lists):
-        assert np.array_equal(ca.structure_counts_for_reps(s3_q, list(choice)), base)
-    H = ca.subgroup_from_tokens(d4, ["(24)"])
-    Q = ca.build_coset_space(d4, H)
-    base4 = ca.structure_table(Q).counts
-    member_lists = [list(map(int, Q.members(c))) for c in range(Q.coset_count)]
-    for choice in itertools.product(*member_lists):
-        assert np.array_equal(ca.structure_counts_for_reps(Q, list(choice)), base4)
+    # every joint choice of representatives yields the same tensor and entries
+    Q4 = ca.build_coset_space(d4, ca.subgroup_from_tokens(d4, ["(24)"]))
+    for Q in (s3_q, Q4):
+        T = ca.structure_table(Q)
+        base, entries = T.counts, T.entries()
+        member_lists = [list(map(int, Q.members(c))) for c in range(Q.coset_count)]
+        for choice in itertools.product(*member_lists):
+            assert np.array_equal(onehot_counts(Q, choice), base)
+            for got, want in zip(ca.structure_entries_for_reps(Q, choice), entries):
+                assert np.array_equal(got, want)
+
+
+# builtin groups of order <= 24, normal and non-normal subgroups alike
+SMALL_GROUPS = ("S3", "C6", "D4", "Q8", "C8", "A4", "D6", "C12", "D8", "S4", "D12")
+small_group = functools.lru_cache(maxsize=None)(ca.builtin_from_token)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_factored_table_matches_its_definition(data):
+    G = small_group(data.draw(st.sampled_from(SMALL_GROUPS)))
+    H = ca.generate_subgroup(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=3)))
+    Q = ca.build_coset_space(G, H)
+    T = ca.structure_table(Q)
+    k, dense = Q.coset_count, onehot_counts(Q)
+    ar = np.arange(k)
+    assert np.array_equal(T.counts_at(ar[:, None, None], ar[None, :, None], ar), dense)
+    assert T.is_point_mass_table() == ca.test_normality(G, H)
+    reps = [data.draw(st.sampled_from(Q.members(c).tolist())) for c in range(k)]
+    for got, want in zip(ca.structure_entries_for_reps(Q, reps), T.entries()):
+        assert np.array_equal(got, want)
+    # unit total variation, so 1e-13 bounds the error relative to ||s1||·||s2||
+    g = rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    qc = ca.quotient_carrier(Q)
+    s1, s2 = (w / np.abs(w).sum() for w in random_weights(g, (2, k)))
+    m1, m2 = ca.ComplexMeasure(qc, s1), ca.ComplexMeasure(qc, s2)
+    got = ca.quotient_convolve(T, m1, m2).weights
+    oracle = np.einsum("abz,a,b->z", dense / H.order, s1, s2)
+    route = ca.pushforward_rh(Q, ca.group_convolve(
+        G, ca.lift_to_invariant(Q, m1), ca.lift_to_invariant(Q, m2))).weights
+    assert np.max(np.abs(got - oracle)) < 1e-13
+    assert np.max(np.abs(got - route)) < 1e-13
 
 
 def test_quotient_convolution_worked_example(s3_q, s3_t):
@@ -408,7 +441,8 @@ def test_identity_byte_check_covers_the_solve_peak(monkeypatch, solver, perm):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(checked) == 1 and peak <= checked[0]
+    # the solve's check comes first and covers the derived entries too
+    assert checked[0] == max(checked) and peak <= checked[0]
 
 
 def test_identity_solve_over_budget_refused_before_allocating(monkeypatch):
@@ -473,3 +507,28 @@ def test_carrier_guards(s3_q, s3_t, d4):
         ca.build_coset_space(d4, ca.subgroup_from_tokens(d4, ["(24)"]))), 0)
     with pytest.raises(CarrierMismatch):
         ca.quotient_convolve(s3_t, other, other)
+
+
+def test_right_lp_action_refused_before_allocating(monkeypatch):
+    # S5/<(12)>, 60 cosets: the right side's (k, |H|, k) tensor is refused
+    # within the budget it needs less one byte; the left side reads the
+    # factored table and still runs
+    G = ca.builtin_from_token("S5")
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
+    rho, qc, g = ca.rho_ones(Q), ca.quotient_carrier(Q), rng(26)
+    sigma = ca.ComplexMeasure(qc, random_weights(g, 60))
+    phi = ca.DensityFunction(qc, random_weights(g, 60))
+
+    def right():
+        return ca.lp_action(Q, rho, "right", sigma, phi, 2.0)
+
+    checked, peak = checked_peak(monkeypatch, qa, right)
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="right translation tensor with 60 cosets"):
+            right()
+
+    assert traced_peak(refused) < checked[0] // 10
+    ca.lp_action(Q, rho, "left", sigma, phi, 2.0)

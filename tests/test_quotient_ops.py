@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import cosetalg as ca
-from cosetalg.errors import CarrierMismatch, NonPositive, NotCosetConstant
+from cosetalg import exact, quotient_ops
+from cosetalg.errors import CapExceeded, CarrierMismatch, NonPositive, NotCosetConstant
+from cosetalg.verifier import CheckSpec, run_check
 
-from conftest import random_weights, rng
+from conftest import checked_peak, random_weights, rng, traced_peak
 
 
 def qc_gc(Q):
@@ -281,3 +283,33 @@ def test_solution_space_closed_under_left_convolution(s3):
             conv = ca.group_convolve(s3, nu, mu)
             # still constant: the space is a left ideal
             assert np.max(np.abs(conv.weights - conv.weights[0])) < 1e-12
+
+
+# dimension 0 (full column rank) and dimension 1 (a Fraction elimination)
+@pytest.mark.parametrize("token,gens", [("S5", ["(12)"]), ("D30", [])],
+                         ids=["S5/<(12)>", "D30/{e}"])
+def test_mhg_byte_check_covers_the_solve_peak(monkeypatch, token, gens):
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    checked, peak = checked_peak(monkeypatch, quotient_ops,
+                                 lambda: ca.solve_mhg_space(Q))
+    assert len(checked) == 1 and peak <= checked[0]
+
+
+def test_mhg_solve_over_budget_refused_and_reported(monkeypatch):
+    G = ca.builtin_from_token("S5")
+    H = ca.subgroup_from_tokens(G, ["(12)"])
+    Q = ca.build_coset_space(G, H)
+    system = exact.solve_bytes(120 * 60, 120)
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", system - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded,
+                           match="invariance system with 120 elements and 60 cosets"):
+            ca.solve_mhg_space(Q)
+
+    assert traced_peak(refused) < system // 100
+    report = run_check(CheckSpec(id="P1_MHG", trials=2), G, H)
+    assert report.status == "fail"
+    assert report.counterexample["error"].startswith(
+        "CapExceeded: invariance system with 120 elements and 60 cosets")

@@ -5,10 +5,12 @@ import pytest
 
 import cosetalg as ca
 from cosetalg import verifier
-from cosetalg.errors import UnknownCheckId
+from cosetalg.errors import CapExceeded, UnknownCheckId
 from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_specs,
                                build_entry, default_catalog, exit_code, run_check,
                                run_suite)
+
+from conftest import checked_peak, rng
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +69,15 @@ def test_conv_and_algebra_exact_mode(s3_pair):
 
 @pytest.mark.parametrize("entry", [0, 1, 5])
 def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
-    # one structure count off by one, in the table the exact convolution reads
+    # one h_i * rep_b moved to another coset, in the table the exact
+    # convolution reads
     G, H, rho = s3_pair
     convolve = verifier.quotient_convolve_exact
 
     def planted(T, s1, s2):
-        count = T.count.copy()
-        count[entry] += 1
-        return convolve(dataclasses.replace(T, count=count), s1, s2)
+        h_action = T.h_action.copy()
+        h_action.flat[entry] = (h_action.flat[entry] + 1) % T.coset_count
+        return convolve(dataclasses.replace(T, h_action=h_action), s1, s2)
 
     monkeypatch.setattr(verifier, "quotient_convolve_exact", planted)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
@@ -226,3 +229,17 @@ def test_reports_serialize_to_json(s3_pair):
     parsed = json.loads(blob)
     assert len(parsed) == 15
     assert all(p["status"] in ("pass", "fail", "info") for p in parsed)
+
+
+def test_exact_group_convolution_byte_check(monkeypatch):
+    # order 120 on int64 numerators: the check covers the peak and refuses a
+    # budget one byte short
+    G = ca.builtin_from_token("S5")
+    g = rng(25)
+    w1, w2 = (verifier.draw_rational_weights(g, G.order) for _ in range(2))
+    checked, peak = checked_peak(monkeypatch, verifier,
+                                 lambda: verifier._exact_convolution(G.mul, w1, w2))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match="exact group convolution of order 120"):
+        verifier._exact_convolution(G.mul, w1, w2)
