@@ -31,5 +31,9 @@ def quotient_convolve_weights(shift: np.ndarray, h_action: np.ndarray,
     """out[z] = sum_a s1[a] * v[shift[a, z]], where v = (1/|H|) sum_i
     s2[h_action[i]] is the left H-average of s2: a point mass at coset a
     acts as the left translate by rep_a of that average."""
+    k = shift.shape[0]
+    # the complex gathers and their intp index copies: 16 to 17 bytes per
+    # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets
+    require_bytes(32 * k * k + 24 * h_action.size, f"quotient convolution with {k} cosets")
     v = s2[h_action].sum(axis=0) / h_action.shape[0]
     return s1 @ v[shift]

@@ -138,16 +138,16 @@ def delta_h(Q: QuotientSpace) -> ComplexMeasure:
 
 # --- convolution and module action -------------------------------------------
 
-def _require_on_quotient(T: StructureTable, sigma: ComplexMeasure) -> None:
-    if sigma.carrier != quotient_carrier(T.quotient):
-        raise CarrierMismatch("measure is not on this table's coset carrier")
+def _require_on_quotient(T: StructureTable, *operands) -> None:
+    qc = quotient_carrier(T.quotient)
+    if any(x.carrier != qc for x in operands):
+        raise CarrierMismatch("operands must live on this table's coset carrier")
 
 
 def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
                       sigma2: ComplexMeasure) -> ComplexMeasure:
     """(sigma1 * sigma2)({z}) = sum_{a,b} sigma1({a}) sigma2({b}) c[a][b][z]."""
-    _require_on_quotient(T, sigma1)
-    _require_on_quotient(T, sigma2)
+    _require_on_quotient(T, sigma1, sigma2)
     w = quotient_convolve_weights(T.shift, T.h_action, sigma1.weights, sigma2.weights)
     return ComplexMeasure(sigma1.carrier, w)
 
@@ -189,65 +189,50 @@ def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p: float) -> float:
     return float(np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p))
 
 
-def _right_translations(Q: QuotientSpace) -> np.ndarray:
-    """Coset indices of x h y^-1 over (target coset x, h, source coset y);
-    shape (k, |H|, k)."""
-    G, k, h = Q.group, Q.coset_count, Q.subgroup.order
-    # measured lp_action peaks from 120 entries up: 24 to 33 bytes per entry
-    require_bytes(40 * k * h * k, f"right translation tensor with {k} cosets")
-    members = np.array(Q.subgroup.members, dtype=np.int64)
-    t = G.mul[Q.reps[:, None], members]                           # x * h
-    return Q.coset_of[G.mul[t[:, :, None], G.inv[Q.reps][None, None, :]]]
-
-
-def _left_translate_sums(Q: QuotientSpace, f: np.ndarray) -> np.ndarray:
-    """(y, x) -> sum_h f(h y^-1 x H): u[shift] with u = sum_i f[h_action[i]]."""
-    shift, h_action = _factors(Q, Q.reps)
-    return f[h_action].sum(axis=0)[shift]
-
-
-def l1_convolve(Q: QuotientSpace, rho: RhoFunction, lam: QuotientMeasure,
+def l1_convolve(T: StructureTable, lam: QuotientMeasure,
                 phi: DensityFunction, psi: DensityFunction) -> DensityFunction:
     """Convolution of two coset densities against lambda, the explicit double sum
         out(xH) = sum_y lambda(yH) (1/|H|) sum_h phi(yH) psi(h y^-1 x H)
-                  * rho(h y^-1 x) / rho(x).
+                  * rho(h y^-1 x) / rho(x),
+    with rho = lam.rho. The inner average is the kernel's v[shift[y, x]] for
+    s2 = rho * psi, so out = quotient_convolve(lambda * phi, rho * psi) / rho.
     It equals the weighted average of the group convolution of the
     rho-weighted lifts; the verifier's P19_LP compares the two routes.
     """
-    _require_quotient_operands(Q, phi, psi)
-    h = Q.subgroup.order
-    inner = _left_translate_sums(Q, psi.values * rho.values)      # (y, x)
-    explicit = ((lam.weights * phi.values) @ inner) / (h * rho.values)
-    return DensityFunction(quotient_carrier(Q), explicit)
+    _require_on_quotient(T, phi, psi)
+    rho = lam.rho.values
+    out = quotient_convolve_weights(T.shift, T.h_action,
+                                    lam.weights * phi.values, psi.values * rho) / rho
+    return DensityFunction(phi.carrier, out)
 
 
-def lp_action(Q: QuotientSpace, rho: RhoFunction, side: str,
+def lp_action(T: StructureTable, rho: RhoFunction, side: str,
               sigma: ComplexMeasure, phi: DensityFunction, p: float) -> DensityFunction:
     """Action of a coset measure on a p-th power integrable coset density.
 
     side="left":  out(xH) = sum_y sigma({yH}) (1/|H|) sum_h
                   phi(h y^-1 x H) (rho(h y^-1 x)/rho(x))^(1/p)
-    side="right": the mirrored form with x h y^-1 (the modular factor is 1 on
-    a finite group). Both equal the operator route (weighted average of a
-    group convolution of lifts; compared by the verifier's P19_LP) and
-    satisfy the contraction: p-norm of the result <= ||sigma|| * p-norm of phi.
+    side="right": out(xH) = sum_y sigma({yH}) (1/|H|) sum_h
+                  phi(x h y^-1 H) (rho(x h y^-1)/rho(x))^(1/p)
+    (the modular factor is 1 on a finite group). With rp = rho^(1/p), both are
+    the quotient convolution of rp * phi, divided by rp: the left side is
+    quotient_convolve(sigma, rp * phi), and the right side, as each
+    rep_x h rep_y^-1 is rep_a h' for exactly one (a, h'), is
+    quotient_convolve(rp * phi, sigma). Both equal the operator route
+    (weighted average of a group convolution of lifts; compared by the
+    verifier's P19_LP) and satisfy the contraction: p-norm of the result
+    <= ||sigma|| * p-norm of phi.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _require_quotient_operands(Q, sigma, phi)
-    h = Q.subgroup.order
+    _require_on_quotient(T, sigma, phi)
     rp = rho.values ** (1.0 / p)
     weighted = phi.values * rp
-
-    if side == "left":
-        inner = _left_translate_sums(Q, weighted)                 # (y, x)
-        explicit = (sigma.weights @ inner) / (h * rp)
-    else:
-        inner = weighted[_right_translations(Q)].sum(axis=1)      # (x, y)
-        explicit = (inner @ sigma.weights) / (h * rp)
-    return DensityFunction(quotient_carrier(Q), explicit)
+    s1, s2 = (sigma.weights, weighted) if side == "left" else (weighted, sigma.weights)
+    out = quotient_convolve_weights(T.shift, T.h_action, s1, s2) / rp
+    return DensityFunction(phi.carrier, out)
 
 
 def ideal_factorize(lam: QuotientMeasure, T: StructureTable,
@@ -325,12 +310,4 @@ def find_left_identity(T: StructureTable) -> IdentitySolution:
 def find_two_sided_identity(T: StructureTable) -> IdentitySolution:
     """Exact solve of the combined system sigma * delta_b = delta_b = delta_b * sigma."""
     return _solve_identity(T, ("left", "right"))
-
-
-# --- helpers -------------------------------------------------------------------
-
-def _require_quotient_operands(Q: QuotientSpace, *operands) -> None:
-    qc = quotient_carrier(Q)
-    if any(x.carrier != qc for x in operands):
-        raise CarrierMismatch("operands must live on the coset carrier")
 

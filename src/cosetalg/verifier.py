@@ -614,7 +614,7 @@ def _l1_convolve_operator(Q: QuotientSpace, rho: RhoFunction,
 
 
 def _check_p19_lp(spec, ctx, rng):
-    Q = ctx.Q
+    Q, T = ctx.Q, ctx.T
     worst, witness = 0.0, None
     for t in range(spec.trials):
         p = float((1, 2, 3)[t % 3])
@@ -625,7 +625,7 @@ def _check_p19_lp(spec, ctx, rng):
         bound = total_variation(sigma) * lp_norm(lam, phi, p)
         routes = []     # (side, explicit result, operator route)
         for side in ("left", "right"):
-            out = lp_action(Q, rho_t, side, sigma, phi, p)
+            out = lp_action(T, rho_t, side, sigma, phi, p)
             routes.append((side, out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
             excess = lp_norm(lam, out, p) - bound
             if excess > worst:
@@ -635,8 +635,8 @@ def _check_p19_lp(spec, ctx, rng):
             # coset density convolution
             phi2 = draw_density(rng, ctx.qc)
             acting = embed_density(lam, phi2)
-            via_action = lp_action(Q, rho_t, "left", acting, phi, 1.0)
-            via_densities = l1_convolve(Q, rho_t, lam, phi2, phi)
+            via_action = lp_action(T, rho_t, "left", acting, phi, 1.0)
+            via_densities = l1_convolve(T, lam, phi2, phi)
             routes.append(("left", via_action,
                            _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
             routes.append(("left", via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))

@@ -203,7 +203,7 @@ def test_criterion_09_lp_contraction(catalog_ctx):
             sigma = _rand_measure(g, qc)
             phi = ca.DensityFunction(qc, g.random(Q.coset_count) + 1j * g.random(Q.coset_count))
             side = ("left", "right")[t % 2]
-            out = ca.lp_action(Q, rho, side, sigma, phi, p)
+            out = ca.lp_action(T, rho, side, sigma, phi, p)
             worst = max(worst, ca.lp_norm(lam, out, p)
                         - ca.total_variation(sigma) * ca.lp_norm(lam, phi, p))
     _report(9, "measure actions contract the p-norm for p in {1,2,3}, 200 draws/entry",

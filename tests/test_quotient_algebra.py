@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
-from cosetalg import exact
+from cosetalg import _kernels, exact
 from cosetalg import quotient_algebra as qa
 from cosetalg.errors import CapExceeded, CarrierMismatch
 from cosetalg.exact import ExactVector, _rref_fractions
@@ -203,7 +203,7 @@ def test_l1_convolve_trivial_subgroup_is_group_convolution(s3):
     qcar = ca.quotient_carrier(Q)
     g = rng(45)
     f1, f2 = random_weights(g, 6), random_weights(g, 6)
-    out = ca.l1_convolve(Q, rho, lam, ca.DensityFunction(qcar, f1),
+    out = ca.l1_convolve(ca.structure_table(Q), lam, ca.DensityFunction(qcar, f1),
                          ca.DensityFunction(qcar, f2))
     want = np.zeros(6, dtype=complex)
     for x in range(6):
@@ -212,17 +212,17 @@ def test_l1_convolve_trivial_subgroup_is_group_convolution(s3):
     assert np.max(np.abs(out.values - want)) < 1e-13
 
 
-def test_l1_convolve_indicator_frozen(s3_q):
+def test_l1_convolve_indicator_frozen(s3_q, s3_t):
     # phi = psi = indicator of C0, rho = 1: the result is 2 * indicator of C0
     rho = ca.rho_ones(s3_q)
     lam = ca.quasi_invariant_lambda(s3_q, rho)
     qcar = ca.quotient_carrier(s3_q)
     ind = ca.DensityFunction(qcar, [1.0, 0.0, 0.0])
-    out = ca.l1_convolve(s3_q, rho, lam, ind, ind)
+    out = ca.l1_convolve(s3_t, lam, ind, ind)
     assert np.max(np.abs(out.values - np.array([2.0, 0, 0]))) < 1e-14
 
 
-def test_l1_convolve_linearity(s3_q):
+def test_l1_convolve_linearity(s3_q, s3_t):
     rho = ca.validate_rho(s3_q, [1.0, 2.0, 0.5])
     lam = ca.quasi_invariant_lambda(s3_q, rho)
     qcar = ca.quotient_carrier(s3_q)
@@ -230,8 +230,8 @@ def test_l1_convolve_linearity(s3_q):
     phi = ca.DensityFunction(qcar, random_weights(g, 3))
     psi = ca.DensityFunction(qcar, random_weights(g, 3))
     a = 2.0 - 1.5j
-    lhs = ca.l1_convolve(s3_q, rho, lam, a * phi, psi)
-    rhs = a * ca.l1_convolve(s3_q, rho, lam, phi, psi)
+    lhs = ca.l1_convolve(s3_t, lam, a * phi, psi)
+    rhs = a * ca.l1_convolve(s3_t, lam, phi, psi)
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
 
@@ -286,13 +286,13 @@ def test_ideal_factorize(s3_q, s3_t):
         assert ca.total_variation(ca.embed_density(lam, psi) - target) <= 1e-12
 
 
-def test_lp_action_point_mass_formula(s3, s3_q):
+def test_lp_action_point_mass_formula(s3, s3_q, s3_t):
     # acting by the base-coset point mass averages over translated cosets
     rho = ca.rho_ones(s3_q)
     qcar = ca.quotient_carrier(s3_q)
     g = rng(49)
     phi = ca.DensityFunction(qcar, random_weights(g, 3))
-    out = ca.lp_action(s3_q, rho, "left", ca.delta_h(s3_q), phi, 1.0)
+    out = ca.lp_action(s3_t, rho, "left", ca.delta_h(s3_q), phi, 1.0)
     members = [int(m) for m in s3_q.subgroup.members]
     want = np.zeros(3, dtype=complex)
     for c in range(3):
@@ -303,7 +303,7 @@ def test_lp_action_point_mass_formula(s3, s3_q):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_lp_contraction(s3_q, p, side):
+def test_lp_contraction(s3_q, s3_t, p, side):
     g = rng(50)
     qcar = ca.quotient_carrier(s3_q)
     for _ in range(30):
@@ -312,18 +312,23 @@ def test_lp_contraction(s3_q, p, side):
         lam = ca.quasi_invariant_lambda(s3_q, rho)
         sigma = random_measure(g, s3_q)
         phi = ca.DensityFunction(qcar, random_weights(g, 3))
-        out = ca.lp_action(s3_q, rho, side, sigma, phi, p)
+        out = ca.lp_action(s3_t, rho, side, sigma, phi, p)
         assert ca.lp_norm(lam, out, p) <= \
             ca.total_variation(sigma) * ca.lp_norm(lam, phi, p) + 1e-10
 
 
 @pytest.mark.parametrize("token,gens", [("S3", ["(12)"]), ("D4", ["(24)"]),
-                                        ("S3", ["(123)"]), ("Q8", ["i"])])
+                                        ("S3", ["(123)"]), ("Q8", ["i"]),
+                                        ("S4", ["(12)", "(123)"]), ("A4", ["(123)"]),
+                                        ("S5", ["(12)"])])
 def test_explicit_matches_operator_route(token, gens):
-    # lp_action and l1_convolve compute the explicit double sum; the operator
-    # route (group convolution of rho-weighted lifts, averaged back) must agree
+    # lp_action and l1_convolve compute the explicit double sum through the
+    # quotient convolution kernel; the operator route (group convolution of
+    # rho-weighted lifts, averaged back) must agree, on non-normal pairs with
+    # |H| > 2 too
     G = ca.builtin_from_token(token)
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    T = ca.structure_table(Q)
     qcar = ca.quotient_carrier(Q)
     g = rng(51)
     rho = ca.validate_rho(
@@ -335,21 +340,21 @@ def test_explicit_matches_operator_route(token, gens):
     psi = ca.DensityFunction(qcar, random_weights(g, Q.coset_count))
     for p in (1.0, 2.0, 3.0):
         for side in ("left", "right"):
-            explicit = ca.lp_action(Q, rho, side, sigma, phi, p).values
+            explicit = ca.lp_action(T, rho, side, sigma, phi, p).values
             operator = _lp_action_operator(Q, rho, side, sigma, phi, p)
             assert np.max(np.abs(explicit - operator)) < 1e-12, (p, side)
-    explicit = ca.l1_convolve(Q, rho, lam, phi, psi).values
+    explicit = ca.l1_convolve(T, lam, phi, psi).values
     assert np.max(np.abs(explicit - _l1_convolve_operator(Q, rho, phi, psi))) < 1e-12
 
 
-def test_lp_action_argument_validation(s3_q):
+def test_lp_action_argument_validation(s3_q, s3_t):
     rho = ca.rho_ones(s3_q)
     qcar = ca.quotient_carrier(s3_q)
     phi = ca.DensityFunction(qcar, np.ones(3))
     with pytest.raises(ValueError):
-        ca.lp_action(s3_q, rho, "middle", ca.delta_h(s3_q), phi, 1.0)
+        ca.lp_action(s3_t, rho, "middle", ca.delta_h(s3_q), phi, 1.0)
     with pytest.raises(ValueError):
-        ca.lp_action(s3_q, rho, "left", ca.delta_h(s3_q), phi, 0.5)
+        ca.lp_action(s3_t, rho, "left", ca.delta_h(s3_q), phi, 0.5)
 
 
 def test_lp_norm_examples(s3_q):
@@ -509,26 +514,48 @@ def test_carrier_guards(s3_q, s3_t, d4):
         ca.quotient_convolve(s3_t, other, other)
 
 
-def test_right_lp_action_refused_before_allocating(monkeypatch):
-    # S5/<(12)>, 60 cosets: the right side's (k, |H|, k) tensor is refused
-    # within the budget it needs less one byte; the left side reads the
-    # factored table and still runs
+def test_quotient_convolution_refused_before_allocating(monkeypatch):
+    # S5/<(12)>, 60 cosets: the right L^p action runs through the quotient
+    # convolution kernel, whose one byte check covers the traced peak; within
+    # that budget less one byte the kernel refuses before its k x k gather,
+    # and so do the left action and the L^1 convolution
     G = ca.builtin_from_token("S5")
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
-    rho, qc, g = ca.rho_ones(Q), ca.quotient_carrier(Q), rng(26)
+    T, rho, qc, g = ca.structure_table(Q), ca.rho_ones(Q), ca.quotient_carrier(Q), rng(26)
+    lam = ca.quasi_invariant_lambda(Q, rho)
     sigma = ca.ComplexMeasure(qc, random_weights(g, 60))
     phi = ca.DensityFunction(qc, random_weights(g, 60))
 
     def right():
-        return ca.lp_action(Q, rho, "right", sigma, phi, 2.0)
+        return ca.lp_action(T, rho, "right", sigma, phi, 2.0)
 
-    checked, peak = checked_peak(monkeypatch, qa, right)
+    checked, peak = checked_peak(monkeypatch, _kernels, right)
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
 
     def refused():
-        with pytest.raises(CapExceeded, match="right translation tensor with 60 cosets"):
+        with pytest.raises(CapExceeded, match="quotient convolution with 60 cosets"):
             right()
 
     assert traced_peak(refused) < checked[0] // 10
-    ca.lp_action(Q, rho, "left", sigma, phi, 2.0)
+    with pytest.raises(CapExceeded, match="quotient convolution"):
+        ca.lp_action(T, rho, "left", sigma, phi, 2.0)
+    with pytest.raises(CapExceeded, match="quotient convolution"):
+        ca.l1_convolve(T, lam, phi, phi)
+
+
+def test_actions_reuse_the_table(monkeypatch, s3_q, s3_t):
+    # the L^p actions and the L^1 convolution read the table they are given
+    # and never rebuild its factors
+    def rebuild(*args):
+        raise AssertionError("structure table factors rebuilt")
+
+    monkeypatch.setattr(qa, "_factors", rebuild)
+    rho = ca.validate_rho(s3_q, [1.0, 2.0, 0.5])
+    lam = ca.quasi_invariant_lambda(s3_q, rho)
+    g = rng(27)
+    sigma = random_measure(g, s3_q)
+    phi = ca.DensityFunction(ca.quotient_carrier(s3_q), random_weights(g, 3))
+    for side in ("left", "right"):
+        ca.lp_action(s3_t, rho, side, sigma, phi, 2.0)
+    ca.l1_convolve(s3_t, lam, phi, phi)
