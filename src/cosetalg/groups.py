@@ -5,7 +5,10 @@ structure is an explicit table. Conventions, pinned by unit tests:
 
   * permutation composition: (p * q)(i) = p(q(i)), the right factor acts first;
   * permutation closure is breadth-first, identity first, successors x*g
-    taken in generator order;
+    taken in generator order; it records x*g for every element x and
+    generator g, and the parent and generator that first reached each
+    element (Schreier vectors), so the Cayley table is assembled column by
+    column in O(n²), one gather per column, with no degree factor;
   * cosets are left cosets xH, listed by minimal member index, which is also
     the canonical representative.
 """
@@ -286,43 +289,35 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
             raise NotAPermutation(f"generator {gi} is not a permutation of 0..{degree - 1}")
         gens.append(p)
 
+    # Schreier vectors: right[j][x] (then steps[j, x]) is the index of
+    # elems[x]∘gens[j], and each element y > 0 was first reached as
+    # elems[parent[y]]∘gens[via[y]]
     ident: Perm = tuple(range(degree))
     elems: list[Perm] = [ident]
     index: dict[Perm, int] = {ident: 0}
-    head = 0
-    while head < len(elems):
-        x = elems[head]
-        head += 1
-        for g in gens:
+    right: list[list[int]] = [[] for _ in gens]
+    parent, via = [0], [0]
+    for head, x in enumerate(elems):   # elems grows while it is read
+        for j, g in enumerate(gens):
             y = compose(x, g)
             if y not in index:
                 if len(elems) >= cap:
                     raise CapExceeded(f"closure exceeds cap {cap}")
                 index[y] = len(elems)
                 elems.append(y)
+                parent.append(head)
+                via.append(j)
+            right[j].append(index[y])
 
     n = len(elems)
     require_bytes(n * n * 8, f"Cayley table of order {n}")
-    earr = np.array(elems, dtype=np.min_scalar_type(max(degree - 1, 0))).reshape(n, degree)
-    keys = _row_keys(earr)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    steps = np.array(right, dtype=np.int64).reshape(len(gens), n)
     table = np.empty((n, n), dtype=np.int64)
-    block = max(1, (1 << 25) // (n * (earr.itemsize * degree + 16)))  # ~32 MB
-    for start in range(0, n, block):
-        comp = earr[start:start + block][:, earr]    # comp[a, b] = a∘b
-        table[start:start + block] = order[np.searchsorted(sorted_keys, _row_keys(comp))]
+    table[:, 0] = np.arange(n)
+    for y in range(1, n):   # a∘y = (a∘parent(y))∘g, column by column in BFS order
+        table[:, y] = steps[via[y]][table[:, parent[y]]]
     labels = tuple(perm_label(p) for p in elems)
     return build_from_cayley_table(labels, table, name=name, perms=tuple(elems))
-
-
-def _row_keys(perms: np.ndarray) -> np.ndarray:
-    """Each permutation (last axis) as one opaque bytes key: exact for any
-    degree, ordered consistently by sort and searchsorted."""
-    perms = np.ascontiguousarray(perms)
-    if perms.shape[-1] == 0:  # degree 0: the single empty permutation
-        return np.zeros(perms.shape[:-1], dtype=np.int8)
-    return perms.view(np.dtype((np.void, perms.shape[-1] * perms.itemsize)))[..., 0]
 
 
 # --- builtin catalog -------------------------------------------------------

@@ -160,6 +160,12 @@ def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
     k = T.coset_count
     if len(s1) != k or len(s2) != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
+    # measured peaks per entry of k² + |H|·k: 72 to 81 bytes on int64, 244
+    # to 270 on Python ints, 360 when int64 operands widen to Python ints
+    entries = k * k + T.h_action.size
+    wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.h_action.size * k * k >= 2 ** 63
+    require_bytes((420 if wide else 88) * entries,
+                  f"exact quotient convolution with {k} cosets")
     v = s2[T.h_action.ravel()].scatter(np.arange(T.h_action.size) % k, k) / T.denominator
     a, z = np.divmod(np.arange(k * k), k)
     return (s1[a] * v[T.shift.ravel()]).scatter(z, k)

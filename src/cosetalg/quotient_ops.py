@@ -18,8 +18,8 @@ import numpy as np
 from . import exact
 from .errors import CarrierMismatch, NonPositive, NotCosetConstant
 from .groups import FiniteGroup, QuotientSpace, require_bytes
-from .measures import (Carrier, ComplexMeasure, DensityFunction, group_carrier,
-                       quotient_carrier)
+from .measures import (ComplexMeasure, DensityFunction, _require_same,
+                       group_carrier, quotient_carrier)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:
 
 def average_ph(Q: QuotientSpace, f: DensityFunction) -> DensityFunction:
     """Coset average: out(xH) = (1/|H|) sum_{h in H} f(xh)."""
-    _require_group_density(Q, f)
+    _require_same(f.carrier, group_carrier(Q.group))
     sums = np.bincount(Q.coset_of, weights=f.values.real, minlength=Q.coset_count) \
         + 1j * np.bincount(Q.coset_of, weights=f.values.imag, minlength=Q.coset_count)
     return DensityFunction(quotient_carrier(Q), sums / Q.subgroup.order)
@@ -147,7 +147,7 @@ def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
 
 def compose_with_projection(Q: QuotientSpace, phi: DensityFunction) -> DensityFunction:
     """phi∘pi: the coset function phi read as a function on G."""
-    _require_quotient_density(Q, phi)
+    _require_same(phi.carrier, quotient_carrier(Q))
     return DensityFunction(group_carrier(Q.group), phi.values[Q.coset_of])
 
 
@@ -175,7 +175,7 @@ def quotient_integral_check(Q: QuotientSpace, rho: RhoFunction,
 def pushforward_rh(Q: QuotientSpace, mu: ComplexMeasure) -> ComplexMeasure:
     """Image of a group measure on the coset space: coset weight = sum of its
     members' weights. Linear, norm-nonincreasing, surjective."""
-    _require_group_measure(Q, mu)
+    _require_same(mu.carrier, group_carrier(Q.group))
     w = np.bincount(Q.coset_of, weights=mu.weights.real, minlength=Q.coset_count) \
         + 1j * np.bincount(Q.coset_of, weights=mu.weights.imag, minlength=Q.coset_count)
     return ComplexMeasure(quotient_carrier(Q), w)
@@ -184,7 +184,7 @@ def pushforward_rh(Q: QuotientSpace, mu: ComplexMeasure) -> ComplexMeasure:
 def lift_to_invariant(Q: QuotientSpace, sigma: ComplexMeasure) -> ComplexMeasure:
     """The right-H-invariant group measure projecting onto sigma: each element
     of coset xH carries sigma({xH})/|H|. Sections pushforward_rh isometrically."""
-    _require_quotient_measure(Q, sigma)
+    _require_same(sigma.carrier, quotient_carrier(Q))
     w = sigma.weights[Q.coset_of] / Q.subgroup.order
     return ComplexMeasure(group_carrier(Q.group), w)
 
@@ -195,7 +195,7 @@ def membership_mgh(Q: QuotientSpace, mu: ComplexMeasure) -> bool:
     Exact comparison: lifted measures and coset-constant densities reproduce
     bit-identical weights inside a coset.
     """
-    _require_group_measure(Q, mu)
+    _require_same(mu.carrier, group_carrier(Q.group))
     rep_weights = mu.weights[Q.reps][Q.coset_of]
     return bool(np.all(mu.weights == rep_weights))
 
@@ -221,24 +221,3 @@ def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:
     return [ComplexMeasure(gc, np.array([float(v) for v in vec], dtype=np.complex128))
             for vec in basis]
 
-
-# --- small guards -------------------------------------------------------------
-
-def _require_group_measure(Q: QuotientSpace, mu: ComplexMeasure) -> None:
-    if mu.carrier != group_carrier(Q.group):
-        raise CarrierMismatch("expected a measure on the group carrier")
-
-
-def _require_quotient_measure(Q: QuotientSpace, sigma: ComplexMeasure) -> None:
-    if sigma.carrier != quotient_carrier(Q):
-        raise CarrierMismatch("expected a measure on the quotient carrier")
-
-
-def _require_group_density(Q: QuotientSpace, f: DensityFunction) -> None:
-    if f.carrier != group_carrier(Q.group):
-        raise CarrierMismatch("expected a density on the group carrier")
-
-
-def _require_quotient_density(Q: QuotientSpace, phi: DensityFunction) -> None:
-    if phi.carrier != quotient_carrier(Q):
-        raise CarrierMismatch("expected a density on the quotient carrier")

@@ -135,6 +135,67 @@ def test_cap_exceeded():
         ca.build_from_permutation_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=10)
 
 
+def _bfs_closure(degree, gens):
+    """The closure's definition: breadth-first from the identity, successors
+    x*g in generator order."""
+    elems = [tuple(range(degree))]
+    seen = set(elems)
+    for x in elems:
+        for g in gens:
+            y = compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+def _assert_table_is_composition(degree, gens):
+    G = ca.build_from_permutation_generators(degree, gens)
+    assert list(G.perms) == _bfs_closure(degree, [tuple(g) for g in gens])
+    perms = np.array(G.perms, dtype=np.int64).reshape(G.order, degree)
+    for a in range(G.order):   # row a: perms[a] ∘ perms[b] for every b
+        assert np.array_equal(perms[G.mul[a]], perms[a][perms])
+
+
+@st.composite
+def _permutation_generators(draw):
+    """1-3 generators on m <= 6 points, acting diagonally on up to 6 copies
+    of those points scattered over a degree of at most 40, so the order stays
+    within 6! = 720 while points run up to 39."""
+    m = draw(st.integers(1, 6), label="points")
+    small = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3),
+                 label="generators")
+    copies = draw(st.integers(1, min(6, 40 // m)), label="copies")
+    degree = draw(st.integers(m * copies, 40), label="degree")
+    spots = draw(st.permutations(range(degree)), label="placement")[:m * copies]
+    gens = []
+    for g in small:
+        p = list(range(degree))
+        for c in range(copies):
+            for i in range(m):
+                p[spots[c * m + i]] = spots[c * m + g[i]]
+        gens.append(p)
+    return degree, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_generators())
+def test_permutation_table_matches_composition(degree_and_gens):
+    _assert_table_is_composition(*degree_and_gens)
+
+
+@pytest.mark.parametrize("degree,gens", [
+    (5, []),
+    (4, [(0, 1, 2, 3)]),
+    (4, [(0, 1, 2, 3), (1, 2, 3, 0)]),
+    (5, [(1, 0, 2, 3, 4), (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+    (3, [(1, 2, 0), (1, 2, 0)]),
+], ids=["no-generators", "identity", "identity-and-4-cycle", "duplicate-transposition",
+        "duplicate-only"])
+def test_permutation_table_edge_generators(degree, gens):
+    _assert_table_is_composition(degree, gens)
+
+
 @pytest.mark.parametrize("name,param,order", [
     ("cyclic", 6, 6),
     ("dihedral", 4, 8),

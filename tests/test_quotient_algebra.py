@@ -544,6 +544,30 @@ def test_quotient_convolution_refused_before_allocating(monkeypatch):
         ca.l1_convolve(T, lam, phi, phi)
 
 
+def test_exact_quotient_convolution_refused_before_allocating(monkeypatch):
+    # S5/<(12)>, 60 cosets, numerators beyond int64: the one byte check covers
+    # the traced peak of the k² Python-int products, and within that budget
+    # less one byte the call refuses before building them
+    G = ca.builtin_from_token("S5")
+    T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"])))
+    g = rng(28)
+    s1, s2 = (ExactVector(*(np.array([int(v) << 64 for v in g.integers(-99, 100, 60)],
+                                     dtype=object) for _ in range(2)), 7)
+              for _ in range(2))
+    assert s1.re.dtype == object and s2.im.dtype == object
+
+    checked, peak = checked_peak(monkeypatch, qa,
+                                 lambda: ca.quotient_convolve_exact(T, s1, s2))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="exact quotient convolution with 60 cosets"):
+            ca.quotient_convolve_exact(T, s1, s2)
+
+    assert traced_peak(refused) < checked[0] // 10
+
+
 def test_actions_reuse_the_table(monkeypatch, s3_q, s3_t):
     # the L^p actions and the L^1 convolution read the table they are given
     # and never rebuild its factors

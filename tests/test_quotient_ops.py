@@ -247,6 +247,20 @@ def test_pushforward_isometric_on_invariant(s3_q):
                    - ca.total_variation(inv)) < 1e-12
 
 
+@pytest.mark.parametrize("op,kind,wants_group", [
+    (ca.average_ph, ca.DensityFunction, True),
+    (ca.compose_with_projection, ca.DensityFunction, False),
+    (ca.pushforward_rh, ca.ComplexMeasure, True),
+    (ca.lift_to_invariant, ca.ComplexMeasure, False),
+    (ca.membership_mgh, ca.ComplexMeasure, True),
+])
+def test_operators_refuse_the_other_carrier(s3_q, op, kind, wants_group):
+    qcar, gcar = qc_gc(s3_q)
+    wrong = qcar if wants_group else gcar
+    with pytest.raises(CarrierMismatch, match="carriers differ"):
+        op(s3_q, kind(wrong, np.ones(wrong.size)))
+
+
 # --- the literal invariance system ------------------------------------------------
 
 def test_solution_space_dimensions(s3, s3_h12, s3_a3):
