@@ -143,9 +143,11 @@ def _integers(bound: int, *arrays) -> list[np.ndarray]:
 
 def solve_bytes(rows: int, cols: int) -> int:
     """Bytes an exact solve of a rows x cols integer system holds at once: per
-    entry the system, rref's integer copy, its residues mod p (or the pivot
-    columns) and a result reference; per row, a row view and a result list."""
-    return rows * (cols * 4 * 8 + 192)
+    entry the system, rref's integer copy, its residues mod p, the two
+    temporaries of an elimination step and a result reference; per row a row
+    view, a result list and the Fractions lifted or solved for it (measured:
+    up to 620 bytes per row on small systems with a one-dimensional kernel)."""
+    return rows * (cols * 6 * 8 + 768)
 
 
 def rref(matrix: Matrix) -> tuple[FractionMat, list[int]]:
@@ -154,25 +156,34 @@ def rref(matrix: Matrix) -> tuple[FractionMat, list[int]]:
 
     `matrix` is a list of rows of Fractions or ints, or of integer array
     rows, or a 2-D integer array. Rows are first scaled to integers (which
-    leaves the RREF unchanged). A row basis is picked by elimination mod
-    _PRIME; rows independent mod a prime are independent over Q. A basis
-    of ncols rows means the RREF is the identity. Otherwise only the basis
-    rows are reduced over Fractions, and the result is certified by checking
-    in exact integer arithmetic that every input row is the combination of
-    the RREF rows given by its pivot entries. A failed certificate (an
-    unlucky prime) falls back to reducing the whole matrix over Fractions.
+    leaves the RREF unchanged). One Gauss-Jordan elimination mod _PRIME gives
+    the RREF mod p. Its rank cannot exceed the rank over Q, so ncols pivots
+    mean the RREF is the identity. Otherwise the nonzero rows, 0 and 1 on the
+    pivot columns, are lifted to rationals on the free columns by rational
+    reconstruction and certified by checking, in exact integer arithmetic,
+    that every input row is the combination of the lifted rows given by its
+    pivot entries: then they span the row space, which has no more than their
+    rank, and being in echelon form they are its RREF. An entry with no
+    reconstruction or a failed certificate (an unlucky prime) falls back to
+    reducing the whole matrix over Fractions.
     """
     if len(matrix) == 0:
         return [], []
     A = _integer_matrix(matrix)
     m, ncols = A.shape
-    basis = _row_basis_mod_p(A)
-    if len(basis) == ncols:
-        rows = [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
-        return rows + _zero_rows(m - ncols, ncols), list(range(ncols))
-    rows, pivots = _rref_fractions(_fraction_rows(A[basis]))
-    if not _spans_rows(A, rows, pivots):
-        return _rref_fractions(_fraction_rows(A))
+    residues, pivots = _rref_mod_p(A)
+    rows = [[_ONE if j == p else _ZERO for j in range(ncols)] for p in pivots]
+    if len(pivots) < ncols:
+        free = np.flatnonzero(~np.isin(np.arange(ncols), pivots))
+        lifted = _reconstruct(residues[:, free])
+        if lifted is None:
+            return _rref_fractions(_fraction_rows(A))
+        free = free.tolist()
+        for row, values in zip(rows, lifted):
+            for j, v in zip(free, values):
+                row[j] = v
+        if not _spans_rows(A, rows, pivots):
+            return _rref_fractions(_fraction_rows(A))
     return rows + _zero_rows(m - len(rows), ncols), pivots
 
 
@@ -217,23 +228,48 @@ def _integer_matrix(matrix: Matrix) -> np.ndarray:
     return out
 
 
-def _row_basis_mod_p(A: np.ndarray) -> np.ndarray:
-    """Indices of rows of A that are independent mod _PRIME and span its row
-    space mod _PRIME, found by one vectorized elimination."""
+def _rref_mod_p(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination of A mod _PRIME: (the nonzero rows of its
+    RREF mod p, as residues in [0, p), and their pivot columns)."""
     M = (A % _PRIME).astype(np.int64, copy=False)   # residues < 2**31: products fit int64
-    basis = []
+    pivots: list[int] = []
     for col in range(M.shape[1]):
-        nz = np.flatnonzero(M[:, col])
+        r = len(pivots)
+        if r == M.shape[0]:
+            break
+        nz = np.flatnonzero(M[r:, col])
         if len(nz) == 0:
             continue
-        p, others = nz[0], nz[1:]
-        pivot = M[p, col:] * pow(int(M[p, col]), -1, _PRIME) % _PRIME
-        M[others, col:] = (M[others, col:] - M[others, col][:, None] * pivot) % _PRIME
-        M[p] = 0
-        basis.append(p)
-        if len(basis) == M.shape[1]:
-            break
-    return np.array(basis, dtype=np.int64)
+        if nz[0]:
+            M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        M[r, col:] = M[r, col:] * pow(int(M[r, col]), -1, _PRIME) % _PRIME
+        others = np.flatnonzero(M[:, col])
+        others = others[others != r]
+        block = M[others, col:]
+        block -= np.outer(block[:, 0], M[r, col:])
+        M[others, col:] = block % _PRIME
+        pivots.append(col)
+    return M[:len(pivots)].copy(), pivots
+
+
+def _reconstruct(residues: np.ndarray) -> Optional[FractionMat]:
+    """The residues mod _PRIME as rationals a/b with |a|, b <= sqrt(p/2), the
+    unique such fractions where they exist (Wang, Guy & Davenport, SIGSAM
+    Bull. 16, 1982): the extended Euclidean algorithm on (p, u), run on every
+    entry at once and stopped per entry at the first remainder <= the bound.
+    None when some entry has no such fraction."""
+    bound = math.isqrt((_PRIME - 1) // 2)
+    r0, r1 = np.full(residues.shape, _PRIME, dtype=np.int64), residues
+    s0, s1 = np.zeros_like(r1), np.ones_like(r1)
+    while (go := r1 > bound).any():
+        q = np.where(go, r0 // np.maximum(r1, 1), 0)
+        r0, r1 = np.where(go, r1, r0), np.where(go, r0 - q * r1, r1)
+        s0, s1 = np.where(go, s1, s0), np.where(go, s0 - q * s1, s1)
+    num, den = np.where(s1 < 0, -r1, r1), np.abs(s1)
+    if ((den == 0) | (den > bound)).any():
+        return None
+    return [[_ZERO if a == 0 else Fraction(a, b) for a, b in zip(nums, dens)]
+            for nums, dens in zip(num.tolist(), den.tolist())]
 
 
 def _spans_rows(A: np.ndarray, rows: FractionMat, pivots: list[int]) -> bool:

@@ -27,8 +27,9 @@ from .errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
 DEFAULT_ORDER_CAP = 10080
 
 # Most bytes the library holds at once for one large operation: a group
-# table, a structure table or its derived views, a group convolution, a right
-# L^p action, or an exact solve (its system and the solve's copies).
+# table or a block of its identity and inverse scans, a structure table or
+# its derived views, a group or quotient convolution, or an exact solve (its
+# system and the solve's copies).
 # It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
 # larger requests raise CapExceeded.
@@ -148,22 +149,56 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
         a, b, c = _first_non_associative(table)
         raise NotAssociative(f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})")
 
-    rng = np.arange(n)
-    ident_candidates = [e for e in range(n)
-                        if np.array_equal(table[e], rng) and np.array_equal(table[:, e], rng)]
-    if not ident_candidates:
-        raise NoIdentity("no two-sided neutral element")
-    e = ident_candidates[0]
-
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero((table[a] == e) & (table[:, a] == e))
-        if len(hits) == 0:
-            raise NoInverse(f"element {a} ({labels[a]}) has no two-sided inverse")
-        inv[a] = hits[0]
-
+    e = _identity(table)
+    inv = _inverses(table, e, labels)
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
                        identity=e, name=name, perms=perms)
+
+
+# table entries per block of the identity and inverse scans: ~8 MB of
+# gathered rows, or ~1 MB per mask
+_SCAN_ENTRIES = 1 << 20
+
+
+def _scan_block(rows: int, n: int, bytes_per_entry: int) -> int:
+    """Rows per block of a scan over `rows` rows of the n x n table, after a
+    byte check of one block."""
+    block = max(1, min(rows, _SCAN_ENTRIES // max(n, 1)))
+    require_bytes(bytes_per_entry * block * n, f"identity and inverse scans of order {n}")
+    return block
+
+
+def _identity(table: np.ndarray) -> int:
+    """The first e with table[e] and table[:, e] both the identity map."""
+    n = table.shape[0]
+    ar = np.arange(n)
+    # e*0 = 0 = 0*e narrows the candidates; each is then checked whole
+    candidates = np.flatnonzero((table[:, 0] == 0) & (table[0] == 0)) if n else ar
+    # per entry a row and a column gather (int64) and their two masks
+    block = _scan_block(len(candidates), n, 18)
+    for start in range(0, len(candidates), block):
+        c = candidates[start:start + block]
+        neutral = (table[c] == ar).all(axis=1) & (table[:, c] == ar[:, None]).all(axis=0)
+        if neutral.any():
+            return int(c[np.argmax(neutral)])
+    raise NoIdentity("no two-sided neutral element")
+
+
+def _inverses(table: np.ndarray, e: int, labels: Sequence[str]) -> np.ndarray:
+    """inv[a], the first b with a*b = b*a = e; NoInverse names the first a
+    without one."""
+    n = table.shape[0]
+    inv = np.empty(n, dtype=np.int64)
+    block = _scan_block(n, n, 3)          # three masks
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        both = (table[start:stop] == e) & (table[:, start:stop] == e).T
+        found = both.any(axis=1)
+        if not found.all():
+            a = start + int(np.argmin(found))
+            raise NoInverse(f"element {a} ({labels[a]}) has no two-sided inverse")
+        inv[start:stop] = both.argmax(axis=1)
+    return inv
 
 
 def _generating_set(table: np.ndarray) -> list[int]:

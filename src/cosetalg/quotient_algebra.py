@@ -13,6 +13,7 @@ h_i * rep_b. Then counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -58,8 +59,7 @@ class StructureTable:
         holds count m at z for each coset w that m of the h_i * rep_b reach,
         where z = the coset of rep_a * rep_w."""
         k, h = self.coset_count, self.denominator
-        bw, mult = np.unique(np.arange(k) * k + self.h_action.astype(np.int64),
-                             return_counts=True)
+        bw, mult = self._support()
         nnz = k * len(bw)
         # shift's inverse, then five int64 arrays of nnz at once and one of slack
         require_bytes(8 * (k * k + 6 * nnz), f"structure entries with {k} cosets")
@@ -73,6 +73,18 @@ class StructureTable:
         key, z = np.divmod(key, k)
         a, b = np.divmod(key, k)
         return a, b, z, count
+
+    @property
+    def nnz(self) -> int:
+        """The number of nonzero entries of counts."""
+        return self.coset_count * len(self._support()[0])
+
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct b * k + w over the cosets w of h_i * rep_b, sorted,
+        and how many h_i reach each."""
+        k = self.coset_count
+        return np.unique(np.arange(k) * k + self.h_action.astype(np.int64),
+                         return_counts=True)
 
     def _action(self) -> np.ndarray:
         """(k, k) int64: action[a, w], the coset of rep_a * rep_w (shift's inverse)."""
@@ -271,37 +283,129 @@ class IdentitySolution:
     unique: bool
 
 
+# array headers and Python objects an identity solve holds whatever its size:
+# up to 9 KB measured at 3 and 4 cosets
+_SOLVE_CALL_BYTES = 1 << 14
+
+
 def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
     """Solve 'sigma acts as the identity on every basis point mass' from each
-    side. The system is scaled by |H| to integers, the rhs its last column:
-    'left' (sigma * delta_b = delta_b) has rows (b, z), columns a; 'right'
-    rows (a, z), columns b. The byte check covers the whole solve."""
-    k = T.coset_count
-    block = k * k
-    require_bytes(exact.solve_bytes(len(sides) * block, k + 1),
+    side. The system, scaled by |H| to integers, is kept as its nonzero
+    entries: 'left' (sigma * delta_b = delta_b) has rows (b, z), columns a;
+    'right' rows (a, z), columns b; the rhs is |H| on the rows (b, b).
+
+    A row with one nonzero pins its column to rhs / count; the rows (base, z)
+    pin every column, as c[a][base][z] = [a = z]. With every column pinned,
+    the pins are the only candidate, so checking every row in exact integers
+    decides the system: all hold, and the solution is unique; one fails, and
+    the system is inconsistent. Only a table whose singleton rows leave a
+    column unpinned (not a table of a group) takes the dense exact solve.
+    """
+    k, nrows = T.coset_count, len(sides) * T.coset_count ** 2
+    nnz = len(sides) * T.nnz
+    # the entries and their key while derived; per system entry its row,
+    # column and count, and the certificate's gathers and products; per row
+    # its nonzero count, the rhs and the certificate's sums
+    require_bytes(8 * (k * k + 6 * T.nnz) + 48 * nnz + 32 * nrows + _SOLVE_CALL_BYTES,
                   f"identity solve with {k} cosets")
     a, b, z, count = T.entries()
-    system = np.zeros((len(sides) * block, k + 1), dtype=np.int64)
-    diagonal = np.arange(k) * (k + 1)       # rows (b, b): the unit masses
-    for i, side in enumerate(sides):
-        row, col = (b, a) if side == "left" else (a, b)
-        system[i * block + row * k + z, col] = count
-        system[i * block + diagonal, k] = T.denominator
+    row = np.concatenate([i * k * k + (b if side == "left" else a) * k + z
+                          for i, side in enumerate(sides)])
+    col = np.concatenate([a if side == "left" else b for side in sides])
+    del a, b, z
+    count = np.tile(count, len(sides))
+    rhs = np.zeros(nrows, dtype=np.int64)
+    for i in range(len(sides)):           # the rows (b, b): the unit masses
+        rhs[i * k * k + np.arange(k) * (k + 1)] = T.denominator
+    row_nnz = np.bincount(row, minlength=nrows)
+    pinned = _pinned_solution(row, col, count, rhs, row_nnz, k)
+    if pinned is None:
+        return _solve_identity_dense(T, row, col, count, rhs, row_nnz)
+    solution, holds = pinned
+    if holds:
+        return _identity_found(T, solution, unique=True)
+    return _least_squares(T, row, col, count, rhs, row_nnz)
+
+
+def _pinned_solution(row, col, count, rhs, row_nnz,
+                     k: int) -> Optional[tuple[tuple[Fraction, ...], bool]]:
+    """(x, whether x solves every row), x pinned by the singleton rows (the
+    first for each column), or None when some column has none."""
+    single = np.flatnonzero(row_nnz[row] == 1)
+    pinned, first = np.unique(col[single], return_index=True)
+    if len(pinned) < k:
+        return None
+    pin = single[first]                      # x[col[pin]] = rhs[row[pin]] / count[pin]
+    den = math.lcm(*set(count[pin].tolist()))
+    # |x| <= max rhs * den, so a row sums at most k * max count * max rhs * den
+    wide = k * int(count.max()) * int(rhs.max()) * den >= 2 ** 63
+    dtype = object if wide else np.int64
+    x = rhs[row[pin]].astype(dtype) * (den // count[pin].astype(dtype))
+    sums = np.zeros(len(rhs), dtype=dtype)
+    np.add.at(sums, row, count.astype(dtype) * x[col])
+    return (tuple(Fraction(int(v), den) for v in x),
+            bool(np.array_equal(sums, rhs.astype(dtype) * den)))
+
+
+def _identity_found(T: StructureTable, solution: Sequence[Fraction],
+                    unique: bool) -> IdentitySolution:
+    w = np.array([float(v) for v in solution], dtype=np.complex128)
+    return IdentitySolution(solution=tuple(solution),
+                            measure=ComplexMeasure(quotient_carrier(T.quotient), w),
+                            residual=0.0, unique=unique)
+
+
+def _solve_identity_dense(T: StructureTable, row, col, count, rhs,
+                          row_nnz) -> IdentitySolution:
+    """The identity system as a dense integer matrix, the rhs its last
+    column, solved by exact.rref."""
+    k, nrows = T.coset_count, len(rhs)
+    require_bytes(exact.solve_bytes(nrows, k + 1), f"dense identity solve with {k} cosets")
+    system = np.zeros((nrows, k + 1), dtype=np.int64)
+    system[row, col] = count
+    system[:, k] = rhs
     m, pivots = exact.rref(list(system))
-    if k not in pivots:  # no pivot in the rhs column: consistent
-        sol = [Fraction(0)] * k
-        for r, pc in enumerate(pivots):
-            sol[pc] = m[r][k]
-        w = np.array([float(v) for v in sol], dtype=np.complex128)
-        return IdentitySolution(solution=tuple(sol),
-                                measure=ComplexMeasure(quotient_carrier(T.quotient), w),
-                                residual=0.0, unique=len(pivots) == k)
-    A = system[:, :k] / T.denominator
-    bb = system[:, k] / T.denominator
-    lsq = np.linalg.lstsq(A, bb, rcond=None)[0]
-    residual = float(np.linalg.norm(A @ lsq - bb))
-    return IdentitySolution(solution=None, measure=None, residual=residual,
-                            unique=False)
+    del system
+    if k in pivots:  # a pivot in the rhs column: inconsistent
+        del m
+        return _least_squares(T, row, col, count, rhs, row_nnz)
+    sol = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        sol[pc] = m[r][k]
+    return _identity_found(T, sol, unique=len(pivots) == k)
+
+
+def _least_squares(T: StructureTable, row, col, count, rhs,
+                   row_nnz) -> IdentitySolution:
+    """The outcome of an inconsistent system Ax = b (A = counts / |H|): the
+    residual ||Ax - b|| at the x that solves the k x k normal equations
+    A^T A x = A^T b. A^T A sums a_ri a_rj over the pairs of entries of each
+    row r, assembled in blocks: block d pairs each entry with the d-th entry
+    of its row."""
+    k, nrows = T.coset_count, len(rhs)
+    # per system entry the sorted entries and their values, each entry's row
+    # start and length, and one block's pairs, keys and weights; per row
+    # the row starts, the rhs and the fit; the normal matrix, one block's
+    # bincount and lstsq's copies
+    require_bytes(112 * len(row) + 32 * nrows + 48 * k * k + _SOLVE_CALL_BYTES,
+                  f"identity least squares with {k} cosets")
+    order = np.argsort(row, kind="stable")
+    row, col, val = row[order], col[order], count[order] / T.denominator
+    del order
+    span = row_nnz[row]                      # each entry's row length
+    first = (np.cumsum(row_nnz) - row_nnz)[row]  # and its row's first entry
+    gram = np.zeros(k * k)
+    for d in range(int(span.max(initial=0))):
+        e = np.flatnonzero(span > d)
+        partner = first[e] + d
+        gram += np.bincount(col[e] * k + col[partner], weights=val[e] * val[partner],
+                            minlength=k * k)
+    b = rhs / T.denominator
+    x = np.linalg.lstsq(gram.reshape(k, k), np.bincount(col, weights=val * b[row], minlength=k),
+                        rcond=None)[0]
+    fit = np.bincount(row, weights=val * x[col], minlength=nrows)
+    return IdentitySolution(solution=None, measure=None,
+                            residual=float(np.linalg.norm(fit - b)), unique=False)
 
 
 def find_left_identity(T: StructureTable) -> IdentitySolution:

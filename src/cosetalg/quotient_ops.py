@@ -208,16 +208,22 @@ def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:
     and C. That system is scale-degenerate by design (see the module docs);
     this returns the exact rational kernel basis, one measure per basis
     vector, so callers can report its dimension.
+
+    Row (x, C) equals row (e, xC) plus mu_e - mu_x, and xC runs over the
+    cosets as C does. So the n + k - 1 rows sum_{z in D} mu_z - mu_e (one per
+    coset D) and mu_x - mu_e (x != e) span the same row space as the n * k
+    literal rows: the same RREF, hence the same basis.
     """
     G, k, n = Q.group, Q.coset_count, Q.group.order
-    require_bytes(exact.solve_bytes(n * k, n),
+    require_bytes(exact.solve_bytes(n + k - 1, n),
                   f"invariance system with {n} elements and {k} cosets")
-    x = np.arange(n)
-    rows = np.zeros((n * k, n), dtype=np.int64)           # row (x, C) at x*k + C
-    np.add.at(rows, (x[:, None] * k + Q.coset_of[None, :], G.mul), 1)
-    rows[np.arange(n * k), np.repeat(x, k)] -= 1
+    e = G.identity
+    rows = np.zeros((n + k - 1, n), dtype=np.int64)
+    rows[Q.coset_of, np.arange(n)] = 1                      # row D: the members of D
+    others = np.delete(np.arange(n), e)
+    rows[k + np.arange(n - 1), others] = 1                  # row k + i: mu_x, x != e
+    rows[:, e] -= 1
     basis = exact.nullspace(rows, ncols=n)
     gc = group_carrier(G)
     return [ComplexMeasure(gc, np.array([float(v) for v in vec], dtype=np.complex128))
             for vec in basis]
-

@@ -205,13 +205,13 @@ def _check_w0_weil(spec, ctx, rng):
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
     """Max violation of the literal system: sum over x*C of weights minus the
     weight at x, over all elements x and cosets C."""
-    G, worst = Q.group, 0.0
-    coset_members = [Q.members(c) for c in range(Q.coset_count)]
-    for x in range(G.order):
-        for mem in coset_members:
-            s = weights[G.mul[x, mem]].sum() - weights[x]
-            worst = max(worst, abs(s))
-    return worst
+    n, k = Q.group.order, Q.coset_count
+    # the (n, k, |H|) index gather, the complex weights through it, and the
+    # (n, k) sums and their differences
+    require_bytes(24 * n * n + 48 * n * k, f"invariance residual of order {n}")
+    members = np.argsort(Q.coset_of, kind="stable").reshape(k, -1)  # row C: C's members
+    sums = weights[Q.group.mul[:, members]].sum(axis=2)
+    return float(np.abs(sums - weights[:, None]).max())
 
 
 def _check_p1_mhg(spec, ctx, rng):

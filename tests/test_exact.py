@@ -329,8 +329,20 @@ def test_full_rank_needs_no_fraction_elimination(monkeypatch):
     rows, pivots = exact.rref([[1, 2], [3, 4], [5, 6]])
     assert pivots == [0, 1] and rows == [[1, 0], [0, 1], [0, 0]]
     assert calls == []
-    exact.rref([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 1, 1]])
-    assert calls == [2]  # only the two basis rows
+    rows, pivots = exact.rref([[1, 2, 3], [2, 4, 6], [0, 0, 0], [3, 1, 1]])
+    assert pivots == [0, 1] and rows[:2] == [[1, 0, F(-1, 5)], [0, 1, F(8, 5)]]
+    assert calls == []  # rank-deficient too: lifted from mod p and certified
+
+
+def test_unreconstructible_entries_fall_back_to_oracle(monkeypatch):
+    # RREF entries over a denominator beyond sqrt(p/2) have no rational
+    # reconstruction (or a wrong one the certificate rejects)
+    rows = [[65537, 1, 0], [131074, 2, 0], [0, 0, 0]]
+    calls = []
+    monkeypatch.setattr(exact, "_rref_fractions",
+                        lambda m: calls.append(len(m)) or _rref_fractions(m))
+    assert exact.rref(rows) == oracle_rref(rows)
+    assert calls == [len(rows)]
 
 
 @pytest.mark.parametrize("prime", [2, 3])

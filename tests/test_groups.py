@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import cosetalg as ca
 from cosetalg import groups
-from cosetalg.errors import (AmbiguousElement, CapExceeded, NoInverse,
+from cosetalg.errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
                              NotAPermutation, NotAssociative, NotClosed,
                              UnknownName)
 from cosetalg.groups import compose, parse_cycles, perm_label
+
+from conftest import checked_peak, traced_peak
 
 
 def test_composition_convention_right_factor_first(s3):
@@ -40,6 +42,71 @@ def test_c2_table_valid():
 def test_idempotent_non_identity_rejected():
     with pytest.raises(NoInverse):
         ca.build_from_cayley_table(["e", "a"], [[0, 1], [1, 1]])
+
+
+def _identity_and_inverses_by_loops(table, labels):
+    """The identity and inverse searches as first written: (e, inv) or the
+    error's message."""
+    n = len(table)
+    ar = np.arange(n)
+    found = [e for e in range(n)
+             if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar)]
+    if not found:
+        return "no two-sided neutral element"
+    e, inv = found[0], []
+    for a in range(n):
+        hits = np.flatnonzero((table[a] == e) & (table[:, a] == e))
+        if len(hits) == 0:
+            return f"element {a} ({labels[a]}) has no two-sided inverse"
+        inv.append(int(hits[0]))
+    return e, inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.sampled_from(["add", "mul", "left-zero"]), st.randoms())
+def test_identity_and_inverse_scans_match_the_loops(n, op, random):
+    # relabeled Z_n under + (a group), Z_n under * (a monoid whose
+    # non-units lack inverses) and x*y = x (no identity): all associative
+    law = {"add": lambda i, j: (i + j) % n, "mul": lambda i, j: i * j % n,
+           "left-zero": lambda i, j: i}[op]
+    relabel = list(range(n))
+    random.shuffle(relabel)
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            table[relabel[i], relabel[j]] = relabel[law(i, j)]
+    labels = [f"x{i}" for i in range(n)]
+    try:
+        G = ca.build_from_cayley_table(labels, table)
+        got = (G.identity, G.inv.tolist())
+    except (NoIdentity, NoInverse) as err:
+        got = str(err)
+    assert got == _identity_and_inverses_by_loops(table, labels)
+
+
+def test_identity_and_inverse_scans_within_their_byte_checks(monkeypatch):
+    # Z_600 under multiplication: identity 1, and 0 is the first of the
+    # elements without an inverse
+    n = 600
+    table = np.multiply.outer(np.arange(n), np.arange(n)) % n
+    labels = [f"x{i}" for i in range(n)]
+
+    def scan():
+        groups._inverses(table, groups._identity(table), labels)
+
+    def no_inverse():
+        with pytest.raises(NoInverse, match=r"^element 0 \(x0\) has"):
+            scan()
+
+    checked, peak = checked_peak(monkeypatch, groups, no_inverse)
+    assert peak <= max(checked)
+    monkeypatch.setattr(groups, "BYTE_BUDGET", max(checked) - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="identity and inverse scans of order 600"):
+            scan()
+
+    assert traced_peak(refused) < max(checked) // 4   # before the inverse scan
 
 
 def test_out_of_range_entry_rejected():

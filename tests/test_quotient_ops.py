@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
 from cosetalg import exact, quotient_ops
+from cosetalg.exact import _rref_fractions
 from cosetalg.errors import CapExceeded, CarrierMismatch, NonPositive, NotCosetConstant
 from cosetalg.verifier import CheckSpec, run_check
 
@@ -299,7 +303,46 @@ def test_solution_space_closed_under_left_convolution(s3):
             assert np.max(np.abs(conv.weights - conv.weights[0])) < 1e-12
 
 
-# dimension 0 (full column rank) and dimension 1 (a Fraction elimination)
+def literal_mhg_basis(Q):
+    """The kernel basis of the literal n*k-row system, row (x, C) reading
+    sum_{y in C} mu_{x*y} - mu_x, by Fraction elimination of its distinct
+    nonzero rows."""
+    G, k, n = Q.group, Q.coset_count, Q.group.order
+    rows = np.zeros((n * k, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            rows[x * k + Q.coset_of[y], G.mul[x, y]] += 1
+        rows[x * k:(x + 1) * k, x] -= 1
+    distinct = [[Fraction(int(v)) for v in r] for r in np.unique(rows, axis=0) if r.any()]
+    m, pivots = _rref_fractions(distinct)
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][j]
+        basis.append([float(f) for f in v])
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def small_group(token):
+    return ca.builtin_from_token(token)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["S3", "C6", "D4", "Q8", "A4", "D6", "C12", "S4", "D12"]), st.data())
+def test_reduced_mhg_system_matches_the_literal_system(token, data):
+    G = small_group(token)
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    H = ca.generate_subgroup(G, gens)
+    Q = ca.build_coset_space(G, H)
+    basis = [mu.weights.real.tolist() for mu in ca.solve_mhg_space(Q)]
+    assert len(basis) == (H.order == 1)
+    assert basis == literal_mhg_basis(Q)
+
+
+# dimension 0 (full column rank) and dimension 1 (a rank-deficient lift)
 @pytest.mark.parametrize("token,gens", [("S5", ["(12)"]), ("D30", [])],
                          ids=["S5/<(12)>", "D30/{e}"])
 def test_mhg_byte_check_covers_the_solve_peak(monkeypatch, token, gens):
@@ -314,7 +357,7 @@ def test_mhg_solve_over_budget_refused_and_reported(monkeypatch):
     G = ca.builtin_from_token("S5")
     H = ca.subgroup_from_tokens(G, ["(12)"])
     Q = ca.build_coset_space(G, H)
-    system = exact.solve_bytes(120 * 60, 120)
+    system = exact.solve_bytes(120 + 60 - 1, 120)
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", system - 1)
 
     def refused():

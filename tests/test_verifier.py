@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import cosetalg as ca
@@ -243,3 +244,38 @@ def test_exact_group_convolution_byte_check(monkeypatch):
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match="exact group convolution of order 120"):
         verifier._exact_convolution(G.mul, w1, w2)
+
+
+def _invariance_residual_loop(Q, weights):
+    """The literal-system residual as first written: a loop over x and C."""
+    G, worst = Q.group, 0.0
+    coset_members = [Q.members(c) for c in range(Q.coset_count)]
+    for x in range(G.order):
+        for mem in coset_members:
+            worst = max(worst, abs(weights[G.mul[x, mem]].sum() - weights[x]))
+    return worst
+
+
+@pytest.mark.parametrize("token,gens", [("S4", []), ("D6", []), ("S4", ["(12)"])],
+                         ids=["S4/{e}", "D6/{e}", "S4/<(12)>"])
+def test_invariance_residual_matches_the_loop(monkeypatch, token, gens):
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    g = rng(61)
+    for w in (g.random(G.order) + 1j * g.random(G.order), np.full(G.order, 0.25 + 0j)):
+        want = _invariance_residual_loop(Q, w)
+        checked, peak = checked_peak(monkeypatch, verifier,
+                                     lambda: verifier._invariance_residual(Q, w))
+        assert len(checked) == 1 and peak <= checked[0]
+        assert verifier._invariance_residual(Q, w) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_identity_and_invariance_checks_at_120_cosets():
+    # A6/<(123)>: order 360, 120 cosets, not normal
+    G, H, rho = build_entry(CatalogEntry("A6/<(123)>", "builtin:A6", ("(123)",)))
+    assert (G.order, H.order) == (360, 3)
+    for mode in ("float", "exact"):
+        report = run_check(CheckSpec(id="C13_UNIQUE_ID", trials=2, mode=mode), G, H, rho)
+        assert report.status == "pass" and "no two-sided identity" in report.notes, report
+    report = run_check(CheckSpec(id="P1_MHG", trials=2), G, H, rho)
+    assert report.status == "info" and "dimension=0" in report.notes, report
