@@ -18,7 +18,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -104,16 +103,11 @@ def _cmd_table(args) -> int:
     H = _resolve_subgroup(G, args.subgroup)
     Q = build_coset_space(G, H)
     T = structure_table(Q)
-    den = T.denominator
-    def frac(v: int) -> str:
-        f = Fraction(int(v), den)
-        return f"{f.numerator}/{f.denominator}"
-
     payload = {
         "group": G.name,
         "cosets": list(Q.labels),
         "representatives": [G.labels[int(r)] for r in Q.reps],
-        "c": [[[frac(v) for v in T.counts[a, b]]
+        "c": [[[f"{v.numerator}/{v.denominator}" for v in T.row(a, b)]
                for b in range(T.coset_count)] for a in range(T.coset_count)],
     }
 
@@ -158,6 +152,8 @@ def _cmd_conv(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.group is None:
+        if args.rho is not None or args.subgroup is not None:
+            raise CosetAlgError("--rho and --subgroup need --group")
         catalog = default_catalog()
     else:
         rho_dict = _load_json(args.rho) if args.rho else None
@@ -248,10 +244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check": _cmd_check,
     }
     try:
-        for cmd in ("groups", "table"):
-            if args.subcommand == cmd and args.group is None:
-                raise CosetAlgError("--group is required")
-        if args.subcommand == "conv" and args.group is None:
+        if args.subcommand != "check" and args.group is None:
             raise CosetAlgError("--group is required")
         if args.subcommand == "table" and args.subgroup is None:
             raise CosetAlgError("--subgroup is required")

@@ -2,13 +2,12 @@
 
 They back the "exactly" claims that floating point cannot honor (division by
 a non-power-of-two subgroup order rounds). An ExactVector holds integer
-numerator arrays over one denominator, so the exact lift is an index and a
-larger denominator, and pushforward, group and quotient convolution are
-integer scatters over the index arrays the float kernels use; the numerators
-are int64 while an overflow bound holds and Python ints beyond it. The
-linear solvers return lists of Fractions and take integer systems as numpy
-arrays, so the library's large systems never become one Fraction per entry
-(see rref).
+numerator arrays over one denominator and implements what the kernels in
+_kernels are written in, so the exact lift, pushforward, group and quotient
+convolution are those kernels run on exact vectors; the numerators are int64
+while an overflow bound holds and Python ints beyond it. The linear solvers
+return lists of Fractions and take integer systems as numpy arrays, so the
+library's large systems never become one Fraction per entry (see rref).
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ _INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 @dataclass(frozen=True, eq=False)
 class ExactVector:
-    """A vector of Gaussian rationals (re + i·im) / den: integer numerator
-    arrays over one positive integer denominator.
+    """An array of Gaussian rationals (re + i·im) / den: integer numerator
+    arrays of one shape (at least 1-D) over one positive integer denominator.
 
     `bound` bounds every |numerator|: measured when not given, else derived
     by the operation that made the vector from its operands' bounds. The
@@ -52,8 +51,8 @@ class ExactVector:
 
     def __post_init__(self):
         re, im = np.asarray(self.re), np.asarray(self.im)
-        if self.den < 1 or re.shape != im.shape or re.ndim != 1:
-            raise ValueError("need two 1-D numerator arrays of one length and den >= 1")
+        if self.den < 1 or re.shape != im.shape or re.ndim < 1:
+            raise ValueError("need two numerator arrays of one shape (1-D or more), den >= 1")
         bound = self.bound if self.bound is not None else _magnitude(re, im)
         re, im = _integers(bound, re, im)
         object.__setattr__(self, "re", re)
@@ -94,26 +93,38 @@ class ExactVector:
         """|v_i|^2 entrywise, with zero imaginary part."""
         return self * ExactVector(self.re, -self.im, self.den, self.bound)
 
-    def scatter(self, index: np.ndarray, size: int) -> "ExactVector":
-        """out[index[i]] += self[i], for a vector of `size` entries."""
-        bound = _bound(self.bound, len(index))
-        parts = []
-        for part in _integers(bound, self.re, self.im):
-            parts.append(np.zeros(size, dtype=part.dtype))
-            np.add.at(parts[-1], index, part)
-        return ExactVector(*parts, self.den, bound)
+    def sum(self, axis: int) -> "ExactVector":
+        """The sum over one axis."""
+        bound = _bound(self.bound, self.re.shape[axis])
+        re, im = _integers(bound, self.re, self.im)
+        return ExactVector(re.sum(axis=axis), im.sum(axis=axis), self.den, bound)
+
+    def __matmul__(self, other: "ExactVector") -> "ExactVector":
+        """The matrix product, as numpy's @ on the numerator arrays."""
+        bound = _bound(2, self.bound, other.bound, self.re.shape[-1])
+        r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
+        return ExactVector(r1 @ r2 - i1 @ i2, r1 @ i2 + i1 @ r2,
+                           self.den * other.den, bound)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """np.multiply(a, b, out=...) as a * b, a new vector: `out`, which the
+        kernels pass for float arrays, is not written."""
+        if ufunc is np.multiply and method == "__call__" and \
+                all(isinstance(x, ExactVector) for x in inputs):
+            return inputs[0] * inputs[1]
+        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactVector):
             return NotImplemented
         bound = max(_bound(self.bound, other.den), _bound(other.bound, self.den))
         r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
-        return (len(self) == len(other) and np.array_equal(r1 * other.den, r2 * self.den)
+        return (r1.shape == r2.shape and np.array_equal(r1 * other.den, r2 * self.den)
                 and np.array_equal(i1 * other.den, i2 * self.den))
 
     def to_complex(self) -> np.ndarray:
         """complex128 values, each part rounded as float(Fraction) rounds."""
-        out = np.empty(len(self), dtype=np.complex128)
+        out = np.empty(self.re.shape, dtype=np.complex128)
         out.real = self.re.astype(object) / self.den
         out.imag = self.im.astype(object) / self.den
         return out

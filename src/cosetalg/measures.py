@@ -128,7 +128,7 @@ def group_convolve(G: FiniteGroup, mu1: ComplexMeasure, mu2: ComplexMeasure) -> 
     gc = group_carrier(G)
     _require_same(mu1.carrier, gc)
     _require_same(mu2.carrier, gc)
-    return ComplexMeasure(gc, group_convolve_weights(G.mul, mu1.weights, mu2.weights))
+    return ComplexMeasure(gc, group_convolve_weights(G.mul, G.inv, mu1.weights, mu2.weights))
 
 
 def from_density(G: FiniteGroup, f: DensityFunction) -> ComplexMeasure:

@@ -166,21 +166,17 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
 
 def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
                             s2: ExactVector) -> ExactVector:
-    """Exact convolution of Gaussian-rational weight vectors, the float
-    kernel's formula as two scatters: v = (1/|H|) sum_i s2[h_action[i]],
-    then out[z] = sum_a s1[a] * v[shift[a, z]]."""
+    """Exact convolution of Gaussian-rational weight vectors: the float
+    kernel run on exact vectors."""
     k = T.coset_count
-    if len(s1) != k or len(s2) != k:
+    if s1.re.shape != (k,) or s2.re.shape != (k,):
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # measured peaks per entry of k² + |H|·k: 72 to 81 bytes on int64, 244
-    # to 270 on Python ints, 360 when int64 operands widen to Python ints
-    entries = k * k + T.h_action.size
-    wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.h_action.size * k * k >= 2 ** 63
-    require_bytes((420 if wide else 88) * entries,
+    # measured peaks per entry of k² + |H|·k past ~4 KB: 17 to 33 bytes on
+    # int64 or Python ints, 87 to 114 when int64 operands widen
+    wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.h_action.size >= 2 ** 63
+    require_bytes((120 if wide else 40) * (k * k + T.h_action.size) + (1 << 13),
                   f"exact quotient convolution with {k} cosets")
-    v = s2[T.h_action.ravel()].scatter(np.arange(T.h_action.size) % k, k) / T.denominator
-    a, z = np.divmod(np.arange(k * k), k)
-    return (s1[a] * v[T.shift.ravel()]).scatter(z, k)
+    return quotient_convolve_weights(T.shift, T.h_action, s1, s2)
 
 
 def module_action(Q: QuotientSpace, mu: ComplexMeasure,

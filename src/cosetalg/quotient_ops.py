@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import exact
+from ._kernels import lift_weights, push_weights
 from .errors import CarrierMismatch, NonPositive, NotCosetConstant
 from .groups import FiniteGroup, QuotientSpace, require_bytes
 from .measures import (ComplexMeasure, DensityFunction, _require_same,
@@ -36,9 +37,6 @@ class RhoFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def at_element(self, x: int) -> float:
-        return float(self.values[self.quotient.coset_of[x]])
-
     def power(self, exponent: float) -> np.ndarray:
         return self.values ** exponent
 
@@ -57,9 +55,6 @@ class QuotientMeasure:
         w = np.asarray(self.weights, dtype=np.float64).reshape(self.quotient.coset_count).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def as_measure(self) -> ComplexMeasure:
-        return ComplexMeasure(quotient_carrier(self.quotient), self.weights)
 
 
 def validate_rho(Q: QuotientSpace,
@@ -80,14 +75,13 @@ def validate_rho(Q: QuotientSpace,
 
     if len(vals) == n and n != k:
         arr = np.asarray([float(v) for v in vals], dtype=np.float64)
-        for c in range(k):
-            members = Q.members(c)
-            first = members[0]
-            for y in members[1:]:
-                if arr[y] != arr[first]:
-                    raise NotCosetConstant(
-                        f"value at {Q.group.labels[y]} differs from "
-                        f"{Q.group.labels[first]} inside coset C{c}")
+        table = arr[Q.member_table]
+        bad = np.argwhere((table[1:] != table[0]).T)   # coset order, then member order
+        if len(bad):
+            c, i = map(int, bad[0])
+            y, first = (int(Q.member_table[j, c]) for j in (i + 1, 0))
+            raise NotCosetConstant(f"value at {Q.group.labels[y]} differs from "
+                                   f"{Q.group.labels[first]} inside coset C{c}")
         per_coset = arr[Q.reps]
         if exact_candidate is not None:
             exact_vals = tuple(exact_candidate[int(r)] for r in Q.reps)
@@ -127,9 +121,8 @@ def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:
 def average_ph(Q: QuotientSpace, f: DensityFunction) -> DensityFunction:
     """Coset average: out(xH) = (1/|H|) sum_{h in H} f(xh)."""
     _require_same(f.carrier, group_carrier(Q.group))
-    sums = np.bincount(Q.coset_of, weights=f.values.real, minlength=Q.coset_count) \
-        + 1j * np.bincount(Q.coset_of, weights=f.values.imag, minlength=Q.coset_count)
-    return DensityFunction(quotient_carrier(Q), sums / Q.subgroup.order)
+    return DensityFunction(quotient_carrier(Q),
+                           push_weights(Q.member_table, f.values) / Q.subgroup.order)
 
 
 def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
@@ -176,16 +169,14 @@ def pushforward_rh(Q: QuotientSpace, mu: ComplexMeasure) -> ComplexMeasure:
     """Image of a group measure on the coset space: coset weight = sum of its
     members' weights. Linear, norm-nonincreasing, surjective."""
     _require_same(mu.carrier, group_carrier(Q.group))
-    w = np.bincount(Q.coset_of, weights=mu.weights.real, minlength=Q.coset_count) \
-        + 1j * np.bincount(Q.coset_of, weights=mu.weights.imag, minlength=Q.coset_count)
-    return ComplexMeasure(quotient_carrier(Q), w)
+    return ComplexMeasure(quotient_carrier(Q), push_weights(Q.member_table, mu.weights))
 
 
 def lift_to_invariant(Q: QuotientSpace, sigma: ComplexMeasure) -> ComplexMeasure:
     """The right-H-invariant group measure projecting onto sigma: each element
     of coset xH carries sigma({xH})/|H|. Sections pushforward_rh isometrically."""
     _require_same(sigma.carrier, quotient_carrier(Q))
-    w = sigma.weights[Q.coset_of] / Q.subgroup.order
+    w = lift_weights(Q.coset_of, Q.subgroup.order, sigma.weights)
     return ComplexMeasure(group_carrier(Q.group), w)
 
 

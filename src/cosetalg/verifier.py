@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import exact
-from ._kernels import group_convolve_weights
+from ._kernels import group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
@@ -209,8 +209,7 @@ def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
     # the (n, k, |H|) index gather, the complex weights through it, and the
     # (n, k) sums and their differences
     require_bytes(24 * n * n + 48 * n * k, f"invariance residual of order {n}")
-    members = np.argsort(Q.coset_of, kind="stable").reshape(k, -1)  # row C: C's members
-    sums = weights[Q.group.mul[:, members]].sum(axis=2)
+    sums = weights[Q.group.mul[:, Q.member_table.T]].sum(axis=2)  # row C: C's members
     return float(np.abs(sums - weights[:, None]).max())
 
 
@@ -286,8 +285,8 @@ def _check_p3_lift(spec, ctx, rng):
     h = Q.subgroup.order
     for t in range(min(spec.trials, 10)):
         s = draw_rational_weights(rng, Q.coset_count)
-        lifted = s[Q.coset_of] / h
-        if lifted.scatter(Q.coset_of, Q.coset_count) != s:
+        lifted = lift_weights(Q.coset_of, h, s)
+        if push_weights(Q.member_table, lifted) != s:
             return "fail", 1.0, {"trial": t, "reason": "exact section failed"}, "", t + 1
         if lifted.abs_squared() * (h * h) != s.abs_squared()[Q.coset_of]:
             return ("fail", 1.0,
@@ -316,21 +315,20 @@ def _check_p4_isometry(spec, ctx, rng):
 
 
 def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace) -> np.ndarray:
-    reps = []
-    for c in range(Q.coset_count):
-        mem = Q.members(c)
-        reps.append(int(mem[rng.integers(0, len(mem))]))
-    return np.array(reps, dtype=np.int64)
+    h = Q.subgroup.order
+    return np.array([Q.member_table[rng.integers(0, h), c] for c in range(Q.coset_count)])
 
 
-def _exact_convolution(mul: np.ndarray, w1: ExactVector, w2: ExactVector) -> ExactVector:
-    """Group convolution over Gaussian rationals: out[mul[x, y]] += w1[x] * w2[y]."""
-    n = mul.shape[0]
-    # measured peaks per pair: 72 to 81 bytes on int64, 396 on Python ints
-    wide = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n * n >= 2 ** 63
-    require_bytes((420 if wide else 88) * n * n, f"exact group convolution of order {n}")
-    x, y = np.divmod(np.arange(n * n), n)
-    return (w1[x] * w2[y]).scatter(mul.ravel(), n)
+def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> ExactVector:
+    """Group convolution over Gaussian rationals: the float kernel run on
+    exact vectors."""
+    n = G.order
+    # measured peaks per pair (x, z), past a few KB of small arrays: 48 to 52
+    # bytes on int64, 235 on Python ints, 285 to 290 when int64 operands widen
+    wide = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n >= 2 ** 63
+    require_bytes((320 if wide else 56) * n * n + (1 << 13),
+                  f"exact group convolution of order {n}")
+    return group_convolve_weights(G.mul, G.inv, w1, w2)
 
 
 def _check_d6_conv(spec, ctx, rng):
@@ -354,9 +352,8 @@ def _check_d6_conv(spec, ctx, rng):
             s1 = draw_rational_weights(rng, Q.coset_count)
             s2 = draw_rational_weights(rng, Q.coset_count)
             via_table = quotient_convolve_exact(T, s1, s2)
-            h = Q.subgroup.order
-            conv = _exact_convolution(Q.group.mul, s1[Q.coset_of] / h, s2[Q.coset_of] / h)
-            via_lift = conv.scatter(Q.coset_of, Q.coset_count)
+            lifts = (lift_weights(Q.coset_of, Q.subgroup.order, s) for s in (s1, s2))
+            via_lift = push_weights(Q.member_table, _exact_convolution(Q.group, *lifts))
             r = 0.0 if via_table == via_lift else 1.0
         else:
             s1 = draw_measure(rng, ctx.qc)
@@ -591,7 +588,7 @@ def _check_t18_ideal(spec, ctx, rng):
 def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
                     w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """The rho-weighted coset average of the group convolution of two lifts."""
-    conv = group_convolve_weights(Q.group.mul, w1, w2)
+    conv = group_convolve_weights(Q.group.mul, Q.group.inv, w1, w2)
     return weighted_average_th(Q, rho, p, DensityFunction(group_carrier(Q.group), conv)).values
 
 

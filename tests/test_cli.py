@@ -5,6 +5,7 @@ import pytest
 
 import cosetalg as ca
 from cosetalg.cli import main
+from cosetalg.errors import CapExceeded
 
 
 def run_cli(capsys, *argv):
@@ -149,7 +150,6 @@ def test_usage_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("budget,what", [
     (4000, "Cayley table of order 24 needs 4608 bytes"),
-    (8000, "dense structure tensor with 12 cosets needs 13824 bytes"),
 ])
 def test_table_over_byte_budget_exits_2(capsys, monkeypatch, budget, what):
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)
@@ -157,6 +157,32 @@ def test_table_over_byte_budget_exits_2(capsys, monkeypatch, budget, what):
                              "--subgroup", "(12)", "--format", "json")
     assert code == 2 and out == ""
     assert err == f"error: {what}, over the byte budget of {budget} bytes\n"
+
+
+def test_table_needs_no_dense_tensor(capsys, monkeypatch):
+    # S4/<(12)>: the dense k³ view (13824 bytes) is over the budget, the
+    # group table (4608) and the factored table are within it
+    code, want, _ = run_cli(capsys, "table", "--group", "builtin:S4",
+                            "--subgroup", "(12)", "--format", "json")
+    assert code == 0
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 12000)
+    G = ca.builtin_from_token("S4")
+    T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"])))
+    with pytest.raises(CapExceeded, match="dense structure tensor with 12 cosets"):
+        T.counts
+    code, out, err = run_cli(capsys, "table", "--group", "builtin:S4",
+                             "--subgroup", "(12)", "--format", "json")
+    assert (code, out, err) == (0, want, "")
+
+
+def test_check_rho_or_subgroup_without_group_exits_2(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"values": {}}))
+    for extra in (["--rho", str(rho)], ["--subgroup", "(12)"],
+                  ["--rho", str(rho), "--subgroup", "(12)"]):
+        code, out, err = run_cli(capsys, "check", "--prop", "W0_WEIL", "--trials", "1", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --rho and --subgroup need --group\n"
 
 
 def test_group_file_over_byte_budget_exits_2(tmp_path, capsys, monkeypatch):

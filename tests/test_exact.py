@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cosetalg as ca
 from cosetalg import exact
+from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
 from cosetalg.exact import ExactVector, _rref_fractions
-from cosetalg.verifier import _exact_convolution
 
 
 def F(*args):
@@ -58,9 +58,9 @@ def test_exact_vector_arithmetic():
     assert values(a.abs_squared()) == [(F(1, 4) + F(1, 9), F(0))]
     assert values(a * 2) == [(F(1), F(-2, 3))]
     assert values(a / 3) == [(F(1, 6), F(-1, 9))]
-    # entries sent to one target add up
+    # entries gathered into one column add up
     pair = ExactVector.from_fractions([F(1, 2), F(2)], [F(-1, 3), F(1)])
-    assert values(pair.scatter(np.array([0, 0]), 1)) == [(F(5, 2), F(2, 3))]
+    assert values(pair[np.array([[0], [1]])].sum(axis=0)) == [(F(5, 2), F(2, 3))]
     # equality compares values: the same numbers over another denominator
     assert a == ExactVector(a.re * 5, a.im * 5, a.den * 5)
     assert a != b and a != pair
@@ -74,9 +74,8 @@ def test_exact_group_convolve_matches_float(s3):
     w1 = ExactVector.from_fractions([F(int(num[0, i]), int(den[0, i])) for i in range(6)])
     w2 = ExactVector.from_fractions([0] * 6, [F(int(num[1, i]), int(den[1, i]))
                                               for i in range(6)])
-    out = _exact_convolution(s3.mul, w1, w2)
-    from cosetalg._kernels import group_convolve_weights
-    got = group_convolve_weights(s3.mul, w1.to_complex(), w2.to_complex())
+    out = group_convolve_weights(s3.mul, s3.inv, w1, w2)
+    got = group_convolve_weights(s3.mul, s3.inv, w1.to_complex(), w2.to_complex())
     assert np.max(np.abs(got - out.to_complex())) < 1e-14
 
 
@@ -84,8 +83,8 @@ def test_exact_lift_and_pushforward_are_sections(s3_q):
     rng = np.random.Generator(np.random.PCG64(12))
     s = ExactVector.from_fractions(*zip(*((F(int(a), 2), F(int(b), 3))
                                           for a, b in rng.integers(-4, 5, (3, 2)))))
-    lifted = s[s3_q.coset_of] / s3_q.subgroup.order
-    assert lifted.scatter(s3_q.coset_of, s3_q.coset_count) == s
+    lifted = lift_weights(s3_q.coset_of, s3_q.subgroup.order, s)
+    assert push_weights(s3_q.member_table, lifted) == s
 
 
 # --- the exact vector operations against Fraction oracles --------------------------
@@ -177,10 +176,11 @@ def test_exact_operations_match_fraction_oracles(pair, data):
     G, k, h = Q.group, Q.coset_count, Q.subgroup.order
     s1, s2 = data.draw(vectors(k)), data.draw(vectors(k))
     w1, w2 = data.draw(vectors(G.order)), data.draw(vectors(G.order))
-    lifted = s1[Q.coset_of] / h
+    lifted = lift_weights(Q.coset_of, h, s1)
     assert values(lifted) == oracle_lift(Q.coset_of, h, values(s1))
-    assert values(w1.scatter(Q.coset_of, k)) == oracle_pushforward(Q.coset_of, k, values(w1))
-    assert values(_exact_convolution(G.mul, w1, w2)) == \
+    assert values(push_weights(Q.member_table, w1)) == \
+        oracle_pushforward(Q.coset_of, k, values(w1))
+    assert values(group_convolve_weights(G.mul, G.inv, w1, w2)) == \
         oracle_group_convolve(G.mul, values(w1), values(w2))
     assert values(ca.quotient_convolve_exact(T, s1, s2)) == \
         oracle_quotient_convolve(T.entries(), T.denominator, values(s1), values(s2))
@@ -215,8 +215,8 @@ def test_large_numerators_take_the_object_path(pair):
     assert values(out) == oracle_quotient_convolve(T.entries(), T.denominator,
                                                    values(big), values(big))
     assert ca.quotient_convolve_exact(T, small, small).re.dtype == np.int64
-    lifted = big[Q.coset_of] / Q.subgroup.order
-    conv = _exact_convolution(Q.group.mul, lifted, lifted)
+    lifted = lift_weights(Q.coset_of, Q.subgroup.order, big)
+    conv = group_convolve_weights(Q.group.mul, Q.group.inv, lifted, lifted)
     assert conv.re.dtype == object
     assert values(conv) == oracle_group_convolve(Q.group.mul, values(lifted), values(lifted))
 
@@ -225,7 +225,7 @@ def test_int64_edge_sums_and_scales_stay_exact():
     # each operand fits int64, the result does not
     top = ExactVector(np.full(2, 2 ** 62), np.array([-(2 ** 62), 0]))
     assert top.re.dtype == np.int64
-    total = top.scatter(np.array([0, 0]), 1)
+    total = top[np.array([[0], [1]])].sum(axis=0)
     assert values(total) == [(F(2 ** 63), F(-(2 ** 62)))] and total.re.dtype == object
     assert values(top * 2) == [(F(2 ** 63), F(-(2 ** 63))), (F(2 ** 63), F(0))]
     assert values(top * top) == [(F(0), F(-(2 ** 125))), (F(2 ** 124), F(0))]
@@ -358,3 +358,77 @@ def test_unlucky_prime_falls_back_to_oracle(monkeypatch, prime):
     assert calls[-1] == len(rows)  # the full-matrix fallback ran
     assert exact.nullspace(rows) == oracle_nullspace(rows)
     assert exact.solve(rows, [1, 2, 3, 4]) == oracle_solve(rows, [1, 2, 3, 4])
+
+
+# --- 2-D gathers, sums over an axis and matrix products -------------------------
+
+# int64 numerators whose sums and products leave int64 (they widen), and
+# numerators past 2**63 (Python ints from the start)
+wide_numerators = st.one_of(
+    small_numerators, st.sampled_from([2 ** 62 - 1, -(2 ** 62), 3 ** 39]),
+    st.sampled_from([2 ** 63, -(2 ** 64) - 5, 7 ** 40]))
+
+
+@st.composite
+def wide_vectors(draw, size):
+    numerators = draw(st.sampled_from([small_numerators, wide_numerators]))
+    den = draw(st.integers(1, 5))
+    parts = [np.array([draw(numerators) for _ in range(size)], dtype=object) for _ in range(2)]
+    return ExactVector(*parts, den)
+
+
+def matrix_values(v):
+    return [values(ExactVector(r, i, v.den, v.bound)) for r, i in zip(v.re, v.im)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gathers_sums_and_products_match_fraction_oracles(data):
+    size = data.draw(st.integers(1, 5))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    u, w = data.draw(wide_vectors(size)), data.draw(wide_vectors(size))
+    index = np.array(data.draw(st.lists(st.lists(st.integers(0, size - 1), min_size=cols,
+                                                 max_size=cols), min_size=rows, max_size=rows)))
+    gathered = w[index]
+    assert gathered.re.shape == (rows, cols)
+    assert matrix_values(gathered) == [[values(w)[j] for j in row] for row in index.tolist()]
+    for axis in (0, 1):
+        rows_of = matrix_values(gathered)
+        lines = rows_of if axis == 1 else [list(col) for col in zip(*rows_of)]
+        want = [(sum((x[0] for x in line), F(0)), sum((x[1] for x in line), F(0)))
+                for line in lines]
+        summed = gathered.sum(axis=axis)
+        assert values(summed) == want
+        assert summed.re.dtype == (object if summed.bound >= 2 ** 63 else np.int64)
+    # u[:rows] @ (rows, cols): a row vector times a matrix
+    left = u[np.arange(rows) % size]
+    product = left @ gathered
+    want = [(F(0), F(0))] * cols
+    for a, x in enumerate(values(left)):
+        for z in range(cols):
+            want[z] = c_add(want[z], c_mul(x, matrix_values(gathered)[a][z]))
+    assert values(product) == want
+    assert product.re.dtype == (object if product.bound >= 2 ** 63 else np.int64)
+    # broadcasting entrywise product, and np.multiply as the kernels call it
+    outer = left[:, None] * gathered
+    assert matrix_values(outer) == [[c_mul(x, y) for y in row]
+                                    for x, row in zip(values(left), matrix_values(gathered))]
+    assert np.multiply(left[:, None], gathered, out=gathered) == outer
+    assert (outer == gathered) == (matrix_values(outer) == matrix_values(gathered))
+    assert outer.to_complex().shape == (rows, cols)
+
+
+def test_sums_that_leave_int64_widen():
+    # every numerator fits int64, the sums and the product do not
+    top = ExactVector(np.full((2, 2), 2 ** 62), np.full((2, 2), -(2 ** 62)))
+    assert top.re.dtype == np.int64
+    total = top.sum(axis=0)
+    assert total.re.dtype == object and values(total) == [(F(2 ** 63), F(-(2 ** 63)))] * 2
+    row = ExactVector(np.array([2 ** 62, 1]), np.array([0, 0]))
+    product = row @ top
+    assert product.re.dtype == object
+    assert values(product) == [(F(2 ** 124 + 2 ** 62), F(-(2 ** 124) - 2 ** 62))] * 2
+    # each product of parts fits int64, the real part's difference does not
+    a = ExactVector(np.array([2 ** 31]), np.array([2 ** 31]))
+    b = ExactVector(np.array([[2 ** 31]]), np.array([[-(2 ** 31)]]))
+    assert values(a @ b) == [(F(2 ** 63), F(0))]

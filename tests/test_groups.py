@@ -340,6 +340,74 @@ def test_lagrange_over_catalog():
         assert Q.coset_count * H.order == G.order
 
 
+def _coset_space_by_loop(G, H):
+    """(coset_of, reps, members per coset) as first written: a loop over the
+    elements, opening a coset at each element not yet placed."""
+    coset_of = np.full(G.order, -1, dtype=np.int64)
+    reps = []
+    mem = np.array(H.members, dtype=np.int64)
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            coset_of[G.mul[x, mem]] = len(reps)
+            reps.append(x)
+    return coset_of, reps, [np.flatnonzero(coset_of == c) for c in range(len(reps))]
+
+
+def _relabelled_s4():
+    """S4 as a Cayley table under a fixed shuffle of its indices, so its
+    identity is not index 0."""
+    G = ca.builtin_from_token("S4")
+    perm = np.random.Generator(np.random.PCG64(31)).permutation(G.order)  # old -> new
+    table = np.empty_like(G.mul)
+    table[perm[:, None], perm[None, :]] = perm[G.mul]
+    labels = [""] * G.order
+    for old, new in enumerate(perm):
+        labels[new] = G.labels[old]
+    return ca.build_from_cayley_table(labels, table, name="S4'")
+
+
+COSET_PAIRS = [(entry.group.removeprefix("builtin:"), list(entry.subgroup))
+               for entry in ca.default_catalog()] + [
+    ("S3", []), ("S4", ["(12)"]), ("S4", []), ("S5", ["(12)"]), ("A5", ["(123)"]),
+    ("D6", ["(26)(35)"]), ("D6", ["(14)(25)(36)"]), ("S5", ["(12)", "(1234)"]),
+]
+
+
+@pytest.mark.parametrize("token,gens", COSET_PAIRS + [("relabelled S4", None)],
+                         ids=[f"{t}/{g}" for t, g in COSET_PAIRS] + ["relabelled S4"])
+def test_coset_space_matches_the_loop(token, gens):
+    if gens is None:
+        G = _relabelled_s4()
+        assert G.identity != 0
+        subgroups = [ca.generate_subgroup(G, [x]) for x in range(G.order)]
+        subgroups.append(ca.generate_subgroup(G, [3, 5]))
+    else:
+        G = ca.builtin_from_token(token)
+        subgroups = [ca.subgroup_from_tokens(G, gens)]
+    for H in subgroups:
+        Q = ca.build_coset_space(G, H)
+        coset_of, reps, members = _coset_space_by_loop(G, H)
+        assert np.array_equal(Q.coset_of, coset_of) and Q.reps.tolist() == reps
+        assert Q.member_table.shape == (H.order, len(reps))
+        assert all(np.array_equal(Q.members(c), m) for c, m in enumerate(members))
+        assert not Q.member_table.flags.writeable
+
+
+def test_coset_space_within_its_byte_check(monkeypatch):
+    G = ca.builtin_from_token("S5")
+    for H in (ca.generate_subgroup(G, []), ca.subgroup_from_tokens(G, ["(12)", "(1234)"])):
+        checked, peak = checked_peak(monkeypatch, groups, lambda: ca.build_coset_space(G, H))
+        assert len(checked) == 1 and peak <= checked[0]
+        monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+
+        def refused():
+            with pytest.raises(CapExceeded, match="coset space of order 120"):
+                ca.build_coset_space(G, H)
+
+        assert traced_peak(refused) < checked[0] // 4
+        monkeypatch.undo()
+
+
 def test_coset_map_well_defined_iff_normal(s3, s3_h12, s3_a3):
     for H, normal in ((s3_a3, True), (s3_h12, False)):
         Q = ca.build_coset_space(s3, H)

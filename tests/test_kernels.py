@@ -43,7 +43,7 @@ def test_group_convolve_kernel_oracle(s3):
             z = s3.op(x, y)
             out[z] = out.get(z, 0j) + w1[x] * w2[y]
     want = np.array([out.get(z, 0j) for z in range(6)])
-    got = _kernels.group_convolve_weights(s3.mul, w1, w2)
+    got = _kernels.group_convolve_weights(s3.mul, s3.inv, w1, w2)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -112,8 +112,58 @@ def test_group_convolve_byte_check(monkeypatch):
     G = ca.builtin_from_token("S5")
     w = random_weights(rng(24), G.order)
     checked, peak = checked_peak(monkeypatch, _kernels,
-                                 lambda: _kernels.group_convolve_weights(G.mul, w, w))
+                                 lambda: _kernels.group_convolve_weights(G.mul, G.inv, w, w))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match="group convolution of order 120"):
-        _kernels.group_convolve_weights(G.mul, w, w)
+        _kernels.group_convolve_weights(G.mul, G.inv, w, w)
+
+
+# --- the float group and push kernels against their bincount forms -----------
+#
+# Test-local copies of the group convolution and the pushforward as they were
+# first written, one np.bincount per part; the kernels must reproduce them bit
+# for bit, so the reports stay byte-identical.
+
+def _group_convolve_bincount(mul, w1, w2):
+    n = mul.shape[0]
+    prod = np.outer(w1, w2).ravel()
+    flat = mul.ravel()
+    out = np.bincount(flat, weights=prod.real, minlength=n).astype(np.complex128)
+    out += 1j * np.bincount(flat, weights=prod.imag, minlength=n)
+    return out
+
+
+def _push_bincount(coset_of, k, w):
+    return np.bincount(coset_of, weights=w.real, minlength=k) \
+        + 1j * np.bincount(coset_of, weights=w.imag, minlength=k)
+
+
+CATALOG_AND_LADDER = [(entry.group.removeprefix("builtin:"), list(entry.subgroup))
+                      for entry in ca.default_catalog()] + [
+    ("D60", ["".join(f"({p},{62 - p})" for p in range(2, 31))]), ("S5", ["(12)", "(1234)"]),
+    ("S5", []), ("A6", []), ("S6", ["(12)"]),
+]
+
+
+@pytest.mark.parametrize("token,gens", CATALOG_AND_LADDER,
+                         ids=[e.name for e in ca.default_catalog()]
+                         + ["D60/<s>", "S5/S4", "S5/{e}", "A6/{e}", "S6/<(12)>"])
+def test_group_and_push_kernels_match_bincount_bit_for_bit(token, gens):
+    G, Q = _setup(token, gens)
+    n, k, h = G.order, Q.coset_count, Q.subgroup.order
+    assert k >= 2
+    g = rng(26)
+    w1, w2 = random_weights(g, n), random_weights(g, n)
+    lifted = _kernels.lift_weights(Q.coset_of, h, random_weights(g, k))
+    for a, b in ((w1, w2), (w1, lifted)):
+        got = _kernels.group_convolve_weights(G.mul, G.inv, a, b)
+        assert got.tobytes() == _group_convolve_bincount(G.mul, a, b).tobytes()
+    # nu * lift stays right-H-invariant bit for bit, as membership_mgh compares
+    conv = ca.ComplexMeasure(ca.group_carrier(G), got)
+    assert ca.membership_mgh(Q, conv)
+    for w in (w1, lifted, got):
+        want = _push_bincount(Q.coset_of, k, w)
+        assert _kernels.push_weights(Q.member_table, w).tobytes() == want.tobytes()
+    assert _kernels.push_weights(Q.member_table, lifted).tobytes() == \
+        ca.pushforward_rh(Q, ca.ComplexMeasure(ca.group_carrier(G), lifted)).weights.tobytes()

@@ -626,6 +626,32 @@ def test_exact_quotient_convolution_refused_before_allocating(monkeypatch):
     assert traced_peak(refused) < checked[0] // 10
 
 
+@pytest.mark.parametrize("kind", ["int64", "widening"])
+@pytest.mark.parametrize("token,gens", [("S4", ["(12)", "(123)"]), ("S5", ["(12)"])],
+                         ids=["S4/S3", "S5/<(12)>"])
+def test_exact_quotient_convolution_byte_check_int64_operands(monkeypatch, token, gens, kind):
+    # int64 numerators, whose products stay in int64 or leave it: the one
+    # check covers the traced peak, and one byte short it refuses
+    G = ca.builtin_from_token(token)
+    T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens)))
+    k, g = T.coset_count, rng(29)
+    top = 5 if kind == "int64" else 2 ** 40
+    s1, s2 = (ExactVector(*g.integers(-top, top, (2, k)), 3) for _ in range(2))
+    assert s1.re.dtype == np.int64
+    out = ca.quotient_convolve_exact(T, s1, s2)
+    assert out.re.dtype == (np.int64 if kind == "int64" else object)
+    checked, peak = checked_peak(monkeypatch, qa, lambda: ca.quotient_convolve_exact(T, s1, s2))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"exact quotient convolution with {k} cosets"):
+            ca.quotient_convolve_exact(T, s1, s2)
+
+    # the exception and its message take ~3.6 KB on S4/S3
+    assert traced_peak(refused) < checked[0] // 2
+
+
 def test_actions_reuse_the_table(monkeypatch, s3_q, s3_t):
     # the L^p actions and the L^1 convolution read the table they are given
     # and never rebuild its factors

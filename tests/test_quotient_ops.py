@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
 from cosetalg import exact, quotient_ops
+from cosetalg._kernels import lift_weights, push_weights
 from cosetalg.exact import _rref_fractions
 from cosetalg.errors import CapExceeded, CarrierMismatch, NonPositive, NotCosetConstant
 from cosetalg.verifier import CheckSpec, run_check
@@ -44,6 +45,43 @@ def test_rho_per_element_violation(s3_q):
     vals[1] = 2.0  # rho((12)) != rho(e) inside coset C0
     with pytest.raises(NotCosetConstant):
         ca.validate_rho(s3_q, vals)
+
+
+def _first_offense_by_loop(Q, arr):
+    """The NotCosetConstant message of the first offense, as the per-coset
+    double loop found it (None when arr is coset-constant)."""
+    for c in range(Q.coset_count):
+        members = np.flatnonzero(Q.coset_of == c)
+        for y in members[1:]:
+            if arr[y] != arr[members[0]]:
+                return (f"value at {Q.group.labels[y]} differs from "
+                        f"{Q.group.labels[members[0]]} inside coset C{c}")
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _rho_space(token, gens):
+    G = ca.builtin_from_token(token)
+    return ca.build_coset_space(G, ca.subgroup_from_tokens(G, list(gens)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("S3", ("(12)",)), ("S4", ("(12)",)), ("S4", ("(12)", "(123)")),
+                        ("Q8", ("i",)), ("D4", ("(24)",))]), st.data())
+def test_rho_first_offense_matches_the_loop(pair, data):
+    Q = _rho_space(*pair)
+    n = Q.group.order
+    arr = np.array(data.draw(st.lists(st.integers(1, 4), min_size=Q.coset_count,
+                                      max_size=Q.coset_count)), dtype=float)[Q.coset_of]
+    for y in data.draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        arr[y] = data.draw(st.sampled_from([5.0, float("nan")]))
+    want = _first_offense_by_loop(Q, arr)
+    if want is None:
+        assert ca.validate_rho(Q, arr.tolist()).values.tolist() == arr[Q.reps].tolist()
+    else:
+        with pytest.raises(NotCosetConstant) as err:
+            ca.validate_rho(Q, arr.tolist())
+        assert str(err.value) == want
 
 
 def test_rho_nonpositive(s3_q):
@@ -229,8 +267,8 @@ def test_lift_of_pushforward_recovers_invariant_measures(s3_q):
     nums = g.integers(-4, 5, (3, 2))
     s = ExactVector.from_fractions([Fraction(int(a), 3) for a in nums[:, 0]],
                                    [Fraction(int(b), 2) for b in nums[:, 1]])
-    lifted = s[s3_q.coset_of] / 2
-    back = lifted.scatter(s3_q.coset_of, 3)[s3_q.coset_of] / 2
+    lifted = lift_weights(s3_q.coset_of, 2, s)
+    back = lift_weights(s3_q.coset_of, 2, push_weights(s3_q.member_table, lifted))
     assert back == lifted
 
 

@@ -7,11 +7,12 @@ import pytest
 import cosetalg as ca
 from cosetalg import verifier
 from cosetalg.errors import CapExceeded, UnknownCheckId
+from cosetalg.exact import ExactVector
 from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_specs,
                                build_entry, default_catalog, exit_code, run_check,
                                run_suite)
 
-from conftest import checked_peak, rng
+from conftest import checked_peak, rng, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -239,11 +240,38 @@ def test_exact_group_convolution_byte_check(monkeypatch):
     g = rng(25)
     w1, w2 = (verifier.draw_rational_weights(g, G.order) for _ in range(2))
     checked, peak = checked_peak(monkeypatch, verifier,
-                                 lambda: verifier._exact_convolution(G.mul, w1, w2))
+                                 lambda: verifier._exact_convolution(G, w1, w2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match="exact group convolution of order 120"):
-        verifier._exact_convolution(G.mul, w1, w2)
+        verifier._exact_convolution(G, w1, w2)
+
+
+@pytest.mark.parametrize("kind", ["python-int", "widening"])
+@pytest.mark.parametrize("token", ["S4", "S5"])
+def test_exact_group_convolution_byte_check_wide_operands(monkeypatch, token, kind):
+    # numerators past 2**63, or int64 numerators whose products leave int64:
+    # the one check covers the peak and refuses a budget one byte short
+    G = ca.builtin_from_token(token)
+    g = rng(27)
+    if kind == "python-int":
+        w1, w2 = (ExactVector(*(np.array([int(v) << 64 for v in g.integers(-99, 100, G.order)],
+                                         dtype=object) for _ in range(2)), 7)
+                  for _ in range(2))
+    else:
+        w1, w2 = (ExactVector(*g.integers(-2 ** 40, 2 ** 40, (2, G.order)), 3)
+                  for _ in range(2))
+        assert w1.re.dtype == np.int64
+    checked, peak = checked_peak(monkeypatch, verifier,
+                                 lambda: verifier._exact_convolution(G, w1, w2))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"exact group convolution of order {G.order}"):
+            verifier._exact_convolution(G, w1, w2)
+
+    assert traced_peak(refused) < checked[0] // 10
 
 
 def _invariance_residual_loop(Q, weights):
