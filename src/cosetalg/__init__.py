@@ -29,7 +29,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
-                               structure_entries_for_reps, structure_table)
+                               structure_table)
 from .quotient_ops import (QuotientMeasure, RhoFunction, average_ph,
                            compose_with_projection, lift_to_invariant,
                            membership_mgh, pushforward_rh,

@@ -18,6 +18,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -163,8 +164,8 @@ def _cmd_check(args) -> int:
         entry = CatalogEntry(name=name, group=args.group,
                              subgroup=tuple(_split_tokens(args.subgroup)),
                              rho=rho_dict)
-        build_entry(entry)  # validate eagerly: bad input exits 2, not 1
-        catalog = [entry]
+        # validate eagerly (bad input exits 2, not 1) and build the group once
+        catalog = [replace(entry, group=build_entry(entry)[0])]
     ids = CHECK_IDS if args.prop == "all" else (args.prop,)
     specs = [CheckSpec(id=i, trials=args.trials, seed=args.seed,
                        tolerance=args.tol, mode=args.mode) for i in ids]

@@ -1,11 +1,11 @@
-"""Exact rational arithmetic: Gaussian-rational vectors and small linear solvers.
+"""Exact rational arithmetic: Gaussian-rational vectors, row reduction and null spaces.
 
 They back the "exactly" claims that floating point cannot honor (division by
 a non-power-of-two subgroup order rounds). An ExactVector holds integer
 numerator arrays over one denominator and implements what the kernels in
 _kernels are written in, so the exact lift, pushforward, group and quotient
 convolution are those kernels run on exact vectors; the numerators are int64
-while an overflow bound holds and Python ints beyond it. The linear solvers
+while an overflow bound holds and Python ints beyond it. rref and nullspace
 return lists of Fractions and take integer systems as numpy arrays, so the
 library's large systems never become one Fraction per entry (see rref).
 """
@@ -324,21 +324,6 @@ def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[FractionVec]:
             v[pc] = -m[r][j]
         basis.append(v)
     return basis
-
-
-def solve(matrix: Matrix, rhs: Sequence) -> Optional[FractionVec]:
-    """One exact solution of Ax = b with free variables set to 0,
-    or None when the system is inconsistent."""
-    if len(matrix) == 0:
-        return []
-    ncols = len(matrix[0])
-    m, pivots = rref(list(np.column_stack([np.asarray(matrix), np.asarray(rhs)])))
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
 
 
 def unit_vector(n: int, j: int) -> FractionVec:

@@ -9,11 +9,12 @@ of the factor group. As delta_a * sigma = rep_a . (delta_H * sigma), the
 tensor is stored as two coset actions, k^2 + |H|*k integers against k^3:
 shift[a, z], the coset of rep_a^-1 * rep_z, and h_action[i, b], the coset of
 h_i * rep_b. Then counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}.
+Identity solves are decided on the two factors; only the least-squares
+residual of an inconsistent system derives the tensor's nonzero entries.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -133,14 +134,9 @@ def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndar
     return _freeze(shift), _freeze(h_action)
 
 
-def structure_entries_for_reps(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Nonzero entries (a, b, z, count) of the count tensor computed from an
-    arbitrary representative choice."""
-    return StructureTable(Q, Q.subgroup.order, *_factors(Q, reps)).entries()
-
-
-def structure_table(Q: QuotientSpace) -> StructureTable:
-    return StructureTable(Q, Q.subgroup.order, *_factors(Q, Q.reps))
+def structure_table(Q: QuotientSpace, reps: Optional[Sequence[int]] = None) -> StructureTable:
+    """The table of Q from a representative choice, by default Q.reps."""
+    return StructureTable(Q, Q.subgroup.order, *_factors(Q, Q.reps if reps is None else reps))
 
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
@@ -286,22 +282,48 @@ _SOLVE_CALL_BYTES = 1 << 14
 
 def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
     """Solve 'sigma acts as the identity on every basis point mass' from each
-    side. The system, scaled by |H| to integers, is kept as its nonzero
-    entries: 'left' (sigma * delta_b = delta_b) has rows (b, z), columns a;
-    'right' rows (a, z), columns b; the rhs is |H| on the rows (b, b).
+    side: 'left' is sigma * delta_b = delta_b, 'right' delta_a * sigma = delta_a.
 
-    A row with one nonzero pins its column to rhs / count; the rows (base, z)
-    pin every column, as c[a][base][z] = [a = z]. With every column pinned,
-    the pins are the only candidate, so checking every row in exact integers
-    decides the system: all hold, and the solution is unique; one fails, and
-    the system is inconsistent. Only a table whose singleton rows leave a
-    column unpinned (not a table of a group) takes the dense exact solve.
+    The table of a coset space has h_action[:, base] = base, and shift[a, z]
+    = base exactly when a = z, so c[a][base][z] = [a = z]. The left rows
+    (base, z) then pin sigma to delta_H, which satisfies every right row. So
+    the system is consistent, with the unique solution delta_H, iff delta_H
+    is a left identity: every h_i * rep_b lies in the coset shift[base, b],
+    and shift[base] is a permutation. Both are checked in exact integers on
+    the factors. Only an inconsistent system derives the table's entries,
+    for its least-squares residual. A table that breaks the premise is not a
+    coset space's and raises ValueError.
     """
+    k, base = T.coset_count, T.quotient.base_coset
+    # the boolean masks of shift and of h_action, and shift[base] sorted
+    require_bytes(k * k + T.h_action.size + 8 * k + _SOLVE_CALL_BYTES,
+                  f"identity decision with {k} cosets")
+    pins = T.shift == base
+    if not ((T.h_action[:, base] == base).all() and np.count_nonzero(pins) == k
+            and pins.diagonal().all()):
+        raise ValueError("corrupt structure table: the base-coset rows do not pin delta_H")
+    del pins
+    if (T.h_action == T.shift[base]).all() and \
+            np.array_equal(np.sort(T.shift[base]), np.arange(k)):
+        return IdentitySolution(solution=tuple(exact.unit_vector(k, base)),
+                                measure=delta_h(T.quotient), residual=0.0, unique=True)
+    return _least_squares(T, sides)
+
+
+def _least_squares(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
+    """The outcome of an inconsistent system Ax = b: the residual ||Ax - b||
+    at the x that solves the k x k normal equations A^T A x = A^T b.
+
+    A = counts / |H| is kept as its nonzero entries: 'left' has rows (b, z)
+    and columns a, 'right' rows (a, z) and columns b; b is 1 on the rows
+    (b, b). A^T A sums a_ri a_rj over the pairs of entries of each row r,
+    assembled in blocks: block d pairs each entry with the d-th entry of its
+    row."""
     k, nrows = T.coset_count, len(sides) * T.coset_count ** 2
     nnz = len(sides) * T.nnz
     # the entries and their key while derived; per system entry its row,
-    # column and count, and the certificate's gathers and products; per row
-    # its nonzero count, the rhs and the certificate's sums
+    # column and count and their temporaries; per row its nonzero count and
+    # the rhs
     require_bytes(8 * (k * k + 6 * T.nnz) + 48 * nnz + 32 * nrows + _SOLVE_CALL_BYTES,
                   f"identity solve with {k} cosets")
     a, b, z, count = T.entries()
@@ -314,71 +336,6 @@ def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySoluti
     for i in range(len(sides)):           # the rows (b, b): the unit masses
         rhs[i * k * k + np.arange(k) * (k + 1)] = T.denominator
     row_nnz = np.bincount(row, minlength=nrows)
-    pinned = _pinned_solution(row, col, count, rhs, row_nnz, k)
-    if pinned is None:
-        return _solve_identity_dense(T, row, col, count, rhs, row_nnz)
-    solution, holds = pinned
-    if holds:
-        return _identity_found(T, solution, unique=True)
-    return _least_squares(T, row, col, count, rhs, row_nnz)
-
-
-def _pinned_solution(row, col, count, rhs, row_nnz,
-                     k: int) -> Optional[tuple[tuple[Fraction, ...], bool]]:
-    """(x, whether x solves every row), x pinned by the singleton rows (the
-    first for each column), or None when some column has none."""
-    single = np.flatnonzero(row_nnz[row] == 1)
-    pinned, first = np.unique(col[single], return_index=True)
-    if len(pinned) < k:
-        return None
-    pin = single[first]                      # x[col[pin]] = rhs[row[pin]] / count[pin]
-    den = math.lcm(*set(count[pin].tolist()))
-    # |x| <= max rhs * den, so a row sums at most k * max count * max rhs * den
-    wide = k * int(count.max()) * int(rhs.max()) * den >= 2 ** 63
-    dtype = object if wide else np.int64
-    x = rhs[row[pin]].astype(dtype) * (den // count[pin].astype(dtype))
-    sums = np.zeros(len(rhs), dtype=dtype)
-    np.add.at(sums, row, count.astype(dtype) * x[col])
-    return (tuple(Fraction(int(v), den) for v in x),
-            bool(np.array_equal(sums, rhs.astype(dtype) * den)))
-
-
-def _identity_found(T: StructureTable, solution: Sequence[Fraction],
-                    unique: bool) -> IdentitySolution:
-    w = np.array([float(v) for v in solution], dtype=np.complex128)
-    return IdentitySolution(solution=tuple(solution),
-                            measure=ComplexMeasure(quotient_carrier(T.quotient), w),
-                            residual=0.0, unique=unique)
-
-
-def _solve_identity_dense(T: StructureTable, row, col, count, rhs,
-                          row_nnz) -> IdentitySolution:
-    """The identity system as a dense integer matrix, the rhs its last
-    column, solved by exact.rref."""
-    k, nrows = T.coset_count, len(rhs)
-    require_bytes(exact.solve_bytes(nrows, k + 1), f"dense identity solve with {k} cosets")
-    system = np.zeros((nrows, k + 1), dtype=np.int64)
-    system[row, col] = count
-    system[:, k] = rhs
-    m, pivots = exact.rref(list(system))
-    del system
-    if k in pivots:  # a pivot in the rhs column: inconsistent
-        del m
-        return _least_squares(T, row, col, count, rhs, row_nnz)
-    sol = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        sol[pc] = m[r][k]
-    return _identity_found(T, sol, unique=len(pivots) == k)
-
-
-def _least_squares(T: StructureTable, row, col, count, rhs,
-                   row_nnz) -> IdentitySolution:
-    """The outcome of an inconsistent system Ax = b (A = counts / |H|): the
-    residual ||Ax - b|| at the x that solves the k x k normal equations
-    A^T A x = A^T b. A^T A sums a_ri a_rj over the pairs of entries of each
-    row r, assembled in blocks: block d pairs each entry with the d-th entry
-    of its row."""
-    k, nrows = T.coset_count, len(rhs)
     # per system entry the sorted entries and their values, each entry's row
     # start and length, and one block's pairs, keys and weights; per row
     # the row starts, the rhs and the fit; the normal matrix, one block's

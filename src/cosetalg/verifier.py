@@ -37,7 +37,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
-                               structure_entries_for_reps, structure_table)
+                               structure_table)
 from .quotient_ops import (QuotientMeasure, RhoFunction, compose_with_projection,
                            lift_to_invariant, membership_mgh, pushforward_rh,
                            quasi_invariant_lambda, quotient_integral_check,
@@ -334,14 +334,22 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
 def _check_d6_conv(spec, ctx, rng):
     T, Q = ctx.T, ctx.Q
     k = T.coset_count
-    a, b, _, count = entries = T.entries()
-    row_sums = np.bincount(a * k + b, weights=count, minlength=k * k)
-    if not (row_sums == T.denominator).all():
+    # every row of shift a permutation of the cosets makes every row of
+    # counts sum to |H|; the test holds a sorted int32 copy and a mask
+    require_bytes(5 * k * k, f"shift permutation test with {k} cosets")
+    if not (np.sort(T.shift, axis=1) == np.arange(k)).all():
         return "fail", 1.0, {"reason": "row sums differ from |H|"}, "", 0
+    # two different bilinear maps agree on random integer vectors from
+    # [0, 2^20) with probability at most 2^-19 (Schwartz-Zippel). The probe
+    # draws from a jumped copy of rng's bit generator and leaves rng's
+    # stream, and so every trial's draws, untouched
+    probe = np.random.Generator(rng.bit_generator.jumped())
+    s1, s2 = (ExactVector(probe.integers(0, 2 ** 20, k), np.zeros(k, dtype=np.int64))
+              for _ in range(2))
+    want = quotient_convolve_exact(T, s1, s2)
     for _ in range(10):
         alt = _alternative_reps(rng, Q)
-        if not all(np.array_equal(x, y) for x, y in
-                   zip(structure_entries_for_reps(Q, alt), entries)):
+        if quotient_convolve_exact(structure_table(Q, alt), s1, s2) != want:
             return ("fail", 1.0,
                     {"reason": "tensor depends on representative choice",
                      "reps": alt.tolist()}, "", 0)
@@ -697,7 +705,7 @@ def run_check(spec: CheckSpec, G: FiniteGroup, H: Subgroup,
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    group: Union[str, dict]          # "builtin:..." token or a group-spec dict
+    group: Union[str, dict, FiniteGroup]  # "builtin:..." token, group-spec dict or a built group
     subgroup: tuple[str, ...]        # generator tokens
     rho: Optional[dict] = None       # rho file dict; None means rho = 1
 
@@ -716,8 +724,9 @@ def default_catalog() -> list[CatalogEntry]:
 
 
 def build_entry(entry: CatalogEntry) -> tuple[FiniteGroup, Subgroup, Optional[RhoFunction]]:
-    G = builtin_from_token(entry.group) if isinstance(entry.group, str) \
-        else group_from_dict(entry.group)
+    G = (entry.group if isinstance(entry.group, FiniteGroup)
+         else builtin_from_token(entry.group) if isinstance(entry.group, str)
+         else group_from_dict(entry.group))
     H = subgroup_from_tokens(G, entry.subgroup)
     rho = None
     if entry.rho is not None:

@@ -27,6 +27,19 @@ def s3_a3(s3):
 
 
 @pytest.fixture(scope="session")
+def relabelled_s3_pair(s3):
+    """S3 relabelled so that (12) is element 0 and the identity element 5,
+    with H = {0, 5}: the base coset's least member, its representative, is
+    not the identity, so shift[base] is [0, 2, 1], not the identity."""
+    t = ca.find_element(s3, "(12)")
+    order = [t] + [x for x in range(6) if x not in (t, s3.identity)] + [s3.identity]
+    table = np.argsort(order)[s3.mul[np.ix_(order, order)]]
+    G = ca.build_from_cayley_table([s3.labels[x] for x in order], table.tolist(),
+                                   name="S3 relabelled")
+    return G, ca.subgroup_from_members(G, [0, 5])
+
+
+@pytest.fixture(scope="session")
 def d4():
     return ca.builtin_catalog("dihedral", 4)
 

@@ -107,6 +107,18 @@ def test_check_json_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_check_builds_the_group_once(capsys, monkeypatch):
+    from cosetalg import verifier
+    built = []
+    build = verifier.builtin_from_token
+    monkeypatch.setattr(verifier, "builtin_from_token",
+                        lambda token: built.append(token) or build(token))
+    code, out, _ = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
+                           "--prop", "D6_CONV", "--trials", "2", "--format", "json")
+    assert code == 0 and built == ["builtin:S3"]
+    assert json.loads(out)[0]["entry"] == "builtin:S3/<(12)>"
+
+
 def test_check_all_props_single_pair(capsys):
     code, out, _ = run_cli(capsys, "check", "--group", "builtin:S3",
                            "--subgroup", "(123)", "--trials", "10",

@@ -41,15 +41,6 @@ def test_nullspace_vectors_satisfy_system():
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
-def test_solve_consistent_and_inconsistent():
-    sol = exact.solve(mat([[1, 1], [0, 1]]), [F(3), F(1)])
-    assert sol == [F(2), F(1)]
-    assert exact.solve(mat([[1, 1], [1, 1]]), [F(1), F(2)]) is None
-    # underdetermined: free variables pinned to zero
-    sol = exact.solve(mat([[1, 1]]), [F(5)])
-    assert sol == [F(5), F(0)]
-
-
 def test_exact_vector_arithmetic():
     a = ExactVector.from_fractions([F(1, 2)], [F(-1, 3)])
     b = ExactVector.from_fractions([F(2)], [F(1)])
@@ -250,17 +241,6 @@ def oracle_rref(rows):
     return _rref_fractions([[F(v) for v in row] for row in rows])
 
 
-def oracle_solve(rows, rhs):
-    ncols = len(rows[0])
-    m, pivots = oracle_rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [F(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
-
-
 def oracle_nullspace(rows):
     ncols = len(rows[0])
     m, pivots = oracle_rref(rows)
@@ -304,13 +284,6 @@ def matrices(draw):
 def test_rref_matches_fraction_oracle(rows):
     assert exact.rref(rows) == oracle_rref(rows)
     assert exact.nullspace(rows) == oracle_nullspace(rows)
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices(), st.data())
-def test_solve_matches_fraction_oracle(rows, data):
-    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    assert exact.solve(rows, rhs) == oracle_solve(rows, rhs)
 
 
 @settings(max_examples=50, deadline=None)
@@ -357,7 +330,6 @@ def test_unlucky_prime_falls_back_to_oracle(monkeypatch, prime):
     assert exact.rref(rows) == oracle_rref(rows)
     assert calls[-1] == len(rows)  # the full-matrix fallback ran
     assert exact.nullspace(rows) == oracle_nullspace(rows)
-    assert exact.solve(rows, [1, 2, 3, 4]) == oracle_solve(rows, [1, 2, 3, 4])
 
 
 # --- 2-D gathers, sums over an axis and matrix products -------------------------

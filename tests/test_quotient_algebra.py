@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
-from cosetalg import _kernels, exact
+from cosetalg import _kernels, exact, verifier
 from cosetalg import quotient_algebra as qa
 from cosetalg.errors import CapExceeded, CarrierMismatch
 from cosetalg.exact import ExactVector, _rref_fractions
@@ -74,7 +74,7 @@ def test_representative_independence_exhaustive(s3_q, d4):
         member_lists = [list(map(int, Q.members(c))) for c in range(Q.coset_count)]
         for choice in itertools.product(*member_lists):
             assert np.array_equal(onehot_counts(Q, choice), base)
-            for got, want in zip(ca.structure_entries_for_reps(Q, choice), entries):
+            for got, want in zip(ca.structure_table(Q, choice).entries(), entries):
                 assert np.array_equal(got, want)
 
 
@@ -95,7 +95,7 @@ def test_factored_table_matches_its_definition(data):
     assert np.array_equal(T.counts_at(ar[:, None, None], ar[None, :, None], ar), dense)
     assert T.is_point_mass_table() == ca.test_normality(G, H)
     reps = [data.draw(st.sampled_from(Q.members(c).tolist())) for c in range(k)]
-    for got, want in zip(ca.structure_entries_for_reps(Q, reps), T.entries()):
+    for got, want in zip(ca.structure_table(Q, reps).entries(), T.entries()):
         assert np.array_equal(got, want)
     # unit total variation, so 1e-13 bounds the error relative to ||s1||·||s2||
     g = rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -419,14 +419,23 @@ def test_d60_reflection_subgroup_has_no_identity(monkeypatch):
     assert calls == []  # inconsistent means full rank: certified mod p alone
 
 
+def _count_entries(monkeypatch):
+    """Calls of StructureTable.entries, counted."""
+    calls = []
+    entries = qa.StructureTable.entries
+    monkeypatch.setattr(qa.StructureTable, "entries",
+                        lambda T: calls.append(T.coset_count) or entries(T))
+    return calls
+
+
 def test_d60_center_has_unique_left_identity(monkeypatch):
     T = _d60_table(tuple((i + 30) % 60 for i in range(60)))
-    calls = _count_fraction_rows(monkeypatch)
+    rows, entries = _count_fraction_rows(monkeypatch), _count_entries(monkeypatch)
     sol = ca.find_left_identity(T)
     base = T.quotient.base_coset
     assert sol.unique and sol.residual == 0.0
     assert sol.solution == tuple(Fraction(int(c == base)) for c in range(60))
-    assert calls == []  # pinned by singleton rows and certified: no elimination
+    assert rows == [] and entries == []  # decided on the factors alone
 
 
 @pytest.mark.parametrize("solver", [ca.find_left_identity, ca.find_two_sided_identity],
@@ -436,10 +445,14 @@ def test_d60_center_has_unique_left_identity(monkeypatch):
                          ids=["inconsistent", "unique"])
 def test_identity_byte_check_covers_the_solve_peak(monkeypatch, solver, perm):
     T = _d60_table(perm)
+    entries = _count_entries(monkeypatch)
     checked, peak = checked_peak(monkeypatch, qa, lambda: solver(T))
-    # the solve's check comes first and covers the derived entries too; an
-    # inconsistent system adds the least-squares check
-    assert checked[0] == max(checked[:2]) and len(checked) == (2 if perm[0] else 3)
+    # a unique solution is decided under one check, on the factors; an
+    # inconsistent system (the reflection fixes 0) adds the system's check,
+    # the derived entries' and the least-squares check
+    inconsistent = perm[0] == 0
+    assert len(checked) == (4 if inconsistent else 1)
+    assert len(entries) == (1 if inconsistent else 0)
     assert peak <= max(checked)
 
 
@@ -458,9 +471,9 @@ def test_identity_solve_over_budget_refused_before_allocating(monkeypatch):
     T = _d60_table(tuple(-i % 60 for i in range(60)))
     checked = checked_peak(monkeypatch, qa, lambda: ca.find_two_sided_identity(T))[0]
     monkeypatch.undo()
-    solve, least_squares = checked[0], checked[-1]
-    assert least_squares > solve
-    for budget, what in ((solve - 1, "identity solve"),
+    decision, system, _, least_squares = checked
+    assert decision < system < least_squares
+    for budget, what in ((decision - 1, "identity decision"), (system - 1, "identity solve"),
                          (least_squares - 1, "identity least squares")):
         monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)
 
@@ -470,8 +483,8 @@ def test_identity_solve_over_budget_refused_before_allocating(monkeypatch):
 
         peak = traced_peak(refused)
         assert peak <= budget
-        if what == "identity solve":   # before the entries are derived
-            assert peak < solve // 100
+        if what != "identity least squares":   # before the entries are derived
+            assert peak < system // 100
 
 
 def _oracle_identity(T, sides):
@@ -537,23 +550,58 @@ def test_identity_solvers_match_fraction_oracle_beyond_catalog(monkeypatch, grou
     assert calls == []  # a group's table pins every column
 
 
+def test_identity_solvers_match_fraction_oracle_with_relabelled_identity(relabelled_s3_pair):
+    T = ca.structure_table(ca.build_coset_space(*relabelled_s3_pair))
+    assert T.shift[T.quotient.base_coset].tolist() == [0, 2, 1]
+    _matches_oracle(T)
+
+
 @pytest.mark.parametrize("group,gens", [("builtin:S3", ["(12)"])] + IDENTITY_PAIRS[3:],
                          ids=["S3/<(12)>", "D6/<s>", "D6/<r^3>"])
-def test_planted_fault_takes_the_dense_solve(monkeypatch, group, gens):
-    # the last h_i moved off the first on every coset: no row of the left
-    # system is a singleton, so columns stay unpinned and the dense solve
-    # decides
+def test_corrupt_h_action_is_refused(monkeypatch, group, gens):
+    # the last h_i moved off the first on every coset, the base coset too: the
+    # rows (base, z) no longer pin delta_H, so the table is no coset space's
     G = ca.builtin_from_token(group)
-    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
-    T = ca.structure_table(Q)
+    H = ca.subgroup_from_tokens(G, gens)
+    T = ca.structure_table(ca.build_coset_space(G, H))
     h_action = T.h_action.copy()
-    h_action[-1] = (h_action[0] + 1) % Q.coset_count
-    planted = qa.StructureTable(Q, T.denominator, T.shift, h_action)
-    calls = []
-    rref = exact.rref
-    monkeypatch.setattr(exact, "rref", lambda m: calls.append(len(m)) or rref(m))
-    _matches_oracle(planted)
-    assert len(calls) == 2  # the dense fallback ran for both solvers
+    h_action[-1] = (h_action[0] + 1) % T.coset_count
+    planted = qa.StructureTable(T.quotient, T.denominator, T.shift, h_action)
+    for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+        with pytest.raises(ValueError, match="corrupt structure table"):
+            solver(planted)
+    monkeypatch.setattr(verifier, "structure_table", lambda Q: planted)
+    for mode in ("float", "exact"):
+        for cid in ("C13_UNIQUE_ID", "T8_ALGEBRA"):
+            report = verifier.run_check(verifier.CheckSpec(id=cid, trials=3, mode=mode), G, H)
+            assert report.status == "fail", report
+            assert "corrupt structure table" in report.counterexample["error"], report
+
+
+def test_identity_decision_on_hand_built_tables(monkeypatch):
+    # C3/{e} (base coset 0) with one factor changed; the least-squares
+    # route is replaced by a marker, as entries() presumes permutation rows
+    G = ca.builtin_from_token("C3")
+    T = ca.structure_table(ca.build_coset_space(G, ca.generate_subgroup(G, [])))
+    assert T.quotient.base_coset == 0
+    monkeypatch.setattr(qa, "_least_squares", lambda T, sides: "least squares")
+
+    def planted(shift=None, h_action=None):
+        return qa.StructureTable(T.quotient, T.denominator,
+                                 T.shift if shift is None else np.array(shift, dtype=np.int32),
+                                 T.h_action if h_action is None else np.array(h_action, dtype=np.int32))
+
+    # h_action equals shift[base], but shift[base] is no permutation: delta_H
+    # sends delta_1 to delta_1 + delta_2, so the system is inconsistent
+    broken = planted([[0, 2, 2], *T.shift[1:].tolist()], [[0, 2, 2]])
+    for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+        assert solver(broken) == "least squares"
+    # shift == base off the diagonal, or not on it: the rows (base, z) do
+    # not pin delta_H
+    for shift in ([[0, 1, 2], [0, 0, 1], [1, 2, 0]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]]):
+        for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+            with pytest.raises(ValueError, match="corrupt structure table"):
+                solver(planted(shift))
 
 
 def test_degenerate_whole_group(s3):

@@ -87,6 +87,77 @@ def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
         assert report.status == "fail" and report.max_residual == 1.0, (cid, report)
 
 
+D6_PAIRS = [("builtin:S3", ["(12)"]), ("builtin:S3", ["(123)"]), ("builtin:D4", ["(24)"]),
+            "relabelled"]
+
+
+def _d6_pair(pair, relabelled_s3_pair):
+    if pair == "relabelled":
+        return relabelled_s3_pair
+    G = ca.builtin_from_token(pair[0])
+    return G, ca.subgroup_from_tokens(G, pair[1])
+
+
+def _swap_shift_entries(T):
+    """shift[0, 0] and shift[1, 0] swapped: rows 0 and 1 each repeat a coset."""
+    shift = T.shift.copy()
+    shift[[0, 1], 0] = shift[[1, 0], 0]
+    assert len(set(shift[0])) < T.coset_count
+    return dataclasses.replace(T, shift=shift)
+
+
+@pytest.mark.parametrize("pair", D6_PAIRS, ids=["S3/<(12)>", "S3/A3", "D4/<s>", "S3 relabelled"])
+def test_d6_catches_a_shift_row_that_is_no_permutation(monkeypatch, relabelled_s3_pair, pair):
+    G, H = _d6_pair(pair, relabelled_s3_pair)
+    table = verifier.structure_table
+    for mode in ("float", "exact"):
+        assert run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), G, H).status == "pass"
+    # the fault in the entry's own table only, not in tables of other representatives
+    monkeypatch.setattr(verifier, "structure_table",
+                        lambda Q, *reps: table(Q, *reps) if reps else _swap_shift_entries(table(Q)))
+    for mode in ("float", "exact"):
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), G, H)
+        assert report.status == "fail", report
+        assert report.counterexample == {"reason": "row sums differ from |H|"}, report
+
+
+@pytest.mark.parametrize("pair", D6_PAIRS, ids=["S3/<(12)>", "S3/A3", "D4/<s>", "S3 relabelled"])
+def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_pair, pair):
+    G, H = _d6_pair(pair, relabelled_s3_pair)
+    factors = ca.quotient_algebra._factors
+
+    def planted(Q, reps):
+        # rows 0 and 1 of shift swapped whenever the representatives are not Q's
+        shift, h_action = factors(Q, reps)
+        if not np.array_equal(reps, Q.reps):
+            shift = shift[[1, 0, *range(2, Q.coset_count)]]
+        return shift, h_action
+
+    monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
+    for mode in ("float", "exact"):
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), G, H)
+        assert report.status == "fail", report
+        assert report.counterexample["reason"] == "tensor depends on representative choice"
+        assert report.counterexample["reps"] != ca.build_coset_space(G, H).reps.tolist()
+
+
+def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
+    # the first trial draws what it would after the ten representative
+    # choices alone: the probe vectors come from a stream of their own
+    G, H, rho = s3_pair
+    Q = ca.build_coset_space(G, H)
+    g = verifier.rng_for(42, "D6_CONV", 0)
+    for _ in range(10):
+        verifier._alternative_reps(g, Q)
+    want = verifier.draw_measure(g, ca.quotient_carrier(Q)).weights
+    drawn = []
+    draw = verifier.draw_measure
+    monkeypatch.setattr(verifier, "draw_measure",
+                        lambda rng, carrier: drawn.append(draw(rng, carrier)) or drawn[-1])
+    run_check(CheckSpec(id="D6_CONV", trials=1, seed=42), G, H, rho)
+    assert np.array_equal(drawn[0].weights, want)
+
+
 def test_conv_and_algebra_exact_mode_at_scale():
     # D60/<s>, s the reflection i -> -i: 60 cosets of a group of order 120
     s = "".join(f"({i},{62 - i})" for i in range(2, 31))
