@@ -28,8 +28,7 @@ DEFAULT_ORDER_CAP = 10080
 
 # Most bytes the library holds at once for one large operation: a group
 # table or a block of its identity and inverse scans, a structure table or
-# its derived views, a group or quotient convolution, or an exact solve (its
-# system and the solve's copies).
+# its derived views, a group or quotient convolution, or an identity solve.
 # It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
 # larger requests raise CapExceeded.

@@ -169,8 +169,3 @@ def measure_from_dict(carrier: Carrier, d: dict) -> ComplexMeasure:
             z = complex(re, im)
         w[carrier.index_of(lab)] = z
     return ComplexMeasure(carrier, w)
-
-
-def density_from_dict(carrier: Carrier, d: dict) -> DensityFunction:
-    m = measure_from_dict(carrier, d)
-    return DensityFunction(carrier, m.weights)

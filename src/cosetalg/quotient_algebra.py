@@ -88,10 +88,13 @@ class StructureTable:
                          return_counts=True)
 
     def _action(self) -> np.ndarray:
-        """(k, k) int64: action[a, w], the coset of rep_a * rep_w (shift's inverse)."""
+        """(k, k) int64: action[a, w], the coset of rep_a * rep_w (shift's
+        inverse). Raises ValueError when a row of shift is not a permutation."""
         k = self.coset_count
-        action = np.empty((k, k), dtype=np.int64)
+        action = np.full((k, k), -1, dtype=np.int64)
         action[np.arange(k)[:, None], self.shift] = np.arange(k)
+        if (action < 0).any():
+            raise ValueError("corrupt structure table: a row of shift is not a permutation")
         return action
 
     @cached_property

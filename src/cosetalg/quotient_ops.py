@@ -15,10 +15,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import exact
 from ._kernels import lift_weights, push_weights
 from .errors import CarrierMismatch, NonPositive, NotCosetConstant
-from .groups import FiniteGroup, QuotientSpace, require_bytes
+from .groups import QuotientSpace
 from .measures import (ComplexMeasure, DensityFunction, _require_same,
                        group_carrier, quotient_carrier)
 
@@ -49,7 +48,6 @@ class QuotientMeasure:
     quotient: QuotientSpace
     rho: RhoFunction
     weights: np.ndarray                             # (k,) float64 > 0
-    exact: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).reshape(self.quotient.coset_count).copy()
@@ -147,9 +145,7 @@ def compose_with_projection(Q: QuotientSpace, phi: DensityFunction) -> DensityFu
 def quasi_invariant_lambda(Q: QuotientSpace, rho: RhoFunction) -> QuotientMeasure:
     """Coset measure with weight |H| * rho per coset; the unique normalization
     making the group integral match the iterated coset integral exactly."""
-    h = Q.subgroup.order
-    ex = None if rho.exact is None else tuple(h * v for v in rho.exact)
-    return QuotientMeasure(quotient=Q, rho=rho, weights=h * rho.values, exact=ex)
+    return QuotientMeasure(quotient=Q, rho=rho, weights=Q.subgroup.order * rho.values)
 
 
 def quotient_integral_check(Q: QuotientSpace, rho: RhoFunction,
@@ -196,25 +192,13 @@ def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:
 
     The defining condition, read verbatim over the basis pairs (point density
     at x, coset indicator C), demands sum_{z in xC} mu_z = mu_x for every x
-    and C. That system is scale-degenerate by design (see the module docs);
-    this returns the exact rational kernel basis, one measure per basis
-    vector, so callers can report its dimension.
-
-    Row (x, C) equals row (e, xC) plus mu_e - mu_x, and xC runs over the
-    cosets as C does. So the n + k - 1 rows sum_{z in D} mu_z - mu_e (one per
-    coset D) and mu_x - mu_e (x != e) span the same row space as the n * k
-    literal rows: the same RREF, hence the same basis.
+    and C. As C runs over the cosets, so does xC, so every mu_x equals every
+    coset sum: mu is a constant c, and a coset sum of it is |H| * c = c. So
+    the space is the constants when H is trivial and zero otherwise. This
+    returns its canonical kernel basis, [all ones] or [], so callers can
+    report its dimension.
     """
-    G, k, n = Q.group, Q.coset_count, Q.group.order
-    require_bytes(exact.solve_bytes(n + k - 1, n),
-                  f"invariance system with {n} elements and {k} cosets")
-    e = G.identity
-    rows = np.zeros((n + k - 1, n), dtype=np.int64)
-    rows[Q.coset_of, np.arange(n)] = 1                      # row D: the members of D
-    others = np.delete(np.arange(n), e)
-    rows[k + np.arange(n - 1), others] = 1                  # row k + i: mu_x, x != e
-    rows[:, e] -= 1
-    basis = exact.nullspace(rows, ncols=n)
-    gc = group_carrier(G)
-    return [ComplexMeasure(gc, np.array([float(v) for v in vec], dtype=np.complex128))
-            for vec in basis]
+    if Q.subgroup.order > 1:
+        return []
+    gc = group_carrier(Q.group)
+    return [ComplexMeasure(gc, np.ones(gc.size, dtype=np.complex128))]

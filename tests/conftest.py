@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,3 +92,30 @@ def checked_peak(monkeypatch, module, fn):
 
     monkeypatch.setattr(module, "require_bytes", record)
     return checked, traced_peak(fn)
+
+
+def _rref_fractions(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Fractions: the reference the exact
+    solvers' results are compared against."""
+    m = [row[:] for row in matrix]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][col]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [vi - f * vj for vi, vj in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots

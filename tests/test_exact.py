@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
-from cosetalg import exact
 from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
-from cosetalg.exact import ExactVector, _rref_fractions
+from cosetalg.exact import ExactVector
+
+from conftest import _rref_fractions
 
 
 def F(*args):
@@ -19,26 +20,10 @@ def mat(rows):
 
 
 def test_rref_pivots():
-    m, pivots = exact.rref(mat([[2, 4], [1, 2]]))
+    m, pivots = _rref_fractions(mat([[2, 4], [1, 2]]))
     assert pivots == [0]
     assert m[0] == [F(1), F(2)]
     assert m[1] == [F(0), F(0)]
-
-
-def test_nullspace_canonical():
-    basis = exact.nullspace(mat([[1, 1]]))
-    assert basis == [[F(-1), F(1)]]
-    # full-rank system has trivial kernel
-    assert exact.nullspace(mat([[1, 0], [0, 1]])) == []
-    # empty matrix: everything is in the kernel
-    assert len(exact.nullspace([], ncols=3)) == 3
-
-
-def test_nullspace_vectors_satisfy_system():
-    rows = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    for v in exact.nullspace(rows):
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 def test_exact_vector_arithmetic():
@@ -233,103 +218,6 @@ def test_exact_vector_rejects_bad_input():
         ExactVector(np.array([1]), np.array([0]), 0)
     with pytest.raises(ValueError):
         ExactVector(np.array([1, 2]), np.array([0]))
-
-
-# --- the certified rref against the Fraction oracle -------------------------------
-
-def oracle_rref(rows):
-    return _rref_fractions([[F(v) for v in row] for row in rows])
-
-
-def oracle_nullspace(rows):
-    ncols = len(rows[0])
-    m, pivots = oracle_rref(rows)
-    basis = []
-    for j in (j for j in range(ncols) if j not in pivots):
-        v = [F(0)] * ncols
-        v[j] = F(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][j]
-        basis.append(v)
-    return basis
-
-
-entries = st.one_of(
-    st.integers(-3, 3),
-    st.sampled_from([2 ** 31 - 1, 2 ** 70, -(2 ** 70) + 1, 3 * (2 ** 31 - 1)]),
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)))
-
-
-@st.composite
-def matrices(draw):
-    """Small matrices with zero, duplicate and dependent rows, any shape."""
-    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 6))
-    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
-            for _ in range(nrows)]
-    for i in range(nrows):
-        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy", "combo"]))
-        if kind == "zero":
-            rows[i] = [0] * ncols
-        elif kind == "copy":
-            rows[i] = list(rows[draw(st.integers(0, nrows - 1))])
-        elif kind == "combo":
-            a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
-            c = draw(st.integers(-2, 2))
-            rows[i] = [F(x) + c * F(y) for x, y in zip(rows[a], rows[b])]
-    return rows
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices())
-def test_rref_matches_fraction_oracle(rows):
-    assert exact.rref(rows) == oracle_rref(rows)
-    assert exact.nullspace(rows) == oracle_nullspace(rows)
-
-
-@settings(max_examples=50, deadline=None)
-@given(matrices())
-def test_integer_array_input_matches_rows(rows):
-    ints = [[int(F(v) * 60) for v in row] for row in rows]
-    assume(all(abs(v) < 2 ** 62 for row in ints for v in row))
-    assert exact.rref(np.array(ints, dtype=np.int64)) == oracle_rref(ints)
-    assert exact.rref([np.array(r, dtype=np.int64) for r in ints]) == oracle_rref(ints)
-
-
-def test_full_rank_needs_no_fraction_elimination(monkeypatch):
-    calls = []
-    monkeypatch.setattr(exact, "_rref_fractions",
-                        lambda m: calls.append(len(m)) or _rref_fractions(m))
-    rows, pivots = exact.rref([[1, 2], [3, 4], [5, 6]])
-    assert pivots == [0, 1] and rows == [[1, 0], [0, 1], [0, 0]]
-    assert calls == []
-    rows, pivots = exact.rref([[1, 2, 3], [2, 4, 6], [0, 0, 0], [3, 1, 1]])
-    assert pivots == [0, 1] and rows[:2] == [[1, 0, F(-1, 5)], [0, 1, F(8, 5)]]
-    assert calls == []  # rank-deficient too: lifted from mod p and certified
-
-
-def test_unreconstructible_entries_fall_back_to_oracle(monkeypatch):
-    # RREF entries over a denominator beyond sqrt(p/2) have no rational
-    # reconstruction (or a wrong one the certificate rejects)
-    rows = [[65537, 1, 0], [131074, 2, 0], [0, 0, 0]]
-    calls = []
-    monkeypatch.setattr(exact, "_rref_fractions",
-                        lambda m: calls.append(len(m)) or _rref_fractions(m))
-    assert exact.rref(rows) == oracle_rref(rows)
-    assert calls == [len(rows)]
-
-
-@pytest.mark.parametrize("prime", [2, 3])
-def test_unlucky_prime_falls_back_to_oracle(monkeypatch, prime):
-    # entries divisible by the prime vanish mod p, so the row basis misses a
-    # rank the rationals see and the certificate must catch it
-    rows = [[prime, 0, 1], [0, prime, 1], [prime, prime, 2], [0, 0, prime]]
-    calls = []
-    monkeypatch.setattr(exact, "_PRIME", prime)
-    monkeypatch.setattr(exact, "_rref_fractions",
-                        lambda m: calls.append(len(m)) or _rref_fractions(m))
-    assert exact.rref(rows) == oracle_rref(rows)
-    assert calls[-1] == len(rows)  # the full-matrix fallback ran
-    assert exact.nullspace(rows) == oracle_nullspace(rows)
 
 
 # --- 2-D gathers, sums over an axis and matrix products -------------------------

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
-from cosetalg import _kernels, exact, verifier
+from cosetalg import _kernels, verifier
 from cosetalg import quotient_algebra as qa
 from cosetalg.errors import CapExceeded, CarrierMismatch
-from cosetalg.exact import ExactVector, _rref_fractions
+from cosetalg.exact import ExactVector
 from cosetalg.groups import perm_label
 from cosetalg.verifier import (_l1_convolve_operator, _lp_action_operator,
                                build_entry, default_catalog)
 
-from conftest import checked_peak, onehot_counts, random_weights, rng, traced_peak
+from conftest import (_rref_fractions, checked_peak, onehot_counts, random_weights, rng,
+                      traced_peak)
 
 # independently derived count tensor for S3 / <(12)>, cosets
 # C0={e,(12)}, C1={(123),(13)}, C2={(23),(132)}, denominator 2
@@ -401,22 +402,12 @@ def _d60_table(generator):
     return ca.structure_table(ca.build_coset_space(G, H))
 
 
-def _count_fraction_rows(monkeypatch):
-    """Row counts of every Fraction elimination the solvers run."""
-    calls = []
-    monkeypatch.setattr(exact, "_rref_fractions",
-                        lambda m: calls.append(len(m)) or _rref_fractions(m))
-    return calls
-
-
-def test_d60_reflection_subgroup_has_no_identity(monkeypatch):
+def test_d60_reflection_subgroup_has_no_identity():
     T = _d60_table(tuple(-i % 60 for i in range(60)))
-    calls = _count_fraction_rows(monkeypatch)
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         sol = solver(T)
         assert sol.solution is None and not sol.unique
         assert sol.residual == pytest.approx(math.sqrt(29), rel=1e-12)
-    assert calls == []  # inconsistent means full rank: certified mod p alone
 
 
 def _count_entries(monkeypatch):
@@ -430,12 +421,12 @@ def _count_entries(monkeypatch):
 
 def test_d60_center_has_unique_left_identity(monkeypatch):
     T = _d60_table(tuple((i + 30) % 60 for i in range(60)))
-    rows, entries = _count_fraction_rows(monkeypatch), _count_entries(monkeypatch)
+    entries = _count_entries(monkeypatch)
     sol = ca.find_left_identity(T)
     base = T.quotient.base_coset
     assert sol.unique and sol.residual == 0.0
     assert sol.solution == tuple(Fraction(int(c == base)) for c in range(60))
-    assert rows == [] and entries == []  # decided on the factors alone
+    assert entries == []  # decided on the factors alone
 
 
 @pytest.mark.parametrize("solver", [ca.find_left_identity, ca.find_two_sided_identity],
@@ -540,14 +531,10 @@ def test_identity_solvers_match_fraction_oracle(entry):
 
 @pytest.mark.parametrize("group,gens", IDENTITY_PAIRS,
                          ids=["S4/<(12)>", "S5/<(12)>", "A5/<(123)>", "D6/<s>", "D6/<r^3>"])
-def test_identity_solvers_match_fraction_oracle_beyond_catalog(monkeypatch, group, gens):
+def test_identity_solvers_match_fraction_oracle_beyond_catalog(group, gens):
     G = ca.builtin_from_token(group)
     T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens)))
-    calls = []
-    rref = exact.rref
-    monkeypatch.setattr(exact, "rref", lambda m: calls.append(len(m)) or rref(m))
     _matches_oracle(T)
-    assert calls == []  # a group's table pins every column
 
 
 def test_identity_solvers_match_fraction_oracle_with_relabelled_identity(relabelled_s3_pair):
@@ -567,15 +554,37 @@ def test_corrupt_h_action_is_refused(monkeypatch, group, gens):
     h_action = T.h_action.copy()
     h_action[-1] = (h_action[0] + 1) % T.coset_count
     planted = qa.StructureTable(T.quotient, T.denominator, T.shift, h_action)
-    for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+    _assert_refused(monkeypatch, G, H, planted,
+                    (ca.find_left_identity, ca.find_two_sided_identity))
+
+
+def _assert_refused(monkeypatch, G, H, planted, readers):
+    """Each reader of the planted table raises, and the C13 and T8 checks
+    run on it report the error as a failing record, in both modes."""
+    for read in readers:
         with pytest.raises(ValueError, match="corrupt structure table"):
-            solver(planted)
+            read(planted)
     monkeypatch.setattr(verifier, "structure_table", lambda Q: planted)
     for mode in ("float", "exact"):
         for cid in ("C13_UNIQUE_ID", "T8_ALGEBRA"):
             report = verifier.run_check(verifier.CheckSpec(id=cid, trials=3, mode=mode), G, H)
             assert report.status == "fail", report
             assert "corrupt structure table" in report.counterexample["error"], report
+
+
+def test_corrupt_shift_is_refused(monkeypatch):
+    # S4/<(12)>: two non-base rows of shift swap their entries in a column
+    # off the diagonal and off the base coset. The base-coset rows still pin
+    # delta_H, but neither row is a permutation, so shift has no inverse
+    G = ca.builtin_from_token("S4")
+    H = ca.subgroup_from_tokens(G, ["(12)"])
+    T = ca.structure_table(ca.build_coset_space(G, H))
+    assert T.quotient.base_coset == 0
+    shift = T.shift.copy()
+    shift[[1, 2], 3] = shift[[2, 1], 3]
+    planted = qa.StructureTable(T.quotient, T.denominator, shift, T.h_action)
+    _assert_refused(monkeypatch, G, H, planted,
+                    (ca.find_left_identity, ca.find_two_sided_identity, lambda T: T.counts))
 
 
 def test_identity_decision_on_hand_built_tables(monkeypatch):

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
-from cosetalg import exact, quotient_ops
+from cosetalg import verifier
 from cosetalg._kernels import lift_weights, push_weights
-from cosetalg.exact import _rref_fractions
 from cosetalg.errors import CapExceeded, CarrierMismatch, NonPositive, NotCosetConstant
 from cosetalg.verifier import CheckSpec, run_check
 
-from conftest import checked_peak, random_weights, rng, traced_peak
+from conftest import _rref_fractions, checked_peak, random_weights, rng, traced_peak
 
 
 def qc_gc(Q):
@@ -164,7 +163,8 @@ def test_translation_cocycle_exact(s3, s3_q):
         for y in range(6):
             cy = int(s3_q.coset_of[y])
             cxy = int(s3_q.coset_of[s3.op(x, y)])
-            assert lam.exact[cxy] * rho.exact[cy] == lam.exact[cy] * rho.exact[cxy]
+            # weights and values are 1, 2 and 1/2 times |H| = 2 or 1: exact in float
+            assert lam.weights[cxy] * rho.values[cy] == lam.weights[cy] * rho.values[cxy]
 
 
 # --- group integral vs coset integral ----------------------------------------------
@@ -373,38 +373,40 @@ def small_group(token):
 def test_reduced_mhg_system_matches_the_literal_system(token, data):
     G = small_group(token)
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
-    H = ca.generate_subgroup(G, gens)
-    Q = ca.build_coset_space(G, H)
+    _assert_mhg_space_is_literal(ca.build_coset_space(G, ca.generate_subgroup(G, gens)))
+
+
+@pytest.mark.parametrize("members", [[0, 5], [5]], ids=["H={0,5}", "H={e}"])
+def test_mhg_space_is_literal_with_relabelled_identity(relabelled_s3_pair, members):
+    G = relabelled_s3_pair[0]
+    assert G.identity == 5
+    _assert_mhg_space_is_literal(ca.build_coset_space(G, ca.subgroup_from_members(G, members)))
+
+
+def _assert_mhg_space_is_literal(Q):
     basis = [mu.weights.real.tolist() for mu in ca.solve_mhg_space(Q)]
-    assert len(basis) == (H.order == 1)
+    assert len(basis) == (Q.subgroup.order == 1)
     assert basis == literal_mhg_basis(Q)
 
 
-# dimension 0 (full column rank) and dimension 1 (a rank-deficient lift)
-@pytest.mark.parametrize("token,gens", [("S5", ["(12)"]), ("D30", [])],
-                         ids=["S5/<(12)>", "D30/{e}"])
-def test_mhg_byte_check_covers_the_solve_peak(monkeypatch, token, gens):
-    G = ca.builtin_from_token(token)
-    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
-    checked, peak = checked_peak(monkeypatch, quotient_ops,
-                                 lambda: ca.solve_mhg_space(Q))
-    assert len(checked) == 1 and peak <= checked[0]
-
-
 def test_mhg_solve_over_budget_refused_and_reported(monkeypatch):
+    # S5/{e}: the space is the constants, and the literal system's residual
+    # on them is refused over the budget before it allocates; P1_MHG reports
+    # the CapExceeded as a failing record
     G = ca.builtin_from_token("S5")
-    H = ca.subgroup_from_tokens(G, ["(12)"])
+    H = ca.generate_subgroup(G, [])
     Q = ca.build_coset_space(G, H)
-    system = exact.solve_bytes(120 + 60 - 1, 120)
-    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", system - 1)
+    (basis,) = ca.solve_mhg_space(Q)
+    checked, _ = checked_peak(monkeypatch, verifier,
+                              lambda: verifier._invariance_residual(Q, basis.weights))
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
 
     def refused():
-        with pytest.raises(CapExceeded,
-                           match="invariance system with 120 elements and 60 cosets"):
-            ca.solve_mhg_space(Q)
+        with pytest.raises(CapExceeded, match="invariance residual of order 120"):
+            verifier._invariance_residual(Q, basis.weights)
 
-    assert traced_peak(refused) < system // 100
+    assert traced_peak(refused) < checked[0] // 100
     report = run_check(CheckSpec(id="P1_MHG", trials=2), G, H)
     assert report.status == "fail"
     assert report.counterexample["error"].startswith(
-        "CapExceeded: invariance system with 120 elements and 60 cosets")
+        "CapExceeded: invariance residual of order 120")
