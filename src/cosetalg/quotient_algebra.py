@@ -9,12 +9,14 @@ of the factor group. As delta_a * sigma = rep_a . (delta_H * sigma), the
 tensor is stored as two coset actions, k^2 + |H|*k integers against k^3:
 shift[a, z], the coset of rep_a^-1 * rep_z, and h_action[i, b], the coset of
 h_i * rep_b. Then counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}.
-Identity solves are decided on the two factors; only the least-squares
-residual of an inconsistent system derives the tensor's nonzero entries.
+Identity solves are decided on the two factors, and an inconsistent
+system's least-squares residual is delta_H's own, k less the number of
+double cosets under a square root (see _solve_identity).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,39 +55,6 @@ class StructureTable:
         """counts[a, b, z] for broadcastable index arrays."""
         a, b, z = np.broadcast_arrays(a, b, z)
         return (self.h_action[:, b] == self.shift[a, z]).sum(axis=0)
-
-    def entries(self) -> tuple[np.ndarray, ...]:
-        """The nonzero entries (a, b, z, count) of counts as int64 arrays in
-        row-major (a, b, z) order, derived within the byte budget. Row (a, b)
-        holds count m at z for each coset w that m of the h_i * rep_b reach,
-        where z = the coset of rep_a * rep_w."""
-        k, h = self.coset_count, self.denominator
-        bw, mult = self._support()
-        nnz = k * len(bw)
-        # shift's inverse, then five int64 arrays of nnz at once and one of slack
-        require_bytes(8 * (k * k + 6 * nnz), f"structure entries with {k} cosets")
-        action = self._action()
-        b, w = np.divmod(bw, k)
-        # one key ((a * k + b) * k + z) * (h + 1) + count per entry, sorted in place
-        key = ((np.repeat(np.arange(k) * k, len(bw)) + np.tile(b, k)) * k
-               + action[:, w].ravel()) * (h + 1) + np.tile(mult, k)
-        key.sort()
-        key, count = np.divmod(key, h + 1)
-        key, z = np.divmod(key, k)
-        a, b = np.divmod(key, k)
-        return a, b, z, count
-
-    @property
-    def nnz(self) -> int:
-        """The number of nonzero entries of counts."""
-        return self.coset_count * len(self._support()[0])
-
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct b * k + w over the cosets w of h_i * rep_b, sorted,
-        and how many h_i reach each."""
-        k = self.coset_count
-        return np.unique(np.arange(k) * k + self.h_action.astype(np.int64),
-                         return_counts=True)
 
     def _action(self) -> np.ndarray:
         """(k, k) int64: action[a, w], the coset of rep_a * rep_w (shift's
@@ -278,28 +247,39 @@ class IdentitySolution:
     unique: bool
 
 
-# array headers and Python objects an identity solve holds whatever its size:
-# up to 9 KB measured at 3 and 4 cosets
-_SOLVE_CALL_BYTES = 1 << 14
-
-
-def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
-    """Solve 'sigma acts as the identity on every basis point mass' from each
-    side: 'left' is sigma * delta_b = delta_b, 'right' delta_a * sigma = delta_a.
+def _solve_identity(T: StructureTable) -> IdentitySolution:
+    """Solve 'sigma acts as the identity on every basis point mass' from the
+    left, sigma * delta_b = delta_b, or from both sides, with delta_a * sigma
+    = delta_a too. The two systems have the same outcome.
 
     The table of a coset space has h_action[:, base] = base, and shift[a, z]
-    = base exactly when a = z, so c[a][base][z] = [a = z]. The left rows
-    (base, z) then pin sigma to delta_H, which satisfies every right row. So
-    the system is consistent, with the unique solution delta_H, iff delta_H
-    is a left identity: every h_i * rep_b lies in the coset shift[base, b],
-    and shift[base] is a permutation. Both are checked in exact integers on
-    the factors. Only an inconsistent system derives the table's entries,
-    for its least-squares residual. A table that breaks the premise is not a
+    = base exactly when a = z, so c[a][base][z] = [a = z]: delta_H satisfies
+    every right row, and the left rows (base, z) pin sigma to delta_H. So
+    either system is consistent, with the unique solution delta_H, iff
+    delta_H is a left identity: every h_i * rep_b lies in the coset
+    shift[base, b], and shift[base] is a permutation. Both are checked in
+    exact integers on the factors. A table that breaks the premise is not a
     coset space's and raises ValueError.
+
+    An inconsistent system still has delta_H as a least-squares solution, so
+    its residual is delta_H's own. Let u_b = delta_H * delta_b, uniform on
+    the H-orbit O of coset b. Then delta_a * delta_b = L_a u_b, with L_a the
+    left translation by rep_a, and for the left system
+        A^T (A delta_H - e)[a] = sum_b <L_a u_b, u_b> - sum_b u_b(L_a^-1 b).
+    Both sums equal sum_O |O ∩ L_a O| / |O|, so delta_H solves the normal
+    equations, and the right rows, exact at delta_H, add nothing. Hence
+        residual^2 = sum_b ||u_b - delta_b||^2 = sum_O (|O| - 1)
+                   = k - #(H-orbits on the cosets),
+    the number of cosets less the number of double cosets HgH. It is summed
+    from the factors: u_b(z) = m[b, shift[base, z]] / |H|, where m[b, w] =
+    #{i : h_action[i, b] = w}. As shift[base] is a permutation, |H|^2 times
+    ||u_b - delta_b||^2 is sum_w m[b, w]^2 - 2|H| m[b, shift[base, b]] + |H|^2,
+    an integer.
     """
-    k, base = T.coset_count, T.quotient.base_coset
-    # the boolean masks of shift and of h_action, and shift[base] sorted
-    require_bytes(k * k + T.h_action.size + 8 * k + _SOLVE_CALL_BYTES,
+    k, base, h = T.coset_count, T.quotient.base_coset, T.denominator
+    # the boolean masks of shift and of h_action, shift[base] sorted, and the
+    # array headers and Python objects of any call (up to 9 KB measured)
+    require_bytes(k * k + T.h_action.size + 8 * k + (1 << 14),
                   f"identity decision with {k} cosets")
     pins = T.shift == base
     if not ((T.h_action[:, base] == base).all() and np.count_nonzero(pins) == k
@@ -310,58 +290,16 @@ def _solve_identity(T: StructureTable, sides: tuple[str, ...]) -> IdentitySoluti
             np.array_equal(np.sort(T.shift[base]), np.arange(k)):
         return IdentitySolution(solution=tuple(exact.unit_vector(k, base)),
                                 measure=delta_h(T.quotient), residual=0.0, unique=True)
-    return _least_squares(T, sides)
-
-
-def _least_squares(T: StructureTable, sides: tuple[str, ...]) -> IdentitySolution:
-    """The outcome of an inconsistent system Ax = b: the residual ||Ax - b||
-    at the x that solves the k x k normal equations A^T A x = A^T b.
-
-    A = counts / |H| is kept as its nonzero entries: 'left' has rows (b, z)
-    and columns a, 'right' rows (a, z) and columns b; b is 1 on the rows
-    (b, b). A^T A sums a_ri a_rj over the pairs of entries of each row r,
-    assembled in blocks: block d pairs each entry with the d-th entry of its
-    row."""
-    k, nrows = T.coset_count, len(sides) * T.coset_count ** 2
-    nnz = len(sides) * T.nnz
-    # the entries and their key while derived; per system entry its row,
-    # column and count and their temporaries; per row its nonzero count and
-    # the rhs
-    require_bytes(8 * (k * k + 6 * T.nnz) + 48 * nnz + 32 * nrows + _SOLVE_CALL_BYTES,
-                  f"identity solve with {k} cosets")
-    a, b, z, count = T.entries()
-    row = np.concatenate([i * k * k + (b if side == "left" else a) * k + z
-                          for i, side in enumerate(sides)])
-    col = np.concatenate([a if side == "left" else b for side in sides])
-    del a, b, z
-    count = np.tile(count, len(sides))
-    rhs = np.zeros(nrows, dtype=np.int64)
-    for i in range(len(sides)):           # the rows (b, b): the unit masses
-        rhs[i * k * k + np.arange(k) * (k + 1)] = T.denominator
-    row_nnz = np.bincount(row, minlength=nrows)
-    # per system entry the sorted entries and their values, each entry's row
-    # start and length, and one block's pairs, keys and weights; per row
-    # the row starts, the rhs and the fit; the normal matrix, one block's
-    # bincount and lstsq's copies
-    require_bytes(112 * len(row) + 32 * nrows + 48 * k * k + _SOLVE_CALL_BYTES,
-                  f"identity least squares with {k} cosets")
-    order = np.argsort(row, kind="stable")
-    row, col, val = row[order], col[order], count[order] / T.denominator
-    del order
-    span = row_nnz[row]                      # each entry's row length
-    first = (np.cumsum(row_nnz) - row_nnz)[row]  # and its row's first entry
-    gram = np.zeros(k * k)
-    for d in range(int(span.max(initial=0))):
-        e = np.flatnonzero(span > d)
-        partner = first[e] + d
-        gram += np.bincount(col[e] * k + col[partner], weights=val[e] * val[partner],
-                            minlength=k * k)
-    b = rhs / T.denominator
-    x = np.linalg.lstsq(gram.reshape(k, k), np.bincount(col, weights=val * b[row], minlength=k),
-                        rcond=None)[0]
-    fit = np.bincount(row, weights=val * x[col], minlength=nrows)
+    # shift's inverse and its mask, and numpy's index buffers (~200 KB
+    # measured at 120 cosets); then per h_action entry its key, the sorted
+    # copy and np.unique's mask, indices and counts (~42 bytes measured)
+    require_bytes(9 * k * k + 48 * T.h_action.size + (1 << 18),
+                  f"identity residual with {k} cosets")
+    T._action()     # every row of shift a permutation, or ValueError
+    m = np.unique(np.arange(k) * k + T.h_action, return_counts=True)[1]
+    square = int(m @ m) - 2 * h * int(np.count_nonzero(T.h_action == T.shift[base])) + k * h * h
     return IdentitySolution(solution=None, measure=None,
-                            residual=float(np.linalg.norm(fit - b)), unique=False)
+                            residual=math.sqrt(square / (h * h)), unique=False)
 
 
 def find_left_identity(T: StructureTable) -> IdentitySolution:
@@ -370,10 +308,10 @@ def find_left_identity(T: StructureTable) -> IdentitySolution:
     Consistent exactly when the base coset acts as a left identity, i.e. when
     the subgroup is normal, in which case the unique solution is delta_h.
     """
-    return _solve_identity(T, ("left",))
+    return _solve_identity(T)
 
 
 def find_two_sided_identity(T: StructureTable) -> IdentitySolution:
-    """Exact solve of the combined system sigma * delta_b = delta_b = delta_b * sigma."""
-    return _solve_identity(T, ("left", "right"))
-
+    """Exact solve of the combined system sigma * delta_b = delta_b = delta_b * sigma.
+    Its right rows hold at delta_H, so its outcome is the left system's."""
+    return _solve_identity(T)

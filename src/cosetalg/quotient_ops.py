@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class RhoFunction:
 
     quotient: QuotientSpace
     values: np.ndarray                              # (k,) float64 > 0
-    exact: Optional[tuple[Fraction, ...]] = None    # set when built from rationals
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64).reshape(self.quotient.coset_count).copy()
@@ -65,12 +64,6 @@ def validate_rho(Q: QuotientSpace,
     """
     vals = list(values)
     k, n = Q.coset_count, Q.group.order
-    exact_vals: Optional[tuple[Fraction, ...]] = None
-    if all(isinstance(v, (Fraction, int)) for v in vals):
-        exact_candidate = [Fraction(v) for v in vals]
-    else:
-        exact_candidate = None
-
     if len(vals) == n and n != k:
         arr = np.asarray([float(v) for v in vals], dtype=np.float64)
         table = arr[Q.member_table]
@@ -81,25 +74,20 @@ def validate_rho(Q: QuotientSpace,
             raise NotCosetConstant(f"value at {Q.group.labels[y]} differs from "
                                    f"{Q.group.labels[first]} inside coset C{c}")
         per_coset = arr[Q.reps]
-        if exact_candidate is not None:
-            exact_vals = tuple(exact_candidate[int(r)] for r in Q.reps)
     elif len(vals) == k:
         per_coset = np.asarray([float(v) for v in vals], dtype=np.float64)
-        if exact_candidate is not None:
-            exact_vals = tuple(exact_candidate)
     else:
         raise CarrierMismatch(f"rho needs {k} (per coset) or {n} (per element) values")
 
     bad = np.flatnonzero(~(per_coset > 0))
     if len(bad):
         raise NonPositive(f"rho must be > 0, got {per_coset[bad[0]]} on coset C{int(bad[0])}")
-    return RhoFunction(quotient=Q, values=per_coset, exact=exact_vals)
+    return RhoFunction(quotient=Q, values=per_coset)
 
 
 def rho_ones(Q: QuotientSpace) -> RhoFunction:
     """The invariant case rho = 1."""
-    return RhoFunction(Q, np.ones(Q.coset_count),
-                       exact=tuple(Fraction(1) for _ in range(Q.coset_count)))
+    return RhoFunction(Q, np.ones(Q.coset_count))
 
 
 def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:

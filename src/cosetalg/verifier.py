@@ -17,7 +17,6 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -140,10 +139,14 @@ def draw_density(rng: np.random.Generator, carrier: Carrier) -> DensityFunction:
     return DensityFunction(carrier, rng.random(carrier.size) + 1j * rng.random(carrier.size))
 
 
+def _draw_ratios(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators and denominators, each in 1..4, of a random rho."""
+    return rng.integers(1, 5, k), rng.integers(1, 5, k)
+
+
 def draw_rho(rng: np.random.Generator, Q: QuotientSpace) -> RhoFunction:
-    nums = rng.integers(1, 5, Q.coset_count)
-    dens = rng.integers(1, 5, Q.coset_count)
-    return validate_rho(Q, [Fraction(int(a), int(b)) for a, b in zip(nums, dens)])
+    nums, dens = _draw_ratios(rng, Q.coset_count)
+    return validate_rho(Q, nums / dens)
 
 
 def draw_rational_weights(rng: np.random.Generator, size: int) -> ExactVector:
@@ -176,12 +179,12 @@ class EntryContext:
         return quotient_carrier(self.Q)
 
 
-def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[RhoFunction] = None,
-                 name: str = "") -> EntryContext:
+def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[RhoFunction],
+                 name: str) -> EntryContext:
     Q = build_coset_space(G, H)
     T = structure_table(Q)
     r = rho if rho is not None else rho_ones(Q)
-    return EntryContext(name=name or f"{G.name}/H{H.order}", G=G, H=H, Q=Q, T=T,
+    return EntryContext(name=name, G=G, H=H, Q=Q, T=T,
                         rho=r, lam=quasi_invariant_lambda(Q, r))
 
 
@@ -204,13 +207,18 @@ def _check_w0_weil(spec, ctx, rng):
 
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
     """Max violation of the literal system: sum over x*C of weights minus the
-    weight at x, over all elements x and cosets C."""
+    weight at x, over all elements x and cosets C, in blocks of rows x."""
     n, k = Q.group.order, Q.coset_count
-    # the (n, k, |H|) index gather, the complex weights through it, and the
-    # (n, k) sums and their differences
-    require_bytes(24 * n * n + 48 * n * k, f"invariance residual of order {n}")
-    sums = weights[Q.group.mul[:, Q.member_table.T]].sum(axis=2)  # row C: C's members
-    return float(np.abs(sums - weights[:, None]).max())
+    # rows x of ~1 M gathered weights; per row its (k, |H|) index gather and
+    # the complex weights through it, and its k sums and their differences
+    block = max(1, min(n, (1 << 20) // n))
+    require_bytes(block * (24 * n + 48 * k), f"invariance residual of order {n}")
+    worst = 0.0
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        sums = weights[Q.group.mul[rows][:, Q.member_table.T]].sum(axis=2)  # C's members
+        worst = max(worst, float(np.abs(sums - weights[rows, None]).max()))
+    return worst
 
 
 def _check_p1_mhg(spec, ctx, rng):
@@ -538,10 +546,11 @@ def _check_p16_embed(spec, ctx, rng):
         r = max(r, float(np.max(np.abs(recovered - phi.values))))
         if r > worst:
             worst, witness = r, {"trial": t}
-    # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise
+    # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, with
+    # lam = |H| * rho over the denominator 12 = lcm(1, 2, 3, 4)
     for t in range(min(spec.trials, 10)):
-        rho_t = draw_rho(rng, Q)
-        lam = ExactVector.from_fractions([Q.subgroup.order * v for v in rho_t.exact])
+        nums, dens = _draw_ratios(rng, Q.coset_count)
+        lam = ExactVector(Q.subgroup.order * nums * (12 // dens), np.zeros_like(nums), 12)
         phi = draw_rational_weights(rng, Q.coset_count)
         if (phi * lam).abs_squared() != phi.abs_squared() * (lam * lam):
             return "fail", 1.0, {"trial": t, "reason": "exact norm identity failed"}, "", t + 1
@@ -685,17 +694,19 @@ def run_check(spec: CheckSpec, G: FiniteGroup, H: Subgroup,
     """Run one named check against a (G, H, rho) triple."""
     if spec.id not in _CHECKS:
         raise UnknownCheckId(spec.id)
-    ctx = make_context(G, H, rho, name=entry_name)
+    name = entry_name or f"{G.name}/H{H.order}"
     rng = rng_for(spec.seed, spec.id, entry_index)
     start = time.perf_counter()
     try:
+        ctx = make_context(G, H, rho, name)
         status, worst, counterexample, notes, trials_run = _CHECKS[spec.id](spec, ctx, rng)
     except Exception as exc:
-        # any crash in one check becomes a failing record, not a suite abort
+        # any crash in one check or its context (an oversized coset space or
+        # table) becomes a failing record, not a suite abort
         status, worst, notes, trials_run = "fail", float("nan"), "", 0
         counterexample = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
-    return CheckReport(id=spec.id, entry=ctx.name, status=status,
+    return CheckReport(id=spec.id, entry=name, status=status,
                        max_residual=_stable(worst), trials_run=trials_run,
                        elapsed_s=elapsed, counterexample=counterexample, notes=notes)
 

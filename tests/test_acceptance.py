@@ -15,7 +15,7 @@ import cosetalg as ca
 from cosetalg import exact
 from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
 from cosetalg.exact import ExactVector
-from cosetalg.verifier import (CatalogEntry, CheckSpec, all_check_specs,
+from cosetalg.verifier import (CatalogEntry, CheckSpec, _draw_ratios, all_check_specs,
                                build_entry, default_catalog, draw_rational_weights,
                                draw_rho, exit_code, rng_for, run_check, run_suite)
 
@@ -167,8 +167,10 @@ def test_criterion_07_isometries_exact(catalog_ctx):
             ok = ok and back == s
             ok = ok and lifted.abs_squared() * (h * h) == s.abs_squared()[Q.coset_of]
             # embedding: exact norm identity termwise against lambda
-            rho = draw_rho(g, Q)
-            lam = ExactVector.from_fractions([Fraction(h) * v for v in rho.exact])
+            nums, dens = _draw_ratios(g, Q.coset_count)
+            lam = ExactVector(h * nums * (12 // dens), np.zeros_like(nums), 12)
+            assert lam == ExactVector.from_fractions(
+                [Fraction(h * int(a), int(b)) for a, b in zip(nums, dens)])
             phi = draw_rational_weights(g, Q.coset_count)
             ok = ok and (phi * lam).abs_squared() == phi.abs_squared() * (lam * lam)
     _report(7, "lift and density-embedding are exact isometries; lift sections exactly", ok)

@@ -8,7 +8,7 @@ import cosetalg as ca
 from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
 from cosetalg.exact import ExactVector
 
-from conftest import _rref_fractions
+from conftest import _rref_fractions, onehot_counts
 
 
 def F(*args):
@@ -106,10 +106,10 @@ def oracle_group_convolve(mul, w1, w2):
     return out
 
 
-def oracle_quotient_convolve(entries, denominator, s1, s2):
+def oracle_quotient_convolve(counts, denominator, s1, s2):
     out = [ZERO] * len(s1)
-    for a, b, z, cz in zip(*(x.tolist() for x in entries)):
-        w = c_mul(s1[a], s2[b])
+    for a, b, z in zip(*(x.tolist() for x in np.nonzero(counts))):
+        w, cz = c_mul(s1[a], s2[b]), int(counts[a, b, z])
         out[z] = c_add(out[z], (w[0] * F(cz, denominator), w[1] * F(cz, denominator)))
     return out
 
@@ -159,7 +159,7 @@ def test_exact_operations_match_fraction_oracles(pair, data):
     assert values(group_convolve_weights(G.mul, G.inv, w1, w2)) == \
         oracle_group_convolve(G.mul, values(w1), values(w2))
     assert values(ca.quotient_convolve_exact(T, s1, s2)) == \
-        oracle_quotient_convolve(T.entries(), T.denominator, values(s1), values(s2))
+        oracle_quotient_convolve(onehot_counts(Q), T.denominator, values(s1), values(s2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,7 +188,7 @@ def test_large_numerators_take_the_object_path(pair):
     assert big.re.dtype == np.int64 and small.re.dtype == np.int64
     out = ca.quotient_convolve_exact(T, big, big)
     assert out.re.dtype == object   # products near 2**82 would wrap in int64
-    assert values(out) == oracle_quotient_convolve(T.entries(), T.denominator,
+    assert values(out) == oracle_quotient_convolve(onehot_counts(Q), T.denominator,
                                                    values(big), values(big))
     assert ca.quotient_convolve_exact(T, small, small).re.dtype == np.int64
     lifted = lift_weights(Q.coset_of, Q.subgroup.order, big)

@@ -67,16 +67,15 @@ def test_trivial_subgroup_table_is_cayley(s3):
 
 
 def test_representative_independence_exhaustive(s3_q, d4):
-    # every joint choice of representatives yields the same tensor and entries
+    # every joint choice of representatives yields the same tensor, from its
+    # definition and from the factored table of that choice
     Q4 = ca.build_coset_space(d4, ca.subgroup_from_tokens(d4, ["(24)"]))
     for Q in (s3_q, Q4):
-        T = ca.structure_table(Q)
-        base, entries = T.counts, T.entries()
+        base = ca.structure_table(Q).counts
         member_lists = [list(map(int, Q.members(c))) for c in range(Q.coset_count)]
         for choice in itertools.product(*member_lists):
             assert np.array_equal(onehot_counts(Q, choice), base)
-            for got, want in zip(ca.structure_table(Q, choice).entries(), entries):
-                assert np.array_equal(got, want)
+            assert np.array_equal(ca.structure_table(Q, choice).counts, base)
 
 
 # builtin groups of order <= 24, normal and non-normal subgroups alike
@@ -96,8 +95,7 @@ def test_factored_table_matches_its_definition(data):
     assert np.array_equal(T.counts_at(ar[:, None, None], ar[None, :, None], ar), dense)
     assert T.is_point_mass_table() == ca.test_normality(G, H)
     reps = [data.draw(st.sampled_from(Q.members(c).tolist())) for c in range(k)]
-    for got, want in zip(ca.structure_table(Q, reps).entries(), T.entries()):
-        assert np.array_equal(got, want)
+    assert np.array_equal(ca.structure_table(Q, reps).counts, dense)
     # unit total variation, so 1e-13 bounds the error relative to ||s1||·||s2||
     g = rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     qc = ca.quotient_carrier(Q)
@@ -410,23 +408,12 @@ def test_d60_reflection_subgroup_has_no_identity():
         assert sol.residual == pytest.approx(math.sqrt(29), rel=1e-12)
 
 
-def _count_entries(monkeypatch):
-    """Calls of StructureTable.entries, counted."""
-    calls = []
-    entries = qa.StructureTable.entries
-    monkeypatch.setattr(qa.StructureTable, "entries",
-                        lambda T: calls.append(T.coset_count) or entries(T))
-    return calls
-
-
-def test_d60_center_has_unique_left_identity(monkeypatch):
+def test_d60_center_has_unique_left_identity():
     T = _d60_table(tuple((i + 30) % 60 for i in range(60)))
-    entries = _count_entries(monkeypatch)
     sol = ca.find_left_identity(T)
     base = T.quotient.base_coset
     assert sol.unique and sol.residual == 0.0
     assert sol.solution == tuple(Fraction(int(c == base)) for c in range(60))
-    assert entries == []  # decided on the factors alone
 
 
 @pytest.mark.parametrize("solver", [ca.find_left_identity, ca.find_two_sided_identity],
@@ -436,14 +423,10 @@ def test_d60_center_has_unique_left_identity(monkeypatch):
                          ids=["inconsistent", "unique"])
 def test_identity_byte_check_covers_the_solve_peak(monkeypatch, solver, perm):
     T = _d60_table(perm)
-    entries = _count_entries(monkeypatch)
     checked, peak = checked_peak(monkeypatch, qa, lambda: solver(T))
     # a unique solution is decided under one check, on the factors; an
-    # inconsistent system (the reflection fixes 0) adds the system's check,
-    # the derived entries' and the least-squares check
-    inconsistent = perm[0] == 0
-    assert len(checked) == (4 if inconsistent else 1)
-    assert len(entries) == (1 if inconsistent else 0)
+    # inconsistent system (the reflection fixes 0) adds the residual's check
+    assert len(checked) == (2 if perm[0] == 0 else 1)
     assert peak <= max(checked)
 
 
@@ -462,20 +445,18 @@ def test_identity_solve_over_budget_refused_before_allocating(monkeypatch):
     T = _d60_table(tuple(-i % 60 for i in range(60)))
     checked = checked_peak(monkeypatch, qa, lambda: ca.find_two_sided_identity(T))[0]
     monkeypatch.undo()
-    decision, system, _, least_squares = checked
-    assert decision < system < least_squares
-    for budget, what in ((decision - 1, "identity decision"), (system - 1, "identity solve"),
-                         (least_squares - 1, "identity least squares")):
+    decision, residual = checked
+    assert decision < residual
+    for budget, what in ((decision - 1, "identity decision"),
+                         (residual - 1, "identity residual")):
         monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)
 
         def refused():
             with pytest.raises(CapExceeded, match=f"{what} with 60 cosets"):
                 ca.find_two_sided_identity(T)
 
-        peak = traced_peak(refused)
-        assert peak <= budget
-        if what != "identity least squares":   # before the entries are derived
-            assert peak < system // 100
+        # refused before the inverse of shift is built
+        assert traced_peak(refused) < residual // 10
 
 
 def _oracle_identity(T, sides):
@@ -513,7 +494,7 @@ def _matches_oracle(T):
                           (ca.find_two_sided_identity, ("left", "right"))):
         sol = solver(T)
         solution, unique, residual = _oracle_identity(T, sides)
-        # normal equations and the oracle's SVD lstsq round apart in the last ulp
+        # the closed form and the oracle's SVD lstsq round apart in the last ulp
         assert (sol.solution, sol.unique) == (solution, unique)
         assert sol.residual == pytest.approx(residual, rel=1e-12, abs=0)
 
@@ -540,6 +521,26 @@ def test_identity_solvers_match_fraction_oracle_beyond_catalog(group, gens):
 def test_identity_solvers_match_fraction_oracle_with_relabelled_identity(relabelled_s3_pair):
     T = ca.structure_table(ca.build_coset_space(*relabelled_s3_pair))
     assert T.shift[T.quotient.base_coset].tolist() == [0, 2, 1]
+    _matches_oracle(T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_identity_residual_counts_the_double_cosets(data):
+    # random subgroups and representatives: the residual squared is k less
+    # Burnside's count of H-orbits on the cosets, (1/|H|) sum_h fix(h), read
+    # off the group table, and both solvers match the Fraction-row oracle
+    G = small_group(data.draw(st.sampled_from(SMALL_GROUPS)))
+    H = ca.generate_subgroup(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=3)))
+    Q = ca.build_coset_space(G, H)
+    k = Q.coset_count
+    T = ca.structure_table(Q, [data.draw(st.sampled_from(Q.members(c).tolist()))
+                               for c in range(k)])
+    members = np.array(H.members, dtype=np.int64)
+    fixed = np.count_nonzero(Q.coset_of[G.mul[members[:, None], Q.reps]] == np.arange(k))
+    assert fixed % H.order == 0
+    for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+        assert solver(T).residual ** 2 == pytest.approx(k - fixed // H.order, rel=1e-12, abs=1e-12)
     _matches_oracle(T)
 
 
@@ -587,13 +588,11 @@ def test_corrupt_shift_is_refused(monkeypatch):
                     (ca.find_left_identity, ca.find_two_sided_identity, lambda T: T.counts))
 
 
-def test_identity_decision_on_hand_built_tables(monkeypatch):
-    # C3/{e} (base coset 0) with one factor changed; the least-squares
-    # route is replaced by a marker, as entries() presumes permutation rows
+def test_identity_decision_on_hand_built_tables():
+    # C3/{e} (base coset 0) with one factor changed
     G = ca.builtin_from_token("C3")
     T = ca.structure_table(ca.build_coset_space(G, ca.generate_subgroup(G, [])))
     assert T.quotient.base_coset == 0
-    monkeypatch.setattr(qa, "_least_squares", lambda T, sides: "least squares")
 
     def planted(shift=None, h_action=None):
         return qa.StructureTable(T.quotient, T.denominator,
@@ -601,10 +600,12 @@ def test_identity_decision_on_hand_built_tables(monkeypatch):
                                  T.h_action if h_action is None else np.array(h_action, dtype=np.int32))
 
     # h_action equals shift[base], but shift[base] is no permutation: delta_H
-    # sends delta_1 to delta_1 + delta_2, so the system is inconsistent
+    # sends delta_1 to delta_1 + delta_2, so the system is inconsistent, and
+    # its residual, which presumes permutation rows, refuses the table
     broken = planted([[0, 2, 2], *T.shift[1:].tolist()], [[0, 2, 2]])
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
-        assert solver(broken) == "least squares"
+        with pytest.raises(ValueError, match="corrupt structure table"):
+            solver(broken)
     # shift == base off the diagonal, or not on it: the rows (base, z) do
     # not pin delta_H
     for shift in ([[0, 1, 2], [0, 0, 1], [1, 2, 0]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]]):

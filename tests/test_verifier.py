@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,6 +252,43 @@ def test_crashing_check_does_not_abort_suite(monkeypatch):
     assert exit_code(reports) == 1
 
 
+def test_draw_rho_is_the_float_of_its_integer_ratios():
+    # the two integer draws, in order, and the correctly rounded quotient,
+    # bit for bit the float of each Fraction
+    G, H, _ = build_entry(CatalogEntry("S4/S3", "builtin:S4", ("(12)", "(123)")))
+    Q = ca.build_coset_space(G, H)
+    rho = verifier.draw_rho(rng(62), Q)
+    nums, dens = verifier._draw_ratios(rng(62), Q.coset_count)
+    assert rho.values.tolist() == [float(Fraction(int(a), int(b))) for a, b in zip(nums, dens)]
+
+
+def test_failed_context_does_not_abort_suite(monkeypatch):
+    # a CapExceeded from one entry's structure table yields failing records
+    # for that entry, under its catalog name, and the other entries run
+    table = verifier.structure_table
+
+    def oversized(Q):
+        if Q.group.name == "D4":
+            raise CapExceeded("planted oversized structure table")
+        return table(Q)
+
+    monkeypatch.setattr(verifier, "structure_table", oversized)
+    catalog = default_catalog()[:3]
+    assert catalog[2].name == "D4/<r>"
+    specs = [CheckSpec(id="L11_RIGHT_ID", trials=5), CheckSpec(id="C13_UNIQUE_ID")]
+    reports = run_suite(catalog, specs)
+    assert [r.entry for r in reports] == [e.name for e in catalog] * 2
+    for r in reports:
+        if r.entry == "D4/<r>":
+            assert r.status == "fail" and r.counterexample == {
+                "error": "CapExceeded: planted oversized structure table"}, r
+        else:
+            assert r.status == "pass", r
+    # without an entry name the record is named after the pair
+    G, H, rho = build_entry(catalog[2])
+    assert run_check(CheckSpec(id="L11_RIGHT_ID"), G, H, rho).entry == "D4/H4"
+
+
 def test_duplicate_entry_names_keep_catalog_order():
     catalog = [CatalogEntry("X", "builtin:S3", ("(12)",)),
                CatalogEntry("Y", "builtin:C6", ("(135)(246)",)),
@@ -367,6 +405,20 @@ def test_invariance_residual_matches_the_loop(monkeypatch, token, gens):
                                      lambda: verifier._invariance_residual(Q, w))
         assert len(checked) == 1 and peak <= checked[0]
         assert verifier._invariance_residual(Q, w) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_invariance_residual_in_blocks_matches_one_gather():
+    # C1100 over its subgroup of order 2: the 1100 rows x run in two blocks
+    # of at most 2^20 // 1100 = 953, the last one partial, and agree bit for
+    # bit with one (n, k, |H|) gather
+    G = ca.builtin_from_token("builtin:C1100")
+    n = G.order
+    involution = np.flatnonzero(G.mul[np.arange(n), np.arange(n)] == G.identity)
+    Q = ca.build_coset_space(G, ca.generate_subgroup(G, [int(involution[-1])]))
+    assert (Q.coset_count, (1 << 20) // n) == (550, 953)
+    w = rng(63).random(n) + 1j * rng(64).random(n)
+    want = np.abs(w[G.mul[:, Q.member_table.T]].sum(axis=2) - w[:, None]).max()
+    assert verifier._invariance_residual(Q, w) == want
 
 
 def test_identity_and_invariance_checks_at_120_cosets():
