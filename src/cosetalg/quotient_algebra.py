@@ -56,23 +56,18 @@ class StructureTable:
         a, b, z = np.broadcast_arrays(a, b, z)
         return (self.h_action[:, b] == self.shift[a, z]).sum(axis=0)
 
-    def _action(self) -> np.ndarray:
-        """(k, k) int64: action[a, w], the coset of rep_a * rep_w (shift's
-        inverse). Raises ValueError when a row of shift is not a permutation."""
-        k = self.coset_count
-        action = np.full((k, k), -1, dtype=np.int64)
-        action[np.arange(k)[:, None], self.shift] = np.arange(k)
-        if (action < 0).any():
-            raise ValueError("corrupt structure table: a row of shift is not a permutation")
-        return action
-
     @cached_property
     def counts(self) -> np.ndarray:
         """The dense (k, k, k) int64 count tensor, read-only: each h_i adds 1
-        to row (a, b) at the coset of rep_a * h_i * rep_b."""
+        to row (a, b) at action[a, h_action[i, b]], the coset of rep_a * h_i *
+        rep_b, where action inverts each row of shift. Raises ValueError when
+        a row of shift is not a permutation."""
         k = self.coset_count
         require_bytes(k ** 3 * 8, f"dense structure tensor with {k} cosets")
-        ar, action = np.arange(k), self._action()
+        ar, action = np.arange(k), np.full((k, k), -1, dtype=np.int64)
+        action[ar[:, None], self.shift] = ar
+        if (action < 0).any():
+            raise ValueError("corrupt structure table: a row of shift is not a permutation")
         out = np.zeros((k, k, k), dtype=np.int64)
         for row in self.h_action:
             out[ar[:, None], ar, action[:, row]] += 1
@@ -92,6 +87,12 @@ class StructureTable:
     def is_point_mass_table(self) -> bool:
         """True iff every row is concentrated on a single coset."""
         return bool((self.h_action == self.h_action[0]).all())
+
+
+def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
+    """Whether every row of `rows` is a permutation of range(k): a sorted copy,
+    a mask and ~33 KB of numpy buffers (the range has the rows' dtype)."""
+    return bool((np.sort(rows, axis=1) == np.arange(k, dtype=rows.dtype)).all())
 
 
 def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +259,7 @@ def _solve_identity(T: StructureTable) -> IdentitySolution:
     either system is consistent, with the unique solution delta_H, iff
     delta_H is a left identity: every h_i * rep_b lies in the coset
     shift[base, b], and shift[base] is a permutation. Both are checked in
-    exact integers on the factors. A table that breaks the premise is not a
-    coset space's and raises ValueError.
+    exact integers on the factors.
 
     An inconsistent system still has delta_H as a least-squares solution, so
     its residual is delta_H's own. Let u_b = delta_H * delta_b, uniform on
@@ -272,30 +272,32 @@ def _solve_identity(T: StructureTable) -> IdentitySolution:
                    = k - #(H-orbits on the cosets),
     the number of cosets less the number of double cosets HgH. It is summed
     from the factors: u_b(z) = m[b, shift[base, z]] / |H|, where m[b, w] =
-    #{i : h_action[i, b] = w}. As shift[base] is a permutation, |H|^2 times
-    ||u_b - delta_b||^2 is sum_w m[b, w]^2 - 2|H| m[b, shift[base, b]] + |H|^2,
-    an integer.
+    #{i : h_action[i, b] = w}. As shift[base] is a permutation, the integer
+    |H|^2 ||u_b - delta_b||^2 is sum_w m[b, w]^2 - 2|H| m[b, shift[base, b]] + |H|^2.
+
+    The argument reads h_action as H's action on the cosets. A table whose
+    base-coset rows do not pin delta_H, or with a row of shift or h_action
+    that is no permutation, raises ValueError; permutation rows that form no
+    group action get delta_H's residual, which can exceed the least-squares minimum.
     """
     k, base, h = T.coset_count, T.quotient.base_coset, T.denominator
     # the boolean masks of shift and of h_action, shift[base] sorted, and the
     # array headers and Python objects of any call (up to 9 KB measured)
     require_bytes(k * k + T.h_action.size + 8 * k + (1 << 14),
                   f"identity decision with {k} cosets")
-    pins = T.shift == base
-    if not ((T.h_action[:, base] == base).all() and np.count_nonzero(pins) == k
-            and pins.diagonal().all()):
+    if not ((T.h_action[:, base] == base).all() and np.count_nonzero(T.shift == base) == k
+            and (T.shift.diagonal() == base).all()):
         raise ValueError("corrupt structure table: the base-coset rows do not pin delta_H")
-    del pins
     if (T.h_action == T.shift[base]).all() and \
             np.array_equal(np.sort(T.shift[base]), np.arange(k)):
         return IdentitySolution(solution=tuple(exact.unit_vector(k, base)),
                                 measure=delta_h(T.quotient), residual=0.0, unique=True)
-    # shift's inverse and its mask, and numpy's index buffers (~200 KB
-    # measured at 120 cosets); then per h_action entry its key, the sorted
-    # copy and np.unique's mask, indices and counts (~42 bytes measured)
-    require_bytes(9 * k * k + 48 * T.h_action.size + (1 << 18),
+    # the permutation tests, then per h_action entry its key, the sorted copy
+    # and np.unique's mask, indices and counts (~42 bytes measured)
+    require_bytes(5 * k * k + 48 * T.h_action.size + (1 << 16),
                   f"identity residual with {k} cosets")
-    T._action()     # every row of shift a permutation, or ValueError
+    if not (rows_are_permutations(T.shift, k) and rows_are_permutations(T.h_action, k)):
+        raise ValueError("corrupt structure table: a row of shift or h_action is not a permutation")
     m = np.unique(np.arange(k) * k + T.h_action, return_counts=True)[1]
     square = int(m @ m) - 2 * h * int(np.count_nonzero(T.h_action == T.shift[base])) + k * h * h
     return IdentitySolution(solution=None, measure=None,

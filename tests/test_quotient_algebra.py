@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -455,8 +456,12 @@ def test_identity_solve_over_budget_refused_before_allocating(monkeypatch):
             with pytest.raises(CapExceeded, match=f"{what} with 60 cosets"):
                 ca.find_two_sided_identity(T)
 
-        # refused before the inverse of shift is built
-        assert traced_peak(refused) < residual // 10
+        peak = traced_peak(refused)
+        assert peak <= budget
+        if what == "identity decision":     # before the masks are built
+            assert peak < decision // 2
+        else:                               # before the permutation tests
+            assert peak <= decision
 
 
 def _oracle_identity(T, sides):
@@ -555,6 +560,22 @@ def test_corrupt_h_action_is_refused(monkeypatch, group, gens):
     h_action = T.h_action.copy()
     h_action[-1] = (h_action[0] + 1) % T.coset_count
     planted = qa.StructureTable(T.quotient, T.denominator, T.shift, h_action)
+    _assert_refused(monkeypatch, G, H, planted,
+                    (ca.find_left_identity, ca.find_two_sided_identity))
+
+
+def test_single_h_action_entry_off_the_base_coset_is_refused(monkeypatch):
+    # S4/<(12)>: in the last row of h_action, one entry off the base coset
+    # copies another such entry of its row. The values stay in range and the
+    # base-coset rows still pin delta_H, but the row is no permutation, so
+    # the table is no coset space's
+    G = ca.builtin_from_token("S4")
+    H = ca.subgroup_from_tokens(G, ["(12)"])
+    T = ca.structure_table(ca.build_coset_space(G, H))
+    h_action = T.h_action.copy()
+    col, other = [b for b in range(T.coset_count) if b != T.quotient.base_coset][:2]
+    h_action[-1, col] = h_action[-1, other]
+    planted = dataclasses.replace(T, h_action=h_action)
     _assert_refused(monkeypatch, G, H, planted,
                     (ca.find_left_identity, ca.find_two_sided_identity))
 
