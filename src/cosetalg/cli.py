@@ -18,7 +18,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -157,20 +156,19 @@ def _cmd_check(args) -> int:
             raise CosetAlgError("--rho and --subgroup need --group")
         catalog = default_catalog()
     else:
-        rho_dict = _load_json(args.rho) if args.rho else None
         if args.subgroup is None:
             raise CosetAlgError("--subgroup is required with --group")
-        name = f"{args.group}/<{args.subgroup}>"
-        entry = CatalogEntry(name=name, group=args.group,
+        entry = CatalogEntry(name=f"{args.group}/<{args.subgroup}>",
+                             group=_resolve_group(args.group),
                              subgroup=tuple(_split_tokens(args.subgroup)),
-                             rho=rho_dict)
-        # validate eagerly (bad input exits 2, not 1) and build the group once
-        catalog = [replace(entry, group=build_entry(entry)[0])]
+                             rho=_load_json(args.rho) if args.rho else None)
+        build_entry(entry)   # bad input exits 2, not 1
+        catalog = [entry]
     ids = CHECK_IDS if args.prop == "all" else (args.prop,)
     specs = [CheckSpec(id=i, trials=args.trials, seed=args.seed,
                        tolerance=args.tol, mode=args.mode) for i in ids]
     start = time.perf_counter()
-    reports = run_suite(catalog, specs, jobs=args.jobs)
+    reports = run_suite(catalog, specs)
     elapsed = time.perf_counter() - start
 
     if args.format == "json":
@@ -228,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=42)
     p_check.add_argument("--tol", type=float, default=None)
     p_check.add_argument("--mode", choices=("float", "exact"), default="float")
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=int, default=1,
+                         help="ignored: checks run in one thread")
     return parser
 
 

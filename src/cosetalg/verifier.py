@@ -13,11 +13,12 @@ weights are uniform on the complex unit square [0,1] + [0,1]i.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -38,17 +39,10 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
                                rows_are_permutations, structure_table)
-from .quotient_ops import (QuotientMeasure, RhoFunction, compose_with_projection,
-                           lift_to_invariant, membership_mgh, pushforward_rh,
-                           quasi_invariant_lambda, quotient_integral_check,
-                           rho_from_dict, rho_ones, solve_mhg_space, validate_rho,
-                           weighted_average_th)
-
-CHECK_IDS = (
-    "C13_UNIQUE_ID", "C14_INVOLUTION", "D6_CONV", "L11_RIGHT_ID", "L17_COMPAT",
-    "P15_NORMALITY", "P16_EMBED", "P19_LP", "P1_MHG", "P2_DENSITY", "P3_LIFT",
-    "P4_ISOMETRY", "T18_IDEAL", "T8_ALGEBRA", "W0_WEIL",
-)
+from .quotient_ops import (RhoFunction, compose_with_projection, lift_to_invariant,
+                           membership_mgh, pushforward_rh, quasi_invariant_lambda,
+                           quotient_integral_check, rho_from_dict, rho_ones,
+                           solve_mhg_space, validate_rho, weighted_average_th)
 
 DEFAULT_TOLERANCES = {
     "W0_WEIL": 1e-10,
@@ -67,6 +61,8 @@ DEFAULT_TOLERANCES = {
     "T18_IDEAL": 1e-12,
     "P19_LP": 1e-10,
 }
+
+CHECK_IDS = tuple(sorted(DEFAULT_TOLERANCES))
 
 SUBMULT_TOL = 1e-12
 
@@ -105,18 +101,11 @@ class CheckReport:
     counterexample: Optional[dict] = None
     notes: str = ""
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        d = {
-            "id": self.id,
-            "entry": self.entry,
-            "status": self.status,
-            "max_residual": _stable(self.max_residual),
-            "trials_run": self.trials_run,
-            "counterexample": self.counterexample,
-            "notes": self.notes,
-        }
-        if include_elapsed:
-            d["elapsed_s"] = round(self.elapsed_s, 3)
+    def to_dict(self) -> dict:
+        """Every field but the timing, so identical runs give identical dicts."""
+        d = asdict(self)
+        del d["elapsed_s"]
+        d["max_residual"] = _stable(self.max_residual)
         return d
 
 
@@ -169,29 +158,45 @@ class EntryContext:
     Q: QuotientSpace
     T: StructureTable
     rho: RhoFunction
-    lam: QuotientMeasure
 
-    @property
+    @cached_property
     def gc(self) -> Carrier:
         return group_carrier(self.G)
 
-    @property
+    @cached_property
     def qc(self) -> Carrier:
         return quotient_carrier(self.Q)
 
 
-def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[RhoFunction],
-                 name: str) -> EntryContext:
+def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[RhoFunction] = None,
+                 name: str = "") -> EntryContext:
+    """An entry's coset space and structure table, shared by all its checks;
+    rho defaults to 1 and the name to G.name/H<order>."""
     Q = build_coset_space(G, H)
-    T = structure_table(Q)
-    r = rho if rho is not None else rho_ones(Q)
-    return EntryContext(name=name, G=G, H=H, Q=Q, T=T,
-                        rho=r, lam=quasi_invariant_lambda(Q, r))
+    return EntryContext(name=name or f"{G.name}/H{H.order}", G=G, H=H, Q=Q,
+                        T=structure_table(Q), rho=rho if rho is not None else rho_ones(Q))
 
 
 # --- individual checks ------------------------------------------------------------
 #
 # Each returns (status, max_residual, counterexample, notes, trials_run).
+
+def _worse(r: float, than: float) -> bool:
+    """Whether residual r ranks above `than`, a worst so far or a bound. NaN
+    ranks above every number, so it stays the worst and fails every bound."""
+    return r > than or (math.isnan(r) and not math.isnan(than))
+
+
+def _worst(a: float, b: float) -> float:
+    """The worse of two residuals, ranked by _worse (a on a tie)."""
+    return b if _worse(b, a) else a
+
+
+def _verdict(spec: CheckSpec, worst: float, witness: Optional[dict], notes: str = ""):
+    """A check's result: pass while its worst residual is within tolerance."""
+    ok = not _worse(worst, spec.tol)
+    return ("pass" if ok else "fail"), worst, (None if ok else witness), notes, spec.trials
+
 
 def _check_w0_weil(spec, ctx, rng):
     worst, witness = 0.0, None
@@ -200,10 +205,9 @@ def _check_w0_weil(spec, ctx, rng):
         rho_t = draw_rho(rng, ctx.Q) if t % 2 else ctx.rho
         lhs, rhs = quotient_integral_check(ctx.Q, rho_t, f)
         r = abs(lhs - rhs)
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t, "rho": rho_t.values.tolist()}
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
@@ -218,7 +222,7 @@ def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
     for start in range(0, n, block):
         rows = slice(start, start + block)
         sums = weights[Q.group.mul[rows][:, Q.member_table.T]].sum(axis=2)  # C's members
-        worst = max(worst, float(np.abs(sums - weights[rows, None]).max()))
+        worst = _worst(worst, float(np.abs(sums - weights[rows, None]).max()))
     return worst
 
 
@@ -228,11 +232,11 @@ def _check_p1_mhg(spec, ctx, rng):
     worst = 0.0
     draws = min(spec.trials, 20)
     for mu in basis:
-        worst = max(worst, _invariance_residual(ctx.Q, mu.weights))
+        worst = _worst(worst, _invariance_residual(ctx.Q, mu.weights))
         for _ in range(draws):
             nu = draw_measure(rng, ctx.gc)
             conv = group_convolve(ctx.G, nu, mu)
-            worst = max(worst, _invariance_residual(ctx.Q, conv.weights))
+            worst = _worst(worst, _invariance_residual(ctx.Q, conv.weights))
     notes = (f"literal invariance system: dimension={dim}; "
              f"left-convolution closure residual={_stable(worst):.3g} "
              f"on {draws} draws per basis vector")
@@ -255,7 +259,7 @@ def _check_p2_density(spec, ctx, rng):
         for h in ctx.H.members:
             g = draw_density(rng, ctx.gc)
             r = abs(integrate(mu, _right_translate(G, g, int(h))) - integrate(mu, g))
-            if r > worst:
+            if _worse(r, worst):
                 worst, witness = r, {"trial": t, "h": G.labels[int(h)]}
         if ctx.H.order > 1:
             bump = np.zeros(G.order, dtype=np.complex128)
@@ -268,8 +272,7 @@ def _check_p2_density(spec, ctx, rng):
         # a point mass at the identity is never right-invariant
         if membership_mgh(Q, point_mass(ctx.gc, G.identity)):
             return "fail", 1.0, {"reason": "identity point mass reported invariant"}, "", spec.trials
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _check_p3_lift(spec, ctx, rng):
@@ -282,13 +285,13 @@ def _check_p3_lift(spec, ctx, rng):
             return "fail", 1.0, {"trial": t, "reason": "lift not right-invariant"}, "", t + 1
         back = pushforward_rh(Q, lifted)
         r = float(np.max(np.abs(back.weights - sigma.weights)))
-        r = max(r, abs(total_variation(lifted) - total_variation(sigma)))
+        r = _worst(r, abs(total_variation(lifted) - total_variation(sigma)))
         nu = draw_measure(rng, ctx.gc)
         if not membership_mgh(Q, group_convolve(ctx.G, nu, lifted)):
             return ("fail", 1.0,
                     {"trial": t, "reason": "left ideal violated: nu * lift not invariant"},
                     "", t + 1)
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t}
     # exact route: section and norm identities over Gaussian rationals
     h = Q.subgroup.order
@@ -300,8 +303,7 @@ def _check_p3_lift(spec, ctx, rng):
         if lifted.abs_squared() * (h * h) != s.abs_squared()[Q.coset_of]:
             return ("fail", 1.0,
                     {"trial": t, "reason": "exact lift norm identity failed"}, "", t + 1)
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _check_p4_isometry(spec, ctx, rng):
@@ -311,16 +313,15 @@ def _check_p4_isometry(spec, ctx, rng):
     for t in range(spec.trials):
         mu = draw_measure(rng, ctx.gc)
         excess = total_variation(pushforward_rh(Q, mu)) - total_variation(mu)
-        contraction_worst = max(contraction_worst, excess)
+        contraction_worst = _worst(contraction_worst, excess)
         sigma = draw_measure(rng, ctx.qc)
         lifted = lift_to_invariant(Q, sigma)
         r = abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted))
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t}
-    if contraction_worst > spec.tol:
+    if _worse(contraction_worst, spec.tol):
         return "fail", contraction_worst, {"reason": "pushforward increased total variation"}, "", spec.trials
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace) -> np.ndarray:
@@ -379,7 +380,7 @@ def _check_d6_conv(spec, ctx, rng):
             via_lift = pushforward_rh(Q, group_convolve(
                 Q.group, lift_to_invariant(Q, s1), lift_to_invariant(Q, s2)))
             r = float(np.max(np.abs(via_table.weights - via_lift.weights)))
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t}
     # module action: pushing a group measure onto a coset measure agrees with
     # the table route once the group measure is right-invariant, and a point
@@ -393,16 +394,15 @@ def _check_d6_conv(spec, ctx, rng):
         via_table = quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)
         r = float(np.max(np.abs(acted.weights - via_table.weights)))
         unit = module_action(Q, point_mass(ctx.gc, ctx.G.identity), s2)
-        r = max(r, float(np.max(np.abs(unit.weights - s2.weights))))
+        r = _worst(r, float(np.max(np.abs(unit.weights - s2.weights))))
         x = int(rng.integers(0, ctx.G.order))
         b = int(rng.integers(0, Q.coset_count))
         moved = module_action(Q, point_mass(ctx.gc, x), point_mass(ctx.qc, b))
         target = int(Q.coset_of[ctx.G.mul[x, int(Q.reps[b])]])
-        r = max(r, total_variation(moved - point_mass(ctx.qc, target)))
-        if r > worst:
+        r = _worst(r, total_variation(moved - point_mass(ctx.qc, target)))
+        if _worse(r, worst):
             worst, witness = r, {"trial": t, "part": "module action"}
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _check_t8_algebra(spec, ctx, rng):
@@ -421,11 +421,11 @@ def _check_t8_algebra(spec, ctx, rng):
             lhs = quotient_convolve(T, quotient_convolve(T, m1, m2), m3)
             rhs = quotient_convolve(T, m1, quotient_convolve(T, m2, m3))
             r = total_variation(lhs - rhs)
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t, "law": "associativity"}
         prod = quotient_convolve(T, m1, m2)
         excess = total_variation(prod) - total_variation(m1) * total_variation(m2)
-        if excess > SUBMULT_TOL:
+        if _worse(excess, SUBMULT_TOL):
             return ("fail", excess, {"trial": t, "law": "submultiplicativity"},
                     "", t + 1)
     ident = find_left_identity(T)
@@ -435,8 +435,7 @@ def _check_t8_algebra(spec, ctx, rng):
     else:
         notes = (f"no left identity; least-squares residual="
                  f"{_stable(ident.residual):.6g}")
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), notes, spec.trials
+    return _verdict(spec, worst, witness, notes)
 
 
 def _is_delta_h(sol: IdentitySolution, Q: QuotientSpace) -> bool:
@@ -444,17 +443,29 @@ def _is_delta_h(sol: IdentitySolution, Q: QuotientSpace) -> bool:
             and list(sol.solution) == exact.unit_vector(Q.coset_count, Q.base_coset))
 
 
+def _right_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
+    """None when the base coset acts as a right identity on every point mass;
+    otherwise the first coset index witnessing failure."""
+    k = T.coset_count
+    # per (a, z): the |H| gathered int32 cosets of h_action, the int32 shift
+    # entry and the |H| bytes of their mask; then the int64 counts and a mask
+    require_bytes((5 * T.denominator + 9) * k * k + (1 << 16),
+                  f"right identity test with {k} cosets")
+    ar = np.arange(k)
+    counts = T.counts_at(ar[:, None], Q.base_coset, ar[None, :])
+    counts[ar, ar] -= T.denominator
+    bad = np.flatnonzero((counts != 0).any(axis=1))
+    return int(bad[0]) if len(bad) else None
+
+
 def _check_l11_right_id(spec, ctx, rng):
     T, Q = ctx.T, ctx.Q
-    b0 = Q.base_coset
-    ar = np.arange(T.coset_count)
-    bad = T.counts_at(ar[:, None], b0, ar[None, :]) != T.denominator * np.eye(len(ar))
-    if bad.any():
-        return ("fail", 1.0, {"reason": "basis right-identity failed",
-                              "coset": int(np.argmax(bad.any(axis=1)))}, "", 0)
+    coset = _right_identity_on_basis(T, Q)
+    if coset is not None:
+        return "fail", 1.0, {"reason": "basis right-identity failed", "coset": coset}, "", 0
     worst, witness = 0.0, None
     dh = delta_h(Q)
-    dh_exact = ExactVector.from_fractions(exact.unit_vector(T.coset_count, b0))
+    dh_exact = ExactVector.from_fractions(exact.unit_vector(T.coset_count, Q.base_coset))
     for t in range(spec.trials):
         if spec.mode == "exact":
             s = draw_rational_weights(rng, T.coset_count)
@@ -462,10 +473,9 @@ def _check_l11_right_id(spec, ctx, rng):
         else:
             s = draw_measure(rng, ctx.qc)
             r = total_variation(quotient_convolve(T, s, dh) - s)
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t}
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _check_c13_unique_id(spec, ctx, rng):
@@ -510,14 +520,25 @@ def _check_c14_involution(spec, ctx, rng):
     return "pass", 0.0, None, notes, 1
 
 
+def _point_mass_products(T: StructureTable, Q: QuotientSpace) -> bool:
+    """Whether every product of two point masses is a point mass: row (a, b)
+    holds all |H| counts at z, the coset of rep_a * rep_b."""
+    k = T.coset_count
+    # per (a, b): the int64 index z (two int64 gathers while it is built),
+    # then, with z held, the |H| gathered int32 cosets of h_action, the int32
+    # shift entry, the |H| bytes of their mask, the int64 counts and a mask
+    require_bytes((5 * T.denominator + 13) * k * k + (1 << 16),
+                  f"point-mass product test with {k} cosets")
+    ar = np.arange(k)
+    z = Q.coset_of[Q.group.mul[Q.reps[:, None], Q.reps[None, :]]]
+    return bool((T.counts_at(ar[:, None], ar[None, :], z) == T.denominator).all())
+
+
 def _check_p15_normality(spec, ctx, rng):
     T, Q, G = ctx.T, ctx.Q, ctx.G
     normal = test_normality(G, ctx.H)
     left_id = _left_identity_on_basis(T, Q) is None
-    ar = np.arange(T.coset_count)
-    z = Q.coset_of[G.mul[Q.reps[:, None], Q.reps[None, :]]]
-    point_mass_mult = bool((T.counts_at(ar[:, None], ar[None, :], z)
-                            == T.denominator).all())
+    point_mass_mult = _point_mass_products(T, Q)
     if not (normal == left_id == point_mass_mult):
         return ("fail", 1.0,
                 {"normal": normal, "left_identity": left_id,
@@ -527,11 +548,10 @@ def _check_p15_normality(spec, ctx, rng):
         dh = delta_h(Q)
         for t in range(min(spec.trials, 25)):
             s = draw_measure(rng, ctx.qc)
-            worst = max(worst, total_variation(quotient_convolve(T, dh, s) - s))
-        if worst > spec.tol:
+            worst = _worst(worst, total_variation(quotient_convolve(T, dh, s) - s))
+        if _worse(worst, spec.tol):
             return "fail", worst, {"reason": "left identity residual too large"}, "", spec.trials
-    notes = f"normal={normal}; all three criteria agree"
-    return "pass", worst, None, notes, spec.trials
+    return "pass", worst, None, f"normal={normal}; all three criteria agree", spec.trials
 
 
 def _check_p16_embed(spec, ctx, rng):
@@ -544,8 +564,8 @@ def _check_p16_embed(spec, ctx, rng):
         emb = embed_density(lam, phi)
         r = abs(total_variation(emb) - lp_norm(lam, phi, 1.0))
         recovered = emb.weights / lam.weights
-        r = max(r, float(np.max(np.abs(recovered - phi.values))))
-        if r > worst:
+        r = _worst(r, float(np.max(np.abs(recovered - phi.values))))
+        if _worse(r, worst):
             worst, witness = r, {"trial": t}
     # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, lam = |H| * rho
     h = Q.subgroup.order
@@ -555,8 +575,7 @@ def _check_p16_embed(spec, ctx, rng):
         phi = draw_rational_weights(rng, Q.coset_count)
         if (phi * lam).abs_squared() != phi.abs_squared() * (lam * lam):
             return "fail", 1.0, {"trial": t, "reason": "exact norm identity failed"}, "", t + 1
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _check_l17_compat(spec, ctx, rng):
@@ -573,12 +592,12 @@ def _check_l17_compat(spec, ctx, rng):
             lifted = compose_with_projection(Q, phi)
             weighted = ComplexMeasure(ctx.gc, lifted.values * rho_t.values[Q.coset_of])
             r_w = total_variation(pushforward_rh(Q, weighted) - target)
-            weighted_worst = max(weighted_worst, r_w)
+            weighted_worst = _worst(weighted_worst, r_w)
             r_u = total_variation(pushforward_rh(Q, from_density(Q.group, lifted)) - target)
             if np.all(rho_t.values == 1.0):
-                unweighted_unit = max(unweighted_unit, r_u)
+                unweighted_unit = _worst(unweighted_unit, r_u)
             else:
-                unweighted_nonunit = max(unweighted_nonunit, r_u)
+                unweighted_nonunit = _worst(unweighted_nonunit, r_u)
     notes = (f"rho-weighted lift reproduces the embedded density for all sampled rho "
              f"(max residual {_stable(weighted_worst):.3g}); unweighted lift matches "
              f"for rho=1 (max residual {_stable(unweighted_unit):.3g}) and deviates "
@@ -597,10 +616,9 @@ def _check_t18_ideal(spec, ctx, rng):
         psi = ideal_factorize(lam, T, phi, sigma)
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
         r = total_variation(embed_density(lam, psi) - target)
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, {"trial": t}
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
@@ -643,7 +661,7 @@ def _check_p19_lp(spec, ctx, rng):
             out = lp_action(T, rho_t, side, sigma, phi, p)
             routes.append((side, out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
             excess = lp_norm(lam, out, p) - bound
-            if excess > worst:
+            if _worse(excess, worst):
                 worst, witness = excess, {"trial": t, "p": p, "side": side}
         if p == 1.0:
             # embedding the acting density turns the p=1 action into the
@@ -656,18 +674,17 @@ def _check_p19_lp(spec, ctx, rng):
                            _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
             routes.append(("left", via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))
             gap = float(np.max(np.abs(via_action.values - via_densities.values)))
-            if gap > worst:
+            if _worse(gap, worst):
                 worst, witness = gap, {"trial": t, "part": "density convolution cross-check"}
         # each result must match its operator route; the gap is a pass/fail
         # cross-check and stays out of the reported residual
         for side, explicit, operator in routes:
             gap = float(np.max(np.abs(explicit.values - operator)))
-            if gap > spec.tol:
+            if _worse(gap, spec.tol):
                 return ("fail", gap, {"trial": t, "p": p, "side": side,
                                       "reason": "explicit and operator routes differ"},
                         "", t + 1)
-    ok = worst <= spec.tol
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), "", spec.trials
+    return _verdict(spec, worst, witness)
 
 
 _CHECKS: dict[str, Callable] = {
@@ -689,25 +706,18 @@ _CHECKS: dict[str, Callable] = {
 }
 
 
-def run_check(spec: CheckSpec, G: FiniteGroup, H: Subgroup,
-              rho: Optional[RhoFunction] = None, entry_name: str = "",
-              entry_index: int = 0) -> CheckReport:
-    """Run one named check against a (G, H, rho) triple."""
-    if spec.id not in _CHECKS:
-        raise UnknownCheckId(spec.id)
-    name = entry_name or f"{G.name}/H{H.order}"
+def run_check(spec: CheckSpec, ctx: EntryContext, entry_index: int = 0) -> CheckReport:
+    """Run one named check on an entry's context."""
     rng = rng_for(spec.seed, spec.id, entry_index)
     start = time.perf_counter()
     try:
-        ctx = make_context(G, H, rho, name)
         status, worst, counterexample, notes, trials_run = _CHECKS[spec.id](spec, ctx, rng)
     except Exception as exc:
-        # any crash in one check or its context (an oversized coset space or
-        # table) becomes a failing record, not a suite abort
+        # a crash in one check becomes a failing record, not a suite abort
         status, worst, notes, trials_run = "fail", float("nan"), "", 0
         counterexample = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
-    return CheckReport(id=spec.id, entry=name, status=status,
+    return CheckReport(id=spec.id, entry=ctx.name, status=status,
                        max_residual=_stable(worst), trials_run=trials_run,
                        elapsed_s=elapsed, counterexample=counterexample, notes=notes)
 
@@ -753,38 +763,25 @@ def all_check_specs(trials: int = 100, seed: int = 42,
             for cid in CHECK_IDS]
 
 
-def run_suite(catalog: Sequence[CatalogEntry], specs: Sequence[CheckSpec],
-              jobs: int = 1) -> list[CheckReport]:
+def run_suite(catalog: Sequence[CatalogEntry], specs: Sequence[CheckSpec]) -> list[CheckReport]:
     """Cartesian product of checks x catalog entries, in deterministic order
-    (check id, then catalog index). Entries that fail to construct produce a
-    single failing record and do not abort the suite."""
-    tasks = []
+    (check id, then catalog index), every check of an entry on one context.
+    An entry whose group, subgroup, rho, coset space or structure table cannot
+    be built gives one failing record and does not abort the suite."""
+    indexed = []
     for idx, entry in enumerate(catalog):
         try:
             G, H, rho = build_entry(entry)
+            ctx = make_context(G, H, rho, entry.name)
         except Exception as exc:
-            tasks.append((None, idx, entry, exc))
-            continue
-        for spec in specs:
-            tasks.append(((spec, G, H, rho), idx, entry, None))
-
-    def run_one(task):
-        payload, idx, entry, exc = task
-        if exc is not None:
-            return idx, CheckReport(
+            indexed.append((idx, CheckReport(
                 id="CONSTRUCTION", entry=entry.name, status="fail",
                 max_residual=float("nan"), trials_run=0,
                 counterexample={"entry": entry.name,
                                 "error": f"{type(exc).__name__}: {exc}"},
-                notes="catalog entry could not be constructed")
-        spec, G, H, rho = payload
-        return idx, run_check(spec, G, H, rho, entry_name=entry.name, entry_index=idx)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            indexed = list(pool.map(run_one, tasks))
-    else:
-        indexed = [run_one(t) for t in tasks]
+                notes="catalog entry could not be constructed")))
+            continue
+        indexed += [(idx, run_check(spec, ctx, idx)) for spec in specs]
     # key on the catalog index, not the entry name: names need not be unique
     indexed.sort(key=lambda pair: (pair[1].id, pair[0]))
     return [report for _, report in indexed]

@@ -17,7 +17,8 @@ from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
 from cosetalg.exact import ExactVector
 from cosetalg.verifier import (CatalogEntry, CheckSpec, _draw_ratios, all_check_specs,
                                build_entry, default_catalog, draw_rational_weights,
-                               draw_rho, exit_code, rng_for, run_check, run_suite)
+                               draw_rho, exit_code, make_context, rng_for, run_check,
+                               run_suite)
 
 TRIALS = 100
 
@@ -252,8 +253,8 @@ def test_criterion_11_info_probes_deterministic(catalog_ctx):
     for idx, (name, G, H, Q, T) in enumerate(catalog_ctx):
         for cid in ("P1_MHG", "L17_COMPAT", "T8_ALGEBRA"):
             spec = CheckSpec(id=cid, trials=25, seed=42)
-            r1 = run_check(spec, G, H, entry_name=name, entry_index=idx)
-            r2 = run_check(spec, G, H, entry_name=name, entry_index=idx)
+            r1 = run_check(spec, make_context(G, H, name=name), idx)
+            r2 = run_check(spec, make_context(G, H, name=name), idx)
             ok = ok and r1.to_dict() == r2.to_dict()
             if cid == "P1_MHG":
                 ok = ok and "dimension=0" in r1.notes  # |H| > 1 throughout

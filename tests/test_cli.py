@@ -108,15 +108,47 @@ def test_check_json_byte_identical(capsys):
 
 
 def test_check_builds_the_group_once(capsys, monkeypatch):
-    from cosetalg import verifier
-    built = []
-    build = verifier.builtin_from_token
-    monkeypatch.setattr(verifier, "builtin_from_token",
+    # one group build and one structure table of the entry's own
+    # representatives for all checks; D6_CONV builds its tables of other
+    # representatives on top
+    from cosetalg import cli, verifier
+    built, tables = [], []
+    build, table = cli.builtin_from_token, verifier.structure_table
+    monkeypatch.setattr(cli, "builtin_from_token",
                         lambda token: built.append(token) or build(token))
+    monkeypatch.setattr(verifier, "structure_table",
+                        lambda Q, *reps: tables.append(reps) or table(Q, *reps))
     code, out, _ = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
-                           "--prop", "D6_CONV", "--trials", "2", "--format", "json")
+                           "--trials", "2", "--format", "json")
     assert code == 0 and built == ["builtin:S3"]
-    assert json.loads(out)[0]["entry"] == "builtin:S3/<(12)>"
+    assert tables.count(()) == 1 and len(tables) == 11
+    reports = json.loads(out)
+    assert len(reports) == 15
+    assert {r["entry"] for r in reports} == {"builtin:S3/<(12)>"}
+
+
+def test_check_jobs_is_ignored(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "check", "--group", "builtin:D4", "--subgroup", "(24)",
+                               "--trials", "3", "--format", "json", "--jobs", jobs)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_check_accepts_a_group_file_from_groups(tmp_path, capsys):
+    # the file `groups --format json` writes, round-tripped through check
+    code, out, _ = run_cli(capsys, "groups", "--group", "builtin:S4", "--format", "json")
+    assert code == 0
+    path = tmp_path / "s4.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "check", "--group", str(path), "--subgroup", "(12)",
+                             "--trials", "3", "--format", "json")
+    assert code == 0, err
+    reports = json.loads(out)
+    assert len(reports) == 15
+    assert reports[0]["entry"] == f"{path}/<(12)>"
 
 
 def test_check_all_props_single_pair(capsys):

@@ -589,7 +589,8 @@ def _assert_refused(monkeypatch, G, H, planted, readers):
     monkeypatch.setattr(verifier, "structure_table", lambda Q: planted)
     for mode in ("float", "exact"):
         for cid in ("C13_UNIQUE_ID", "T8_ALGEBRA"):
-            report = verifier.run_check(verifier.CheckSpec(id=cid, trials=3, mode=mode), G, H)
+            report = verifier.run_check(verifier.CheckSpec(id=cid, trials=3, mode=mode),
+                                        verifier.make_context(G, H))
             assert report.status == "fail", report
             assert "corrupt structure table" in report.counterexample["error"], report
 

@@ -10,7 +10,7 @@ import cosetalg as ca
 from cosetalg import verifier
 from cosetalg._kernels import lift_weights, push_weights
 from cosetalg.errors import CapExceeded, CarrierMismatch, NonPositive, NotCosetConstant
-from cosetalg.verifier import CheckSpec, run_check
+from cosetalg.verifier import CheckSpec, make_context, run_check
 
 from conftest import _rref_fractions, checked_peak, random_weights, rng, traced_peak
 
@@ -404,7 +404,7 @@ def test_mhg_solve_over_budget_refused_and_reported(monkeypatch):
             verifier._invariance_residual(Q, basis.weights)
 
     assert traced_peak(refused) < checked[0] // 100
-    report = run_check(CheckSpec(id="P1_MHG", trials=2), G, H)
+    report = run_check(CheckSpec(id="P1_MHG", trials=2), make_context(G, H))
     assert report.status == "fail"
     assert report.counterexample["error"].startswith(
         "CapExceeded: invariance residual of order 120")

@@ -10,8 +10,8 @@ from cosetalg import verifier
 from cosetalg.errors import CapExceeded, UnknownCheckId
 from cosetalg.exact import ExactVector
 from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_specs,
-                               build_entry, default_catalog, exit_code, run_check,
-                               run_suite)
+                               build_entry, default_catalog, exit_code, make_context,
+                               run_check, run_suite)
 
 from conftest import checked_peak, rng, traced_peak
 
@@ -48,8 +48,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_all_checks_pass_on_s3_pairs(check_id, s3_pair, s3_normal_pair):
     for (G, H, rho), name in ((s3_pair, "S3/<(12)>"), (s3_normal_pair, "S3/A3")):
-        report = run_check(CheckSpec(id=check_id, trials=25), G, H, rho,
-                           entry_name=name)
+        report = run_check(CheckSpec(id=check_id, trials=25), make_context(G, H, rho, name))
         assert report.status in ("pass", "info"), report.counterexample
         if check_id in ("P1_MHG", "L17_COMPAT"):
             assert report.status == "info"
@@ -57,7 +56,8 @@ def test_all_checks_pass_on_s3_pairs(check_id, s3_pair, s3_normal_pair):
 
 def test_right_identity_exact_mode(s3_pair):
     G, H, rho = s3_pair
-    report = run_check(CheckSpec(id="L11_RIGHT_ID", trials=20, mode="exact"), G, H, rho)
+    report = run_check(CheckSpec(id="L11_RIGHT_ID", trials=20, mode="exact"),
+                       make_context(G, H, rho))
     assert report.status == "pass"
     assert report.max_residual == 0.0
 
@@ -65,7 +65,7 @@ def test_right_identity_exact_mode(s3_pair):
 def test_conv_and_algebra_exact_mode(s3_pair):
     G, H, rho = s3_pair
     for cid in ("D6_CONV", "T8_ALGEBRA"):
-        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), G, H, rho)
+        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), make_context(G, H, rho))
         assert report.status == "pass"
         assert report.max_residual == 0.0
 
@@ -84,7 +84,7 @@ def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
 
     monkeypatch.setattr(verifier, "quotient_convolve_exact", planted)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
-        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), G, H, rho)
+        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), make_context(G, H, rho))
         assert report.status == "fail" and report.max_residual == 1.0, (cid, report)
 
 
@@ -112,12 +112,13 @@ def test_d6_catches_a_shift_row_that_is_no_permutation(monkeypatch, relabelled_s
     G, H = _d6_pair(pair, relabelled_s3_pair)
     table = verifier.structure_table
     for mode in ("float", "exact"):
-        assert run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), G, H).status == "pass"
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), make_context(G, H))
+        assert report.status == "pass"
     # the fault in the entry's own table only, not in tables of other representatives
     monkeypatch.setattr(verifier, "structure_table",
                         lambda Q, *reps: table(Q, *reps) if reps else _swap_shift_entries(table(Q)))
     for mode in ("float", "exact"):
-        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), G, H)
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), make_context(G, H))
         assert report.status == "fail", report
         assert report.counterexample == {"reason": "row sums differ from |H|"}, report
 
@@ -136,7 +137,7 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
 
     monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
     for mode in ("float", "exact"):
-        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), G, H)
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), make_context(G, H))
         assert report.status == "fail", report
         assert report.counterexample["reason"] == "tensor depends on representative choice"
         assert report.counterexample["reps"] != ca.build_coset_space(G, H).reps.tolist()
@@ -155,7 +156,7 @@ def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
     draw = verifier.draw_measure
     monkeypatch.setattr(verifier, "draw_measure",
                         lambda rng, carrier: drawn.append(draw(rng, carrier)) or drawn[-1])
-    run_check(CheckSpec(id="D6_CONV", trials=1, seed=42), G, H, rho)
+    run_check(CheckSpec(id="D6_CONV", trials=1, seed=42), make_context(G, H, rho))
     assert np.array_equal(drawn[0].weights, want)
 
 
@@ -165,37 +166,37 @@ def test_conv_and_algebra_exact_mode_at_scale():
     G, H, rho = build_entry(CatalogEntry("D60/<s>", "builtin:D60", (s,)))
     assert (G.order, H.order) == (120, 2)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
-        report = run_check(CheckSpec(id=cid, trials=5, mode="exact"), G, H, rho)
+        report = run_check(CheckSpec(id=cid, trials=5, mode="exact"), make_context(G, H, rho))
         assert (report.status, report.max_residual) == ("pass", 0.0), report
 
 
 def test_reports_are_deterministic(s3_pair):
     G, H, rho = s3_pair
     spec = CheckSpec(id="D6_CONV", trials=10, seed=7)
-    r1 = run_check(spec, G, H, rho, entry_name="x")
-    r2 = run_check(spec, G, H, rho, entry_name="x")
+    r1 = run_check(spec, make_context(G, H, rho, "x"))
+    r2 = run_check(spec, make_context(G, H, rho, "x"))
     assert r1.to_dict() == r2.to_dict()  # elapsed excluded from the dict
 
 
 def test_info_probe_content_frozen(s3_pair, s3_normal_pair):
     G, H, rho = s3_pair
-    r = run_check(CheckSpec(id="P1_MHG", trials=5), G, H, rho)
+    r = run_check(CheckSpec(id="P1_MHG", trials=5), make_context(G, H, rho))
     assert "dimension=0" in r.notes
-    r17 = run_check(CheckSpec(id="L17_COMPAT", trials=5), G, H, rho)
+    r17 = run_check(CheckSpec(id="L17_COMPAT", trials=5), make_context(G, H, rho))
     assert "rho-weighted lift reproduces" in r17.notes
     # trivial subgroup: the literal space has dimension 1
     Ge = ca.builtin_from_token("S3")
     He = ca.generate_subgroup(Ge, [])
-    re = run_check(CheckSpec(id="P1_MHG", trials=5), Ge, He)
+    re = run_check(CheckSpec(id="P1_MHG", trials=5), make_context(Ge, He))
     assert "dimension=1" in re.notes
 
 
 def test_identity_probe_notes(s3_pair, s3_normal_pair):
     G, H, rho = s3_pair
-    r = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), G, H, rho)
+    r = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), make_context(G, H, rho))
     assert "no left identity" in r.notes and "residual=1" in r.notes
     Gn, Hn, rn = s3_normal_pair
-    r2 = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), Gn, Hn, rn)
+    r2 = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), make_context(Gn, Hn, rn))
     assert "left identity found" in r2.notes
 
 
@@ -263,8 +264,9 @@ def test_draw_rho_is_the_float_of_its_integer_ratios():
 
 
 def test_failed_context_does_not_abort_suite(monkeypatch):
-    # a CapExceeded from one entry's structure table yields failing records
-    # for that entry, under its catalog name, and the other entries run
+    # a CapExceeded from one entry's structure table yields one failing
+    # CONSTRUCTION record for that entry, under its catalog name, and the
+    # other entries run
     table = verifier.structure_table
 
     def oversized(Q):
@@ -277,16 +279,37 @@ def test_failed_context_does_not_abort_suite(monkeypatch):
     assert catalog[2].name == "D4/<r>"
     specs = [CheckSpec(id="L11_RIGHT_ID", trials=5), CheckSpec(id="C13_UNIQUE_ID")]
     reports = run_suite(catalog, specs)
-    assert [r.entry for r in reports] == [e.name for e in catalog] * 2
+    assert [(r.id, r.entry) for r in reports] == [
+        ("C13_UNIQUE_ID", "S3/<(12)>"), ("C13_UNIQUE_ID", "S3/A3"),
+        ("CONSTRUCTION", "D4/<r>"),
+        ("L11_RIGHT_ID", "S3/<(12)>"), ("L11_RIGHT_ID", "S3/A3")]
     for r in reports:
         if r.entry == "D4/<r>":
             assert r.status == "fail" and r.counterexample == {
+                "entry": "D4/<r>",
                 "error": "CapExceeded: planted oversized structure table"}, r
         else:
             assert r.status == "pass", r
-    # without an entry name the record is named after the pair
+    # without an entry name the context is named after the pair
+    monkeypatch.undo()
     G, H, rho = build_entry(catalog[2])
-    assert run_check(CheckSpec(id="L11_RIGHT_ID"), G, H, rho).entry == "D4/H4"
+    assert run_check(CheckSpec(id="L11_RIGHT_ID"), make_context(G, H, rho)).entry == "D4/H4"
+
+
+def test_suite_builds_each_entry_once(monkeypatch):
+    # one context, and one structure table of the entry's own
+    # representatives, per catalog entry, shared by all fifteen checks
+    contexts, tables = [], []
+    context, table = verifier.make_context, verifier.structure_table
+    monkeypatch.setattr(verifier, "make_context",
+                        lambda *args: contexts.append(args[-1]) or context(*args))
+    monkeypatch.setattr(verifier, "structure_table",
+                        lambda Q, *reps: tables.append(reps) or table(Q, *reps))
+    catalog = default_catalog()
+    reports = run_suite(catalog, all_check_specs(trials=2))
+    assert len(reports) == 15 * 8 and exit_code(reports) == 0
+    assert contexts == [e.name for e in catalog]
+    assert tables.count(()) == 8
 
 
 def test_duplicate_entry_names_keep_catalog_order():
@@ -299,8 +322,8 @@ def test_duplicate_entry_names_keep_catalog_order():
     # the two X entries are distinct groups: each report matches a lone run
     for idx, entry in enumerate(catalog):
         G, H, rho = build_entry(entry)
-        alone = run_check(CheckSpec(id="D6_CONV", trials=5), G, H, rho,
-                          entry_name=entry.name, entry_index=idx)
+        alone = run_check(CheckSpec(id="D6_CONV", trials=5),
+                          make_context(G, H, rho, entry.name), idx)
         assert reports[idx].to_dict() == alone.to_dict()
 
 
@@ -312,30 +335,22 @@ def test_p19_fails_on_perturbed_operator_route(s3_pair, monkeypatch):
 
     monkeypatch.setattr(verifier, "_operator_route", perturbed)
     G, H, rho = s3_pair
-    report = run_check(CheckSpec(id="P19_LP", trials=6), G, H, rho)
+    report = run_check(CheckSpec(id="P19_LP", trials=6), make_context(G, H, rho))
     assert report.status == "fail"
     assert report.counterexample["side"] == "left"
     assert report.counterexample["p"] == 1.0
     assert report.max_residual > 1e-7
 
 
-def test_parallel_matches_serial():
-    catalog = default_catalog()[:3]
-    specs = [CheckSpec(id=i, trials=10) for i in ("W0_WEIL", "P15_NORMALITY")]
-    serial = [r.to_dict() for r in run_suite(catalog, specs, jobs=1)]
-    parallel = [r.to_dict() for r in run_suite(catalog, specs, jobs=4)]
-    assert serial == parallel
-
-
 def test_info_never_fails_suite(s3_pair):
     G, H, rho = s3_pair
-    reports = [run_check(CheckSpec(id="P1_MHG", trials=5), G, H, rho)]
+    reports = [run_check(CheckSpec(id="P1_MHG", trials=5), make_context(G, H, rho))]
     assert exit_code(reports) == 0
 
 
 def test_reports_serialize_to_json(s3_pair):
     G, H, rho = s3_pair
-    reports = [run_check(spec, G, H, rho) for spec in all_check_specs(trials=5)]
+    reports = [run_check(spec, make_context(G, H, rho)) for spec in all_check_specs(trials=5)]
     blob = json.dumps([r.to_dict() for r in reports], sort_keys=True)
     parsed = json.loads(blob)
     assert len(parsed) == 15
@@ -426,7 +441,65 @@ def test_identity_and_invariance_checks_at_120_cosets():
     G, H, rho = build_entry(CatalogEntry("A6/<(123)>", "builtin:A6", ("(123)",)))
     assert (G.order, H.order) == (360, 3)
     for mode in ("float", "exact"):
-        report = run_check(CheckSpec(id="C13_UNIQUE_ID", trials=2, mode=mode), G, H, rho)
+        report = run_check(CheckSpec(id="C13_UNIQUE_ID", trials=2, mode=mode),
+                           make_context(G, H, rho))
         assert report.status == "pass" and "no two-sided identity" in report.notes, report
-    report = run_check(CheckSpec(id="P1_MHG", trials=2), G, H, rho)
+    report = run_check(CheckSpec(id="P1_MHG", trials=2), make_context(G, H, rho))
     assert report.status == "info" and "dimension=0" in report.notes, report
+
+
+def _nan_in_first_entry(kernel):
+    """kernel, with NaN written into the first entry of each float result."""
+    def planted(*args):
+        out = kernel(*args)
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out[0] = np.nan
+        return out
+    return planted
+
+
+@pytest.mark.parametrize("kernel,failing", [
+    ("quotient", ("T8_ALGEBRA", "L11_RIGHT_ID", "T18_IDEAL", "D6_CONV", "P19_LP")),
+    ("group", ("D6_CONV", "P19_LP")),
+])
+def test_nan_residuals_fail(monkeypatch, s3_pair, kernel, failing):
+    # a NaN compares greater than nothing: each check ranks it above every
+    # residual, keeps it against later finite ones, and fails its bound on it
+    if kernel == "quotient":
+        monkeypatch.setattr(ca.quotient_algebra, "quotient_convolve_weights",
+                            _nan_in_first_entry(ca.quotient_algebra.quotient_convolve_weights))
+    else:
+        for module in (ca.measures, verifier):
+            monkeypatch.setattr(module, "group_convolve_weights",
+                                _nan_in_first_entry(module.group_convolve_weights))
+    ctx = make_context(*s3_pair)
+    for cid in failing:
+        report = run_check(CheckSpec(id=cid, trials=10), ctx)
+        assert report.status == "fail" and np.isnan(report.max_residual), report
+    assert np.isnan(verifier._worst(np.nan, 1.0)) and np.isnan(verifier._worst(1.0, np.nan))
+    assert not verifier._worse(1.0, np.nan) and verifier._worse(np.nan, 1e300)
+
+
+@pytest.mark.parametrize("cid,basis_test,what", [
+    ("L11_RIGHT_ID", "_right_identity_on_basis", "right identity test"),
+    ("P15_NORMALITY", "_point_mass_products", "point-mass product test"),
+])
+def test_basis_tests_refused_over_budget(monkeypatch, cid, basis_test, what):
+    # S5/{e}, 120 cosets: the one byte check of each k x k basis test covers
+    # its traced peak; within that budget less one byte the check gives a
+    # failing CapExceeded record and stays within the budget
+    G = ca.builtin_from_token("S5")
+    ctx = make_context(G, ca.generate_subgroup(G, []))
+    run_basis_test = getattr(verifier, basis_test)
+    checked, peak = checked_peak(monkeypatch, verifier, lambda: run_basis_test(ctx.T, ctx.Q))
+    assert len(checked) == 1 and peak <= checked[0]
+    budget = checked[0] - 1
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)
+    reports = []
+    peak = traced_peak(lambda: reports.append(run_check(CheckSpec(id=cid, trials=2), ctx)))
+    (report,) = reports
+    assert report.status == "fail", report
+    assert report.counterexample["error"].startswith(
+        f"CapExceeded: {what} with 120 cosets needs {checked[0]} bytes"), report
+    assert peak <= budget
