@@ -29,8 +29,8 @@ from .measures import (group_carrier, measure_from_dict, measure_to_dict,
                        quotient_carrier)
 from .quotient_algebra import quotient_convolve, structure_table
 from .quotient_ops import rho_from_dict
-from .verifier import (CHECK_IDS, CatalogEntry, CheckSpec, build_entry,
-                       default_catalog, exit_code, run_suite)
+from .verifier import (CHECK_IDS, CheckSpec, default_catalog, exit_code, make_context,
+                       run_check, run_suite)
 
 USAGE_ERROR = 2
 
@@ -40,12 +40,14 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_group(token: str) -> FiniteGroup:
+    """A builtin token, or a group JSON file. A bare builtin name like S3 is
+    a token unless a file of that name exists; a token with a suffix or a
+    directory part names a file, so a missing one is reported as missing."""
     if token.startswith("builtin:"):
         return builtin_from_token(token)
     p = Path(token)
-    if p.exists():
+    if p.exists() or p.suffix or len(p.parts) > 1:
         return group_from_dict(_load_json(token))
-    # bare builtin names like S3 are accepted too
     return builtin_from_token(token)
 
 
@@ -151,24 +153,22 @@ def _cmd_conv(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.group is None:
-        if args.rho is not None or args.subgroup is not None:
-            raise CosetAlgError("--rho and --subgroup need --group")
-        catalog = default_catalog()
-    else:
-        if args.subgroup is None:
-            raise CosetAlgError("--subgroup is required with --group")
-        entry = CatalogEntry(name=f"{args.group}/<{args.subgroup}>",
-                             group=_resolve_group(args.group),
-                             subgroup=tuple(_split_tokens(args.subgroup)),
-                             rho=_load_json(args.rho) if args.rho else None)
-        build_entry(entry)   # bad input exits 2, not 1
-        catalog = [entry]
+    if args.group is None and (args.rho is not None or args.subgroup is not None):
+        raise CosetAlgError("--rho and --subgroup need --group")
     ids = CHECK_IDS if args.prop == "all" else (args.prop,)
     specs = [CheckSpec(id=i, trials=args.trials, seed=args.seed,
                        tolerance=args.tol, mode=args.mode) for i in ids]
     start = time.perf_counter()
-    reports = run_suite(catalog, specs)
+    if args.group is None:
+        reports = run_suite(default_catalog(), specs)
+    else:
+        # one pair, built once; a failed build exits 2, not 1
+        G = _resolve_group(args.group)
+        H = _resolve_subgroup(G, args.subgroup)
+        rho = (rho_from_dict(build_coset_space(G, H), _load_json(args.rho))
+               if args.rho else None)
+        ctx = make_context(G, H, rho, f"{args.group}/<{args.subgroup}>")
+        reports = [run_check(spec, ctx) for spec in specs]
     elapsed = time.perf_counter() - start
 
     if args.format == "json":
@@ -246,8 +246,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.subcommand != "check" and args.group is None:
             raise CosetAlgError("--group is required")
-        if args.subcommand == "table" and args.subgroup is None:
-            raise CosetAlgError("--subgroup is required")
         return handlers[args.subcommand](args)
     except (CosetAlgError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

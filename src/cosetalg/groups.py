@@ -55,9 +55,6 @@ class FiniteGroup:
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or 'unnamed'}, order={self.order})"
 
@@ -202,23 +199,30 @@ def _inverses(table: np.ndarray, e: int, labels: Sequence[str]) -> np.ndarray:
     return inv
 
 
+def _close(table: np.ndarray, reached: np.ndarray, new: np.ndarray,
+           gens: Sequence[int]) -> None:
+    """Mark in `reached` the elements `new` and everything reached from them
+    by right multiplication by gens, breadth first; each round gathers the
+    |frontier| x |gens| products, not whole rows."""
+    gens = np.asarray(gens, dtype=np.int64)
+    while len(new):
+        fresh = np.zeros(len(reached), dtype=bool)
+        fresh[new] = True
+        new = np.flatnonzero(fresh & ~reached)
+        reached[new] = True
+        new = table[np.ix_(new, gens)].ravel()
+
+
 def _generating_set(table: np.ndarray) -> list[int]:
     """Greedy generators of the magma: the smallest element not yet reached,
     then everything reached from the chosen set by right multiplication by
     it. Every element is then a left-nested product of generators."""
-    n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
+    reached = np.zeros(table.shape[0], dtype=bool)
     gens: list[int] = []
     while not reached.all():
         s = int(np.argmin(reached))
         gens.append(s)
-        new = np.append(table[reached, s], s)
-        while len(new):
-            fresh = np.zeros(n, dtype=bool)
-            fresh[new] = True
-            new = np.flatnonzero(fresh & ~reached)
-            reached[new] = True
-            new = table[new][:, gens].ravel()
+        _close(table, reached, np.append(table[reached, s], s), gens)
     return gens
 
 
@@ -315,9 +319,9 @@ def parse_cycles(token: str, degree: int) -> Perm:
 
 
 def build_from_permutation_generators(degree: int, generators: Iterable[Sequence[int]],
-                                      name: str = "",
-                                      cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Breadth-first closure of permutation generators under composition."""
+                                      name: str = "") -> FiniteGroup:
+    """Breadth-first closure of permutation generators under composition, up
+    to DEFAULT_ORDER_CAP elements."""
     gens: list[Perm] = []
     for gi, g in enumerate(generators):
         p = tuple(int(x) for x in g)
@@ -337,8 +341,8 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
         for j, g in enumerate(gens):
             y = compose(x, g)
             if y not in index:
-                if len(elems) >= cap:
-                    raise CapExceeded(f"closure exceeds cap {cap}")
+                if len(elems) >= DEFAULT_ORDER_CAP:
+                    raise CapExceeded(f"closure exceeds cap {DEFAULT_ORDER_CAP}")
                 index[y] = len(elems)
                 elems.append(y)
                 parent.append(head)
@@ -393,7 +397,7 @@ def direct_product_group(g1: FiniteGroup, g2: FiniteGroup, name: str = "") -> Fi
     return build_from_cayley_table(labels, table, name=name or f"{g1.name}x{g2.name}")
 
 
-def builtin_catalog(name: str, *parameters: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def builtin_catalog(name: str, *parameters: int) -> FiniteGroup:
     """Named group families with canonical labelings.
 
     cyclic(n), dihedral(n), symmetric(n), alternating(n): permutation groups
@@ -409,12 +413,11 @@ def builtin_catalog(name: str, *parameters: int, cap: int = DEFAULT_ORDER_CAP) -
         if p == 1:
             return build_from_cayley_table(("e",), [[0]], name="C1", perms=((),))
         gen = tuple((i + 1) % p for i in range(p))
-        return build_from_permutation_generators(p, [gen], name=f"C{p}", cap=cap)
+        return build_from_permutation_generators(p, [gen], name=f"C{p}")
     if key == "dihedral":
         if not p or p < 3:
             raise UnknownName("dihedral(n) needs n >= 3")
-        return build_from_permutation_generators(p, _dihedral_gens(p),
-                                                 name=f"D{p}", cap=cap)
+        return build_from_permutation_generators(p, _dihedral_gens(p), name=f"D{p}")
     if key == "symmetric":
         if not p or p < 1:
             raise UnknownName("symmetric(n) needs n >= 1")
@@ -422,7 +425,7 @@ def builtin_catalog(name: str, *parameters: int, cap: int = DEFAULT_ORDER_CAP) -
             return builtin_catalog("cyclic", 1)
         gens = [tuple([1, 0] + list(range(2, p))),
                 tuple((i + 1) % p for i in range(p))]
-        return build_from_permutation_generators(p, gens, name=f"S{p}", cap=cap)
+        return build_from_permutation_generators(p, gens, name=f"S{p}")
     if key == "alternating":
         if not p or p < 3:
             raise UnknownName("alternating(n) needs n >= 3")
@@ -431,7 +434,7 @@ def builtin_catalog(name: str, *parameters: int, cap: int = DEFAULT_ORDER_CAP) -
             g = list(range(p))
             g[i], g[i + 1], g[i + 2] = g[i + 1], g[i + 2], g[i]
             gens.append(tuple(g))
-        return build_from_permutation_generators(p, gens, name=f"A{p}", cap=cap)
+        return build_from_permutation_generators(p, gens, name=f"A{p}")
     if key == "quaternion8":
         return _quaternion8()
     if key == "direct_product":
@@ -447,7 +450,7 @@ _ALIAS_PATTERN = re.compile(r"^([SDCA])(\d+)$", re.IGNORECASE)
 _ALIAS_FAMILIES = {"S": "symmetric", "D": "dihedral", "C": "cyclic", "A": "alternating"}
 
 
-def builtin_from_token(token: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def builtin_from_token(token: str) -> FiniteGroup:
     """Parse a builtin group token: 'builtin:S3', 'S3', 'cyclic(6)',
     'direct_product(2,3)', 'Q8', 'quaternion8'."""
     t = token.strip()
@@ -456,36 +459,28 @@ def builtin_from_token(token: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     m = re.match(r"^([A-Za-z_][A-Za-z_0-9]*)\((\d+(?:,\s*\d+)*)\)$", t)
     if m:
         params = tuple(int(x) for x in m.group(2).split(","))
-        return builtin_catalog(m.group(1), *params, cap=cap)
+        return builtin_catalog(m.group(1), *params)
     if t.lower() in ("q8", "quaternion8"):
         return builtin_catalog("quaternion8")
     m = _ALIAS_PATTERN.match(t)
     if m:
-        return builtin_catalog(_ALIAS_FAMILIES[m.group(1).upper()], int(m.group(2)), cap=cap)
+        return builtin_catalog(_ALIAS_FAMILIES[m.group(1).upper()], int(m.group(2)))
     raise UnknownName(f"cannot parse builtin group token {token!r}")
 
 
 # --- subgroups and cosets ---------------------------------------------------
 
 def generate_subgroup(G: FiniteGroup, generators: Sequence[int]) -> Subgroup:
-    """Smallest subgroup containing the given element indices ({e} if empty)."""
-    for g in generators:
-        if not 0 <= int(g) < G.order:
+    """Smallest subgroup containing the given element indices ({e} if empty):
+    everything reached from e by right multiplication by the generators,
+    which in a finite group is also closed under inverses."""
+    gens = [int(g) for g in generators]
+    for g in gens:
+        if not 0 <= g < G.order:
             raise IndexError(f"generator index {g} out of range")
-    # when x joins, its products with every current member (and its inverse)
-    # are queued, so every pair is eventually covered by the later of the two
-    members = {G.identity}
-    queue = [int(g) for g in generators]
-    while queue:
-        x = queue.pop()
-        if x in members:
-            continue
-        members.add(x)
-        queue.append(int(G.inv[x]))
-        for y in list(members):
-            queue.append(int(G.mul[x, y]))
-            queue.append(int(G.mul[y, x]))
-    sub = Subgroup(parent=G, members=tuple(sorted(members)))
+    reached = np.zeros(G.order, dtype=bool)
+    _close(G.mul, reached, np.array([G.identity]), gens)
+    sub = Subgroup(parent=G, members=tuple(np.flatnonzero(reached).tolist()))
     assert G.order % sub.order == 0
     return sub
 
@@ -548,14 +543,14 @@ def find_element(G: FiniteGroup, token: str) -> int:
     """Resolve an element token: exact label match first, else cycle notation
     (permutation groups only). Disagreement between the two routes is an error."""
     token = token.strip()
-    by_label = G.label_index().get(token)
+    by_label = G.labels.index(token) if token in G.labels else None
     by_perm: Optional[int] = None
     if G.perms is not None and (token in ("e", "()") or token.startswith("(")):
         try:
             p = parse_cycles(token, len(G.perms[0]))
-            by_perm = {q: i for i, q in enumerate(G.perms)}.get(p)
         except NotAPermutation:
-            by_perm = None
+            p = None
+        by_perm = G.perms.index(p) if p in G.perms else None
     if by_label is not None and by_perm is not None and by_label != by_perm:
         raise AmbiguousElement(f"token {token!r} is ambiguous")
     if by_label is not None:
@@ -578,12 +573,12 @@ def group_to_dict(G: FiniteGroup) -> dict:
     }
 
 
-def group_from_dict(d: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_dict(d: dict) -> FiniteGroup:
     """Accepts either a Cayley-table spec or a permutation-generator spec."""
     if "permutations" in d:
         sub = d["permutations"]
         return build_from_permutation_generators(
-            int(sub["degree"]), sub["generators"], name=d.get("name", ""), cap=cap)
+            int(sub["degree"]), sub["generators"], name=d.get("name", ""))
     if "table" in d and "elements" in d:
         return build_from_cayley_table(d["elements"], d["table"],
                                        name=d.get("name", ""))

@@ -145,12 +145,12 @@ def integrate(mu: ComplexMeasure, f: DensityFunction) -> complex:
 
 # --- serialization ----------------------------------------------------------
 
-def measure_to_dict(mu: ComplexMeasure, drop_zeros: bool = True) -> dict:
+def measure_to_dict(mu: ComplexMeasure) -> dict:
     """JSON form {"carrier": kind, "weights": {label: [re, im]}}; zero weights
     are omitted (absent labels mean 0)."""
     weights = {}
     for lab, w in zip(mu.carrier.labels, mu.weights):
-        if drop_zeros and w == 0:
+        if w == 0:
             continue
         weights[lab] = [float(w.real), float(w.imag)]
     return {"carrier": mu.carrier.kind, "weights": weights}

@@ -19,7 +19,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ._kernels import group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
-                     builtin_from_token, group_from_dict, require_bytes,
+                     builtin_from_token, require_bytes,
                      subgroup_from_tokens, test_normality)
 from .measures import (Carrier, ComplexMeasure, DensityFunction, from_density,
                        group_carrier, group_convolve, integrate, point_mass,
@@ -171,10 +171,15 @@ class EntryContext:
 def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[RhoFunction] = None,
                  name: str = "") -> EntryContext:
     """An entry's coset space and structure table, shared by all its checks;
-    rho defaults to 1 and the name to G.name/H<order>."""
-    Q = build_coset_space(G, H)
+    the coset space is rho's when rho is given, rho defaults to 1 and the
+    name to G.name/H<order>."""
+    if rho is None:
+        rho = rho_ones(build_coset_space(G, H))
+    elif rho.quotient.subgroup is not H:
+        raise ValueError("rho is defined on the cosets of another subgroup")
+    Q = rho.quotient
     return EntryContext(name=name or f"{G.name}/H{H.order}", G=G, H=H, Q=Q,
-                        T=structure_table(Q), rho=rho if rho is not None else rho_ones(Q))
+                        T=structure_table(Q), rho=rho)
 
 
 # --- individual checks ------------------------------------------------------------
@@ -727,7 +732,7 @@ def run_check(spec: CheckSpec, ctx: EntryContext, entry_index: int = 0) -> Check
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    group: Union[str, dict, FiniteGroup]  # "builtin:..." token, group-spec dict or a built group
+    group: str                       # "builtin:..." token
     subgroup: tuple[str, ...]        # generator tokens
     rho: Optional[dict] = None       # rho file dict; None means rho = 1
 
@@ -746,9 +751,7 @@ def default_catalog() -> list[CatalogEntry]:
 
 
 def build_entry(entry: CatalogEntry) -> tuple[FiniteGroup, Subgroup, Optional[RhoFunction]]:
-    G = (entry.group if isinstance(entry.group, FiniteGroup)
-         else builtin_from_token(entry.group) if isinstance(entry.group, str)
-         else group_from_dict(entry.group))
+    G = builtin_from_token(entry.group)
     H = subgroup_from_tokens(G, entry.subgroup)
     rho = None
     if entry.rho is not None:

@@ -107,24 +107,39 @@ def test_check_json_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_check_builds_the_group_once(capsys, monkeypatch):
-    # one group build and one structure table of the entry's own
-    # representatives for all checks; D6_CONV builds its tables of other
-    # representatives on top
-    from cosetalg import cli, verifier
-    built, tables = [], []
-    build, table = cli.builtin_from_token, verifier.structure_table
-    monkeypatch.setattr(cli, "builtin_from_token",
-                        lambda token: built.append(token) or build(token))
-    monkeypatch.setattr(verifier, "structure_table",
-                        lambda Q, *reps: tables.append(reps) or table(Q, *reps))
-    code, out, _ = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
-                           "--trials", "2", "--format", "json")
-    assert code == 0 and built == ["builtin:S3"]
-    assert tables.count(()) == 1 and len(tables) == 11
-    reports = json.loads(out)
-    assert len(reports) == 15
-    assert {r["entry"] for r in reports} == {"builtin:S3/<(12)>"}
+def test_check_builds_the_group_once(tmp_path, capsys, monkeypatch):
+    # one group, subgroup and coset-space build and one structure table of
+    # the pair's own representatives for all checks, with or without a rho
+    # file; D6_CONV builds its tables of other representatives on top
+    from cosetalg import cli, groups, verifier
+    calls = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def record(*args):
+            calls.setdefault(name, []).append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, record)
+
+    for module, name in ((cli, "builtin_from_token"), (groups, "generate_subgroup"),
+                         (cli, "build_coset_space"), (verifier, "build_coset_space"),
+                         (verifier, "structure_table")):
+        spy(module, name)
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"values": {"(123)": 2, "(23)": 0.5}}))
+    for extra in ((), ("--rho", str(rho))):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
+                               "--trials", "2", "--format", "json", *extra)
+        assert code == 0
+        assert calls["builtin_from_token"] == [("builtin:S3",)]
+        assert len(calls["generate_subgroup"]) == len(calls["build_coset_space"]) == 1
+        tables = [args[1:] for args in calls["structure_table"]]
+        assert tables.count(()) == 1 and len(tables) == 11
+        reports = json.loads(out)
+        assert len(reports) == 15
+        assert {r["entry"] for r in reports} == {"builtin:S3/<(12)>"}
 
 
 def test_check_jobs_is_ignored(capsys):
@@ -217,6 +232,34 @@ def test_table_needs_no_dense_tensor(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "table", "--group", "builtin:S4",
                              "--subgroup", "(12)", "--format", "json")
     assert (code, out, err) == (0, want, "")
+
+
+def test_check_over_byte_budget_exits_2(capsys, monkeypatch):
+    # a refused coset space is an input error, not a failing check
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 10000)
+    code, out, err = run_cli(capsys, "check", "--group", "builtin:S4", "--subgroup", "(12)",
+                             "--trials", "1", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == ("error: coset space of order 24 needs 10496 bytes, "
+                   "over the byte budget of 10000 bytes\n")
+
+
+def test_missing_group_file_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"weights": {}}))
+    for missing in ("nope.json", "sub/nope"):
+        for argv in (("groups",), ("table", "--subgroup", "(12)"),
+                     ("conv", "--m1", str(m), "--m2", str(m)),
+                     ("check", "--subgroup", "(12)", "--trials", "1")):
+            code, out, err = run_cli(capsys, *argv, "--group", missing)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n", argv
+    # tokens without a suffix or directory part stay builtin tokens
+    code, _, err = run_cli(capsys, "groups", "--group", "cyclic(0)")
+    assert (code, err) == (2, "error: cyclic(n) needs n >= 1\n")
+    code, _, err = run_cli(capsys, "check", "--group", "nope", "--subgroup", "(12)")
+    assert (code, err) == (2, "error: cannot parse builtin group token 'nope'\n")
 
 
 def test_check_rho_or_subgroup_without_group_exits_2(tmp_path, capsys):

@@ -197,9 +197,10 @@ def test_not_a_permutation():
         ca.build_from_permutation_generators(3, [(0, 0, 2)])
 
 
-def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        ca.build_from_permutation_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=10)
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(ca.groups, "DEFAULT_ORDER_CAP", 10)
+    with pytest.raises(CapExceeded, match="closure exceeds cap 10"):
+        ca.build_from_permutation_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
 
 
 def _bfs_closure(degree, gens):
@@ -303,6 +304,38 @@ def test_generate_subgroup_three_cycle(s3):
 def test_generate_subgroup_empty(s3):
     H = ca.generate_subgroup(s3, [])
     assert H.members == (s3.identity,)
+
+
+def _queue_subgroup(G, generators):
+    """The subgroup closure's reference: when x joins, its products with
+    every current member (and its inverse) are queued, so every pair is
+    eventually covered by the later of the two."""
+    members = {G.identity}
+    queue = [int(g) for g in generators]
+    while queue:
+        x = queue.pop()
+        if x in members:
+            continue
+        members.add(x)
+        queue.append(int(G.inv[x]))
+        for y in list(members):
+            queue.append(int(G.mul[x, y]))
+            queue.append(int(G.mul[y, x]))
+    return tuple(sorted(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_generate_subgroup_matches_queue_closure(relabelled_s3_pair, data):
+    """Closure on the table against the queue loop, on random generator
+    lists (empty and repeated ones included) of builtin groups up to order
+    24 and of S3 relabelled so that its identity is element 5."""
+    token = data.draw(st.sampled_from(LIGHT_GROUPS + ("relabelled S3",)), label="group")
+    G = relabelled_s3_pair[0] if token == "relabelled S3" else _light_group(token)
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4), label="generators")
+    H = ca.generate_subgroup(G, gens + gens[:data.draw(st.integers(0, 2), label="repeats")])
+    assert H.members == _queue_subgroup(G, gens)
+    assert all(type(m) is int for m in H.members)
 
 
 def test_normality(s3, s3_h12, s3_a3):
@@ -465,6 +498,22 @@ def test_find_element_by_label_and_cycles(s3, q8):
         s3, perm_label(compose((1, 0, 2), (2, 1, 0))))
     with pytest.raises(UnknownName):
         ca.find_element(s3, "(14)")
+
+
+def test_find_element_non_canonical_and_ambiguous_tokens(s3):
+    # any cycle spelling of an element resolves to it: rotated cycles, and
+    # commas at degree <= 9
+    for token, label in (("(21)", "(12)"), ("(1,2)", "(12)"), ("(231)", "(123)"),
+                         ("(3,1,2)", "(123)"), ("()", "e")):
+        assert ca.find_element(s3, token) == s3.labels.index(label)
+    # a table group whose permutations disagree with its labels
+    G = ca.build_from_cayley_table(s3.labels, s3.mul, name="S3 mislabelled",
+                                   perms=s3.perms[1:] + s3.perms[:1])
+    for token in ("(12)", "e"):
+        with pytest.raises(AmbiguousElement, match=re.escape(f"token {token!r} is ambiguous")):
+            ca.find_element(G, token)
+    # a spelling that is no label resolves through the permutations alone
+    assert ca.find_element(G, "(21)") == 0
 
 
 def test_parse_cycles_large_degree():

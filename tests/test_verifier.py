@@ -296,6 +296,16 @@ def test_failed_context_does_not_abort_suite(monkeypatch):
     assert run_check(CheckSpec(id="L11_RIGHT_ID"), make_context(G, H, rho)).entry == "D4/H4"
 
 
+def test_make_context_takes_the_coset_space_of_rho(s3_pair):
+    G, H, _ = s3_pair
+    rho = ca.rho_ones(ca.build_coset_space(G, H))
+    assert make_context(G, H, rho).Q is rho.quotient
+    # equal members, but another subgroup object
+    other = ca.subgroup_from_tokens(G, ["(12)"])
+    with pytest.raises(ValueError, match="cosets of another subgroup"):
+        make_context(G, other, rho)
+
+
 def test_suite_builds_each_entry_once(monkeypatch):
     # one context, and one structure table of the entry's own
     # representatives, per catalog entry, shared by all fifteen checks
