@@ -28,7 +28,6 @@ from .groups import (FiniteGroup, Subgroup, build_coset_space, builtin_from_toke
 from .measures import (group_carrier, measure_from_dict, measure_to_dict,
                        quotient_carrier)
 from .quotient_algebra import quotient_convolve, structure_table
-from .quotient_ops import rho_from_dict
 from .verifier import (CHECK_IDS, CheckSpec, default_catalog, exit_code, make_context,
                        run_check, run_suite)
 
@@ -59,10 +58,13 @@ def _split_tokens(arg: str) -> list[str]:
     return toks
 
 
-def _resolve_subgroup(G: FiniteGroup, arg: Optional[str]) -> Subgroup:
-    if arg is None:
+def _resolve_pair(args) -> tuple[FiniteGroup, Subgroup]:
+    """G from --group and H from --subgroup; a missing --subgroup fails
+    before G is built."""
+    if args.subgroup is None:
         raise CosetAlgError("--subgroup is required for quotient operations")
-    return subgroup_from_tokens(G, _split_tokens(arg))
+    G = _resolve_group(args.group)
+    return G, subgroup_from_tokens(G, _split_tokens(args.subgroup))
 
 
 def _emit(payload, fmt: str, text_renderer) -> None:
@@ -76,7 +78,7 @@ def _cmd_groups(args) -> int:
     G = _resolve_group(args.group)
     payload = group_to_dict(G)
     if args.subgroup:
-        H = _resolve_subgroup(G, args.subgroup)
+        H = subgroup_from_tokens(G, _split_tokens(args.subgroup))
         Q = build_coset_space(G, H)
         payload["subgroup"] = {
             "members": [G.labels[m] for m in H.members],
@@ -101,8 +103,7 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    G = _resolve_group(args.group)
-    H = _resolve_subgroup(G, args.subgroup)
+    G, H = _resolve_pair(args)
     Q = build_coset_space(G, H)
     T = structure_table(Q)
     payload = {
@@ -125,9 +126,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_conv(args) -> int:
-    G = _resolve_group(args.group)
     if args.quotient:
-        H = _resolve_subgroup(G, args.subgroup)
+        G, H = _resolve_pair(args)
         Q = build_coset_space(G, H)
         carrier = quotient_carrier(Q)
         T = structure_table(Q)
@@ -136,6 +136,7 @@ def _cmd_conv(args) -> int:
         out = quotient_convolve(T, m1, m2)
     else:
         from .measures import group_convolve
+        G = _resolve_group(args.group)
         carrier = group_carrier(G)
         m1 = measure_from_dict(carrier, _load_json(args.m1))
         m2 = measure_from_dict(carrier, _load_json(args.m2))
@@ -163,10 +164,8 @@ def _cmd_check(args) -> int:
         reports = run_suite(default_catalog(), specs)
     else:
         # one pair, built once; a failed build exits 2, not 1
-        G = _resolve_group(args.group)
-        H = _resolve_subgroup(G, args.subgroup)
-        rho = (rho_from_dict(build_coset_space(G, H), _load_json(args.rho))
-               if args.rho else None)
+        G, H = _resolve_pair(args)
+        rho = _load_json(args.rho) if args.rho else None
         ctx = make_context(G, H, rho, f"{args.group}/<{args.subgroup}>")
         reports = [run_check(spec, ctx) for spec in specs]
     elapsed = time.perf_counter() - start

@@ -158,11 +158,11 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
 _SCAN_ENTRIES = 1 << 20
 
 
-def _scan_block(rows: int, n: int, bytes_per_entry: int) -> int:
-    """Rows per block of a scan over `rows` rows of the n x n table, after a
-    byte check of one block."""
-    block = max(1, min(rows, _SCAN_ENTRIES // max(n, 1)))
-    require_bytes(bytes_per_entry * block * n, f"identity and inverse scans of order {n}")
+def _scan_block(rows: int, cols: int, bytes_per_entry: int, what: str) -> int:
+    """Rows per block of a scan over `rows` rows of `cols` table entries each,
+    after a byte check of one block."""
+    block = max(1, min(rows, _SCAN_ENTRIES // max(cols, 1)))
+    require_bytes(bytes_per_entry * block * cols, what)
     return block
 
 
@@ -173,7 +173,8 @@ def _identity(table: np.ndarray) -> int:
     # e*0 = 0 = 0*e narrows the candidates; each is then checked whole
     candidates = np.flatnonzero((table[:, 0] == 0) & (table[0] == 0)) if n else ar
     # per entry a row and a column gather (int64) and their two masks
-    block = _scan_block(len(candidates), n, 18)
+    block = _scan_block(len(candidates), n, 18,
+                        f"identity and inverse scans of order {n}")
     for start in range(0, len(candidates), block):
         c = candidates[start:start + block]
         neutral = (table[c] == ar).all(axis=1) & (table[:, c] == ar[:, None]).all(axis=0)
@@ -187,7 +188,8 @@ def _inverses(table: np.ndarray, e: int, labels: Sequence[str]) -> np.ndarray:
     without one."""
     n = table.shape[0]
     inv = np.empty(n, dtype=np.int64)
-    block = _scan_block(n, n, 3)          # three masks
+    # three masks per entry
+    block = _scan_block(n, n, 3, f"identity and inverse scans of order {n}")
     for start in range(0, n, block):
         stop = min(n, start + block)
         both = (table[start:stop] == e) & (table[:, start:stop] == e).T
@@ -203,14 +205,19 @@ def _close(table: np.ndarray, reached: np.ndarray, new: np.ndarray,
            gens: Sequence[int]) -> None:
     """Mark in `reached` the elements `new` and everything reached from them
     by right multiplication by gens, breadth first; each round gathers the
-    |frontier| x |gens| products, not whole rows."""
+    |frontier| x |gens| products, not whole rows, in byte-checked blocks."""
     gens = np.asarray(gens, dtype=np.int64)
-    while len(new):
-        fresh = np.zeros(len(reached), dtype=bool)
-        fresh[new] = True
-        new = np.flatnonzero(fresh & ~reached)
+    # per entry the int64 gather and its int64 row index
+    block = _scan_block(len(reached), len(gens), 16,
+                        f"subgroup closure over {len(gens)} generators")
+    frontier = np.zeros(len(reached), dtype=bool)
+    frontier[new] = True
+    while frontier.any():
+        new = np.flatnonzero(frontier & ~reached)
         reached[new] = True
-        new = table[np.ix_(new, gens)].ravel()
+        frontier[:] = False
+        for start in range(0, len(new), block):
+            frontier[table[np.ix_(new[start:start + block], gens)]] = True
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
@@ -474,7 +481,7 @@ def generate_subgroup(G: FiniteGroup, generators: Sequence[int]) -> Subgroup:
     """Smallest subgroup containing the given element indices ({e} if empty):
     everything reached from e by right multiplication by the generators,
     which in a finite group is also closed under inverses."""
-    gens = [int(g) for g in generators]
+    gens = list(dict.fromkeys(int(g) for g in generators))
     for g in gens:
         if not 0 <= g < G.order:
             raise IndexError(f"generator index {g} out of range")

@@ -168,18 +168,15 @@ class EntryContext:
         return quotient_carrier(self.Q)
 
 
-def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[RhoFunction] = None,
+def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[dict] = None,
                  name: str = "") -> EntryContext:
-    """An entry's coset space and structure table, shared by all its checks;
-    the coset space is rho's when rho is given, rho defaults to 1 and the
-    name to G.name/H<order>."""
-    if rho is None:
-        rho = rho_ones(build_coset_space(G, H))
-    elif rho.quotient.subgroup is not H:
-        raise ValueError("rho is defined on the cosets of another subgroup")
-    Q = rho.quotient
+    """An entry's coset space and structure table, shared by all its checks.
+    rho is a rho file dict (see rho_from_dict), read on that coset space;
+    rho defaults to 1 and the name to G.name/H<order>."""
+    Q = build_coset_space(G, H)
+    rho_fn = rho_ones(Q) if rho is None else rho_from_dict(Q, rho)
     return EntryContext(name=name or f"{G.name}/H{H.order}", G=G, H=H, Q=Q,
-                        T=structure_table(Q), rho=rho)
+                        T=structure_table(Q), rho=rho_fn)
 
 
 # --- individual checks ------------------------------------------------------------
@@ -734,7 +731,6 @@ class CatalogEntry:
     name: str
     group: str                       # "builtin:..." token
     subgroup: tuple[str, ...]        # generator tokens
-    rho: Optional[dict] = None       # rho file dict; None means rho = 1
 
 
 def default_catalog() -> list[CatalogEntry]:
@@ -750,13 +746,9 @@ def default_catalog() -> list[CatalogEntry]:
     ]
 
 
-def build_entry(entry: CatalogEntry) -> tuple[FiniteGroup, Subgroup, Optional[RhoFunction]]:
+def build_entry(entry: CatalogEntry) -> tuple[FiniteGroup, Subgroup]:
     G = builtin_from_token(entry.group)
-    H = subgroup_from_tokens(G, entry.subgroup)
-    rho = None
-    if entry.rho is not None:
-        rho = rho_from_dict(build_coset_space(G, H), entry.rho)
-    return G, H, rho
+    return G, subgroup_from_tokens(G, entry.subgroup)
 
 
 def all_check_specs(trials: int = 100, seed: int = 42,
@@ -769,13 +761,13 @@ def all_check_specs(trials: int = 100, seed: int = 42,
 def run_suite(catalog: Sequence[CatalogEntry], specs: Sequence[CheckSpec]) -> list[CheckReport]:
     """Cartesian product of checks x catalog entries, in deterministic order
     (check id, then catalog index), every check of an entry on one context.
-    An entry whose group, subgroup, rho, coset space or structure table cannot
+    An entry whose group, subgroup, coset space or structure table cannot
     be built gives one failing record and does not abort the suite."""
     indexed = []
     for idx, entry in enumerate(catalog):
         try:
-            G, H, rho = build_entry(entry)
-            ctx = make_context(G, H, rho, entry.name)
+            G, H = build_entry(entry)
+            ctx = make_context(G, H, None, entry.name)
         except Exception as exc:
             indexed.append((idx, CheckReport(
                 id="CONSTRUCTION", entry=entry.name, status="fail",

@@ -34,7 +34,7 @@ def _report(num, desc, ok, detail=""):
 def catalog_ctx():
     pairs = []
     for entry in default_catalog():
-        G, H, rho = build_entry(entry)
+        G, H = build_entry(entry)
         Q = ca.build_coset_space(G, H)
         pairs.append((entry.name, G, H, Q, ca.structure_table(Q)))
     return pairs

@@ -272,6 +272,20 @@ def test_check_rho_or_subgroup_without_group_exits_2(tmp_path, capsys):
         assert err == "error: --rho and --subgroup need --group\n"
 
 
+
+def test_group_without_subgroup_exits_2_before_building(capsys, monkeypatch):
+    # a missing --subgroup is reported before the group is built
+    from cosetalg import cli
+    built = []
+    monkeypatch.setattr(cli, "builtin_from_token", lambda token: built.append(token))
+    for argv in (("check", "--trials", "1"), ("table",), ("conv", "--quotient",
+                                                          "--m1", "m", "--m2", "m")):
+        code, out, err = run_cli(capsys, *argv, "--group", "builtin:S7")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: --subgroup is required for quotient operations\n", argv
+    assert built == []
+
+
 def test_group_file_over_byte_budget_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps(ca.group_to_dict(ca.builtin_from_token("S3"))))

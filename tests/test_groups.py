@@ -338,6 +338,26 @@ def test_generate_subgroup_matches_queue_closure(relabelled_s3_pair, data):
     assert all(type(m) is int for m in H.members)
 
 
+
+def test_subgroup_closure_gathers_in_checked_blocks(monkeypatch):
+    # repeated generators are gathered once: a thousand copies of (12) in S4
+    # need one column of 24 rows, 16 bytes an entry
+    G = _light_group("S4")
+    gens = [int(m) for m in ca.subgroup_from_tokens(G, ["(12)", "(1234)"]).members[1:3]]
+    want = _queue_subgroup(G, gens)
+    monkeypatch.setattr(groups, "BYTE_BUDGET", 16 * 24 * 2)
+    assert ca.generate_subgroup(G, gens * 1000).members == want
+    # more distinct generators than the budget allows are refused, not gathered
+    with pytest.raises(CapExceeded, match="subgroup closure over 3 generators "
+                                          "needs 1152 bytes"):
+        ca.generate_subgroup(G, list(range(3)))
+    # a frontier gathered over several blocks closes to the same subgroup
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "_SCAN_ENTRIES", 2)
+    for k in range(1, 6):
+        assert ca.generate_subgroup(G, list(range(0, 24, k))).members == \
+            _queue_subgroup(G, list(range(0, 24, k)))
+
 def test_normality(s3, s3_h12, s3_a3):
     assert ca.test_normality(s3, s3_a3) is True
     assert ca.test_normality(s3, s3_h12) is False
@@ -368,7 +388,7 @@ def test_trivial_subgroup_cosets(s3):
 def test_lagrange_over_catalog():
     from cosetalg.verifier import build_entry, default_catalog
     for entry in default_catalog():
-        G, H, _ = build_entry(entry)
+        G, H = build_entry(entry)
         Q = ca.build_coset_space(G, H)
         assert Q.coset_count * H.order == G.order
 

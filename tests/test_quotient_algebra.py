@@ -47,7 +47,7 @@ def test_structure_table_s3_frozen(s3_t):
 def test_structure_table_row_stochastic_catalog():
     from cosetalg.verifier import build_entry, default_catalog
     for entry in default_catalog():
-        G, H, _ = build_entry(entry)
+        G, H = build_entry(entry)
         T = ca.structure_table(ca.build_coset_space(G, H))
         assert (T.counts.sum(axis=2) == T.denominator).all()
 
@@ -434,7 +434,7 @@ def test_identity_byte_check_covers_the_solve_peak(monkeypatch, solver, perm):
 @pytest.mark.parametrize("entry", default_catalog()[:1] + default_catalog()[-1:],
                          ids=lambda e: e.name)
 def test_identity_byte_check_covers_small_solves(monkeypatch, entry):
-    G, H, _ = build_entry(entry)
+    G, H = build_entry(entry)
     T = ca.structure_table(ca.build_coset_space(G, H))
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         solver(T)   # warm: first calls import and cache
@@ -511,7 +511,7 @@ IDENTITY_PAIRS = [("builtin:S4", ["(12)"]), ("builtin:S5", ["(12)"]),
 
 @pytest.mark.parametrize("entry", default_catalog(), ids=lambda e: e.name)
 def test_identity_solvers_match_fraction_oracle(entry):
-    G, H, _ = build_entry(entry)
+    G, H = build_entry(entry)
     _matches_oracle(ca.structure_table(ca.build_coset_space(G, H)))
 
 

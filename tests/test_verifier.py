@@ -47,25 +47,25 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_all_checks_pass_on_s3_pairs(check_id, s3_pair, s3_normal_pair):
-    for (G, H, rho), name in ((s3_pair, "S3/<(12)>"), (s3_normal_pair, "S3/A3")):
-        report = run_check(CheckSpec(id=check_id, trials=25), make_context(G, H, rho, name))
+    for (G, H), name in ((s3_pair, "S3/<(12)>"), (s3_normal_pair, "S3/A3")):
+        report = run_check(CheckSpec(id=check_id, trials=25), make_context(G, H, name=name))
         assert report.status in ("pass", "info"), report.counterexample
         if check_id in ("P1_MHG", "L17_COMPAT"):
             assert report.status == "info"
 
 
 def test_right_identity_exact_mode(s3_pair):
-    G, H, rho = s3_pair
+    G, H = s3_pair
     report = run_check(CheckSpec(id="L11_RIGHT_ID", trials=20, mode="exact"),
-                       make_context(G, H, rho))
+                       make_context(G, H))
     assert report.status == "pass"
     assert report.max_residual == 0.0
 
 
 def test_conv_and_algebra_exact_mode(s3_pair):
-    G, H, rho = s3_pair
+    G, H = s3_pair
     for cid in ("D6_CONV", "T8_ALGEBRA"):
-        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), make_context(G, H, rho))
+        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), make_context(G, H))
         assert report.status == "pass"
         assert report.max_residual == 0.0
 
@@ -74,7 +74,7 @@ def test_conv_and_algebra_exact_mode(s3_pair):
 def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
     # one h_i * rep_b moved to another coset, in the table the exact
     # convolution reads
-    G, H, rho = s3_pair
+    G, H = s3_pair
     convolve = verifier.quotient_convolve_exact
 
     def planted(T, s1, s2):
@@ -84,7 +84,7 @@ def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
 
     monkeypatch.setattr(verifier, "quotient_convolve_exact", planted)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
-        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), make_context(G, H, rho))
+        report = run_check(CheckSpec(id=cid, trials=10, mode="exact"), make_context(G, H))
         assert report.status == "fail" and report.max_residual == 1.0, (cid, report)
 
 
@@ -146,7 +146,7 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
 def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
     # the first trial draws what it would after the ten representative
     # choices alone: the probe vectors come from a stream of their own
-    G, H, rho = s3_pair
+    G, H = s3_pair
     Q = ca.build_coset_space(G, H)
     g = verifier.rng_for(42, "D6_CONV", 0)
     for _ in range(10):
@@ -156,33 +156,33 @@ def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
     draw = verifier.draw_measure
     monkeypatch.setattr(verifier, "draw_measure",
                         lambda rng, carrier: drawn.append(draw(rng, carrier)) or drawn[-1])
-    run_check(CheckSpec(id="D6_CONV", trials=1, seed=42), make_context(G, H, rho))
+    run_check(CheckSpec(id="D6_CONV", trials=1, seed=42), make_context(G, H))
     assert np.array_equal(drawn[0].weights, want)
 
 
 def test_conv_and_algebra_exact_mode_at_scale():
     # D60/<s>, s the reflection i -> -i: 60 cosets of a group of order 120
     s = "".join(f"({i},{62 - i})" for i in range(2, 31))
-    G, H, rho = build_entry(CatalogEntry("D60/<s>", "builtin:D60", (s,)))
+    G, H = build_entry(CatalogEntry("D60/<s>", "builtin:D60", (s,)))
     assert (G.order, H.order) == (120, 2)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
-        report = run_check(CheckSpec(id=cid, trials=5, mode="exact"), make_context(G, H, rho))
+        report = run_check(CheckSpec(id=cid, trials=5, mode="exact"), make_context(G, H))
         assert (report.status, report.max_residual) == ("pass", 0.0), report
 
 
 def test_reports_are_deterministic(s3_pair):
-    G, H, rho = s3_pair
+    G, H = s3_pair
     spec = CheckSpec(id="D6_CONV", trials=10, seed=7)
-    r1 = run_check(spec, make_context(G, H, rho, "x"))
-    r2 = run_check(spec, make_context(G, H, rho, "x"))
+    r1 = run_check(spec, make_context(G, H, name="x"))
+    r2 = run_check(spec, make_context(G, H, name="x"))
     assert r1.to_dict() == r2.to_dict()  # elapsed excluded from the dict
 
 
 def test_info_probe_content_frozen(s3_pair, s3_normal_pair):
-    G, H, rho = s3_pair
-    r = run_check(CheckSpec(id="P1_MHG", trials=5), make_context(G, H, rho))
+    G, H = s3_pair
+    r = run_check(CheckSpec(id="P1_MHG", trials=5), make_context(G, H))
     assert "dimension=0" in r.notes
-    r17 = run_check(CheckSpec(id="L17_COMPAT", trials=5), make_context(G, H, rho))
+    r17 = run_check(CheckSpec(id="L17_COMPAT", trials=5), make_context(G, H))
     assert "rho-weighted lift reproduces" in r17.notes
     # trivial subgroup: the literal space has dimension 1
     Ge = ca.builtin_from_token("S3")
@@ -192,11 +192,11 @@ def test_info_probe_content_frozen(s3_pair, s3_normal_pair):
 
 
 def test_identity_probe_notes(s3_pair, s3_normal_pair):
-    G, H, rho = s3_pair
-    r = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), make_context(G, H, rho))
+    G, H = s3_pair
+    r = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), make_context(G, H))
     assert "no left identity" in r.notes and "residual=1" in r.notes
-    Gn, Hn, rn = s3_normal_pair
-    r2 = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), make_context(Gn, Hn, rn))
+    Gn, Hn = s3_normal_pair
+    r2 = run_check(CheckSpec(id="T8_ALGEBRA", trials=5), make_context(Gn, Hn))
     assert "left identity found" in r2.notes
 
 
@@ -205,7 +205,7 @@ def test_default_catalog_shape():
     assert len(catalog) == 8
     non_normal = 0
     for entry in catalog:
-        G, H, _ = build_entry(entry)
+        G, H = build_entry(entry)
         if not ca.test_normality(G, H):
             non_normal += 1
     assert non_normal == 3
@@ -256,7 +256,7 @@ def test_crashing_check_does_not_abort_suite(monkeypatch):
 def test_draw_rho_is_the_float_of_its_integer_ratios():
     # the two integer draws, in order, and the correctly rounded quotient,
     # bit for bit the float of each Fraction
-    G, H, _ = build_entry(CatalogEntry("S4/S3", "builtin:S4", ("(12)", "(123)")))
+    G, H = build_entry(CatalogEntry("S4/S3", "builtin:S4", ("(12)", "(123)")))
     Q = ca.build_coset_space(G, H)
     rho = verifier.draw_rho(rng(62), Q)
     nums, dens = verifier._draw_ratios(rng(62), Q.coset_count)
@@ -292,18 +292,22 @@ def test_failed_context_does_not_abort_suite(monkeypatch):
             assert r.status == "pass", r
     # without an entry name the context is named after the pair
     monkeypatch.undo()
-    G, H, rho = build_entry(catalog[2])
-    assert run_check(CheckSpec(id="L11_RIGHT_ID"), make_context(G, H, rho)).entry == "D4/H4"
+    G, H = build_entry(catalog[2])
+    assert run_check(CheckSpec(id="L11_RIGHT_ID"), make_context(G, H)).entry == "D4/H4"
 
 
-def test_make_context_takes_the_coset_space_of_rho(s3_pair):
-    G, H, _ = s3_pair
-    rho = ca.rho_ones(ca.build_coset_space(G, H))
-    assert make_context(G, H, rho).Q is rho.quotient
-    # equal members, but another subgroup object
-    other = ca.subgroup_from_tokens(G, ["(12)"])
-    with pytest.raises(ValueError, match="cosets of another subgroup"):
-        make_context(G, other, rho)
+def test_make_context_reads_rho_on_its_coset_space(s3_pair, monkeypatch):
+    # the context and its rho share one coset space build
+    G, H = s3_pair
+    built = []
+    build = verifier.build_coset_space
+    monkeypatch.setattr(verifier, "build_coset_space",
+                        lambda G, H: built.append(H) or build(G, H))
+    ctx = make_context(G, H, {"values": {"(123)": 2, "(23)": 0.5}})
+    assert built == [H] and ctx.rho.quotient is ctx.Q
+    want = ca.rho_from_dict(build(G, H), {"values": {"(123)": 2, "(23)": 0.5}})
+    assert ctx.rho.values.tolist() == want.values.tolist() != [1.0] * 3
+    assert make_context(G, H).rho.values.tolist() == [1.0] * 3
 
 
 def test_suite_builds_each_entry_once(monkeypatch):
@@ -331,9 +335,9 @@ def test_duplicate_entry_names_keep_catalog_order():
     assert [r.entry for r in reports] == ["X", "Y", "X"] * 2
     # the two X entries are distinct groups: each report matches a lone run
     for idx, entry in enumerate(catalog):
-        G, H, rho = build_entry(entry)
+        G, H = build_entry(entry)
         alone = run_check(CheckSpec(id="D6_CONV", trials=5),
-                          make_context(G, H, rho, entry.name), idx)
+                          make_context(G, H, name=entry.name), idx)
         assert reports[idx].to_dict() == alone.to_dict()
 
 
@@ -344,8 +348,8 @@ def test_p19_fails_on_perturbed_operator_route(s3_pair, monkeypatch):
         return route(*args) + 1e-6
 
     monkeypatch.setattr(verifier, "_operator_route", perturbed)
-    G, H, rho = s3_pair
-    report = run_check(CheckSpec(id="P19_LP", trials=6), make_context(G, H, rho))
+    G, H = s3_pair
+    report = run_check(CheckSpec(id="P19_LP", trials=6), make_context(G, H))
     assert report.status == "fail"
     assert report.counterexample["side"] == "left"
     assert report.counterexample["p"] == 1.0
@@ -353,14 +357,14 @@ def test_p19_fails_on_perturbed_operator_route(s3_pair, monkeypatch):
 
 
 def test_info_never_fails_suite(s3_pair):
-    G, H, rho = s3_pair
-    reports = [run_check(CheckSpec(id="P1_MHG", trials=5), make_context(G, H, rho))]
+    G, H = s3_pair
+    reports = [run_check(CheckSpec(id="P1_MHG", trials=5), make_context(G, H))]
     assert exit_code(reports) == 0
 
 
 def test_reports_serialize_to_json(s3_pair):
-    G, H, rho = s3_pair
-    reports = [run_check(spec, make_context(G, H, rho)) for spec in all_check_specs(trials=5)]
+    G, H = s3_pair
+    reports = [run_check(spec, make_context(G, H)) for spec in all_check_specs(trials=5)]
     blob = json.dumps([r.to_dict() for r in reports], sort_keys=True)
     parsed = json.loads(blob)
     assert len(parsed) == 15
@@ -448,13 +452,13 @@ def test_invariance_residual_in_blocks_matches_one_gather():
 
 def test_identity_and_invariance_checks_at_120_cosets():
     # A6/<(123)>: order 360, 120 cosets, not normal
-    G, H, rho = build_entry(CatalogEntry("A6/<(123)>", "builtin:A6", ("(123)",)))
+    G, H = build_entry(CatalogEntry("A6/<(123)>", "builtin:A6", ("(123)",)))
     assert (G.order, H.order) == (360, 3)
     for mode in ("float", "exact"):
         report = run_check(CheckSpec(id="C13_UNIQUE_ID", trials=2, mode=mode),
-                           make_context(G, H, rho))
+                           make_context(G, H))
         assert report.status == "pass" and "no two-sided identity" in report.notes, report
-    report = run_check(CheckSpec(id="P1_MHG", trials=2), make_context(G, H, rho))
+    report = run_check(CheckSpec(id="P1_MHG", trials=2), make_context(G, H))
     assert report.status == "info" and "dimension=0" in report.notes, report
 
 
