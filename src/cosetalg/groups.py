@@ -310,7 +310,7 @@ def parse_cycles(token: str, degree: int) -> Perm:
     chunks = re.findall(r"\(([^()]*)\)", token)
     if not chunks or "".join(f"({c})" for c in chunks) != token.replace(" ", ""):
         raise NotAPermutation(f"cannot parse cycle token {token!r}")
-    result = tuple(range(degree))
+    result, inverse = list(range(degree)), list(range(degree))
     for chunk in reversed(chunks):
         if "," in chunk:
             pts = [int(s) - 1 for s in chunk.split(",")]
@@ -318,11 +318,11 @@ def parse_cycles(token: str, degree: int) -> Perm:
             pts = [int(ch) - 1 for ch in chunk.strip()]
         if any(p < 0 or p >= degree for p in pts) or len(set(pts)) != len(pts):
             raise NotAPermutation(f"bad cycle {chunk!r} for degree {degree}")
-        cyc = list(range(degree))
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            cyc[a] = b
-        result = compose(tuple(cyc), result)
-    return result
+        # cycle * result moves only the i that result sends into the cycle
+        sources = [inverse[a] for a in pts]
+        for i, b in zip(sources, pts[1:] + pts[:1]):
+            result[i], inverse[b] = b, i
+    return tuple(result)
 
 
 def build_from_permutation_generators(degree: int, generators: Iterable[Sequence[int]],
@@ -493,30 +493,42 @@ def generate_subgroup(G: FiniteGroup, generators: Sequence[int]) -> Subgroup:
 
 
 def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Wrap an explicit member set, validating the subgroup axioms."""
+    """Wrap an explicit member set, validating the subgroup axioms. A refusal
+    names the least member a without its inverse or, failing that, with a
+    product a*b outside the set, and then the first such b."""
     mem = tuple(sorted({int(m) for m in members}))
-    mset = set(mem)
-    if G.identity not in mset:
+    if G.identity not in mem:
         raise NoIdentity("subgroup must contain the identity")
-    for a in mem:
-        if int(G.inv[a]) not in mset:
-            raise NoInverse(f"subgroup not closed under inverse at {a}")
-        for b in mem:
-            if int(G.mul[a, b]) not in mset:
-                raise NotClosed(f"subgroup not closed at ({a},{b})")
+    if not 0 <= mem[0] <= mem[-1] < G.order:
+        raise IndexError(f"member index out of range for order {G.order}")
+    idx = np.array(mem, dtype=np.int64)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[idx] = True
+    no_inverse = ~inside[G.inv[idx]]
+    # per entry the int64 product and two masks
+    block = _scan_block(len(idx), len(idx), 10, f"subgroup test of {len(idx)} members")
+    for start in range(0, len(idx), block):
+        outside = ~inside[G.mul[np.ix_(idx[start:start + block], idx)]]
+        bad = np.flatnonzero(no_inverse[start:start + block] | outside.any(axis=1))
+        if len(bad):
+            a = mem[start + bad[0]]
+            if no_inverse[start + bad[0]]:
+                raise NoInverse(f"subgroup not closed under inverse at {a}")
+            raise NotClosed(f"subgroup not closed at ({a},{mem[np.argmax(outside[bad[0]])]})")
     return Subgroup(parent=G, members=mem)
 
 
 def test_normality(G: FiniteGroup, H: Subgroup) -> bool:
-    """Brute-force conjugation scan: g h g^-1 in H for all g in G, h in H."""
+    """Whether g h g^-1 lies in H for all g in G and h in H. The g for which
+    it holds form a subgroup, so one gather conjugates H by a generating set
+    of G alone."""
     mem = np.array(H.members, dtype=np.int64)
-    member_mask = np.zeros(G.order, dtype=bool)
-    member_mask[mem] = True
-    for g in range(G.order):
-        conj = G.mul[G.mul[g, mem], int(G.inv[g])]
-        if not member_mask[conj].all():
-            return False
-    return True
+    inside = np.zeros(G.order, dtype=bool)
+    inside[mem] = True
+    # at most 1 + log2 |G| generators: each one at least doubles the group
+    # generated so far, so the gather needs no byte check
+    gens = np.array(_generating_set(G.mul), dtype=np.int64)
+    return bool(inside[G.mul[G.mul[gens[:, None], mem], G.inv[gens, None]]].all())
 
 
 def build_coset_space(G: FiniteGroup, H: Subgroup) -> QuotientSpace:

@@ -364,6 +364,67 @@ def test_normality(s3, s3_h12, s3_a3):
     assert ca.test_normality(s3, ca.generate_subgroup(s3, list(range(6)))) is True
 
 
+def _normal_by_loop(G, H):
+    """test_normality as first written: a loop over every g in G."""
+    mem = np.array(H.members, dtype=np.int64)
+    member_mask = np.zeros(G.order, dtype=bool)
+    member_mask[mem] = True
+    for g in range(G.order):
+        conj = G.mul[G.mul[g, mem], int(G.inv[g])]
+        if not member_mask[conj].all():
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normality_matches_the_loop(relabelled_s3_pair, data):
+    """Conjugation by a generating set against the loop over all of G, on
+    subgroups from random generator lists of builtin groups up to order 24
+    and of S3 relabelled so that its identity is element 5."""
+    token = data.draw(st.sampled_from(LIGHT_GROUPS + ("relabelled S3",)), label="group")
+    G = relabelled_s3_pair[0] if token == "relabelled S3" else _light_group(token)
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3), label="generators")
+    H = ca.generate_subgroup(G, gens)
+    assert ca.test_normality(G, H) is _normal_by_loop(G, H)
+
+
+@pytest.mark.parametrize("scan_entries", [None, 2], ids=["one block", "row blocks"])
+def test_subgroup_from_members_refusals(s3, monkeypatch, scan_entries):
+    # S3's elements in order: e, (12), (123), (23), (13), (132). The identity
+    # is checked first; then the least bad member a is named, its missing
+    # inverse before a product a*b outside the set, and then the first such b
+    if scan_entries:
+        monkeypatch.setattr(groups, "_SCAN_ENTRIES", scan_entries)
+    assert ca.subgroup_from_members(s3, [5, 2, 0, 2]).members == (0, 2, 5)
+    with pytest.raises(NoIdentity, match="subgroup must contain the identity"):
+        ca.subgroup_from_members(s3, [2, 1])
+    with pytest.raises(NoInverse, match="subgroup not closed under inverse at 2$"):
+        ca.subgroup_from_members(s3, [0, 2, 3])
+    # (12)(123) = (23): the closure failure at (12) precedes (123)'s inverse
+    with pytest.raises(NotClosed, match=re.escape("subgroup not closed at (1,2)")):
+        ca.subgroup_from_members(s3, [0, 1, 2])
+    # (12)(13) = (132)
+    with pytest.raises(NotClosed, match=re.escape("subgroup not closed at (1,4)")):
+        ca.subgroup_from_members(s3, [0, 1, 4])
+    for members in ([0, -1], [0, 6]):
+        with pytest.raises(IndexError, match="member index out of range for order 6"):
+            ca.subgroup_from_members(s3, members)
+
+
+def test_subgroup_from_members_within_its_byte_check(monkeypatch):
+    # A6 in S6: the one byte check covers the traced peak, and one byte
+    # short the members are refused before the gather
+    G = ca.builtin_from_token("S6")
+    members = ca.subgroup_from_tokens(G, ["(123)", "(23456)"]).members
+    checked, peak = checked_peak(monkeypatch, groups,
+                                 lambda: ca.subgroup_from_members(G, members))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match="subgroup test of 360 members"):
+        ca.subgroup_from_members(G, members)
+
+
 def test_conjugation_witness(s3):
     # (13)(12)(13) = (23), so <(12)> is not normal
     idx = {lab: i for i, lab in enumerate(s3.labels)}
@@ -534,6 +595,51 @@ def test_find_element_non_canonical_and_ambiguous_tokens(s3):
             ca.find_element(G, token)
     # a spelling that is no label resolves through the permutations alone
     assert ca.find_element(G, "(21)") == 0
+
+
+def _parse_cycles_by_compose(token, degree):
+    """parse_cycles as first written: one full-degree permutation per cycle,
+    composed right to left."""
+    result = tuple(range(degree))
+    for chunk in reversed(re.findall(r"\(([^()]*)\)", token)):
+        pts = ([int(s) - 1 for s in chunk.split(",")] if "," in chunk
+               else [int(ch) - 1 for ch in chunk.strip()])
+        cyc = list(range(degree))
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            cyc[a] = b
+        result = compose(tuple(cyc), result)
+    return result
+
+
+@st.composite
+def _cycle_tokens(draw):
+    """(token, degree): up to six cycles, overlapping at will, each written
+    with commas or, while its points are single digits, without."""
+    degree = draw(st.integers(2, 14))
+    chunks = []
+    for _ in range(draw(st.integers(1, 6))):
+        pts = draw(st.lists(st.integers(1, degree), min_size=2, max_size=degree, unique=True))
+        sep = "," if max(pts) > 9 or draw(st.booleans()) else ""
+        chunks.append("(" + sep.join(map(str, pts)) + ")")
+    return "".join(chunks), degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycle_tokens())
+def test_parse_cycles_matches_the_compose_loop(token_and_degree):
+    token, degree = token_and_degree
+    assert parse_cycles(token, degree) == _parse_cycles_by_compose(token, degree)
+
+
+@pytest.mark.parametrize("token,message", [
+    ("(14)", "bad cycle '14' for degree 3"),
+    ("(14)(25)", "bad cycle '25' for degree 3"),    # read right to left
+    ("(1,1)", "bad cycle '1,1' for degree 3"),
+    ("(12", "cannot parse cycle token '(12'"),
+])
+def test_parse_cycles_refusals(token, message):
+    with pytest.raises(NotAPermutation, match=re.escape(message)):
+        parse_cycles(token, 3)
 
 
 def test_parse_cycles_large_degree():
