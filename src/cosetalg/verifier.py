@@ -18,7 +18,8 @@ import time
 import zlib
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,26 +45,6 @@ from .quotient_ops import (RhoFunction, compose_with_projection, lift_to_invaria
                            quotient_integral_check, rho_from_dict, rho_ones,
                            solve_mhg_space, validate_rho, weighted_average_th)
 
-DEFAULT_TOLERANCES = {
-    "W0_WEIL": 1e-10,
-    "P1_MHG": 1e-9,
-    "P2_DENSITY": 1e-10,
-    "P3_LIFT": 1e-12,
-    "P4_ISOMETRY": 1e-12,
-    "D6_CONV": 1e-12,
-    "T8_ALGEBRA": 1e-10,
-    "L11_RIGHT_ID": 1e-12,
-    "C13_UNIQUE_ID": 1e-12,
-    "C14_INVOLUTION": 1e-12,
-    "P15_NORMALITY": 1e-12,
-    "P16_EMBED": 1e-12,
-    "L17_COMPAT": 1e-12,
-    "T18_IDEAL": 1e-12,
-    "P19_LP": 1e-10,
-}
-
-CHECK_IDS = tuple(sorted(DEFAULT_TOLERANCES))
-
 SUBMULT_TOL = 1e-12
 
 
@@ -87,7 +68,7 @@ class CheckSpec:
 
     @property
     def tol(self) -> float:
-        return self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCES[self.id]
+        return self.tolerance if self.tolerance is not None else _CHECKS[self.id][1]
 
 
 @dataclass
@@ -181,7 +162,18 @@ def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[dict] = None,
 
 # --- individual checks ------------------------------------------------------------
 #
-# Each returns (status, max_residual, counterexample, notes, trials_run).
+# Each returns (status, max_residual, notes, trials_run), or raises _Fail.
+
+@dataclass(eq=False)
+class _Fail(Exception):
+    """A failed check, recorded by run_check; the residual is 1.0 for a failed
+    exact or yes/no test, and _trials sets trials_run to t + 1 for a failure
+    in trial t."""
+    counterexample: Optional[dict]
+    residual: float = 1.0
+    trials_run: int = 0
+    notes: str = ""
+
 
 def _worse(r: float, than: float) -> bool:
     """Whether residual r ranks above `than`, a worst so far or a bound. NaN
@@ -194,22 +186,66 @@ def _worst(a: float, b: float) -> float:
     return b if _worse(b, a) else a
 
 
+def _trials(n: int, trial: Callable, worst: float = 0.0,
+            witness: Optional[dict] = None) -> tuple[float, Optional[dict]]:
+    """Run trial(t) for t < n, each giving (residual, witness) pairs: the worst
+    residual, ranked by _worse from `worst` on, and its first witness."""
+    for t in range(n):
+        try:
+            for r, w in trial(t):
+                if _worse(r, worst):
+                    worst, witness = r, w
+        except _Fail as fail:
+            fail.trials_run = t + 1
+            raise
+    return worst, witness
+
+
 def _verdict(spec: CheckSpec, worst: float, witness: Optional[dict], notes: str = ""):
-    """A check's result: pass while its worst residual is within tolerance."""
-    ok = not _worse(worst, spec.tol)
-    return ("pass" if ok else "fail"), worst, (None if ok else witness), notes, spec.trials
+    """A check's result: pass while its worst residual is within tolerance,
+    otherwise fail at the witness (so a call alone bounds one residual)."""
+    if _worse(worst, spec.tol):
+        raise _Fail(witness, worst, spec.trials, notes)
+    return "pass", worst, notes, spec.trials
+
+
+def _sup(mu: ComplexMeasure) -> float:
+    """The largest |weight|."""
+    return float(np.max(np.abs(mu.weights)))
+
+
+def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
+    """The arithmetic of coset vectors in the spec's mode: a random draw,
+    convolution on the table, the group route push(lift a * lift b),
+    delta_H, a vector as a float measure, and the gap between two vectors
+    (under a norm in float mode, 0 or 1 in exact mode)."""
+    T, Q = ctx.T, ctx.Q
+    if spec.mode == "float":
+        return SimpleNamespace(
+            draw=lambda rng: draw_measure(rng, ctx.qc),
+            convolve=lambda a, b: quotient_convolve(T, a, b),
+            group_route=lambda a, b: module_action(Q, lift_to_invariant(Q, a), b),
+            delta_h=delta_h(Q), measure=lambda m: m,
+            gap=lambda a, b, norm=total_variation: norm(a - b))
+    lift = partial(lift_weights, Q.coset_of, Q.subgroup.order)
+    return SimpleNamespace(
+        draw=lambda rng: draw_rational_weights(rng, Q.coset_count),
+        convolve=lambda a, b: quotient_convolve_exact(T, a, b),
+        group_route=lambda a, b: push_weights(
+            Q.member_table, _exact_convolution(Q.group, lift(a), lift(b))),
+        delta_h=ExactVector.from_fractions(exact.unit_vector(Q.coset_count, Q.base_coset)),
+        measure=lambda s: ComplexMeasure(ctx.qc, s.to_complex()),
+        gap=lambda a, b, norm=None: float(a != b))
 
 
 def _check_w0_weil(spec, ctx, rng):
-    worst, witness = 0.0, None
-    for t in range(spec.trials):
+    def trial(t):
         f = draw_density(rng, ctx.gc)
         rho_t = draw_rho(rng, ctx.Q) if t % 2 else ctx.rho
         lhs, rhs = quotient_integral_check(ctx.Q, rho_t, f)
-        r = abs(lhs - rhs)
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t, "rho": rho_t.values.tolist()}
-    return _verdict(spec, worst, witness)
+        yield abs(lhs - rhs), {"trial": t, "rho": rho_t.values.tolist()}
+
+    return _verdict(spec, *_trials(spec.trials, trial))
 
 
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
@@ -230,99 +266,85 @@ def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
 
 def _check_p1_mhg(spec, ctx, rng):
     basis = solve_mhg_space(ctx.Q)
-    dim = len(basis)
-    worst = 0.0
     draws = min(spec.trials, 20)
-    for mu in basis:
-        worst = _worst(worst, _invariance_residual(ctx.Q, mu.weights))
+
+    def trial(i):
+        yield _invariance_residual(ctx.Q, basis[i].weights), None
         for _ in range(draws):
-            nu = draw_measure(rng, ctx.gc)
-            conv = group_convolve(ctx.G, nu, mu)
-            worst = _worst(worst, _invariance_residual(ctx.Q, conv.weights))
-    notes = (f"literal invariance system: dimension={dim}; "
+            conv = group_convolve(ctx.G, draw_measure(rng, ctx.gc), basis[i])
+            yield _invariance_residual(ctx.Q, conv.weights), None
+
+    worst, _ = _trials(len(basis), trial)
+    notes = (f"literal invariance system: dimension={len(basis)}; "
              f"left-convolution closure residual={_stable(worst):.3g} "
              f"on {draws} draws per basis vector")
-    return "info", worst, None, notes, draws
-
-
-def _right_translate(G: FiniteGroup, f: DensityFunction, h: int) -> DensityFunction:
-    return DensityFunction(f.carrier, f.values[G.mul[:, h]])
+    return "info", worst, notes, draws
 
 
 def _check_p2_density(spec, ctx, rng):
     G, Q = ctx.G, ctx.Q
-    worst, witness = 0.0, None
-    for t in range(spec.trials):
-        phi = draw_density(rng, ctx.qc)
-        f = compose_with_projection(Q, phi)
-        mu = from_density(G, f)
+
+    def trial(t):
+        mu = from_density(G, compose_with_projection(Q, draw_density(rng, ctx.qc)))
         if not membership_mgh(Q, mu):
-            return "fail", 1.0, {"trial": t, "reason": "coset-constant density not invariant"}, "", t + 1
+            raise _Fail({"trial": t, "reason": "coset-constant density not invariant"})
         for h in ctx.H.members:
             g = draw_density(rng, ctx.gc)
-            r = abs(integrate(mu, _right_translate(G, g, int(h))) - integrate(mu, g))
-            if _worse(r, worst):
-                worst, witness = r, {"trial": t, "h": G.labels[int(h)]}
+            translated = DensityFunction(g.carrier, g.values[G.mul[:, h]])   # x -> g(x h)
+            yield abs(integrate(mu, translated) - integrate(mu, g)), {"trial": t, "h": G.labels[h]}
         if ctx.H.order > 1:
-            bump = np.zeros(G.order, dtype=np.complex128)
-            bump[int(rng.integers(0, G.order))] = 0.5 + 0.25j
-            if membership_mgh(Q, ComplexMeasure(ctx.gc, mu.weights + bump)):
-                return ("fail", 1.0,
-                        {"trial": t, "reason": "perturbed measure still reported invariant"},
-                        "", t + 1)
-    if ctx.H.order > 1:
-        # a point mass at the identity is never right-invariant
-        if membership_mgh(Q, point_mass(ctx.gc, G.identity)):
-            return "fail", 1.0, {"reason": "identity point mass reported invariant"}, "", spec.trials
+            bump = point_mass(ctx.gc, int(rng.integers(0, G.order))) * (0.5 + 0.25j)
+            if membership_mgh(Q, mu + bump):
+                raise _Fail({"trial": t, "reason": "perturbed measure still reported invariant"})
+
+    worst, witness = _trials(spec.trials, trial)
+    # a point mass at the identity is never right-invariant
+    if ctx.H.order > 1 and membership_mgh(Q, point_mass(ctx.gc, G.identity)):
+        raise _Fail({"reason": "identity point mass reported invariant"}, trials_run=spec.trials)
     return _verdict(spec, worst, witness)
 
 
 def _check_p3_lift(spec, ctx, rng):
-    Q = ctx.Q
-    worst, witness = 0.0, None
-    for t in range(spec.trials):
+    Q, h = ctx.Q, ctx.Q.subgroup.order
+
+    def trial(t):
         sigma = draw_measure(rng, ctx.qc)
         lifted = lift_to_invariant(Q, sigma)
         if not membership_mgh(Q, lifted):
-            return "fail", 1.0, {"trial": t, "reason": "lift not right-invariant"}, "", t + 1
-        back = pushforward_rh(Q, lifted)
-        r = float(np.max(np.abs(back.weights - sigma.weights)))
-        r = _worst(r, abs(total_variation(lifted) - total_variation(sigma)))
+            raise _Fail({"trial": t, "reason": "lift not right-invariant"})
+        yield _sup(pushforward_rh(Q, lifted) - sigma), {"trial": t}
+        yield abs(total_variation(lifted) - total_variation(sigma)), {"trial": t}
         nu = draw_measure(rng, ctx.gc)
         if not membership_mgh(Q, group_convolve(ctx.G, nu, lifted)):
-            return ("fail", 1.0,
-                    {"trial": t, "reason": "left ideal violated: nu * lift not invariant"},
-                    "", t + 1)
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t}
+            raise _Fail({"trial": t, "reason": "left ideal violated: nu * lift not invariant"})
+
+    worst, witness = _trials(spec.trials, trial)
     # exact route: section and norm identities over Gaussian rationals
-    h = Q.subgroup.order
     for t in range(min(spec.trials, 10)):
         s = draw_rational_weights(rng, Q.coset_count)
         lifted = lift_weights(Q.coset_of, h, s)
         if push_weights(Q.member_table, lifted) != s:
-            return "fail", 1.0, {"trial": t, "reason": "exact section failed"}, "", t + 1
+            raise _Fail({"trial": t, "reason": "exact section failed"}, trials_run=t + 1)
         if lifted.abs_squared() * (h * h) != s.abs_squared()[Q.coset_of]:
-            return ("fail", 1.0,
-                    {"trial": t, "reason": "exact lift norm identity failed"}, "", t + 1)
+            raise _Fail({"trial": t, "reason": "exact lift norm identity failed"},
+                        trials_run=t + 1)
     return _verdict(spec, worst, witness)
 
 
 def _check_p4_isometry(spec, ctx, rng):
     Q = ctx.Q
-    worst, witness = 0.0, None
-    contraction_worst = 0.0
-    for t in range(spec.trials):
+    excess = []     # per trial, how far pushforward raised total variation
+
+    def trial(t):
         mu = draw_measure(rng, ctx.gc)
-        excess = total_variation(pushforward_rh(Q, mu)) - total_variation(mu)
-        contraction_worst = _worst(contraction_worst, excess)
-        sigma = draw_measure(rng, ctx.qc)
-        lifted = lift_to_invariant(Q, sigma)
-        r = abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted))
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t}
-    if _worse(contraction_worst, spec.tol):
-        return "fail", contraction_worst, {"reason": "pushforward increased total variation"}, "", spec.trials
+        excess.append(total_variation(pushforward_rh(Q, mu)) - total_variation(mu))
+        lifted = lift_to_invariant(Q, draw_measure(rng, ctx.qc))
+        yield (abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted)),
+               {"trial": t})
+
+    worst, witness = _trials(spec.trials, trial)
+    _verdict(spec, reduce(_worst, excess, 0.0),
+             {"reason": "pushforward increased total variation"})
     return _verdict(spec, worst, witness)
 
 
@@ -344,13 +366,13 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
 
 
 def _check_d6_conv(spec, ctx, rng):
-    T, Q = ctx.T, ctx.Q
+    T, Q, G = ctx.T, ctx.Q, ctx.G
     k = T.coset_count
     # every row of shift a permutation of the cosets makes every row of
     # counts sum to |H|
     require_bytes(5 * k * k + (1 << 16), f"shift permutation test with {k} cosets")
     if not rows_are_permutations(T.shift, k):
-        return "fail", 1.0, {"reason": "row sums differ from |H|"}, "", 0
+        raise _Fail({"reason": "row sums differ from |H|"})
     # two different bilinear maps agree on random integer vectors from
     # [0, 2^20) with probability at most 2^-19 (Schwartz-Zippel). The probe
     # draws from a jumped copy of rng's bit generator and leaves rng's
@@ -362,74 +384,50 @@ def _check_d6_conv(spec, ctx, rng):
     for _ in range(10):
         alt = _alternative_reps(rng, Q)
         if quotient_convolve_exact(structure_table(Q, alt), s1, s2) != want:
-            return ("fail", 1.0,
-                    {"reason": "tensor depends on representative choice",
-                     "reps": alt.tolist()}, "", 0)
-    worst, witness = 0.0, None
-    exact_mode = spec.mode == "exact"
-    for t in range(spec.trials):
-        if exact_mode:
-            s1 = draw_rational_weights(rng, Q.coset_count)
-            s2 = draw_rational_weights(rng, Q.coset_count)
-            via_table = quotient_convolve_exact(T, s1, s2)
-            lifts = (lift_weights(Q.coset_of, Q.subgroup.order, s) for s in (s1, s2))
-            via_lift = push_weights(Q.member_table, _exact_convolution(Q.group, *lifts))
-            r = 0.0 if via_table == via_lift else 1.0
-        else:
-            s1 = draw_measure(rng, ctx.qc)
-            s2 = draw_measure(rng, ctx.qc)
-            via_table = quotient_convolve(T, s1, s2)
-            via_lift = pushforward_rh(Q, group_convolve(
-                Q.group, lift_to_invariant(Q, s1), lift_to_invariant(Q, s2)))
-            r = float(np.max(np.abs(via_table.weights - via_lift.weights)))
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t}
-    # module action: pushing a group measure onto a coset measure agrees with
-    # the table route once the group measure is right-invariant, and a point
-    # mass at x sends the coset of y to the coset of x*y (float mode only;
-    # exact mode reports the exact comparison residual alone)
-    for t in range(0 if exact_mode else min(spec.trials, 25)):
-        s1 = draw_measure(rng, ctx.qc)
-        s2 = draw_measure(rng, ctx.qc)
+            raise _Fail({"reason": "tensor depends on representative choice",
+                         "reps": alt.tolist()})
+    mode = _mode(spec, ctx)
+
+    def trial(t):
+        s1, s2 = mode.draw(rng), mode.draw(rng)
+        yield mode.gap(mode.convolve(s1, s2), mode.group_route(s1, s2), _sup), {"trial": t}
+
+    def module_trial(t):
+        # pushing a group measure onto a coset measure agrees with the table
+        # route once the group measure is right-invariant, and a point mass
+        # at x sends the coset of y to the coset of x*y
+        witness = {"trial": t, "part": "module action"}
+        s1, s2 = draw_measure(rng, ctx.qc), draw_measure(rng, ctx.qc)
         mu_inv = lift_to_invariant(Q, s1)
-        acted = module_action(Q, mu_inv, s2)
-        via_table = quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)
-        r = float(np.max(np.abs(acted.weights - via_table.weights)))
-        unit = module_action(Q, point_mass(ctx.gc, ctx.G.identity), s2)
-        r = _worst(r, float(np.max(np.abs(unit.weights - s2.weights))))
-        x = int(rng.integers(0, ctx.G.order))
-        b = int(rng.integers(0, Q.coset_count))
+        yield (_sup(module_action(Q, mu_inv, s2)
+                    - quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)), witness)
+        yield _sup(module_action(Q, point_mass(ctx.gc, G.identity), s2) - s2), witness
+        x, b = int(rng.integers(0, G.order)), int(rng.integers(0, k))
         moved = module_action(Q, point_mass(ctx.gc, x), point_mass(ctx.qc, b))
-        target = int(Q.coset_of[ctx.G.mul[x, int(Q.reps[b])]])
-        r = _worst(r, total_variation(moved - point_mass(ctx.qc, target)))
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t, "part": "module action"}
-    return _verdict(spec, worst, witness)
+        target = int(Q.coset_of[G.mul[x, int(Q.reps[b])]])
+        yield total_variation(moved - point_mass(ctx.qc, target)), witness
+
+    worst, witness = _trials(spec.trials, trial)
+    # exact mode reports the exact comparison alone
+    return _verdict(spec, *_trials(0 if spec.mode == "exact" else min(spec.trials, 25),
+                                   module_trial, worst, witness))
 
 
 def _check_t8_algebra(spec, ctx, rng):
-    T = ctx.T
-    worst, witness = 0.0, None
-    exact_mode = spec.mode == "exact"
-    for t in range(spec.trials):
-        if exact_mode:
-            s1, s2, s3 = (draw_rational_weights(rng, T.coset_count) for _ in range(3))
-            lhs = quotient_convolve_exact(T, quotient_convolve_exact(T, s1, s2), s3)
-            rhs = quotient_convolve_exact(T, s1, quotient_convolve_exact(T, s2, s3))
-            r = 0.0 if lhs == rhs else 1.0
-            m1, m2 = (ComplexMeasure(ctx.qc, s.to_complex()) for s in (s1, s2))
-        else:
-            m1, m2, m3 = (draw_measure(rng, ctx.qc) for _ in range(3))
-            lhs = quotient_convolve(T, quotient_convolve(T, m1, m2), m3)
-            rhs = quotient_convolve(T, m1, quotient_convolve(T, m2, m3))
-            r = total_variation(lhs - rhs)
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t, "law": "associativity"}
-        prod = quotient_convolve(T, m1, m2)
-        excess = total_variation(prod) - total_variation(m1) * total_variation(m2)
+    T, mode = ctx.T, _mode(spec, ctx)
+
+    def trial(t):
+        s1, s2, s3 = (mode.draw(rng) for _ in range(3))
+        lhs = mode.convolve(mode.convolve(s1, s2), s3)
+        rhs = mode.convolve(s1, mode.convolve(s2, s3))
+        yield mode.gap(lhs, rhs), {"trial": t, "law": "associativity"}
+        m1, m2 = mode.measure(s1), mode.measure(s2)
+        excess = (total_variation(quotient_convolve(T, m1, m2))
+                  - total_variation(m1) * total_variation(m2))
         if _worse(excess, SUBMULT_TOL):
-            return ("fail", excess, {"trial": t, "law": "submultiplicativity"},
-                    "", t + 1)
+            raise _Fail({"trial": t, "law": "submultiplicativity"}, excess)
+
+    worst, witness = _trials(spec.trials, trial)
     ident = find_left_identity(T)
     if ident.solution is not None:
         notes = "left identity found: unit mass on the base coset" \
@@ -461,23 +459,16 @@ def _right_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[in
 
 
 def _check_l11_right_id(spec, ctx, rng):
-    T, Q = ctx.T, ctx.Q
-    coset = _right_identity_on_basis(T, Q)
+    coset = _right_identity_on_basis(ctx.T, ctx.Q)
     if coset is not None:
-        return "fail", 1.0, {"reason": "basis right-identity failed", "coset": coset}, "", 0
-    worst, witness = 0.0, None
-    dh = delta_h(Q)
-    dh_exact = ExactVector.from_fractions(exact.unit_vector(T.coset_count, Q.base_coset))
-    for t in range(spec.trials):
-        if spec.mode == "exact":
-            s = draw_rational_weights(rng, T.coset_count)
-            r = 0.0 if quotient_convolve_exact(T, s, dh_exact) == s else 1.0
-        else:
-            s = draw_measure(rng, ctx.qc)
-            r = total_variation(quotient_convolve(T, s, dh) - s)
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t}
-    return _verdict(spec, worst, witness)
+        raise _Fail({"reason": "basis right-identity failed", "coset": coset})
+    mode = _mode(spec, ctx)
+
+    def trial(t):
+        s = mode.draw(rng)
+        yield mode.gap(mode.convolve(s, mode.delta_h), s), {"trial": t}
+
+    return _verdict(spec, *_trials(spec.trials, trial))
 
 
 def _check_c13_unique_id(spec, ctx, rng):
@@ -485,14 +476,13 @@ def _check_c13_unique_id(spec, ctx, rng):
     if sol.solution is None:
         notes = (f"no two-sided identity (system inconsistent, "
                  f"least-squares residual={_stable(sol.residual):.6g})")
-        return "pass", 0.0, None, notes, 1
+        return "pass", 0.0, notes, 1
     if not sol.unique:
-        return "fail", 1.0, {"reason": "two-sided identity not unique"}, "", 1
+        raise _Fail({"reason": "two-sided identity not unique"}, trials_run=1)
     if not _is_delta_h(sol, ctx.Q):
-        return ("fail", 1.0,
-                {"reason": "two-sided identity differs from the base point mass",
-                 "solution": [str(v) for v in sol.solution]}, "", 1)
-    return "pass", 0.0, None, "two-sided identity exists and is the base-coset point mass", 1
+        raise _Fail({"reason": "two-sided identity differs from the base point mass",
+                     "solution": [str(v) for v in sol.solution]}, trials_run=1)
+    return "pass", 0.0, "two-sided identity exists and is the base-coset point mass", 1
 
 
 def _left_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
@@ -507,19 +497,17 @@ def _check_c14_involution(spec, ctx, rng):
     normal = test_normality(ctx.G, ctx.H)
     witness_coset = _left_identity_on_basis(ctx.T, ctx.Q)
     if normal and witness_coset is not None:
-        return ("fail", 1.0,
-                {"reason": "normal subgroup but base coset is not a left identity",
-                 "coset": witness_coset}, "", 1)
+        raise _Fail({"reason": "normal subgroup but base coset is not a left identity",
+                     "coset": witness_coset}, trials_run=1)
     if not normal and witness_coset is None:
-        return ("fail", 1.0,
-                {"reason": "non-normal subgroup but base coset acts as left identity"},
-                "", 1)
+        raise _Fail({"reason": "non-normal subgroup but base coset acts as left identity"},
+                    trials_run=1)
     if normal:
         notes = "base-coset point mass is a two-sided identity (subgroup normal)"
     else:
         notes = (f"left-identity failure witnessed on coset C{witness_coset}: "
                  "convolving from the left by the base point mass moves it")
-    return "pass", 0.0, None, notes, 1
+    return "pass", 0.0, notes, 1
 
 
 def _point_mass_products(T: StructureTable, Q: QuotientSpace) -> bool:
@@ -537,90 +525,84 @@ def _point_mass_products(T: StructureTable, Q: QuotientSpace) -> bool:
 
 
 def _check_p15_normality(spec, ctx, rng):
-    T, Q, G = ctx.T, ctx.Q, ctx.G
-    normal = test_normality(G, ctx.H)
+    T, Q = ctx.T, ctx.Q
+    normal = test_normality(ctx.G, ctx.H)
     left_id = _left_identity_on_basis(T, Q) is None
     point_mass_mult = _point_mass_products(T, Q)
     if not (normal == left_id == point_mass_mult):
-        return ("fail", 1.0,
-                {"normal": normal, "left_identity": left_id,
-                 "point_mass_products": point_mass_mult}, "", 1)
-    worst = 0.0
-    if normal:
-        dh = delta_h(Q)
-        for t in range(min(spec.trials, 25)):
-            s = draw_measure(rng, ctx.qc)
-            worst = _worst(worst, total_variation(quotient_convolve(T, dh, s) - s))
-        if _worse(worst, spec.tol):
-            return "fail", worst, {"reason": "left identity residual too large"}, "", spec.trials
-    return "pass", worst, None, f"normal={normal}; all three criteria agree", spec.trials
+        raise _Fail({"normal": normal, "left_identity": left_id,
+                     "point_mass_products": point_mass_mult}, trials_run=1)
+    dh = delta_h(Q)
+
+    def trial(t):
+        s = draw_measure(rng, ctx.qc)
+        yield total_variation(quotient_convolve(T, dh, s) - s), None
+
+    worst, _ = _trials(min(spec.trials, 25) if normal else 0, trial)
+    _verdict(spec, worst, {"reason": "left identity residual too large"})
+    return "pass", worst, f"normal={normal}; all three criteria agree", spec.trials
 
 
 def _check_p16_embed(spec, ctx, rng):
-    Q = ctx.Q
-    worst, witness = 0.0, None
-    for t in range(spec.trials):
+    Q, h = ctx.Q, ctx.Q.subgroup.order
+
+    def trial(t):
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
         phi = draw_density(rng, ctx.qc)
         emb = embed_density(lam, phi)
-        r = abs(total_variation(emb) - lp_norm(lam, phi, 1.0))
-        recovered = emb.weights / lam.weights
-        r = _worst(r, float(np.max(np.abs(recovered - phi.values))))
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t}
+        yield abs(total_variation(emb) - lp_norm(lam, phi, 1.0)), {"trial": t}
+        yield float(np.max(np.abs(emb.weights / lam.weights - phi.values))), {"trial": t}
+
+    worst, witness = _trials(spec.trials, trial)
     # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, lam = |H| * rho
-    h = Q.subgroup.order
     for t in range(min(spec.trials, 10)):
         nums, dens = _draw_ratios(rng, Q.coset_count)
         lam = ExactVector.from_fractions([Fraction(h * int(a), int(b)) for a, b in zip(nums, dens)])
         phi = draw_rational_weights(rng, Q.coset_count)
         if (phi * lam).abs_squared() != phi.abs_squared() * (lam * lam):
-            return "fail", 1.0, {"trial": t, "reason": "exact norm identity failed"}, "", t + 1
+            raise _Fail({"trial": t, "reason": "exact norm identity failed"}, trials_run=t + 1)
     return _verdict(spec, worst, witness)
 
 
 def _check_l17_compat(spec, ctx, rng):
     Q = ctx.Q
-    weighted_worst = 0.0
-    unweighted_unit = 0.0
-    unweighted_nonunit = 0.0
-    draws = min(spec.trials, 25)
-    for t in range(draws):
+    unweighted = {True: 0.0, False: 0.0}    # worst unweighted residual, by rho == 1
+
+    def trial(t):
         phi = draw_density(rng, ctx.qc)
         for rho_t in (rho_ones(Q), draw_rho(rng, Q)):
             lam = quasi_invariant_lambda(Q, rho_t)
             target = embed_density(lam, phi)
             lifted = compose_with_projection(Q, phi)
             weighted = ComplexMeasure(ctx.gc, lifted.values * rho_t.values[Q.coset_of])
-            r_w = total_variation(pushforward_rh(Q, weighted) - target)
-            weighted_worst = _worst(weighted_worst, r_w)
+            yield total_variation(pushforward_rh(Q, weighted) - target), None
             r_u = total_variation(pushforward_rh(Q, from_density(Q.group, lifted)) - target)
-            if np.all(rho_t.values == 1.0):
-                unweighted_unit = _worst(unweighted_unit, r_u)
-            else:
-                unweighted_nonunit = _worst(unweighted_nonunit, r_u)
+            unit = bool(np.all(rho_t.values == 1.0))
+            unweighted[unit] = _worst(unweighted[unit], r_u)
+
+    draws = min(spec.trials, 25)
+    weighted_worst, _ = _trials(draws, trial)
     notes = (f"rho-weighted lift reproduces the embedded density for all sampled rho "
              f"(max residual {_stable(weighted_worst):.3g}); unweighted lift matches "
-             f"for rho=1 (max residual {_stable(unweighted_unit):.3g}) and deviates "
-             f"by up to {_stable(unweighted_nonunit):.3g} otherwise")
-    return "info", weighted_worst, None, notes, draws
+             f"for rho=1 (max residual {_stable(unweighted[True]):.3g}) and deviates "
+             f"by up to {_stable(unweighted[False]):.3g} otherwise")
+    return "info", weighted_worst, notes, draws
 
 
 def _check_t18_ideal(spec, ctx, rng):
     Q, T = ctx.Q, ctx.T
-    worst, witness = 0.0, None
-    for t in range(spec.trials):
+
+    def trial(t):
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
         phi = draw_density(rng, ctx.qc)
         sigma = draw_measure(rng, ctx.qc)
         psi = ideal_factorize(lam, T, phi, sigma)
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
-        r = total_variation(embed_density(lam, psi) - target)
-        if _worse(r, worst):
-            worst, witness = r, {"trial": t}
-    return _verdict(spec, worst, witness)
+        yield total_variation(embed_density(lam, psi) - target), {"trial": t}
+
+    return _verdict(spec, *_trials(spec.trials, trial))
 
 
 def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
@@ -636,9 +618,8 @@ def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,
     rho^(1/p)-weighted lift of phi (on the left or the right)."""
     weighted = (phi.values * rho.values ** (1.0 / p))[Q.coset_of]
     lifted = lift_to_invariant(Q, sigma).weights
-    if side == "left":
-        return _operator_route(Q, rho, p, lifted, weighted)
-    return _operator_route(Q, rho, p, weighted, lifted)
+    pair = (lifted, weighted) if side == "left" else (weighted, lifted)
+    return _operator_route(Q, rho, p, *pair)
 
 
 def _l1_convolve_operator(Q: QuotientSpace, rho: RhoFunction,
@@ -650,8 +631,8 @@ def _l1_convolve_operator(Q: QuotientSpace, rho: RhoFunction,
 
 def _check_p19_lp(spec, ctx, rng):
     Q, T = ctx.Q, ctx.T
-    worst, witness = 0.0, None
-    for t in range(spec.trials):
+
+    def trial(t):
         p = float((1, 2, 3)[t % 3])
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
@@ -662,9 +643,7 @@ def _check_p19_lp(spec, ctx, rng):
         for side in ("left", "right"):
             out = lp_action(T, rho_t, side, sigma, phi, p)
             routes.append((side, out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
-            excess = lp_norm(lam, out, p) - bound
-            if _worse(excess, worst):
-                worst, witness = excess, {"trial": t, "p": p, "side": side}
+            yield lp_norm(lam, out, p) - bound, {"trial": t, "p": p, "side": side}
         if p == 1.0:
             # embedding the acting density turns the p=1 action into the
             # coset density convolution
@@ -675,49 +654,54 @@ def _check_p19_lp(spec, ctx, rng):
             routes.append(("left", via_action,
                            _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
             routes.append(("left", via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))
-            gap = float(np.max(np.abs(via_action.values - via_densities.values)))
-            if _worse(gap, worst):
-                worst, witness = gap, {"trial": t, "part": "density convolution cross-check"}
+            yield (float(np.max(np.abs(via_action.values - via_densities.values))),
+                   {"trial": t, "part": "density convolution cross-check"})
         # each result must match its operator route; the gap is a pass/fail
         # cross-check and stays out of the reported residual
         for side, explicit, operator in routes:
             gap = float(np.max(np.abs(explicit.values - operator)))
             if _worse(gap, spec.tol):
-                return ("fail", gap, {"trial": t, "p": p, "side": side,
-                                      "reason": "explicit and operator routes differ"},
-                        "", t + 1)
-    return _verdict(spec, worst, witness)
+                raise _Fail({"trial": t, "p": p, "side": side,
+                             "reason": "explicit and operator routes differ"}, gap)
+
+    return _verdict(spec, *_trials(spec.trials, trial))
 
 
-_CHECKS: dict[str, Callable] = {
-    "W0_WEIL": _check_w0_weil,
-    "P1_MHG": _check_p1_mhg,
-    "P2_DENSITY": _check_p2_density,
-    "P3_LIFT": _check_p3_lift,
-    "P4_ISOMETRY": _check_p4_isometry,
-    "D6_CONV": _check_d6_conv,
-    "T8_ALGEBRA": _check_t8_algebra,
-    "L11_RIGHT_ID": _check_l11_right_id,
-    "C13_UNIQUE_ID": _check_c13_unique_id,
-    "C14_INVOLUTION": _check_c14_involution,
-    "P15_NORMALITY": _check_p15_normality,
-    "P16_EMBED": _check_p16_embed,
-    "L17_COMPAT": _check_l17_compat,
-    "T18_IDEAL": _check_t18_ideal,
-    "P19_LP": _check_p19_lp,
+# check id -> (check, default tolerance)
+_CHECKS: dict[str, tuple[Callable, float]] = {
+    "W0_WEIL": (_check_w0_weil, 1e-10),
+    "P1_MHG": (_check_p1_mhg, 1e-9),
+    "P2_DENSITY": (_check_p2_density, 1e-10),
+    "P3_LIFT": (_check_p3_lift, 1e-12),
+    "P4_ISOMETRY": (_check_p4_isometry, 1e-12),
+    "D6_CONV": (_check_d6_conv, 1e-12),
+    "T8_ALGEBRA": (_check_t8_algebra, 1e-10),
+    "L11_RIGHT_ID": (_check_l11_right_id, 1e-12),
+    "C13_UNIQUE_ID": (_check_c13_unique_id, 1e-12),
+    "C14_INVOLUTION": (_check_c14_involution, 1e-12),
+    "P15_NORMALITY": (_check_p15_normality, 1e-12),
+    "P16_EMBED": (_check_p16_embed, 1e-12),
+    "L17_COMPAT": (_check_l17_compat, 1e-12),
+    "T18_IDEAL": (_check_t18_ideal, 1e-12),
+    "P19_LP": (_check_p19_lp, 1e-10),
 }
+
+CHECK_IDS = tuple(sorted(_CHECKS))
 
 
 def run_check(spec: CheckSpec, ctx: EntryContext, entry_index: int = 0) -> CheckReport:
     """Run one named check on an entry's context."""
     rng = rng_for(spec.seed, spec.id, entry_index)
     start = time.perf_counter()
+    counterexample = None
     try:
-        status, worst, counterexample, notes, trials_run = _CHECKS[spec.id](spec, ctx, rng)
+        status, worst, notes, trials_run = _CHECKS[spec.id][0](spec, ctx, rng)
     except Exception as exc:
         # a crash in one check becomes a failing record, not a suite abort
-        status, worst, notes, trials_run = "fail", float("nan"), "", 0
-        counterexample = {"error": f"{type(exc).__name__}: {exc}"}
+        fail = exc if isinstance(exc, _Fail) else _Fail(
+            {"error": f"{type(exc).__name__}: {exc}"}, float("nan"))
+        status, worst, counterexample = "fail", fail.residual, fail.counterexample
+        notes, trials_run = fail.notes, fail.trials_run
     elapsed = time.perf_counter() - start
     return CheckReport(id=spec.id, entry=ctx.name, status=status,
                        max_residual=_stable(worst), trials_run=trials_run,

@@ -34,6 +34,50 @@ def test_check_ids_complete():
         "P16_EMBED", "L17_COMPAT", "T18_IDEAL", "P19_LP", "W0_WEIL"}
 
 
+def test_default_tolerances_are_pinned():
+    # one table holds every check with its default bound
+    assert {cid: CheckSpec(id=cid).tol for cid in CHECK_IDS} == {
+        "W0_WEIL": 1e-10, "P1_MHG": 1e-9, "P2_DENSITY": 1e-10, "P3_LIFT": 1e-12,
+        "P4_ISOMETRY": 1e-12, "D6_CONV": 1e-12, "T8_ALGEBRA": 1e-10,
+        "L11_RIGHT_ID": 1e-12, "C13_UNIQUE_ID": 1e-12, "C14_INVOLUTION": 1e-12,
+        "P15_NORMALITY": 1e-12, "P16_EMBED": 1e-12, "L17_COMPAT": 1e-12,
+        "T18_IDEAL": 1e-12, "P19_LP": 1e-10}
+    assert CheckSpec(id="P19_LP", tolerance=0.5).tol == 0.5
+
+
+def test_trials_rank_residuals_and_keep_the_first_witness():
+    def run(*residuals):
+        return verifier._trials(len(residuals), lambda t: [(residuals[t], {"trial": t})])
+
+    # a NaN stays the worst against later finite residuals and later NaNs
+    worst, witness = run(1.0, np.nan, 5.0, np.nan, 1e300)
+    assert np.isnan(worst) and witness == {"trial": 1}
+    # the first of equal worst residuals keeps its witness
+    assert run(2.0, 3.0, 3.0, 1.0) == (3.0, {"trial": 1})
+    # a run of zero residuals has no witness
+    assert run(0.0, 0.0, 0.0) == (0.0, None)
+    # every pair a trial gives is ranked
+    assert verifier._trials(2, lambda t: [(t, "a"), (2 * t + 1, "b")]) == (3, "b")
+
+
+def test_a_failure_in_trial_t_records_t_plus_one_trials(monkeypatch, s3_pair):
+    def check(spec, ctx, rng):
+        def trial(t):
+            yield 0.5, {"trial": t}
+            if t == 2:
+                raise verifier._Fail({"trial": t, "reason": "planted"})
+
+        return verifier._verdict(spec, *verifier._trials(spec.trials, trial))
+
+    monkeypatch.setitem(verifier._CHECKS, "W0_WEIL", (check, 1.0))
+    report = run_check(CheckSpec(id="W0_WEIL", trials=10), make_context(*s3_pair))
+    assert (report.status, report.max_residual, report.trials_run) == ("fail", 1.0, 3)
+    assert report.counterexample == {"trial": 2, "reason": "planted"}
+    # within its bound the same check passes with every trial run
+    report = run_check(CheckSpec(id="W0_WEIL", trials=2), make_context(*s3_pair))
+    assert (report.status, report.max_residual, report.trials_run) == ("pass", 0.5, 2)
+
+
 def test_spec_validation():
     with pytest.raises(UnknownCheckId):
         CheckSpec(id="P99_NOPE")
@@ -242,7 +286,7 @@ def test_crashing_check_does_not_abort_suite(monkeypatch):
     def crash(spec, ctx, rng):
         raise ValueError("planted crash")
 
-    monkeypatch.setitem(verifier._CHECKS, "W0_WEIL", crash)
+    monkeypatch.setitem(verifier._CHECKS, "W0_WEIL", (crash, 1e-10))
     specs = [CheckSpec(id="W0_WEIL", trials=5), CheckSpec(id="L11_RIGHT_ID", trials=5)]
     reports = run_suite(default_catalog()[:2], specs)
     assert len(reports) == 4
