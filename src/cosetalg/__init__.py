@@ -20,7 +20,7 @@ from .groups import (FiniteGroup, QuotientSpace, Subgroup,
                      generate_subgroup, group_from_dict, group_to_dict,
                      subgroup_from_members, subgroup_from_tokens,
                      test_normality)
-from .measures import (Carrier, ComplexMeasure, DensityFunction, from_density,
+from .measures import (ComplexMeasure, DensityFunction, from_density,
                        group_carrier, group_convolve, integrate,
                        measure_from_dict, measure_to_dict, point_mass,
                        quotient_carrier, total_variation)

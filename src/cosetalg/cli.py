@@ -25,8 +25,7 @@ from .errors import CosetAlgError
 from .groups import (FiniteGroup, Subgroup, build_coset_space, builtin_from_token,
                      group_from_dict, group_to_dict, subgroup_from_tokens,
                      test_normality)
-from .measures import (group_carrier, measure_from_dict, measure_to_dict,
-                       quotient_carrier)
+from .measures import group_convolve, measure_from_dict, measure_to_dict
 from .quotient_algebra import quotient_convolve, structure_table
 from .verifier import (CHECK_IDS, CheckSpec, default_catalog, exit_code, make_context,
                        run_check, run_suite)
@@ -129,22 +128,19 @@ def _cmd_conv(args) -> int:
     if args.quotient:
         G, H = _resolve_pair(args)
         Q = build_coset_space(G, H)
-        carrier = quotient_carrier(Q)
         T = structure_table(Q)
-        m1 = measure_from_dict(carrier, _load_json(args.m1))
-        m2 = measure_from_dict(carrier, _load_json(args.m2))
+        m1 = measure_from_dict(Q, _load_json(args.m1))
+        m2 = measure_from_dict(Q, _load_json(args.m2))
         out = quotient_convolve(T, m1, m2)
     else:
-        from .measures import group_convolve
         G = _resolve_group(args.group)
-        carrier = group_carrier(G)
-        m1 = measure_from_dict(carrier, _load_json(args.m1))
-        m2 = measure_from_dict(carrier, _load_json(args.m2))
+        m1 = measure_from_dict(G, _load_json(args.m1))
+        m2 = measure_from_dict(G, _load_json(args.m2))
         out = group_convolve(G, m1, m2)
     payload = measure_to_dict(out)
 
     def render(d):
-        for lab in carrier.labels:
+        for lab in out.carrier.labels:
             if lab in d["weights"]:
                 re, im = d["weights"][lab]
                 print(f"  {lab}: {re:+.12g}{im:+.12g}i")

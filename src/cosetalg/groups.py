@@ -160,9 +160,10 @@ _SCAN_ENTRIES = 1 << 20
 
 def _scan_block(rows: int, cols: int, bytes_per_entry: int, what: str) -> int:
     """Rows per block of a scan over `rows` rows of `cols` table entries each,
-    after a byte check of one block."""
+    after a byte check of one block and 5 KiB for numpy's iterator state
+    and the scan's small arrays (up to 4.2 KB measured)."""
     block = max(1, min(rows, _SCAN_ENTRIES // max(cols, 1)))
-    require_bytes(bytes_per_entry * block * cols, what)
+    require_bytes(bytes_per_entry * block * cols + (5 << 10), what)
     return block
 
 
@@ -207,8 +208,9 @@ def _close(table: np.ndarray, reached: np.ndarray, new: np.ndarray,
     by right multiplication by gens, breadth first; each round gathers the
     |frontier| x |gens| products, not whole rows, in byte-checked blocks."""
     gens = np.asarray(gens, dtype=np.int64)
-    # per entry the int64 gather and its int64 row index
-    block = _scan_block(len(reached), len(gens), 16,
+    # per entry the int64 gather and its int64 row index, and below numpy's
+    # buffer size (8,192 entries) np.ix_'s copies of both index arrays
+    block = _scan_block(len(reached), len(gens), 32,
                         f"subgroup closure over {len(gens)} generators")
     frontier = np.zeros(len(reached), dtype=bool)
     frontier[new] = True
@@ -505,8 +507,9 @@ def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
     inside = np.zeros(G.order, dtype=bool)
     inside[idx] = True
     no_inverse = ~inside[G.inv[idx]]
-    # per entry the int64 product and two masks
-    block = _scan_block(len(idx), len(idx), 10, f"subgroup test of {len(idx)} members")
+    # per entry the int64 product and two masks, and below numpy's buffer
+    # size (8,192 entries) np.ix_'s copies of both int64 index arrays
+    block = _scan_block(len(idx), len(idx), 26, f"subgroup test of {len(idx)} members")
     for start in range(0, len(idx), block):
         outside = ~inside[G.mul[np.ix_(idx[start:start + block], idx)]]
         bad = np.flatnonzero(no_inverse[start:start + block] | outside.any(axis=1))

@@ -1,15 +1,16 @@
 """Complex measures and density functions on finite carriers.
 
-A measure is a dense complex weight vector over a carrier (a group's element
-set or a quotient's coset set); mu(f) = sum_i f(i) * weights[i]. The Haar
-measure on a group carrier is counting measure, so a density and the measure
-it induces share the same vector.
+A measure is a dense complex weight vector over a carrier, the group or the
+coset space it was built on (one weight per element or coset); mu(f) =
+sum_i f(i) * weights[i]. The Haar measure on a group carrier is counting
+measure, so a density and the measure it induces share the same vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Number
+from typing import Union
 
 import numpy as np
 
@@ -20,34 +21,17 @@ from .groups import FiniteGroup, QuotientSpace
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Carrier:
-    kind: str                 # "group" | "quotient"
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("group", "quotient"):
-            raise CarrierMismatch(f"unknown carrier kind {self.kind!r}")
-        if len(self.labels) < 1 or len(set(self.labels)) != len(self.labels):
-            raise CarrierMismatch("carrier labels must be nonempty and distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise CarrierMismatch(f"no point {label!r} on this carrier") from None
+# A measure's carrier is the group or coset space it was built on; two
+# carriers match only when they are the same object.
+Carrier = Union[FiniteGroup, QuotientSpace]
 
 
 def group_carrier(G: FiniteGroup) -> Carrier:
-    return Carrier("group", G.labels)
+    return G
 
 
 def quotient_carrier(Q: QuotientSpace) -> Carrier:
-    return Carrier("quotient", Q.labels)
+    return Q
 
 
 def _as_weights(values, size: int) -> np.ndarray:
@@ -62,14 +46,14 @@ class ComplexMeasure:
     weights: np.ndarray  # complex128, one weight per carrier point
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _as_weights(self.weights, self.carrier.size))
+        object.__setattr__(self, "weights", _as_weights(self.weights, len(self.carrier.labels)))
 
     def __add__(self, other: "ComplexMeasure") -> "ComplexMeasure":
-        _require_same(self.carrier, other.carrier)
+        _require_same(self.carrier, other)
         return ComplexMeasure(self.carrier, self.weights + other.weights)
 
     def __sub__(self, other: "ComplexMeasure") -> "ComplexMeasure":
-        _require_same(self.carrier, other.carrier)
+        _require_same(self.carrier, other)
         return ComplexMeasure(self.carrier, self.weights - other.weights)
 
     def __mul__(self, c: Number) -> "ComplexMeasure":
@@ -81,7 +65,7 @@ class ComplexMeasure:
         return ComplexMeasure(self.carrier, -self.weights)
 
     def isclose(self, other: "ComplexMeasure", tol: float = DEFAULT_TOL) -> bool:
-        _require_same(self.carrier, other.carrier)
+        _require_same(self.carrier, other)
         return bool(np.max(np.abs(self.weights - other.weights), initial=0.0) <= tol)
 
 
@@ -91,10 +75,10 @@ class DensityFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_weights(self.values, self.carrier.size))
+        object.__setattr__(self, "values", _as_weights(self.values, len(self.carrier.labels)))
 
     def __add__(self, other: "DensityFunction") -> "DensityFunction":
-        _require_same(self.carrier, other.carrier)
+        _require_same(self.carrier, other)
         return DensityFunction(self.carrier, self.values + other.values)
 
     def __mul__(self, c: Number) -> "DensityFunction":
@@ -103,18 +87,23 @@ class DensityFunction:
     __rmul__ = __mul__
 
 
-def _require_same(c1: Carrier, c2: Carrier) -> None:
-    if c1 != c2:
-        raise CarrierMismatch(f"carriers differ: {c1.kind}[{c1.size}] vs {c2.kind}[{c2.size}]")
+def _require_same(carrier: Carrier, *operands) -> None:
+    """Refuse an operand built on another group or coset space, even one
+    with the same labels."""
+    for x in operands:
+        if x.carrier is not carrier:
+            again = "another build of " if repr(x.carrier) == repr(carrier) else ""
+            raise CarrierMismatch(f"carriers differ: {x.carrier!r} vs {again}{carrier!r}")
 
 
 # --- operations -------------------------------------------------------------
 
 def point_mass(carrier: Carrier, point: int) -> ComplexMeasure:
     """Unit mass at one carrier point."""
-    if not 0 <= point < carrier.size:
-        raise IndexError(f"point {point} out of range for carrier of size {carrier.size}")
-    w = np.zeros(carrier.size, dtype=np.complex128)
+    size = len(carrier.labels)
+    if not 0 <= point < size:
+        raise IndexError(f"point {point} out of range for carrier of size {size}")
+    w = np.zeros(size, dtype=np.complex128)
     w[point] = 1.0
     return ComplexMeasure(carrier, w)
 
@@ -125,21 +114,19 @@ def total_variation(mu: ComplexMeasure) -> float:
 
 def group_convolve(G: FiniteGroup, mu1: ComplexMeasure, mu2: ComplexMeasure) -> ComplexMeasure:
     """(mu1 * mu2)({z}) = sum over x*y = z of mu1({x}) mu2({y})."""
-    gc = group_carrier(G)
-    _require_same(mu1.carrier, gc)
-    _require_same(mu2.carrier, gc)
-    return ComplexMeasure(gc, group_convolve_weights(G.mul, G.inv, mu1.weights, mu2.weights))
+    _require_same(G, mu1, mu2)
+    return ComplexMeasure(G, group_convolve_weights(G.mul, G.inv, mu1.weights, mu2.weights))
 
 
 def from_density(G: FiniteGroup, f: DensityFunction) -> ComplexMeasure:
     """Measure with density f against counting measure: identical weights."""
-    _require_same(f.carrier, group_carrier(G))
+    _require_same(G, f)
     return ComplexMeasure(f.carrier, f.values)
 
 
 def integrate(mu: ComplexMeasure, f: DensityFunction) -> complex:
     """mu(f) = sum_i f(i) * weights[i] (no conjugation)."""
-    _require_same(mu.carrier, f.carrier)
+    _require_same(mu.carrier, f)
     return complex(np.sum(f.values * mu.weights))
 
 
@@ -153,19 +140,27 @@ def measure_to_dict(mu: ComplexMeasure) -> dict:
         if w == 0:
             continue
         weights[lab] = [float(w.real), float(w.imag)]
-    return {"carrier": mu.carrier.kind, "weights": weights}
+    return {"carrier": _kind(mu.carrier), "weights": weights}
+
+
+def _kind(carrier: Carrier) -> str:
+    return "group" if isinstance(carrier, FiniteGroup) else "quotient"
 
 
 def measure_from_dict(carrier: Carrier, d: dict) -> ComplexMeasure:
-    kind = d.get("carrier", carrier.kind)
-    if kind != carrier.kind:
-        raise CarrierMismatch(f"measure file is on a {kind!r} carrier, expected {carrier.kind!r}")
-    w = np.zeros(carrier.size, dtype=np.complex128)
+    """The measure a JSON form describes on `carrier`; refuses another kind
+    of carrier and labels that are no point of it."""
+    kind = d.get("carrier", _kind(carrier))
+    if kind != _kind(carrier):
+        raise CarrierMismatch(f"measure file is on a {kind!r} carrier, expected {_kind(carrier)!r}")
+    w = np.zeros(len(carrier.labels), dtype=np.complex128)
     for lab, val in d.get("weights", {}).items():
         if isinstance(val, Number):
             z = complex(val)
         else:
             re, im = val
             z = complex(re, im)
-        w[carrier.index_of(lab)] = z
+        if lab not in carrier.labels:
+            raise CarrierMismatch(f"no point {lab!r} on this carrier")
+        w[carrier.labels.index(lab)] = z
     return ComplexMeasure(carrier, w)

@@ -29,8 +29,8 @@ from ._kernels import quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
 from .groups import QuotientSpace, _freeze, require_bytes
-from .measures import (ComplexMeasure, DensityFunction, group_convolve,
-                       point_mass, quotient_carrier)
+from .measures import (ComplexMeasure, DensityFunction, _require_same,
+                       group_convolve, point_mass)
 from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
                            pushforward_rh)
 
@@ -114,21 +114,15 @@ def structure_table(Q: QuotientSpace, reps: Optional[Sequence[int]] = None) -> S
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
     """Unit mass on the base coset H; always a right identity."""
-    return point_mass(quotient_carrier(Q), Q.base_coset)
+    return point_mass(Q, Q.base_coset)
 
 
 # --- convolution and module action -------------------------------------------
 
-def _require_on_quotient(T: StructureTable, *operands) -> None:
-    qc = quotient_carrier(T.quotient)
-    if any(x.carrier != qc for x in operands):
-        raise CarrierMismatch("operands must live on this table's coset carrier")
-
-
 def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
                       sigma2: ComplexMeasure) -> ComplexMeasure:
     """(sigma1 * sigma2)({z}) = sum_{a,b} sigma1({a}) sigma2({b}) c[a][b][z]."""
-    _require_on_quotient(T, sigma1, sigma2)
+    _require_same(T.quotient, sigma1, sigma2)
     w = quotient_convolve_weights(T.shift, T.h_action, sigma1.weights, sigma2.weights)
     return ComplexMeasure(sigma1.carrier, w)
 
@@ -160,8 +154,7 @@ def module_action(Q: QuotientSpace, mu: ComplexMeasure,
 def embed_density(lam: QuotientMeasure, phi: DensityFunction) -> ComplexMeasure:
     """The measure with density phi against lambda: weights phi * lambda.
     Injective (lambda > 0) and total variation = the L1(lambda) norm of phi."""
-    if phi.carrier != quotient_carrier(lam.quotient):
-        raise CarrierMismatch("density is not on this measure's coset carrier")
+    _require_same(lam.quotient, phi)
     return ComplexMeasure(phi.carrier, phi.values * lam.weights)
 
 
@@ -182,7 +175,7 @@ def l1_convolve(T: StructureTable, lam: QuotientMeasure,
     It equals the weighted average of the group convolution of the
     rho-weighted lifts; the verifier's P19_LP compares the two routes.
     """
-    _require_on_quotient(T, phi, psi)
+    _require_same(T.quotient, phi, psi)
     rho = lam.rho.values
     out = quotient_convolve_weights(T.shift, T.h_action,
                                     lam.weights * phi.values, psi.values * rho) / rho
@@ -210,7 +203,7 @@ def lp_action(T: StructureTable, rho: RhoFunction, side: str,
         raise ValueError("p must be >= 1")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _require_on_quotient(T, sigma, phi)
+    _require_same(T.quotient, sigma, phi)
     rp = rho.values ** (1.0 / p)
     weighted = phi.values * rp
     s1, s2 = (sigma.weights, weighted) if side == "left" else (weighted, sigma.weights)

@@ -18,8 +18,7 @@ import numpy as np
 from ._kernels import lift_weights, push_weights
 from .errors import CarrierMismatch, NonPositive, NotCosetConstant
 from .groups import QuotientSpace
-from .measures import (ComplexMeasure, DensityFunction, _require_same,
-                       group_carrier, quotient_carrier)
+from .measures import ComplexMeasure, DensityFunction, _require_same
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class RhoFunction:
         v = np.asarray(self.values, dtype=np.float64).reshape(self.quotient.coset_count).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def power(self, exponent: float) -> np.ndarray:
-        return self.values ** exponent
 
 
 @dataclass(frozen=True)
@@ -106,9 +102,8 @@ def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:
 
 def average_ph(Q: QuotientSpace, f: DensityFunction) -> DensityFunction:
     """Coset average: out(xH) = (1/|H|) sum_{h in H} f(xh)."""
-    _require_same(f.carrier, group_carrier(Q.group))
-    return DensityFunction(quotient_carrier(Q),
-                           push_weights(Q.member_table, f.values) / Q.subgroup.order)
+    _require_same(Q.group, f)
+    return DensityFunction(Q, push_weights(Q.member_table, f.values) / Q.subgroup.order)
 
 
 def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
@@ -121,13 +116,13 @@ def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
     if p < 1:
         raise ValueError("p must be >= 1")
     avg = average_ph(Q, f)
-    return DensityFunction(avg.carrier, avg.values / rho.power(1.0 / p))
+    return DensityFunction(avg.carrier, avg.values / rho.values ** (1.0 / p))
 
 
 def compose_with_projection(Q: QuotientSpace, phi: DensityFunction) -> DensityFunction:
     """phi∘pi: the coset function phi read as a function on G."""
-    _require_same(phi.carrier, quotient_carrier(Q))
-    return DensityFunction(group_carrier(Q.group), phi.values[Q.coset_of])
+    _require_same(Q, phi)
+    return DensityFunction(Q.group, phi.values[Q.coset_of])
 
 
 def quasi_invariant_lambda(Q: QuotientSpace, rho: RhoFunction) -> QuotientMeasure:
@@ -152,16 +147,15 @@ def quotient_integral_check(Q: QuotientSpace, rho: RhoFunction,
 def pushforward_rh(Q: QuotientSpace, mu: ComplexMeasure) -> ComplexMeasure:
     """Image of a group measure on the coset space: coset weight = sum of its
     members' weights. Linear, norm-nonincreasing, surjective."""
-    _require_same(mu.carrier, group_carrier(Q.group))
-    return ComplexMeasure(quotient_carrier(Q), push_weights(Q.member_table, mu.weights))
+    _require_same(Q.group, mu)
+    return ComplexMeasure(Q, push_weights(Q.member_table, mu.weights))
 
 
 def lift_to_invariant(Q: QuotientSpace, sigma: ComplexMeasure) -> ComplexMeasure:
     """The right-H-invariant group measure projecting onto sigma: each element
     of coset xH carries sigma({xH})/|H|. Sections pushforward_rh isometrically."""
-    _require_same(sigma.carrier, quotient_carrier(Q))
-    w = lift_weights(Q.coset_of, Q.subgroup.order, sigma.weights)
-    return ComplexMeasure(group_carrier(Q.group), w)
+    _require_same(Q, sigma)
+    return ComplexMeasure(Q.group, lift_weights(Q.coset_of, Q.subgroup.order, sigma.weights))
 
 
 def membership_mgh(Q: QuotientSpace, mu: ComplexMeasure) -> bool:
@@ -170,7 +164,7 @@ def membership_mgh(Q: QuotientSpace, mu: ComplexMeasure) -> bool:
     Exact comparison: lifted measures and coset-constant densities reproduce
     bit-identical weights inside a coset.
     """
-    _require_same(mu.carrier, group_carrier(Q.group))
+    _require_same(Q.group, mu)
     rep_weights = mu.weights[Q.reps][Q.coset_of]
     return bool(np.all(mu.weights == rep_weights))
 
@@ -188,5 +182,4 @@ def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:
     """
     if Q.subgroup.order > 1:
         return []
-    gc = group_carrier(Q.group)
-    return [ComplexMeasure(gc, np.ones(gc.size, dtype=np.complex128))]
+    return [ComplexMeasure(Q.group, np.ones(Q.group.order, dtype=np.complex128))]

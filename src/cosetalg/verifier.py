@@ -18,7 +18,7 @@ import time
 import zlib
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -32,8 +32,7 @@ from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      builtin_from_token, require_bytes,
                      subgroup_from_tokens, test_normality)
 from .measures import (Carrier, ComplexMeasure, DensityFunction, from_density,
-                       group_carrier, group_convolve, integrate, point_mass,
-                       quotient_carrier, total_variation)
+                       group_convolve, integrate, point_mass, total_variation)
 from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                embed_density, find_left_identity,
                                find_two_sided_identity, ideal_factorize,
@@ -103,11 +102,13 @@ def rng_for(seed: int, check_id: str, entry_index: int) -> np.random.Generator:
 
 
 def draw_measure(rng: np.random.Generator, carrier: Carrier) -> ComplexMeasure:
-    return ComplexMeasure(carrier, rng.random(carrier.size) + 1j * rng.random(carrier.size))
+    size = len(carrier.labels)
+    return ComplexMeasure(carrier, rng.random(size) + 1j * rng.random(size))
 
 
 def draw_density(rng: np.random.Generator, carrier: Carrier) -> DensityFunction:
-    return DensityFunction(carrier, rng.random(carrier.size) + 1j * rng.random(carrier.size))
+    size = len(carrier.labels)
+    return DensityFunction(carrier, rng.random(size) + 1j * rng.random(size))
 
 
 def _draw_ratios(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,14 +140,6 @@ class EntryContext:
     Q: QuotientSpace
     T: StructureTable
     rho: RhoFunction
-
-    @cached_property
-    def gc(self) -> Carrier:
-        return group_carrier(self.G)
-
-    @cached_property
-    def qc(self) -> Carrier:
-        return quotient_carrier(self.Q)
 
 
 def make_context(G: FiniteGroup, H: Subgroup, rho: Optional[dict] = None,
@@ -222,7 +215,7 @@ def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
     T, Q = ctx.T, ctx.Q
     if spec.mode == "float":
         return SimpleNamespace(
-            draw=lambda rng: draw_measure(rng, ctx.qc),
+            draw=lambda rng: draw_measure(rng, ctx.Q),
             convolve=lambda a, b: quotient_convolve(T, a, b),
             group_route=lambda a, b: module_action(Q, lift_to_invariant(Q, a), b),
             delta_h=delta_h(Q), measure=lambda m: m,
@@ -234,13 +227,13 @@ def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
         group_route=lambda a, b: push_weights(
             Q.member_table, _exact_convolution(Q.group, lift(a), lift(b))),
         delta_h=ExactVector.from_fractions(exact.unit_vector(Q.coset_count, Q.base_coset)),
-        measure=lambda s: ComplexMeasure(ctx.qc, s.to_complex()),
+        measure=lambda s: ComplexMeasure(ctx.Q, s.to_complex()),
         gap=lambda a, b, norm=None: float(a != b))
 
 
 def _check_w0_weil(spec, ctx, rng):
     def trial(t):
-        f = draw_density(rng, ctx.gc)
+        f = draw_density(rng, ctx.G)
         rho_t = draw_rho(rng, ctx.Q) if t % 2 else ctx.rho
         lhs, rhs = quotient_integral_check(ctx.Q, rho_t, f)
         yield abs(lhs - rhs), {"trial": t, "rho": rho_t.values.tolist()}
@@ -271,7 +264,7 @@ def _check_p1_mhg(spec, ctx, rng):
     def trial(i):
         yield _invariance_residual(ctx.Q, basis[i].weights), None
         for _ in range(draws):
-            conv = group_convolve(ctx.G, draw_measure(rng, ctx.gc), basis[i])
+            conv = group_convolve(ctx.G, draw_measure(rng, ctx.G), basis[i])
             yield _invariance_residual(ctx.Q, conv.weights), None
 
     worst, _ = _trials(len(basis), trial)
@@ -285,21 +278,21 @@ def _check_p2_density(spec, ctx, rng):
     G, Q = ctx.G, ctx.Q
 
     def trial(t):
-        mu = from_density(G, compose_with_projection(Q, draw_density(rng, ctx.qc)))
+        mu = from_density(G, compose_with_projection(Q, draw_density(rng, ctx.Q)))
         if not membership_mgh(Q, mu):
             raise _Fail({"trial": t, "reason": "coset-constant density not invariant"})
         for h in ctx.H.members:
-            g = draw_density(rng, ctx.gc)
+            g = draw_density(rng, ctx.G)
             translated = DensityFunction(g.carrier, g.values[G.mul[:, h]])   # x -> g(x h)
             yield abs(integrate(mu, translated) - integrate(mu, g)), {"trial": t, "h": G.labels[h]}
         if ctx.H.order > 1:
-            bump = point_mass(ctx.gc, int(rng.integers(0, G.order))) * (0.5 + 0.25j)
+            bump = point_mass(ctx.G, int(rng.integers(0, G.order))) * (0.5 + 0.25j)
             if membership_mgh(Q, mu + bump):
                 raise _Fail({"trial": t, "reason": "perturbed measure still reported invariant"})
 
     worst, witness = _trials(spec.trials, trial)
     # a point mass at the identity is never right-invariant
-    if ctx.H.order > 1 and membership_mgh(Q, point_mass(ctx.gc, G.identity)):
+    if ctx.H.order > 1 and membership_mgh(Q, point_mass(ctx.G, G.identity)):
         raise _Fail({"reason": "identity point mass reported invariant"}, trials_run=spec.trials)
     return _verdict(spec, worst, witness)
 
@@ -308,13 +301,13 @@ def _check_p3_lift(spec, ctx, rng):
     Q, h = ctx.Q, ctx.Q.subgroup.order
 
     def trial(t):
-        sigma = draw_measure(rng, ctx.qc)
+        sigma = draw_measure(rng, ctx.Q)
         lifted = lift_to_invariant(Q, sigma)
         if not membership_mgh(Q, lifted):
             raise _Fail({"trial": t, "reason": "lift not right-invariant"})
         yield _sup(pushforward_rh(Q, lifted) - sigma), {"trial": t}
         yield abs(total_variation(lifted) - total_variation(sigma)), {"trial": t}
-        nu = draw_measure(rng, ctx.gc)
+        nu = draw_measure(rng, ctx.G)
         if not membership_mgh(Q, group_convolve(ctx.G, nu, lifted)):
             raise _Fail({"trial": t, "reason": "left ideal violated: nu * lift not invariant"})
 
@@ -336,9 +329,9 @@ def _check_p4_isometry(spec, ctx, rng):
     excess = []     # per trial, how far pushforward raised total variation
 
     def trial(t):
-        mu = draw_measure(rng, ctx.gc)
+        mu = draw_measure(rng, ctx.G)
         excess.append(total_variation(pushforward_rh(Q, mu)) - total_variation(mu))
-        lifted = lift_to_invariant(Q, draw_measure(rng, ctx.qc))
+        lifted = lift_to_invariant(Q, draw_measure(rng, ctx.Q))
         yield (abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted)),
                {"trial": t})
 
@@ -397,15 +390,15 @@ def _check_d6_conv(spec, ctx, rng):
         # route once the group measure is right-invariant, and a point mass
         # at x sends the coset of y to the coset of x*y
         witness = {"trial": t, "part": "module action"}
-        s1, s2 = draw_measure(rng, ctx.qc), draw_measure(rng, ctx.qc)
+        s1, s2 = draw_measure(rng, ctx.Q), draw_measure(rng, ctx.Q)
         mu_inv = lift_to_invariant(Q, s1)
         yield (_sup(module_action(Q, mu_inv, s2)
                     - quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)), witness)
-        yield _sup(module_action(Q, point_mass(ctx.gc, G.identity), s2) - s2), witness
+        yield _sup(module_action(Q, point_mass(ctx.G, G.identity), s2) - s2), witness
         x, b = int(rng.integers(0, G.order)), int(rng.integers(0, k))
-        moved = module_action(Q, point_mass(ctx.gc, x), point_mass(ctx.qc, b))
+        moved = module_action(Q, point_mass(ctx.G, x), point_mass(ctx.Q, b))
         target = int(Q.coset_of[G.mul[x, int(Q.reps[b])]])
-        yield total_variation(moved - point_mass(ctx.qc, target)), witness
+        yield total_variation(moved - point_mass(ctx.Q, target)), witness
 
     worst, witness = _trials(spec.trials, trial)
     # exact mode reports the exact comparison alone
@@ -535,7 +528,7 @@ def _check_p15_normality(spec, ctx, rng):
     dh = delta_h(Q)
 
     def trial(t):
-        s = draw_measure(rng, ctx.qc)
+        s = draw_measure(rng, ctx.Q)
         yield total_variation(quotient_convolve(T, dh, s) - s), None
 
     worst, _ = _trials(min(spec.trials, 25) if normal else 0, trial)
@@ -549,7 +542,7 @@ def _check_p16_embed(spec, ctx, rng):
     def trial(t):
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
-        phi = draw_density(rng, ctx.qc)
+        phi = draw_density(rng, ctx.Q)
         emb = embed_density(lam, phi)
         yield abs(total_variation(emb) - lp_norm(lam, phi, 1.0)), {"trial": t}
         yield float(np.max(np.abs(emb.weights / lam.weights - phi.values))), {"trial": t}
@@ -570,12 +563,12 @@ def _check_l17_compat(spec, ctx, rng):
     unweighted = {True: 0.0, False: 0.0}    # worst unweighted residual, by rho == 1
 
     def trial(t):
-        phi = draw_density(rng, ctx.qc)
+        phi = draw_density(rng, ctx.Q)
         for rho_t in (rho_ones(Q), draw_rho(rng, Q)):
             lam = quasi_invariant_lambda(Q, rho_t)
             target = embed_density(lam, phi)
             lifted = compose_with_projection(Q, phi)
-            weighted = ComplexMeasure(ctx.gc, lifted.values * rho_t.values[Q.coset_of])
+            weighted = ComplexMeasure(ctx.G, lifted.values * rho_t.values[Q.coset_of])
             yield total_variation(pushforward_rh(Q, weighted) - target), None
             r_u = total_variation(pushforward_rh(Q, from_density(Q.group, lifted)) - target)
             unit = bool(np.all(rho_t.values == 1.0))
@@ -596,8 +589,8 @@ def _check_t18_ideal(spec, ctx, rng):
     def trial(t):
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
-        phi = draw_density(rng, ctx.qc)
-        sigma = draw_measure(rng, ctx.qc)
+        phi = draw_density(rng, ctx.Q)
+        sigma = draw_measure(rng, ctx.Q)
         psi = ideal_factorize(lam, T, phi, sigma)
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
         yield total_variation(embed_density(lam, psi) - target), {"trial": t}
@@ -609,7 +602,7 @@ def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
                     w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """The rho-weighted coset average of the group convolution of two lifts."""
     conv = group_convolve_weights(Q.group.mul, Q.group.inv, w1, w2)
-    return weighted_average_th(Q, rho, p, DensityFunction(group_carrier(Q.group), conv)).values
+    return weighted_average_th(Q, rho, p, DensityFunction(Q.group, conv)).values
 
 
 def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,
@@ -636,8 +629,8 @@ def _check_p19_lp(spec, ctx, rng):
         p = float((1, 2, 3)[t % 3])
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
-        sigma = draw_measure(rng, ctx.qc)
-        phi = draw_density(rng, ctx.qc)
+        sigma = draw_measure(rng, ctx.Q)
+        phi = draw_density(rng, ctx.Q)
         bound = total_variation(sigma) * lp_norm(lam, phi, p)
         routes = []     # (side, explicit result, operator route)
         for side in ("left", "right"):
@@ -647,7 +640,7 @@ def _check_p19_lp(spec, ctx, rng):
         if p == 1.0:
             # embedding the acting density turns the p=1 action into the
             # coset density convolution
-            phi2 = draw_density(rng, ctx.qc)
+            phi2 = draw_density(rng, ctx.Q)
             acting = embed_density(lam, phi2)
             via_action = lp_action(T, rho_t, "left", acting, phi, 1.0)
             via_densities = l1_convolve(T, lam, phi2, phi)

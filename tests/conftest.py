@@ -41,6 +41,16 @@ def relabelled_s3_pair(s3):
 
 
 @pytest.fixture(scope="session")
+def same_labelled_quotients(s3, s3_a3):
+    """S3/A3 and C4/<(13)(24)>: two coset spaces labelled C0, C1."""
+    c4 = ca.builtin_from_token("C4")
+    pair = (ca.build_coset_space(s3, s3_a3),
+            ca.build_coset_space(c4, ca.subgroup_from_tokens(c4, ["(13)(24)"])))
+    assert pair[0].labels == pair[1].labels == ("C0", "C1")
+    return pair
+
+
+@pytest.fixture(scope="session")
 def d4():
     return ca.builtin_catalog("dihedral", 4)
 

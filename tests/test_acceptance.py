@@ -45,7 +45,8 @@ def _rng(name, salt=0):
 
 
 def _rand_measure(g, carrier):
-    return ca.ComplexMeasure(carrier, g.random(carrier.size) + 1j * g.random(carrier.size))
+    size = len(carrier.labels)
+    return ca.ComplexMeasure(carrier, g.random(size) + 1j * g.random(size))
 
 
 def test_criterion_01_structure_table_stochastic_and_fast(catalog_ctx):

@@ -341,15 +341,21 @@ def test_generate_subgroup_matches_queue_closure(relabelled_s3_pair, data):
 
 def test_subgroup_closure_gathers_in_checked_blocks(monkeypatch):
     # repeated generators are gathered once: a thousand copies of (12) in S4
-    # need one column of 24 rows, 16 bytes an entry
+    # need one column of 24 rows, 32 bytes an entry and 5 KiB
     G = _light_group("S4")
     gens = [int(m) for m in ca.subgroup_from_tokens(G, ["(12)", "(1234)"]).members[1:3]]
     want = _queue_subgroup(G, gens)
-    monkeypatch.setattr(groups, "BYTE_BUDGET", 16 * 24 * 2)
+    # the one byte check covers the traced peak of the closure, whose 48
+    # gathered entries are far below numpy's buffer size
+    ca.generate_subgroup(G, gens)   # warm
+    checked, peak = checked_peak(monkeypatch, groups, lambda: ca.generate_subgroup(G, gens))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "BYTE_BUDGET", 32 * 24 * 2 + (5 << 10))
     assert ca.generate_subgroup(G, gens * 1000).members == want
     # more distinct generators than the budget allows are refused, not gathered
     with pytest.raises(CapExceeded, match="subgroup closure over 3 generators "
-                                          "needs 1152 bytes"):
+                                          "needs 7424 bytes"):
         ca.generate_subgroup(G, list(range(3)))
     # a frontier gathered over several blocks closes to the same subgroup
     monkeypatch.undo()
@@ -413,16 +419,19 @@ def test_subgroup_from_members_refusals(s3, monkeypatch, scan_entries):
 
 
 def test_subgroup_from_members_within_its_byte_check(monkeypatch):
-    # A6 in S6: the one byte check covers the traced peak, and one byte
-    # short the members are refused before the gather
-    G = ca.builtin_from_token("S6")
-    members = ca.subgroup_from_tokens(G, ["(123)", "(23456)"]).members
-    checked, peak = checked_peak(monkeypatch, groups,
-                                 lambda: ca.subgroup_from_members(G, members))
-    assert len(checked) == 1 and peak <= checked[0]
-    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
-    with pytest.raises(CapExceeded, match="subgroup test of 360 members"):
-        ca.subgroup_from_members(G, members)
+    # A6 in S6 and A5 in S5: the one byte check covers the traced peak, also
+    # below numpy's buffer size, where np.ix_ copies its index arrays; one
+    # byte short the members are refused before the gather
+    for group, gens in (("S6", ["(123)", "(23456)"]), ("S5", ["(123)", "(12345)"])):
+        G = ca.builtin_from_token(group)
+        members = ca.subgroup_from_tokens(G, gens).members
+        checked, peak = checked_peak(monkeypatch, groups,
+                                     lambda: ca.subgroup_from_members(G, members))
+        assert len(checked) == 1 and peak <= checked[0]
+        monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+        with pytest.raises(CapExceeded, match=f"subgroup test of {len(members)} members"):
+            ca.subgroup_from_members(G, members)
+        monkeypatch.undo()
 
 
 def test_conjugation_witness(s3):

@@ -26,7 +26,7 @@ def test_point_mass_examples(s3):
     de = ca.point_mass(gc, 0)
     assert np.array_equal(de.weights, np.array([1, 0, 0, 0, 0, 0], dtype=complex))
     assert ca.total_variation(de) == 1.0
-    single = ca.Carrier("group", ("e",))
+    single = ca.group_carrier(ca.builtin_catalog("cyclic", 1))
     assert ca.total_variation(ca.point_mass(single, 0)) == 1.0
     with pytest.raises(IndexError):
         ca.point_mass(gc, 6)
@@ -197,6 +197,16 @@ def test_carrier_mismatch(s3, d4):
         ca.group_convolve(s3, m1, m2)
     with pytest.raises(CarrierMismatch):
         m1 + m2
+    # another build of S3 has the same labels but is another carrier
+    built, rebuilt = ca.builtin_from_token("S3"), ca.builtin_from_token("S3")
+    assert built.labels == rebuilt.labels
+    mu = ca.point_mass(built, 1)
+    Q = ca.build_coset_space(rebuilt, ca.subgroup_from_tokens(rebuilt, ["(12)"]))
+    for refused in (lambda: ca.group_convolve(rebuilt, mu, mu),
+                    lambda: ca.pushforward_rh(Q, mu),
+                    lambda: mu + ca.point_mass(rebuilt, 1)):
+        with pytest.raises(CarrierMismatch, match="carriers differ"):
+            refused()
 
 
 def test_measure_json_round_trip(s3_q):

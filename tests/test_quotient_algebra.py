@@ -586,7 +586,8 @@ def _assert_refused(monkeypatch, G, H, planted, readers):
     for read in readers:
         with pytest.raises(ValueError, match="corrupt structure table"):
             read(planted)
-    monkeypatch.setattr(verifier, "structure_table", lambda Q: planted)
+    monkeypatch.setattr(verifier, "structure_table",
+                        lambda Q: dataclasses.replace(planted, quotient=Q))
     for mode in ("float", "exact"):
         for cid in ("C13_UNIQUE_ID", "T8_ALGEBRA"):
             report = verifier.run_check(verifier.CheckSpec(id=cid, trials=3, mode=mode),
@@ -645,11 +646,33 @@ def test_degenerate_whole_group(s3):
     assert sol.solution == (Fraction(1),)
 
 
-def test_carrier_guards(s3_q, s3_t, d4):
+def test_carrier_guards(s3_q, s3_t, d4, same_labelled_quotients):
     other = ca.point_mass(ca.quotient_carrier(
         ca.build_coset_space(d4, ca.subgroup_from_tokens(d4, ["(24)"]))), 0)
     with pytest.raises(CarrierMismatch):
         ca.quotient_convolve(s3_t, other, other)
+    # S3/A3 and C4/<(13)(24)> have the same labels: C4's operators refuse
+    # a measure or density on S3/A3, in either operand
+    s3_a3_q, Q = same_labelled_quotients
+    T, rho = ca.structure_table(Q), ca.rho_ones(Q)
+    lam = ca.quasi_invariant_lambda(Q, rho)
+    sigma, foreign = ca.point_mass(Q, 1), ca.point_mass(s3_a3_q, 1)
+    phi, foreign_phi = (ca.DensityFunction(X, [1, 2]) for X in (Q, s3_a3_q))
+    refused = [
+        lambda: ca.quotient_convolve(T, sigma, foreign),
+        lambda: ca.quotient_convolve(T, foreign, sigma),
+        lambda: ca.module_action(Q, ca.point_mass(Q.group, 1), foreign),
+        lambda: ca.embed_density(lam, foreign_phi),
+        lambda: ca.lp_action(T, rho, "left", foreign, phi, 2.0),
+        lambda: ca.lp_action(T, rho, "right", sigma, foreign_phi, 2.0),
+        lambda: ca.l1_convolve(T, lam, phi, foreign_phi),
+        lambda: ca.l1_convolve(T, lam, foreign_phi, phi),
+        lambda: ca.ideal_factorize(lam, T, foreign_phi, sigma),
+        lambda: ca.ideal_factorize(lam, T, phi, foreign),
+    ]
+    for op in refused:
+        with pytest.raises(CarrierMismatch, match="carriers differ"):
+            op()
 
 
 def test_quotient_convolution_refused_before_allocating(monkeypatch):

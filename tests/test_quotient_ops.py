@@ -294,11 +294,23 @@ def test_pushforward_isometric_on_invariant(s3_q):
     (ca.lift_to_invariant, ca.ComplexMeasure, False),
     (ca.membership_mgh, ca.ComplexMeasure, True),
 ])
-def test_operators_refuse_the_other_carrier(s3_q, op, kind, wants_group):
+def test_operators_refuse_the_other_carrier(s3_q, same_labelled_quotients, op, kind,
+                                            wants_group):
     qcar, gcar = qc_gc(s3_q)
     wrong = qcar if wants_group else gcar
     with pytest.raises(CarrierMismatch, match="carriers differ"):
-        op(s3_q, kind(wrong, np.ones(wrong.size)))
+        op(s3_q, kind(wrong, np.ones(len(wrong.labels))))
+    # the carrier the operator wants, but of another space with the same labels:
+    # another build of S3, or S3/A3 against C4/<(13)(24)>
+    if wants_group:
+        rebuilt = ca.builtin_from_token("S3")
+        Q = ca.build_coset_space(rebuilt, ca.subgroup_from_tokens(rebuilt, ["(12)"]))
+        foreign = kind(s3_q.group, np.ones(6))
+    else:
+        s3_a3_q, Q = same_labelled_quotients
+        foreign = kind(s3_a3_q, np.ones(2))
+    with pytest.raises(CarrierMismatch, match="carriers differ"):
+        op(Q, foreign)
 
 
 # --- the literal invariance system ------------------------------------------------
