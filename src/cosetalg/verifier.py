@@ -278,21 +278,21 @@ def _check_p2_density(spec, ctx, rng):
     G, Q = ctx.G, ctx.Q
 
     def trial(t):
-        mu = from_density(G, compose_with_projection(Q, draw_density(rng, ctx.Q)))
+        mu = from_density(G, compose_with_projection(Q, draw_density(rng, Q)))
         if not membership_mgh(Q, mu):
             raise _Fail({"trial": t, "reason": "coset-constant density not invariant"})
         for h in ctx.H.members:
-            g = draw_density(rng, ctx.G)
+            g = draw_density(rng, G)
             translated = DensityFunction(g.carrier, g.values[G.mul[:, h]])   # x -> g(x h)
             yield abs(integrate(mu, translated) - integrate(mu, g)), {"trial": t, "h": G.labels[h]}
         if ctx.H.order > 1:
-            bump = point_mass(ctx.G, int(rng.integers(0, G.order))) * (0.5 + 0.25j)
+            bump = point_mass(G, int(rng.integers(0, G.order))) * (0.5 + 0.25j)
             if membership_mgh(Q, mu + bump):
                 raise _Fail({"trial": t, "reason": "perturbed measure still reported invariant"})
 
     worst, witness = _trials(spec.trials, trial)
     # a point mass at the identity is never right-invariant
-    if ctx.H.order > 1 and membership_mgh(Q, point_mass(ctx.G, G.identity)):
+    if ctx.H.order > 1 and membership_mgh(Q, point_mass(G, G.identity)):
         raise _Fail({"reason": "identity point mass reported invariant"}, trials_run=spec.trials)
     return _verdict(spec, worst, witness)
 
@@ -301,7 +301,7 @@ def _check_p3_lift(spec, ctx, rng):
     Q, h = ctx.Q, ctx.Q.subgroup.order
 
     def trial(t):
-        sigma = draw_measure(rng, ctx.Q)
+        sigma = draw_measure(rng, Q)
         lifted = lift_to_invariant(Q, sigma)
         if not membership_mgh(Q, lifted):
             raise _Fail({"trial": t, "reason": "lift not right-invariant"})
@@ -331,7 +331,7 @@ def _check_p4_isometry(spec, ctx, rng):
     def trial(t):
         mu = draw_measure(rng, ctx.G)
         excess.append(total_variation(pushforward_rh(Q, mu)) - total_variation(mu))
-        lifted = lift_to_invariant(Q, draw_measure(rng, ctx.Q))
+        lifted = lift_to_invariant(Q, draw_measure(rng, Q))
         yield (abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted)),
                {"trial": t})
 
@@ -390,15 +390,15 @@ def _check_d6_conv(spec, ctx, rng):
         # route once the group measure is right-invariant, and a point mass
         # at x sends the coset of y to the coset of x*y
         witness = {"trial": t, "part": "module action"}
-        s1, s2 = draw_measure(rng, ctx.Q), draw_measure(rng, ctx.Q)
+        s1, s2 = draw_measure(rng, Q), draw_measure(rng, Q)
         mu_inv = lift_to_invariant(Q, s1)
         yield (_sup(module_action(Q, mu_inv, s2)
                     - quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)), witness)
-        yield _sup(module_action(Q, point_mass(ctx.G, G.identity), s2) - s2), witness
+        yield _sup(module_action(Q, point_mass(G, G.identity), s2) - s2), witness
         x, b = int(rng.integers(0, G.order)), int(rng.integers(0, k))
-        moved = module_action(Q, point_mass(ctx.G, x), point_mass(ctx.Q, b))
+        moved = module_action(Q, point_mass(G, x), point_mass(Q, b))
         target = int(Q.coset_of[G.mul[x, int(Q.reps[b])]])
-        yield total_variation(moved - point_mass(ctx.Q, target)), witness
+        yield total_variation(moved - point_mass(Q, target)), witness
 
     worst, witness = _trials(spec.trials, trial)
     # exact mode reports the exact comparison alone
@@ -528,7 +528,7 @@ def _check_p15_normality(spec, ctx, rng):
     dh = delta_h(Q)
 
     def trial(t):
-        s = draw_measure(rng, ctx.Q)
+        s = draw_measure(rng, Q)
         yield total_variation(quotient_convolve(T, dh, s) - s), None
 
     worst, _ = _trials(min(spec.trials, 25) if normal else 0, trial)
@@ -542,7 +542,7 @@ def _check_p16_embed(spec, ctx, rng):
     def trial(t):
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
-        phi = draw_density(rng, ctx.Q)
+        phi = draw_density(rng, Q)
         emb = embed_density(lam, phi)
         yield abs(total_variation(emb) - lp_norm(lam, phi, 1.0)), {"trial": t}
         yield float(np.max(np.abs(emb.weights / lam.weights - phi.values))), {"trial": t}
@@ -563,7 +563,7 @@ def _check_l17_compat(spec, ctx, rng):
     unweighted = {True: 0.0, False: 0.0}    # worst unweighted residual, by rho == 1
 
     def trial(t):
-        phi = draw_density(rng, ctx.Q)
+        phi = draw_density(rng, Q)
         for rho_t in (rho_ones(Q), draw_rho(rng, Q)):
             lam = quasi_invariant_lambda(Q, rho_t)
             target = embed_density(lam, phi)
@@ -589,8 +589,8 @@ def _check_t18_ideal(spec, ctx, rng):
     def trial(t):
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
-        phi = draw_density(rng, ctx.Q)
-        sigma = draw_measure(rng, ctx.Q)
+        phi = draw_density(rng, Q)
+        sigma = draw_measure(rng, Q)
         psi = ideal_factorize(lam, T, phi, sigma)
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
         yield total_variation(embed_density(lam, psi) - target), {"trial": t}
@@ -629,8 +629,8 @@ def _check_p19_lp(spec, ctx, rng):
         p = float((1, 2, 3)[t % 3])
         rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
         lam = quasi_invariant_lambda(Q, rho_t)
-        sigma = draw_measure(rng, ctx.Q)
-        phi = draw_density(rng, ctx.Q)
+        sigma = draw_measure(rng, Q)
+        phi = draw_density(rng, Q)
         bound = total_variation(sigma) * lp_norm(lam, phi, p)
         routes = []     # (side, explicit result, operator route)
         for side in ("left", "right"):
@@ -640,7 +640,7 @@ def _check_p19_lp(spec, ctx, rng):
         if p == 1.0:
             # embedding the acting density turns the p=1 action into the
             # coset density convolution
-            phi2 = draw_density(rng, ctx.Q)
+            phi2 = draw_density(rng, Q)
             acting = embed_density(lam, phi2)
             via_action = lp_action(T, rho_t, "left", acting, phi, 1.0)
             via_densities = l1_convolve(T, lam, phi2, phi)
