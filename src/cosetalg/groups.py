@@ -5,10 +5,12 @@ structure is an explicit table. Conventions, pinned by unit tests:
 
   * permutation composition: (p * q)(i) = p(q(i)), the right factor acts first;
   * permutation closure is breadth-first, identity first, successors x*g
-    taken in generator order; it records x*g for every element x and
-    generator g, and the parent and generator that first reached each
+    taken in generator order, one gather of frontier x generators per round
+    over an (n, degree) integer array; it records x*g for every element x
+    and generator g, and the parent and generator that first reached each
     element (Schreier vectors), so the Cayley table is assembled column by
-    column in O(n²), one gather per column, with no degree factor;
+    column in O(n²), one gather per column, with no degree factor. That
+    table is a group table by construction and is not validated again;
   * cosets are left cosets xH, listed by minimal member index, which is also
     the canonical representative.
 """
@@ -27,14 +29,12 @@ from .errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
 DEFAULT_ORDER_CAP = 10080
 
 # Most bytes the library holds at once for one large operation: a group
-# table or a block of its identity and inverse scans, a structure table or
+# table or a block of its validation scans, a structure table or
 # its derived views, a group or quotient convolution, or an identity solve.
 # It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
 # larger requests raise CapExceeded.
 BYTE_BUDGET = 1 << 30
-
-Perm = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,9 @@ class FiniteGroup:
     inv: np.ndarray          # (n,) int64
     identity: int
     name: str = ""
-    perms: Optional[tuple[Perm, ...]] = None  # set for permutation-built groups
+    # permutation-built groups: (n, degree) int16 (int32 from degree 2**15),
+    # row a the permutation of element a; None for table groups
+    perms: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
@@ -120,9 +122,8 @@ def require_bytes(nbytes: int, what: str) -> None:
 
 
 def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
-                            name: str = "",
-                            perms: Optional[tuple[Perm, ...]] = None) -> FiniteGroup:
-    """Validate a full multiplication table and wrap it as a FiniteGroup.
+                            name: str = "") -> FiniteGroup:
+    """Validate a full multiplication table from outside as a FiniteGroup.
 
     Checks, in order: closure, associativity, identity, inverses. Errors name
     the first offending tuple in row-major order. Associativity is decided by
@@ -150,20 +151,19 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
     e = _identity(table)
     inv = _inverses(table, e, labels)
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
-                       identity=e, name=name, perms=perms)
+                       identity=e, name=name)
 
 
-# table entries per block of the identity and inverse scans: ~8 MB of
-# gathered rows, or ~1 MB per mask
+# table entries per block of a scan: ~8 MB of gathered rows, or ~1 MB per mask
 _SCAN_ENTRIES = 1 << 20
 
 
-def _scan_block(rows: int, cols: int, bytes_per_entry: int, what: str) -> int:
+def _scan_block(rows: int, cols: int, per_entry: int, what: str, per_row: int = 0) -> int:
     """Rows per block of a scan over `rows` rows of `cols` table entries each,
-    after a byte check of one block and 5 KiB for numpy's iterator state
-    and the scan's small arrays (up to 4.2 KB measured)."""
+    after a byte check of one block, `per_row` bytes for each of the scan's
+    rows and 5 KiB for numpy's iterator state and the scan's small arrays."""
     block = max(1, min(rows, _SCAN_ENTRIES // max(cols, 1)))
-    require_bytes(bytes_per_entry * block * cols + (5 << 10), what)
+    require_bytes(per_entry * block * cols + per_row * rows + (5 << 10), what)
     return block
 
 
@@ -189,8 +189,9 @@ def _inverses(table: np.ndarray, e: int, labels: Sequence[str]) -> np.ndarray:
     without one."""
     n = table.shape[0]
     inv = np.empty(n, dtype=np.int64)
-    # three masks per entry
-    block = _scan_block(n, n, 3, f"identity and inverse scans of order {n}")
+    # per entry two masks, their conjunction and numpy's buffer for the
+    # transposed one (8,192 entries); per row inv, `found` and argmax
+    block = _scan_block(n, n, 4, f"identity and inverse scans of order {n}", per_row=17)
     for start in range(0, n, block):
         stop = min(n, start + block)
         both = (table[start:stop] == e) & (table[:, start:stop] == e).T
@@ -243,39 +244,38 @@ def _light_associative(table: np.ndarray) -> bool:
     (Clifford & Preston, The Algebraic Theory of Semigroups I, §1.2).
     """
     n = table.shape[0]
-    block = max(1, (1 << 22) // max(n, 1))   # (block, n) int64 sides: ~32 MB each
+    # per entry both int64 sides and their mask; per row its x*s
+    block = _scan_block(n, n, 17, f"associativity test of order {n}", per_row=8)
     for s in _generating_set(table):
         s_row = table[s]
         for start in range(0, n, block):
             rows = table[start:start + block]
-            if not np.array_equal(table[rows[:, s]], rows[:, s_row]):
+            # take keeps the gather C-ordered, so the comparison needs no buffer
+            if (table[rows[:, s]] != rows.take(s_row, axis=1)).any():
                 return False
     return True
 
 
 def _first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
     """Full triple scan: the first (a, b, c) in row-major order with
-    (a*b)*c != a*(b*c), or None for an associative table."""
+    (a*b)*c != a*(b*c), or None for an associative table. It runs over the
+    pairs (a, b) in row-major order, in blocks of b for each a."""
     n = table.shape[0]
-    block = max(1, (1 << 22) // max(n * n, 1))  # keep the triple scan ~32 MB
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        lhs = table[table[start:stop, :], :]   # lhs[a,b,c] = (a*b)*c
-        rhs = table[start:stop][:, table]      # rhs[a,b,c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            a, b, c = map(int, np.argwhere(lhs != rhs)[0])
-            return a + start, b, c
+    # per entry both int64 sides, their mask and the last block's mask
+    block = _scan_block(n, n, 18, f"associativity scan of order {n}")
+    for a in range(n):
+        for b in range(0, n, block):
+            # differ[j, c]: (a*(b+j))*c != a*((b+j)*c)
+            differ = table[table[a, b:b + block]] != table[a][table[b:b + block]]
+            if differ.any():
+                j, c = divmod(int(differ.argmax()), n)
+                return a, b + j, c
     return None
 
 
 # --- permutations ---------------------------------------------------------
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p * q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_label(p: Perm) -> str:
+def perm_label(p: Sequence[int]) -> str:
     """Disjoint cycle notation with 1-based points; 'e' for the identity.
 
     Points are written back to back for degree <= 9 and comma-separated
@@ -300,7 +300,7 @@ def perm_label(p: Perm) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-def parse_cycles(token: str, degree: int) -> Perm:
+def parse_cycles(token: str, degree: int) -> tuple[int, ...]:
     """Parse cycle notation like '(12)(34)' or '(1,12,3)' into a permutation.
 
     Cycles are applied right to left, matching the composition convention,
@@ -330,69 +330,64 @@ def parse_cycles(token: str, degree: int) -> Perm:
 def build_from_permutation_generators(degree: int, generators: Iterable[Sequence[int]],
                                       name: str = "") -> FiniteGroup:
     """Breadth-first closure of permutation generators under composition, up
-    to DEFAULT_ORDER_CAP elements."""
-    gens: list[Perm] = []
+    to DEFAULT_ORDER_CAP elements. Its table is composition itself, a group
+    table by construction, so it is not validated again: the identity is
+    element 0, and the inverse of a is where row a of the table holds 0."""
+    gens: list[list[int]] = []
     for gi, g in enumerate(generators):
-        p = tuple(int(x) for x in g)
+        p = [int(x) for x in g]
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise NotAPermutation(f"generator {gi} is not a permutation of 0..{degree - 1}")
         gens.append(p)
-
-    # Schreier vectors: right[j][x] (then steps[j, x]) is the index of
-    # elems[x]∘gens[j], and each element y > 0 was first reached as
-    # elems[parent[y]]∘gens[via[y]]
-    ident: Perm = tuple(range(degree))
-    elems: list[Perm] = [ident]
-    index: dict[Perm, int] = {ident: 0}
-    right: list[list[int]] = [[] for _ in gens]
-    parent, via = [0], [0]
-    for head, x in enumerate(elems):   # elems grows while it is read
-        for j, g in enumerate(gens):
-            y = compose(x, g)
-            if y not in index:
-                if len(elems) >= DEFAULT_ORDER_CAP:
+    m, dtype = len(gens), np.int16 if degree < 1 << 15 else np.int32
+    width, images = degree * np.dtype(dtype).itemsize, np.array(gens, np.intp).reshape(m, degree)
+    # Schreier vectors: steps[x * m + j] is the index of elems[x]∘gens[j],
+    # and each element y > 0 was first reached as elems[parent[y]]∘gens[via[y]]
+    front = np.arange(degree, dtype=dtype).reshape(1, degree)
+    index, rounds, steps, parent, via = {front.tobytes(): 0}, [front], [], [0], [0]
+    while len(front):
+        # the rows so far and their keys; this round's products, their keys
+        # and the next frontier (per-object overhead is not counted)
+        require_bytes(width * (2 * len(parent) + 3 * m * len(front)),
+                      f"permutation closure of degree {degree}")
+        head, fresh = len(parent) - len(front), []
+        products = front[:, images].reshape(-1, degree)   # (x∘g)(i) = x[g[i]], in (x, g) order
+        for t, row in enumerate(products):
+            steps.append(index.setdefault(row.tobytes(), len(parent)))
+            if steps[-1] == len(parent):
+                if len(parent) == DEFAULT_ORDER_CAP:
                     raise CapExceeded(f"closure exceeds cap {DEFAULT_ORDER_CAP}")
-                index[y] = len(elems)
-                elems.append(y)
-                parent.append(head)
-                via.append(j)
-            right[j].append(index[y])
+                parent.append(head + t // m)
+                via.append(t % m)
+                fresh.append(t)
+        front = products[fresh]
+        rounds.append(front)
+    del index, products
 
-    n = len(elems)
+    n = len(parent)
     require_bytes(n * n * 8, f"Cayley table of order {n}")
-    steps = np.array(right, dtype=np.int64).reshape(len(gens), n)
+    steps = np.array(steps, dtype=np.int64).reshape(n, m).T.copy()
     table = np.empty((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
     for y in range(1, n):   # a∘y = (a∘parent(y))∘g, column by column in BFS order
         table[:, y] = steps[via[y]][table[:, parent[y]]]
-    labels = tuple(perm_label(p) for p in elems)
-    return build_from_cayley_table(labels, table, name=name, perms=tuple(elems))
+    inv = table.argmin(axis=1)   # before the freeze: argmin copies a read-only array
+    perms = np.concatenate(rounds)
+    # a row at a time: a whole tolist() would hold degree Python ints per element
+    return FiniteGroup(labels=tuple(perm_label(p.tolist()) for p in perms), mul=_freeze(table),
+                       inv=_freeze(inv), identity=0, name=name, perms=_freeze(perms))
 
 
 # --- builtin catalog -------------------------------------------------------
 
-def _dihedral_gens(n: int) -> list[Perm]:
-    rot = tuple((i + 1) % n for i in range(n))
-    refl = tuple(0 if i == 0 else n - i for i in range(n))
-    return [rot, refl]
-
-
 def _quaternion8() -> FiniteGroup:
+    """Element 2u + (sign < 0) is ±1, ±i, ±j, ±k for the unit u of 1, i, j, k.
+    The unit of a product is the XOR of the units' indices (i*j = ±k, ...)."""
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    unit_mul = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-    table = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            sa, ua = (1 if a % 2 == 0 else -1), a // 2
-            sb, ub = (1 if b % 2 == 0 else -1), b // 2
-            s, u = unit_mul[(ua, ub)]
-            s *= sa * sb
-            table[a][b] = u * 2 + (0 if s == 1 else 1)
+    # negative[u][v]: whether unit u times unit v is negative (i*i = -1, j*i = -k, ...)
+    negative = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+    table = [[2 * (a // 2 ^ b // 2) + (a + b + negative[a // 2][b // 2]) % 2 for b in range(8)]
+             for a in range(8)]
     return build_from_cayley_table(labels, table, name="Q8")
 
 
@@ -419,30 +414,24 @@ def builtin_catalog(name: str, *parameters: int) -> FiniteGroup:
     if key == "cyclic":
         if not p or p < 1:
             raise UnknownName("cyclic(n) needs n >= 1")
-        if p == 1:
-            return build_from_cayley_table(("e",), [[0]], name="C1", perms=((),))
-        gen = tuple((i + 1) % p for i in range(p))
-        return build_from_permutation_generators(p, [gen], name=f"C{p}")
+        return build_from_permutation_generators(p, [[*range(1, p), 0]], name=f"C{p}")
     if key == "dihedral":
         if not p or p < 3:
             raise UnknownName("dihedral(n) needs n >= 3")
-        return build_from_permutation_generators(p, _dihedral_gens(p), name=f"D{p}")
+        refl = [-i % p for i in range(p)]
+        return build_from_permutation_generators(p, [[*range(1, p), 0], refl], name=f"D{p}")
     if key == "symmetric":
         if not p or p < 1:
             raise UnknownName("symmetric(n) needs n >= 1")
         if p == 1:
             return builtin_catalog("cyclic", 1)
-        gens = [tuple([1, 0] + list(range(2, p))),
-                tuple((i + 1) % p for i in range(p))]
+        gens = [[1, 0, *range(2, p)], [*range(1, p), 0]]
         return build_from_permutation_generators(p, gens, name=f"S{p}")
     if key == "alternating":
         if not p or p < 3:
             raise UnknownName("alternating(n) needs n >= 3")
-        gens = []
-        for i in range(p - 2):  # consecutive 3-cycles generate A_n
-            g = list(range(p))
-            g[i], g[i + 1], g[i + 2] = g[i + 1], g[i + 2], g[i]
-            gens.append(tuple(g))
+        # consecutive 3-cycles generate A_n
+        gens = [[*range(i), i + 1, i + 2, i, *range(i + 3, p)] for i in range(p - 2)]
         return build_from_permutation_generators(p, gens, name=f"A{p}")
     if key == "quaternion8":
         return _quaternion8()
@@ -569,10 +558,13 @@ def find_element(G: FiniteGroup, token: str) -> int:
     by_perm: Optional[int] = None
     if G.perms is not None and (token in ("e", "()") or token.startswith("(")):
         try:
-            p = parse_cycles(token, len(G.perms[0]))
+            p = np.array(parse_cycles(token, G.perms.shape[1]), dtype=G.perms.dtype)
         except NotAPermutation:
             p = None
-        by_perm = G.perms.index(p) if p in G.perms else None
+        if p is not None:   # one byte an entry of perms, and one an element
+            require_bytes(G.perms.size + G.order + (5 << 10), f"element lookup in order {G.order}")
+            hits = np.flatnonzero((G.perms == p).all(axis=1))
+            by_perm = int(hits[0]) if len(hits) else None
     if by_label is not None and by_perm is not None and by_label != by_perm:
         raise AmbiguousElement(f"token {token!r} is ambiguous")
     if by_label is not None:

@@ -162,6 +162,7 @@ def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p: float) -> float:
     """(sum |phi|^p * lambda)^(1/p)."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    _require_same(lam.quotient, phi)
     return float(np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p))
 
 
@@ -175,7 +176,7 @@ def l1_convolve(T: StructureTable, lam: QuotientMeasure,
     It equals the weighted average of the group convolution of the
     rho-weighted lifts; the verifier's P19_LP compares the two routes.
     """
-    _require_same(T.quotient, phi, psi)
+    _require_same(T.quotient, lam, phi, psi)
     rho = lam.rho.values
     out = quotient_convolve_weights(T.shift, T.h_action,
                                     lam.weights * phi.values, psi.values * rho) / rho
@@ -203,7 +204,7 @@ def lp_action(T: StructureTable, rho: RhoFunction, side: str,
         raise ValueError("p must be >= 1")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _require_same(T.quotient, sigma, phi)
+    _require_same(T.quotient, rho, sigma, phi)
     rp = rho.values ** (1.0 / p)
     weighted = phi.values * rp
     s1, s2 = (sigma.weights, weighted) if side == "left" else (weighted, sigma.weights)

@@ -34,6 +34,8 @@ class RhoFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    carrier = property(lambda self: self.quotient)   # for the carrier guard
+
 
 @dataclass(frozen=True)
 class QuotientMeasure:
@@ -48,6 +50,8 @@ class QuotientMeasure:
         w = np.asarray(self.weights, dtype=np.float64).reshape(self.quotient.coset_count).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    carrier = property(lambda self: self.quotient)   # for the carrier guard
 
 
 def validate_rho(Q: QuotientSpace,
@@ -115,6 +119,7 @@ def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    _require_same(Q, rho)
     avg = average_ph(Q, f)
     return DensityFunction(avg.carrier, avg.values / rho.values ** (1.0 / p))
 
@@ -128,6 +133,7 @@ def compose_with_projection(Q: QuotientSpace, phi: DensityFunction) -> DensityFu
 def quasi_invariant_lambda(Q: QuotientSpace, rho: RhoFunction) -> QuotientMeasure:
     """Coset measure with weight |H| * rho per coset; the unique normalization
     making the group integral match the iterated coset integral exactly."""
+    _require_same(Q, rho)
     return QuotientMeasure(quotient=Q, rho=rho, weights=Q.subgroup.order * rho.values)
 
 

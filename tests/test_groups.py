@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import re
@@ -12,9 +13,14 @@ from cosetalg import groups
 from cosetalg.errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
                              NotAPermutation, NotAssociative, NotClosed,
                              UnknownName)
-from cosetalg.groups import compose, parse_cycles, perm_label
+from cosetalg.groups import parse_cycles, perm_label
 
 from conftest import checked_peak, traced_peak
+
+
+def compose(p, q):
+    """(p * q)(i) = p(q(i))."""
+    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def test_composition_convention_right_factor_first(s3):
@@ -109,6 +115,18 @@ def test_identity_and_inverse_scans_within_their_byte_checks(monkeypatch):
     assert traced_peak(refused) < max(checked) // 4   # before the inverse scan
 
 
+@pytest.mark.parametrize("token", ["S5", "A6"])
+def test_inverse_scan_within_its_byte_check_on_group_tables(monkeypatch, token):
+    # the scan runs to completion: the buffered copy of the transposed
+    # column mask and the per-row temporaries are counted
+    G = _light_group(token)
+    table, found = np.array(G.mul), []
+    checked, peak = checked_peak(monkeypatch, groups, lambda: found.append(
+        groups._inverses(table, G.identity, G.labels)))
+    assert found[0].tolist() == G.inv.tolist()
+    assert len(checked) == 1 and peak <= checked[0]
+
+
 def test_out_of_range_entry_rejected():
     with pytest.raises(NotClosed, match=r"mul\(1,1\)"):
         ca.build_from_cayley_table(["e", "a"], [[0, 1], [1, 2]])
@@ -166,6 +184,52 @@ def test_light_test_matches_full_scan(data):
         ca.build_from_cayley_table([str(i) for i in range(n)], table)
 
 
+def _first_non_associative_by_loops(table):
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a, b], c] != table[a, table[b, c]]:
+                    return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("entries", [1 << 20, 60, 1])
+def test_triple_scan_blocks_keep_the_first_triple(monkeypatch, entries):
+    # blocks of b within one a, down to one pair per block, still name the
+    # first offending (a, b, c) in row-major order
+    monkeypatch.setattr(groups, "_SCAN_ENTRIES", entries)
+    base = np.array(_light_group("D6").mul)
+    for x, y, z in ((11, 11, 3), (0, 0, 1), (7, 2, 9), (5, 0, 0)):
+        table = base.copy()
+        table[x, y] = z
+        assert groups._first_non_associative(table) == _first_non_associative_by_loops(table)
+    assert groups._first_non_associative(base) is None
+
+
+@pytest.mark.parametrize("scan,what", [
+    (groups._light_associative, "associativity test of order 24"),
+    (groups._first_non_associative, "associativity scan of order 24"),
+], ids=["light", "triple"])
+def test_associativity_scans_within_their_byte_checks(monkeypatch, scan, what):
+    # S4's table with one entry changed: both scans find it within their
+    # own check, the first one made, and one byte less refuses them, alone
+    # and in the build (Light's test checks 192 bytes less than the scan)
+    table = np.array(_light_group("S4").mul)
+    table[23, 22] = table[23, 21]
+    scan(table)   # warm
+    checked, peak = checked_peak(monkeypatch, groups, lambda: scan(table))
+    light = scan is groups._light_associative
+    assert peak <= checked[0] == (17 if light else 18) * 24 * 24 + (8 * 24 if light else 0) \
+        + (5 << 10)
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match=f"^{what} needs {checked[0]} bytes"):
+        scan(table)
+    with pytest.raises(CapExceeded, match=f"^{what} needs"):
+        ca.build_from_cayley_table([str(i) for i in range(24)], table)
+
+
 def test_generating_set_generates():
     for token in LIGHT_GROUPS:
         G = _light_group(token)
@@ -203,6 +267,25 @@ def test_cap_exceeded(monkeypatch):
         ca.build_from_permutation_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
 
 
+def test_closure_rows_are_byte_checked_as_they_grow(monkeypatch):
+    # a transposition of degree 2**15: int32 rows of 128 KiB, a 32-byte
+    # table; each round checks the rows so far (as rows and as keys) and
+    # its products (as rows, keys and the next frontier)
+    degree = 1 << 15
+    swap = [1, 0] + list(range(2, degree))
+    width = 4 * degree
+    checked, _ = checked_peak(monkeypatch, groups,
+                              lambda: ca.build_from_permutation_generators(degree, [swap]))
+    assert checked == [width * (2 * 1 + 3 * 1), width * (2 * 2 + 3 * 1), 2 * 2 * 8]
+    monkeypatch.undo()
+    G = ca.build_from_permutation_generators(degree, [swap])
+    assert G.perms.dtype == np.int32 and G.perms.shape == (2, degree)
+    assert G.labels == ("e", "(1,2)") and ca.find_element(G, "(2,1)") == 1
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[1] - 1)
+    with pytest.raises(CapExceeded, match=f"^permutation closure of degree {degree} needs"):
+        ca.build_from_permutation_generators(degree, [swap])
+
+
 def _bfs_closure(degree, gens):
     """The closure's definition: breadth-first from the identity, successors
     x*g in generator order."""
@@ -219,10 +302,18 @@ def _bfs_closure(degree, gens):
 
 def _assert_table_is_composition(degree, gens):
     G = ca.build_from_permutation_generators(degree, gens)
-    assert list(G.perms) == _bfs_closure(degree, [tuple(g) for g in gens])
-    perms = np.array(G.perms, dtype=np.int64).reshape(G.order, degree)
+    elems = _bfs_closure(degree, [tuple(g) for g in gens])
+    assert [tuple(p) for p in G.perms.tolist()] == elems
+    assert G.labels == tuple(map(perm_label, elems))
+    assert G.perms.shape == (G.order, degree) and G.perms.dtype == np.int16
+    assert not G.perms.flags.writeable
+    perms = G.perms.astype(np.int64)
     for a in range(G.order):   # row a: perms[a] ∘ perms[b] for every b
-        assert np.array_equal(perms[G.mul[a]], perms[a][perms])
+        assert perms[G.mul[a]].tolist() == perms[a][perms].tolist()
+    # the trusted closure and the validating table route agree on the rest
+    T = ca.build_from_cayley_table(G.labels, G.mul)
+    assert T.identity == G.identity == 0
+    assert T.inv.tolist() == G.inv.tolist()
 
 
 @st.composite
@@ -262,6 +353,30 @@ def test_permutation_table_matches_composition(degree_and_gens):
         "duplicate-only"])
 def test_permutation_table_edge_generators(degree, gens):
     _assert_table_is_composition(degree, gens)
+
+
+def test_closure_is_trusted_by_construction(monkeypatch):
+    # a closure's table is composition itself: none of the checks of an
+    # outside table runs, and the identity and inverses come out right
+    def refuse(*args):
+        raise AssertionError("a closure ran a table check")
+
+    for check in ("_light_associative", "_generating_set", "_identity", "_inverses"):
+        monkeypatch.setattr(groups, check, refuse)
+    for token in ("S4", "D12", "A5", "C7", "C1", "S1"):
+        G = ca.builtin_from_token(token)
+        assert G.identity == 0 and G.labels[0] == "e"
+        assert (G.mul[np.arange(G.order), G.inv] == 0).all()
+        assert (G.mul[G.inv, np.arange(G.order)] == 0).all()
+
+
+@pytest.mark.parametrize("token", ["C1", "S1", "cyclic(1)", "symmetric(1)"])
+def test_trivial_builtins_close_like_any_cyclic_group(token):
+    # C1 closes from the generator (0,) like every other cyclic group
+    G = ca.builtin_from_token(token)
+    assert (G.name, G.labels, G.mul.tolist(), G.inv.tolist()) == ("C1", ("e",), [[0]], [0])
+    assert G.perms.tolist() == [[0]]
+    assert ca.find_element(G, "e") == ca.find_element(G, "()") == 0
 
 
 @pytest.mark.parametrize("name,param,order", [
@@ -573,10 +688,11 @@ HIGH_CYCLE_SPEC = {"name": "C18", "permutations": {
 ], ids=["C18-on-points-23-40", "C17", "D20"])
 def test_permutation_table_matches_composition_at_large_degree(make):
     G = make()
-    assert G.order == len(set(G.perms))
+    perms = [tuple(p) for p in G.perms.tolist()]
+    assert G.order == len(set(perms))
     for a in range(G.order):
         for b in range(G.order):
-            assert G.perms[G.op(a, b)] == compose(G.perms[a], G.perms[b])
+            assert perms[G.op(a, b)] == compose(perms[a], perms[b])
 
 
 def test_find_element_by_label_and_cycles(s3, q8):
@@ -597,13 +713,25 @@ def test_find_element_non_canonical_and_ambiguous_tokens(s3):
                          ("(3,1,2)", "(123)"), ("()", "e")):
         assert ca.find_element(s3, token) == s3.labels.index(label)
     # a table group whose permutations disagree with its labels
-    G = ca.build_from_cayley_table(s3.labels, s3.mul, name="S3 mislabelled",
-                                   perms=s3.perms[1:] + s3.perms[:1])
+    G = dataclasses.replace(s3, perms=np.roll(s3.perms, -1, axis=0), name="S3 mislabelled")
     for token in ("(12)", "e"):
         with pytest.raises(AmbiguousElement, match=re.escape(f"token {token!r} is ambiguous")):
             ca.find_element(G, token)
     # a spelling that is no label resolves through the permutations alone
     assert ca.find_element(G, "(21)") == 0
+
+
+def test_find_element_matches_rows_within_its_byte_check(monkeypatch):
+    # "(1,2)" is no label of S4, so only its permutation is looked up: one
+    # byte an entry of perms and one an element
+    G = _light_group("S4")
+    ca.find_element(G, "(1,2)")   # warm
+    checked, peak = checked_peak(monkeypatch, groups, lambda: ca.find_element(G, "(1,2)"))
+    assert checked == [4 * 24 + 24 + (5 << 10)] and peak <= checked[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match="^element lookup in order 24 needs"):
+        ca.find_element(G, "(1,2)")
 
 
 def _parse_cycles_by_compose(token, degree):

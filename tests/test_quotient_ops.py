@@ -287,19 +287,57 @@ def test_pushforward_isometric_on_invariant(s3_q):
                    - ca.total_variation(inv)) < 1e-12
 
 
+def _ones(space):
+    return ca.DensityFunction(space, np.ones(len(space.labels)))
+
+
+# operators that read a rho or a lambda, called on Q with one that may live
+# elsewhere, and the lambda of given rho values
+def weighted_average_th(Q, rho):
+    return ca.weighted_average_th(Q, rho, 2.0, _ones(Q.group))
+
+
+def quotient_integral_check(Q, rho):
+    return ca.quotient_integral_check(Q, rho, _ones(Q.group))
+
+
+def lp_action(Q, rho):
+    return ca.lp_action(ca.structure_table(Q), rho, "left", ca.point_mass(Q, 0), _ones(Q), 2.0)
+
+
+def l1_convolve(Q, lam):
+    return ca.l1_convolve(ca.structure_table(Q), lam, _ones(Q), _ones(Q))
+
+
+def lp_norm(Q, lam):
+    return ca.lp_norm(lam, _ones(Q), 2.0)
+
+
+def quotient_measure(Q, values):
+    return ca.quasi_invariant_lambda(Q, ca.RhoFunction(Q, values))
+
+
 @pytest.mark.parametrize("op,kind,wants_group", [
     (ca.average_ph, ca.DensityFunction, True),
     (ca.compose_with_projection, ca.DensityFunction, False),
     (ca.pushforward_rh, ca.ComplexMeasure, True),
     (ca.lift_to_invariant, ca.ComplexMeasure, False),
     (ca.membership_mgh, ca.ComplexMeasure, True),
+    # a rho or a lambda lives on a coset space only (wants_group None)
+    (weighted_average_th, ca.RhoFunction, None),
+    (ca.quasi_invariant_lambda, ca.RhoFunction, None),
+    (quotient_integral_check, ca.RhoFunction, None),
+    (lp_action, ca.RhoFunction, None),
+    (l1_convolve, quotient_measure, None),
+    (lp_norm, quotient_measure, None),
 ])
 def test_operators_refuse_the_other_carrier(s3_q, same_labelled_quotients, op, kind,
                                             wants_group):
-    qcar, gcar = qc_gc(s3_q)
-    wrong = qcar if wants_group else gcar
-    with pytest.raises(CarrierMismatch, match="carriers differ"):
-        op(s3_q, kind(wrong, np.ones(len(wrong.labels))))
+    if wants_group is not None:
+        qcar, gcar = qc_gc(s3_q)
+        wrong = qcar if wants_group else gcar
+        with pytest.raises(CarrierMismatch, match="carriers differ"):
+            op(s3_q, kind(wrong, np.ones(len(wrong.labels))))
     # the carrier the operator wants, but of another space with the same labels:
     # another build of S3, or S3/A3 against C4/<(13)(24)>
     if wants_group:
@@ -309,6 +347,7 @@ def test_operators_refuse_the_other_carrier(s3_q, same_labelled_quotients, op, k
     else:
         s3_a3_q, Q = same_labelled_quotients
         foreign = kind(s3_a3_q, np.ones(2))
+        op(s3_a3_q, foreign)   # on its own space it is accepted
     with pytest.raises(CarrierMismatch, match="carriers differ"):
         op(Q, foreign)
 
