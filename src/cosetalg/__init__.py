@@ -8,10 +8,10 @@ the algebraic laws on a catalog of concrete pairs.
 """
 
 from ._kernels import BACKEND
-from .errors import (AmbiguousElement, CapExceeded, CarrierMismatch,
-                     CosetAlgError, NoIdentity, NoInverse, NonPositive,
-                     NotAPermutation, NotAssociative, NotClosed,
-                     NotCosetConstant, UnknownCheckId, UnknownName)
+from .errors import (CapExceeded, CarrierMismatch, CosetAlgError,
+                     NoIdentity, NoInverse, NonPositive, NotAPermutation,
+                     NotAssociative, NotClosed, NotCosetConstant,
+                     UnknownCheckId, UnknownName)
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup,
                      build_coset_space, build_from_cayley_table,

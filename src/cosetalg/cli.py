@@ -18,6 +18,7 @@ import json
 import re
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -126,17 +127,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_conv(args) -> int:
     if args.quotient:
-        G, H = _resolve_pair(args)
-        Q = build_coset_space(G, H)
-        T = structure_table(Q)
-        m1 = measure_from_dict(Q, _load_json(args.m1))
-        m2 = measure_from_dict(Q, _load_json(args.m2))
-        out = quotient_convolve(T, m1, m2)
+        carrier = build_coset_space(*_resolve_pair(args))
+        convolve = partial(quotient_convolve, structure_table(carrier))
     else:
-        G = _resolve_group(args.group)
-        m1 = measure_from_dict(G, _load_json(args.m1))
-        m2 = measure_from_dict(G, _load_json(args.m2))
-        out = group_convolve(G, m1, m2)
+        carrier = _resolve_group(args.group)
+        convolve = partial(group_convolve, carrier)
+    out = convolve(*(measure_from_dict(carrier, _load_json(m)) for m in (args.m1, args.m2)))
     payload = measure_to_dict(out)
 
     def render(d):
@@ -191,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure tables, and verification checks.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, need_subgroup=False):
+    def add_common(p):
         p.add_argument("--group", required=False,
                        help="builtin:NAME(k) (e.g. builtin:S3, builtin:cyclic(6)) "
                             "or a path to a group JSON file")

@@ -37,10 +37,6 @@ class UnknownName(CosetAlgError):
     """Unrecognized builtin group name."""
 
 
-class AmbiguousElement(CosetAlgError):
-    """An element token resolves to more than one group element."""
-
-
 class CarrierMismatch(CosetAlgError):
     """Operands live on different carriers."""
 

@@ -18,13 +18,14 @@ structure is an explicit table. Conventions, pinned by unit tests:
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
-                     NotAPermutation, NotAssociative, NotClosed, UnknownName)
+from .errors import (CapExceeded, NoIdentity, NoInverse, NotAPermutation,
+                     NotAssociative, NotClosed, UnknownName)
 
 DEFAULT_ORDER_CAP = 10080
 
@@ -185,21 +186,20 @@ def _identity(table: np.ndarray) -> int:
 
 
 def _inverses(table: np.ndarray, e: int, labels: Sequence[str]) -> np.ndarray:
-    """inv[a], the first b with a*b = b*a = e; NoInverse names the first a
-    without one."""
+    """inv[a], the first b with a*b = e; NoInverse names the first a without
+    one. The table is a finite monoid by now, where a*b = e implies b*a = e,
+    so rows alone decide it."""
     n = table.shape[0]
     inv = np.empty(n, dtype=np.int64)
-    # per entry two masks, their conjunction and numpy's buffer for the
-    # transposed one (8,192 entries); per row inv, `found` and argmax
-    block = _scan_block(n, n, 4, f"identity and inverse scans of order {n}", per_row=17)
+    # per entry its mask and the last block's; per row inv, `found` and argmax
+    block = _scan_block(n, n, 2, f"identity and inverse scans of order {n}", per_row=17)
     for start in range(0, n, block):
-        stop = min(n, start + block)
-        both = (table[start:stop] == e) & (table[:, start:stop] == e).T
-        found = both.any(axis=1)
+        hit = table[start:start + block] == e
+        found = hit.any(axis=1)
         if not found.all():
             a = start + int(np.argmin(found))
             raise NoInverse(f"element {a} ({labels[a]}) has no two-sided inverse")
-        inv[start:stop] = both.argmax(axis=1)
+        inv[start:start + block] = hit.argmax(axis=1)
     return inv
 
 
@@ -401,38 +401,35 @@ def direct_product_group(g1: FiniteGroup, g2: FiniteGroup, name: str = "") -> Fi
     return build_from_cayley_table(labels, table, name=name or f"{g1.name}x{g2.name}")
 
 
+# family -> (alias letter, least n, generators of degree n); the generator
+# order fixes the element order
+_FAMILIES = {
+    "cyclic": ("C", 1, lambda n: [[*range(1, n), 0]]),
+    "dihedral": ("D", 3, lambda n: [[*range(1, n), 0], [-i % n for i in range(n)]]),
+    "symmetric": ("S", 1, lambda n: [[1, 0, *range(2, n)], [*range(1, n), 0]]),
+    # consecutive 3-cycles generate A_n
+    "alternating": ("A", 3, lambda n: [[*range(i), i + 1, i + 2, i, *range(i + 3, n)]
+                                       for i in range(n - 2)]),
+}
+
+
 def builtin_catalog(name: str, *parameters: int) -> FiniteGroup:
     """Named group families with canonical labelings.
 
     cyclic(n), dihedral(n), symmetric(n), alternating(n): permutation groups
-    labeled in cycle notation, built by BFS closure of the documented
-    generators. quaternion8: the eight units +-1, +-i, +-j, +-k.
-    direct_product(m, n): cyclic(m) x cyclic(n) with pair labels.
+    labeled in cycle notation, built by BFS closure of the generators in
+    _FAMILIES and named C6, D4, S4 (S1 is C1), A4. quaternion8: the eight
+    units +-1, +-i, +-j, +-k. direct_product(m, n): C_m x C_n, pair labels.
     """
     key = name.strip().lower()
-    p = parameters[0] if parameters else None
-    if key == "cyclic":
-        if not p or p < 1:
-            raise UnknownName("cyclic(n) needs n >= 1")
-        return build_from_permutation_generators(p, [[*range(1, p), 0]], name=f"C{p}")
-    if key == "dihedral":
-        if not p or p < 3:
-            raise UnknownName("dihedral(n) needs n >= 3")
-        refl = [-i % p for i in range(p)]
-        return build_from_permutation_generators(p, [[*range(1, p), 0], refl], name=f"D{p}")
-    if key == "symmetric":
-        if not p or p < 1:
-            raise UnknownName("symmetric(n) needs n >= 1")
-        if p == 1:
+    if key in _FAMILIES:
+        letter, least, generators = _FAMILIES[key]
+        p = parameters[0] if parameters else None
+        if not p or p < least:
+            raise UnknownName(f"{key}(n) needs n >= {least}")
+        if key == "symmetric" and p == 1:
             return builtin_catalog("cyclic", 1)
-        gens = [[1, 0, *range(2, p)], [*range(1, p), 0]]
-        return build_from_permutation_generators(p, gens, name=f"S{p}")
-    if key == "alternating":
-        if not p or p < 3:
-            raise UnknownName("alternating(n) needs n >= 3")
-        # consecutive 3-cycles generate A_n
-        gens = [[*range(i), i + 1, i + 2, i, *range(i + 3, p)] for i in range(p - 2)]
-        return build_from_permutation_generators(p, gens, name=f"A{p}")
+        return build_from_permutation_generators(p, generators(p), name=f"{letter}{p}")
     if key == "quaternion8":
         return _quaternion8()
     if key == "direct_product":
@@ -444,25 +441,19 @@ def builtin_catalog(name: str, *parameters: int) -> FiniteGroup:
     raise UnknownName(f"unknown builtin group {name!r}")
 
 
-_ALIAS_PATTERN = re.compile(r"^([SDCA])(\d+)$", re.IGNORECASE)
-_ALIAS_FAMILIES = {"S": "symmetric", "D": "dihedral", "C": "cyclic", "A": "alternating"}
-
-
 def builtin_from_token(token: str) -> FiniteGroup:
     """Parse a builtin group token: 'builtin:S3', 'S3', 'cyclic(6)',
     'direct_product(2,3)', 'Q8', 'quaternion8'."""
-    t = token.strip()
-    if t.lower().startswith("builtin:"):
-        t = t[len("builtin:"):]
+    t = re.sub(r"^builtin:", "", token.strip(), flags=re.IGNORECASE)
     m = re.match(r"^([A-Za-z_][A-Za-z_0-9]*)\((\d+(?:,\s*\d+)*)\)$", t)
     if m:
-        params = tuple(int(x) for x in m.group(2).split(","))
-        return builtin_catalog(m.group(1), *params)
+        return builtin_catalog(m.group(1), *map(int, m.group(2).split(",")))
     if t.lower() in ("q8", "quaternion8"):
         return builtin_catalog("quaternion8")
-    m = _ALIAS_PATTERN.match(t)
-    if m:
-        return builtin_catalog(_ALIAS_FAMILIES[m.group(1).upper()], int(m.group(2)))
+    m = re.match(r"^([A-Za-z])(\d+)$", t)
+    for family, (letter, _, _) in _FAMILIES.items():
+        if m and m.group(1).upper() == letter:
+            return builtin_catalog(family, int(m.group(2)))
     raise UnknownName(f"cannot parse builtin group token {token!r}")
 
 
@@ -551,26 +542,20 @@ def element_order(G: FiniteGroup, x: int) -> int:
 # --- element lookup and serialization --------------------------------------
 
 def find_element(G: FiniteGroup, token: str) -> int:
-    """Resolve an element token: exact label match first, else cycle notation
-    (permutation groups only). Disagreement between the two routes is an error."""
+    """Resolve an element token: a permutation group reads it as cycle
+    notation and matches the rows of `perms`, a table group as a label."""
     token = token.strip()
-    by_label = G.labels.index(token) if token in G.labels else None
-    by_perm: Optional[int] = None
-    if G.perms is not None and (token in ("e", "()") or token.startswith("(")):
-        try:
+    if G.perms is None:
+        if token in G.labels:
+            return G.labels.index(token)
+    elif token in ("e", "()") or token.startswith("("):
+        with suppress(NotAPermutation):
             p = np.array(parse_cycles(token, G.perms.shape[1]), dtype=G.perms.dtype)
-        except NotAPermutation:
-            p = None
-        if p is not None:   # one byte an entry of perms, and one an element
+            # one byte an entry of perms, and one an element
             require_bytes(G.perms.size + G.order + (5 << 10), f"element lookup in order {G.order}")
             hits = np.flatnonzero((G.perms == p).all(axis=1))
-            by_perm = int(hits[0]) if len(hits) else None
-    if by_label is not None and by_perm is not None and by_label != by_perm:
-        raise AmbiguousElement(f"token {token!r} is ambiguous")
-    if by_label is not None:
-        return by_label
-    if by_perm is not None:
-        return by_perm
+            if len(hits):
+                return int(hits[0])
     raise UnknownName(f"no element {token!r} in {G.name or 'group'}")
 
 

@@ -8,6 +8,8 @@ measure, so a density and the measure it induces share the same vector.
 
 from __future__ import annotations
 
+import cmath
+from contextlib import suppress
 from dataclasses import dataclass
 from numbers import Number
 from typing import Union
@@ -15,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from ._kernels import group_convolve_weights
-from .errors import CarrierMismatch
+from .errors import CarrierMismatch, CosetAlgError
 from .groups import FiniteGroup, QuotientSpace
 
 DEFAULT_TOL = 1e-9
@@ -135,11 +137,8 @@ def integrate(mu: ComplexMeasure, f: DensityFunction) -> complex:
 def measure_to_dict(mu: ComplexMeasure) -> dict:
     """JSON form {"carrier": kind, "weights": {label: [re, im]}}; zero weights
     are omitted (absent labels mean 0)."""
-    weights = {}
-    for lab, w in zip(mu.carrier.labels, mu.weights):
-        if w == 0:
-            continue
-        weights[lab] = [float(w.real), float(w.imag)]
+    weights = {lab: [float(w.real), float(w.imag)]
+               for lab, w in zip(mu.carrier.labels, mu.weights) if w != 0}
     return {"carrier": _kind(mu.carrier), "weights": weights}
 
 
@@ -147,19 +146,33 @@ def _kind(carrier: Carrier) -> str:
     return "group" if isinstance(carrier, FiniteGroup) else "quotient"
 
 
+def _weight(label: str, val) -> complex:
+    """A JSON weight: a finite number or a finite [re, im] pair."""
+    parts = val if isinstance(val, (list, tuple)) and len(val) == 2 else [val]
+    if all(isinstance(x, Number) and not isinstance(x, bool) for x in parts):
+        with suppress(OverflowError):
+            z = complex(*parts)
+            if cmath.isfinite(z):
+                return z
+    raise CosetAlgError(f"weight of {label!r} must be a finite number or a finite "
+                        f"[re, im] pair, got {val!r}")
+
+
 def measure_from_dict(carrier: Carrier, d: dict) -> ComplexMeasure:
     """The measure a JSON form describes on `carrier`; refuses another kind
-    of carrier and labels that are no point of it."""
+    of carrier, labels that are no point of it and weights that are no
+    finite number."""
+    if not isinstance(d, dict):
+        raise CosetAlgError("a measure file must be a JSON object")
     kind = d.get("carrier", _kind(carrier))
     if kind != _kind(carrier):
         raise CarrierMismatch(f"measure file is on a {kind!r} carrier, expected {_kind(carrier)!r}")
+    weights = d.get("weights", {})
+    if not isinstance(weights, dict):
+        raise CosetAlgError("a measure file's 'weights' must be an object of label: weight")
     w = np.zeros(len(carrier.labels), dtype=np.complex128)
-    for lab, val in d.get("weights", {}).items():
-        if isinstance(val, Number):
-            z = complex(val)
-        else:
-            re, im = val
-            z = complex(re, im)
+    for lab, val in weights.items():
+        z = _weight(lab, val)
         if lab not in carrier.labels:
             raise CarrierMismatch(f"no point {lab!r} on this carrier")
         w[carrier.labels.index(lab)] = z

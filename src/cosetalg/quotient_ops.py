@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._kernels import lift_weights, push_weights
-from .errors import CarrierMismatch, NonPositive, NotCosetConstant
+from .errors import CarrierMismatch, CosetAlgError, NonPositive, NotCosetConstant
 from .groups import QuotientSpace
 from .measures import ComplexMeasure, DensityFunction, _require_same
 
@@ -59,8 +59,9 @@ def validate_rho(Q: QuotientSpace,
     """Build a validated rho weight.
 
     `values` has one entry per coset, or one per group element (raw mode, the
-    only route that can violate coset constancy). Raises NonPositive or
-    NotCosetConstant naming the first offense.
+    only route that can violate coset constancy). Raises NonPositive (a value
+    that is not > 0, or is infinite) or NotCosetConstant naming the first
+    offense.
     """
     vals = list(values)
     k, n = Q.coset_count, Q.group.order
@@ -79,9 +80,10 @@ def validate_rho(Q: QuotientSpace,
     else:
         raise CarrierMismatch(f"rho needs {k} (per coset) or {n} (per element) values")
 
-    bad = np.flatnonzero(~(per_coset > 0))
+    bad = np.flatnonzero(~((per_coset > 0) & (per_coset < np.inf)))
     if len(bad):
-        raise NonPositive(f"rho must be > 0, got {per_coset[bad[0]]} on coset C{int(bad[0])}")
+        v, c = per_coset[bad[0]], int(bad[0])
+        raise NonPositive(f"rho must be {'finite' if v > 0 else '> 0'}, got {v} on coset C{c}")
     return RhoFunction(quotient=Q, values=per_coset)
 
 
@@ -93,9 +95,14 @@ def rho_ones(Q: QuotientSpace) -> RhoFunction:
 def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:
     """File schema {"values": {representative_label: positive number}};
     missing cosets default to 1."""
+    if not isinstance(d, dict):
+        raise CosetAlgError("a rho file must be a JSON object")
+    values = d.get("values", {})
+    if not isinstance(values, dict):
+        raise CosetAlgError("a rho file's 'values' must be an object of label: value")
     vals: list[Union[Fraction, float]] = [Fraction(1)] * Q.coset_count
     rep_to_coset = {Q.group.labels[int(r)]: c for c, r in enumerate(Q.reps)}
-    for lab, v in d.get("values", {}).items():
+    for lab, v in values.items():
         if lab not in rep_to_coset:
             raise CarrierMismatch(f"{lab!r} is not a coset representative label")
         vals[rep_to_coset[lab]] = Fraction(str(v)) if not isinstance(v, float) else v

@@ -207,6 +207,41 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content,message", [
+    ([1, 2], "a rho file must be a JSON object"),
+    ({"values": [1, 2]}, "a rho file's 'values' must be an object of label: value"),
+    ({"values": {"(123)": float("inf")}}, "rho must be finite, got inf on coset C1"),
+    ({"values": {"(23)": float("nan")}}, "rho must be > 0, got nan on coset C2"),
+    ({"values": {"(123)": -1}}, "rho must be > 0, got -1.0 on coset C1"),
+], ids=["list", "values-list", "infinite", "nan", "negative"])
+def test_malformed_rho_file_exits_2(tmp_path, capsys, content, message):
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps(content))    # writes NaN and Infinity, as json reads them
+    code, out, err = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
+                             "--rho", str(rho), "--trials", "1", "--format", "json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("content,message", [
+    ([1, 2], "a measure file must be a JSON object"),
+    ({"weights": [1, 2]}, "a measure file's 'weights' must be an object of label: weight"),
+    *(({"weights": {"C1": w}}, "weight of 'C1' must be a finite number or a finite "
+       f"[re, im] pair, got {w!r}")
+      for w in (float("nan"), float("inf"), [1, float("-inf")], [float("nan"), 0],
+                "1", True, [1, 2, 3], [1], None, 10 ** 400)),
+], ids=["list", "weights-list", "nan", "inf", "pair-inf", "pair-nan", "string", "bool",
+        "triple", "single", "null", "overflow"])
+def test_malformed_measure_file_exits_2(tmp_path, capsys, content, message):
+    # the same refusal on the group and on the coset space ("C1" is a label
+    # of neither carrier: the weight is refused first)
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(content))
+    for extra in ((), ("--quotient", "--subgroup", "(12)")):
+        code, out, err = run_cli(capsys, "conv", "--group", "builtin:S3", *extra,
+                                 "--m1", str(m), "--m2", str(m), "--format", "json")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), extra
+
+
 @pytest.mark.parametrize("budget,what", [
     (4000, "Cayley table of order 24 needs 4608 bytes"),
 ])

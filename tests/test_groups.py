@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import cosetalg as ca
 from cosetalg import groups
-from cosetalg.errors import (AmbiguousElement, CapExceeded, NoIdentity, NoInverse,
-                             NotAPermutation, NotAssociative, NotClosed,
-                             UnknownName)
+from cosetalg.errors import (CapExceeded, NoIdentity, NoInverse, NotAPermutation,
+                             NotAssociative, NotClosed, UnknownName)
 from cosetalg.groups import parse_cycles, perm_label
 
 from conftest import checked_peak, traced_peak
@@ -115,10 +114,11 @@ def test_identity_and_inverse_scans_within_their_byte_checks(monkeypatch):
     assert traced_peak(refused) < max(checked) // 4   # before the inverse scan
 
 
-@pytest.mark.parametrize("token", ["S5", "A6"])
+@pytest.mark.parametrize("token", ["S5", "A6", "C1200"])
 def test_inverse_scan_within_its_byte_check_on_group_tables(monkeypatch, token):
-    # the scan runs to completion: the buffered copy of the transposed
-    # column mask and the per-row temporaries are counted
+    # the scan runs to completion over rows alone: each block's mask and,
+    # past the first block (C1200 takes two), the last block's are counted
+    # with the per-row temporaries
     G = _light_group(token)
     table, found = np.array(G.mul), []
     checked, peak = checked_peak(monkeypatch, groups, lambda: found.append(
@@ -706,24 +706,21 @@ def test_find_element_by_label_and_cycles(s3, q8):
         ca.find_element(s3, "(14)")
 
 
-def test_find_element_non_canonical_and_ambiguous_tokens(s3):
+def test_find_element_non_canonical_tokens(s3):
     # any cycle spelling of an element resolves to it: rotated cycles, and
     # commas at degree <= 9
     for token, label in (("(21)", "(12)"), ("(1,2)", "(12)"), ("(231)", "(123)"),
                          ("(3,1,2)", "(123)"), ("()", "e")):
         assert ca.find_element(s3, token) == s3.labels.index(label)
-    # a table group whose permutations disagree with its labels
+    # a permutation group reads tokens through its permutations alone, never
+    # its labels: here row 0 holds (12) and the last row the identity
     G = dataclasses.replace(s3, perms=np.roll(s3.perms, -1, axis=0), name="S3 mislabelled")
-    for token in ("(12)", "e"):
-        with pytest.raises(AmbiguousElement, match=re.escape(f"token {token!r} is ambiguous")):
-            ca.find_element(G, token)
-    # a spelling that is no label resolves through the permutations alone
-    assert ca.find_element(G, "(21)") == 0
+    assert [ca.find_element(G, t) for t in ("(12)", "(21)", "e", "()")] == [0, 0, 5, 5]
 
 
 def test_find_element_matches_rows_within_its_byte_check(monkeypatch):
-    # "(1,2)" is no label of S4, so only its permutation is looked up: one
-    # byte an entry of perms and one an element
+    # a permutation group matches the token's permutation against its rows:
+    # one byte an entry of perms and one an element
     G = _light_group("S4")
     ca.find_element(G, "(1,2)")   # warm
     checked, peak = checked_peak(monkeypatch, groups, lambda: ca.find_element(G, "(1,2)"))
@@ -732,6 +729,139 @@ def test_find_element_matches_rows_within_its_byte_check(monkeypatch):
     monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match="^element lookup in order 24 needs"):
         ca.find_element(G, "(1,2)")
+
+
+DEGREE_12_SPEC = {"name": "G12", "permutations": {"degree": 12, "generators": [
+    [10, 11, *range(2, 10), 0, 1],            # (1,11)(2,12)
+    [*range(9), 10, 11, 9]]}}                 # (10,11,12)
+
+
+@pytest.mark.parametrize("token", ["C1", "S1", "S3", "S4", "S5", "S6", "A5", "A6", "D4", "D6",
+                                   "D60", "C6", "D1000", "degree-12-file"])
+def test_labels_parse_back_to_their_permutations(token):
+    # why find_element may read a permutation group's tokens through perms
+    # alone: every label is the cycle notation of its own row
+    G = (ca.group_from_dict(DEGREE_12_SPEC) if token == "degree-12-file"
+         else ca.builtin_from_token(token))
+    degree = G.perms.shape[1]
+    for label, row in zip(G.labels, G.perms.tolist()):
+        assert parse_cycles(label, degree) == tuple(row)
+
+
+def _find_by_search(G, token):
+    """find_element's definition on a permutation group: parse, then the
+    first row of perms equal to the permutation."""
+    p = parse_cycles(token, G.perms.shape[1])
+    return next(i for i, row in enumerate(G.perms.tolist()) if tuple(row) == p)
+
+
+def _cycles(p):
+    """The cycles of a permutation with at least two points, 1-based."""
+    seen, cycles = set(), []
+    for i in range(len(p)):
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i + 1)
+            i = p[i]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return cycles
+
+
+@st.composite
+def _element_spellings(draw):
+    """(G, element, token): a group of 1-3 generators moving at most 6 of
+    degree <= 8 or 10..16 points, an element, and one of its cycle
+    spellings: disjoint cycles rotated and reordered, with commas or (at
+    degree <= 9) without, or a product x*y of two such spellings."""
+    degree = draw(st.one_of(st.integers(1, 8), st.integers(10, 16)), label="degree")
+    m = draw(st.integers(1, min(6, degree)), label="moved points")
+    spots = draw(st.permutations(range(degree)), label="placement")[:m]
+    gens = []
+    for g in draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3),
+                  label="generators"):
+        p = list(range(degree))
+        for i in range(m):
+            p[spots[i]] = spots[g[i]]
+        gens.append(p)
+    G = ca.build_from_permutation_generators(degree, gens)
+    perms = [tuple(p) for p in G.perms.tolist()]
+
+    def spell(p):
+        cycles = [c[k:] + c[:k] for c in _cycles(p)
+                  for k in [draw(st.integers(0, len(c) - 1), label="rotation")]]
+        cycles = draw(st.permutations(cycles), label="cycle order")
+        sep = "," if degree > 9 or draw(st.booleans(), label="commas") else ""
+        return "".join("(" + sep.join(map(str, c)) + ")" for c in cycles) or "()"
+
+    x = draw(st.integers(0, G.order - 1), label="element")
+    if draw(st.booleans(), label="product"):
+        y = draw(st.integers(0, G.order - 1), label="right factor")
+        # x = (x * y^-1) * y, and a token's cycles act right to left
+        token = spell(perms[int(G.mul[x, G.inv[y]])]) + spell(perms[y])
+    else:
+        token = spell(perms[x])
+        if token == "()":
+            token = draw(st.sampled_from(["()", "e"]), label="identity")
+    return G, x, token
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_spellings())
+def test_find_element_matches_a_search_of_perms(case):
+    G, x, token = case
+    assert ca.find_element(G, token) == _find_by_search(G, token) == x
+
+
+@pytest.mark.parametrize("token", ["", "i", "(14)", "abc", " ", "e(12)"])
+def test_find_element_refuses_tokens_outside_the_group(s3, token):
+    with pytest.raises(UnknownName, match=re.escape(f"no element {token.strip()!r} in S3")):
+        ca.find_element(s3, token)
+
+
+def test_table_groups_resolve_tokens_by_label(q8):
+    # no permutations: labels alone, even those that look like cycles
+    G = ca.builtin_catalog("direct_product", 2, 3)
+    assert G.perms is None and q8.perms is None
+    for H in (q8, G):
+        for i, label in enumerate(H.labels):
+            assert ca.find_element(H, f" {label} ") == i
+    for H, token in ((q8, "(12)"), (q8, "e"), (G, "(12)"), (G, "((12),e)x"), (G, "()")):
+        with pytest.raises(UnknownName, match=re.escape(f"no element {token!r} in {H.name}")):
+            ca.find_element(H, token)
+
+
+@pytest.mark.parametrize("name,spellings", [
+    ("C1", ["C1", "c1", "S1", "s1", "cyclic(1)", "symmetric(1)", "builtin:S1"]),
+    ("C6", ["builtin:C6", "C6", "c6", "cyclic(6)", "Cyclic(6)", "builtin:CYCLIC(6)"]),
+    ("D4", ["builtin:D4", "D4", "d4", "dihedral(4)", "Dihedral(4)", " D4 "]),
+    ("S4", ["builtin:S4", "S4", "s4", "symmetric(4)", "Symmetric(4)", "builtin:symmetric(4)"]),
+    ("A4", ["builtin:A4", "A4", "a4", "alternating(4)", "Alternating(4)", "ALTERNATING(4)"]),
+    ("Q8", ["builtin:Q8", "Q8", "q8", "quaternion8", "Quaternion8"]),
+])
+def test_every_spelling_of_a_family_builds_the_same_group(name, spellings):
+    built = [ca.builtin_from_token(t) for t in spellings]
+    for G in built:
+        assert (G.name, G.labels, G.mul.tolist()) == (name, built[0].labels, built[0].mul.tolist())
+
+
+@pytest.mark.parametrize("token,message", [
+    ("cyclic(0)", "cyclic(n) needs n >= 1"),
+    ("C0", "cyclic(n) needs n >= 1"),
+    ("dihedral(2)", "dihedral(n) needs n >= 3"),
+    ("D2", "dihedral(n) needs n >= 3"),
+    ("symmetric(0)", "symmetric(n) needs n >= 1"),
+    ("S0", "symmetric(n) needs n >= 1"),
+    ("alternating(2)", "alternating(n) needs n >= 3"),
+    ("A2", "alternating(n) needs n >= 3"),
+    ("direct_product(2)", "direct_product(m, n) needs two parameters"),
+    ("foo(3)", "unknown builtin group 'foo'"),
+    ("X3", "cannot parse builtin group token 'X3'"),
+])
+def test_builtin_families_refuse_small_orders_and_unknown_names(token, message):
+    with pytest.raises(UnknownName, match=f"^{re.escape(message)}$"):
+        ca.builtin_from_token(token)
 
 
 def _parse_cycles_by_compose(token, degree):

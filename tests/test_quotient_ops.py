@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ def test_rho_first_offense_matches_the_loop(pair, data):
 def test_rho_nonpositive(s3_q):
     with pytest.raises(NonPositive):
         ca.validate_rho(s3_q, [1.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("values,message", [
+    ([1, float("inf"), 2], "rho must be finite, got inf on coset C1"),
+    ([1, 2, float("inf")], "rho must be finite, got inf on coset C2"),
+    ([float("inf"), -1, 2], "rho must be finite, got inf on coset C0"),
+    ([1, float("-inf"), float("inf")], "rho must be > 0, got -inf on coset C1"),
+    ([1, float("nan"), float("inf")], "rho must be > 0, got nan on coset C1"),
+])
+def test_rho_refuses_non_finite_values(s3_q, values, message):
+    with pytest.raises(NonPositive, match=f"^{re.escape(message)}$"):
+        ca.validate_rho(s3_q, values)
+    if not any(np.isnan(values)):   # NaN is never coset-constant
+        with pytest.raises(NonPositive, match=f"^{re.escape(message)}$"):
+            ca.validate_rho(s3_q, [values[c] for c in s3_q.coset_of])
 
 
 def test_rho_from_dict_defaults(s3, s3_q):
