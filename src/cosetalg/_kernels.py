@@ -1,10 +1,16 @@
 """The weight kernels: group and quotient convolution, lift and pushforward.
 
 Each is written in gathers, sums over an axis and one matrix product, which
-ExactVector implements too, so each runs on complex128 arrays and exact vectors.
+ExactVector implements too, so each runs on complex128 arrays and exact
+vectors. Operands may carry leading batch axes,
+with the carrier on the last axis: a call on a batch gives, row by row, the
+calls on its vectors. The gathers use take: numpy's fancy indexing after an
+ellipsis, w[..., idx], is about twice as slow on one vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,16 +20,27 @@ from .groups import require_bytes
 BACKEND = "numpy"
 
 
+def _batch_shape(*operands) -> tuple[int, ...]:
+    """The leading axes the operands broadcast to, () for single vectors
+    (an axis of length 0 counts as 1). Plain tuples: np.broadcast_shapes
+    allocates ~6 KB a call."""
+    shapes = [w.shape[:-1] for w in operands]
+    ndim = max(map(len, shapes))
+    return tuple(map(max, zip(*((1,) * (ndim - len(s)) + s for s in shapes))))
+
+
 def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
     """out[z] = sum_x w1[x] * w2[x^-1 z], each column summed in x order; the
     columns z and zh of a right-H-invariant w2 agree bit for bit."""
-    n = mul.shape[0]
+    n, batch = mul.shape[0], _batch_shape(w1, w2)
     # the intp index rows and the complex gather, multiplied in place: 24
-    # bytes per entry from order 120 up, up to 35 below
-    require_bytes(40 * n * n, f"group convolution of order {n}")
-    terms = w2[mul[inv]]
-    terms = np.multiply(w1[:, None], terms, out=terms)
-    return terms.sum(axis=0)
+    # bytes per entry from order 120 up, up to 35 below, per vector
+    require_bytes(40 * n * n * math.prod(batch), f"group convolution of order {n}")
+    terms = w2.take(mul[inv], axis=-1)
+    # in place when w2 carries the whole batch
+    terms = np.multiply(w1[..., :, None], terms,
+                        out=terms if terms.shape[:-2] == batch else None)
+    return terms.sum(axis=-2)
 
 
 def quotient_convolve_weights(shift: np.ndarray, h_action: np.ndarray, s1, s2):
@@ -32,17 +49,18 @@ def quotient_convolve_weights(shift: np.ndarray, h_action: np.ndarray, s1, s2):
     acts as the left translate by rep_a of that average."""
     k = shift.shape[0]
     # the complex gathers and their intp index copies: 16 to 17 bytes per
-    # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets
-    require_bytes(32 * k * k + 24 * h_action.size, f"quotient convolution with {k} cosets")
-    v = s2[h_action].sum(axis=0) / h_action.shape[0]
-    return s1 @ v[shift]
+    # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, per vector
+    require_bytes((32 * k * k + 24 * h_action.size) * math.prod(_batch_shape(s1, s2)),
+                  f"quotient convolution with {k} cosets")
+    v = s2.take(h_action, axis=-1).sum(axis=-2) / h_action.shape[0]
+    return (s1[..., None, :] @ v.take(shift, axis=-1))[..., 0, :]
 
 
 def lift_weights(coset_of: np.ndarray, h: int, s):
     """Group weights over coset weights s: each member of coset c has s[c] / h."""
-    return s[coset_of] / h
+    return s.take(coset_of, axis=-1) / h
 
 
 def push_weights(member_table: np.ndarray, w):
     """Coset weights of group weights w: each coset's members summed in order."""
-    return w[member_table].sum(axis=0)
+    return w.take(member_table, axis=-1).sum(axis=-2)

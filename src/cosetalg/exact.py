@@ -61,8 +61,17 @@ class ExactVector:
     def __len__(self) -> int:
         return len(self.re)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.re.shape
+
     def __getitem__(self, index) -> "ExactVector":
         return ExactVector(self.re[index], self.im[index], self.den, self.bound)
+
+    def take(self, indices, axis: int) -> "ExactVector":
+        """numpy's take along one axis."""
+        return ExactVector(self.re.take(indices, axis=axis), self.im.take(indices, axis=axis),
+                           self.den, self.bound)
 
     def __mul__(self, other) -> "ExactVector":
         """Entrywise product with an ExactVector, or with integers."""
@@ -104,13 +113,16 @@ class ExactVector:
             return inputs[0] * inputs[1]
         return NotImplemented
 
+    def equal(self, other: "ExactVector") -> np.ndarray:
+        """Entrywise value equality, broadcast as numpy's == broadcasts."""
+        bound = max(_bound(self.bound, other.den), _bound(other.bound, self.den))
+        r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
+        return (r1 * other.den == r2 * self.den) & (i1 * other.den == i2 * self.den)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactVector):
             return NotImplemented
-        bound = max(_bound(self.bound, other.den), _bound(other.bound, self.den))
-        r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
-        return (r1.shape == r2.shape and np.array_equal(r1 * other.den, r2 * self.den)
-                and np.array_equal(i1 * other.den, i2 * self.den))
+        return self.shape == other.shape and bool(self.equal(other).all())
 
     def to_complex(self) -> np.ndarray:
         """complex128 values, each part rounded as float(Fraction) rounds."""

@@ -314,11 +314,12 @@ def parse_cycles(token: str, degree: int) -> tuple[int, ...]:
         raise NotAPermutation(f"cannot parse cycle token {token!r}")
     result, inverse = list(range(degree)), list(range(degree))
     for chunk in reversed(chunks):
-        if "," in chunk:
-            pts = [int(s) - 1 for s in chunk.split(",")]
-        else:
-            pts = [int(ch) - 1 for ch in chunk.strip()]
-        if any(p < 0 or p >= degree for p in pts) or len(set(pts)) != len(pts):
+        try:
+            pts = [int(s) - 1 for s in (chunk.split(",") if "," in chunk else chunk.strip())]
+            valid = all(0 <= p < degree for p in pts) and len(set(pts)) == len(pts)
+        except ValueError:   # a point that is no integer
+            valid = False
+        if not valid:
             raise NotAPermutation(f"bad cycle {chunk!r} for degree {degree}")
         # cycle * result moves only the i that result sends into the cycle
         sources = [inverse[a] for a in pts]

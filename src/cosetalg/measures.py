@@ -4,6 +4,11 @@ A measure is a dense complex weight vector over a carrier, the group or the
 coset space it was built on (one weight per element or coset); mu(f) =
 sum_i f(i) * weights[i]. The Haar measure on a group carrier is counting
 measure, so a density and the measure it induces share the same vector.
+
+Weights may carry leading batch axes, with the carrier on the last axis: a
+batch of measures is one value, every operation acts on it row by row, and
+a reduction reduces the last axis only (a number for one vector, an array
+for a batch).
 """
 
 from __future__ import annotations
@@ -36,10 +41,18 @@ def quotient_carrier(Q: QuotientSpace) -> Carrier:
     return Q
 
 
-def _as_weights(values, size: int) -> np.ndarray:
-    w = np.asarray(values, dtype=np.complex128).reshape(size).copy()
+def _as_weights(values, size: int, dtype=np.complex128) -> np.ndarray:
+    """A read-only copy of the values: one vector of `size` entries, or a
+    batch of them when there are leading axes and the last has `size`."""
+    w = np.asarray(values, dtype=dtype)
+    w = (w if w.ndim > 1 and w.shape[-1] == size else w.reshape(size)).copy()
     w.setflags(write=False)
     return w
+
+
+def _reduced(x: np.ndarray, kind: type):
+    """A reduction's result: a Python number for one vector, else the array."""
+    return kind(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -100,18 +113,19 @@ def _require_same(carrier: Carrier, *operands) -> None:
 
 # --- operations -------------------------------------------------------------
 
-def point_mass(carrier: Carrier, point: int) -> ComplexMeasure:
-    """Unit mass at one carrier point."""
-    size = len(carrier.labels)
-    if not 0 <= point < size:
+def point_mass(carrier: Carrier, point) -> ComplexMeasure:
+    """Unit mass at one carrier point, or a batch of them at an integer
+    array of points."""
+    size, point = len(carrier.labels), np.asarray(point)
+    if ((point < 0) | (point >= size)).any():
         raise IndexError(f"point {point} out of range for carrier of size {size}")
-    w = np.zeros(size, dtype=np.complex128)
-    w[point] = 1.0
+    w = np.zeros(point.shape + (size,), dtype=np.complex128)
+    np.put_along_axis(w, point[..., None], 1.0, axis=-1)
     return ComplexMeasure(carrier, w)
 
 
 def total_variation(mu: ComplexMeasure) -> float:
-    return float(np.abs(mu.weights).sum())
+    return _reduced(np.abs(mu.weights).sum(axis=-1), float)
 
 
 def group_convolve(G: FiniteGroup, mu1: ComplexMeasure, mu2: ComplexMeasure) -> ComplexMeasure:
@@ -129,7 +143,7 @@ def from_density(G: FiniteGroup, f: DensityFunction) -> ComplexMeasure:
 def integrate(mu: ComplexMeasure, f: DensityFunction) -> complex:
     """mu(f) = sum_i f(i) * weights[i] (no conjugation)."""
     _require_same(mu.carrier, f)
-    return complex(np.sum(f.values * mu.weights))
+    return _reduced(np.sum(f.values * mu.weights, axis=-1), complex)
 
 
 # --- serialization ----------------------------------------------------------

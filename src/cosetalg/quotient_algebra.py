@@ -25,11 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import quotient_convolve_weights
+from ._kernels import _batch_shape, quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
 from .groups import QuotientSpace, _freeze, require_bytes
-from .measures import (ComplexMeasure, DensityFunction, _require_same,
+from .measures import (ComplexMeasure, DensityFunction, _reduced, _require_same,
                        group_convolve, point_mass)
 from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
                            pushforward_rh)
@@ -129,15 +129,16 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
 
 def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
                             s2: ExactVector) -> ExactVector:
-    """Exact convolution of Gaussian-rational weight vectors: the float
-    kernel run on exact vectors."""
+    """Exact convolution of Gaussian-rational weight vectors, or of batches
+    of them: the float kernel run on exact vectors."""
     k = T.coset_count
-    if s1.re.shape != (k,) or s2.re.shape != (k,):
+    if s1.shape[-1] != k or s2.shape[-1] != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # measured peaks per entry of k² + |H|·k past ~4 KB: 17 to 33 bytes on
-    # int64 or Python ints, 87 to 114 when int64 operands widen
+    # measured peaks per entry of k² + |H|·k and per vector past ~4 KB: 17 to
+    # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands widen
     wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.h_action.size >= 2 ** 63
-    require_bytes((120 if wide else 40) * (k * k + T.h_action.size) + (1 << 13),
+    require_bytes((120 if wide else 40) * (k * k + T.h_action.size)
+                  * math.prod(_batch_shape(s1, s2)) + (1 << 13),
                   f"exact quotient convolution with {k} cosets")
     return quotient_convolve_weights(T.shift, T.h_action, s1, s2)
 
@@ -163,7 +164,7 @@ def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     _require_same(lam.quotient, phi)
-    return float(np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p))
+    return _reduced(np.sum(np.abs(phi.values) ** p * lam.weights, axis=-1) ** (1.0 / p), float)
 
 
 def l1_convolve(T: StructureTable, lam: QuotientMeasure,

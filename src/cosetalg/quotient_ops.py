@@ -18,7 +18,8 @@ import numpy as np
 from ._kernels import lift_weights, push_weights
 from .errors import CarrierMismatch, CosetAlgError, NonPositive, NotCosetConstant
 from .groups import QuotientSpace
-from .measures import ComplexMeasure, DensityFunction, _require_same
+from .measures import (ComplexMeasure, DensityFunction, _as_weights, _reduced,
+                       _require_same)
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,11 @@ class RhoFunction:
     coset). Finite groups force the constancy: both modular functions are 1."""
 
     quotient: QuotientSpace
-    values: np.ndarray                              # (k,) float64 > 0
+    values: np.ndarray                              # (..., k) float64 > 0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(self.quotient.coset_count).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _as_weights(
+            self.values, self.quotient.coset_count, np.float64))
 
     carrier = property(lambda self: self.quotient)   # for the carrier guard
 
@@ -44,12 +44,11 @@ class QuotientMeasure:
 
     quotient: QuotientSpace
     rho: RhoFunction
-    weights: np.ndarray                             # (k,) float64 > 0
+    weights: np.ndarray                             # (..., k) float64 > 0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).reshape(self.quotient.coset_count).copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _as_weights(
+            self.weights, self.quotient.coset_count, np.float64))
 
     carrier = property(lambda self: self.quotient)   # for the carrier guard
 
@@ -60,13 +59,13 @@ def validate_rho(Q: QuotientSpace,
 
     `values` has one entry per coset, or one per group element (raw mode, the
     only route that can violate coset constancy). Raises NonPositive (a value
-    that is not > 0, or is infinite) or NotCosetConstant naming the first
-    offense.
+    that is not > 0, or is infinite or beyond float range) or NotCosetConstant
+    naming the first offense.
     """
     vals = list(values)
     k, n = Q.coset_count, Q.group.order
     if len(vals) == n and n != k:
-        arr = np.asarray([float(v) for v in vals], dtype=np.float64)
+        arr = np.asarray([_float(v) for v in vals], dtype=np.float64)
         table = arr[Q.member_table]
         bad = np.argwhere((table[1:] != table[0]).T)   # coset order, then member order
         if len(bad):
@@ -76,7 +75,7 @@ def validate_rho(Q: QuotientSpace,
                                    f"{Q.group.labels[first]} inside coset C{c}")
         per_coset = arr[Q.reps]
     elif len(vals) == k:
-        per_coset = np.asarray([float(v) for v in vals], dtype=np.float64)
+        per_coset = np.asarray([_float(v) for v in vals], dtype=np.float64)
     else:
         raise CarrierMismatch(f"rho needs {k} (per coset) or {n} (per element) values")
 
@@ -85,6 +84,14 @@ def validate_rho(Q: QuotientSpace,
         v, c = per_coset[bad[0]], int(bad[0])
         raise NonPositive(f"rho must be {'finite' if v > 0 else '> 0'}, got {v} on coset C{c}")
     return RhoFunction(quotient=Q, values=per_coset)
+
+
+def _float(v) -> float:
+    """float(v), or an infinity of v's sign when v is beyond float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return np.inf if v > 0 else -np.inf
 
 
 def rho_ones(Q: QuotientSpace) -> RhoFunction:
@@ -134,7 +141,7 @@ def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
 def compose_with_projection(Q: QuotientSpace, phi: DensityFunction) -> DensityFunction:
     """phi∘pi: the coset function phi read as a function on G."""
     _require_same(Q, phi)
-    return DensityFunction(Q.group, phi.values[Q.coset_of])
+    return DensityFunction(Q.group, phi.values.take(Q.coset_of, axis=-1))
 
 
 def quasi_invariant_lambda(Q: QuotientSpace, rho: RhoFunction) -> QuotientMeasure:
@@ -149,9 +156,9 @@ def quotient_integral_check(Q: QuotientSpace, rho: RhoFunction,
     """(sum of f over G, sum over cosets of weighted-average(f) * lambda).
     The two agree up to roundoff for every rho."""
     lam = quasi_invariant_lambda(Q, rho)
-    lhs = complex(np.sum(f.values))
+    lhs = _reduced(np.sum(f.values, axis=-1), complex)
     th = weighted_average_th(Q, rho, 1.0, f)
-    rhs = complex(np.sum(th.values * lam.weights))
+    rhs = _reduced(np.sum(th.values * lam.weights, axis=-1), complex)
     return lhs, rhs
 
 
@@ -178,8 +185,8 @@ def membership_mgh(Q: QuotientSpace, mu: ComplexMeasure) -> bool:
     bit-identical weights inside a coset.
     """
     _require_same(Q.group, mu)
-    rep_weights = mu.weights[Q.reps][Q.coset_of]
-    return bool(np.all(mu.weights == rep_weights))
+    rep_weights = mu.weights.take(Q.reps[Q.coset_of], axis=-1)
+    return _reduced(np.all(mu.weights == rep_weights, axis=-1), bool)
 
 
 def solve_mhg_space(Q: QuotientSpace) -> list[ComplexMeasure]:

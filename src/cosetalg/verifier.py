@@ -17,21 +17,20 @@ import math
 import time
 import zlib
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import exact
-from ._kernels import group_convolve_weights, lift_weights, push_weights
+from ._kernels import _batch_shape, group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      builtin_from_token, require_bytes,
                      subgroup_from_tokens, test_normality)
-from .measures import (Carrier, ComplexMeasure, DensityFunction, from_density,
+from .measures import (ComplexMeasure, DensityFunction, from_density,
                        group_convolve, integrate, point_mass, total_variation)
 from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                embed_density, find_left_identity,
@@ -95,20 +94,30 @@ def _stable(x: float) -> float:
 
 
 # --- random draws -------------------------------------------------------------
+#
+# Every draw reads the generator in one fixed order, trial by trial, so a
+# block of trials draws exactly what its trials drew one at a time.
 
 def rng_for(seed: int, check_id: str, entry_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, entry_index, zlib.crc32(check_id.encode())])))
 
 
-def draw_measure(rng: np.random.Generator, carrier: Carrier) -> ComplexMeasure:
-    size = len(carrier.labels)
-    return ComplexMeasure(carrier, rng.random(size) + 1j * rng.random(size))
+def _split(raw: np.ndarray, *sizes: int) -> list[np.ndarray]:
+    """Complex weights from uniform doubles along the last axis: per size,
+    its real parts, then its imaginary parts."""
+    out, at = [], 0
+    for size in sizes:
+        out.append(raw[..., at:at + size] + 1j * raw[..., at + size:at + 2 * size])
+        at += 2 * size
+    return out
 
 
-def draw_density(rng: np.random.Generator, carrier: Carrier) -> DensityFunction:
-    size = len(carrier.labels)
-    return DensityFunction(carrier, rng.random(size) + 1j * rng.random(size))
+def _draw_weights(rng: np.random.Generator, count: int, *sizes: int) -> list[np.ndarray]:
+    """Random weights of the given sizes, each (count, size), as `count`
+    trials each drawing `rng.random(size) + 1j * rng.random(size)` for every
+    size in turn draw them: one rng.random call."""
+    return _split(rng.random((count, 2 * sum(sizes))), *sizes)
 
 
 def _draw_ratios(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +125,14 @@ def _draw_ratios(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarr
     return rng.integers(1, 5, k), rng.integers(1, 5, k)
 
 
+def _ratios(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The values of a random rho: the float of each integer ratio."""
+    nums, dens = _draw_ratios(rng, k)
+    return nums / dens
+
+
 def draw_rho(rng: np.random.Generator, Q: QuotientSpace) -> RhoFunction:
-    nums, dens = _draw_ratios(rng, Q.coset_count)
-    return validate_rho(Q, nums / dens)
+    return validate_rho(Q, _ratios(rng, Q.coset_count))
 
 
 def draw_rational_weights(rng: np.random.Generator, size: int) -> ExactVector:
@@ -128,6 +142,40 @@ def draw_rational_weights(rng: np.random.Generator, size: int) -> ExactVector:
     im_n = rng.integers(-4, 5, size)
     de = rng.integers(1, 5, (2, size))
     return ExactVector(re_n * (12 // de[0]), im_n * (12 // de[1]), 12)
+
+
+def _integer_rows(rng: np.random.Generator, count: int, lows: tuple, size: int) -> np.ndarray:
+    """(count, len(lows), size) integers, row j in lows[j]..4: what `count`
+    trials each calling rng.integers(lows[j], 5, size) for every j in turn
+    drew. One call with a bound per value draws the same, as numpy draws a
+    bounded integer below 2**32 from 32-bit outputs value by value."""
+    low = np.repeat(lows, size)
+    return rng.integers(low, 5, (count, low.size)).reshape(count, len(lows), size)
+
+
+# the raw draws of one draw_rational_weights: the numerators of re and im,
+# then their denominators
+_RATIONAL_LOWS = (-4, -4, 1, 1)
+
+
+def _rational(parts: np.ndarray) -> ExactVector:
+    """The Gaussian rationals of raw draws (..., 4, size), over 12."""
+    return ExactVector(parts[..., 0, :] * (12 // parts[..., 2, :]),
+                       parts[..., 1, :] * (12 // parts[..., 3, :]), 12)
+
+
+def _rational_draws(rng: np.random.Generator, count: int, m: int, size: int) -> list[ExactVector]:
+    """m ExactVectors of shape (count, size), as `count` trials each calling
+    draw_rational_weights m times draw them."""
+    parts = _integer_rows(rng, count, _RATIONAL_LOWS * m, size).reshape(count, m, 4, size)
+    return [_rational(parts[:, j]) for j in range(m)]
+
+
+def _each_trial(ts, draw: Callable) -> list[np.ndarray]:
+    """draw(t), a tuple of arrays, for each trial t of a block in turn,
+    stacked into one array per part: the raw generator calls of draws that
+    mix integers and doubles, in the order the trials made them."""
+    return [np.array(part) for part in zip(*map(draw, ts))]
 
 
 # --- entry context --------------------------------------------------------------
@@ -168,10 +216,25 @@ class _Fail(Exception):
     notes: str = ""
 
 
-def _worse(r: float, than: float) -> bool:
+class _Fails:
+    """The trials of a block that fail one test: mask holds one bool per
+    trial (or one for all), witness(t) gives trial t's counterexample, and
+    residual is per trial (or one for all)."""
+
+    def __init__(self, mask, witness: Callable[[int], dict], residual=1.0):
+        self.mask, self.witness, self.residual = mask, witness, residual
+
+
+def _at(**fields) -> Callable[[int], dict]:
+    """The witness naming trial t and the given fields."""
+    return lambda t: {"trial": t, **fields}
+
+
+def _worse(r, than):
     """Whether residual r ranks above `than`, a worst so far or a bound. NaN
-    ranks above every number, so it stays the worst and fails every bound."""
-    return r > than or (math.isnan(r) and not math.isnan(than))
+    ranks above every number, so it stays the worst and fails every bound.
+    Entrywise on arrays."""
+    return np.greater(r, than) | (np.isnan(r) & ~np.isnan(than))
 
 
 def _worst(a: float, b: float) -> float:
@@ -179,18 +242,60 @@ def _worst(a: float, b: float) -> float:
     return b if _worse(b, a) else a
 
 
-def _trials(n: int, trial: Callable, worst: float = 0.0,
+def _worst_of(residuals, worst: float = 0.0) -> float:
+    """The worst of `worst` and the residuals, ranked by _worse."""
+    r = np.ravel(residuals)
+    return _worst(worst, float(r[r.argmax()])) if r.size else worst
+
+
+# kernel temporaries per block of trials. Measured on the default catalog,
+# 512 KiB blocks run the suite as fast as 1 to 32 MiB ones, and its peak RSS
+# stays within 0.1 MB of a run with one trial per block (32 MiB blocks added
+# 2.6 MB); past ~115 cosets, or elements for a check that convolves on G, a
+# block is one trial
+_BLOCK_BYTES = 1 << 19
+
+
+def _trial_bytes(spec: CheckSpec, ctx: EntryContext, largest: str) -> int:
+    """Kernel temporaries of one trial, by its largest array: a group
+    convolution's, a quotient convolution's, or a few vectors per member of
+    H. The rate per entry is the convolution kernels' byte check (an exact
+    one's in exact mode)."""
+    n, k, h = ctx.G.order, ctx.Q.coset_count, ctx.H.order
+    entries = {"group": n * n, "quotient": k * k + n, "vectors": (h + 4) * n}[largest]
+    return (56 if spec.mode == "exact" else 40) * entries
+
+
+def _trials(n: int, trial: Callable, per_trial: int, worst: float = 0.0,
             witness: Optional[dict] = None) -> tuple[float, Optional[dict]]:
-    """Run trial(t) for t < n, each giving (residual, witness) pairs: the worst
-    residual, ranked by _worse from `worst` on, and its first witness."""
-    for t in range(n):
-        try:
-            for r, w in trial(t):
-                if _worse(r, worst):
-                    worst, witness = r, w
-        except _Fail as fail:
-            fail.trials_run = t + 1
-            raise
+    """Run the trials t < n in blocks, as many per block as fit _BLOCK_BYTES
+    at per_trial bytes each (at least one). trial(ts) gets a block's trial
+    numbers and yields, in its program order, (residuals, witness) pairs,
+    one residual per trial of the block (or one for all) and witness(t) or
+    None, and _Fails. Returns the worst residual, ranked by _worse in
+    (trial, yield) order from `worst` on, and its witness. Raises the first
+    failure in (trial, yield) order, as a _Fail of trials_run t + 1."""
+    block = max(1, min(n, _BLOCK_BYTES // max(per_trial, 1)))
+    for start in range(0, n, block):
+        ts = np.arange(start, min(n, start + block))
+        ranked, fails = [], []
+        for item in trial(ts):
+            (fails if isinstance(item, _Fails) else ranked).append(item)
+        if fails:
+            hit = np.stack([np.broadcast_to(f.mask, ts.shape) for f in fails], axis=1)
+            if hit.any():
+                i, j = divmod(int(hit.argmax()), len(fails))
+                residual = np.broadcast_to(fails[j].residual, ts.shape)[i]
+                raise _Fail(fails[j].witness(int(ts[i])), float(residual),
+                            trials_run=int(ts[i]) + 1)
+        if ranked:
+            # argmax finds the first NaN, else the first maximum
+            r = np.stack([np.broadcast_to(np.asarray(r, dtype=np.float64), ts.shape)
+                          for r, _ in ranked], axis=1)
+            i, j = divmod(int(r.argmax()), len(ranked))
+            if _worse(r[i, j], worst):
+                named = ranked[j][1]
+                worst, witness = float(r[i, j]), named(int(ts[i])) if named else None
     return worst, witness
 
 
@@ -202,43 +307,58 @@ def _verdict(spec: CheckSpec, worst: float, witness: Optional[dict], notes: str 
     return "pass", worst, notes, spec.trials
 
 
-def _sup(mu: ComplexMeasure) -> float:
-    """The largest |weight|."""
-    return float(np.max(np.abs(mu.weights)))
+def _sup(mu: ComplexMeasure):
+    """The largest |weight| of each vector."""
+    return np.max(np.abs(mu.weights), axis=-1)
+
+
+def _differ(a: ExactVector, b: ExactVector) -> np.ndarray:
+    """Per vector, whether two exact vectors differ anywhere."""
+    return ~a.equal(b).all(axis=-1)
+
+
+def _trial_rho(rng: np.random.Generator, ctx: EntryContext, t: int) -> np.ndarray:
+    """Trial t's rho values: random on odd trials, the entry's on even ones."""
+    return _ratios(rng, ctx.Q.coset_count) if t % 2 else ctx.rho.values
 
 
 def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
-    """The arithmetic of coset vectors in the spec's mode: a random draw,
-    convolution on the table, the group route push(lift a * lift b),
-    delta_H, a vector as a float measure, and the gap between two vectors
-    (under a norm in float mode, 0 or 1 in exact mode)."""
+    """The arithmetic of coset vectors in the spec's mode: m random draws
+    for each of `count` trials (m batches), convolution on the table, the
+    group route push(lift a * lift b), delta_H, vectors as float measures,
+    and per vector the gap between two (under a norm in float mode, 0 or 1
+    in exact mode)."""
     T, Q = ctx.T, ctx.Q
+    k = Q.coset_count
     if spec.mode == "float":
         return SimpleNamespace(
-            draw=lambda rng: draw_measure(rng, ctx.Q),
+            draw=lambda rng, count, m: [ComplexMeasure(Q, w) for w in
+                                        _draw_weights(rng, count, *[k] * m)],
             convolve=lambda a, b: quotient_convolve(T, a, b),
             group_route=lambda a, b: module_action(Q, lift_to_invariant(Q, a), b),
             delta_h=delta_h(Q), measure=lambda m: m,
             gap=lambda a, b, norm=total_variation: norm(a - b))
     lift = partial(lift_weights, Q.coset_of, Q.subgroup.order)
     return SimpleNamespace(
-        draw=lambda rng: draw_rational_weights(rng, Q.coset_count),
+        draw=lambda rng, count, m: _rational_draws(rng, count, m, k),
         convolve=lambda a, b: quotient_convolve_exact(T, a, b),
         group_route=lambda a, b: push_weights(
             Q.member_table, _exact_convolution(Q.group, lift(a), lift(b))),
-        delta_h=ExactVector.from_fractions(exact.unit_vector(Q.coset_count, Q.base_coset)),
-        measure=lambda s: ComplexMeasure(ctx.Q, s.to_complex()),
-        gap=lambda a, b, norm=None: float(a != b))
+        delta_h=ExactVector.from_fractions(exact.unit_vector(k, Q.base_coset)),
+        measure=lambda s: ComplexMeasure(Q, s.to_complex()),
+        gap=lambda a, b, norm=None: _differ(a, b).astype(np.float64))
 
 
 def _check_w0_weil(spec, ctx, rng):
-    def trial(t):
-        f = draw_density(rng, ctx.G)
-        rho_t = draw_rho(rng, ctx.Q) if t % 2 else ctx.rho
-        lhs, rhs = quotient_integral_check(ctx.Q, rho_t, f)
-        yield abs(lhs - rhs), {"trial": t, "rho": rho_t.values.tolist()}
+    G, Q = ctx.G, ctx.Q
 
-    return _verdict(spec, *_trials(spec.trials, trial))
+    def trial(ts):
+        raw, rhos = _each_trial(ts, lambda t: (rng.random(2 * G.order), _trial_rho(rng, ctx, t)))
+        f = DensityFunction(G, *_split(raw, G.order))
+        lhs, rhs = quotient_integral_check(Q, RhoFunction(Q, rhos), f)
+        yield np.abs(lhs - rhs), lambda t: {"trial": t, "rho": rhos[t - ts[0]].tolist()}
+
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors")))
 
 
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
@@ -258,16 +378,19 @@ def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
 
 
 def _check_p1_mhg(spec, ctx, rng):
-    basis = solve_mhg_space(ctx.Q)
-    draws = min(spec.trials, 20)
+    G, Q = ctx.G, ctx.Q
+    basis, draws, worst = solve_mhg_space(Q), min(spec.trials, 20), 0.0
+    for vector in basis:
+        def trial(ts):
+            # left convolutions of the basis vector by random measures; the
+            # vector as a batch, so the kernel multiplies in place
+            mu = ComplexMeasure(G, *_draw_weights(rng, len(ts), G.order))
+            conv = group_convolve(G, mu, ComplexMeasure(
+                G, np.broadcast_to(vector.weights, mu.weights.shape)))
+            yield [_invariance_residual(Q, w) for w in conv.weights], None
 
-    def trial(i):
-        yield _invariance_residual(ctx.Q, basis[i].weights), None
-        for _ in range(draws):
-            conv = group_convolve(ctx.G, draw_measure(rng, ctx.G), basis[i])
-            yield _invariance_residual(ctx.Q, conv.weights), None
-
-    worst, _ = _trials(len(basis), trial)
+        worst = _worst(worst, _invariance_residual(Q, vector.weights))
+        worst, _ = _trials(draws, trial, _trial_bytes(spec, ctx, "group"), worst)
     notes = (f"literal invariance system: dimension={len(basis)}; "
              f"left-convolution closure residual={_stable(worst):.3g} "
              f"on {draws} draws per basis vector")
@@ -275,69 +398,75 @@ def _check_p1_mhg(spec, ctx, rng):
 
 
 def _check_p2_density(spec, ctx, rng):
-    G, Q = ctx.G, ctx.Q
+    G, Q, H = ctx.G, ctx.Q, ctx.H
+    n, k, h = G.order, Q.coset_count, H.order
+    members, moved = np.arange(h)[:, None], G.mul[:, H.members].T   # moved[j, x] = x h_j
 
-    def trial(t):
-        mu = from_density(G, compose_with_projection(Q, draw_density(rng, Q)))
-        if not membership_mgh(Q, mu):
-            raise _Fail({"trial": t, "reason": "coset-constant density not invariant"})
-        for h in ctx.H.members:
-            g = draw_density(rng, G)
-            translated = DensityFunction(g.carrier, g.values[G.mul[:, h]])   # x -> g(x h)
-            yield abs(integrate(mu, translated) - integrate(mu, g)), {"trial": t, "h": G.labels[h]}
-        if ctx.H.order > 1:
-            bump = point_mass(G, int(rng.integers(0, G.order))) * (0.5 + 0.25j)
-            if membership_mgh(Q, mu + bump):
-                raise _Fail({"trial": t, "reason": "perturbed measure still reported invariant"})
+    def trial(ts):
+        raw, points = _each_trial(ts, lambda t: (rng.random(2 * (k + h * n)),
+                                                 rng.integers(0, n) if h > 1 else 0))
+        (phi,) = _split(raw[:, :2 * k], k)
+        (g,) = _split(raw[:, 2 * k:].reshape(len(ts), h, 2 * n), n)    # g[:, j] drawn for h_j
+        mu = from_density(G, compose_with_projection(Q, DensityFunction(Q, phi)))
+        yield _Fails(~membership_mgh(Q, mu), _at(reason="coset-constant density not invariant"))
+        per_h = ComplexMeasure(G, mu.weights[:, None])
+        gaps = np.abs(integrate(per_h, DensityFunction(G, g[:, members, moved]))  # x -> g(x h)
+                      - integrate(per_h, DensityFunction(G, g)))
+        for j, x in enumerate(H.members):
+            yield gaps[:, j], _at(h=G.labels[x])
+        if h > 1:
+            bump = point_mass(G, points) * (0.5 + 0.25j)
+            yield _Fails(membership_mgh(Q, mu + bump),
+                         _at(reason="perturbed measure still reported invariant"))
 
-    worst, witness = _trials(spec.trials, trial)
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors"))
     # a point mass at the identity is never right-invariant
-    if ctx.H.order > 1 and membership_mgh(Q, point_mass(G, G.identity)):
+    if h > 1 and membership_mgh(Q, point_mass(G, G.identity)):
         raise _Fail({"reason": "identity point mass reported invariant"}, trials_run=spec.trials)
     return _verdict(spec, worst, witness)
 
 
 def _check_p3_lift(spec, ctx, rng):
-    Q, h = ctx.Q, ctx.Q.subgroup.order
+    G, Q, h = ctx.G, ctx.Q, ctx.Q.subgroup.order
 
-    def trial(t):
-        sigma = draw_measure(rng, Q)
+    def trial(ts):
+        sigma, nu = _draw_weights(rng, len(ts), Q.coset_count, G.order)
+        sigma = ComplexMeasure(Q, sigma)
         lifted = lift_to_invariant(Q, sigma)
-        if not membership_mgh(Q, lifted):
-            raise _Fail({"trial": t, "reason": "lift not right-invariant"})
-        yield _sup(pushforward_rh(Q, lifted) - sigma), {"trial": t}
-        yield abs(total_variation(lifted) - total_variation(sigma)), {"trial": t}
-        nu = draw_measure(rng, ctx.G)
-        if not membership_mgh(Q, group_convolve(ctx.G, nu, lifted)):
-            raise _Fail({"trial": t, "reason": "left ideal violated: nu * lift not invariant"})
+        yield _Fails(~membership_mgh(Q, lifted), _at(reason="lift not right-invariant"))
+        yield _sup(pushforward_rh(Q, lifted) - sigma), _at()
+        yield np.abs(total_variation(lifted) - total_variation(sigma)), _at()
+        yield _Fails(~membership_mgh(Q, group_convolve(G, ComplexMeasure(G, nu), lifted)),
+                     _at(reason="left ideal violated: nu * lift not invariant"))
 
-    worst, witness = _trials(spec.trials, trial)
-    # exact route: section and norm identities over Gaussian rationals
-    for t in range(min(spec.trials, 10)):
-        s = draw_rational_weights(rng, Q.coset_count)
+    def exact_trial(ts):
+        # section and norm identities over Gaussian rationals
+        (s,) = _rational_draws(rng, len(ts), 1, Q.coset_count)
         lifted = lift_weights(Q.coset_of, h, s)
-        if push_weights(Q.member_table, lifted) != s:
-            raise _Fail({"trial": t, "reason": "exact section failed"}, trials_run=t + 1)
-        if lifted.abs_squared() * (h * h) != s.abs_squared()[Q.coset_of]:
-            raise _Fail({"trial": t, "reason": "exact lift norm identity failed"},
-                        trials_run=t + 1)
+        yield _Fails(_differ(push_weights(Q.member_table, lifted), s),
+                     _at(reason="exact section failed"))
+        yield _Fails(_differ(lifted.abs_squared() * (h * h), s.abs_squared()[..., Q.coset_of]),
+                     _at(reason="exact lift norm identity failed"))
+
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "group"))
+    _trials(min(spec.trials, 10), exact_trial, _trial_bytes(spec, ctx, "vectors"))
     return _verdict(spec, worst, witness)
 
 
 def _check_p4_isometry(spec, ctx, rng):
-    Q = ctx.Q
-    excess = []     # per trial, how far pushforward raised total variation
+    G, Q = ctx.G, ctx.Q
+    excess = [0.0]     # how far pushforward raised total variation, at worst
 
-    def trial(t):
-        mu = draw_measure(rng, ctx.G)
-        excess.append(total_variation(pushforward_rh(Q, mu)) - total_variation(mu))
-        lifted = lift_to_invariant(Q, draw_measure(rng, Q))
-        yield (abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted)),
-               {"trial": t})
+    def trial(ts):
+        mu, sigma = _draw_weights(rng, len(ts), G.order, Q.coset_count)
+        mu = ComplexMeasure(G, mu)
+        excess[0] = _worst_of(total_variation(pushforward_rh(Q, mu)) - total_variation(mu),
+                              excess[0])
+        lifted = lift_to_invariant(Q, ComplexMeasure(Q, sigma))
+        yield np.abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted)), _at()
 
-    worst, witness = _trials(spec.trials, trial)
-    _verdict(spec, reduce(_worst, excess, 0.0),
-             {"reason": "pushforward increased total variation"})
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors"))
+    _verdict(spec, excess[0], {"reason": "pushforward increased total variation"})
     return _verdict(spec, worst, witness)
 
 
@@ -347,13 +476,14 @@ def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace) -> np.ndarray:
 
 
 def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> ExactVector:
-    """Group convolution over Gaussian rationals: the float kernel run on
-    exact vectors."""
+    """Group convolution over Gaussian rationals, of vectors or batches: the
+    float kernel run on exact vectors."""
     n = G.order
-    # measured peaks per pair (x, z), past a few KB of small arrays: 48 to 52
-    # bytes on int64, 235 on Python ints, 285 to 290 when int64 operands widen
+    # measured peaks per pair (x, z) and per vector, past a few KB of small
+    # arrays: 48 to 52 bytes on int64, 235 on Python ints, 285 to 290 when
+    # int64 operands widen
     wide = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n >= 2 ** 63
-    require_bytes((320 if wide else 56) * n * n + (1 << 13),
+    require_bytes((320 if wide else 56) * n * n * math.prod(_batch_shape(w1, w2)) + (1 << 13),
                   f"exact group convolution of order {n}")
     return group_convolve_weights(G.mul, G.inv, w1, w2)
 
@@ -381,46 +511,47 @@ def _check_d6_conv(spec, ctx, rng):
                          "reps": alt.tolist()})
     mode = _mode(spec, ctx)
 
-    def trial(t):
-        s1, s2 = mode.draw(rng), mode.draw(rng)
-        yield mode.gap(mode.convolve(s1, s2), mode.group_route(s1, s2), _sup), {"trial": t}
+    def trial(ts):
+        s1, s2 = mode.draw(rng, len(ts), 2)
+        yield mode.gap(mode.convolve(s1, s2), mode.group_route(s1, s2), _sup), _at()
 
-    def module_trial(t):
+    def module_trial(ts):
         # pushing a group measure onto a coset measure agrees with the table
         # route once the group measure is right-invariant, and a point mass
         # at x sends the coset of y to the coset of x*y
-        witness = {"trial": t, "part": "module action"}
-        s1, s2 = draw_measure(rng, Q), draw_measure(rng, Q)
+        witness = _at(part="module action")
+        raw, x, b = _each_trial(ts, lambda t: (rng.random(4 * k), rng.integers(0, G.order),
+                                               rng.integers(0, k)))
+        s1, s2 = (ComplexMeasure(Q, w) for w in _split(raw, k, k))
         mu_inv = lift_to_invariant(Q, s1)
         yield (_sup(module_action(Q, mu_inv, s2)
                     - quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)), witness)
         yield _sup(module_action(Q, point_mass(G, G.identity), s2) - s2), witness
-        x, b = int(rng.integers(0, G.order)), int(rng.integers(0, k))
         moved = module_action(Q, point_mass(G, x), point_mass(Q, b))
-        target = int(Q.coset_of[G.mul[x, int(Q.reps[b])]])
+        target = Q.coset_of[G.mul[x, Q.reps[b]]]
         yield total_variation(moved - point_mass(Q, target)), witness
 
-    worst, witness = _trials(spec.trials, trial)
+    per_trial = _trial_bytes(spec, ctx, "group")
+    worst, witness = _trials(spec.trials, trial, per_trial)
     # exact mode reports the exact comparison alone
     return _verdict(spec, *_trials(0 if spec.mode == "exact" else min(spec.trials, 25),
-                                   module_trial, worst, witness))
+                                   module_trial, per_trial, worst, witness))
 
 
 def _check_t8_algebra(spec, ctx, rng):
     T, mode = ctx.T, _mode(spec, ctx)
 
-    def trial(t):
-        s1, s2, s3 = (mode.draw(rng) for _ in range(3))
+    def trial(ts):
+        s1, s2, s3 = mode.draw(rng, len(ts), 3)
         lhs = mode.convolve(mode.convolve(s1, s2), s3)
         rhs = mode.convolve(s1, mode.convolve(s2, s3))
-        yield mode.gap(lhs, rhs), {"trial": t, "law": "associativity"}
+        yield mode.gap(lhs, rhs), _at(law="associativity")
         m1, m2 = mode.measure(s1), mode.measure(s2)
         excess = (total_variation(quotient_convolve(T, m1, m2))
                   - total_variation(m1) * total_variation(m2))
-        if _worse(excess, SUBMULT_TOL):
-            raise _Fail({"trial": t, "law": "submultiplicativity"}, excess)
+        yield _Fails(_worse(excess, SUBMULT_TOL), _at(law="submultiplicativity"), excess)
 
-    worst, witness = _trials(spec.trials, trial)
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient"))
     ident = find_left_identity(T)
     if ident.solution is not None:
         notes = "left identity found: unit mass on the base coset" \
@@ -457,11 +588,11 @@ def _check_l11_right_id(spec, ctx, rng):
         raise _Fail({"reason": "basis right-identity failed", "coset": coset})
     mode = _mode(spec, ctx)
 
-    def trial(t):
-        s = mode.draw(rng)
-        yield mode.gap(mode.convolve(s, mode.delta_h), s), {"trial": t}
+    def trial(ts):
+        (s,) = mode.draw(rng, len(ts), 1)
+        yield mode.gap(mode.convolve(s, mode.delta_h), s), _at()
 
-    return _verdict(spec, *_trials(spec.trials, trial))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient")))
 
 
 def _check_c13_unique_id(spec, ctx, rng):
@@ -527,55 +658,62 @@ def _check_p15_normality(spec, ctx, rng):
                      "point_mass_products": point_mass_mult}, trials_run=1)
     dh = delta_h(Q)
 
-    def trial(t):
-        s = draw_measure(rng, Q)
+    def trial(ts):
+        s = ComplexMeasure(Q, *_draw_weights(rng, len(ts), Q.coset_count))
         yield total_variation(quotient_convolve(T, dh, s) - s), None
 
-    worst, _ = _trials(min(spec.trials, 25) if normal else 0, trial)
+    worst, _ = _trials(min(spec.trials, 25) if normal else 0, trial,
+                       _trial_bytes(spec, ctx, "quotient"))
     _verdict(spec, worst, {"reason": "left identity residual too large"})
     return "pass", worst, f"normal={normal}; all three criteria agree", spec.trials
 
 
 def _check_p16_embed(spec, ctx, rng):
-    Q, h = ctx.Q, ctx.Q.subgroup.order
+    Q, h, k = ctx.Q, ctx.Q.subgroup.order, ctx.Q.coset_count
 
-    def trial(t):
-        rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
-        lam = quasi_invariant_lambda(Q, rho_t)
-        phi = draw_density(rng, Q)
+    def trial(ts):
+        rhos, raw = _each_trial(ts, lambda t: (_trial_rho(rng, ctx, t), rng.random(2 * k)))
+        lam = quasi_invariant_lambda(Q, RhoFunction(Q, rhos))
+        phi = DensityFunction(Q, *_split(raw, k))
         emb = embed_density(lam, phi)
-        yield abs(total_variation(emb) - lp_norm(lam, phi, 1.0)), {"trial": t}
-        yield float(np.max(np.abs(emb.weights / lam.weights - phi.values))), {"trial": t}
+        yield np.abs(total_variation(emb) - lp_norm(lam, phi, 1.0)), _at()
+        yield np.max(np.abs(emb.weights / lam.weights - phi.values), axis=-1), _at()
 
-    worst, witness = _trials(spec.trials, trial)
-    # exact: |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, lam = |H| * rho
-    for t in range(min(spec.trials, 10)):
-        nums, dens = _draw_ratios(rng, Q.coset_count)
-        lam = ExactVector.from_fractions([Fraction(h * int(a), int(b)) for a, b in zip(nums, dens)])
-        phi = draw_rational_weights(rng, Q.coset_count)
-        if (phi * lam).abs_squared() != phi.abs_squared() * (lam * lam):
-            raise _Fail({"trial": t, "reason": "exact norm identity failed"}, trials_run=t + 1)
+    def exact_trial(ts):
+        # |phi_c * lam_c|^2 == |phi_c|^2 * lam_c^2 termwise, lam = |H| * rho
+        # per trial the ratios of lam, then phi
+        parts = _integer_rows(rng, len(ts), (1, 1) + _RATIONAL_LOWS, k)
+        nums, dens = parts[:, 0], parts[:, 1]
+        lam = ExactVector(h * nums * (12 // dens), np.zeros_like(nums), 12)
+        phi = _rational(parts[:, 2:])
+        yield _Fails(_differ((phi * lam).abs_squared(), phi.abs_squared() * (lam * lam)),
+                     _at(reason="exact norm identity failed"))
+
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors"))
+    _trials(min(spec.trials, 10), exact_trial, _trial_bytes(spec, ctx, "vectors"))
     return _verdict(spec, worst, witness)
 
 
 def _check_l17_compat(spec, ctx, rng):
-    Q = ctx.Q
+    G, Q, k = ctx.G, ctx.Q, ctx.Q.coset_count
     unweighted = {True: 0.0, False: 0.0}    # worst unweighted residual, by rho == 1
 
-    def trial(t):
-        phi = draw_density(rng, Q)
-        for rho_t in (rho_ones(Q), draw_rho(rng, Q)):
+    def trial(ts):
+        raw, rhos = _each_trial(ts, lambda t: (rng.random(2 * k), _ratios(rng, k)))
+        phi = DensityFunction(Q, *_split(raw, k))
+        lifted = compose_with_projection(Q, phi)
+        for rho_t in (rho_ones(Q), RhoFunction(Q, rhos)):
             lam = quasi_invariant_lambda(Q, rho_t)
             target = embed_density(lam, phi)
-            lifted = compose_with_projection(Q, phi)
-            weighted = ComplexMeasure(ctx.G, lifted.values * rho_t.values[Q.coset_of])
+            weighted = ComplexMeasure(G, lifted.values * rho_t.values[..., Q.coset_of])
             yield total_variation(pushforward_rh(Q, weighted) - target), None
-            r_u = total_variation(pushforward_rh(Q, from_density(Q.group, lifted)) - target)
-            unit = bool(np.all(rho_t.values == 1.0))
-            unweighted[unit] = _worst(unweighted[unit], r_u)
+            r_u = total_variation(pushforward_rh(Q, from_density(G, lifted)) - target)
+            unit = np.broadcast_to(np.all(rho_t.values == 1.0, axis=-1), r_u.shape)
+            for u in unweighted:
+                unweighted[u] = _worst_of(r_u[unit == u], unweighted[u])
 
     draws = min(spec.trials, 25)
-    weighted_worst, _ = _trials(draws, trial)
+    weighted_worst, _ = _trials(draws, trial, _trial_bytes(spec, ctx, "vectors"))
     notes = (f"rho-weighted lift reproduces the embedded density for all sampled rho "
              f"(max residual {_stable(weighted_worst):.3g}); unweighted lift matches "
              f"for rho=1 (max residual {_stable(unweighted[True]):.3g}) and deviates "
@@ -584,18 +722,18 @@ def _check_l17_compat(spec, ctx, rng):
 
 
 def _check_t18_ideal(spec, ctx, rng):
-    Q, T = ctx.Q, ctx.T
+    Q, T, k = ctx.Q, ctx.T, ctx.Q.coset_count
 
-    def trial(t):
-        rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
-        lam = quasi_invariant_lambda(Q, rho_t)
-        phi = draw_density(rng, Q)
-        sigma = draw_measure(rng, Q)
+    def trial(ts):
+        rhos, raw = _each_trial(ts, lambda t: (_trial_rho(rng, ctx, t), rng.random(4 * k)))
+        lam = quasi_invariant_lambda(Q, RhoFunction(Q, rhos))
+        phi, sigma = _split(raw, k, k)
+        phi, sigma = DensityFunction(Q, phi), ComplexMeasure(Q, sigma)
         psi = ideal_factorize(lam, T, phi, sigma)
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
-        yield total_variation(embed_density(lam, psi) - target), {"trial": t}
+        yield total_variation(embed_density(lam, psi) - target), _at()
 
-    return _verdict(spec, *_trials(spec.trials, trial))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient")))
 
 
 def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
@@ -609,7 +747,7 @@ def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,
                         sigma: ComplexMeasure, phi: DensityFunction, p: float) -> np.ndarray:
     """Operator route of lp_action: the lift of sigma convolved with the
     rho^(1/p)-weighted lift of phi (on the left or the right)."""
-    weighted = (phi.values * rho.values ** (1.0 / p))[Q.coset_of]
+    weighted = (phi.values * rho.values ** (1.0 / p))[..., Q.coset_of]
     lifted = lift_to_invariant(Q, sigma).weights
     pair = (lifted, weighted) if side == "left" else (weighted, lifted)
     return _operator_route(Q, rho, p, *pair)
@@ -618,46 +756,66 @@ def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,
 def _l1_convolve_operator(Q: QuotientSpace, rho: RhoFunction,
                           phi: DensityFunction, psi: DensityFunction) -> np.ndarray:
     """Operator route of l1_convolve: the rho-weighted lifts of both densities."""
-    r = rho.values[Q.coset_of]
-    return _operator_route(Q, rho, 1.0, phi.values[Q.coset_of] * r, psi.values[Q.coset_of] * r)
+    r = rho.values[..., Q.coset_of]
+    return _operator_route(Q, rho, 1.0, phi.values[..., Q.coset_of] * r,
+                           psi.values[..., Q.coset_of] * r)
+
+
+# P19's routes, in each trial's order: the two sides, then at p = 1 the
+# action of an embedded density and the density convolution
+_P19_ROUTES = ("left", "right", "left", "left")
 
 
 def _check_p19_lp(spec, ctx, rng):
-    Q, T = ctx.Q, ctx.T
+    Q, T, k = ctx.Q, ctx.T, ctx.Q.coset_count
 
-    def trial(t):
-        p = float((1, 2, 3)[t % 3])
-        rho_t = draw_rho(rng, Q) if t % 2 else ctx.rho
-        lam = quasi_invariant_lambda(Q, rho_t)
-        sigma = draw_measure(rng, Q)
-        phi = draw_density(rng, Q)
-        bound = total_variation(sigma) * lp_norm(lam, phi, p)
-        routes = []     # (side, explicit result, operator route)
-        for side in ("left", "right"):
-            out = lp_action(T, rho_t, side, sigma, phi, p)
-            routes.append((side, out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
-            yield lp_norm(lam, out, p) - bound, {"trial": t, "p": p, "side": side}
-        if p == 1.0:
-            # embedding the acting density turns the p=1 action into the
-            # coset density convolution
-            phi2 = draw_density(rng, Q)
-            acting = embed_density(lam, phi2)
-            via_action = lp_action(T, rho_t, "left", acting, phi, 1.0)
-            via_densities = l1_convolve(T, lam, phi2, phi)
-            routes.append(("left", via_action,
-                           _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
-            routes.append(("left", via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))
-            yield (float(np.max(np.abs(via_action.values - via_densities.values))),
-                   {"trial": t, "part": "density convolution cross-check"})
+    def p_of(t: int) -> float:
+        return float((1, 2, 3)[t % 3])
+
+    def trial(ts):
+        # sigma, phi and, at p = 1, the acting density phi2
+        rhos, raw, raw2 = _each_trial(ts, lambda t: (
+            _trial_rho(rng, ctx, t), rng.random(4 * k),
+            rng.random(2 * k) if t % 3 == 0 else np.zeros(2 * k)))
+        (sigmas, phis), (phi2s,) = _split(raw, k, k), _split(raw2, k)
+        # per trial: the contraction residuals of the two sides and the p = 1
+        # cross-check, and each route's gap (-inf where a trial has none)
+        lp, gaps = np.full((len(ts), 3), -np.inf), np.full((len(ts), 4), -np.inf)
+        for p in (1.0, 2.0, 3.0):     # the trials of one p value at a time
+            rows = np.flatnonzero(ts % 3 == p - 1)
+            rho_t = RhoFunction(Q, rhos[rows])
+            lam = quasi_invariant_lambda(Q, rho_t)
+            sigma, phi = ComplexMeasure(Q, sigmas[rows]), DensityFunction(Q, phis[rows])
+            bound = total_variation(sigma) * lp_norm(lam, phi, p)
+            routes = []     # (explicit result, operator route)
+            for side in ("left", "right"):
+                out = lp_action(T, rho_t, side, sigma, phi, p)
+                routes.append((out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
+                lp[rows, len(routes) - 1] = lp_norm(lam, out, p) - bound
+            if p == 1.0:
+                # embedding the acting density turns the p=1 action into the
+                # coset density convolution
+                phi2 = DensityFunction(Q, phi2s[rows])
+                acting = embed_density(lam, phi2)
+                via_action = lp_action(T, rho_t, "left", acting, phi, 1.0)
+                via_densities = l1_convolve(T, lam, phi2, phi)
+                routes.append((via_action, _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
+                routes.append((via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))
+                lp[rows, 2] = np.max(np.abs(via_action.values - via_densities.values), axis=-1)
+            for j, (explicit, operator) in enumerate(routes):
+                gaps[rows, j] = np.max(np.abs(explicit.values - operator), axis=-1)
+        for j, side in enumerate(("left", "right")):
+            yield lp[:, j], lambda t, side=side: {"trial": t, "p": p_of(t), "side": side}
+        yield lp[:, 2], _at(part="density convolution cross-check")
         # each result must match its operator route; the gap is a pass/fail
         # cross-check and stays out of the reported residual
-        for side, explicit, operator in routes:
-            gap = float(np.max(np.abs(explicit.values - operator)))
-            if _worse(gap, spec.tol):
-                raise _Fail({"trial": t, "p": p, "side": side,
-                             "reason": "explicit and operator routes differ"}, gap)
+        for j, side in enumerate(_P19_ROUTES):
+            yield _Fails(_worse(gaps[:, j], spec.tol),
+                         lambda t, side=side: {"trial": t, "p": p_of(t), "side": side,
+                                               "reason": "explicit and operator routes differ"},
+                         gaps[:, j])
 
-    return _verdict(spec, *_trials(spec.trials, trial))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "group")))
 
 
 # check id -> (check, default tolerance)

@@ -31,6 +31,12 @@ def test_groups_with_subgroup_text(capsys):
     assert "C0" in out
 
 
+@pytest.mark.parametrize("token", ["(ab)", "(1,a)", "(1,,2)"])
+def test_subgroup_token_with_a_non_integer_point_exits_2(capsys, token):
+    code, out, err = run_cli(capsys, "groups", "--group", "builtin:S3", "--subgroup", token)
+    assert (code, out, err) == (2, "", f"error: no element {token!r} in S3\n")
+
+
 def test_subgroup_cycle_tokens_with_commas(capsys):
     # degree >= 10 labels carry commas inside cycles; they must parse back
     G = ca.builtin_from_token("D12")
@@ -213,7 +219,8 @@ def test_usage_errors(capsys, tmp_path):
     ({"values": {"(123)": float("inf")}}, "rho must be finite, got inf on coset C1"),
     ({"values": {"(23)": float("nan")}}, "rho must be > 0, got nan on coset C2"),
     ({"values": {"(123)": -1}}, "rho must be > 0, got -1.0 on coset C1"),
-], ids=["list", "values-list", "infinite", "nan", "negative"])
+    ({"values": {"(123)": 10 ** 400}}, "rho must be finite, got inf on coset C1"),
+], ids=["list", "values-list", "infinite", "nan", "negative", "beyond-float"])
 def test_malformed_rho_file_exits_2(tmp_path, capsys, content, message):
     rho = tmp_path / "rho.json"
     rho.write_text(json.dumps(content))    # writes NaN and Infinity, as json reads them

@@ -814,7 +814,8 @@ def test_find_element_matches_a_search_of_perms(case):
     assert ca.find_element(G, token) == _find_by_search(G, token) == x
 
 
-@pytest.mark.parametrize("token", ["", "i", "(14)", "abc", " ", "e(12)"])
+@pytest.mark.parametrize("token", ["", "i", "(14)", "abc", " ", "e(12)", "(ab)", "(1,a)",
+                                   "(1,,2)"])
 def test_find_element_refuses_tokens_outside_the_group(s3, token):
     with pytest.raises(UnknownName, match=re.escape(f"no element {token.strip()!r} in S3")):
         ca.find_element(s3, token)
@@ -903,6 +904,9 @@ def test_parse_cycles_matches_the_compose_loop(token_and_degree):
     ("(14)(25)", "bad cycle '25' for degree 3"),    # read right to left
     ("(1,1)", "bad cycle '1,1' for degree 3"),
     ("(12", "cannot parse cycle token '(12'"),
+    ("(ab)", "bad cycle 'ab' for degree 3"),
+    ("(1,a)", "bad cycle '1,a' for degree 3"),
+    ("(1,,2)", "bad cycle '1,,2' for degree 3"),
 ])
 def test_parse_cycles_refusals(token, message):
     with pytest.raises(NotAPermutation, match=re.escape(message)):

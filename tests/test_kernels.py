@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import cosetalg as ca
-from cosetalg import _kernels
+from cosetalg import _kernels, verifier
 from cosetalg.errors import CapExceeded
+from cosetalg.exact import ExactVector
 
 from conftest import checked_peak, onehot_counts, random_weights, rng
 
@@ -162,3 +163,120 @@ def test_group_and_push_kernels_match_bincount_bit_for_bit(token, gens):
         assert _kernels.push_weights(Q.member_table, w).tobytes() == want.tobytes()
     assert _kernels.push_weights(Q.member_table, lifted).tobytes() == \
         ca.pushforward_rh(Q, ca.ComplexMeasure(ca.group_carrier(G), lifted)).weights.tobytes()
+
+
+# --- leading batch axes --------------------------------------------------------
+#
+# Test-local copies of the kernels as written for single vectors; a call on
+# one vector must keep their bits, and a call on a batch must give its rows.
+
+def _group_one_vector(mul, inv, w1, w2):
+    terms = w2[mul[inv]]
+    terms = np.multiply(w1[:, None], terms, out=terms)
+    return terms.sum(axis=0)
+
+
+def _quotient_one_vector(shift, h_action, s1, s2):
+    v = s2[h_action].sum(axis=0) / h_action.shape[0]
+    return s1 @ v[shift]
+
+
+def _exact_weights(generator, shape):
+    return ExactVector(*generator.integers(-50, 51, (2, *shape)), 12)
+
+
+@pytest.mark.parametrize("token,gens", [("S5", ["(12)"]), ("S6", ["(12)"])],
+                         ids=["k=60", "k=360"])
+def test_one_vector_calls_keep_their_bits(token, gens):
+    G, Q = _setup(token, gens)
+    T = ca.structure_table(Q)
+    g = rng(81)
+    s1, s2 = random_weights(g, Q.coset_count), random_weights(g, Q.coset_count)
+    w1, w2 = random_weights(g, G.order), random_weights(g, G.order)
+    h = Q.subgroup.order
+    pairs = [
+        (_kernels.quotient_convolve_weights(T.shift, T.h_action, s1, s2),
+         _quotient_one_vector(T.shift, T.h_action, s1, s2)),
+        (_kernels.group_convolve_weights(G.mul, G.inv, w1, w2),
+         _group_one_vector(G.mul, G.inv, w1, w2)),
+        (_kernels.lift_weights(Q.coset_of, h, s1), s1[Q.coset_of] / h),
+        (_kernels.push_weights(Q.member_table, w1), w1[Q.member_table].sum(axis=0)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("token,gens", [("S3", ["(12)"]), ("S4", ["(12)", "(123)"]),
+                                        ("Q8", ["i"]), ("S5", ["(12)"])],
+                         ids=["S3/<(12)>", "S4/S3", "Q8/<i>", "S5/<(12)>"])
+def test_batched_kernels_match_their_rows(token, gens):
+    # batches of shape (2, 3), and one vector against a batch on either side:
+    # bit for bit but for the quotient kernel's matrix product, within
+    # roundoff there; exactly on exact vectors
+    G, Q = _setup(token, gens)
+    T = ca.structure_table(Q)
+    n, k, h = G.order, Q.coset_count, Q.subgroup.order
+    g = rng(82)
+    qs = [random_weights(g, (2, 3, k)) for _ in range(2)]
+    gs = [random_weights(g, (2, 3, n)) for _ in range(2)]
+
+    def quotient(a, b):
+        return _kernels.quotient_convolve_weights(T.shift, T.h_action, a, b)
+
+    def group(a, b):
+        return _kernels.group_convolve_weights(G.mul, G.inv, a, b)
+
+    for kernel, (a, b), exact_rows in ((quotient, qs, False), (group, gs, True)):
+        for x, y in ((a, b), (a[0, 0], b), (a, b[1, 2])):
+            got = kernel(x, y)
+            assert got.shape == (2, 3, a.shape[-1])
+            for i, j in np.ndindex(2, 3):
+                row = kernel(x if x.ndim == 1 else x[i, j], y if y.ndim == 1 else y[i, j])
+                if exact_rows:
+                    assert got[i, j].tobytes() == row.tobytes()
+                else:
+                    assert np.max(np.abs(got[i, j] - row)) <= 1e-14 * np.abs(row).max()
+    lifted = _kernels.lift_weights(Q.coset_of, h, qs[0])
+    pushed = _kernels.push_weights(Q.member_table, gs[0])
+    for i, j in np.ndindex(2, 3):
+        assert lifted[i, j].tobytes() == _kernels.lift_weights(Q.coset_of, h, qs[0][i, j]).tobytes()
+        assert pushed[i, j].tobytes() == _kernels.push_weights(Q.member_table, gs[0][i, j]).tobytes()
+
+    e1, e2 = _exact_weights(g, (4, k)), _exact_weights(g, (4, k))
+    f1, f2 = _exact_weights(g, (4, n)), _exact_weights(g, (4, n))
+    exact_q = ca.quotient_convolve_exact(T, e1, e2)
+    exact_g = verifier._exact_convolution(G, f1, f2)
+    exact_lift = _kernels.lift_weights(Q.coset_of, h, e1)
+    exact_push = _kernels.push_weights(Q.member_table, f1)
+    assert exact_q.shape == (4, k) and exact_g.shape == (4, n)
+    for i in range(4):
+        assert exact_q[i] == ca.quotient_convolve_exact(T, e1[i], e2[i])
+        assert exact_g[i] == verifier._exact_convolution(G, f1[i], f2[i])
+        assert exact_lift[i] == _kernels.lift_weights(Q.coset_of, h, e1[i])
+        assert exact_push[i] == _kernels.push_weights(Q.member_table, f1[i])
+        # and against the float kernels, within roundoff
+        assert np.max(np.abs(exact_q[i].to_complex() - quotient(
+            e1[i].to_complex(), e2[i].to_complex()))) <= 1e-12
+
+
+def test_batched_kernels_within_their_byte_checks(monkeypatch):
+    # S5/<(12)>, a block of eight vectors: each kernel's one check covers
+    # its traced peak
+    G, Q = _setup("S5", ["(12)"])
+    T = ca.structure_table(Q)
+    n, k = G.order, Q.coset_count
+    g = rng(83)
+    s1, s2 = random_weights(g, (8, k)), random_weights(g, (8, k))
+    w1, w2 = random_weights(g, (8, n)), random_weights(g, (8, n))
+    e1, e2 = _exact_weights(g, (8, k)), _exact_weights(g, (8, k))
+    f1, f2 = _exact_weights(g, (8, n)), _exact_weights(g, (8, n))
+    calls = [
+        (_kernels, lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)),
+        (_kernels, lambda: _kernels.quotient_convolve_weights(T.shift, T.h_action, s1, s2)),
+        (ca.quotient_algebra, lambda: ca.quotient_convolve_exact(T, e1, e2)),
+        (verifier, lambda: verifier._exact_convolution(G, f1, f2)),
+    ]
+    for module, call in calls:
+        checked, peak = checked_peak(monkeypatch, module, call)
+        assert len(checked) == 1 and peak <= checked[0], (module.__name__, peak, checked)
+        monkeypatch.undo()

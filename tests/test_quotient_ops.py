@@ -102,6 +102,19 @@ def test_rho_refuses_non_finite_values(s3_q, values, message):
             ca.validate_rho(s3_q, [values[c] for c in s3_q.coset_of])
 
 
+@pytest.mark.parametrize("values,message", [
+    ([1, 10 ** 400, 2], "rho must be finite, got inf on coset C1"),
+    ([1, 2, Fraction(10 ** 400, 3)], "rho must be finite, got inf on coset C2"),
+    ([-10 ** 400, 1, 2], "rho must be > 0, got -inf on coset C0"),
+], ids=["int", "fraction", "negative"])
+def test_rho_refuses_values_beyond_float_range(s3_q, values, message):
+    # refused like an infinite value, per coset and per element
+    with pytest.raises(NonPositive, match=f"^{re.escape(message)}$"):
+        ca.validate_rho(s3_q, values)
+    with pytest.raises(NonPositive, match=f"^{re.escape(message)}$"):
+        ca.validate_rho(s3_q, [values[c] for c in s3_q.coset_of])
+
+
 def test_rho_from_dict_defaults(s3, s3_q):
     r = ca.rho_from_dict(s3_q, {"values": {"(123)": 2}})
     assert np.array_equal(r.values, [1.0, 2.0, 1.0])

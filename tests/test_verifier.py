@@ -46,28 +46,32 @@ def test_default_tolerances_are_pinned():
 
 
 def test_trials_rank_residuals_and_keep_the_first_witness():
-    def run(*residuals):
-        return verifier._trials(len(residuals), lambda t: [(residuals[t], {"trial": t})])
+    # with a trial per block and with all trials in one block
+    for per_trial in (verifier._BLOCK_BYTES, 1):
+        def run(*residuals):
+            r = np.array(residuals)
+            return verifier._trials(len(r), lambda ts: [(r[ts], lambda t: {"trial": t})],
+                                    per_trial)
 
-    # a NaN stays the worst against later finite residuals and later NaNs
-    worst, witness = run(1.0, np.nan, 5.0, np.nan, 1e300)
-    assert np.isnan(worst) and witness == {"trial": 1}
-    # the first of equal worst residuals keeps its witness
-    assert run(2.0, 3.0, 3.0, 1.0) == (3.0, {"trial": 1})
-    # a run of zero residuals has no witness
-    assert run(0.0, 0.0, 0.0) == (0.0, None)
-    # every pair a trial gives is ranked
-    assert verifier._trials(2, lambda t: [(t, "a"), (2 * t + 1, "b")]) == (3, "b")
+        # a NaN stays the worst against later finite residuals and later NaNs
+        worst, witness = run(1.0, np.nan, 5.0, np.nan, 1e300)
+        assert np.isnan(worst) and witness == {"trial": 1}
+        # the first of equal worst residuals keeps its witness
+        assert run(2.0, 3.0, 3.0, 1.0) == (3.0, {"trial": 1})
+        # a run of zero residuals has no witness
+        assert run(0.0, 0.0, 0.0) == (0.0, None)
+        # every pair a trial gives is ranked
+        assert verifier._trials(2, lambda ts: [(ts, lambda t: "a"), (2 * ts + 1, lambda t: "b")],
+                                per_trial) == (3, "b")
 
 
 def test_a_failure_in_trial_t_records_t_plus_one_trials(monkeypatch, s3_pair):
     def check(spec, ctx, rng):
-        def trial(t):
-            yield 0.5, {"trial": t}
-            if t == 2:
-                raise verifier._Fail({"trial": t, "reason": "planted"})
+        def trial(ts):
+            yield np.full(len(ts), 0.5), lambda t: {"trial": t}
+            yield verifier._Fails(ts == 2, lambda t: {"trial": t, "reason": "planted"})
 
-        return verifier._verdict(spec, *verifier._trials(spec.trials, trial))
+        return verifier._verdict(spec, *verifier._trials(spec.trials, trial, 1))
 
     monkeypatch.setitem(verifier._CHECKS, "W0_WEIL", (check, 1.0))
     report = run_check(CheckSpec(id="W0_WEIL", trials=10), make_context(*s3_pair))
@@ -195,13 +199,13 @@ def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
     g = verifier.rng_for(42, "D6_CONV", 0)
     for _ in range(10):
         verifier._alternative_reps(g, Q)
-    want = verifier.draw_measure(g, ca.quotient_carrier(Q)).weights
-    drawn = []
-    draw = verifier.draw_measure
-    monkeypatch.setattr(verifier, "draw_measure",
-                        lambda rng, carrier: drawn.append(draw(rng, carrier)) or drawn[-1])
+    want = g.random(Q.coset_count) + 1j * g.random(Q.coset_count)
+    drawn = []   # the left operands of the float convolutions, trial by trial
+    convolve = verifier.quotient_convolve
+    monkeypatch.setattr(verifier, "quotient_convolve",
+                        lambda T, a, b: drawn.append(a) or convolve(T, a, b))
     run_check(CheckSpec(id="D6_CONV", trials=1, seed=42), make_context(G, H))
-    assert np.array_equal(drawn[0].weights, want)
+    assert np.array_equal(drawn[0].weights[0], want)
 
 
 def test_conv_and_algebra_exact_mode_at_scale():
@@ -561,3 +565,241 @@ def test_basis_tests_refused_over_budget(monkeypatch, cid, basis_test, what):
     assert report.counterexample["error"].startswith(
         f"CapExceeded: {what} with 120 cosets needs {checked[0]} bytes"), report
     assert peak <= budget
+
+
+# --- trials in blocks ----------------------------------------------------------
+
+def _planted_trials(residuals, fails=()):
+    """_trials over planted residuals (one row per trial, one column per
+    yield) and failure masks (one per test, in program order), in blocks of
+    three trials."""
+    r = np.array(residuals, dtype=float)
+
+    def trial(ts):
+        for j in range(r.shape[1]):
+            yield r[ts, j], lambda t, j=j: {"trial": t, "yield": j}
+        for j, mask in enumerate(fails):
+            yield verifier._Fails(np.array(mask, dtype=bool)[ts],
+                                  lambda t, j=j: {"trial": t, "fail": j}, 2.0 + j)
+
+    return verifier._trials(len(r), trial, verifier._BLOCK_BYTES // 3)
+
+
+def test_trials_on_planted_residual_arrays():
+    # a NaN mid-block ranks above later, larger numbers and keeps its witness
+    worst, witness = _planted_trials([[1.0, 0.0], [0.5, np.nan], [7.0, 9.0], [np.nan, 1.0]])
+    assert np.isnan(worst) and witness == {"trial": 1, "yield": 1}
+    # a tie keeps the first witness in (trial, yield) order, across blocks too
+    assert _planted_trials([[1.0, 3.0], [3.0, 2.0], [3.0, 3.0]]) == (3.0, {"trial": 0, "yield": 1})
+    assert _planted_trials([[1.0], [2.0], [0.0], [2.0], [1.5]]) == (2.0, {"trial": 1, "yield": 0})
+    # all-negative residuals leave the start value and no witness
+    assert _planted_trials([[-1.0, -4.0], [-0.5, -1.0], [-2.0, -0.1], [-3.0, -9.0]]) == (0.0, None)
+    # a failure in trial 4, in the second block, after a first block of passes
+    with pytest.raises(verifier._Fail) as err:
+        _planted_trials([[0.0]] * 6, [[0, 0, 0, 0, 1, 1]])
+    assert (err.value.counterexample, err.value.residual, err.value.trials_run) == (
+        {"trial": 4, "fail": 0}, 2.0, 5)
+    # of two failing trials the earlier wins, though its test comes later in
+    # program order; within a trial the first test in program order wins
+    with pytest.raises(verifier._Fail) as err:
+        _planted_trials([[0.0]] * 6, [[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0]])
+    assert (err.value.counterexample, err.value.trials_run) == ({"trial": 1, "fail": 1}, 2)
+    with pytest.raises(verifier._Fail) as err:
+        _planted_trials([[0.0]] * 4, [[0, 0, 1, 0], [0, 1, 1, 0]])
+    assert (err.value.counterexample, err.value.residual) == ({"trial": 1, "fail": 1}, 3.0)
+    # a start value and its witness stand against smaller residuals
+    assert verifier._trials(3, lambda ts: [(np.ones(len(ts)), lambda t: {"trial": t})], 1,
+                            5.0, {"start": True}) == (5.0, {"start": True})
+
+
+def test_block_bytes_set_the_block_size(monkeypatch):
+    blocks = []
+
+    def trial(ts):
+        blocks.append(ts.tolist())
+        yield ts, None
+
+    for block_bytes, per_trial, want in ((1 << 25, 1 << 24, [[0, 1], [2, 3], [4]]),
+                                         (1 << 25, 1 << 30, [[0], [1], [2], [3], [4]]),
+                                         (1 << 25, 1, [[0, 1, 2, 3, 4]]),
+                                         (1, 1, [[0], [1], [2], [3], [4]])):
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        blocks.clear()
+        assert verifier._trials(5, trial, per_trial) == (4, None)
+        assert blocks == want
+
+
+BLOCK_PAIRS = default_catalog() + [CatalogEntry("S4/<(12)>", "builtin:S4", ("(12)",))]
+
+
+@pytest.fixture(scope="module")
+def block_contexts():
+    return [make_context(*build_entry(e), name=e.name) for e in BLOCK_PAIRS]
+
+
+def _reports_by_block_size(monkeypatch, spec, ctx, index):
+    """The report of one trial per block, and of the whole run in one block."""
+    reports = []
+    for block_bytes in (1, 1 << 60):
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        reports.append(run_check(spec, ctx, index).to_dict())
+    return reports
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("cid", CHECK_IDS)
+def test_block_size_leaves_reports_unchanged(monkeypatch, block_contexts, cid, mode):
+    for index, ctx in enumerate(block_contexts):
+        one, whole = _reports_by_block_size(
+            monkeypatch, CheckSpec(id=cid, trials=30, mode=mode), ctx, index)
+        assert abs(one.pop("max_residual") - whole.pop("max_residual")) <= 1e-13, ctx.name
+        assert one == whole, ctx.name
+
+
+def test_block_size_leaves_failures_unchanged(monkeypatch, block_contexts):
+    # a measure reported not invariant whenever its first weight's real part
+    # passes 0.9: the first such lift or convolution fails P3, whatever the
+    # blocks
+    membership = verifier.membership_mgh
+
+    def planted(Q, mu):
+        return membership(Q, mu) & ~(mu.weights[..., 0].real > 0.9)
+
+    monkeypatch.setattr(verifier, "membership_mgh", planted)
+    failed = []
+    for index, ctx in enumerate(block_contexts):
+        one, whole = _reports_by_block_size(monkeypatch, CheckSpec(id="P3_LIFT"), ctx, index)
+        assert one == whole, ctx.name
+        if one["status"] == "fail":
+            assert one["counterexample"]["reason"] in (
+                "lift not right-invariant", "left ideal violated: nu * lift not invariant")
+            failed.append((one["counterexample"]["trial"], one["trials_run"]))
+    # most pairs fail, each in a trial after the first
+    assert len(failed) >= 5 and all(0 < t and run == t + 1 for t, run in failed), failed
+
+
+def _draws_one_at_a_time(cid, mode, rng, ctx, trials):
+    """Each check's draws as its trials made them one at a time, one random
+    weight vector, rho or rational vector per call."""
+    G, Q, H = ctx.G, ctx.Q, ctx.H
+    k = Q.coset_count
+
+    def measure(rng, carrier):
+        return rng.random(len(carrier.labels)) + 1j * rng.random(len(carrier.labels))
+
+    density = measure
+    coset = (lambda: measure(rng, Q)) if mode == "float" else \
+        (lambda: verifier.draw_rational_weights(rng, k))
+    if cid == "W0_WEIL":
+        for t in range(trials):
+            density(rng, G)
+            if t % 2:
+                verifier.draw_rho(rng, Q)
+    elif cid == "P1_MHG":
+        for _ in ca.solve_mhg_space(Q):
+            for _ in range(min(trials, 20)):
+                measure(rng, G)
+    elif cid == "P2_DENSITY":
+        for _ in range(trials):
+            density(rng, Q)
+            for _ in H.members:
+                density(rng, G)
+            if H.order > 1:
+                rng.integers(0, G.order)
+    elif cid == "P3_LIFT":
+        for _ in range(trials):
+            measure(rng, Q), measure(rng, G)
+        for _ in range(min(trials, 10)):
+            verifier.draw_rational_weights(rng, k)
+    elif cid == "P4_ISOMETRY":
+        for _ in range(trials):
+            measure(rng, G), measure(rng, Q)
+    elif cid == "D6_CONV":
+        for _ in range(10):
+            verifier._alternative_reps(rng, Q)
+        for _ in range(trials):
+            coset(), coset()
+        for _ in range(min(trials, 25) if mode == "float" else 0):
+            measure(rng, Q), measure(rng, Q)
+            rng.integers(0, G.order), rng.integers(0, k)
+    elif cid == "T8_ALGEBRA":
+        for _ in range(trials):
+            coset(), coset(), coset()
+    elif cid == "L11_RIGHT_ID":
+        for _ in range(trials):
+            coset()
+    elif cid == "P15_NORMALITY":
+        for _ in range(min(trials, 25) if ca.test_normality(G, H) else 0):
+            measure(rng, Q)
+    elif cid == "P16_EMBED":
+        for t in range(trials):
+            if t % 2:
+                verifier.draw_rho(rng, Q)
+            density(rng, Q)
+        for _ in range(min(trials, 10)):
+            verifier._draw_ratios(rng, k)
+            verifier.draw_rational_weights(rng, k)
+    elif cid == "L17_COMPAT":
+        for _ in range(min(trials, 25)):
+            density(rng, Q)
+            verifier.draw_rho(rng, Q)
+    elif cid == "T18_IDEAL":
+        for t in range(trials):
+            if t % 2:
+                verifier.draw_rho(rng, Q)
+            density(rng, Q), measure(rng, Q)
+    elif cid == "P19_LP":
+        for t in range(trials):
+            if t % 2:
+                verifier.draw_rho(rng, Q)
+            measure(rng, Q), density(rng, Q)
+            if t % 3 == 0:
+                density(rng, Q)
+
+
+TRIAL_CHECKS = ["W0_WEIL", "P1_MHG", "P2_DENSITY", "P3_LIFT", "P4_ISOMETRY", "D6_CONV",
+                "T8_ALGEBRA", "L11_RIGHT_ID", "P15_NORMALITY", "P16_EMBED", "L17_COMPAT",
+                "T18_IDEAL", "P19_LP"]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("cid", TRIAL_CHECKS)
+def test_batched_draws_leave_the_generator_where_single_draws_do(monkeypatch, cid, mode):
+    # on a non-normal pair, a normal one and S4/{e}, whose literal invariance
+    # space is not empty; one trial per block and all in one block
+    pairs = [("S4", ["(12)"]), ("S3", ["(123)"]), ("S4", [])]
+    for token, gens in pairs:
+        G = ca.builtin_from_token(token)
+        ctx = make_context(G, ca.subgroup_from_tokens(G, gens))
+        spec = CheckSpec(id=cid, trials=7, mode=mode)
+        want = rng(71)
+        _draws_one_at_a_time(cid, mode, want, ctx, spec.trials)
+        for block_bytes in (1, 1 << 60):
+            monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+            got = rng(71)
+            verifier._CHECKS[cid][0](spec, ctx, got)
+            assert got.bit_generator.state == want.bit_generator.state, (token, gens)
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, 60])
+def test_one_integer_call_draws_what_the_calls_of_each_trial_drew(size):
+    # from a generator mid-stream, with half of a 64-bit output cached:
+    # three trials of two rational vectors each, value for value
+    want, got = rng(72), rng(72)
+    for g in (want, got):
+        g.random(3), g.integers(0, 7)
+    singles = [[verifier.draw_rational_weights(want, size) for _ in range(2)] for _ in range(3)]
+    batched = verifier._rational_draws(got, 3, 2, size)
+    for t in range(3):
+        for j in range(2):
+            assert batched[j][t] == singles[t][j]
+            assert batched[j][t].re.tolist() == singles[t][j].re.tolist()
+    assert got.bit_generator.state == want.bit_generator.state
+    # rows of ratios then rational parts, as P16_EMBED's exact trials draw them
+    rows = verifier._integer_rows(got, 2, (1, 1, -4, -4, 1, 1), size)
+    for t in range(2):
+        nums, dens = verifier._draw_ratios(want, size)
+        parts = [want.integers(-4, 5, size), want.integers(-4, 5, size),
+                 *want.integers(1, 5, (2, size))]
+        assert np.array_equal(rows[t], np.stack([nums, dens, *parts]))
+    assert got.bit_generator.state == want.bit_generator.state
