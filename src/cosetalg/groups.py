@@ -33,7 +33,7 @@ DEFAULT_ORDER_CAP = 10080
 # table or a block of its validation scans, a structure table or
 # its derived views, a group or quotient convolution, or an identity solve.
 # It admits the table of any group within DEFAULT_ORDER_CAP
-# (10080² int64 = 813 MB) and dense views up to 512 cosets (k³ int64);
+# (10080² int64 = 813 MB) and the float64 dense view c up to 511 cosets;
 # larger requests raise CapExceeded.
 BYTE_BUDGET = 1 << 30
 

@@ -38,9 +38,11 @@ from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
 @dataclass(frozen=True)
 class StructureTable:
     """The count tensor of G/H in factored form (see the module docs):
-    counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}. The rational
-    tensor is c = counts / denominator. The dense views `counts` and `c` are
-    built on first access, within the byte budget."""
+    counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]} = m[shift[a, z], b],
+    with m[w, b] = #{i : h_action[i, b] = w}. The rational tensor is c =
+    counts / denominator. The dense views `counts` (int8 up to |H| = 127,
+    int16 beyond) and `c` are gathered from m on first access, within the
+    byte budget."""
 
     quotient: QuotientSpace
     denominator: int          # |H|; the counts of each (a, b) row sum to it
@@ -58,26 +60,31 @@ class StructureTable:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """The dense (k, k, k) int64 count tensor, read-only: each h_i adds 1
-        to row (a, b) at action[a, h_action[i, b]], the coset of rep_a * h_i *
-        rep_b, where action inverts each row of shift. Raises ValueError when
-        a row of shift is not a permutation."""
-        k = self.coset_count
-        require_bytes(k ** 3 * 8, f"dense structure tensor with {k} cosets")
-        ar, action = np.arange(k), np.full((k, k), -1, dtype=np.int64)
-        action[ar[:, None], self.shift] = ar
-        if (action < 0).any():
-            raise ValueError("corrupt structure table: a row of shift is not a permutation")
-        out = np.zeros((k, k, k), dtype=np.int64)
-        for row in self.h_action:
-            out[ar[:, None], ar, action[:, row]] += 1
-        return _freeze(out)
+        """The dense (k, k, k) count tensor counts[a, b, z] = m[shift[a, z], b],
+        read-only, in the narrowest signed integer dtype that holds |H| (int8
+        up to |H| = 127, then int16)."""
+        return self._dense(np.min_scalar_type(-self.denominator - 1))
 
     @cached_property
     def c(self) -> np.ndarray:
-        """The dense (k, k, k) float64 tensor counts / denominator, read-only;
-        the same size as counts, whose byte check covers it."""
-        return _freeze(self.counts / self.denominator)
+        """The dense (k, k, k) float64 tensor counts / denominator, read-only."""
+        return self._dense(np.dtype(np.float64))
+
+    def _dense(self, dtype: np.dtype) -> np.ndarray:
+        """counts[a, b, z] = m[shift[a, z], b] for the H-orbit histogram m[w, b]
+        = #{i : h_action[i, b] = w}, in dtype (float: divided by |H|): one
+        gather of whole rows of m, read through a transposed view. Raises
+        ValueError when a row of shift is not a permutation."""
+        k, size = self.coset_count, dtype.itemsize
+        # the view, then m in dtype with either m as int64 or the gather's
+        # intp copy of shift, and the permutation test's buffers
+        require_bytes(k * k * (k * size + size + 8) + (1 << 15),
+                      f"dense structure tensor with {k} cosets")
+        if not rows_are_permutations(self.shift, k):
+            raise ValueError("corrupt structure table: a row of shift is not a permutation")
+        m = np.bincount((self.h_action * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
+        m = m / self.denominator if dtype.kind == "f" else m.astype(dtype)
+        return _freeze(m.take(self.shift, axis=0).transpose(0, 2, 1))
 
     def row(self, a: int, b: int) -> list[Fraction]:
         k = self.coset_count

@@ -261,17 +261,18 @@ def test_table_over_byte_budget_exits_2(capsys, monkeypatch, budget, what):
 
 
 def test_table_needs_no_dense_tensor(capsys, monkeypatch):
-    # S4/<(12)>: the dense k³ view (13824 bytes) is over the budget, the
-    # group table (4608) and the factored table are within it
-    code, want, _ = run_cli(capsys, "table", "--group", "builtin:S4",
+    # S5/<(12)>: the dense int8 k³ view (216000 bytes and more) is over the
+    # budget, the group table (115200), the factored table (74400) and the
+    # coset space (19712) are within it
+    code, want, _ = run_cli(capsys, "table", "--group", "builtin:S5",
                             "--subgroup", "(12)", "--format", "json")
     assert code == 0
-    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 12000)
-    G = ca.builtin_from_token("S4")
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 150000)
+    G = ca.builtin_from_token("S5")
     T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"])))
-    with pytest.raises(CapExceeded, match="dense structure tensor with 12 cosets"):
+    with pytest.raises(CapExceeded, match="dense structure tensor with 60 cosets"):
         T.counts
-    code, out, err = run_cli(capsys, "table", "--group", "builtin:S4",
+    code, out, err = run_cli(capsys, "table", "--group", "builtin:S5",
                              "--subgroup", "(12)", "--format", "json")
     assert (code, out, err) == (0, want, "")
 

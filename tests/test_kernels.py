@@ -88,6 +88,7 @@ def test_sparse_tensor_matches_dense(token, gens):
     T = ca.structure_table(Q)
     assert np.array_equal(T.counts, dense)
     assert np.array_equal(T.c, dense / T.denominator)
+    assert not (T.counts.flags.writeable or T.c.flags.writeable)
     qc = ca.quotient_carrier(Q)
     rng = np.random.Generator(np.random.PCG64(23))
     for _ in range(3):

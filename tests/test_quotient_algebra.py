@@ -608,7 +608,8 @@ def test_corrupt_shift_is_refused(monkeypatch):
     shift[[1, 2], 3] = shift[[2, 1], 3]
     planted = qa.StructureTable(T.quotient, T.denominator, shift, T.h_action)
     _assert_refused(monkeypatch, G, H, planted,
-                    (ca.find_left_identity, ca.find_two_sided_identity, lambda T: T.counts))
+                    (ca.find_left_identity, ca.find_two_sided_identity,
+                     lambda T: T.counts, lambda T: T.c))
 
 
 def test_identity_decision_on_hand_built_tables():
@@ -644,6 +645,43 @@ def test_degenerate_whole_group(s3):
     assert np.array_equal(T.counts, np.array([[[6]]]))
     sol = ca.find_two_sided_identity(T)
     assert sol.solution == (Fraction(1),)
+
+
+@pytest.mark.parametrize("token,gens,dtype", [
+    ("S4", ["(12)"], np.int8), ("C127", None, np.int8), ("C128", None, np.int16),
+    ("S6", ["(123)", "(23456)"], np.int16), ("S6", None, np.int16),
+], ids=["S4/<(12)>", "C127/C127", "C128/C128", "S6/A6", "S6/S6"])
+def test_counts_dtype_holds_the_subgroup_order(token, gens, dtype):
+    # the narrowest signed integer dtype that holds |H|; None: H = G, k = 1
+    G = ca.builtin_from_token(token)
+    H = (ca.generate_subgroup(G, list(range(G.order))) if gens is None
+         else ca.subgroup_from_tokens(G, gens))
+    T = ca.structure_table(ca.build_coset_space(G, H))
+    assert T.counts.dtype == dtype and T.c.dtype == np.float64
+    assert (T.counts.sum(axis=2) == H.order).all() and T.counts.max() == H.order
+    assert np.array_equal(T.c, T.counts / T.denominator)
+    for view in (T.counts, T.c):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("token,gens", [("S5", []), ("S6", ["(12)"])],
+                         ids=["S5/{e}", "S6/<(12)>"])
+def test_dense_views_within_their_byte_checks(monkeypatch, token, gens):
+    # k = 120 and 360: each view's traced peak is within its own check, and a
+    # budget one byte short refuses it before any allocation
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    for view in ("counts", "c"):
+        T = ca.structure_table(Q)
+        checked, peak = checked_peak(monkeypatch, qa, lambda: getattr(T, view))
+        assert len(checked) == 1 and getattr(T, view).nbytes < peak <= checked[0], view
+        monkeypatch.undo()
+        monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+        T = ca.structure_table(Q)
+        with pytest.raises(CapExceeded, match=f"dense structure tensor with {Q.coset_count}"):
+            getattr(T, view)
+        monkeypatch.undo()
 
 
 def test_carrier_guards(s3_q, s3_t, d4, same_labelled_quotients):
