@@ -43,16 +43,16 @@ def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
     return terms.sum(axis=-2)
 
 
-def quotient_convolve_weights(shift: np.ndarray, h_action: np.ndarray, s1, s2):
-    """out[z] = sum_a s1[a] * v[shift[a, z]], where v = (1/|H|) sum_i
-    s2[h_action[i]] is the left H-average of s2: a point mass at coset a
-    acts as the left translate by rep_a of that average."""
+def quotient_convolve_weights(shift: np.ndarray, suborbits: np.ndarray, s1, s2):
+    """out[z] = sum_a s1[a] * v[shift[a, z]], where v = (1/r) sum_i
+    s2[suborbits[i]] is the mean of s2 over each coset's suborbit: a point
+    mass at coset a acts as the left translate by rep_a of that mean."""
     k = shift.shape[0]
     # the complex gathers and their intp index copies: 16 to 17 bytes per
     # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, per vector
-    require_bytes((32 * k * k + 24 * h_action.size) * math.prod(_batch_shape(s1, s2)),
+    require_bytes((32 * k * k + 24 * suborbits.size) * math.prod(_batch_shape(s1, s2)),
                   f"quotient convolution with {k} cosets")
-    v = s2.take(h_action, axis=-1).sum(axis=-2) / h_action.shape[0]
+    v = s2.take(suborbits, axis=-1).sum(axis=-2) / suborbits.shape[0]
     return (s1[..., None, :] @ v.take(shift, axis=-1))[..., 0, :]
 
 

@@ -30,8 +30,9 @@ from .errors import (CapExceeded, NoIdentity, NoInverse, NotAPermutation,
 DEFAULT_ORDER_CAP = 10080
 
 # Most bytes the library holds at once for one large operation: a group
-# table or a block of its validation scans, a structure table or
-# its derived views, a group or quotient convolution, or an identity solve.
+# table or a block of its validation scans, a structure table (its shift
+# and suborbit tables, or a dense view), a group or quotient convolution, or
+# an identity solve on the suborbit labels.
 # It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and the float64 dense view c up to 511 cosets;
 # larger requests raise CapExceeded.

@@ -5,13 +5,14 @@ function algebra on cosets, its isometric embedding, and the p-norm actions.
 The tensor entry c[a][b][z] counts, over h in H, how often rep_a * h * rep_b
 lands in coset z, divided by |H|. Rows are probability vectors; they collapse
 to 0/1 exactly when H is normal, in which case the tensor is the Cayley table
-of the factor group. As delta_a * sigma = rep_a . (delta_H * sigma), the
-tensor is stored as two coset actions, k^2 + |H|*k integers against k^3:
-shift[a, z], the coset of rep_a^-1 * rep_z, and h_action[i, b], the coset of
-h_i * rep_b. Then counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]}.
-Identity solves are decided on the two factors, and an inconsistent
-system's least-squares residual is delta_H's own, k less the number of
-double cosets under a square root (see _solve_identity).
+of the factor group. As delta_a * sigma = rep_a . (delta_H * sigma), and
+delta_H * sigma averages sigma over each suborbit (orbit of H on the cosets),
+the tensor is stored as k^2 + r*k integers against k^3: shift[a, z], the
+coset of rep_a^-1 * rep_z, and suborbits, whose column b lists the suborbit
+of b ascending, cycled to r = lcm(suborbit sizes) rows, so that c[a][b][z] =
+#{i : suborbits[i, b] = shift[a, z]} / r. Row 0 labels each coset by its
+suborbit's least member; identity solves read the labels alone, and an
+inconsistent system's residual is sqrt(k - #suborbits) (see _solve_identity).
 """
 
 from __future__ import annotations
@@ -38,43 +39,36 @@ from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
 @dataclass(frozen=True)
 class StructureTable:
     """The count tensor of G/H in factored form (see the module docs):
-    counts[a, b, z] = #{i : h_action[i, b] = shift[a, z]} = m[shift[a, z], b],
-    with m[w, b] = #{i : h_action[i, b] = w}. The rational tensor is c =
-    counts / denominator. The dense views `counts` (int8 up to |H| = 127,
-    int16 beyond) and `c` are gathered from m on first access, within the
-    byte budget."""
+    c[a, b, z] = #{i : suborbits[i, b] = shift[a, z]} / r. The dense views
+    `counts`, in units of 1/|H| (int8 up to |H| = 127, int16 beyond), and
+    `c` are gathered from the suborbit histogram on first access, within
+    the byte budget."""
 
     quotient: QuotientSpace
-    denominator: int          # |H|; the counts of each (a, b) row sum to it
     shift: np.ndarray         # (k, k) int32: coset of rep_a^-1 * rep_z
-    h_action: np.ndarray      # (|H|, k) int32: coset of h_i * rep_b
+    suborbits: np.ndarray     # (r, k) int32: b's suborbit ascending, cycled to r rows
 
     @property
     def coset_count(self) -> int:
         return self.quotient.coset_count
 
-    def counts_at(self, a, b, z) -> np.ndarray:
-        """counts[a, b, z] for broadcastable index arrays."""
-        a, b, z = np.broadcast_arrays(a, b, z)
-        return (self.h_action[:, b] == self.shift[a, z]).sum(axis=0)
-
     @cached_property
     def counts(self) -> np.ndarray:
-        """The dense (k, k, k) count tensor counts[a, b, z] = m[shift[a, z], b],
+        """The dense (k, k, k) count tensor counts[a, b, z] = |H| c[a, b, z],
         read-only, in the narrowest signed integer dtype that holds |H| (int8
-        up to |H| = 127, then int16)."""
-        return self._dense(np.min_scalar_type(-self.denominator - 1))
+        up to |H| = 127, then int16); each (a, b) row sums to |H|."""
+        return self._dense(np.min_scalar_type(-self.quotient.subgroup.order - 1))
 
     @cached_property
     def c(self) -> np.ndarray:
-        """The dense (k, k, k) float64 tensor counts / denominator, read-only."""
+        """The dense (k, k, k) float64 tensor c, read-only."""
         return self._dense(np.dtype(np.float64))
 
     def _dense(self, dtype: np.dtype) -> np.ndarray:
-        """counts[a, b, z] = m[shift[a, z], b] for the H-orbit histogram m[w, b]
-        = #{i : h_action[i, b] = w}, in dtype (float: divided by |H|): one
-        gather of whole rows of m, read through a transposed view. Raises
-        ValueError when a row of shift is not a permutation."""
+        """counts[a, b, z] = m[shift[a, z], b] for the suborbit histogram m[w, b]
+        = #{i : suborbits[i, b] = w}, in dtype (float: divided by r, integer:
+        times |H|/r): one gather of whole rows of m, read through a transposed
+        view. Raises ValueError when a row of shift is not a permutation."""
         k, size = self.coset_count, dtype.itemsize
         # the view, then m in dtype with either m as int64 or the gather's
         # intp copy of shift, and the permutation test's buffers
@@ -82,18 +76,15 @@ class StructureTable:
                       f"dense structure tensor with {k} cosets")
         if not rows_are_permutations(self.shift, k):
             raise ValueError("corrupt structure table: a row of shift is not a permutation")
-        m = np.bincount((self.h_action * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
-        m = m / self.denominator if dtype.kind == "f" else m.astype(dtype)
+        r = self.suborbits.shape[0]
+        m = np.bincount((self.suborbits * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
+        m = m / r if dtype.kind == "f" else m.astype(dtype) * (self.quotient.subgroup.order // r)
         return _freeze(m.take(self.shift, axis=0).transpose(0, 2, 1))
 
     def row(self, a: int, b: int) -> list[Fraction]:
-        k = self.coset_count
-        return [Fraction(int(v), self.denominator)
-                for v in self.counts_at(a, b, np.arange(k))]
-
-    def is_point_mass_table(self) -> bool:
-        """True iff every row is concentrated on a single coset."""
-        return bool((self.h_action == self.h_action[0]).all())
+        r = self.suborbits.shape[0]
+        return [Fraction(int(v), r)
+                for v in (self.suborbits[:, b, None] == self.shift[a]).sum(axis=0)]
 
 
 def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
@@ -103,20 +94,29 @@ def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
 
 
 def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, h_action) for a representative choice, as int32 arrays."""
+    """(shift, suborbits) for a representative choice, as int32 arrays."""
     G, k, h = Q.group, Q.coset_count, Q.subgroup.order
     # per entry: the int64 product, its int64 coset and the int32 copy
     require_bytes(20 * (k * k + h * k), f"structure table with {k} cosets")
     reps = np.asarray(reps, dtype=np.int64)
     members = np.array(Q.subgroup.members, dtype=np.int64)
     shift = Q.coset_of[G.mul[G.inv[reps][:, None], reps]].astype(np.int32)
-    h_action = Q.coset_of[G.mul[members[:, None], reps]].astype(np.int32)
-    return _freeze(shift), _freeze(h_action)
+    # column b of H's action on the cosets holds b's suborbit; its least
+    # member labels it, and a stable sort by label lists each suborbit
+    # ascending, from position start[label] on
+    labels = Q.coset_of[G.mul[members[:, None], reps]].min(axis=0)
+    sizes = np.bincount(labels, minlength=k)
+    start = np.cumsum(sizes) - sizes
+    order = np.argsort(labels, kind="stable")
+    sizes, start = sizes[labels], start[labels]
+    r = math.lcm(*set(sizes.tolist()))
+    suborbits = order[start + np.arange(r)[:, None] % sizes].astype(np.int32)
+    return _freeze(shift), _freeze(suborbits)
 
 
 def structure_table(Q: QuotientSpace, reps: Optional[Sequence[int]] = None) -> StructureTable:
     """The table of Q from a representative choice, by default Q.reps."""
-    return StructureTable(Q, Q.subgroup.order, *_factors(Q, Q.reps if reps is None else reps))
+    return StructureTable(Q, *_factors(Q, Q.reps if reps is None else reps))
 
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
@@ -130,7 +130,7 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
                       sigma2: ComplexMeasure) -> ComplexMeasure:
     """(sigma1 * sigma2)({z}) = sum_{a,b} sigma1({a}) sigma2({b}) c[a][b][z]."""
     _require_same(T.quotient, sigma1, sigma2)
-    w = quotient_convolve_weights(T.shift, T.h_action, sigma1.weights, sigma2.weights)
+    w = quotient_convolve_weights(T.shift, T.suborbits, sigma1.weights, sigma2.weights)
     return ComplexMeasure(sigma1.carrier, w)
 
 
@@ -141,13 +141,13 @@ def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
     k = T.coset_count
     if s1.shape[-1] != k or s2.shape[-1] != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # measured peaks per entry of k² + |H|·k and per vector past ~4 KB: 17 to
+    # measured peaks per entry of k² + r·k and per vector past ~4 KB: 17 to
     # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands widen
-    wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.h_action.size >= 2 ** 63
-    require_bytes((120 if wide else 40) * (k * k + T.h_action.size)
+    wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.suborbits.size >= 2 ** 63
+    require_bytes((120 if wide else 40) * (k * k + T.suborbits.size)
                   * math.prod(_batch_shape(s1, s2)) + (1 << 13),
                   f"exact quotient convolution with {k} cosets")
-    return quotient_convolve_weights(T.shift, T.h_action, s1, s2)
+    return quotient_convolve_weights(T.shift, T.suborbits, s1, s2)
 
 
 def module_action(Q: QuotientSpace, mu: ComplexMeasure,
@@ -168,8 +168,8 @@ def embed_density(lam: QuotientMeasure, phi: DensityFunction) -> ComplexMeasure:
 
 def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p: float) -> float:
     """(sum |phi|^p * lambda)^(1/p)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
     _require_same(lam.quotient, phi)
     return _reduced(np.sum(np.abs(phi.values) ** p * lam.weights, axis=-1) ** (1.0 / p), float)
 
@@ -186,7 +186,7 @@ def l1_convolve(T: StructureTable, lam: QuotientMeasure,
     """
     _require_same(T.quotient, lam, phi, psi)
     rho = lam.rho.values
-    out = quotient_convolve_weights(T.shift, T.h_action,
+    out = quotient_convolve_weights(T.shift, T.suborbits,
                                     lam.weights * phi.values, psi.values * rho) / rho
     return DensityFunction(phi.carrier, out)
 
@@ -208,15 +208,15 @@ def lp_action(T: StructureTable, rho: RhoFunction, side: str,
     verifier's P19_LP) and satisfy the contraction: p-norm of the result
     <= ||sigma|| * p-norm of phi.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_same(T.quotient, rho, sigma, phi)
     rp = rho.values ** (1.0 / p)
     weighted = phi.values * rp
     s1, s2 = (sigma.weights, weighted) if side == "left" else (weighted, sigma.weights)
-    out = quotient_convolve_weights(T.shift, T.h_action, s1, s2) / rp
+    out = quotient_convolve_weights(T.shift, T.suborbits, s1, s2) / rp
     return DensityFunction(phi.carrier, out)
 
 
@@ -255,55 +255,52 @@ def _solve_identity(T: StructureTable) -> IdentitySolution:
     left, sigma * delta_b = delta_b, or from both sides, with delta_a * sigma
     = delta_a too. The two systems have the same outcome.
 
-    The table of a coset space has h_action[:, base] = base, and shift[a, z]
-    = base exactly when a = z, so c[a][base][z] = [a = z]: delta_H satisfies
-    every right row, and the left rows (base, z) pin sigma to delta_H. So
-    either system is consistent, with the unique solution delta_H, iff
-    delta_H is a left identity: every h_i * rep_b lies in the coset
-    shift[base, b], and shift[base] is a permutation. Both are checked in
-    exact integers on the factors.
+    The table of a coset space has the base coset as a suborbit of its own,
+    and shift[a, z] = base exactly when a = z, so c[a][base][z] = [a = z]:
+    delta_H satisfies every right row, and the left rows (base, z) pin sigma
+    to delta_H. So either system is consistent, with the unique solution
+    delta_H, iff delta_H is a left identity. As shift[base] keeps each coset
+    in its suborbit (rep_base lies in H), delta_H * delta_b = u_b, uniform on
+    the suborbit O of coset b: delta_H is a left identity iff d = k, for d
+    suborbits, counted as the cosets that are their own label.
 
     An inconsistent system still has delta_H as a least-squares solution, so
-    its residual is delta_H's own. Let u_b = delta_H * delta_b, uniform on
-    the H-orbit O of coset b. Then delta_a * delta_b = L_a u_b, with L_a the
-    left translation by rep_a, and for the left system
+    its residual is delta_H's own. As delta_a * delta_b = L_a u_b, with L_a
+    the left translation by rep_a, for the left system
         A^T (A delta_H - e)[a] = sum_b <L_a u_b, u_b> - sum_b u_b(L_a^-1 b).
     Both sums equal sum_O |O ∩ L_a O| / |O|, so delta_H solves the normal
     equations, and the right rows, exact at delta_H, add nothing. Hence
-        residual^2 = sum_b ||u_b - delta_b||^2 = sum_O (|O| - 1)
-                   = k - #(H-orbits on the cosets),
-    the number of cosets less the number of double cosets HgH. It is summed
-    from the factors: u_b(z) = m[b, shift[base, z]] / |H|, where m[b, w] =
-    #{i : h_action[i, b] = w}. As shift[base] is a permutation, the integer
-    |H|^2 ||u_b - delta_b||^2 is sum_w m[b, w]^2 - 2|H| m[b, shift[base, b]] + |H|^2.
+        residual^2 = sum_b ||u_b - delta_b||^2 = sum_O (|O| - 1) = k - d,
+    the number of cosets less the number of double cosets HgH.
 
-    The argument reads h_action as H's action on the cosets. A table whose
-    base-coset rows do not pin delta_H, or with a row of shift or h_action
-    that is no permutation, raises ValueError; permutation rows that form no
-    group action get delta_H's residual, which can exceed the least-squares minimum.
+    The argument reads the labels as H's orbits and the rows of shift as
+    translations. A table whose base-coset rows do not pin delta_H, with a
+    column that leaves its suborbit or is not labelled by its least member,
+    or, when d < k, with a row of shift that is no permutation, raises
+    ValueError; consistent labels and permutation rows that form no group
+    action get delta_H's residual, which can exceed the least-squares minimum.
     """
-    k, base, h = T.coset_count, T.quotient.base_coset, T.denominator
-    # the boolean masks of shift and of h_action, shift[base] sorted, and the
-    # array headers and Python objects of any call (up to 9 KB measured)
-    require_bytes(k * k + T.h_action.size + 8 * k + (1 << 14),
+    k, base, labels = T.coset_count, T.quotient.base_coset, T.suborbits[0]
+    # the mask of shift, the labels gathered through suborbits with its intp
+    # index copy and their mask, and the array headers and Python objects of
+    # any call (up to 9 KB measured)
+    require_bytes(k * k + 14 * T.suborbits.size + 16 * k + (1 << 14),
                   f"identity decision with {k} cosets")
-    if not ((T.h_action[:, base] == base).all() and np.count_nonzero(T.shift == base) == k
-            and (T.shift.diagonal() == base).all()):
+    if not (np.flatnonzero(labels == base).tolist() == [base]
+            and np.count_nonzero(T.shift == base) == k and (T.shift.diagonal() == base).all()
+            and (labels[T.shift[base]] == labels).all()):
         raise ValueError("corrupt structure table: the base-coset rows do not pin delta_H")
-    if (T.h_action == T.shift[base]).all() and \
-            np.array_equal(np.sort(T.shift[base]), np.arange(k)):
+    if not ((labels[T.suborbits] == labels).all() and (T.suborbits >= labels).all()):
+        raise ValueError("corrupt structure table: a column leaves its suborbit "
+                         "or is not labelled by its least member")
+    d = int(np.count_nonzero(labels == np.arange(k)))
+    if d == k:
         return IdentitySolution(solution=tuple(exact.unit_vector(k, base)),
                                 measure=delta_h(T.quotient), residual=0.0, unique=True)
-    # the permutation tests, then per h_action entry its key, the sorted copy
-    # and np.unique's mask, indices and counts (~42 bytes measured)
-    require_bytes(5 * k * k + 48 * T.h_action.size + (1 << 16),
-                  f"identity residual with {k} cosets")
-    if not (rows_are_permutations(T.shift, k) and rows_are_permutations(T.h_action, k)):
-        raise ValueError("corrupt structure table: a row of shift or h_action is not a permutation")
-    m = np.unique(np.arange(k) * k + T.h_action, return_counts=True)[1]
-    square = int(m @ m) - 2 * h * int(np.count_nonzero(T.h_action == T.shift[base])) + k * h * h
-    return IdentitySolution(solution=None, measure=None,
-                            residual=math.sqrt(square / (h * h)), unique=False)
+    require_bytes(5 * k * k + (1 << 16), f"identity residual with {k} cosets")
+    if not rows_are_permutations(T.shift, k):
+        raise ValueError("corrupt structure table: a row of shift is not a permutation")
+    return IdentitySolution(solution=None, measure=None, residual=math.sqrt(k - d), unique=False)
 
 
 def find_left_identity(T: StructureTable) -> IdentitySolution:

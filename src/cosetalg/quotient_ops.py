@@ -131,8 +131,8 @@ def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
     Coincides with average_ph when rho = 1; inverts the rho^(1/p)-weighted
     lift of a coset function.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
     _require_same(Q, rho)
     avg = average_ph(Q, f)
     return DensityFunction(avg.carrier, avg.values / rho.values ** (1.0 / p))

@@ -569,16 +569,15 @@ def _is_delta_h(sol: IdentitySolution, Q: QuotientSpace) -> bool:
 
 def _right_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
     """None when the base coset acts as a right identity on every point mass;
-    otherwise the first coset index witnessing failure."""
-    k = T.coset_count
-    # per (a, z): the |H| gathered int32 cosets of h_action, the int32 shift
-    # entry and the |H| bytes of their mask; then the int64 counts and a mask
-    require_bytes((5 * T.denominator + 9) * k * k + (1 << 16),
-                  f"right identity test with {k} cosets")
-    ar = np.arange(k)
-    counts = T.counts_at(ar[:, None], Q.base_coset, ar[None, :])
-    counts[ar, ar] -= T.denominator
-    bad = np.flatnonzero((counts != 0).any(axis=1))
+    otherwise the first coset index witnessing failure: delta_a * delta_H is
+    delta_a iff the base column of suborbits holds one coset, found at a
+    alone in row a of shift."""
+    k, column = T.coset_count, T.suborbits[:, Q.base_coset]
+    # the mask of shift, its row counts and its diagonal
+    require_bytes(k * k + 16 * k + (1 << 16), f"right identity test with {k} cosets")
+    hits = T.shift == column[0]
+    bad = np.flatnonzero((np.count_nonzero(hits, axis=1) != 1) | ~hits.diagonal()
+                         | (column != column[0]).any())
     return int(bad[0]) if len(bad) else None
 
 
@@ -611,9 +610,9 @@ def _check_c13_unique_id(spec, ctx, rng):
 
 def _left_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
     """None when the base coset acts as a left identity on every point mass;
-    otherwise the first coset index witnessing failure."""
-    ar = np.arange(T.coset_count)
-    bad = np.flatnonzero(T.counts_at(Q.base_coset, ar, ar) != T.denominator)
+    otherwise the first coset index witnessing failure: delta_H * delta_b is
+    delta_b iff column b of suborbits holds shift[base, b] alone."""
+    bad = np.flatnonzero((T.suborbits != T.shift[Q.base_coset]).any(axis=0))
     return int(bad[0]) if len(bad) else None
 
 
@@ -635,17 +634,16 @@ def _check_c14_involution(spec, ctx, rng):
 
 
 def _point_mass_products(T: StructureTable, Q: QuotientSpace) -> bool:
-    """Whether every product of two point masses is a point mass: row (a, b)
-    holds all |H| counts at z, the coset of rep_a * rep_b."""
-    k = T.coset_count
-    # per (a, b): the int64 index z (two int64 gathers while it is built),
-    # then, with z held, the |H| gathered int32 cosets of h_action, the int32
-    # shift entry, the |H| bytes of their mask, the int64 counts and a mask
-    require_bytes((5 * T.denominator + 13) * k * k + (1 << 16),
-                  f"point-mass product test with {k} cosets")
-    ar = np.arange(k)
+    """Whether every product of two point masses is a point mass: every
+    column b of suborbits holds one coset, found in row a of shift at the
+    coset of rep_a * rep_b."""
+    k, labels = T.coset_count, T.suborbits[0]
+    # the int64 index z (two int64 gathers while it is built), then, with z
+    # held, the gathered int32 shift entries and their mask
+    require_bytes(16 * k * k + (1 << 16), f"point-mass product test with {k} cosets")
     z = Q.coset_of[Q.group.mul[Q.reps[:, None], Q.reps[None, :]]]
-    return bool((T.counts_at(ar[:, None], ar[None, :], z) == T.denominator).all())
+    return bool((T.suborbits == labels).all()
+                and (T.shift[np.arange(k)[:, None], z] == labels).all())
 
 
 def _check_p15_normality(spec, ctx, rng):

@@ -111,7 +111,7 @@ def test_criterion_04_right_identity_exact(catalog_ctx):
         b0 = Q.base_coset
         for a in range(T.coset_count):
             for z in range(T.coset_count):
-                want = T.denominator if z == a else 0
+                want = H.order if z == a else 0
                 ok = ok and int(T.counts[a, b0, z]) == want
         g = _rng("L11_RIGHT_ID")
         delta = ExactVector.from_fractions(exact.unit_vector(T.coset_count, b0))
@@ -129,11 +129,11 @@ def test_criterion_05_normality_equivalence(catalog_ctx):
         normal = ca.test_normality(G, H)
         non_normal += not normal
         b0 = Q.base_coset
-        left_id = all(int(T.counts[b0, b, b]) == T.denominator
+        left_id = all(int(T.counts[b0, b, b]) == H.order
                       for b in range(T.coset_count))
         point_products = all(
             int(T.counts[a, b, int(Q.coset_of[G.op(int(Q.reps[a]), int(Q.reps[b]))])])
-            == T.denominator
+            == H.order
             for a in range(T.coset_count) for b in range(T.coset_count))
         if not (normal == left_id == point_products):
             discrepancies.append(name)

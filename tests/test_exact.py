@@ -159,7 +159,7 @@ def test_exact_operations_match_fraction_oracles(pair, data):
     assert values(group_convolve_weights(G.mul, G.inv, w1, w2)) == \
         oracle_group_convolve(G.mul, values(w1), values(w2))
     assert values(ca.quotient_convolve_exact(T, s1, s2)) == \
-        oracle_quotient_convolve(onehot_counts(Q), T.denominator, values(s1), values(s2))
+        oracle_quotient_convolve(onehot_counts(Q), Q.subgroup.order, values(s1), values(s2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,7 +188,7 @@ def test_large_numerators_take_the_object_path(pair):
     assert big.re.dtype == np.int64 and small.re.dtype == np.int64
     out = ca.quotient_convolve_exact(T, big, big)
     assert out.re.dtype == object   # products near 2**82 would wrap in int64
-    assert values(out) == oracle_quotient_convolve(onehot_counts(Q), T.denominator,
+    assert values(out) == oracle_quotient_convolve(onehot_counts(Q), Q.subgroup.order,
                                                    values(big), values(big))
     assert ca.quotient_convolve_exact(T, small, small).re.dtype == np.int64
     lifted = lift_weights(Q.coset_of, Q.subgroup.order, big)

@@ -21,7 +21,7 @@ from conftest import (_rref_fractions, checked_peak, onehot_counts, random_weigh
                       traced_peak)
 
 # independently derived count tensor for S3 / <(12)>, cosets
-# C0={e,(12)}, C1={(123),(13)}, C2={(23),(132)}, denominator 2
+# C0={e,(12)}, C1={(123),(13)}, C2={(23),(132)}, |H| = 2
 S3_COUNTS = np.array([
     [[2, 0, 0], [0, 1, 1], [0, 1, 1]],
     [[0, 2, 0], [1, 0, 1], [1, 0, 1]],
@@ -39,7 +39,7 @@ def random_measure(g, Q):
 
 
 def test_structure_table_s3_frozen(s3_t):
-    assert s3_t.denominator == 2
+    assert np.array_equal(s3_t.suborbits, [[0, 1, 1], [0, 2, 2]])
     assert np.array_equal(s3_t.counts, S3_COUNTS)
     assert s3_t.row(1, 2) == [Fraction(1, 2), Fraction(0), Fraction(1, 2)]
 
@@ -49,12 +49,12 @@ def test_structure_table_row_stochastic_catalog():
     for entry in default_catalog():
         G, H = build_entry(entry)
         T = ca.structure_table(ca.build_coset_space(G, H))
-        assert (T.counts.sum(axis=2) == T.denominator).all()
+        assert (T.counts.sum(axis=2) == H.order).all()
 
 
 def test_normal_subgroup_gives_factor_group_table(s3, s3_a3):
     T = ca.structure_table(ca.build_coset_space(s3, s3_a3))
-    assert T.is_point_mass_table()
+    assert np.array_equal(T.suborbits, [[0, 1]])     # every suborbit a single coset
     # the induced table is the Cayley table of C2
     factor = np.argmax(T.counts, axis=2)
     assert np.array_equal(factor, [[0, 1], [1, 0]])
@@ -63,7 +63,7 @@ def test_normal_subgroup_gives_factor_group_table(s3, s3_a3):
 def test_trivial_subgroup_table_is_cayley(s3):
     Q = ca.build_coset_space(s3, ca.generate_subgroup(s3, []))
     T = ca.structure_table(Q)
-    assert T.is_point_mass_table()
+    assert np.array_equal(T.suborbits, [np.arange(6)])
     assert np.array_equal(np.argmax(T.counts, axis=2), s3.mul)
 
 
@@ -79,6 +79,48 @@ def test_representative_independence_exhaustive(s3_q, d4):
             assert np.array_equal(ca.structure_table(Q, choice).counts, base)
 
 
+# (k, |H|, r, d): cosets, subgroup order, rows of suborbits, suborbits
+SUBORBIT_PAIRS = {
+    "S3/<(12)>": (("S3", ["(12)"]), (3, 2, 2, 2)),
+    "S3 relabelled": (None, (3, 2, 2, 2)),
+    "D6/<(26)(35)>": (("D6", ["(26)(35)"]), (6, 2, 2, 4)),
+    "A4/V4": (("A4", ["(12)(34)", "(13)(24)"]), (3, 4, 1, 3)),
+    "S4/S3": (("S4", ["(12)", "(123)"]), (4, 6, 3, 2)),
+    "S5/<(12),(123)>": (("S5", ["(12)", "(123)"]), (20, 6, 6, 7)),
+    "S6/<(12),(12345)>": (("S6", ["(12)", "(12345)"]), (6, 120, 5, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SUBORBIT_PAIRS)
+def test_suborbits_match_independent_oracles(name, relabelled_s3_pair):
+    # the labels are the column minima of H's action h_i * rep_b on the
+    # cosets, their count is Burnside's (1/|H|) sum_h fix(h), and each column
+    # is its orbit ascending, cycled to r = lcm(orbit sizes) rows
+    pair, expected = SUBORBIT_PAIRS[name]
+    if pair is None:
+        G, H = relabelled_s3_pair
+    else:
+        G = ca.builtin_from_token(pair[0])
+        H = ca.subgroup_from_tokens(G, pair[1])
+    Q = ca.build_coset_space(G, H)
+    T = ca.structure_table(Q)
+    k, h, r = Q.coset_count, H.order, T.suborbits.shape[0]
+    members = np.array(H.members, dtype=np.int64)
+    action = Q.coset_of[G.mul[members[:, None], Q.reps]]
+    labels = T.suborbits[0]
+    assert np.array_equal(labels, action.min(axis=0))
+    fixed = np.count_nonzero(action == np.arange(k))
+    d = np.count_nonzero(labels == np.arange(k))
+    assert fixed % h == 0 and d == fixed // h
+    orbits = [np.unique(action[:, b]) for b in range(k)]
+    assert h % r == 0 and r == math.lcm(*(len(o) for o in orbits))
+    assert (labels[T.suborbits] == labels).all()
+    for b, orbit in enumerate(orbits):
+        assert np.array_equal(T.suborbits[:, b], np.resize(orbit, r))
+    assert (k, h, r, d) == expected
+    assert T.suborbits.dtype == np.int32 and not T.suborbits.flags.writeable
+
+
 # builtin groups of order <= 24, normal and non-normal subgroups alike
 SMALL_GROUPS = ("S3", "C6", "D4", "Q8", "C8", "A4", "D6", "C12", "D8", "S4", "D12")
 small_group = functools.lru_cache(maxsize=None)(ca.builtin_from_token)
@@ -92,9 +134,8 @@ def test_factored_table_matches_its_definition(data):
     Q = ca.build_coset_space(G, H)
     T = ca.structure_table(Q)
     k, dense = Q.coset_count, onehot_counts(Q)
-    ar = np.arange(k)
-    assert np.array_equal(T.counts_at(ar[:, None, None], ar[None, :, None], ar), dense)
-    assert T.is_point_mass_table() == ca.test_normality(G, H)
+    assert np.array_equal(T.counts, dense)
+    assert (T.suborbits[0] == np.arange(k)).all() == ca.test_normality(G, H)
     reps = [data.draw(st.sampled_from(Q.members(c).tolist())) for c in range(k)]
     assert np.array_equal(ca.structure_table(Q, reps).counts, dense)
     # unit total variation, so 1e-13 bounds the error relative to ||s1||·||s2||
@@ -131,7 +172,7 @@ def test_right_identity_exact_on_basis(s3_t, s3_q):
     b0 = s3_q.base_coset
     for a in range(k):
         for z in range(k):
-            assert int(s3_t.counts[a, b0, z]) == (s3_t.denominator if z == a else 0)
+            assert int(s3_t.counts[a, b0, z]) == (s3_q.subgroup.order if z == a else 0)
 
 
 def test_normal_pairs_multiply_like_the_factor_group(s3, s3_a3):
@@ -368,6 +409,21 @@ def test_lp_norm_examples(s3_q):
         2.0 * ca.lp_norm(lam, phi, 3.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+@pytest.mark.parametrize("function", ["lp_norm", "lp_action", "weighted_average_th"])
+def test_exponent_must_be_finite_and_at_least_one(s3_q, s3_t, function, p):
+    # phi = (1, 2, 3) on S3/<(12)>: an infinite p would give no sup norm 3,
+    # and a NaN p no number at all
+    rho = ca.rho_ones(s3_q)
+    phi = ca.DensityFunction(ca.quotient_carrier(s3_q), [1.0, 2.0, 3.0])
+    call = {"lp_norm": lambda: ca.lp_norm(ca.quasi_invariant_lambda(s3_q, rho), phi, p),
+            "lp_action": lambda: ca.lp_action(s3_t, rho, "left", ca.delta_h(s3_q), phi, p),
+            "weighted_average_th": lambda: ca.weighted_average_th(
+                s3_q, rho, p, ca.compose_with_projection(s3_q, phi))}[function]
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        call()
+
+
 # --- identity solving -----------------------------------------------------------------
 
 def test_left_identity_normal_cases(s3, s3_a3):
@@ -468,7 +524,7 @@ def _oracle_identity(T, sides):
     """The Fraction-row identity system and its solve, as first written:
     (solution, unique, residual). Zero and repeated rows, which leave the
     RREF unchanged, are dropped before the elimination."""
-    k, den = T.coset_count, T.denominator
+    k, den = T.coset_count, T.quotient.subgroup.order
     counts = T.counts.tolist()
     frac = [Fraction(v, den) for v in range(den + 1)]
     rows, rhs = [], []
@@ -551,33 +607,42 @@ def test_identity_residual_counts_the_double_cosets(data):
 
 @pytest.mark.parametrize("group,gens", [("builtin:S3", ["(12)"])] + IDENTITY_PAIRS[3:],
                          ids=["S3/<(12)>", "D6/<s>", "D6/<r^3>"])
-def test_corrupt_h_action_is_refused(monkeypatch, group, gens):
-    # the last h_i moved off the first on every coset, the base coset too: the
-    # rows (base, z) no longer pin delta_H, so the table is no coset space's
+def test_base_coset_sharing_its_suborbit_is_refused(monkeypatch, group, gens):
+    # the rows of suborbits doubled, then the base column and the next one
+    # trade their second halves: every coset appears as often as before and
+    # the labels stay, but the base coset shares a suborbit with the next,
+    # so the rows (base, z) no longer pin delta_H
     G = ca.builtin_from_token(group)
     H = ca.subgroup_from_tokens(G, gens)
     T = ca.structure_table(ca.build_coset_space(G, H))
-    h_action = T.h_action.copy()
-    h_action[-1] = (h_action[0] + 1) % T.coset_count
-    planted = qa.StructureTable(T.quotient, T.denominator, T.shift, h_action)
+    base, r = T.quotient.base_coset, T.suborbits.shape[0]
+    other = (base + 1) % T.coset_count
+    suborbits = np.concatenate([T.suborbits, T.suborbits])
+    suborbits[r:, [base, other]] = suborbits[r:, [other, base]]
+    planted = dataclasses.replace(T, suborbits=suborbits)
     _assert_refused(monkeypatch, G, H, planted,
                     (ca.find_left_identity, ca.find_two_sided_identity))
 
 
-def test_single_h_action_entry_off_the_base_coset_is_refused(monkeypatch):
-    # S4/<(12)>: in the last row of h_action, one entry off the base coset
-    # copies another such entry of its row. The values stay in range and the
-    # base-coset rows still pin delta_H, but the row is no permutation, so
-    # the table is no coset space's
+def test_suborbit_column_faults_are_refused(monkeypatch):
+    # S4/<(12)>: columns 7 and 8 trade their last entries, so each leaves
+    # its suborbit, though no entry is below its column's label; or the
+    # columns of the suborbit {1, 2} list it in descending order, so row 0
+    # no longer holds its least member. Each coset appears as often as
+    # before, and the base coset is still a suborbit of its own
     G = ca.builtin_from_token("S4")
     H = ca.subgroup_from_tokens(G, ["(12)"])
     T = ca.structure_table(ca.build_coset_space(G, H))
-    h_action = T.h_action.copy()
-    col, other = [b for b in range(T.coset_count) if b != T.quotient.base_coset][:2]
-    h_action[-1, col] = h_action[-1, other]
-    planted = dataclasses.replace(T, h_action=h_action)
-    _assert_refused(monkeypatch, G, H, planted,
-                    (ca.find_left_identity, ca.find_two_sided_identity))
+    assert T.suborbits[:, [1, 2, 7, 8]].tolist() == [[1, 1, 7, 8], [2, 2, 9, 10]]
+    moved = T.suborbits.copy()
+    moved[-1, [7, 8]] = moved[-1, [8, 7]]
+    relabelled = T.suborbits.copy()
+    relabelled[:, [1, 2]] = relabelled[::-1, [1, 2]]
+    for suborbits in (moved, relabelled):
+        planted = dataclasses.replace(T, suborbits=suborbits)
+        _assert_refused(monkeypatch, G, H, planted,
+                        (ca.find_left_identity, ca.find_two_sided_identity))
+        monkeypatch.undo()
 
 
 def _assert_refused(monkeypatch, G, H, planted, readers):
@@ -606,7 +671,7 @@ def test_corrupt_shift_is_refused(monkeypatch):
     assert T.quotient.base_coset == 0
     shift = T.shift.copy()
     shift[[1, 2], 3] = shift[[2, 1], 3]
-    planted = qa.StructureTable(T.quotient, T.denominator, shift, T.h_action)
+    planted = dataclasses.replace(T, shift=shift)
     _assert_refused(monkeypatch, G, H, planted,
                     (ca.find_left_identity, ca.find_two_sided_identity,
                      lambda T: T.counts, lambda T: T.c))
@@ -618,24 +683,31 @@ def test_identity_decision_on_hand_built_tables():
     T = ca.structure_table(ca.build_coset_space(G, ca.generate_subgroup(G, [])))
     assert T.quotient.base_coset == 0
 
-    def planted(shift=None, h_action=None):
-        return qa.StructureTable(T.quotient, T.denominator,
+    def planted(shift=None, suborbits=None):
+        return qa.StructureTable(T.quotient,
                                  T.shift if shift is None else np.array(shift, dtype=np.int32),
-                                 T.h_action if h_action is None else np.array(h_action, dtype=np.int32))
+                                 T.suborbits if suborbits is None
+                                 else np.array(suborbits, dtype=np.int32))
 
-    # h_action equals shift[base], but shift[base] is no permutation: delta_H
-    # sends delta_1 to delta_1 + delta_2, so the system is inconsistent, and
-    # its residual, which presumes permutation rows, refuses the table
+    # suborbits equals shift[base], but shift[base] is no permutation:
+    # delta_H sends delta_1 to 0 and delta_2 to delta_1 + delta_2, so the
+    # system is inconsistent, and its residual, which presumes permutation
+    # rows, refuses the table
     broken = planted([[0, 2, 2], *T.shift[1:].tolist()], [[0, 2, 2]])
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         with pytest.raises(ValueError, match="corrupt structure table"):
             solver(broken)
-    # shift == base off the diagonal, or not on it: the rows (base, z) do
-    # not pin delta_H
-    for shift in ([[0, 1, 2], [0, 0, 1], [1, 2, 0]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]]):
+    # shift == base off the diagonal, or not on it, or shift[base] moves
+    # coset 1 to coset 2, another suborbit: the rows (base, z) do not pin delta_H
+    for shift in ([[0, 1, 2], [0, 0, 1], [1, 2, 0]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]],
+                  [[0, 2, 1], [1, 0, 2], [2, 1, 0]]):
         for solver in (ca.find_left_identity, ca.find_two_sided_identity):
             with pytest.raises(ValueError, match="corrupt structure table"):
                 solver(planted(shift))
+    # the base coset shares the suborbit {0, 1}, consistently labelled
+    for solver in (ca.find_left_identity, ca.find_two_sided_identity):
+        with pytest.raises(ValueError, match="corrupt structure table"):
+            solver(planted(suborbits=[[0, 0, 2], [1, 1, 2]]))
 
 
 def test_degenerate_whole_group(s3):
@@ -659,7 +731,7 @@ def test_counts_dtype_holds_the_subgroup_order(token, gens, dtype):
     T = ca.structure_table(ca.build_coset_space(G, H))
     assert T.counts.dtype == dtype and T.c.dtype == np.float64
     assert (T.counts.sum(axis=2) == H.order).all() and T.counts.max() == H.order
-    assert np.array_equal(T.c, T.counts / T.denominator)
+    assert np.array_equal(T.c, T.counts / H.order)
     for view in (T.counts, T.c):
         with pytest.raises(ValueError, match="read-only"):
             view[0, 0, 0] = 0

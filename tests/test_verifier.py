@@ -120,15 +120,15 @@ def test_conv_and_algebra_exact_mode(s3_pair):
 
 @pytest.mark.parametrize("entry", [0, 1, 5])
 def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
-    # one h_i * rep_b moved to another coset, in the table the exact
+    # one entry of suborbits moved to another coset, in the table the exact
     # convolution reads
     G, H = s3_pair
     convolve = verifier.quotient_convolve_exact
 
     def planted(T, s1, s2):
-        h_action = T.h_action.copy()
-        h_action.flat[entry] = (h_action.flat[entry] + 1) % T.coset_count
-        return convolve(dataclasses.replace(T, h_action=h_action), s1, s2)
+        suborbits = T.suborbits.copy()
+        suborbits.flat[entry] = (suborbits.flat[entry] + 1) % T.coset_count
+        return convolve(dataclasses.replace(T, suborbits=suborbits), s1, s2)
 
     monkeypatch.setattr(verifier, "quotient_convolve_exact", planted)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
@@ -178,10 +178,10 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
 
     def planted(Q, reps):
         # rows 0 and 1 of shift swapped whenever the representatives are not Q's
-        shift, h_action = factors(Q, reps)
+        shift, suborbits = factors(Q, reps)
         if not np.array_equal(reps, Q.reps):
             shift = shift[[1, 0, *range(2, Q.coset_count)]]
-        return shift, h_action
+        return shift, suborbits
 
     monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
     for mode in ("float", "exact"):
@@ -541,6 +541,32 @@ def test_nan_residuals_fail(monkeypatch, s3_pair, kernel, failing):
         assert report.status == "fail" and np.isnan(report.max_residual), report
     assert np.isnan(verifier._worst(np.nan, 1.0)) and np.isnan(verifier._worst(1.0, np.nan))
     assert not verifier._worse(1.0, np.nan) and verifier._worse(np.nan, 1e300)
+
+
+def test_basis_tests_on_planted_tables(s3_pair, s3_normal_pair):
+    # S3/<(12)> (suborbits [[0, 1, 1], [0, 2, 2]]) and S3/A3 (suborbits
+    # [[0, 1]], shift [[0, 1], [1, 0]]), base coset 0, with one factor planted
+    right, left = verifier._right_identity_on_basis, verifier._left_identity_on_basis
+    products = verifier._point_mass_products
+    ctx, normal = make_context(*s3_pair), make_context(*s3_normal_pair)
+    T, Q, N = ctx.T, ctx.Q, normal.T
+
+    def planted(T, **factors):
+        return dataclasses.replace(T, **{f: np.array(v, dtype=np.int32)
+                                         for f, v in factors.items()})
+
+    assert (right(T, Q), left(T, Q), products(T, Q)) == (None, 1, False)
+    assert (right(N, normal.Q), left(N, normal.Q), products(N, normal.Q)) == (None, None, True)
+    # the base column lists coset 1 too; row 2 of shift holds the base coset
+    # twice; row 1 holds it once, off the diagonal
+    assert right(planted(T, suborbits=[[0, 1, 1], [1, 2, 2]]), Q) == 0
+    assert right(planted(T, shift=[[0, 1, 2], [2, 0, 1], [0, 1, 0]]), Q) == 2
+    assert right(planted(T, shift=[[0, 1, 2], [0, 2, 1], [2, 1, 0]]), Q) == 1
+    # S3/A3 with the base coset's column doubled to {0, 1}, or with shift
+    # sending C1 * C0 to C0
+    doubled = planted(N, suborbits=[[0, 1], [1, 1]])
+    assert (left(doubled, normal.Q), products(doubled, normal.Q)) == (0, False)
+    assert not products(planted(N, shift=[[0, 1], [0, 1]]), normal.Q)
 
 
 @pytest.mark.parametrize("cid,basis_test,what", [
