@@ -184,10 +184,11 @@ def measure_from_dict(carrier: Carrier, d: dict) -> ComplexMeasure:
     weights = d.get("weights", {})
     if not isinstance(weights, dict):
         raise CosetAlgError("a measure file's 'weights' must be an object of label: weight")
-    w = np.zeros(len(carrier.labels), dtype=np.complex128)
+    index = {lab: i for i, lab in enumerate(carrier.labels)}
+    w = np.zeros(len(index), dtype=np.complex128)
     for lab, val in weights.items():
         z = _weight(lab, val)
-        if lab not in carrier.labels:
+        if lab not in index:
             raise CarrierMismatch(f"no point {lab!r} on this carrier")
-        w[carrier.labels.index(lab)] = z
+        w[index[lab]] = z
     return ComplexMeasure(carrier, w)

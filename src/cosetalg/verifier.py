@@ -7,8 +7,10 @@ lift-compatibility variants) report status "info" and never fail a suite.
 
 Randomness: PCG64 generators seeded through SeedSequence from
 (seed, catalog index, crc32 of the check id), so every (check, entry) pair is
-reproducible in isolation and independent of execution order. Random measure
-weights are uniform on the complex unit square [0,1] + [0,1]i.
+reproducible in isolation and independent of execution order. A float trial
+draws one row of uniform doubles and cuts its operands from it: measure
+weights uniform on the complex unit square [0,1] + [0,1]i, rho values a/b
+with a and b uniform on 1..4, and points uniform on a group or coset space.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def rng_for(seed: int, check_id: str, entry_index: int) -> np.random.Generator:
 
 
 def _split(raw: np.ndarray, *sizes: int) -> list[np.ndarray]:
-    """Complex weights from uniform doubles along the last axis: per size,
+    """Complex parts from uniform doubles along the last axis: per size,
     its real parts, then its imaginary parts."""
     out, at = [], 0
     for size in sizes:
@@ -114,25 +116,26 @@ def _split(raw: np.ndarray, *sizes: int) -> list[np.ndarray]:
 
 
 def _draw_weights(rng: np.random.Generator, count: int, *sizes: int) -> list[np.ndarray]:
-    """Random weights of the given sizes, each (count, size), as `count`
-    trials each drawing `rng.random(size) + 1j * rng.random(size)` for every
-    size in turn draw them: one rng.random call."""
+    """Complex parts of the given sizes, each (count, size), cut by _split
+    from one row of uniform doubles per trial: one rng.random call draws
+    what `count` trials each calling `rng.random(2 * sum(sizes))` drew."""
     return _split(rng.random((count, 2 * sum(sizes))), *sizes)
 
 
-def _draw_ratios(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The numerators and denominators, each in 1..4, of a random rho."""
-    return rng.integers(1, 5, k), rng.integers(1, 5, k)
+def _index(u: np.ndarray, n) -> np.ndarray:
+    """floor(u * n) of uniform doubles u: an index below n, as u < 1."""
+    return (u * n).astype(np.intp)
 
 
-def _ratios(rng: np.random.Generator, k: int) -> np.ndarray:
-    """The values of a random rho: the float of each integer ratio."""
-    nums, dens = _draw_ratios(rng, k)
-    return nums / dens
+def _rho_values(part: np.ndarray) -> np.ndarray:
+    """Rho values from a part cut by _split: a/b with a = 1 + floor(4 Re)
+    and b = 1 + floor(4 Im), each uniform on 1..4."""
+    return (1 + _index(part.real, 4)) / (1 + _index(part.imag, 4))
 
 
 def draw_rho(rng: np.random.Generator, Q: QuotientSpace) -> RhoFunction:
-    return validate_rho(Q, _ratios(rng, Q.coset_count))
+    """A random rho, from 2k uniform doubles as a trial's row holds it."""
+    return validate_rho(Q, _rho_values(*_split(rng.random(2 * Q.coset_count), Q.coset_count)))
 
 
 def draw_rational_weights(rng: np.random.Generator, size: int) -> ExactVector:
@@ -169,13 +172,6 @@ def _rational_draws(rng: np.random.Generator, count: int, m: int, size: int) -> 
     draw_rational_weights m times draw them."""
     parts = _integer_rows(rng, count, _RATIONAL_LOWS * m, size).reshape(count, m, 4, size)
     return [_rational(parts[:, j]) for j in range(m)]
-
-
-def _each_trial(ts, draw: Callable) -> list[np.ndarray]:
-    """draw(t), a tuple of arrays, for each trial t of a block in turn,
-    stacked into one array per part: the raw generator calls of draws that
-    mix integers and doubles, in the order the trials made them."""
-    return [np.array(part) for part in zip(*map(draw, ts))]
 
 
 # --- entry context --------------------------------------------------------------
@@ -317,9 +313,10 @@ def _differ(a: ExactVector, b: ExactVector) -> np.ndarray:
     return ~a.equal(b).all(axis=-1)
 
 
-def _trial_rho(rng: np.random.Generator, ctx: EntryContext, t: int) -> np.ndarray:
-    """Trial t's rho values: random on odd trials, the entry's on even ones."""
-    return _ratios(rng, ctx.Q.coset_count) if t % 2 else ctx.rho.values
+def _trial_rhos(ctx: EntryContext, ts: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Each trial's rho values: from its part on odd trials, the entry's on
+    even ones."""
+    return np.where((ts % 2 == 1)[:, None], _rho_values(part), ctx.rho.values)
 
 
 def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
@@ -353,8 +350,8 @@ def _check_w0_weil(spec, ctx, rng):
     G, Q = ctx.G, ctx.Q
 
     def trial(ts):
-        raw, rhos = _each_trial(ts, lambda t: (rng.random(2 * G.order), _trial_rho(rng, ctx, t)))
-        f = DensityFunction(G, *_split(raw, G.order))
+        f, rhos = _draw_weights(rng, len(ts), G.order, Q.coset_count)
+        f, rhos = DensityFunction(G, f), _trial_rhos(ctx, ts, rhos)
         lhs, rhs = quotient_integral_check(Q, RhoFunction(Q, rhos), f)
         yield np.abs(lhs - rhs), lambda t: {"trial": t, "rho": rhos[t - ts[0]].tolist()}
 
@@ -403,10 +400,10 @@ def _check_p2_density(spec, ctx, rng):
     members, moved = np.arange(h)[:, None], G.mul[:, H.members].T   # moved[j, x] = x h_j
 
     def trial(ts):
-        raw, points = _each_trial(ts, lambda t: (rng.random(2 * (k + h * n)),
-                                                 rng.integers(0, n) if h > 1 else 0))
+        # phi, a density per h_j, and a point when H is not trivial
+        raw = rng.random((len(ts), 2 * (k + h * n) + (h > 1)))
         (phi,) = _split(raw[:, :2 * k], k)
-        (g,) = _split(raw[:, 2 * k:].reshape(len(ts), h, 2 * n), n)    # g[:, j] drawn for h_j
+        (g,) = _split(raw[:, 2 * k:2 * (k + h * n)].reshape(len(ts), h, 2 * n), n)
         mu = from_density(G, compose_with_projection(Q, DensityFunction(Q, phi)))
         yield _Fails(~membership_mgh(Q, mu), _at(reason="coset-constant density not invariant"))
         per_h = ComplexMeasure(G, mu.weights[:, None])
@@ -415,7 +412,7 @@ def _check_p2_density(spec, ctx, rng):
         for j, x in enumerate(H.members):
             yield gaps[:, j], _at(h=G.labels[x])
         if h > 1:
-            bump = point_mass(G, points) * (0.5 + 0.25j)
+            bump = point_mass(G, _index(raw[:, -1], n)) * (0.5 + 0.25j)
             yield _Fails(membership_mgh(Q, mu + bump),
                          _at(reason="perturbed measure still reported invariant"))
 
@@ -520,9 +517,9 @@ def _check_d6_conv(spec, ctx, rng):
         # route once the group measure is right-invariant, and a point mass
         # at x sends the coset of y to the coset of x*y
         witness = _at(part="module action")
-        raw, x, b = _each_trial(ts, lambda t: (rng.random(4 * k), rng.integers(0, G.order),
-                                               rng.integers(0, k)))
+        raw = rng.random((len(ts), 4 * k + 2))
         s1, s2 = (ComplexMeasure(Q, w) for w in _split(raw, k, k))
+        x, b = _index(raw[:, -2], G.order), _index(raw[:, -1], k)
         mu_inv = lift_to_invariant(Q, s1)
         yield (_sup(module_action(Q, mu_inv, s2)
                     - quotient_convolve(T, pushforward_rh(Q, mu_inv), s2)), witness)
@@ -670,9 +667,9 @@ def _check_p16_embed(spec, ctx, rng):
     Q, h, k = ctx.Q, ctx.Q.subgroup.order, ctx.Q.coset_count
 
     def trial(ts):
-        rhos, raw = _each_trial(ts, lambda t: (_trial_rho(rng, ctx, t), rng.random(2 * k)))
-        lam = quasi_invariant_lambda(Q, RhoFunction(Q, rhos))
-        phi = DensityFunction(Q, *_split(raw, k))
+        rhos, phi = _draw_weights(rng, len(ts), k, k)
+        lam = quasi_invariant_lambda(Q, RhoFunction(Q, _trial_rhos(ctx, ts, rhos)))
+        phi = DensityFunction(Q, phi)
         emb = embed_density(lam, phi)
         yield np.abs(total_variation(emb) - lp_norm(lam, phi, 1.0)), _at()
         yield np.max(np.abs(emb.weights / lam.weights - phi.values), axis=-1), _at()
@@ -697,10 +694,10 @@ def _check_l17_compat(spec, ctx, rng):
     unweighted = {True: 0.0, False: 0.0}    # worst unweighted residual, by rho == 1
 
     def trial(ts):
-        raw, rhos = _each_trial(ts, lambda t: (rng.random(2 * k), _ratios(rng, k)))
-        phi = DensityFunction(Q, *_split(raw, k))
+        phi, rhos = _draw_weights(rng, len(ts), k, k)
+        phi = DensityFunction(Q, phi)
         lifted = compose_with_projection(Q, phi)
-        for rho_t in (rho_ones(Q), RhoFunction(Q, rhos)):
+        for rho_t in (rho_ones(Q), RhoFunction(Q, _rho_values(rhos))):
             lam = quasi_invariant_lambda(Q, rho_t)
             target = embed_density(lam, phi)
             weighted = ComplexMeasure(G, lifted.values * rho_t.values[..., Q.coset_of])
@@ -723,9 +720,8 @@ def _check_t18_ideal(spec, ctx, rng):
     Q, T, k = ctx.Q, ctx.T, ctx.Q.coset_count
 
     def trial(ts):
-        rhos, raw = _each_trial(ts, lambda t: (_trial_rho(rng, ctx, t), rng.random(4 * k)))
-        lam = quasi_invariant_lambda(Q, RhoFunction(Q, rhos))
-        phi, sigma = _split(raw, k, k)
+        rhos, phi, sigma = _draw_weights(rng, len(ts), k, k, k)
+        lam = quasi_invariant_lambda(Q, RhoFunction(Q, _trial_rhos(ctx, ts, rhos)))
         phi, sigma = DensityFunction(Q, phi), ComplexMeasure(Q, sigma)
         psi = ideal_factorize(lam, T, phi, sigma)
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
@@ -771,11 +767,9 @@ def _check_p19_lp(spec, ctx, rng):
         return float((1, 2, 3)[t % 3])
 
     def trial(ts):
-        # sigma, phi and, at p = 1, the acting density phi2
-        rhos, raw, raw2 = _each_trial(ts, lambda t: (
-            _trial_rho(rng, ctx, t), rng.random(4 * k),
-            rng.random(2 * k) if t % 3 == 0 else np.zeros(2 * k)))
-        (sigmas, phis), (phi2s,) = _split(raw, k, k), _split(raw2, k)
+        # sigma, phi and the acting density phi2, which only p = 1 reads
+        rhos, sigmas, phis, phi2s = _draw_weights(rng, len(ts), k, k, k, k)
+        rhos = _trial_rhos(ctx, ts, rhos)
         # per trial: the contraction residuals of the two sides and the p = 1
         # cross-check, and each route's gap (-inf where a trial has none)
         lp, gaps = np.full((len(ts), 3), -np.inf), np.full((len(ts), 4), -np.inf)

@@ -15,7 +15,7 @@ import cosetalg as ca
 from cosetalg import exact
 from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
 from cosetalg.exact import ExactVector
-from cosetalg.verifier import (CatalogEntry, CheckSpec, _draw_ratios, all_check_specs,
+from cosetalg.verifier import (CatalogEntry, CheckSpec, all_check_specs,
                                build_entry, default_catalog, draw_rational_weights,
                                draw_rho, exit_code, make_context, rng_for, run_check,
                                run_suite)
@@ -169,7 +169,7 @@ def test_criterion_07_isometries_exact(catalog_ctx):
             ok = ok and back == s
             ok = ok and lifted.abs_squared() * (h * h) == s.abs_squared()[Q.coset_of]
             # embedding: exact norm identity termwise against lambda
-            nums, dens = _draw_ratios(g, Q.coset_count)
+            nums, dens = g.integers(1, 5, Q.coset_count), g.integers(1, 5, Q.coset_count)
             lam = ExactVector.from_fractions(
                 [Fraction(h * int(a), int(b)) for a, b in zip(nums, dens)])
             phi = draw_rational_weights(g, Q.coset_count)

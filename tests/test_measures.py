@@ -220,3 +220,17 @@ def test_measure_json_round_trip(s3_q):
         ca.measure_from_dict(qc, {"carrier": "group", "weights": {}})
     with pytest.raises(CarrierMismatch):
         ca.measure_from_dict(qc, {"carrier": "quotient", "weights": {"C9": [1, 0]}})
+
+
+def test_group_measure_file_with_every_label_reads_back():
+    # every label of S5, each weight distinct, read back into its own slot;
+    # an unknown label is still refused by name
+    G = ca.builtin_from_token("S5")
+    mu = ca.ComplexMeasure(G, np.arange(1, G.order + 1) * (1 - 0.5j))
+    d = json.loads(json.dumps(ca.measure_to_dict(mu)))
+    assert d["carrier"] == "group" and len(d["weights"]) == G.order
+    back = ca.measure_from_dict(G, d)
+    assert np.array_equal(back.weights, mu.weights)
+    d["weights"]["(16)"] = [1, 0]
+    with pytest.raises(CarrierMismatch, match=r"^no point '\(16\)' on this carrier$"):
+        ca.measure_from_dict(G, d)

@@ -9,6 +9,7 @@ import cosetalg as ca
 from cosetalg import verifier
 from cosetalg.errors import CapExceeded, UnknownCheckId
 from cosetalg.exact import ExactVector
+from cosetalg.groups import DEFAULT_ORDER_CAP
 from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_specs,
                                build_entry, default_catalog, exit_code, make_context,
                                run_check, run_suite)
@@ -302,13 +303,42 @@ def test_crashing_check_does_not_abort_suite(monkeypatch):
 
 
 def test_draw_rho_is_the_float_of_its_integer_ratios():
-    # the two integer draws, in order, and the correctly rounded quotient,
-    # bit for bit the float of each Fraction
+    # numerators from the first k doubles, denominators from the next k,
+    # and the correctly rounded quotient, bit for bit the float of each
+    # Fraction
     G, H = build_entry(CatalogEntry("S4/S3", "builtin:S4", ("(12)", "(123)")))
     Q = ca.build_coset_space(G, H)
+    k = Q.coset_count
     rho = verifier.draw_rho(rng(62), Q)
-    nums, dens = verifier._draw_ratios(rng(62), Q.coset_count)
+    u = rng(62).random(2 * k)
+    nums, dens = 1 + np.floor(4 * u[:k]), 1 + np.floor(4 * u[k:])
     assert rho.values.tolist() == [float(Fraction(int(a), int(b))) for a, b in zip(nums, dens)]
+
+
+def test_draw_rho_values_are_ratios_of_one_to_four():
+    G, H = build_entry(CatalogEntry("S4/<(12)>", "builtin:S4", ("(12)",)))
+    Q = ca.build_coset_space(G, H)
+    ratios = {a / b for a in range(1, 5) for b in range(1, 5)}
+    g = rng(63)
+    seen = set()
+    for _ in range(40):
+        seen |= set(verifier.draw_rho(g, Q).values.tolist())
+    assert seen == ratios
+
+
+def test_uniform_doubles_map_into_their_ranges():
+    # the largest double below 1 gives the last index for every order up
+    # to the cap, and 1 + floor(4u) changes value exactly at the quarters
+    below_one = np.nextafter(1.0, 0.0)
+    n = np.arange(1, DEFAULT_ORDER_CAP + 1)
+    assert np.array_equal(verifier._index(below_one, n), n - 1)
+    edges = np.array([0.0, 0.25, 0.5, 0.75])
+    assert (1 + verifier._index(edges, 4)).tolist() == [1, 2, 3, 4]
+    below = np.nextafter(np.append(edges[1:], 1.0), 0.0)
+    assert (1 + verifier._index(below, 4)).tolist() == [1, 2, 3, 4]
+    # a rho part with numerator doubles in Re and denominator doubles in Im
+    assert verifier._rho_values(edges + 1j * below).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert verifier._rho_values(below + 1j * edges[::-1]).tolist() == [0.25, 2 / 3, 1.5, 4.0]
 
 
 def test_failed_context_does_not_abort_suite(monkeypatch):
@@ -706,32 +736,30 @@ def test_block_size_leaves_failures_unchanged(monkeypatch, block_contexts):
 
 def _draws_one_at_a_time(cid, mode, rng, ctx, trials):
     """Each check's draws as its trials made them one at a time, one random
-    weight vector, rho or rational vector per call."""
+    weight vector or rational vector per call; a float trial that also needs
+    a rho or points draws one row of uniform doubles: 2 per complex weight,
+    2 per rho value (its numerator and denominator) and 1 per point."""
     G, Q, H = ctx.G, ctx.Q, ctx.H
-    k = Q.coset_count
+    n, k, h = G.order, Q.coset_count, H.order
 
     def measure(rng, carrier):
         return rng.random(len(carrier.labels)) + 1j * rng.random(len(carrier.labels))
 
-    density = measure
+    def row(*widths):
+        return rng.random(sum(widths))
+
     coset = (lambda: measure(rng, Q)) if mode == "float" else \
         (lambda: verifier.draw_rational_weights(rng, k))
     if cid == "W0_WEIL":
-        for t in range(trials):
-            density(rng, G)
-            if t % 2:
-                verifier.draw_rho(rng, Q)
+        for _ in range(trials):
+            row(2 * n, 2 * k)     # f, rho
     elif cid == "P1_MHG":
         for _ in ca.solve_mhg_space(Q):
             for _ in range(min(trials, 20)):
                 measure(rng, G)
     elif cid == "P2_DENSITY":
         for _ in range(trials):
-            density(rng, Q)
-            for _ in H.members:
-                density(rng, G)
-            if H.order > 1:
-                rng.integers(0, G.order)
+            row(2 * k, 2 * h * n, h > 1)      # phi, a density per h_j, a point
     elif cid == "P3_LIFT":
         for _ in range(trials):
             measure(rng, Q), measure(rng, G)
@@ -746,8 +774,7 @@ def _draws_one_at_a_time(cid, mode, rng, ctx, trials):
         for _ in range(trials):
             coset(), coset()
         for _ in range(min(trials, 25) if mode == "float" else 0):
-            measure(rng, Q), measure(rng, Q)
-            rng.integers(0, G.order), rng.integers(0, k)
+            row(2 * k, 2 * k, 1, 1)         # two measures, a point of G and a coset
     elif cid == "T8_ALGEBRA":
         for _ in range(trials):
             coset(), coset(), coset()
@@ -758,29 +785,20 @@ def _draws_one_at_a_time(cid, mode, rng, ctx, trials):
         for _ in range(min(trials, 25) if ca.test_normality(G, H) else 0):
             measure(rng, Q)
     elif cid == "P16_EMBED":
-        for t in range(trials):
-            if t % 2:
-                verifier.draw_rho(rng, Q)
-            density(rng, Q)
+        for _ in range(trials):
+            row(2 * k, 2 * k)     # rho, phi
         for _ in range(min(trials, 10)):
-            verifier._draw_ratios(rng, k)
+            rng.integers(1, 5, k), rng.integers(1, 5, k)
             verifier.draw_rational_weights(rng, k)
     elif cid == "L17_COMPAT":
         for _ in range(min(trials, 25)):
-            density(rng, Q)
-            verifier.draw_rho(rng, Q)
+            row(2 * k, 2 * k)     # phi, rho
     elif cid == "T18_IDEAL":
-        for t in range(trials):
-            if t % 2:
-                verifier.draw_rho(rng, Q)
-            density(rng, Q), measure(rng, Q)
+        for _ in range(trials):
+            row(2 * k, 2 * k, 2 * k)      # rho, phi, sigma
     elif cid == "P19_LP":
-        for t in range(trials):
-            if t % 2:
-                verifier.draw_rho(rng, Q)
-            measure(rng, Q), density(rng, Q)
-            if t % 3 == 0:
-                density(rng, Q)
+        for _ in range(trials):
+            row(2 * k, 2 * k, 2 * k, 2 * k)       # rho, sigma, phi, phi2
 
 
 TRIAL_CHECKS = ["W0_WEIL", "P1_MHG", "P2_DENSITY", "P3_LIFT", "P4_ISOMETRY", "D6_CONV",
@@ -807,6 +825,38 @@ def test_batched_draws_leave_the_generator_where_single_draws_do(monkeypatch, ci
             assert got.bit_generator.state == want.bit_generator.state, (token, gens)
 
 
+def test_weil_trials_cut_f_and_rho_from_one_row(monkeypatch):
+    # the operands W0_WEIL hands the formula, in one block and one trial per
+    # block: each trial's row is f's real and imaginary parts, then rho's
+    # numerator and denominator doubles, read on odd trials only (even ones
+    # take the rho file's); the planted gap is how far rho is from 1, and
+    # an odd trial is the counterexample
+    G, H = build_entry(CatalogEntry("S4/<(12)>", "builtin:S4", ("(12)",)))
+    ctx = make_context(G, H, {"values": {"(234)": 2, "(1234)": 0.5}})
+    n, k, trials = G.order, ctx.Q.coset_count, 6
+    assert sorted(set(ctx.rho.values.tolist())) == [0.5, 1.0, 2.0]
+    rows = verifier.rng_for(42, "W0_WEIL", 3).random((trials, 2 * (n + k)))
+    a, b = 1 + np.floor(4 * rows[:, 2 * n:2 * n + k]), 1 + np.floor(4 * rows[:, 2 * n + k:])
+    rhos = np.where((np.arange(trials) % 2 == 1)[:, None], a / b, ctx.rho.values)
+    worst = int(np.abs(rhos - 1).sum(axis=1).argmax())
+    assert worst % 2 == 1
+    for block_bytes in (1, 1 << 60):
+        seen = []
+
+        def planted(Q, rho, f):
+            seen.append((rho.values.reshape(-1, k), f.values.reshape(-1, n)))
+            return np.abs(rho.values - 1).sum(axis=-1), 0.0
+
+        monkeypatch.setattr(verifier, "quotient_integral_check", planted)
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        report = run_check(CheckSpec(id="W0_WEIL", trials=trials), ctx, 3)
+        got_rho, got_f = (np.concatenate(part) for part in zip(*seen))
+        assert np.array_equal(got_f, rows[:, :n] + 1j * rows[:, n:2 * n])
+        assert np.array_equal(got_rho, rhos)
+        assert report.status == "fail"
+        assert report.counterexample == {"trial": worst, "rho": rhos[worst].tolist()}
+
+
 @pytest.mark.parametrize("size", [1, 3, 4, 60])
 def test_one_integer_call_draws_what_the_calls_of_each_trial_drew(size):
     # from a generator mid-stream, with half of a 64-bit output cached:
@@ -824,7 +874,7 @@ def test_one_integer_call_draws_what_the_calls_of_each_trial_drew(size):
     # rows of ratios then rational parts, as P16_EMBED's exact trials draw them
     rows = verifier._integer_rows(got, 2, (1, 1, -4, -4, 1, 1), size)
     for t in range(2):
-        nums, dens = verifier._draw_ratios(want, size)
+        nums, dens = want.integers(1, 5, size), want.integers(1, 5, size)
         parts = [want.integers(-4, 5, size), want.integers(-4, 5, size),
                  *want.integers(1, 5, (2, size))]
         assert np.array_equal(rows[t], np.stack([nums, dens, *parts]))
