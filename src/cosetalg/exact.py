@@ -13,6 +13,7 @@ factors, and the invariance space has a closed form (see quotient_ops).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,14 +42,25 @@ class ExactVector:
 
     def __post_init__(self):
         re, im = np.asarray(self.re), np.asarray(self.im)
-        if self.den < 1 or re.shape != im.shape or re.ndim < 1:
-            raise ValueError("need two numerator arrays of one shape (1-D or more), den >= 1")
+        if re.shape != im.shape or re.ndim < 1:
+            raise ValueError("need two numerator arrays of one shape (1-D or more)")
         bound = self.bound if self.bound is not None else _magnitude(re, im)
         re, im = _integers(bound, re, im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-        object.__setattr__(self, "den", int(self.den))
+        object.__setattr__(self, "den", _positive_integer(self.den, "den"))
         object.__setattr__(self, "bound", bound)
+
+    @classmethod
+    def _of(cls, re: np.ndarray, im: np.ndarray, den: int, bound: int) -> "ExactVector":
+        """The vector of numerator arrays that _integers typed for `bound`, over
+        a checked denominator, unvalidated; a result with no axis left goes
+        through the validating constructor, which refuses it."""
+        if np.ndim(re) < 1:
+            return cls(re, im, den, bound)
+        v = object.__new__(cls)
+        v.__dict__.update(re=re, im=im, den=den, bound=bound)
+        return v
 
     @classmethod
     def from_fractions(cls, re: Sequence, im: Optional[Sequence] = None) -> "ExactVector":
@@ -65,45 +77,51 @@ class ExactVector:
     def shape(self) -> tuple[int, ...]:
         return self.re.shape
 
+    def widened(self) -> "ExactVector":
+        """The same values held as Python ints, its bound raised to 2**63."""
+        bound = max(self.bound, _INT64_BOUND)
+        return ExactVector._of(*_integers(bound, self.re, self.im), self.den, bound)
+
     def __getitem__(self, index) -> "ExactVector":
-        return ExactVector(self.re[index], self.im[index], self.den, self.bound)
+        return ExactVector._of(self.re[index], self.im[index], self.den, self.bound)
 
     def take(self, indices, axis: int) -> "ExactVector":
         """numpy's take along one axis."""
-        return ExactVector(self.re.take(indices, axis=axis), self.im.take(indices, axis=axis),
-                           self.den, self.bound)
+        return ExactVector._of(self.re.take(indices, axis=axis), self.im.take(indices, axis=axis),
+                               self.den, self.bound)
 
     def __mul__(self, other) -> "ExactVector":
         """Entrywise product with an ExactVector, or with integers."""
         if not isinstance(other, ExactVector):
             bound = _bound(self.bound, _magnitude(other))
             re, im, scale = _integers(bound, self.re, self.im, other)
-            return ExactVector(re * scale, im * scale, self.den, bound)
+            return ExactVector._of(re * scale, im * scale, self.den, bound)
         bound = _bound(2, self.bound, other.bound)
         r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
-        return ExactVector(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2,
-                           self.den * other.den, bound)
+        return ExactVector._of(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2,
+                               self.den * other.den, bound)
 
     def __truediv__(self, q: int) -> "ExactVector":
-        """Division by a positive integer: the denominator grows by q."""
-        return ExactVector(self.re, self.im, self.den * q, self.bound)
+        """Division by an integer q >= 1: the denominator grows by q."""
+        return ExactVector._of(self.re, self.im, self.den * _positive_integer(q, "divisor"),
+                               self.bound)
 
     def abs_squared(self) -> "ExactVector":
         """|v_i|^2 entrywise, with zero imaginary part."""
-        return self * ExactVector(self.re, -self.im, self.den, self.bound)
+        return self * ExactVector._of(self.re, -self.im, self.den, self.bound)
 
     def sum(self, axis: int) -> "ExactVector":
         """The sum over one axis."""
         bound = _bound(self.bound, self.re.shape[axis])
         re, im = _integers(bound, self.re, self.im)
-        return ExactVector(re.sum(axis=axis), im.sum(axis=axis), self.den, bound)
+        return ExactVector._of(re.sum(axis=axis), im.sum(axis=axis), self.den, bound)
 
     def __matmul__(self, other: "ExactVector") -> "ExactVector":
         """The matrix product, as numpy's @ on the numerator arrays."""
         bound = _bound(2, self.bound, other.bound, self.re.shape[-1])
         r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
-        return ExactVector(r1 @ r2 - i1 @ i2, r1 @ i2 + i1 @ r2,
-                           self.den * other.den, bound)
+        return ExactVector._of(r1 @ r2 - i1 @ i2, r1 @ i2 + i1 @ r2,
+                               self.den * other.den, bound)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         """np.multiply(a, b, out=...) as a * b, a new vector: `out`, which the
@@ -130,6 +148,14 @@ class ExactVector:
         out.real = self.re.astype(object) / self.den
         out.imag = self.im.astype(object) / self.den
         return out
+
+
+def _positive_integer(q, what: str) -> int:
+    """q as an int, refusing anything but an integer >= 1 (a float is refused
+    even when whole: 12 * 0.1 would otherwise truncate to 1)."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {q!r}")
+    return int(q)
 
 
 def _magnitude(*arrays) -> int:

@@ -26,13 +26,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import _batch_shape, quotient_convolve_weights
+from ._kernels import _broadcast, quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
 from .groups import QuotientSpace, _freeze, require_bytes
 from .measures import (ComplexMeasure, DensityFunction, _reduced, _require_same,
                        group_convolve, point_mass)
-from .quotient_ops import (QuotientMeasure, RhoFunction, lift_to_invariant,
+from .quotient_ops import (QuotientMeasure, RhoFunction, _exponent, lift_to_invariant,
                            pushforward_rh)
 
 
@@ -45,7 +45,9 @@ class StructureTable:
     the byte budget."""
 
     quotient: QuotientSpace
-    shift: np.ndarray         # (k, k) int32: coset of rep_a^-1 * rep_z
+    # (k, k) int32: coset of rep_a^-1 * rep_z; the convolutions also take a
+    # stack (..., k, k) of tables sharing suborbits, one result per table
+    shift: np.ndarray
     suborbits: np.ndarray     # (r, k) int32: b's suborbit ascending, cycled to r rows
 
     @property
@@ -137,16 +139,18 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
 def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
                             s2: ExactVector) -> ExactVector:
     """Exact convolution of Gaussian-rational weight vectors, or of batches
-    of them: the float kernel run on exact vectors."""
+    of them: the float kernel run on exact vectors. A table whose shift is a
+    stack gives one convolution per table (see quotient_convolve_weights)."""
     k = T.coset_count
     if s1.shape[-1] != k or s2.shape[-1] != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # measured peaks per entry of k² + r·k and per vector past ~4 KB: 17 to
-    # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands widen
+    # measured peaks per entry of k² + r·k and per vector and table past
+    # ~4 KB: 17 to 33 bytes on int64 or Python ints, 87 to 114 when int64
+    # operands widen
     wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.suborbits.size >= 2 ** 63
-    require_bytes((120 if wide else 40) * (k * k + T.suborbits.size)
-                  * math.prod(_batch_shape(s1, s2)) + (1 << 13),
-                  f"exact quotient convolution with {k} cosets")
+    batch = _broadcast(s1.shape[:-1], s2.shape[:-1] + T.shift.shape[:-2])
+    require_bytes((120 if wide else 40) * (k * k + T.suborbits.size) * math.prod(batch)
+                  + (1 << 13), f"exact quotient convolution with {k} cosets")
     return quotient_convolve_weights(T.shift, T.suborbits, s1, s2)
 
 
@@ -166,12 +170,14 @@ def embed_density(lam: QuotientMeasure, phi: DensityFunction) -> ComplexMeasure:
     return ComplexMeasure(phi.carrier, phi.values * lam.weights)
 
 
-def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p: float) -> float:
-    """(sum |phi|^p * lambda)^(1/p)."""
-    if not 1 <= p < np.inf:
-        raise ValueError("p must be finite and >= 1")
+def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p) -> float:
+    """(sum |phi|^p * lambda)^(1/p), for a number p or one p per vector."""
+    p = _exponent(p)
     _require_same(lam.quotient, phi)
-    return _reduced(np.sum(np.abs(phi.values) ** p * lam.weights, axis=-1) ** (1.0 / p), float)
+    terms = np.abs(phi.values) ** p * lam.weights
+    if np.ndim(p):     # one exponent per vector, on an axis of its own
+        return (np.sum(terms, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
+    return _reduced(np.sum(terms, axis=-1) ** (1.0 / p), float)
 
 
 def l1_convolve(T: StructureTable, lam: QuotientMeasure,
@@ -192,7 +198,7 @@ def l1_convolve(T: StructureTable, lam: QuotientMeasure,
 
 
 def lp_action(T: StructureTable, rho: RhoFunction, side: str,
-              sigma: ComplexMeasure, phi: DensityFunction, p: float) -> DensityFunction:
+              sigma: ComplexMeasure, phi: DensityFunction, p) -> DensityFunction:
     """Action of a coset measure on a p-th power integrable coset density.
 
     side="left":  out(xH) = sum_y sigma({yH}) (1/|H|) sum_h
@@ -206,10 +212,10 @@ def lp_action(T: StructureTable, rho: RhoFunction, side: str,
     quotient_convolve(rp * phi, sigma). Both equal the operator route
     (weighted average of a group convolution of lifts; compared by the
     verifier's P19_LP) and satisfy the contraction: p-norm of the result
-    <= ||sigma|| * p-norm of phi.
+    <= ||sigma|| * p-norm of phi. p is a number, or an array of one exponent
+    per vector of the batch.
     """
-    if not 1 <= p < np.inf:
-        raise ValueError("p must be finite and >= 1")
+    p = _exponent(p)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_same(T.quotient, rho, sigma, phi)

@@ -124,15 +124,30 @@ def average_ph(Q: QuotientSpace, f: DensityFunction) -> DensityFunction:
     return DensityFunction(Q, push_weights(Q.member_table, f.values) / Q.subgroup.order)
 
 
-def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p: float,
+def _exponent(p):
+    """An L^p exponent as the entries of a vector read it: p itself when it
+    is one number, else the array of one exponent per vector of a batch with
+    an axis appended for the entries. Raises ValueError unless every p is
+    finite and >= 1."""
+    if np.ndim(p) == 0:
+        if not 1 <= p < np.inf:
+            raise ValueError("p must be finite and >= 1")
+        return p
+    p = np.asarray(p, dtype=np.float64)[..., None]
+    if not ((1 <= p) & (p < np.inf)).all():
+        raise ValueError("p must be finite and >= 1")
+    return p
+
+
+def weighted_average_th(Q: QuotientSpace, rho: RhoFunction, p,
                         f: DensityFunction) -> DensityFunction:
     """rho-weighted coset average: out(xH) = (1/|H|) sum_h f(xh) / rho(xh)^(1/p).
 
     Coincides with average_ph when rho = 1; inverts the rho^(1/p)-weighted
-    lift of a coset function.
+    lift of a coset function. p is a number, or an array of one exponent per
+    vector of the batch.
     """
-    if not 1 <= p < np.inf:
-        raise ValueError("p must be finite and >= 1")
+    p = _exponent(p)
     _require_same(Q, rho)
     avg = average_ph(Q, f)
     return DensityFunction(avg.carrier, avg.values / rho.values ** (1.0 / p))

@@ -15,10 +15,11 @@ with a and b uniform on 1..4, and points uniform on a group or coset space.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -40,7 +41,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
                                rows_are_permutations, structure_table)
-from .quotient_ops import (RhoFunction, compose_with_projection, lift_to_invariant,
+from .quotient_ops import (RhoFunction, _exponent, compose_with_projection, lift_to_invariant,
                            membership_mgh, pushforward_rh, quasi_invariant_lambda,
                            quotient_integral_check, rho_from_dict, rho_ones,
                            solve_mhg_space, validate_rho, weighted_average_th)
@@ -83,11 +84,13 @@ class CheckReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        """Every field but the timing, so identical runs give identical dicts."""
-        d = asdict(self)
-        del d["elapsed_s"]
-        d["max_residual"] = _stable(self.max_residual)
-        return d
+        """Every field but the timing, so identical runs give identical dicts;
+        the counterexample is a copy."""
+        witness = self.counterexample
+        return {"id": self.id, "entry": self.entry, "status": self.status,
+                "max_residual": _stable(self.max_residual), "trials_run": self.trials_run,
+                "counterexample": None if witness is None else copy.deepcopy(witness),
+                "notes": self.notes}
 
 
 def _stable(x: float) -> float:
@@ -467,9 +470,12 @@ def _check_p4_isometry(spec, ctx, rng):
     return _verdict(spec, worst, witness)
 
 
-def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace) -> np.ndarray:
-    h = Q.subgroup.order
-    return np.array([Q.member_table[rng.integers(0, h), c] for c in range(Q.coset_count)])
+def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace, count: int = 1) -> np.ndarray:
+    """count representative choices, (count, k): each coset's member at a
+    uniform position of its column of member_table. One generator call draws
+    what count * k calls rng.integers(0, |H|), choice by choice, drew."""
+    k = Q.coset_count
+    return Q.member_table[rng.integers(0, Q.subgroup.order, (count, k)), np.arange(k)]
 
 
 def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> ExactVector:
@@ -477,12 +483,45 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
     float kernel run on exact vectors."""
     n = G.order
     # measured peaks per pair (x, z) and per vector, past a few KB of small
-    # arrays: 48 to 52 bytes on int64, 235 on Python ints, 285 to 290 when
-    # int64 operands widen
+    # arrays: 48 to 52 bytes on int64, 200 to 235 on Python ints (S4, A5, S5)
     wide = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n >= 2 ** 63
-    require_bytes((320 if wide else 56) * n * n * math.prod(_batch_shape(w1, w2)) + (1 << 13),
+    require_bytes((240 if wide else 56) * n * n * math.prod(_batch_shape(w1, w2)) + (1 << 13),
                   f"exact group convolution of order {n}")
+    if wide:
+        # Python ints before the n^2 gather, which then shares the operands'
+        # ints instead of widening each gathered entry to an int of its own
+        w1, w2 = w1.widened(), w2.widened()
     return group_convolve_weights(G.mul, G.inv, w1, w2)
+
+
+def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
+    """Raise _Fail at the first of ten random representative choices whose
+    table convolves two random integer vectors otherwise than T does. Two
+    different bilinear maps agree on vectors from [0, 2^20) with probability
+    at most 2^-19 (Schwartz-Zippel). The vectors come from a jumped copy of
+    rng's bit generator, which leaves rng's stream, and so every trial's
+    draws, untouched; the choices come from rng."""
+    Q, k = T.quotient, T.coset_count
+    probe = np.random.Generator(rng.bit_generator.jumped())
+    s1, s2 = (ExactVector(probe.integers(0, 2 ** 20, k), np.zeros(k, dtype=np.int64))
+              for _ in range(2))
+    want = quotient_convolve_exact(T, s1, s2)
+    choices = _alternative_reps(rng, Q, 10)
+    # as many tables per exact convolution as fit a block at its byte rate
+    block = max(1, _BLOCK_BYTES // (40 * (k * k + T.suborbits.size)))
+    for start in range(0, len(choices), block):
+        reps = choices[start:start + block]
+        # a choice's suborbits are canonical, its shift is stacked with the
+        # block's, one table held at a time
+        shift, same = np.empty((len(reps), k, k), dtype=np.int32), np.empty(len(reps), bool)
+        for j, alt in enumerate(reps):
+            alt_table = structure_table(Q, alt)
+            shift[j], same[j] = alt_table.shift, np.array_equal(alt_table.suborbits, T.suborbits)
+        got = quotient_convolve_exact(StructureTable(Q, shift, T.suborbits), s1, s2)
+        differ = ~same | _differ(got, want)
+        if differ.any():
+            raise _Fail({"reason": "tensor depends on representative choice",
+                         "reps": reps[differ.argmax()].tolist()})
 
 
 def _check_d6_conv(spec, ctx, rng):
@@ -493,19 +532,7 @@ def _check_d6_conv(spec, ctx, rng):
     require_bytes(5 * k * k + (1 << 16), f"shift permutation test with {k} cosets")
     if not rows_are_permutations(T.shift, k):
         raise _Fail({"reason": "row sums differ from |H|"})
-    # two different bilinear maps agree on random integer vectors from
-    # [0, 2^20) with probability at most 2^-19 (Schwartz-Zippel). The probe
-    # draws from a jumped copy of rng's bit generator and leaves rng's
-    # stream, and so every trial's draws, untouched
-    probe = np.random.Generator(rng.bit_generator.jumped())
-    s1, s2 = (ExactVector(probe.integers(0, 2 ** 20, k), np.zeros(k, dtype=np.int64))
-              for _ in range(2))
-    want = quotient_convolve_exact(T, s1, s2)
-    for _ in range(10):
-        alt = _alternative_reps(rng, Q)
-        if quotient_convolve_exact(structure_table(Q, alt), s1, s2) != want:
-            raise _Fail({"reason": "tensor depends on representative choice",
-                         "reps": alt.tolist()})
+    _probe_representatives(rng, T)
     mode = _mode(spec, ctx)
 
     def trial(ts):
@@ -730,7 +757,7 @@ def _check_t18_ideal(spec, ctx, rng):
     return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient")))
 
 
-def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
+def _operator_route(Q: QuotientSpace, rho: RhoFunction, p,
                     w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """The rho-weighted coset average of the group convolution of two lifts."""
     conv = group_convolve_weights(Q.group.mul, Q.group.inv, w1, w2)
@@ -738,10 +765,11 @@ def _operator_route(Q: QuotientSpace, rho: RhoFunction, p: float,
 
 
 def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,
-                        sigma: ComplexMeasure, phi: DensityFunction, p: float) -> np.ndarray:
+                        sigma: ComplexMeasure, phi: DensityFunction, p) -> np.ndarray:
     """Operator route of lp_action: the lift of sigma convolved with the
-    rho^(1/p)-weighted lift of phi (on the left or the right)."""
-    weighted = (phi.values * rho.values ** (1.0 / p))[..., Q.coset_of]
+    rho^(1/p)-weighted lift of phi (on the left or the right); p is a number
+    or one per vector."""
+    weighted = (phi.values * rho.values ** (1.0 / _exponent(p)))[..., Q.coset_of]
     lifted = lift_to_invariant(Q, sigma).weights
     pair = (lifted, weighted) if side == "left" else (weighted, lifted)
     return _operator_route(Q, rho, p, *pair)
@@ -769,43 +797,43 @@ def _check_p19_lp(spec, ctx, rng):
     def trial(ts):
         # sigma, phi and the acting density phi2, which only p = 1 reads
         rhos, sigmas, phis, phi2s = _draw_weights(rng, len(ts), k, k, k, k)
-        rhos = _trial_rhos(ctx, ts, rhos)
-        # per trial: the contraction residuals of the two sides and the p = 1
-        # cross-check, and each route's gap (-inf where a trial has none)
-        lp, gaps = np.full((len(ts), 3), -np.inf), np.full((len(ts), 4), -np.inf)
-        for p in (1.0, 2.0, 3.0):     # the trials of one p value at a time
-            rows = np.flatnonzero(ts % 3 == p - 1)
-            rho_t = RhoFunction(Q, rhos[rows])
-            lam = quasi_invariant_lambda(Q, rho_t)
-            sigma, phi = ComplexMeasure(Q, sigmas[rows]), DensityFunction(Q, phis[rows])
-            bound = total_variation(sigma) * lp_norm(lam, phi, p)
-            routes = []     # (explicit result, operator route)
-            for side in ("left", "right"):
-                out = lp_action(T, rho_t, side, sigma, phi, p)
-                routes.append((out, _lp_action_operator(Q, rho_t, side, sigma, phi, p)))
-                lp[rows, len(routes) - 1] = lp_norm(lam, out, p) - bound
-            if p == 1.0:
-                # embedding the acting density turns the p=1 action into the
-                # coset density convolution
-                phi2 = DensityFunction(Q, phi2s[rows])
-                acting = embed_density(lam, phi2)
-                via_action = lp_action(T, rho_t, "left", acting, phi, 1.0)
-                via_densities = l1_convolve(T, lam, phi2, phi)
-                routes.append((via_action, _lp_action_operator(Q, rho_t, "left", acting, phi, 1.0)))
-                routes.append((via_densities, _l1_convolve_operator(Q, rho_t, phi2, phi)))
-                lp[rows, 2] = np.max(np.abs(via_action.values - via_densities.values), axis=-1)
-            for j, (explicit, operator) in enumerate(routes):
-                gaps[rows, j] = np.max(np.abs(explicit.values - operator), axis=-1)
+        rho_t = RhoFunction(Q, _trial_rhos(ctx, ts, rhos))
+        lam = quasi_invariant_lambda(Q, rho_t)
+        sigma, phi = ComplexMeasure(Q, sigmas), DensityFunction(Q, phis)
+        p = 1.0 + ts % 3     # each trial's exponent, 1, 2, 3 in turn
+        bound = total_variation(sigma) * lp_norm(lam, phi, p)
+        # per route, each trial's gap to its operator route (-inf where a
+        # trial has none)
+        gaps = np.full((4, len(ts)), -np.inf)
         for j, side in enumerate(("left", "right")):
-            yield lp[:, j], lambda t, side=side: {"trial": t, "p": p_of(t), "side": side}
-        yield lp[:, 2], _at(part="density convolution cross-check")
+            out = lp_action(T, rho_t, side, sigma, phi, p)
+            operator = _lp_action_operator(Q, rho_t, side, sigma, phi, p)
+            gaps[j] = np.max(np.abs(out.values - operator), axis=-1)
+            yield (lp_norm(lam, out, p) - bound,
+                   lambda t, side=side: {"trial": t, "p": p_of(t), "side": side})
+        # on the p = 1 trials, embedding the acting density turns the action
+        # into the coset density convolution
+        rows = np.flatnonzero(ts % 3 == 0)
+        rho_1 = RhoFunction(Q, rho_t.values[rows])
+        lam_1 = quasi_invariant_lambda(Q, rho_1)
+        phi_1, phi2 = DensityFunction(Q, phis[rows]), DensityFunction(Q, phi2s[rows])
+        acting = embed_density(lam_1, phi2)
+        via_action = lp_action(T, rho_1, "left", acting, phi_1, 1.0)
+        via_densities = l1_convolve(T, lam_1, phi2, phi_1)
+        gaps[2, rows] = np.max(np.abs(
+            via_action.values - _lp_action_operator(Q, rho_1, "left", acting, phi_1, 1.0)), axis=-1)
+        gaps[3, rows] = np.max(np.abs(
+            via_densities.values - _l1_convolve_operator(Q, rho_1, phi2, phi_1)), axis=-1)
+        cross = np.full(len(ts), -np.inf)
+        cross[rows] = np.max(np.abs(via_action.values - via_densities.values), axis=-1)
+        yield cross, _at(part="density convolution cross-check")
         # each result must match its operator route; the gap is a pass/fail
         # cross-check and stays out of the reported residual
         for j, side in enumerate(_P19_ROUTES):
-            yield _Fails(_worse(gaps[:, j], spec.tol),
+            yield _Fails(_worse(gaps[j], spec.tol),
                          lambda t, side=side: {"trial": t, "p": p_of(t), "side": side,
                                                "reason": "explicit and operator routes differ"},
-                         gaps[:, j])
+                         gaps[j])
 
     return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "group")))
 

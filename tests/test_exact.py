@@ -220,6 +220,42 @@ def test_exact_vector_rejects_bad_input():
         ExactVector(np.array([1, 2]), np.array([0]))
 
 
+
+@pytest.mark.parametrize("bad", [0.1, 2.5, 2.0, 0, -3, True, F(2)])
+def test_denominators_and_divisors_must_be_integers_at_least_one(bad):
+    # 12 * 0.1 would truncate to a denominator of 1, giving 3 for 2.5
+    v = ExactVector(np.array([3]), np.array([0]), 12)
+    with pytest.raises(ValueError, match="divisor must be an integer >= 1"):
+        v / bad
+    with pytest.raises(ValueError, match="den must be an integer >= 1"):
+        ExactVector(np.array([3]), np.array([0]), bad)
+    assert values(v / np.int64(4)) == [(F(1, 16), F(0))]
+    assert values(ExactVector(np.array([3]), np.array([0]), np.int64(4))) == [(F(3, 4), F(0))]
+
+
+def test_results_are_typed_as_the_validating_constructor_types_them():
+    # int64 results, results that leave int64, and Python-int operands: each
+    # operation's vector equals its validated copy, dtype and bound included
+    for top in (2 ** 20, 2 ** 62, 2 ** 70):
+        parts = [np.array([top, -top, 1, 0], dtype=object) for _ in range(2)]
+        v = ExactVector(*parts, 3)
+        m = v[np.array([[0, 1], [2, 3]])]
+        results = [v.take(np.array([3, 0]), axis=0), m, v * v, v * 5, v.abs_squared(),
+                   m.sum(axis=0), v[np.array([0, 1])] @ m, v / 7, v.widened()]
+        for r in results:
+            copy = ExactVector(r.re, r.im, r.den, r.bound)
+            assert r == copy and (r.re.dtype, r.im.dtype) == (copy.re.dtype, copy.im.dtype)
+            assert r.re.dtype == (object if r.bound >= 2 ** 63 else np.int64)
+            assert type(r.den) is int and r.den >= 1
+    w = v.widened()
+    assert w == v and w.re.dtype == object and w.bound >= 2 ** 63
+    # results with no axis left are refused, as before
+    with pytest.raises(ValueError):
+        v.sum(axis=0)
+    with pytest.raises(ValueError):
+        v[0]
+
+
 # --- 2-D gathers, sums over an axis and matrix products -------------------------
 
 # int64 numerators whose sums and products leave int64 (they widen), and

@@ -424,6 +424,64 @@ def test_exponent_must_be_finite_and_at_least_one(s3_q, s3_t, function, p):
         call()
 
 
+
+def _ulps(a, b) -> float:
+    """The largest gap between two float arrays, in units in the last place
+    of the larger magnitude, real and imaginary parts apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    worst = 0.0
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        scale = np.spacing(np.maximum(np.abs(x), np.abs(y)))
+        worst = max(worst, float(np.max(np.abs(x - y) / scale)))
+    return worst
+
+
+def test_an_exponent_per_vector_matches_the_calls_of_each_row():
+    # S4/<(12)>, 24 rows whose exponents cycle through 1, 2, 3 and 1.5, as
+    # one batch against one call per row: bitwise at p = 1, within 4 ulps
+    # otherwise (numpy's ** takes other paths for one exponent)
+    G = ca.builtin_from_token("S4")
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
+    T, k = ca.structure_table(Q), Q.coset_count
+    g = rng(53)
+    p = np.array([1.0, 2.0, 3.0, 1.5] * 6)
+    rho = ca.RhoFunction(Q, (1 + g.integers(0, 4, (24, k))) / (1 + g.integers(0, 4, (24, k))))
+    sigma = ca.ComplexMeasure(Q, random_weights(g, (24, k)) - (0.5 + 0.5j))
+    phi = ca.DensityFunction(Q, random_weights(g, (24, k)) - (0.5 + 0.5j))
+    routes = {
+        "lp_norm": lambda r, s, f, p: ca.lp_norm(ca.quasi_invariant_lambda(Q, r), f, p),
+        "left": lambda r, s, f, p: ca.lp_action(T, r, "left", s, f, p).values,
+        "right": lambda r, s, f, p: ca.lp_action(T, r, "right", s, f, p).values,
+        "weighted_average_th": lambda r, s, f, p: ca.weighted_average_th(
+            Q, r, p, ca.compose_with_projection(Q, f)).values,
+    }
+    for name, route in routes.items():
+        batch = route(rho, sigma, phi, p)
+        assert np.shape(batch)[0] == 24, name
+        for i in range(24):
+            one = route(ca.RhoFunction(Q, rho.values[i]), ca.ComplexMeasure(Q, sigma.weights[i]),
+                        ca.DensityFunction(Q, phi.values[i]), float(p[i]))
+            if p[i] == 1.0:
+                assert np.asarray(batch[i]).tobytes() == np.asarray(one).tobytes(), (name, i)
+            else:
+                assert _ulps(batch[i], one) <= 4, (name, i)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.inf, np.nan])
+@pytest.mark.parametrize("function", ["lp_norm", "lp_action", "weighted_average_th"])
+def test_every_exponent_of_an_array_must_be_finite_and_at_least_one(s3_q, s3_t, function, bad):
+    # one bad exponent among good ones refuses the whole call
+    rho = ca.RhoFunction(s3_q, np.ones((3, 3)))
+    phi = ca.DensityFunction(ca.quotient_carrier(s3_q), np.ones((3, 3)))
+    p = np.array([1.0, bad, 2.0])
+    call = {"lp_norm": lambda: ca.lp_norm(ca.quasi_invariant_lambda(s3_q, rho), phi, p),
+            "lp_action": lambda: ca.lp_action(s3_t, rho, "left", ca.delta_h(s3_q), phi, p),
+            "weighted_average_th": lambda: ca.weighted_average_th(
+                s3_q, rho, p, ca.compose_with_projection(s3_q, phi))}[function]
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        call()
+
+
 # --- identity solving -----------------------------------------------------------------
 
 def test_left_identity_normal_cases(s3, s3_a3):

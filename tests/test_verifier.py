@@ -192,6 +192,66 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
         assert report.counterexample["reps"] != ca.build_coset_space(G, H).reps.tolist()
 
 
+
+@pytest.mark.parametrize("token,gens", [("S3", []), ("S3", ["(12)"]), ("S3", ["(123)"]),
+                                        ("A4", ["(12)(34)", "(13)(24)"]),
+                                        ("S4", ["(12)", "(123)"])],
+                         ids=["h=1", "h=2", "h=3", "h=4", "h=6"])
+def test_alternative_reps_draw_in_one_call_what_scalar_calls_drew(token, gens):
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    h, k = Q.subgroup.order, Q.coset_count
+    want, got = rng(72), rng(72)
+    scalar = [[Q.member_table[want.integers(0, h), c] for c in range(k)] for _ in range(10)]
+    assert verifier._alternative_reps(got, Q, 10).tolist() == scalar
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 60], ids=["one table", "all tables"])
+def test_d6_reports_the_first_representative_choice_that_differs(monkeypatch, block_bytes):
+    # a fault planted on the 4th choice of the probe alone, on S4/S3 and
+    # S3/<(12)>: D6 fails with that choice's representatives
+    factors = ca.quotient_algebra._factors
+    monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+    for token, gens in (("S4", ["(12)", "(123)"]), ("S3", ["(12)"])):
+        G = ca.builtin_from_token(token)
+        ctx = make_context(G, ca.subgroup_from_tokens(G, gens))
+        for mode in ("float", "exact"):
+            seen = []
+
+            def planted(Q, reps):
+                shift, suborbits = factors(Q, reps)
+                seen.append(np.asarray(reps).tolist())
+                if len(seen) == 4:
+                    shift = shift[[1, 0, *range(2, Q.coset_count)]]
+                return shift, suborbits
+
+            monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
+            report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), ctx)
+            assert len(seen) == 4 if block_bytes == 1 else len(seen) == 10
+            assert report.status == "fail", report
+            assert report.counterexample == {"reason": "tensor depends on representative choice",
+                                             "reps": seen[3]}, report
+
+
+def test_d6_probe_within_its_byte_checks(monkeypatch):
+    # S5/{e}, 120 cosets: one table per exact convolution by default, and all
+    # ten stacked in one; the checks made on the way cover the traced peak
+    G = ca.builtin_from_token("S5")
+    ctx = make_context(G, ca.subgroup_from_tokens(G, []))
+    for block_bytes in (verifier._BLOCK_BYTES, 1 << 60):
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        checked = []
+        for module in (ca.quotient_algebra, ca._kernels):
+            check = module.require_bytes
+            monkeypatch.setattr(module, "require_bytes",
+                                lambda nbytes, what, check=check: checked.append(nbytes)
+                                or check(nbytes, what))
+        peak = traced_peak(lambda: verifier._probe_representatives(rng(73), ctx.T))
+        assert peak <= max(checked), (block_bytes, peak, max(checked))
+        monkeypatch.undo()
+
+
 def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
     # the first trial draws what it would after the ten representative
     # choices alone: the probe vectors come from a stream of their own
@@ -449,6 +509,36 @@ def test_reports_serialize_to_json(s3_pair):
     assert all(p["status"] in ("pass", "fail", "info") for p in parsed)
 
 
+
+def _asdict_form(report):
+    """to_dict as first written: dataclasses.asdict less the timing."""
+    d = dataclasses.asdict(report)
+    del d["elapsed_s"]
+    d["max_residual"] = verifier._stable(report.max_residual)
+    return d
+
+
+def test_report_dicts_match_their_asdict_form(monkeypatch):
+    # every default-catalog report in both modes, and a failing report with
+    # a counterexample: the same keys in the same order, the same values,
+    # and a counterexample the caller may change without changing the report
+    reports = []
+    for mode in ("float", "exact"):
+        reports += run_suite(default_catalog(), all_check_specs(trials=2, mode=mode))
+    monkeypatch.setattr(verifier, "_operator_route",
+                        lambda *args, route=verifier._operator_route: route(*args) + 1e-6)
+    G = ca.builtin_from_token("S3")
+    failed = run_check(CheckSpec(id="P19_LP", trials=3),
+                       make_context(G, ca.subgroup_from_tokens(G, ["(12)"])))
+    assert failed.status == "fail" and failed.counterexample
+    for report in reports + [failed]:
+        got, want = report.to_dict(), _asdict_form(report)
+        assert list(got.items()) == list(want.items()), report
+    d = failed.to_dict()
+    d["counterexample"]["side"] = "changed"
+    assert failed.counterexample["side"] != "changed"
+
+
 def test_exact_group_convolution_byte_check(monkeypatch):
     # order 120 on int64 numerators: the check covers the peak and refuses a
     # budget one byte short
@@ -464,7 +554,7 @@ def test_exact_group_convolution_byte_check(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["python-int", "widening"])
-@pytest.mark.parametrize("token", ["S4", "S5"])
+@pytest.mark.parametrize("token", ["S4", "A5", "S5"])
 def test_exact_group_convolution_byte_check_wide_operands(monkeypatch, token, kind):
     # numerators past 2**63, or int64 numerators whose products leave int64:
     # the one check covers the peak and refuses a budget one byte short
