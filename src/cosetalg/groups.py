@@ -47,6 +47,9 @@ class FiniteGroup:
     mul: np.ndarray          # (n, n) int64, mul[a, b] = index of a*b
     inv: np.ndarray          # (n,) int64
     identity: int
+    # elements whose products give all: a permutation group's generators
+    # less the identity and repeats, a table group's greedy generating set
+    generators: tuple[int, ...]
     name: str = ""
     # permutation-built groups: (n, degree) int16 (int32 from degree 2**15),
     # row a the permutation of element a; None for table groups
@@ -153,7 +156,7 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
     e = _identity(table)
     inv = _inverses(table, e, labels)
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
-                       identity=e, name=name)
+                       identity=e, generators=tuple(_generating_set(table)), name=name)
 
 
 # table entries per block of a scan: ~8 MB of gathered rows, or ~1 MB per mask
@@ -375,9 +378,11 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
         table[:, y] = steps[via[y]][table[:, parent[y]]]
     inv = table.argmin(axis=1)   # before the freeze: argmin copies a read-only array
     perms = np.concatenate(rounds)
-    # a row at a time: a whole tolist() would hold degree Python ints per element
+    # labels a row at a time: a whole tolist() would hold degree Python ints
+    # per element; the identity's column of steps lists the generators
     return FiniteGroup(labels=tuple(perm_label(p.tolist()) for p in perms), mul=_freeze(table),
-                       inv=_freeze(inv), identity=0, name=name, perms=_freeze(perms))
+                       inv=_freeze(inv), identity=0, name=name, perms=_freeze(perms),
+                       generators=tuple(dict.fromkeys(x for x in steps[:, 0].tolist() if x)))
 
 
 # --- builtin catalog -------------------------------------------------------
@@ -505,14 +510,14 @@ def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
 
 def test_normality(G: FiniteGroup, H: Subgroup) -> bool:
     """Whether g h g^-1 lies in H for all g in G and h in H. The g for which
-    it holds form a subgroup, so one gather conjugates H by a generating set
-    of G alone."""
+    it holds are closed under products, so one gather conjugates H by G's
+    recorded generators alone."""
     mem = np.array(H.members, dtype=np.int64)
     inside = np.zeros(G.order, dtype=bool)
     inside[mem] = True
-    # at most 1 + log2 |G| generators: each one at least doubles the group
-    # generated so far, so the gather needs no byte check
-    gens = np.array(_generating_set(G.mul), dtype=np.int64)
+    gens = np.array(G.generators, dtype=np.int64)
+    # per (generator, member or its inverse) 24 bytes, and ~8 KB of small arrays
+    require_bytes(24 * gens.size * (len(mem) + 1) + (1 << 13), f"normality test of order {G.order}")
     return bool(inside[G.mul[G.mul[gens[:, None], mem], G.inv[gens, None]]].all())
 
 

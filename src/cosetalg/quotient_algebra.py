@@ -96,29 +96,35 @@ def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
 
 
 def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, suborbits) for a representative choice, as int32 arrays."""
+    """Int32 shift tables (..., k, k) and suborbit labels (..., k) of
+    representative choices (..., k): column b of H's action on the cosets
+    holds b's suborbit, whose least member labels it (see _suborbits)."""
     G, k, h = Q.group, Q.coset_count, Q.subgroup.order
-    # per entry: the int64 product, its int64 coset and the int32 copy
-    require_bytes(20 * (k * k + h * k), f"structure table with {k} cosets")
     reps = np.asarray(reps, dtype=np.int64)
+    # per entry: the int64 product, its int64 coset and the int32 copy
+    require_bytes(20 * (k * k + h * k) * math.prod(reps.shape[:-1]),
+                  f"structure table with {k} cosets")
     members = np.array(Q.subgroup.members, dtype=np.int64)
-    shift = Q.coset_of[G.mul[G.inv[reps][:, None], reps]].astype(np.int32)
-    # column b of H's action on the cosets holds b's suborbit; its least
-    # member labels it, and a stable sort by label lists each suborbit
-    # ascending, from position start[label] on
-    labels = Q.coset_of[G.mul[members[:, None], reps]].min(axis=0)
-    sizes = np.bincount(labels, minlength=k)
+    shift = Q.coset_of[G.mul[G.inv[reps][..., :, None], reps[..., None, :]]].astype(np.int32)
+    labels = Q.coset_of[G.mul[members[:, None], reps[..., None, :]]].min(axis=-2)
+    return _freeze(shift), labels
+
+
+def _suborbits(labels: np.ndarray) -> np.ndarray:
+    """The suborbits table of one choice's labels: a stable sort by label
+    lists each suborbit ascending, from position start[label] on."""
+    sizes = np.bincount(labels, minlength=len(labels))
     start = np.cumsum(sizes) - sizes
     order = np.argsort(labels, kind="stable")
     sizes, start = sizes[labels], start[labels]
     r = math.lcm(*set(sizes.tolist()))
-    suborbits = order[start + np.arange(r)[:, None] % sizes].astype(np.int32)
-    return _freeze(shift), _freeze(suborbits)
+    return _freeze(order[start + np.arange(r)[:, None] % sizes].astype(np.int32))
 
 
 def structure_table(Q: QuotientSpace, reps: Optional[Sequence[int]] = None) -> StructureTable:
     """The table of Q from a representative choice, by default Q.reps."""
-    return StructureTable(Q, *_factors(Q, Q.reps if reps is None else reps))
+    shift, labels = _factors(Q, Q.reps if reps is None else reps)
+    return StructureTable(Q, shift, _suborbits(labels))
 
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
@@ -146,11 +152,14 @@ def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
     # measured peaks per entry of k² + r·k and per vector and table past
     # ~4 KB: 17 to 33 bytes on int64 or Python ints, 87 to 114 when int64
-    # operands widen
-    wide = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.suborbits.size >= 2 ** 63
+    # operands widen, and ~6k wide ints at 4 bytes per 30-bit digit of bound
+    entries = k * k + T.suborbits.size
+    bound = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.suborbits.size
+    per_vector = (120 * entries + 24 * k * math.ceil(bound.bit_length() / 30)
+                  if bound >= 2 ** 63 else 40 * entries)
     batch = _broadcast(s1.shape[:-1], s2.shape[:-1] + T.shift.shape[:-2])
-    require_bytes((120 if wide else 40) * (k * k + T.suborbits.size) * math.prod(batch)
-                  + (1 << 13), f"exact quotient convolution with {k} cosets")
+    require_bytes(per_vector * math.prod(batch) + (1 << 13),
+                  f"exact quotient convolution with {k} cosets")
     return quotient_convolve_weights(T.shift, T.suborbits, s1, s2)
 
 

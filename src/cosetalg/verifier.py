@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import exact
+from . import exact, quotient_algebra
 from ._kernels import _batch_shape, group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
@@ -35,7 +35,7 @@ from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      subgroup_from_tokens, test_normality)
 from .measures import (ComplexMeasure, DensityFunction, from_density,
                        group_convolve, integrate, point_mass, total_variation)
-from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
+from .quotient_algebra import (IdentitySolution, StructureTable, _suborbits, delta_h,
                                embed_density, find_left_identity,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
@@ -281,21 +281,28 @@ def _trials(n: int, trial: Callable, per_trial: int, worst: float = 0.0,
         for item in trial(ts):
             (fails if isinstance(item, _Fails) else ranked).append(item)
         if fails:
-            hit = np.stack([np.broadcast_to(f.mask, ts.shape) for f in fails], axis=1)
+            hit = _columns([f.mask for f in fails], len(ts), bool)
             if hit.any():
                 i, j = divmod(int(hit.argmax()), len(fails))
-                residual = np.broadcast_to(fails[j].residual, ts.shape)[i]
+                residual = _columns([fails[j].residual], len(ts), np.float64)[i, 0]
                 raise _Fail(fails[j].witness(int(ts[i])), float(residual),
                             trials_run=int(ts[i]) + 1)
         if ranked:
             # argmax finds the first NaN, else the first maximum
-            r = np.stack([np.broadcast_to(np.asarray(r, dtype=np.float64), ts.shape)
-                          for r, _ in ranked], axis=1)
+            r = _columns([r for r, _ in ranked], len(ts), np.float64)
             i, j = divmod(int(r.argmax()), len(ranked))
             if _worse(r[i, j], worst):
                 named = ranked[j][1]
                 worst, witness = float(r[i, j]), named(int(ts[i])) if named else None
     return worst, witness
+
+
+def _columns(values: list, n: int, dtype) -> np.ndarray:
+    """(n, len(values)), column j holding values[j], one per trial or for all."""
+    out = np.empty((n, len(values)), dtype)
+    for j, value in enumerate(values):
+        out[:, j] = value
+    return out
 
 
 def _verdict(spec: CheckSpec, worst: float, witness: Optional[dict], notes: str = ""):
@@ -482,10 +489,13 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
     """Group convolution over Gaussian rationals, of vectors or batches: the
     float kernel run on exact vectors."""
     n = G.order
+    bound = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n
     # measured peaks per pair (x, z) and per vector, past a few KB of small
-    # arrays: 48 to 52 bytes on int64, 200 to 235 on Python ints (S4, A5, S5)
-    wide = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n >= 2 ** 63
-    require_bytes((240 if wide else 56) * n * n * math.prod(_batch_shape(w1, w2)) + (1 << 13),
+    # arrays: 48 to 52 bytes on int64; on Python ints 140 to 170 and the
+    # four products' 30-bit digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
+    wide = bound >= 2 ** 63
+    rate = 200 + 16 * math.ceil(bound.bit_length() / 30) if wide else 56
+    require_bytes(rate * n * n * math.prod(_batch_shape(w1, w2)) + (1 << 13),
                   f"exact group convolution of order {n}")
     if wide:
         # Python ints before the n^2 gather, which then shares the operands'
@@ -496,29 +506,28 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
 
 def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
     """Raise _Fail at the first of ten random representative choices whose
-    table convolves two random integer vectors otherwise than T does. Two
-    different bilinear maps agree on vectors from [0, 2^20) with probability
-    at most 2^-19 (Schwartz-Zippel). The vectors come from a jumped copy of
-    rng's bit generator, which leaves rng's stream, and so every trial's
-    draws, untouched; the choices come from rng."""
-    Q, k = T.quotient, T.coset_count
+    suborbits differ from T's, or whose table convolves two random integer
+    vectors otherwise than T does. Two different bilinear maps agree on
+    vectors from [0, 2^20) with probability at most 2^-19 (Schwartz-Zippel).
+    The vectors come from a jumped copy of rng's bit generator, which leaves
+    rng's stream, and so every trial's draws, untouched; the choices come
+    from rng."""
+    Q, k, labels = T.quotient, T.coset_count, T.suborbits[0]
     probe = np.random.Generator(rng.bit_generator.jumped())
     s1, s2 = (ExactVector(probe.integers(0, 2 ** 20, k), np.zeros(k, dtype=np.int64))
               for _ in range(2))
     want = quotient_convolve_exact(T, s1, s2)
     choices = _alternative_reps(rng, Q, 10)
-    # as many tables per exact convolution as fit a block at its byte rate
+    # a choice's suborbits are the table of its labels, whose row 0 they
+    # are: they equal T's iff its labels are T's and T's is that table
+    canonical = np.array_equal(_suborbits(labels), T.suborbits)
+    # as many choices per gather and exact convolution as fit a block
     block = max(1, _BLOCK_BYTES // (40 * (k * k + T.suborbits.size)))
     for start in range(0, len(choices), block):
         reps = choices[start:start + block]
-        # a choice's suborbits are canonical, its shift is stacked with the
-        # block's, one table held at a time
-        shift, same = np.empty((len(reps), k, k), dtype=np.int32), np.empty(len(reps), bool)
-        for j, alt in enumerate(reps):
-            alt_table = structure_table(Q, alt)
-            shift[j], same[j] = alt_table.shift, np.array_equal(alt_table.suborbits, T.suborbits)
+        shift, alt_labels = quotient_algebra._factors(Q, reps)
         got = quotient_convolve_exact(StructureTable(Q, shift, T.suborbits), s1, s2)
-        differ = ~same | _differ(got, want)
+        differ = (not canonical) | (alt_labels != labels).any(axis=-1) | _differ(got, want)
         if differ.any():
             raise _Fail({"reason": "tensor depends on representative choice",
                          "reps": reps[differ.argmax()].tolist()})
@@ -915,14 +924,15 @@ def all_check_specs(trials: int = 100, seed: int = 42,
 
 def run_suite(catalog: Sequence[CatalogEntry], specs: Sequence[CheckSpec]) -> list[CheckReport]:
     """Cartesian product of checks x catalog entries, in deterministic order
-    (check id, then catalog index), every check of an entry on one context.
-    An entry whose group, subgroup, coset space or structure table cannot
-    be built gives one failing record and does not abort the suite."""
-    indexed = []
+    (check id, then catalog index), every check of an entry on one context
+    and the entries of a group token on one group. An entry whose group,
+    subgroup, coset space or structure table cannot be built gives one
+    failing record and does not abort the suite."""
+    indexed, built = [], {}
     for idx, entry in enumerate(catalog):
-        try:
-            G, H = build_entry(entry)
-            ctx = make_context(G, H, None, entry.name)
+        try:   # a token that fails is not kept, so each of its entries fails alone
+            G = built[entry.group] = built.get(entry.group) or builtin_from_token(entry.group)
+            ctx = make_context(G, subgroup_from_tokens(G, entry.subgroup), None, entry.name)
         except Exception as exc:
             indexed.append((idx, CheckReport(
                 id="CONSTRUCTION", entry=entry.name, status="fail",

@@ -510,6 +510,85 @@ def test_normality_matches_the_loop(relabelled_s3_pair, data):
     assert ca.test_normality(G, H) is _normal_by_loop(G, H)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_recorded_generators_of_permutation_groups(data):
+    """Groups closed from random lists of elements of builtin groups, the
+    identity and repeats included: the build records the listed elements
+    less the identity and repeats, in list order; they generate the group,
+    and conjugating by them decides normality as the loop over all of G."""
+    base = _light_group(data.draw(st.sampled_from(["S4", "D5", "A4", "C6"]), label="base"))
+    listed = base.perms[data.draw(st.lists(st.integers(0, base.order - 1), max_size=4),
+                                  label="generators")].tolist()
+    G = ca.build_from_permutation_generators(base.perms.shape[1], listed)
+    element = {tuple(p): x for x, p in enumerate(G.perms.tolist())}
+    indices = [element[tuple(p)] for p in listed]
+    assert G.generators == tuple(dict.fromkeys(x for x in indices if x != G.identity))
+    assert ca.generate_subgroup(G, G.generators).order == G.order
+    H = ca.generate_subgroup(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=3),
+                                          label="subgroup generators"))
+    assert ca.test_normality(G, H) is _normal_by_loop(G, H)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_recorded_generators_of_table_groups(relabelled_s3_pair, data):
+    """Q8, C2 x C3 and S3 relabelled, built from tables: the build records
+    Light's generating set, it generates the group, and conjugating by it
+    decides normality as the loop over all of G."""
+    token = data.draw(st.sampled_from(["Q8", "C2xC3", "relabelled S3"]), label="group")
+    G = {"Q8": _light_group("Q8"), "C2xC3": _c2_times_c3(),
+         "relabelled S3": relabelled_s3_pair[0]}[token]
+    assert G.perms is None and G.generators == tuple(groups._generating_set(G.mul))
+    assert ca.generate_subgroup(G, G.generators).order == G.order
+    H = ca.generate_subgroup(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=3),
+                                          label="subgroup generators"))
+    assert ca.test_normality(G, H) is _normal_by_loop(G, H)
+
+
+@functools.lru_cache(maxsize=None)
+def _c2_times_c3():
+    return groups.direct_product_group(_light_group("C2"), _light_group("C3"))
+
+
+@pytest.mark.parametrize("token", ["S1", "C1"])
+def test_trivial_groups_record_no_generators(token):
+    G = ca.builtin_from_token(token)
+    assert G.generators == ()
+    assert ca.test_normality(G, ca.generate_subgroup(G, [])) is True
+
+
+@pytest.mark.parametrize("gens", [[], ["(12)"], ["(12)", "(123)"], ["(12)", "(12345)"]],
+                         ids=["|H|=1", "|H|=2", "|H|=6", "|H|=120"])
+def test_normality_within_its_byte_check(monkeypatch, gens):
+    # S5 built from all 120 of its elements, so 119 generators are recorded:
+    # the one check covers the traced peak, and one byte short refuses it
+    S5 = _light_group("S5")
+    G = ca.build_from_permutation_generators(5, S5.perms.tolist())
+    assert len(G.generators) == 119
+    H = ca.subgroup_from_tokens(G, gens)
+    checked, peak = checked_peak(monkeypatch, groups, lambda: ca.test_normality(G, H))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match="^normality test of order 120 needs"):
+        ca.test_normality(G, H)
+
+
+def test_normality_runs_no_generating_set(monkeypatch, relabelled_s3_pair):
+    # neither test_normality, on table and permutation groups, nor a
+    # permutation-group build looks for generators
+    tables = [_light_group("Q8"), _c2_times_c3(), relabelled_s3_pair[0]]
+
+    def refuse(*args):
+        raise AssertionError("a generating set was searched for")
+
+    monkeypatch.setattr(groups, "_generating_set", refuse)
+    for G in tables + [ca.builtin_from_token(t) for t in ("S4", "D6", "A5", "C1")]:
+        for gens in ([], [1 % G.order], list(G.generators)):
+            H = ca.generate_subgroup(G, gens)
+            assert ca.test_normality(G, H) is _normal_by_loop(G, H)
+
+
 @pytest.mark.parametrize("scan_entries", [None, 2], ids=["one block", "row blocks"])
 def test_subgroup_from_members_refusals(s3, monkeypatch, scan_entries):
     # S3's elements in order: e, (12), (123), (23), (13), (132). The identity

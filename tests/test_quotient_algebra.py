@@ -897,6 +897,70 @@ def test_exact_quotient_convolution_refused_before_allocating(monkeypatch):
     assert traced_peak(refused) < checked[0] // 10
 
 
+@pytest.mark.parametrize("token,gens", [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]),
+                                        ("S4", ["(12)", "(123)"]), ("S5", ["(12)"])],
+                         ids=["S3/<(12)>", "D4/<s>", "Q8/<i>", "S4/S3", "S5/<(12)>"])
+def test_stacked_factors_give_the_table_of_each_choice(token, gens):
+    # one gather over a stack of ten representative choices (and the same
+    # choices as a 2 x 5 stack): choice for choice, the shift and suborbits
+    # of structure_table, and the count tensor of the definition
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    k = Q.coset_count
+    choices = verifier._alternative_reps(rng(76), Q, 10)
+    shift, labels = qa._factors(Q, choices)
+    assert shift.shape == (10, k, k) and labels.shape == (10, k)
+    nested = qa._factors(Q, choices.reshape(2, 5, k))
+    assert np.array_equal(nested[0].reshape(10, k, k), shift)
+    assert np.array_equal(nested[1].reshape(10, k), labels)
+    for j, alt in enumerate(choices):
+        T = ca.structure_table(Q, alt)
+        suborbits = qa._suborbits(labels[j])
+        assert np.array_equal(shift[j], T.shift) and np.array_equal(suborbits, T.suborbits)
+        assert np.array_equal(suborbits[0], labels[j])
+        stacked = qa.StructureTable(Q, shift[j], suborbits)
+        assert np.array_equal(stacked.counts, onehot_counts(Q, alt))
+
+
+def test_stacked_factors_within_their_byte_check(monkeypatch):
+    # S5/<(12)>, 60 cosets: the one check of a stacked gather scales with
+    # the stack, covers the traced peak, and one byte short refuses it
+    G = ca.builtin_from_token("S5")
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
+    choices = verifier._alternative_reps(rng(78), Q, 10)
+    checked, peak = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, choices))
+    assert len(checked) == 1 and peak <= checked[0]
+    single, _ = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, choices[0]))
+    assert checked[0] == 10 * single[-1]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+    with pytest.raises(CapExceeded, match="structure table with 60 cosets"):
+        qa._factors(Q, choices)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_exact_quotient_convolution_byte_check_grows_with_the_numerators(monkeypatch, bits):
+    # S3/<(12)>, a batch of three vectors with numerators ~2**bits: the sums
+    # and products grow with their bit length, and so does the one check,
+    # which covers the peak and refuses a budget one byte short
+    G = ca.builtin_from_token("S3")
+    T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"])))
+    g = rng(75)
+    s1, s2 = (ExactVector(*(np.array([[int(v) << bits for v in row]
+                                      for row in g.integers(-99, 100, (3, 3))], dtype=object)
+                            for _ in range(2)), 7)
+              for _ in range(2))
+    checked, peak = checked_peak(monkeypatch, qa, lambda: ca.quotient_convolve_exact(T, s1, s2))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="exact quotient convolution with 3 cosets"):
+            ca.quotient_convolve_exact(T, s1, s2)
+
+    # at three cosets the refusal's own objects outweigh a tenth of the check
+    assert traced_peak(refused) < 1 << 13
+
+
 @pytest.mark.parametrize("kind", ["int64", "widening"])
 @pytest.mark.parametrize("token,gens", [("S4", ["(12)", "(123)"]), ("S5", ["(12)"])],
                          ids=["S4/S3", "S5/<(12)>"])

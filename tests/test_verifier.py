@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetalg as ca
 from cosetalg import verifier
@@ -178,11 +180,13 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
     factors = ca.quotient_algebra._factors
 
     def planted(Q, reps):
-        # rows 0 and 1 of shift swapped whenever the representatives are not Q's
-        shift, suborbits = factors(Q, reps)
-        if not np.array_equal(reps, Q.reps):
-            shift = shift[[1, 0, *range(2, Q.coset_count)]]
-        return shift, suborbits
+        # rows 0 and 1 of shift swapped for every choice of a stack whose
+        # representatives are not Q's
+        shift, labels = factors(Q, reps)
+        other = (np.asarray(reps) != Q.reps).any(axis=-1)
+        shift = np.where(other[..., None, None],
+                         shift[..., [1, 0, *range(2, Q.coset_count)], :], shift)
+        return shift, labels
 
     monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
     for mode in ("float", "exact"):
@@ -220,11 +224,14 @@ def test_d6_reports_the_first_representative_choice_that_differs(monkeypatch, bl
             seen = []
 
             def planted(Q, reps):
-                shift, suborbits = factors(Q, reps)
-                seen.append(np.asarray(reps).tolist())
-                if len(seen) == 4:
-                    shift = shift[[1, 0, *range(2, Q.coset_count)]]
-                return shift, suborbits
+                # the probe's choices come in stacks (m, k), in order
+                shift, labels = factors(Q, reps)
+                fourth = 3 - len(seen)
+                seen.extend(np.asarray(reps).tolist())
+                if 0 <= fourth < len(reps):
+                    shift = shift.copy()
+                    shift[fourth] = shift[fourth][[1, 0, *range(2, Q.coset_count)]]
+                return shift, labels
 
             monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
             report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), ctx)
@@ -232,6 +239,35 @@ def test_d6_reports_the_first_representative_choice_that_differs(monkeypatch, bl
             assert report.status == "fail", report
             assert report.counterexample == {"reason": "tensor depends on representative choice",
                                              "reps": seen[3]}, report
+
+
+def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
+    # S4/S3: a choice whose labels differ, though its shift table is right,
+    # fails at that choice; an entry table whose suborbits are not the table
+    # of its own labels (rows 1 and 2 swapped: the same labels and the same
+    # tensor) differs from every choice and fails at the first
+    G = ca.builtin_from_token("S4")
+    T = make_context(G, ca.subgroup_from_tokens(G, ["(12)", "(123)"])).T
+    choices = verifier._alternative_reps(rng(77), T.quotient, 10)
+    factors = ca.quotient_algebra._factors
+
+    def planted(Q, reps):
+        shift, labels = factors(Q, reps)
+        labels = labels.copy()
+        labels[(np.asarray(reps) == choices[4]).all(axis=-1)] = np.arange(Q.coset_count)
+        return shift, labels
+
+    monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
+    with pytest.raises(verifier._Fail) as err:
+        verifier._probe_representatives(rng(77), T)
+    assert err.value.counterexample["reps"] == choices[4].tolist()
+    monkeypatch.undo()
+    assert T.suborbits[:, 1].tolist() == [1, 2, 3]
+    listed_otherwise = dataclasses.replace(T, suborbits=T.suborbits[[0, 2, 1]])
+    with pytest.raises(verifier._Fail) as err:
+        verifier._probe_representatives(rng(77), listed_otherwise)
+    assert err.value.counterexample == {"reason": "tensor depends on representative choice",
+                                        "reps": choices[0].tolist()}
 
 
 def test_d6_probe_within_its_byte_checks(monkeypatch):
@@ -448,6 +484,22 @@ def test_make_context_reads_rho_on_its_coset_space(s3_pair, monkeypatch):
     assert make_context(G, H).rho.values.tolist() == [1.0] * 3
 
 
+def test_suite_builds_each_group_token_once(monkeypatch):
+    # the default catalog builds S3, D4, Q8, A4, C6 and S4 once each; a
+    # token that fails to build gives each of its entries its own record
+    built = []
+    build = verifier.builtin_from_token
+    monkeypatch.setattr(verifier, "builtin_from_token",
+                        lambda token: built.append(token) or build(token))
+    catalog = default_catalog() + [CatalogEntry("bad 1", "builtin:X9", ()),
+                                   CatalogEntry("bad 2", "builtin:X9", ())]
+    reports = run_suite(catalog, [CheckSpec(id="C14_INVOLUTION")])
+    assert built == ["builtin:" + g for g in ("S3", "D4", "Q8", "A4", "C6", "S4", "X9", "X9")]
+    assert [(r.id, r.entry, r.status) for r in reports if r.id == "CONSTRUCTION"] == [
+        ("CONSTRUCTION", "bad 1", "fail"), ("CONSTRUCTION", "bad 2", "fail")]
+    assert sum(r.status == "pass" for r in reports) == 8
+
+
 def test_suite_builds_each_entry_once(monkeypatch):
     # one context, and one structure table of the entry's own
     # representatives, per catalog entry, shared by all fifteen checks
@@ -568,6 +620,28 @@ def test_exact_group_convolution_byte_check_wide_operands(monkeypatch, token, ki
         w1, w2 = (ExactVector(*g.integers(-2 ** 40, 2 ** 40, (2, G.order)), 3)
                   for _ in range(2))
         assert w1.re.dtype == np.int64
+    checked, peak = checked_peak(monkeypatch, verifier,
+                                 lambda: verifier._exact_convolution(G, w1, w2))
+    assert len(checked) == 1 and peak <= checked[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"exact group convolution of order {G.order}"):
+            verifier._exact_convolution(G, w1, w2)
+
+    assert traced_peak(refused) < checked[0] // 10
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_exact_group_convolution_byte_check_grows_with_the_numerators(monkeypatch, bits):
+    # S4, numerators ~2**bits: the products' ints grow with their bit length,
+    # and so does the one check, which covers the peak and refuses a budget
+    # one byte short
+    G = ca.builtin_from_token("S4")
+    g = rng(74)
+    w1, w2 = (ExactVector(*(np.array([int(v) << bits for v in g.integers(-99, 100, G.order)],
+                                     dtype=object) for _ in range(2)), 7)
+              for _ in range(2))
     checked, peak = checked_peak(monkeypatch, verifier,
                                  lambda: verifier._exact_convolution(G, w1, w2))
     assert len(checked) == 1 and peak <= checked[0]
@@ -756,6 +830,56 @@ def test_trials_on_planted_residual_arrays():
     # a start value and its witness stand against smaller residuals
     assert verifier._trials(3, lambda ts: [(np.ones(len(ts)), lambda t: {"trial": t})], 1,
                             5.0, {"start": True}) == (5.0, {"start": True})
+
+
+_RESIDUALS = st.sampled_from([0.0, 1.0, 2.0, -1.0, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trials_rank_scalar_and_per_trial_residuals_in_trial_order(data):
+    # blocks mixing one residual for all trials with one per trial, NaNs and
+    # ties, and failures with one mask or residual for all or one per trial,
+    # against a loop over the trials and each trial's yields in turn
+    n = data.draw(st.integers(1, 7), label="trials")
+    per_trial = st.lists(_RESIDUALS, min_size=n, max_size=n)
+    columns = data.draw(st.lists(st.one_of(_RESIDUALS, per_trial), min_size=1, max_size=4),
+                        label="residuals")
+    masks = data.draw(st.lists(st.tuples(
+        st.one_of(st.booleans(), st.lists(st.booleans(), min_size=n, max_size=n)),
+        st.one_of(_RESIDUALS, per_trial)), max_size=2), label="failures")
+    block_bytes = data.draw(st.sampled_from([1, 3, 1 << 30]), label="per-trial bytes")
+
+    def at(x, t):
+        return x[t] if isinstance(x, list) else x
+
+    def cut(x, ts):
+        return np.array(x)[ts] if isinstance(x, list) else x
+
+    def trial(ts):
+        for j, column in enumerate(columns):
+            yield cut(column, ts), lambda t, j=j: {"trial": t, "yield": j}
+        for j, (mask, residual) in enumerate(masks):
+            yield verifier._Fails(cut(mask, ts), lambda t, j=j: {"trial": t, "fail": j},
+                                  cut(residual, ts))
+
+    failed = next(((t, j) for t in range(n) for j, (mask, _) in enumerate(masks)
+                   if at(mask, t)), None)
+    if failed is not None:
+        t, j = failed
+        with pytest.raises(verifier._Fail) as err:
+            verifier._trials(n, trial, verifier._BLOCK_BYTES // block_bytes)
+        got = (err.value.counterexample, err.value.residual, err.value.trials_run)
+        want = ({"trial": t, "fail": j}, at(masks[j][1], t), t + 1)
+        assert str(got) == str(want)
+        return
+    worst, witness = 0.0, None
+    for t in range(n):
+        for j, column in enumerate(columns):
+            if verifier._worse(at(column, t), worst):
+                worst, witness = at(column, t), {"trial": t, "yield": j}
+    got = verifier._trials(n, trial, verifier._BLOCK_BYTES // block_bytes)
+    assert str(got) == str((worst, witness))
 
 
 def test_block_bytes_set_the_block_size(monkeypatch):
