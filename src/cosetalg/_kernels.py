@@ -21,13 +21,10 @@ BACKEND = "numpy"
 
 
 def _batch_shape(*operands) -> tuple[int, ...]:
-    """The leading axes the operands broadcast to, () for single vectors."""
-    return _broadcast(*(w.shape[:-1] for w in operands))
-
-
-def _broadcast(*shapes: tuple[int, ...]) -> tuple[int, ...]:
-    """The shape the shapes broadcast to (an axis of length 0 counts as 1).
-    Plain tuples: np.broadcast_shapes allocates ~6 KB a call."""
+    """The leading axes the operands broadcast to, () for single vectors (an
+    axis of length 0 counts as 1). Plain tuples: np.broadcast_shapes
+    allocates ~6 KB a call."""
+    shapes = [w.shape[:-1] for w in operands]
     ndim = max(map(len, shapes))
     return tuple(map(max, zip(*((1,) * (ndim - len(s)) + s for s in shapes))))
 
@@ -49,17 +46,14 @@ def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
 def quotient_convolve_weights(shift: np.ndarray, suborbits: np.ndarray, s1, s2):
     """out[z] = sum_a s1[a] * v[shift[a, z]], where v = (1/r) sum_i
     s2[suborbits[i]] is the mean of s2 over each coset's suborbit: a point
-    mass at coset a acts as the left translate by rep_a of that mean.
-
-    shift may be a stack (..., k, k) of tables sharing suborbits: its leading
-    axes follow s2's batch axes, and the result holds one convolution per
-    table."""
-    k = shift.shape[-1]
+    mass at coset a acts as the left translate by rep_a of that mean. Raises
+    ValueError unless shift is one (k, k) table for suborbits' k cosets."""
+    k = suborbits.shape[-1]
+    if shift.shape != (k, k):
+        raise ValueError(f"shift must be one ({k}, {k}) table, not {shift.shape}")
     # the complex gathers and their intp index copies: 16 to 17 bytes per
     # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, per vector
-    # and per table
-    batch = _broadcast(s1.shape[:-1], s2.shape[:-1] + shift.shape[:-2])
-    require_bytes((32 * k * k + 24 * suborbits.size) * math.prod(batch),
+    require_bytes((32 * k * k + 24 * suborbits.size) * math.prod(_batch_shape(s1, s2)),
                   f"quotient convolution with {k} cosets")
     v = s2.take(suborbits, axis=-1).sum(axis=-2) / suborbits.shape[0]
     return (s1[..., None, :] @ v.take(shift, axis=-1))[..., 0, :]

@@ -149,14 +149,15 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
         a, b = map(int, bad[0])
         raise NotClosed(f"entry mul({a},{b}) = {int(table[a, b])} out of range")
 
-    if not _light_associative(table):
+    generators = tuple(_generating_set(table))
+    if not _light_associative(table, generators):
         a, b, c = _first_non_associative(table)
         raise NotAssociative(f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})")
 
     e = _identity(table)
     inv = _inverses(table, e, labels)
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
-                       identity=e, generators=tuple(_generating_set(table)), name=name)
+                       identity=e, generators=generators, name=name)
 
 
 # table entries per block of a scan: ~8 MB of gathered rows, or ~1 MB per mask
@@ -240,8 +241,9 @@ def _generating_set(table: np.ndarray) -> list[int]:
     return gens
 
 
-def _light_associative(table: np.ndarray) -> bool:
-    """Light's associativity test: (x*s)*y == x*(s*y) for every generator s.
+def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
+    """Light's associativity test: (x*s)*y == x*(s*y) for every s of a
+    generating set of the magma, such as _generating_set's.
 
     The elements s that satisfy it for all x, y are closed under products,
     so they are the whole magma once they include a generating set
@@ -250,7 +252,7 @@ def _light_associative(table: np.ndarray) -> bool:
     n = table.shape[0]
     # per entry both int64 sides and their mask; per row its x*s
     block = _scan_block(n, n, 17, f"associativity test of order {n}", per_row=8)
-    for s in _generating_set(table):
+    for s in generators:
         s_row = table[s]
         for start in range(0, n, block):
             rows = table[start:start + block]

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import _broadcast, quotient_convolve_weights
+from ._kernels import _batch_shape, quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
 from .groups import QuotientSpace, _freeze, require_bytes
@@ -45,9 +45,7 @@ class StructureTable:
     the byte budget."""
 
     quotient: QuotientSpace
-    # (k, k) int32: coset of rep_a^-1 * rep_z; the convolutions also take a
-    # stack (..., k, k) of tables sharing suborbits, one result per table
-    shift: np.ndarray
+    shift: np.ndarray         # (k, k) int32: coset of rep_a^-1 * rep_z
     suborbits: np.ndarray     # (r, k) int32: b's suborbit ascending, cycled to r rows
 
     @property
@@ -145,20 +143,18 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
 def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
                             s2: ExactVector) -> ExactVector:
     """Exact convolution of Gaussian-rational weight vectors, or of batches
-    of them: the float kernel run on exact vectors. A table whose shift is a
-    stack gives one convolution per table (see quotient_convolve_weights)."""
+    of them: the float kernel run on exact vectors."""
     k = T.coset_count
     if s1.shape[-1] != k or s2.shape[-1] != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # measured peaks per entry of k² + r·k and per vector and table past
-    # ~4 KB: 17 to 33 bytes on int64 or Python ints, 87 to 114 when int64
-    # operands widen, and ~6k wide ints at 4 bytes per 30-bit digit of bound
+    # measured peaks per entry of k² + r·k and per vector past ~4 KB: 17 to
+    # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands widen,
+    # and ~6k wide ints at 4 bytes per 30-bit digit of bound
     entries = k * k + T.suborbits.size
     bound = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.suborbits.size
     per_vector = (120 * entries + 24 * k * math.ceil(bound.bit_length() / 30)
                   if bound >= 2 ** 63 else 40 * entries)
-    batch = _broadcast(s1.shape[:-1], s2.shape[:-1] + T.shift.shape[:-2])
-    require_bytes(per_vector * math.prod(batch) + (1 << 13),
+    require_bytes(per_vector * math.prod(_batch_shape(s1, s2)) + (1 << 13),
                   f"exact quotient convolution with {k} cosets")
     return quotient_convolve_weights(T.shift, T.suborbits, s1, s2)
 
@@ -184,9 +180,7 @@ def lp_norm(lam: QuotientMeasure, phi: DensityFunction, p) -> float:
     p = _exponent(p)
     _require_same(lam.quotient, phi)
     terms = np.abs(phi.values) ** p * lam.weights
-    if np.ndim(p):     # one exponent per vector, on an axis of its own
-        return (np.sum(terms, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
-    return _reduced(np.sum(terms, axis=-1) ** (1.0 / p), float)
+    return _reduced((np.sum(terms, axis=-1, keepdims=True) ** (1.0 / p))[..., 0], float)
 
 
 def l1_convolve(T: StructureTable, lam: QuotientMeasure,

@@ -125,14 +125,10 @@ def average_ph(Q: QuotientSpace, f: DensityFunction) -> DensityFunction:
 
 
 def _exponent(p):
-    """An L^p exponent as the entries of a vector read it: p itself when it
-    is one number, else the array of one exponent per vector of a batch with
-    an axis appended for the entries. Raises ValueError unless every p is
-    finite and >= 1."""
-    if np.ndim(p) == 0:
-        if not 1 <= p < np.inf:
-            raise ValueError("p must be finite and >= 1")
-        return p
+    """An L^p exponent as the entries of a vector read it: the float64 array
+    of p, one number or one exponent per vector of a batch, with an axis
+    appended for the entries. Raises ValueError unless every p is finite and
+    >= 1."""
     p = np.asarray(p, dtype=np.float64)[..., None]
     if not ((1 <= p) & (p < np.inf)).all():
         raise ValueError("p must be finite and >= 1")

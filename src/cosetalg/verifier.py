@@ -506,28 +506,32 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
 
 def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
     """Raise _Fail at the first of ten random representative choices whose
-    suborbits differ from T's, or whose table convolves two random integer
-    vectors otherwise than T does. Two different bilinear maps agree on
-    vectors from [0, 2^20) with probability at most 2^-19 (Schwartz-Zippel).
-    The vectors come from a jumped copy of rng's bit generator, which leaves
-    rng's stream, and so every trial's draws, untouched; the choices come
-    from rng."""
+    tensor differs from T's. In the factored table c[a][b][z] =
+    [labels[shift[a, z]] = labels[b]] / |O_b|, O_b the suborbit of b, so a
+    choice gives T's tensor exactly when its labels are T's, T's suborbits
+    are the table of those labels, and labels[shift] = labels[T.shift] entry
+    by entry. The choices come from rng."""
     Q, k, labels = T.quotient, T.coset_count, T.suborbits[0]
-    probe = np.random.Generator(rng.bit_generator.jumped())
-    s1, s2 = (ExactVector(probe.integers(0, 2 ** 20, k), np.zeros(k, dtype=np.int64))
-              for _ in range(2))
-    want = quotient_convolve_exact(T, s1, s2)
     choices = _alternative_reps(rng, Q, 10)
     # a choice's suborbits are the table of its labels, whose row 0 they
     # are: they equal T's iff its labels are T's and T's is that table
     canonical = np.array_equal(_suborbits(labels), T.suborbits)
-    # as many choices per gather and exact convolution as fit a block
-    block = max(1, _BLOCK_BYTES // (40 * (k * k + T.suborbits.size)))
+    # as many choices per gather as _factors' byte check fits in a block
+    block = min(len(choices), max(1, _BLOCK_BYTES // (20 * (k * k + Q.subgroup.order * k))))
+    # T's gathered labels, and per choice its shift and the gather's intp
+    # index copy, int32 result and mask, more than the 16 bytes per entry of
+    # _factors' own gathers; and numpy's index buffers
+    require_bytes((4 + 17 * block) * k * k + (1 << 15), f"representative probe with {k} cosets")
+    want = labels.take(T.shift)
+
+    def differs(reps: np.ndarray) -> np.ndarray:
+        # a block's tables are freed before the next block's are gathered
+        shift, alt_labels = quotient_algebra._factors(Q, reps)
+        return (alt_labels != labels).any(axis=-1) | (labels.take(shift) != want).any(axis=(-2, -1))
+
     for start in range(0, len(choices), block):
         reps = choices[start:start + block]
-        shift, alt_labels = quotient_algebra._factors(Q, reps)
-        got = quotient_convolve_exact(StructureTable(Q, shift, T.suborbits), s1, s2)
-        differ = (not canonical) | (alt_labels != labels).any(axis=-1) | _differ(got, want)
+        differ = (not canonical) | differs(reps)
         if differ.any():
             raise _Fail({"reason": "tensor depends on representative choice",
                          "reps": reps[differ.argmax()].tolist()})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetalg as ca
-from cosetalg import groups
+from cosetalg import cli, groups
 from cosetalg.errors import (CapExceeded, NoIdentity, NoInverse, NotAPermutation,
                              NotAssociative, NotClosed, UnknownName)
 from cosetalg.groups import parse_cycles, perm_label
@@ -176,7 +176,7 @@ def test_light_test_matches_full_scan(data):
         table[x, y] = data.draw(st.integers(0, n - 1))
 
     witness = groups._first_non_associative(table)
-    assert groups._light_associative(table) == (witness is None)
+    assert groups._light_associative(table, groups._generating_set(table)) == (witness is None)
     if witness is None:
         return
     with pytest.raises(NotAssociative,
@@ -217,15 +217,16 @@ def test_associativity_scans_within_their_byte_checks(monkeypatch, scan, what):
     # and in the build (Light's test checks 192 bytes less than the scan)
     table = np.array(_light_group("S4").mul)
     table[23, 22] = table[23, 21]
-    scan(table)   # warm
-    checked, peak = checked_peak(monkeypatch, groups, lambda: scan(table))
     light = scan is groups._light_associative
+    args = (table, groups._generating_set(table)) if light else (table,)
+    scan(*args)   # warm
+    checked, peak = checked_peak(monkeypatch, groups, lambda: scan(*args))
     assert peak <= checked[0] == (17 if light else 18) * 24 * 24 + (8 * 24 if light else 0) \
         + (5 << 10)
     monkeypatch.undo()
     monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match=f"^{what} needs {checked[0]} bytes"):
-        scan(table)
+        scan(*args)
     with pytest.raises(CapExceeded, match=f"^{what} needs"):
         ca.build_from_cayley_table([str(i) for i in range(24)], table)
 
@@ -587,6 +588,24 @@ def test_normality_runs_no_generating_set(monkeypatch, relabelled_s3_pair):
         for gens in ([], [1 % G.order], list(G.generators)):
             H = ca.generate_subgroup(G, gens)
             assert ca.test_normality(G, H) is _normal_by_loop(G, H)
+
+
+def test_a_table_build_searches_one_generating_set(monkeypatch, tmp_path):
+    # Light's test runs on the generating set the group records: one search
+    # per build, for Q8, a direct product and a group file holding a table
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(ca.group_to_dict(ca.builtin_from_token("S3"))))
+    search = groups._generating_set
+    builds = {"Q8": lambda: ca.builtin_from_token("Q8"),
+              "C2xC3": lambda: groups.direct_product_group(_light_group("C2"), _light_group("C3")),
+              "file": lambda: cli._resolve_group(str(path))}
+    for name, build in builds.items():
+        calls = []
+        monkeypatch.setattr(groups, "_generating_set",
+                            lambda table: calls.append(len(table)) or search(table))
+        G = build()
+        assert G.perms is None and calls == [G.order], name
+        assert G.generators == tuple(search(G.mul)), name
 
 
 @pytest.mark.parametrize("scan_entries", [None, 2], ids=["one block", "row blocks"])

@@ -2,6 +2,7 @@
 their slow definitions, on normal (Q8/<i>) and non-normal (S3/<(12)>,
 D4/<(24)>, S4/S3) pairs. Counts are integers, so those must be equal."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -285,46 +286,21 @@ def test_batched_kernels_within_their_byte_checks(monkeypatch):
         monkeypatch.undo()
 
 
-def test_stacked_shift_tables_give_one_convolution_per_table(monkeypatch):
-    # S5/<(12)> under four representative choices: a (4, k, k) stack of
-    # their shift tables, on one pair of vectors and on a batch of four pairs
+def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
+    # S5/<(12)>: a (2, k, k) stack of shift tables, a table one column short
+    # and a flat one are refused by the kernel, before its byte check, and
+    # by the exact convolution through a StructureTable holding them
     G, Q = _setup("S5", ["(12)"])
-    k, h = Q.coset_count, Q.subgroup.order
+    T, k = ca.structure_table(Q), Q.coset_count
     g = rng(84)
-    tables = [ca.structure_table(Q, Q.member_table[g.integers(0, h, k), np.arange(k)])
-              for _ in range(4)]
-    assert all(np.array_equal(t.suborbits, tables[0].suborbits) for t in tables)
-    stack = np.stack([t.shift for t in tables])
-    suborbits = tables[0].suborbits
     s1, s2 = random_weights(g, k), random_weights(g, k)
-    got = _kernels.quotient_convolve_weights(stack, suborbits, s1, s2)
-    assert got.shape == (4, k)
-    for j, t in enumerate(tables):
-        want = _kernels.quotient_convolve_weights(t.shift, suborbits, s1, s2)
-        assert np.max(np.abs(got[j] - want)) <= 1e-14 * np.abs(want).max()
-    # s1's batch broadcasts against the stack, table j with pair j
-    b1, b2 = random_weights(g, (4, k)), random_weights(g, k)
-    got = _kernels.quotient_convolve_weights(stack, suborbits, b1, b2)
-    for j, t in enumerate(tables):
-        want = _kernels.quotient_convolve_weights(t.shift, suborbits, b1[j], b2)
-        assert np.max(np.abs(got[j] - want)) <= 1e-14 * np.abs(want).max()
     e1, e2 = _exact_weights(g, (k,)), _exact_weights(g, (k,))
-    stacked = ca.StructureTable(Q, stack, suborbits)
-    exact = ca.quotient_convolve_exact(stacked, e1, e2)
-    assert exact.shape == (4, k)
-    for j, t in enumerate(tables):
-        assert exact[j] == ca.quotient_convolve_exact(t, e1, e2)
-    # each byte check counts the stack's tables, and covers the traced peak
-    one_table = tables[0].shift
-    calls = [
-        (_kernels, lambda shift: _kernels.quotient_convolve_weights(shift, suborbits, s1, s2)),
-        (ca.quotient_algebra, lambda shift: ca.quotient_convolve_exact(
-            ca.StructureTable(Q, shift, suborbits), e1, e2)),
-    ]
-    for module, call in calls:
-        checked, peak = checked_peak(monkeypatch, module, lambda: call(stack))
-        monkeypatch.undo()
-        one, _ = checked_peak(monkeypatch, module, lambda: call(one_table))
-        monkeypatch.undo()
-        assert len(checked) == 1 and peak <= checked[0], (module.__name__, peak, checked)
-        assert checked[0] >= 4 * one[0] - 3 * (1 << 13), (module.__name__, checked, one)
+    checked = []
+    monkeypatch.setattr(_kernels, "require_bytes", lambda nbytes, what: checked.append(nbytes))
+    refusal = rf"^shift must be one \({k}, {k}\) table, not "
+    for shift in (np.stack([T.shift, T.shift]), T.shift[:, :-1], T.shift.ravel()):
+        with pytest.raises(ValueError, match=refusal + re.escape(str(shift.shape))):
+            _kernels.quotient_convolve_weights(shift, T.suborbits, s1, s2)
+        with pytest.raises(ValueError, match=refusal):
+            ca.quotient_convolve_exact(ca.StructureTable(Q, shift, T.suborbits), e1, e2)
+    assert checked == []

@@ -467,6 +467,36 @@ def test_an_exponent_per_vector_matches_the_calls_of_each_row():
                 assert _ulps(batch[i], one) <= 4, (name, i)
 
 
+@pytest.mark.parametrize("p", [1, 2.0, 3.0, 1.5, 10.0])
+def test_a_number_and_a_one_element_array_give_the_bits_of_a_number(p):
+    # S4/<(12)>, one vector: p as a number and as a one-element array give,
+    # bit for bit, what numpy's ** gives for a Python number as exponent
+    G = ca.builtin_from_token("S4")
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
+    T, k = ca.structure_table(Q), Q.coset_count
+    g = rng(54)
+    rho = ca.RhoFunction(Q, (1 + g.integers(0, 4, k)) / (1 + g.integers(0, 4, k)))
+    sigma = ca.ComplexMeasure(Q, random_weights(g, k) - (0.5 + 0.5j))
+    phi = ca.DensityFunction(Q, random_weights(g, k) - (0.5 + 0.5j))
+    lam, f, rp = ca.quasi_invariant_lambda(Q, rho), ca.compose_with_projection(Q, phi), \
+        rho.values ** (1.0 / p)
+    kernel = functools.partial(_kernels.quotient_convolve_weights, T.shift, T.suborbits)
+    routes = {
+        "lp_norm": (lambda p: ca.lp_norm(lam, phi, p),
+                    np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p)),
+        "left": (lambda p: ca.lp_action(T, rho, "left", sigma, phi, p).values,
+                 kernel(sigma.weights, phi.values * rp) / rp),
+        "right": (lambda p: ca.lp_action(T, rho, "right", sigma, phi, p).values,
+                  kernel(phi.values * rp, sigma.weights) / rp),
+        "weighted_average_th": (lambda p: ca.weighted_average_th(Q, rho, p, f).values,
+                                ca.average_ph(Q, f).values / rp),
+    }
+    assert type(ca.lp_norm(lam, phi, p)) is float
+    for name, (route, want) in routes.items():
+        for exponent in (p, np.array([p])):
+            assert np.asarray(route(exponent)).tobytes() == want.tobytes(), (name, exponent)
+
+
 @pytest.mark.parametrize("bad", [0.5, np.inf, np.nan])
 @pytest.mark.parametrize("function", ["lp_norm", "lp_action", "weighted_average_th"])
 def test_every_exponent_of_an_array_must_be_finite_and_at_least_one(s3_q, s3_t, function, bad):

@@ -16,7 +16,7 @@ from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_spe
                                build_entry, default_catalog, exit_code, make_context,
                                run_check, run_suite)
 
-from conftest import checked_peak, rng, traced_peak
+from conftest import checked_peak, onehot_counts, rng, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -271,26 +271,107 @@ def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
 
 
 def test_d6_probe_within_its_byte_checks(monkeypatch):
-    # S5/{e}, 120 cosets: one table per exact convolution by default, and all
-    # ten stacked in one; the checks made on the way cover the traced peak
+    # S5/{e}, 120 cosets: one choice per gather by default, and all ten in
+    # one; the probe's one check covers its traced peak and, of that, the
+    # gather's intp index copy, int32 result and mask at 13 bytes per entry
+    # and choice; one byte short refuses the probe
     G = ca.builtin_from_token("S5")
-    ctx = make_context(G, ca.subgroup_from_tokens(G, []))
-    for block_bytes in (verifier._BLOCK_BYTES, 1 << 60):
+    T = make_context(G, ca.subgroup_from_tokens(G, [])).T
+    k, labels, factors = T.coset_count, T.suborbits[0], ca.quotient_algebra._factors
+    want = labels.take(T.shift)
+    for block_bytes, per_gather in ((verifier._BLOCK_BYTES, 1), (1 << 60, 10)):
         monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
-        checked = []
-        for module in (ca.quotient_algebra, ca._kernels):
-            check = module.require_bytes
-            monkeypatch.setattr(module, "require_bytes",
-                                lambda nbytes, what, check=check: checked.append(nbytes)
-                                or check(nbytes, what))
-        peak = traced_peak(lambda: verifier._probe_representatives(rng(73), ctx.T))
-        assert peak <= max(checked), (block_bytes, peak, max(checked))
+        sizes = []
+        monkeypatch.setattr(ca.quotient_algebra, "_factors",
+                            lambda Q, reps: sizes.append(len(reps)) or factors(Q, reps))
+        checked, peak = checked_peak(monkeypatch, verifier,
+                                     lambda: verifier._probe_representatives(rng(73), T))
+        assert sizes == [per_gather] * (10 // per_gather)
+        assert len(checked) == 1 and peak <= checked[0], (block_bytes, peak, checked)
+        shift, _ = factors(T.quotient, verifier._alternative_reps(rng(73), T.quotient, per_gather))
+        gather = traced_peak(lambda: (labels.take(shift) != want).any(axis=(-2, -1)))
+        assert gather <= 13 * per_gather * k * k, (per_gather, gather)
+        monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+        with pytest.raises(CapExceeded, match="^representative probe with 120 cosets needs"):
+            verifier._probe_representatives(rng(73), T)
+        monkeypatch.undo()
+
+
+def _tensor_of(shift, suborbits, h):
+    """counts[a, b, z] = (|H| / r) #{i : suborbits[i, b] = shift[a, z]} from
+    its definition, for any integer shift: one-hot over (i, a, b, z)."""
+    r = suborbits.shape[0]
+    return (suborbits[:, None, :, None] == shift[None, :, None, :]).sum(axis=0) * (h // r)
+
+
+def _faults(labels):
+    """Faults planted in one choice's shift table: rows 0 and 1 swapped
+    (another tensor), an entry moved to another coset of its suborbit (the
+    same tensor, though no permutation), and one moved to another suborbit."""
+    def moved(same):
+        def plant(shift):
+            # the first entry, in row-major order, that has such a coset
+            shift = shift.copy()
+            flat = shift.reshape(-1)
+            i, c = next((i, c) for i, v in enumerate(flat.tolist()) for c in range(len(labels))
+                        if c != v and (labels[c] == labels[v]) == same)
+            flat[i] = c
+            return shift
+        return plant
+
+    faults = {"rows swapped": lambda shift: shift[[1, 0, *range(2, len(labels))]],
+              "other suborbit": moved(False)}
+    if len(set(labels.tolist())) < len(labels):
+        faults["same suborbit"] = moved(True)
+    return faults
+
+
+@pytest.mark.parametrize("pair", [
+    ("builtin:S3", ["(123)"]), ("builtin:Q8", ["i"]), ("builtin:S4", ["(12)(34)", "(13)(24)"]),
+    ("builtin:S3", ["(12)"]), ("builtin:D4", ["(24)"]), ("builtin:S4", ["(12)", "(123)"]),
+    ("builtin:S4", ["(12)"]), ("builtin:A4", ["(12)(34)"]), "relabelled"],
+    ids=["S3/A3", "Q8/<i>", "S4/V4", "S3/<(12)>", "D4/<s>", "S4/S3", "S4/<(12)>",
+         "A4/<(12)(34)>", "S3 relabelled"])
+def test_d6_probe_agrees_with_the_dense_tensor(monkeypatch, relabelled_s3_pair, pair):
+    # the probe's verdict against equality of one-hot count tensors: every
+    # choice's tensor from its definition is T's, and with a fault planted
+    # from the 4th choice on, the probe names the first choice whose planted
+    # tensor differs from T's, or passes when none does
+    G, H = _d6_pair(pair, relabelled_s3_pair)
+    T = make_context(G, H).T
+    Q, h, labels = T.quotient, H.order, T.suborbits[0]
+    choices = verifier._alternative_reps(rng(79), Q, 10)
+    assert all(np.array_equal(onehot_counts(Q, c), T.counts) for c in choices)
+    verifier._probe_representatives(rng(79), T)
+    factors = ca.quotient_algebra._factors
+    for name, plant in _faults(labels).items():
+        planted = [factors(Q, c)[0] if j < 3 else plant(factors(Q, c)[0])
+                   for j, c in enumerate(choices)]
+        differ = [not np.array_equal(_tensor_of(s, T.suborbits, h), T.counts) for s in planted]
+        assert differ == [False] * 3 + [name != "same suborbit"] * 7, name
+
+        seen = []
+
+        def planted_factors(Q, reps):
+            # the probe's choices come in blocks, in order
+            start = len(seen)
+            seen.extend(reps)
+            return np.stack(planted[start:len(seen)]), factors(Q, reps)[1]
+
+        monkeypatch.setattr(ca.quotient_algebra, "_factors", planted_factors)
+        if any(differ):
+            with pytest.raises(verifier._Fail) as err:
+                verifier._probe_representatives(rng(79), T)
+            assert err.value.counterexample["reps"] == choices[differ.index(True)].tolist()
+        else:
+            verifier._probe_representatives(rng(79), T)
+            assert len(seen) == 10
         monkeypatch.undo()
 
 
 def test_d6_probe_leaves_the_trial_draws_untouched(monkeypatch, s3_pair):
     # the first trial draws what it would after the ten representative
-    # choices alone: the probe vectors come from a stream of their own
+    # choices alone: the probe draws nothing else from rng
     G, H = s3_pair
     Q = ca.build_coset_space(G, H)
     g = verifier.rng_for(42, "D6_CONV", 0)
