@@ -4,7 +4,8 @@ Build a finite group, pick a subgroup, and work with complex measures on the
 left-coset space: convolution through exact rational structure constants,
 averaging and lifting operators between the group and the quotient,
 quasi-invariant coset measures, and a seeded verification harness that checks
-the algebraic laws on a catalog of concrete pairs.
+the algebraic laws on a catalog of concrete pairs (`verifier`, loaded on
+first use).
 """
 
 from ._kernels import BACKEND
@@ -36,7 +37,22 @@ from .quotient_ops import (QuotientMeasure, RhoFunction, average_ph,
                            quasi_invariant_lambda, quotient_integral_check,
                            rho_from_dict, rho_ones, solve_mhg_space,
                            validate_rho, weighted_average_th)
-from .verifier import (CHECK_IDS, CatalogEntry, CheckReport, CheckSpec,
-                       default_catalog, exit_code, run_check, run_suite)
 
 __version__ = "0.1.0"
+
+_VERIFIER_NAMES = ("CHECK_IDS", "CatalogEntry", "CheckReport", "CheckSpec",
+                   "default_catalog", "exit_code", "run_check", "run_suite")
+
+
+def __getattr__(name):
+    # import_module, not `from . import verifier`, whose hasattr probe of
+    # this package would call back into __getattr__
+    if name == "verifier" or name in _VERIFIER_NAMES:
+        import importlib
+        verifier = importlib.import_module(".verifier", __name__)
+        return verifier if name == "verifier" else getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_VERIFIER_NAMES, "verifier"})

@@ -99,8 +99,9 @@ def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndar
     holds b's suborbit, whose least member labels it (see _suborbits)."""
     G, k, h = Q.group, Q.coset_count, Q.subgroup.order
     reps = np.asarray(reps, dtype=np.int64)
-    # per entry: the int64 product, its int64 coset and the int32 copy
-    require_bytes(20 * (k * k + h * k) * math.prod(reps.shape[:-1]),
+    # per entry: the int64 product, its int64 coset and the int32 copy; and
+    # numpy's fancy-index buffers
+    require_bytes(20 * (k * k + h * k) * math.prod(reps.shape[:-1]) + (1 << 15),
                   f"structure table with {k} cosets")
     members = np.array(Q.subgroup.members, dtype=np.int64)
     shift = Q.coset_of[G.mul[G.inv[reps][..., :, None], reps[..., None, :]]].astype(np.int32)

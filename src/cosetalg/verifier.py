@@ -59,7 +59,7 @@ class CheckSpec:
 
     def __post_init__(self):
         if self.id not in CHECK_IDS:
-            raise UnknownCheckId(f"unknown check id {self.id!r}")
+            raise UnknownCheckId(f"unknown check id {self.id!r}; the ids are {', '.join(CHECK_IDS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.tolerance is not None and not self.tolerance > 0:

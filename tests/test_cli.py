@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,36 @@ import pytest
 import cosetalg as ca
 from cosetalg.cli import main
 from cosetalg.errors import CapExceeded
+
+
+# every name the package exported when it still imported the verifier eagerly
+PUBLIC_NAMES = """
+    BACKEND CapExceeded CarrierMismatch CosetAlgError NoIdentity NoInverse NonPositive
+    NotAPermutation NotAssociative NotClosed NotCosetConstant UnknownCheckId UnknownName
+    ExactVector FiniteGroup QuotientSpace Subgroup build_coset_space
+    build_from_cayley_table build_from_permutation_generators builtin_catalog
+    builtin_from_token element_order find_element generate_subgroup group_from_dict
+    group_to_dict subgroup_from_members subgroup_from_tokens test_normality
+    ComplexMeasure DensityFunction from_density group_carrier group_convolve integrate
+    measure_from_dict measure_to_dict point_mass quotient_carrier total_variation
+    IdentitySolution StructureTable delta_h embed_density find_left_identity
+    find_two_sided_identity ideal_factorize l1_convolve lp_action lp_norm module_action
+    quotient_convolve quotient_convolve_exact structure_table QuotientMeasure
+    RhoFunction average_ph compose_with_projection lift_to_invariant membership_mgh
+    pushforward_rh quasi_invariant_lambda quotient_integral_check rho_from_dict rho_ones
+    solve_mhg_space validate_rho weighted_average_th CHECK_IDS CatalogEntry CheckReport
+    CheckSpec default_catalog exit_code run_check run_suite __version__
+""".split()
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code, *args):
+    """Run code in a new interpreter that imports cosetalg from src; its
+    stdout's last line."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 def run_cli(capsys, *argv):
@@ -338,8 +372,78 @@ def test_group_file_over_byte_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert "Cayley table of order 6 needs 288 bytes" in err
 
 
-def test_unknown_prop_rejected(capsys):
-    assert run_cli(capsys, "check", "--prop", "NOT_A_CHECK")[0] == 2
+def test_unknown_prop_rejected(capsys, monkeypatch):
+    # the library refuses the id before any group is built, naming the ids
+    from cosetalg import cli, verifier
+    built = []
+    for module in (cli, verifier):
+        monkeypatch.setattr(module, "builtin_from_token", lambda token: built.append(token))
+    assert len(verifier.CHECK_IDS) == 15
+    for extra in ((), ("--group", "builtin:S3", "--subgroup", "(12)")):
+        code, out, err = run_cli(capsys, "check", "--prop", "NOT_A_CHECK", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == ("error: unknown check id 'NOT_A_CHECK'; the ids are "
+                       f"{', '.join(verifier.CHECK_IDS)}\n"), extra
+    assert built == []
+
+
+@pytest.mark.parametrize("prop", ["all", *ca.CHECK_IDS])
+def test_each_prop_runs(capsys, prop):
+    code, out, err = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
+                             "--prop", prop, "--trials", "1", "--format", "json")
+    assert code == 0, err
+    assert [r["id"] for r in json.loads(out)] == list(ca.CHECK_IDS if prop == "all" else [prop])
+
+
+LOADED = """
+import sys, cosetalg, cosetalg.cli
+assert sys.argv[1:] == [] or cosetalg.cli.main(sys.argv[1:]) == 0
+print("cosetalg.verifier" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ((), False),
+    (("groups", "--group", "builtin:S4", "--subgroup", "(12)"), False),
+    (("table", "--group", "builtin:S4", "--subgroup", "(12)"), False),
+    (("conv", "--group", "builtin:S3", "--m1", "{group}", "--m2", "{group}"), False),
+    (("conv", "--quotient", "--group", "builtin:S3", "--subgroup", "(12)",
+      "--m1", "{quotient}", "--m2", "{quotient}"), False),
+    (("check", "--prop", "W0_WEIL", "--trials", "1"), True),
+], ids=["import", "groups", "table", "conv", "conv-quotient", "check"])
+def test_only_check_loads_the_verifier(tmp_path, argv, loaded):
+    files = {"group": {"carrier": "group", "weights": {"(12)": [1, 0]}},
+             "quotient": {"carrier": "quotient", "weights": {"C1": [0.5, 0]}}}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    argv = [a.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for a in argv]
+    assert run_fresh(LOADED, *argv) == str(loaded)
+
+
+def test_verifier_names_load_on_first_use():
+    # every public name resolves as an attribute and by from-import, and dir
+    # lists it; dir and the import itself load no verifier
+    code = """
+import sys, cosetalg
+names = sys.argv[1:]
+assert set(names) <= set(dir(cosetalg)) and "verifier" in dir(cosetalg)
+assert "cosetalg.verifier" not in sys.modules
+verifier = getattr(cosetalg, "verifier")
+assert verifier is sys.modules["cosetalg.verifier"]
+for name in names:
+    value = getattr(cosetalg, name)
+    exec(f"from cosetalg import {name} as imported")
+    assert imported is value, name
+assert cosetalg.run_suite is verifier.run_suite
+try:
+    cosetalg.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("no AttributeError")
+print("ok")
+"""
+    assert run_fresh(code, *PUBLIC_NAMES) == "ok"
 
 
 def test_table_text_format(capsys):

@@ -953,18 +953,33 @@ def test_stacked_factors_give_the_table_of_each_choice(token, gens):
 
 
 def test_stacked_factors_within_their_byte_check(monkeypatch):
-    # S5/<(12)>, 60 cosets: the one check of a stacked gather scales with
-    # the stack, covers the traced peak, and one byte short refuses it
+    # S5/<(12)>, 60 cosets: the one check of a stacked gather is linear in
+    # the stack plus numpy's index buffers, covers the traced peak, and one
+    # byte short refuses it
     G = ca.builtin_from_token("S5")
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
     choices = verifier._alternative_reps(rng(78), Q, 10)
     checked, peak = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, choices))
     assert len(checked) == 1 and peak <= checked[0]
     single, _ = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, choices[0]))
-    assert checked[0] == 10 * single[-1]
+    buffers = 1 << 15
+    assert checked[0] - buffers == 10 * (single[-1] - buffers)
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match="structure table with 60 cosets"):
         qa._factors(Q, choices)
+
+
+@pytest.mark.parametrize("token,gens", [("S4", ["(12)"]), ("S5", ["(12)"]),
+                                        ("S5", ["(12)", "(123)"])],
+                         ids=["S4/<(12)>", "S5/<(12)>", "S5/<(12),(123)>"])
+def test_one_choice_factors_within_their_byte_check(monkeypatch, token, gens):
+    # one representative choice on a small pair: numpy's fancy-index
+    # buffers, not the per-entry arrays, set the traced peak
+    G = ca.builtin_from_token(token)
+    Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
+    qa._factors(Q, Q.reps)
+    checked, peak = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, Q.reps))
+    assert len(checked) == 1 and peak <= checked[0]
 
 
 @pytest.mark.parametrize("bits", [256, 1024])

@@ -86,7 +86,7 @@ def test_a_failure_in_trial_t_records_t_plus_one_trials(monkeypatch, s3_pair):
 
 
 def test_spec_validation():
-    with pytest.raises(UnknownCheckId):
+    with pytest.raises(UnknownCheckId, match=f"'P99_NOPE'; the ids are {', '.join(CHECK_IDS)}$"):
         CheckSpec(id="P99_NOPE")
     with pytest.raises(ValueError):
         CheckSpec(id="W0_WEIL", trials=0)
