@@ -2,9 +2,11 @@
 
 Each is written in gathers, sums over an axis and one matrix product, which
 ExactVector implements too, so each runs on complex128 arrays and exact
-vectors. Operands may carry leading batch axes,
-with the carrier on the last axis: a call on a batch gives, row by row, the
-calls on its vectors. The gathers use take: numpy's fancy indexing after an
+vectors. Operands may carry leading batch axes, with the carrier on the last
+axis: a call on a batch gives, row by row, the calls on its vectors. The
+group convolution runs in row blocks of x, about BLOCK_BYTES of temporaries
+each, so no call holds its n x n expansion, and its bits do not depend on
+the block size. The gathers use take: numpy's fancy indexing after an
 ellipsis, w[..., idx], is about twice as slow on one vector.
 """
 
@@ -19,6 +21,9 @@ from .groups import require_bytes
 # Kept as a constant: benchmark results are stamped with it.
 BACKEND = "numpy"
 
+# temporaries per block of a group convolution's rows x
+BLOCK_BYTES = 1 << 20
+
 
 def _batch_shape(*operands) -> tuple[int, ...]:
     """The leading axes the operands broadcast to, () for single vectors (an
@@ -29,18 +34,51 @@ def _batch_shape(*operands) -> tuple[int, ...]:
     return tuple(map(max, zip(*((1,) * (ndim - len(s)) + s for s in shapes))))
 
 
+def _row_blocks(n: int, entry_bytes: int, vectors: int) -> tuple[int, int]:
+    """(rows x per block, bytes held) of a group convolution of order n at
+    entry_bytes per entry (x, z) and vector: about BLOCK_BYTES a block (sized
+    for one vector when the batch is empty), at least one row and at most n;
+    past one block the running sums count as one row more."""
+    row = entry_bytes * n
+    rows = max(1, min(n, BLOCK_BYTES // (row * max(vectors, 1))))
+    return rows, row * vectors * (rows + (rows < n))
+
+
 def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
-    """out[z] = sum_x w1[x] * w2[x^-1 z], each column summed in x order; the
-    columns z and zh of a right-H-invariant w2 agree bit for bit."""
+    """out[z] = sum_x w1[x] * w2[x^-1 z], each column summed in x order
+    whatever the block size; the columns z and zh of a right-H-invariant w2
+    agree bit for bit."""
     n, batch = mul.shape[0], _batch_shape(w1, w2)
-    # the intp index rows and the complex gather, multiplied in place: 24
-    # bytes per entry from order 120 up, up to 35 below, per vector
-    require_bytes(40 * n * n * math.prod(batch), f"group convolution of order {n}")
-    terms = w2.take(mul[inv], axis=-1)
-    # in place when w2 carries the whole batch
-    terms = np.multiply(w1[..., :, None], terms,
-                        out=terms if terms.shape[:-2] == batch else None)
-    return terms.sum(axis=-2)
+    # per block of rows x, the intp index rows and the complex gather,
+    # multiplied in place: 24 bytes per entry from order 120 up, up to 35
+    # below, per vector
+    rows, nbytes = _row_blocks(n, 40, math.prod(batch))
+    require_bytes(nbytes, f"group convolution of order {n}")
+    return _convolve_rows(mul, inv, w1, w2, batch, rows)
+
+
+def _convolve_rows(mul: np.ndarray, inv: np.ndarray, w1, w2, batch: tuple, rows: int):
+    """group_convolve_weights, unchecked, of operands whose batch axes
+    _batch_shape gives, in blocks of `rows` rows x. A float block carries the
+    running sum into its first row, so every column is still summed in x
+    order; exact blocks add their sums."""
+    out = None
+    for start in range(0, mul.shape[0], rows):
+        stop = start + rows
+        # one block indexes by inv itself: a slice would cost a numpy call
+        terms = w2.take(mul[inv if rows == len(inv) else inv[start:stop]], axis=-1)
+        # in place when w2 carries the whole batch
+        terms = np.multiply(w1[..., start:stop, None], terms,
+                            out=terms if terms.shape[:-2] == batch else None)
+        if out is None:
+            out = terms.sum(axis=-2)
+        elif isinstance(terms, np.ndarray):
+            terms[..., 0, :] += out
+            out = terms.sum(axis=-2)
+        else:
+            out = out + terms.sum(axis=-2)
+        del terms   # before the next block's gather
+    return out
 
 
 def quotient_convolve_weights(shift: np.ndarray, suborbits: np.ndarray, s1, s2):

@@ -101,6 +101,14 @@ class ExactVector:
         return ExactVector._of(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2,
                                self.den * other.den, bound)
 
+    def __add__(self, other: "ExactVector") -> "ExactVector":
+        """Entrywise sum, over the two denominators' least common multiple."""
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        bound = _bound(self.bound, s) + _bound(other.bound, t)
+        r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
+        return ExactVector._of(r1 * s + r2 * t, i1 * s + i2 * t, den, bound)
+
     def __truediv__(self, q: int) -> "ExactVector":
         """Division by an integer q >= 1: the denominator grows by q."""
         return ExactVector._of(self.re, self.im, self.den * _positive_integer(q, "divisor"),

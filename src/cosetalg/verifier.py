@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exact, quotient_algebra
-from ._kernels import _batch_shape, group_convolve_weights, lift_weights, push_weights
+from ._kernels import (_batch_shape, _convolve_rows, _row_blocks, group_convolve_weights,
+                       lift_weights, push_weights)
 from .errors import UnknownCheckId
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
@@ -487,7 +488,8 @@ def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace, count: int = 1
 
 def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> ExactVector:
     """Group convolution over Gaussian rationals, of vectors or batches: the
-    float kernel run on exact vectors."""
+    float kernel run on exact vectors, in row blocks of x that hold about as
+    many bytes as a float block."""
     n = G.order
     bound = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n
     # measured peaks per pair (x, z) and per vector, past a few KB of small
@@ -495,13 +497,14 @@ def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> Exac
     # four products' 30-bit digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
     wide = bound >= 2 ** 63
     rate = 200 + 16 * math.ceil(bound.bit_length() / 30) if wide else 56
-    require_bytes(rate * n * n * math.prod(_batch_shape(w1, w2)) + (1 << 13),
-                  f"exact group convolution of order {n}")
+    batch = _batch_shape(w1, w2)
+    rows, nbytes = _row_blocks(n, rate, math.prod(batch))
+    require_bytes(nbytes + (1 << 13), f"exact group convolution of order {n}")
     if wide:
-        # Python ints before the n^2 gather, which then shares the operands'
-        # ints instead of widening each gathered entry to an int of its own
+        # Python ints before the gather, which then shares the operands' ints
+        # instead of widening each gathered entry to an int of its own
         w1, w2 = w1.widened(), w2.widened()
-    return group_convolve_weights(G.mul, G.inv, w1, w2)
+    return _convolve_rows(G.mul, G.inv, w1, w2, batch, rows)
 
 
 def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:

@@ -204,6 +204,7 @@ def test_int64_edge_sums_and_scales_stay_exact():
     total = top[np.array([[0], [1]])].sum(axis=0)
     assert values(total) == [(F(2 ** 63), F(-(2 ** 62)))] and total.re.dtype == object
     assert values(top * 2) == [(F(2 ** 63), F(-(2 ** 63))), (F(2 ** 63), F(0))]
+    assert values(top + top) == values(top * 2)
     assert values(top * top) == [(F(0), F(-(2 ** 125))), (F(2 ** 124), F(0))]
     assert top == ExactVector(np.full(2, 2 ** 63), np.array([-(2 ** 63), 0]), 2)
     assert ExactVector(np.array([-(2 ** 63)]), np.array([0])).re.dtype == object
@@ -241,7 +242,7 @@ def test_results_are_typed_as_the_validating_constructor_types_them():
         v = ExactVector(*parts, 3)
         m = v[np.array([[0, 1], [2, 3]])]
         results = [v.take(np.array([3, 0]), axis=0), m, v * v, v * 5, v.abs_squared(),
-                   m.sum(axis=0), v[np.array([0, 1])] @ m, v / 7, v.widened()]
+                   m.sum(axis=0), v[np.array([0, 1])] @ m, v / 7, v + v / 7, v.widened()]
         for r in results:
             copy = ExactVector(r.re, r.im, r.den, r.bound)
             assert r == copy and (r.re.dtype, r.im.dtype) == (copy.re.dtype, copy.im.dtype)
@@ -296,6 +297,10 @@ def test_gathers_sums_and_products_match_fraction_oracles(data):
         summed = gathered.sum(axis=axis)
         assert values(summed) == want
         assert summed.re.dtype == (object if summed.bound >= 2 ** 63 else np.int64)
+    # the entrywise sum, over the least common denominator
+    total = u + w
+    assert values(total) == [c_add(x, y) for x, y in zip(values(u), values(w))]
+    assert total.re.dtype == (object if total.bound >= 2 ** 63 else np.int64)
     # u[:rows] @ (rows, cols): a row vector times a matrix
     left = u[np.arange(rows) % size]
     product = left @ gathered

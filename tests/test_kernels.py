@@ -4,6 +4,7 @@ D4/<(24)>, S4/S3) pairs. Counts are integers, so those must be equal."""
 
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cosetalg import _kernels, verifier
 from cosetalg.errors import CapExceeded
 from cosetalg.exact import ExactVector
 
-from conftest import checked_peak, onehot_counts, random_weights, rng
+from conftest import checked_peak, onehot_counts, random_weights, rng, traced_peak
 
 PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
@@ -284,6 +285,115 @@ def test_batched_kernels_within_their_byte_checks(monkeypatch):
         checked, peak = checked_peak(monkeypatch, module, call)
         assert len(checked) == 1 and peak <= checked[0], (module.__name__, peak, checked)
         monkeypatch.undo()
+
+
+# --- the group convolution in row blocks of x -------------------------------
+#
+# The blocks are sized by _kernels.BLOCK_BYTES. A spy on _row_blocks reads the
+# rate per entry that a call sizes its blocks by, and the rows it then gets.
+
+def _spy_row_blocks(monkeypatch):
+    calls = []
+    sizes = _kernels._row_blocks
+
+    def spy(n, entry_bytes, vectors):
+        rows, nbytes = sizes(n, entry_bytes, vectors)
+        calls.append((n, entry_bytes, vectors, rows))
+        return rows, nbytes
+
+    for module in (_kernels, verifier):
+        monkeypatch.setattr(module, "_row_blocks", spy)
+    return calls
+
+
+def _in_blocks_of(monkeypatch, calls, rows, call):
+    """call() with BLOCK_BYTES patched so that it runs `rows` rows x a block."""
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
+    call()
+    n, entry_bytes, vectors, _ = calls[-1]
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", rows * entry_bytes * n * max(vectors, 1))
+    out = call()
+    assert calls[-1][-1] == rows
+    return out
+
+
+def _exact_one_block(mul, inv, w1, w2):
+    """The exact group convolution as written before row blocks: one n x n
+    gather, multiplied and summed over x."""
+    return (w1[..., :, None] * w2.take(mul[inv], axis=-1)).sum(axis=-2)
+
+
+@pytest.mark.parametrize("token,gens", [("S5", ["(12)"]), ("A6", ["(123)"])],
+                         ids=["S5/<(12)>", "A6/<(123)>"])
+def test_group_convolution_bits_do_not_depend_on_the_block_size(monkeypatch, token, gens):
+    # blocks of 1, 7, n - 1 and n rows x: float outputs keep the one-block
+    # bits, nu * lift stays right-H-invariant bit for bit, and exact outputs
+    # keep their values; on single vectors, a batch carried by w2 only (the
+    # in-place multiply), by w1 only, and an empty batch
+    G, Q = _setup(token, gens)
+    n, k = G.order, Q.coset_count
+    g = rng(85)
+    lift = _kernels.lift_weights(Q.coset_of, Q.subgroup.order, random_weights(g, k))
+    shapes = [((n,), (n,)), ((n,), (3, n)), ((3, n), (n,)), ((0, n), (0, n))]
+    calls = _spy_row_blocks(monkeypatch)
+    for s1, s2 in shapes:
+        w1, w2 = random_weights(g, s1), random_weights(g, s2)
+        e1, e2 = _exact_weights(g, s1), _exact_weights(g, s2)
+        floats = [w1, w2 if s2 != (n,) else lift]
+        want = _in_blocks_of(monkeypatch, calls, n,
+                             lambda: _kernels.group_convolve_weights(G.mul, G.inv, *floats))
+        exact_want = _exact_one_block(G.mul, G.inv, e1, e2)
+        for rows in (1, 7, n - 1, n):
+            got = _in_blocks_of(monkeypatch, calls, rows,
+                                lambda: _kernels.group_convolve_weights(G.mul, G.inv, *floats))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (s1, s2, rows)
+            if s2 == (n,):
+                assert np.all(ca.membership_mgh(Q, ca.ComplexMeasure(G, got))), (s1, rows)
+            exact = _in_blocks_of(monkeypatch, calls, rows,
+                                  lambda: verifier._exact_convolution(G, e1, e2))
+            assert exact.shape == exact_want.shape and exact == exact_want, (s1, s2, rows)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "batch"])
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_group_convolution_byte_check_sizes_one_block(monkeypatch, mode, batch):
+    # S6, over several blocks: the kernel's one check covers its traced peak,
+    # and a budget one byte short refuses the call before it allocates
+    G = ca.builtin_from_token("S6")
+    g, shape = rng(86), (*batch, G.order)
+    module, what, call = {
+        "float": (_kernels, "group convolution of order 720",
+                  partial(_kernels.group_convolve_weights, G.mul, G.inv,
+                          random_weights(g, shape), random_weights(g, shape))),
+        "exact": (verifier, "exact group convolution of order 720",
+                  partial(verifier._exact_convolution, G,
+                          _exact_weights(g, shape), _exact_weights(g, shape))),
+    }[mode]
+    calls = _spy_row_blocks(monkeypatch)
+    checked, peak = checked_peak(monkeypatch, module, call)
+    assert calls[-1][-1] < G.order and len(checked) == 1 and peak <= checked[0], (peak, checked)
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=what):
+            call()
+
+    assert traced_peak(refused) < checked[0] // 10
+
+
+def test_exact_group_convolution_fits_a_budget_below_its_whole_expansion(monkeypatch):
+    # S5, four vectors: a budget between one block's request and the
+    # 56 n^2 bytes per vector of the whole expansion, which was refused with
+    # a NaN residual at S7/<(12)>, gives the one-block values
+    G = ca.builtin_from_token("S5")
+    n = G.order
+    g = rng(87)
+    w1, w2 = _exact_weights(g, (4, n)), _exact_weights(g, (4, n))
+    checked, _ = checked_peak(monkeypatch, verifier, lambda: verifier._exact_convolution(G, w1, w2))
+    whole = 56 * n * n * 4 + (1 << 13)
+    assert checked[0] < whole
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", (checked[0] + whole) // 2)
+    assert verifier._exact_convolution(G, w1, w2) == _exact_one_block(G.mul, G.inv, w1, w2)
 
 
 def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
