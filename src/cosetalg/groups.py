@@ -8,9 +8,12 @@ structure is an explicit table. Conventions, pinned by unit tests:
     taken in generator order, one gather of frontier x generators per round
     over an (n, degree) integer array; it records x*g for every element x
     and generator g, and the parent and generator that first reached each
-    element (Schreier vectors), so the Cayley table is assembled column by
-    column in O(n²), one gather per column, with no degree factor. That
-    table is a group table by construction and is not validated again;
+    element (Schreier vectors). Down that tree, round by round, come g*y for
+    every generator g, as (g*parent(y))*h for y = parent(y)*h, and the
+    inverses, as a⁻¹ = h⁻¹*parent(a)⁻¹ for a = parent(a)*h; then the Cayley
+    table is written row by row in O(n²), row a as one gather of row
+    parent(a), with no degree factor. That table is a group table by
+    construction and is not validated again;
   * cosets are left cosets xH, listed by minimal member index, which is also
     the canonical representative.
 """
@@ -281,29 +284,34 @@ def _first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
 
 # --- permutations ---------------------------------------------------------
 
+def _point_names(degree: int) -> tuple[list[str], str]:
+    """The 1-based names of a degree's points, and the separator between the
+    points of a cycle: none for degree <= 9, a comma beyond that."""
+    return [str(i + 1) for i in range(degree)], "" if degree <= 9 else ","
+
+
+def _cycle_notation(p: list[int], names: Sequence[str], sep: str) -> str:
+    """p's disjoint cycles over the point names, each from its least point.
+    It consumes p: each point its cycle walk passes is marked fixed."""
+    cycles = []
+    for i, j in enumerate(p):
+        if j == i:
+            continue
+        cycle = [names[i]]
+        while j != i:
+            cycle.append(names[j])
+            p[j], j = j, p[j]
+        cycles.append("(" + sep.join(cycle) + ")")
+    return "".join(cycles) if cycles else "e"
+
+
 def perm_label(p: Sequence[int]) -> str:
     """Disjoint cycle notation with 1-based points; 'e' for the identity.
 
     Points are written back to back for degree <= 9 and comma-separated
     beyond that, e.g. '(123)' vs '(1,2,13)'.
     """
-    n = len(p)
-    sep = "" if n <= 9 else ","
-    seen = [False] * n
-    cycles = []
-    for i in range(n):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        cycles.append("(" + sep.join(str(k + 1) for k in cyc) + ")")
-    return "".join(cycles) if cycles else "e"
+    return _cycle_notation(list(p), *_point_names(len(p)))
 
 
 def parse_cycles(token: str, degree: int) -> tuple[int, ...]:
@@ -339,7 +347,8 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
     """Breadth-first closure of permutation generators under composition, up
     to DEFAULT_ORDER_CAP elements. Its table is composition itself, a group
     table by construction, so it is not validated again: the identity is
-    element 0, and the inverse of a is where row a of the table holds 0."""
+    element 0, and inverses follow the closure's tree. Labels are formatted
+    from point names made once per build."""
     gens: list[list[int]] = []
     for gi, g in enumerate(generators):
         p = [int(x) for x in g]
@@ -369,22 +378,56 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
                 fresh.append(t)
         front = products[fresh]
         rounds.append(front)
-    del index, products
-
-    n = len(parent)
-    require_bytes(n * n * 8, f"Cayley table of order {n}")
-    steps = np.array(steps, dtype=np.int64).reshape(n, m).T.copy()
-    table = np.empty((n, n), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    for y in range(1, n):   # a∘y = (a∘parent(y))∘g, column by column in BFS order
-        table[:, y] = steps[via[y]][table[:, parent[y]]]
-    inv = table.argmin(axis=1)   # before the freeze: argmin copies a read-only array
     perms = np.concatenate(rounds)
+    generators = tuple(dict.fromkeys(x for x in steps[:m] if x))   # the identity's steps
+    del index, products, rounds
+    mul, inv = _schreier_table(steps, parent, via)
+    del steps, parent, via
+    names, sep = _point_names(degree)
     # labels a row at a time: a whole tolist() would hold degree Python ints
-    # per element; the identity's column of steps lists the generators
-    return FiniteGroup(labels=tuple(perm_label(p.tolist()) for p in perms), mul=_freeze(table),
-                       inv=_freeze(inv), identity=0, name=name, perms=_freeze(perms),
-                       generators=tuple(dict.fromkeys(x for x in steps[:, 0].tolist() if x)))
+    # per element
+    return FiniteGroup(labels=tuple(_cycle_notation(p.tolist(), names, sep) for p in perms),
+                       mul=_freeze(mul), inv=_freeze(inv), identity=0, name=name,
+                       perms=_freeze(perms), generators=generators)
+
+
+def _schreier_table(steps: list[int], parent: list[int],
+                    via: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The Cayley table and the inverses of a breadth-first closure from its
+    Schreier vectors: steps[x * m + j] is the index of x∘gens[j], and each
+    y > 0 is parent[y]∘gens[via[y]], with parent[y] < y and nondecreasing."""
+    n = len(parent)
+    m = len(steps) // n
+    # the table, steps and left (m x n each) and inv, all int64; the tree's
+    # other arrays are freed before the table is made
+    require_bytes(8 * (n * n + 2 * m * n + n), f"Cayley table of order {n}")
+    right = np.array(steps, dtype=np.int64).reshape(n, m)
+    parent_a, via_a = np.array(parent), np.array(via)
+    # the BFS rounds, in which every parent lies in an earlier round
+    bounds = [1]
+    while bounds[-1] < n:
+        bounds.append(int(np.searchsorted(parent_a, bounds[-1])))
+    rounds = [slice(*b) for b in zip(bounds, bounds[1:])]
+    # left[j, y] = gens[j]∘y down the tree, as g∘y = (g∘parent(y))∘gens[via[y]]
+    left = np.empty((m, n), dtype=np.int64)
+    left[:, 0] = right[0]
+    for r in rounds:
+        left[:, r] = right[left[:, parent_a[r]], via_a[r]]
+    del right
+    # a⁻¹ = gens[j]⁻¹∘parent(a)⁻¹, and gens[j]⁻¹∘x is the y where left[j, y] = x
+    left_inv = np.empty_like(left)
+    left_inv[np.arange(m)[:, None], left] = np.arange(n)
+    inv = np.zeros(n, dtype=np.int64)
+    for r in rounds:
+        inv[r] = left_inv[via_a[r], inv[parent_a[r]]]
+    del left_inv, parent_a, via_a, bounds, rounds
+    mul = np.empty((n, n), dtype=np.int64)
+    # rows in BFS order, a∘y = parent(a)∘(g∘y), each taken straight into the
+    # table: mode "clip" writes to out unbuffered, and every index is in range
+    inv.take(inv, out=mul[0], mode="clip")   # a⁻¹⁻¹ = a: the identity's row
+    for a in range(1, n):
+        mul[parent[a]].take(left[via[a]], out=mul[a], mode="clip")
+    return mul, inv
 
 
 # --- builtin catalog -------------------------------------------------------

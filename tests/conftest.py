@@ -104,6 +104,56 @@ def checked_peak(monkeypatch, module, fn):
     return checked, traced_peak(fn)
 
 
+def oracle_perm_label(p) -> str:
+    """Disjoint cycle notation with 1-based points, each point formatted on
+    its own: the reference for the labels a permutation build formats from
+    shared point names."""
+    n = len(p)
+    sep = "" if n <= 9 else ","
+    seen = [False] * n
+    cycles = []
+    for i in range(n):
+        if seen[i] or p[i] == i:
+            seen[i] = True
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = p[j]
+        cycles.append("(" + sep.join(str(k + 1) for k in cyc) + ")")
+    return "".join(cycles) if cycles else "e"
+
+
+def oracle_permutation_group(degree, generators):
+    """(mul, inv, labels) of the breadth-first closure of permutation
+    generators, assembled as the definition reads: the Cayley table column
+    by column, a*y = (a*parent(y))*g, the inverses by an argmin along the
+    rows, and one oracle_perm_label call per element."""
+    gens = [tuple(g) for g in generators]
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    steps, parent, via = [], [0], [0]
+    for x, p in enumerate(elems):   # elems grows while it is walked
+        for j, g in enumerate(gens):
+            y = tuple(p[i] for i in g)   # (p*g)(i) = p(g(i))
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                parent.append(x)
+                via.append(j)
+            steps.append(index[y])
+    n = len(elems)
+    steps = np.array(steps, dtype=np.int64).reshape(n, len(gens)).T
+    table = np.empty((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for y in range(1, n):
+        table[:, y] = steps[via[y]][table[:, parent[y]]]
+    return table, table.argmin(axis=1), tuple(map(oracle_perm_label, elems))
+
+
 def _rref_fractions(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Gauss-Jordan elimination over Fractions: the reference the exact
     solvers' results are compared against."""

@@ -284,7 +284,7 @@ def test_malformed_measure_file_exits_2(tmp_path, capsys, content, message):
 
 
 @pytest.mark.parametrize("budget,what", [
-    (4000, "Cayley table of order 24 needs 4608 bytes"),
+    (4000, "Cayley table of order 24 needs 5568 bytes"),
 ])
 def test_table_over_byte_budget_exits_2(capsys, monkeypatch, budget, what):
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)

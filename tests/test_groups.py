@@ -14,7 +14,7 @@ from cosetalg.errors import (CapExceeded, NoIdentity, NoInverse, NotAPermutation
                              NotAssociative, NotClosed, UnknownName)
 from cosetalg.groups import parse_cycles, perm_label
 
-from conftest import checked_peak, traced_peak
+from conftest import checked_peak, oracle_perm_label, oracle_permutation_group, traced_peak
 
 
 def compose(p, q):
@@ -269,15 +269,16 @@ def test_cap_exceeded(monkeypatch):
 
 
 def test_closure_rows_are_byte_checked_as_they_grow(monkeypatch):
-    # a transposition of degree 2**15: int32 rows of 128 KiB, a 32-byte
-    # table; each round checks the rows so far (as rows and as keys) and
-    # its products (as rows, keys and the next frontier)
+    # a transposition of degree 2**15: int32 rows of 128 KiB, an 80-byte
+    # table phase (the 2 x 2 table, steps, left and inv); each round checks
+    # the rows so far (as rows and as keys) and its products (as rows, keys
+    # and the next frontier)
     degree = 1 << 15
     swap = [1, 0] + list(range(2, degree))
     width = 4 * degree
     checked, _ = checked_peak(monkeypatch, groups,
                               lambda: ca.build_from_permutation_generators(degree, [swap]))
-    assert checked == [width * (2 * 1 + 3 * 1), width * (2 * 2 + 3 * 1), 2 * 2 * 8]
+    assert checked == [width * (2 * 1 + 3 * 1), width * (2 * 2 + 3 * 1), 8 * (4 + 2 * 2 + 2)]
     monkeypatch.undo()
     G = ca.build_from_permutation_generators(degree, [swap])
     assert G.perms.dtype == np.int32 and G.perms.shape == (2, degree)
@@ -305,7 +306,7 @@ def _assert_table_is_composition(degree, gens):
     G = ca.build_from_permutation_generators(degree, gens)
     elems = _bfs_closure(degree, [tuple(g) for g in gens])
     assert [tuple(p) for p in G.perms.tolist()] == elems
-    assert G.labels == tuple(map(perm_label, elems))
+    assert G.labels == tuple(map(oracle_perm_label, elems))
     assert G.perms.shape == (G.order, degree) and G.perms.dtype == np.int16
     assert not G.perms.flags.writeable
     perms = G.perms.astype(np.int64)
@@ -342,6 +343,55 @@ def _permutation_generators(draw):
 @given(_permutation_generators())
 def test_permutation_table_matches_composition(degree_and_gens):
     _assert_table_is_composition(*degree_and_gens)
+
+
+def _assert_build_matches_oracle(degree, gens):
+    G = ca.build_from_permutation_generators(degree, gens)
+    mul, inv, labels = oracle_permutation_group(degree, gens)
+    assert np.array_equal(G.mul, mul) and G.mul.dtype == np.int64
+    assert np.array_equal(G.inv, inv) and G.inv.dtype == np.int64
+    assert G.labels == labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_generators())
+def test_permutation_build_matches_the_column_oracle(degree_and_gens):
+    _assert_build_matches_oracle(*degree_and_gens)
+
+
+# every builtin permutation family, from its least member up to order 720
+@pytest.mark.parametrize("family,n", [
+    ("cyclic", 1), ("cyclic", 2), ("cyclic", 7), ("cyclic", 60), ("cyclic", 720),
+    ("dihedral", 3), ("dihedral", 4), ("dihedral", 10), ("dihedral", 60), ("dihedral", 360),
+    ("symmetric", 2), ("symmetric", 3), ("symmetric", 4), ("symmetric", 5), ("symmetric", 6),
+    ("alternating", 3), ("alternating", 4), ("alternating", 5), ("alternating", 6),
+])
+def test_builtin_families_match_the_column_oracle(family, n):
+    _assert_build_matches_oracle(n, groups._FAMILIES[family][2](n))
+
+
+@pytest.mark.parametrize("token", ["S5", "S6"])
+def test_cayley_rows_are_byte_checked(monkeypatch, token):
+    # the table phase holds the table, steps and left (m x n each) and inv,
+    # 8·(n² + 2mn + n) bytes; the closure's lists come from the build
+    schreier_table, closures = groups._schreier_table, []
+    monkeypatch.setattr(groups, "_schreier_table",
+                        lambda *lists: closures.append(lists) or schreier_table(*lists))
+    G = ca.builtin_from_token(token)
+    monkeypatch.undo()
+    n, m, found = G.order, 2, []
+    checked, peak = checked_peak(monkeypatch, groups,
+                                 lambda: found.extend(groups._schreier_table(*closures[0])))
+    assert checked == [8 * (n * n + 2 * m * n + n)] and peak <= checked[0]
+    assert found[0].tolist() == G.mul.tolist() and found[1].tolist() == G.inv.tolist()
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"^Cayley table of order {n} needs {checked[0]} "):
+            ca.builtin_from_token(token)
+
+    assert traced_peak(refused) < checked[0] // 4   # before the table phase
 
 
 @pytest.mark.parametrize("degree,gens", [
