@@ -1,13 +1,13 @@
 """The weight kernels: group and quotient convolution, lift and pushforward.
 
-Each is written in gathers, sums over an axis and one matrix product, which
-ExactVector implements too, so each runs on complex128 arrays and exact
-vectors. Operands may carry leading batch axes, with the carrier on the last
-axis: a call on a batch gives, row by row, the calls on its vectors. The
-group convolution runs in row blocks of x, about BLOCK_BYTES of temporaries
-each, so no call holds its n x n expansion, and its bits do not depend on
-the block size. The gathers use take: numpy's fancy indexing after an
-ellipsis, w[..., idx], is about twice as slow on one vector.
+Each is written in gathers, sums over an axis or its segments, divisions and
+one matrix product, which ExactVector implements too, so each runs on
+complex128 arrays and exact vectors. Operands may carry leading batch axes,
+with the carrier on the last axis: a call on a batch gives, row by row, the
+calls on its vectors. The group convolution runs in row blocks of x, about
+BLOCK_BYTES of temporaries each, so no call holds its n x n expansion, and its
+bits do not depend on the block size. The gathers use take: numpy's fancy
+indexing after an ellipsis, w[..., idx], is about twice as slow on one vector.
 """
 
 from __future__ import annotations
@@ -81,20 +81,24 @@ def _convolve_rows(mul: np.ndarray, inv: np.ndarray, w1, w2, batch: tuple, rows:
     return out
 
 
-def quotient_convolve_weights(shift: np.ndarray, suborbits: np.ndarray, s1, s2):
-    """out[z] = sum_a s1[a] * v[shift[a, z]], where v = (1/r) sum_i
-    s2[suborbits[i]] is the mean of s2 over each coset's suborbit: a point
-    mass at coset a acts as the left translate by rep_a of that mean. Raises
-    ValueError unless shift is one (k, k) table for suborbits' k cosets."""
-    k = suborbits.shape[-1]
+def quotient_convolve_weights(shift: np.ndarray, segments: tuple, s1, s2):
+    """out[z] = sum_a s1[a] * v[shift[a, z]], where v[c] is the mean of s2
+    over the suborbit of coset c: a point mass at coset a acts as the left
+    translate by rep_a of that mean. The suborbits are the segments (order,
+    starts, sizes, rank) of StructureTable.segments; each is summed once,
+    its members in ascending order, and divided by its size. Raises
+    ValueError unless shift is one (k, k) table for their k cosets."""
+    order, starts, sizes, rank = segments
+    k = len(order)
     if shift.shape != (k, k):
         raise ValueError(f"shift must be one ({k}, {k}) table, not {shift.shape}")
     # the complex gathers and their intp index copies: 16 to 17 bytes per
-    # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, per vector
-    require_bytes((32 * k * k + 24 * suborbits.size) * math.prod(_batch_shape(s1, s2)),
+    # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, and the
+    # means' few gathers of k entries, per vector
+    require_bytes((32 * k * k + 64 * k) * math.prod(_batch_shape(s1, s2)),
                   f"quotient convolution with {k} cosets")
-    v = s2.take(suborbits, axis=-1).sum(axis=-2) / suborbits.shape[0]
-    return (s1[..., None, :] @ v.take(shift, axis=-1))[..., 0, :]
+    means = np.add.reduceat(s2.take(order, axis=-1), starts, axis=-1) / sizes
+    return (s1[..., None, :] @ means.take(rank, axis=-1).take(shift, axis=-1))[..., 0, :]
 
 
 def lift_weights(coset_of: np.ndarray, h: int, s):

@@ -109,10 +109,17 @@ class ExactVector:
         r1, i1, r2, i2 = _integers(bound, self.re, self.im, other.re, other.im)
         return ExactVector._of(r1 * s + r2 * t, i1 * s + i2 * t, den, bound)
 
-    def __truediv__(self, q: int) -> "ExactVector":
-        """Division by an integer q >= 1: the denominator grows by q."""
-        return ExactVector._of(self.re, self.im, self.den * _positive_integer(q, "divisor"),
-                               self.bound)
+    def __truediv__(self, q) -> "ExactVector":
+        """Division by an integer q >= 1, or entrywise by an integer array of
+        them as numpy's / broadcasts: the denominator grows by their least
+        common multiple L, the numerators by L / q, and their bound is then
+        measured (a sum of s terms over s is at most L times a term)."""
+        lcm = math.lcm(*(_positive_integer(v, "divisor") for v in set(np.ravel(q).tolist())))
+        if np.ndim(q) == 0:
+            return ExactVector._of(self.re, self.im, self.den * lcm, self.bound)
+        v = self * (lcm // np.asarray(q, dtype=object))
+        bound = _magnitude(v.re, v.im)
+        return ExactVector._of(*_integers(bound, v.re, v.im), v.den * lcm, bound)
 
     def abs_squared(self) -> "ExactVector":
         """|v_i|^2 entrywise, with zero imaginary part."""
@@ -133,10 +140,17 @@ class ExactVector:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         """np.multiply(a, b, out=...) as a * b, a new vector: `out`, which the
-        kernels pass for float arrays, is not written."""
+        kernels pass for float arrays, is not written; and np.add.reduceat(v,
+        starts, axis=...), the sums of v's segments that begin at `starts`."""
         if ufunc is np.multiply and method == "__call__" and \
                 all(isinstance(x, ExactVector) for x in inputs):
             return inputs[0] * inputs[1]
+        if ufunc is np.add and method == "reduceat":   # v is inputs[0], starts an array
+            v, starts, axis = inputs[0], np.asarray(inputs[1]).tolist(), kwargs.get("axis", 0)
+            ends = starts[1:] + [v.shape[axis]]
+            bound = _bound(v.bound, max((b - a for a, b in zip(starts, ends)), default=0))
+            return ExactVector._of(*(np.add.reduceat(a, starts, axis=axis)
+                                     for a in _integers(bound, v.re, v.im)), v.den, bound)
         return NotImplemented
 
     def equal(self, other: "ExactVector") -> np.ndarray:

@@ -34,7 +34,7 @@ DEFAULT_ORDER_CAP = 10080
 
 # Most bytes the library holds at once for one large operation: a group
 # table or a block of its validation scans, a structure table (its shift
-# and suborbit tables, or a dense view), a group or quotient convolution, or
+# table and labels, or a dense view), a group or quotient convolution, or
 # an identity solve on the suborbit labels.
 # It admits the table of any group within DEFAULT_ORDER_CAP
 # (10080² int64 = 813 MB) and the float64 dense view c up to 511 cosets;
@@ -398,9 +398,10 @@ def _schreier_table(steps: list[int], parent: list[int],
     y > 0 is parent[y]∘gens[via[y]], with parent[y] < y and nondecreasing."""
     n = len(parent)
     m = len(steps) // n
-    # the table, steps and left (m x n each) and inv, all int64; the tree's
-    # other arrays are freed before the table is made
-    require_bytes(8 * (n * n + 2 * m * n + n), f"Cayley table of order {n}")
+    # the table, steps and left (m x n each) and inv, all int64, and 5 KiB
+    # for numpy's small arrays, as in _scan_block; the tree's other arrays
+    # are freed before the table is made
+    require_bytes(8 * (n * n + 2 * m * n + n) + (5 << 10), f"Cayley table of order {n}")
     right = np.array(steps, dtype=np.int64).reshape(n, m)
     parent_a, via_a = np.array(parent), np.array(via)
     # the BFS rounds, in which every parent lies in an earlier round

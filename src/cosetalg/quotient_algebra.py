@@ -7,12 +7,12 @@ lands in coset z, divided by |H|. Rows are probability vectors; they collapse
 to 0/1 exactly when H is normal, in which case the tensor is the Cayley table
 of the factor group. As delta_a * sigma = rep_a . (delta_H * sigma), and
 delta_H * sigma averages sigma over each suborbit (orbit of H on the cosets),
-the tensor is stored as k^2 + r*k integers against k^3: shift[a, z], the
-coset of rep_a^-1 * rep_z, and suborbits, whose column b lists the suborbit
-of b ascending, cycled to r = lcm(suborbit sizes) rows, so that c[a][b][z] =
-#{i : suborbits[i, b] = shift[a, z]} / r. Row 0 labels each coset by its
-suborbit's least member; identity solves read the labels alone, and an
-inconsistent system's residual is sqrt(k - #suborbits) (see _solve_identity).
+the tensor is stored as k^2 + k integers against k^3: shift[a, z], the
+coset of rep_a^-1 * rep_z, and labels[b], the least member of the suborbit
+O_b of b, so that c[a][b][z] = [labels[shift[a, z]] = labels[b]] / |O_b|.
+The suborbits as segments of one ordering are derived from the labels once
+per table; identity solves read the labels alone, and an inconsistent
+system's residual is sqrt(k - #suborbits) (see _solve_identity).
 """
 
 from __future__ import annotations
@@ -39,18 +39,35 @@ from .quotient_ops import (QuotientMeasure, RhoFunction, _exponent, lift_to_inva
 @dataclass(frozen=True)
 class StructureTable:
     """The count tensor of G/H in factored form (see the module docs):
-    c[a, b, z] = #{i : suborbits[i, b] = shift[a, z]} / r. The dense views
+    c[a, b, z] = [labels[shift[a, z]] = labels[b]] / |O_b|. The dense views
     `counts`, in units of 1/|H| (int8 up to |H| = 127, int16 beyond), and
-    `c` are gathered from the suborbit histogram on first access, within
+    `c` are gathered from the suborbit indicator on first access, within
     the byte budget."""
 
     quotient: QuotientSpace
     shift: np.ndarray         # (k, k) int32: coset of rep_a^-1 * rep_z
-    suborbits: np.ndarray     # (r, k) int32: b's suborbit ascending, cycled to r rows
+    labels: np.ndarray        # (k,) int32: least member of each coset's suborbit
 
     @property
     def coset_count(self) -> int:
         return self.quotient.coset_count
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, ...]:
+        """The suborbits the labels define, as the quotient kernel reads them,
+        from one bincount and one stable argsort: `order` lists the cosets by
+        label, so suborbit i is order[starts[i]:starts[i] + sizes[i]],
+        ascending, and rank[c] is the suborbit of coset c."""
+        counts = np.bincount(self.labels, minlength=self.coset_count)
+        used = counts > 0
+        sizes = counts[used]
+        return (np.argsort(self.labels, kind="stable"), np.cumsum(sizes) - sizes, sizes,
+                (np.cumsum(used) - 1).take(self.labels))
+
+    @property
+    def suborbit_sizes(self) -> np.ndarray:
+        """|O_b| for each coset b."""
+        return self.segments[2].take(self.segments[3])
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -65,26 +82,26 @@ class StructureTable:
         return self._dense(np.dtype(np.float64))
 
     def _dense(self, dtype: np.dtype) -> np.ndarray:
-        """counts[a, b, z] = m[shift[a, z], b] for the suborbit histogram m[w, b]
-        = #{i : suborbits[i, b] = w}, in dtype (float: divided by r, integer:
-        times |H|/r): one gather of whole rows of m, read through a transposed
-        view. Raises ValueError when a row of shift is not a permutation."""
+        """counts[a, b, z] = m[shift[a, z], b] for the suborbit indicator
+        m[w, b] = [labels[w] = labels[b]], in dtype (float: divided by |O_b|,
+        integer: times |H|/|O_b|): one gather of whole rows of m, read through
+        a transposed view. Raises ValueError when a row of shift is not a
+        permutation."""
         k, size = self.coset_count, dtype.itemsize
-        # the view, then m in dtype with either m as int64 or the gather's
+        # the view, then m in dtype with either the boolean m or the gather's
         # intp copy of shift, and the permutation test's buffers
         require_bytes(k * k * (k * size + size + 8) + (1 << 15),
                       f"dense structure tensor with {k} cosets")
         if not rows_are_permutations(self.shift, k):
             raise ValueError("corrupt structure table: a row of shift is not a permutation")
-        r = self.suborbits.shape[0]
-        m = np.bincount((self.suborbits * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
-        m = m / r if dtype.kind == "f" else m.astype(dtype) * (self.quotient.subgroup.order // r)
+        m, sizes = self.labels[:, None] == self.labels, self.suborbit_sizes
+        m = m / sizes if dtype.kind == "f" else \
+            m.astype(dtype) * (self.quotient.subgroup.order // sizes).astype(dtype)
         return _freeze(m.take(self.shift, axis=0).transpose(0, 2, 1))
 
     def row(self, a: int, b: int) -> list[Fraction]:
-        r = self.suborbits.shape[0]
-        return [Fraction(int(v), r)
-                for v in (self.suborbits[:, b, None] == self.shift[a]).sum(axis=0)]
+        size = int(self.suborbit_sizes[b])
+        return [Fraction(int(v), size) for v in self.labels.take(self.shift[a]) == self.labels[b]]
 
 
 def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
@@ -96,7 +113,7 @@ def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
 def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Int32 shift tables (..., k, k) and suborbit labels (..., k) of
     representative choices (..., k): column b of H's action on the cosets
-    holds b's suborbit, whose least member labels it (see _suborbits)."""
+    holds b's suborbit, whose least member labels it."""
     G, k, h = Q.group, Q.coset_count, Q.subgroup.order
     reps = np.asarray(reps, dtype=np.int64)
     # per entry: the int64 product, its int64 coset and the int32 copy; and
@@ -106,24 +123,12 @@ def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndar
     members = np.array(Q.subgroup.members, dtype=np.int64)
     shift = Q.coset_of[G.mul[G.inv[reps][..., :, None], reps[..., None, :]]].astype(np.int32)
     labels = Q.coset_of[G.mul[members[:, None], reps[..., None, :]]].min(axis=-2)
-    return _freeze(shift), labels
-
-
-def _suborbits(labels: np.ndarray) -> np.ndarray:
-    """The suborbits table of one choice's labels: a stable sort by label
-    lists each suborbit ascending, from position start[label] on."""
-    sizes = np.bincount(labels, minlength=len(labels))
-    start = np.cumsum(sizes) - sizes
-    order = np.argsort(labels, kind="stable")
-    sizes, start = sizes[labels], start[labels]
-    r = math.lcm(*set(sizes.tolist()))
-    return _freeze(order[start + np.arange(r)[:, None] % sizes].astype(np.int32))
+    return _freeze(shift), _freeze(labels.astype(np.int32))
 
 
 def structure_table(Q: QuotientSpace, reps: Optional[Sequence[int]] = None) -> StructureTable:
     """The table of Q from a representative choice, by default Q.reps."""
-    shift, labels = _factors(Q, Q.reps if reps is None else reps)
-    return StructureTable(Q, shift, _suborbits(labels))
+    return StructureTable(Q, *_factors(Q, Q.reps if reps is None else reps))
 
 
 def delta_h(Q: QuotientSpace) -> ComplexMeasure:
@@ -137,7 +142,7 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
                       sigma2: ComplexMeasure) -> ComplexMeasure:
     """(sigma1 * sigma2)({z}) = sum_{a,b} sigma1({a}) sigma2({b}) c[a][b][z]."""
     _require_same(T.quotient, sigma1, sigma2)
-    w = quotient_convolve_weights(T.shift, T.suborbits, sigma1.weights, sigma2.weights)
+    w = quotient_convolve_weights(T.shift, T.segments, sigma1.weights, sigma2.weights)
     return ComplexMeasure(sigma1.carrier, w)
 
 
@@ -148,16 +153,16 @@ def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
     k = T.coset_count
     if s1.shape[-1] != k or s2.shape[-1] != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # measured peaks per entry of k² + r·k and per vector past ~4 KB: 17 to
-    # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands widen,
-    # and ~6k wide ints at 4 bytes per 30-bit digit of bound
-    entries = k * k + T.suborbits.size
-    bound = 2 * max(s1.bound, 1) * max(s2.bound, 1) * T.suborbits.size
-    per_vector = (120 * entries + 24 * k * math.ceil(bound.bit_length() / 30)
-                  if bound >= 2 ** 63 else 40 * entries)
+    # peaks per entry of k² + 4k and per vector past ~4 KB: 17 to 33 bytes on
+    # int64 or Python ints, 87 to 114 when int64 operands widen, and ~6k wide
+    # ints at 4 bytes per 30-bit digit of bound; each mean's numerator is at
+    # most lcm(sizes) times s2's
+    bound = 2 * max(s1.bound, 1) * max(s2.bound, 1) * math.lcm(*set(T.suborbit_sizes.tolist())) * k
+    per_vector = (120 * (k * k + 4 * k) + 24 * k * math.ceil(bound.bit_length() / 30)
+                  if bound >= 2 ** 63 else 40 * (k * k + 4 * k))
     require_bytes(per_vector * math.prod(_batch_shape(s1, s2)) + (1 << 13),
                   f"exact quotient convolution with {k} cosets")
-    return quotient_convolve_weights(T.shift, T.suborbits, s1, s2)
+    return quotient_convolve_weights(T.shift, T.segments, s1, s2)
 
 
 def module_action(Q: QuotientSpace, mu: ComplexMeasure,
@@ -196,7 +201,7 @@ def l1_convolve(T: StructureTable, lam: QuotientMeasure,
     """
     _require_same(T.quotient, lam, phi, psi)
     rho = lam.rho.values
-    out = quotient_convolve_weights(T.shift, T.suborbits,
+    out = quotient_convolve_weights(T.shift, T.segments,
                                     lam.weights * phi.values, psi.values * rho) / rho
     return DensityFunction(phi.carrier, out)
 
@@ -226,7 +231,7 @@ def lp_action(T: StructureTable, rho: RhoFunction, side: str,
     rp = rho.values ** (1.0 / p)
     weighted = phi.values * rp
     s1, s2 = (sigma.weights, weighted) if side == "left" else (weighted, sigma.weights)
-    out = quotient_convolve_weights(T.shift, T.suborbits, s1, s2) / rp
+    out = quotient_convolve_weights(T.shift, T.segments, s1, s2) / rp
     return DensityFunction(phi.carrier, out)
 
 
@@ -285,24 +290,22 @@ def _solve_identity(T: StructureTable) -> IdentitySolution:
 
     The argument reads the labels as H's orbits and the rows of shift as
     translations. A table whose base-coset rows do not pin delta_H, with a
-    column that leaves its suborbit or is not labelled by its least member,
-    or, when d < k, with a row of shift that is no permutation, raises
+    suborbit that is not labelled by its least member, or, when d < k, with
+    a row of shift that is no permutation, raises
     ValueError; consistent labels and permutation rows that form no group
     action get delta_H's residual, which can exceed the least-squares minimum.
     """
-    k, base, labels = T.coset_count, T.quotient.base_coset, T.suborbits[0]
-    # the mask of shift, the labels gathered through suborbits with its intp
-    # index copy and their mask, and the array headers and Python objects of
-    # any call (up to 9 KB measured)
-    require_bytes(k * k + 14 * T.suborbits.size + 16 * k + (1 << 14),
-                  f"identity decision with {k} cosets")
+    k, base, labels = T.coset_count, T.quotient.base_coset, T.labels
+    # the mask of shift, the labels gathered through themselves and through
+    # shift[base] with their intp index copies and masks, and the array
+    # headers and Python objects of any call (up to 9 KB measured)
+    require_bytes(k * k + 32 * k + (1 << 14), f"identity decision with {k} cosets")
     if not (np.flatnonzero(labels == base).tolist() == [base]
             and np.count_nonzero(T.shift == base) == k and (T.shift.diagonal() == base).all()
             and (labels[T.shift[base]] == labels).all()):
         raise ValueError("corrupt structure table: the base-coset rows do not pin delta_H")
-    if not ((labels[T.suborbits] == labels).all() and (T.suborbits >= labels).all()):
-        raise ValueError("corrupt structure table: a column leaves its suborbit "
-                         "or is not labelled by its least member")
+    if not (((0 <= labels) & (labels <= np.arange(k))).all() and (labels[labels] == labels).all()):
+        raise ValueError("corrupt structure table: a suborbit is not labelled by its least member")
     d = int(np.count_nonzero(labels == np.arange(k)))
     if d == k:
         return IdentitySolution(solution=tuple(exact.unit_vector(k, base)),

@@ -127,8 +127,12 @@ def average_ph(Q: QuotientSpace, f: DensityFunction) -> DensityFunction:
 def _exponent(p):
     """An L^p exponent as the entries of a vector read it: the float64 array
     of p, one number or one exponent per vector of a batch, with an axis
-    appended for the entries. Raises ValueError unless every p is finite and
-    >= 1."""
+    appended for the entries. Raises TypeError unless p is an integer or
+    float or an array of them (not a str, bytes or bool), ValueError unless
+    every p is finite and >= 1."""
+    if np.asarray(p).dtype.kind not in "iuf":
+        raise TypeError("p must be an integer or float, not "
+                        f"{getattr(p, 'dtype', type(p).__name__)}")
     p = np.asarray(p, dtype=np.float64)[..., None]
     if not ((1 <= p) & (p < np.inf)).all():
         raise ValueError("p must be finite and >= 1")

@@ -36,7 +36,7 @@ from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      subgroup_from_tokens, test_normality)
 from .measures import (ComplexMeasure, DensityFunction, from_density,
                        group_convolve, integrate, point_mass, total_variation)
-from .quotient_algebra import (IdentitySolution, StructureTable, _suborbits, delta_h,
+from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                embed_density, find_left_identity,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
@@ -511,14 +511,11 @@ def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
     """Raise _Fail at the first of ten random representative choices whose
     tensor differs from T's. In the factored table c[a][b][z] =
     [labels[shift[a, z]] = labels[b]] / |O_b|, O_b the suborbit of b, so a
-    choice gives T's tensor exactly when its labels are T's, T's suborbits
-    are the table of those labels, and labels[shift] = labels[T.shift] entry
-    by entry. The choices come from rng."""
-    Q, k, labels = T.quotient, T.coset_count, T.suborbits[0]
+    choice gives T's tensor exactly when its labels are T's and
+    labels[shift] = labels[T.shift] entry by entry. The choices come from
+    rng."""
+    Q, k, labels = T.quotient, T.coset_count, T.labels
     choices = _alternative_reps(rng, Q, 10)
-    # a choice's suborbits are the table of its labels, whose row 0 they
-    # are: they equal T's iff its labels are T's and T's is that table
-    canonical = np.array_equal(_suborbits(labels), T.suborbits)
     # as many choices per gather as _factors' byte check fits in a block
     block = min(len(choices), max(1, _BLOCK_BYTES // (20 * (k * k + Q.subgroup.order * k))))
     # T's gathered labels, and per choice its shift and the gather's intp
@@ -534,7 +531,7 @@ def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
 
     for start in range(0, len(choices), block):
         reps = choices[start:start + block]
-        differ = (not canonical) | differs(reps)
+        differ = differs(reps)
         if differ.any():
             raise _Fail({"reason": "tensor depends on representative choice",
                          "reps": reps[differ.argmax()].tolist()})
@@ -610,14 +607,14 @@ def _is_delta_h(sol: IdentitySolution, Q: QuotientSpace) -> bool:
 def _right_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
     """None when the base coset acts as a right identity on every point mass;
     otherwise the first coset index witnessing failure: delta_a * delta_H is
-    delta_a iff the base column of suborbits holds one coset, found at a
-    alone in row a of shift."""
-    k, column = T.coset_count, T.suborbits[:, Q.base_coset]
+    delta_a iff the base coset is a suborbit of its own, found at a alone in
+    row a of shift."""
+    k, base = T.coset_count, Q.base_coset
     # the mask of shift, its row counts and its diagonal
     require_bytes(k * k + 16 * k + (1 << 16), f"right identity test with {k} cosets")
-    hits = T.shift == column[0]
+    hits = T.shift == base
     bad = np.flatnonzero((np.count_nonzero(hits, axis=1) != 1) | ~hits.diagonal()
-                         | (column != column[0]).any())
+                         | (T.suborbit_sizes[base] != 1))
     return int(bad[0]) if len(bad) else None
 
 
@@ -651,8 +648,9 @@ def _check_c13_unique_id(spec, ctx, rng):
 def _left_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
     """None when the base coset acts as a left identity on every point mass;
     otherwise the first coset index witnessing failure: delta_H * delta_b is
-    delta_b iff column b of suborbits holds shift[base, b] alone."""
-    bad = np.flatnonzero((T.suborbits != T.shift[Q.base_coset]).any(axis=0))
+    delta_b iff coset b is a suborbit of its own and shift[base, b] = b."""
+    k = T.coset_count
+    bad = np.flatnonzero((T.suborbit_sizes != 1) | (T.shift[Q.base_coset] != np.arange(k)))
     return int(bad[0]) if len(bad) else None
 
 
@@ -675,15 +673,15 @@ def _check_c14_involution(spec, ctx, rng):
 
 def _point_mass_products(T: StructureTable, Q: QuotientSpace) -> bool:
     """Whether every product of two point masses is a point mass: every
-    column b of suborbits holds one coset, found in row a of shift at the
-    coset of rep_a * rep_b."""
-    k, labels = T.coset_count, T.suborbits[0]
+    coset b is a suborbit of its own, found in row a of shift at the coset
+    of rep_a * rep_b."""
+    k = T.coset_count
     # the int64 index z (two int64 gathers while it is built), then, with z
     # held, the gathered int32 shift entries and their mask
     require_bytes(16 * k * k + (1 << 16), f"point-mass product test with {k} cosets")
     z = Q.coset_of[Q.group.mul[Q.reps[:, None], Q.reps[None, :]]]
-    return bool((T.suborbits == labels).all()
-                and (T.shift[np.arange(k)[:, None], z] == labels).all())
+    return bool((T.suborbit_sizes == 1).all()
+                and (T.shift[np.arange(k)[:, None], z] == np.arange(k, dtype=T.shift.dtype)).all())
 
 
 def _check_p15_normality(spec, ctx, rng):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -71,6 +72,28 @@ def onehot_counts(Q, reps=None):
     z = Q.coset_of[mul[left[:, :, None], reps[None, None, :]]]
     onehot = z[:, :, :, None] == np.arange(k)[None, None, None, :]
     return onehot.sum(axis=1, dtype=np.int64)
+
+
+def cycled_suborbits(labels):
+    """The suborbit table of least-member labels as it was once stored:
+    column b lists b's suborbit ascending, cycled to r = lcm(suborbit sizes)
+    rows, so that c[a, b, z] = #{i : suborbits[i, b] = shift[a, z]} / r."""
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels, minlength=len(labels))
+    start = np.cumsum(sizes) - sizes
+    order = np.argsort(labels, kind="stable")
+    sizes, start = sizes[labels], start[labels]
+    r = math.lcm(*set(sizes.tolist()))
+    return order[start + np.arange(r)[:, None] % sizes]
+
+
+def cycled_quotient_convolve(shift, labels, s1, s2):
+    """The quotient convolution read off the cycled suborbit table: the mean
+    of s2 over each coset's suborbit as the sum of the table's r rows over
+    r, then s1 @ mean[shift]; on arrays and exact vectors alike."""
+    suborbits = cycled_suborbits(labels)
+    v = s2.take(suborbits, axis=-1).sum(axis=-2) / suborbits.shape[0]
+    return (s1[..., None, :] @ v.take(shift, axis=-1))[..., 0, :]
 
 
 def rng(seed=0):

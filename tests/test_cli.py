@@ -101,6 +101,27 @@ def test_table_worked_example(capsys):
             assert sum(Fraction(v) for v in row) == 1
 
 
+# table --format json, recorded before the structure table stored one label
+# per coset: exact Fractions, so the bytes depend on no float kernel
+TABLES = Path(__file__).resolve().parent / "data" / "tables"
+PINNED_TABLES = {
+    "S4_12": ("S4", "(12)"),
+    "S4_S3": ("S4", "(12),(123)"),
+    "A4_V4": ("A4", "(12)(34),(13)(24)"),
+    "S5_12_123": ("S5", "(12),(123)"),
+    "D6_26_35": ("D6", "(26)(35)"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TABLES)
+def test_table_json_matches_its_pinned_bytes(capsys, name):
+    group, subgroup = PINNED_TABLES[name]
+    code, out, err = run_cli(capsys, "table", "--group", f"builtin:{group}",
+                             "--subgroup", subgroup, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.encode() == (TABLES / f"{name}.json").read_bytes()
+
+
 def test_conv_quotient_worked_example(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -284,7 +305,7 @@ def test_malformed_measure_file_exits_2(tmp_path, capsys, content, message):
 
 
 @pytest.mark.parametrize("budget,what", [
-    (4000, "Cayley table of order 24 needs 5568 bytes"),
+    (4000, "Cayley table of order 24 needs 10688 bytes"),
 ])
 def test_table_over_byte_budget_exits_2(capsys, monkeypatch, budget, what):
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", budget)
@@ -312,13 +333,14 @@ def test_table_needs_no_dense_tensor(capsys, monkeypatch):
 
 
 def test_check_over_byte_budget_exits_2(capsys, monkeypatch):
-    # a refused coset space is an input error, not a failing check
-    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 10000)
-    code, out, err = run_cli(capsys, "check", "--group", "builtin:S4", "--subgroup", "(12)",
-                             "--trials", "1", "--format", "json")
+    # a refused coset space is an input error, not a failing check: S4/S3,
+    # whose Cayley table (10688 bytes) fits the budget
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 10700)
+    code, out, err = run_cli(capsys, "check", "--group", "builtin:S4", "--subgroup",
+                             "(12),(123)", "--trials", "1", "--format", "json")
     assert (code, out) == (2, "")
-    assert err == ("error: coset space of order 24 needs 10496 bytes, "
-                   "over the byte budget of 10000 bytes\n")
+    assert err == ("error: coset space of order 24 needs 10752 bytes, "
+                   "over the byte budget of 10700 bytes\n")
 
 
 def test_missing_group_file_exits_2(tmp_path, capsys, monkeypatch):

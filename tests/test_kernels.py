@@ -2,19 +2,22 @@
 their slow definitions, on normal (Q8/<i>) and non-normal (S3/<(12)>,
 D4/<(24)>, S4/S3) pairs. Counts are integers, so those must be equal."""
 
+import math
 import re
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
 from cosetalg import _kernels, verifier
 from cosetalg.errors import CapExceeded
 from cosetalg.exact import ExactVector
 
-from conftest import checked_peak, onehot_counts, random_weights, rng, traced_peak
+from conftest import (checked_peak, cycled_quotient_convolve, cycled_suborbits, onehot_counts,
+                      random_weights, rng, traced_peak)
 
 PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
@@ -77,7 +80,7 @@ def test_quotient_convolve_kernel_oracle(token, gens):
     s1 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     s2 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     T = ca.structure_table(Q)
-    got = _kernels.quotient_convolve_weights(T.shift, T.suborbits, s1, s2)
+    got = _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
     qc = ca.quotient_carrier(Q)
     lifted = [ca.lift_to_invariant(Q, ca.ComplexMeasure(qc, s)) for s in (s1, s2)]
     want = ca.pushforward_rh(Q, ca.group_convolve(G, *lifted)).weights
@@ -181,7 +184,8 @@ def _group_one_vector(mul, inv, w1, w2):
     return terms.sum(axis=0)
 
 
-def _quotient_one_vector(shift, suborbits, s1, s2):
+def _quotient_one_vector(shift, labels, s1, s2):
+    suborbits = cycled_suborbits(labels)
     v = s2[suborbits].sum(axis=0) / suborbits.shape[0]
     return s1 @ v[shift]
 
@@ -200,8 +204,8 @@ def test_one_vector_calls_keep_their_bits(token, gens):
     w1, w2 = random_weights(g, G.order), random_weights(g, G.order)
     h = Q.subgroup.order
     pairs = [
-        (_kernels.quotient_convolve_weights(T.shift, T.suborbits, s1, s2),
-         _quotient_one_vector(T.shift, T.suborbits, s1, s2)),
+        (_kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2),
+         _quotient_one_vector(T.shift, T.labels, s1, s2)),
         (_kernels.group_convolve_weights(G.mul, G.inv, w1, w2),
          _group_one_vector(G.mul, G.inv, w1, w2)),
         (_kernels.lift_weights(Q.coset_of, h, s1), s1[Q.coset_of] / h),
@@ -226,7 +230,7 @@ def test_batched_kernels_match_their_rows(token, gens):
     gs = [random_weights(g, (2, 3, n)) for _ in range(2)]
 
     def quotient(a, b):
-        return _kernels.quotient_convolve_weights(T.shift, T.suborbits, a, b)
+        return _kernels.quotient_convolve_weights(T.shift, T.segments, a, b)
 
     def group(a, b):
         return _kernels.group_convolve_weights(G.mul, G.inv, a, b)
@@ -277,7 +281,7 @@ def test_batched_kernels_within_their_byte_checks(monkeypatch):
     f1, f2 = _exact_weights(g, (8, n)), _exact_weights(g, (8, n))
     calls = [
         (_kernels, lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)),
-        (_kernels, lambda: _kernels.quotient_convolve_weights(T.shift, T.suborbits, s1, s2)),
+        (_kernels, lambda: _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)),
         (ca.quotient_algebra, lambda: ca.quotient_convolve_exact(T, e1, e2)),
         (verifier, lambda: verifier._exact_convolution(G, f1, f2)),
     ]
@@ -410,7 +414,56 @@ def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
     refusal = rf"^shift must be one \({k}, {k}\) table, not "
     for shift in (np.stack([T.shift, T.shift]), T.shift[:, :-1], T.shift.ravel()):
         with pytest.raises(ValueError, match=refusal + re.escape(str(shift.shape))):
-            _kernels.quotient_convolve_weights(shift, T.suborbits, s1, s2)
+            _kernels.quotient_convolve_weights(shift, T.segments, s1, s2)
         with pytest.raises(ValueError, match=refusal):
-            ca.quotient_convolve_exact(ca.StructureTable(Q, shift, T.suborbits), e1, e2)
+            ca.quotient_convolve_exact(ca.StructureTable(Q, shift, T.labels), e1, e2)
     assert checked == []
+
+
+# --- the quotient kernel's segment sums against the cycled suborbit table ----
+#
+# The kernel sums each suborbit once; the cycled table, kept in conftest as
+# the oracle, summed r = lcm(suborbit sizes) rows. Where r <= 2 the two add
+# the same terms in the same order, so float outputs keep their bits; beyond,
+# they differ by roundoff. Exact outputs are equal wherever.
+
+_groups = lru_cache(maxsize=None)(ca.builtin_from_token)
+
+
+def _assert_matches_the_cycled_oracle(T, g):
+    k = T.coset_count
+    r = math.lcm(*set(T.suborbit_sizes.tolist()))
+    for shape in ((k,), (2, k)):
+        s1, s2 = random_weights(g, shape), random_weights(g, shape)
+        got = _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
+        want = cycled_quotient_convolve(T.shift, T.labels, s1, s2)
+        assert got.shape == want.shape
+        if r <= 2:
+            assert got.tobytes() == want.tobytes(), r
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), r
+        e1, e2 = _exact_weights(g, shape), _exact_weights(g, shape)
+        assert ca.quotient_convolve_exact(T, e1, e2) == \
+            cycled_quotient_convolve(T.shift, T.labels, e1, e2)
+
+
+@pytest.mark.parametrize("token,gens", [
+    *((e.group, e.subgroup) for e in verifier.default_catalog()),
+    ("S4", ["(12)"]), ("D6", ["(26)(35)"]), ("S5", ["(12)", "(123)"]),
+    ("S6", ["(12)", "(345)"]), ("S6", ["(12)", "(12345)"]), ("S6", ["(12)"])],
+    ids=[*(e.name for e in verifier.default_catalog()), "S4/<(12)>", "D6/<(26)(35)>",
+         "S5/<(12),(123)>", "S6/<(12),(345)>", "S6/<(12),(12345)>", "S6/<(12)>"])
+def test_segment_sums_match_the_cycled_oracle(token, gens):
+    G = _groups(token)
+    T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, list(gens))))
+    _assert_matches_the_cycled_oracle(T, rng(88))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_segment_sums_match_the_cycled_oracle_on_random_subgroups(data):
+    # H generated by up to three random elements of S4 or S5
+    G = _groups(data.draw(st.sampled_from(["S4", "S5"])))
+    H = ca.generate_subgroup(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=3)))
+    T = ca.structure_table(ca.build_coset_space(G, H))
+    _assert_matches_the_cycled_oracle(T, rng(data.draw(st.integers(0, 2 ** 32 - 1))))

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from cosetalg.groups import perm_label
 from cosetalg.verifier import (_l1_convolve_operator, _lp_action_operator,
                                build_entry, default_catalog)
 
-from conftest import (_rref_fractions, checked_peak, onehot_counts, random_weights, rng,
-                      traced_peak)
+from conftest import (_rref_fractions, checked_peak, cycled_quotient_convolve, onehot_counts,
+                      random_weights, rng, traced_peak)
 
 # independently derived count tensor for S3 / <(12)>, cosets
 # C0={e,(12)}, C1={(123),(13)}, C2={(23),(132)}, |H| = 2
@@ -39,7 +40,7 @@ def random_measure(g, Q):
 
 
 def test_structure_table_s3_frozen(s3_t):
-    assert np.array_equal(s3_t.suborbits, [[0, 1, 1], [0, 2, 2]])
+    assert np.array_equal(s3_t.labels, [0, 1, 1])
     assert np.array_equal(s3_t.counts, S3_COUNTS)
     assert s3_t.row(1, 2) == [Fraction(1, 2), Fraction(0), Fraction(1, 2)]
 
@@ -54,7 +55,7 @@ def test_structure_table_row_stochastic_catalog():
 
 def test_normal_subgroup_gives_factor_group_table(s3, s3_a3):
     T = ca.structure_table(ca.build_coset_space(s3, s3_a3))
-    assert np.array_equal(T.suborbits, [[0, 1]])     # every suborbit a single coset
+    assert np.array_equal(T.labels, [0, 1])     # every suborbit a single coset
     # the induced table is the Cayley table of C2
     factor = np.argmax(T.counts, axis=2)
     assert np.array_equal(factor, [[0, 1], [1, 0]])
@@ -63,7 +64,7 @@ def test_normal_subgroup_gives_factor_group_table(s3, s3_a3):
 def test_trivial_subgroup_table_is_cayley(s3):
     Q = ca.build_coset_space(s3, ca.generate_subgroup(s3, []))
     T = ca.structure_table(Q)
-    assert np.array_equal(T.suborbits, [np.arange(6)])
+    assert np.array_equal(T.labels, np.arange(6))
     assert np.array_equal(np.argmax(T.counts, axis=2), s3.mul)
 
 
@@ -79,7 +80,7 @@ def test_representative_independence_exhaustive(s3_q, d4):
             assert np.array_equal(ca.structure_table(Q, choice).counts, base)
 
 
-# (k, |H|, r, d): cosets, subgroup order, rows of suborbits, suborbits
+# (k, |H|, r, d): cosets, subgroup order, lcm of the suborbit sizes, suborbits
 SUBORBIT_PAIRS = {
     "S3/<(12)>": (("S3", ["(12)"]), (3, 2, 2, 2)),
     "S3 relabelled": (None, (3, 2, 2, 2)),
@@ -94,8 +95,8 @@ SUBORBIT_PAIRS = {
 @pytest.mark.parametrize("name", SUBORBIT_PAIRS)
 def test_suborbits_match_independent_oracles(name, relabelled_s3_pair):
     # the labels are the column minima of H's action h_i * rep_b on the
-    # cosets, their count is Burnside's (1/|H|) sum_h fix(h), and each column
-    # is its orbit ascending, cycled to r = lcm(orbit sizes) rows
+    # cosets, their count is Burnside's (1/|H|) sum_h fix(h), and each
+    # segment lists its orbit ascending, in the order of the labels
     pair, expected = SUBORBIT_PAIRS[name]
     if pair is None:
         G, H = relabelled_s3_pair
@@ -104,21 +105,24 @@ def test_suborbits_match_independent_oracles(name, relabelled_s3_pair):
         H = ca.subgroup_from_tokens(G, pair[1])
     Q = ca.build_coset_space(G, H)
     T = ca.structure_table(Q)
-    k, h, r = Q.coset_count, H.order, T.suborbits.shape[0]
+    k, h, labels = Q.coset_count, H.order, T.labels
+    order, starts, sizes, rank = T.segments
     members = np.array(H.members, dtype=np.int64)
     action = Q.coset_of[G.mul[members[:, None], Q.reps]]
-    labels = T.suborbits[0]
     assert np.array_equal(labels, action.min(axis=0))
     fixed = np.count_nonzero(action == np.arange(k))
     d = np.count_nonzero(labels == np.arange(k))
-    assert fixed % h == 0 and d == fixed // h
+    assert fixed % h == 0 and d == fixed // h == len(starts)
     orbits = [np.unique(action[:, b]) for b in range(k)]
-    assert h % r == 0 and r == math.lcm(*(len(o) for o in orbits))
-    assert (labels[T.suborbits] == labels).all()
+    r = math.lcm(*(len(o) for o in orbits))
+    assert h % r == 0
     for b, orbit in enumerate(orbits):
-        assert np.array_equal(T.suborbits[:, b], np.resize(orbit, r))
+        i = rank[b]
+        assert labels[b] == orbit[0] and sizes[i] == len(orbit) == T.suborbit_sizes[b]
+        assert np.array_equal(order[starts[i]:starts[i] + sizes[i]], orbit)
+    assert np.array_equal(starts, np.cumsum(sizes) - sizes)
     assert (k, h, r, d) == expected
-    assert T.suborbits.dtype == np.int32 and not T.suborbits.flags.writeable
+    assert labels.dtype == np.int32 and not labels.flags.writeable
 
 
 # builtin groups of order <= 24, normal and non-normal subgroups alike
@@ -135,7 +139,7 @@ def test_factored_table_matches_its_definition(data):
     T = ca.structure_table(Q)
     k, dense = Q.coset_count, onehot_counts(Q)
     assert np.array_equal(T.counts, dense)
-    assert (T.suborbits[0] == np.arange(k)).all() == ca.test_normality(G, H)
+    assert (T.labels == np.arange(k)).all() == ca.test_normality(G, H)
     reps = [data.draw(st.sampled_from(Q.members(c).tolist())) for c in range(k)]
     assert np.array_equal(ca.structure_table(Q, reps).counts, dense)
     # unit total variation, so 1e-13 bounds the error relative to ||s1||·||s2||
@@ -480,7 +484,7 @@ def test_a_number_and_a_one_element_array_give_the_bits_of_a_number(p):
     phi = ca.DensityFunction(Q, random_weights(g, k) - (0.5 + 0.5j))
     lam, f, rp = ca.quasi_invariant_lambda(Q, rho), ca.compose_with_projection(Q, phi), \
         rho.values ** (1.0 / p)
-    kernel = functools.partial(_kernels.quotient_convolve_weights, T.shift, T.suborbits)
+    kernel = functools.partial(_kernels.quotient_convolve_weights, T.shift, T.segments)
     routes = {
         "lp_norm": (lambda p: ca.lp_norm(lam, phi, p),
                     np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p)),
@@ -510,6 +514,29 @@ def test_every_exponent_of_an_array_must_be_finite_and_at_least_one(s3_q, s3_t, 
                 s3_q, rho, p, ca.compose_with_projection(s3_q, phi))}[function]
     with pytest.raises(ValueError, match="p must be finite and >= 1"):
         call()
+
+
+@pytest.mark.parametrize("bad,name", [("2", "str"), (b"2", "bytes"), (True, "bool"),
+                                      (2 + 0j, "complex"), (Fraction(2), "Fraction"),
+                                      (np.array(["2", "3", "1"]), "<U1"),
+                                      (np.array([True, False, True]), "bool")],
+                         ids=["str", "bytes", "bool", "complex", "Fraction", "str array",
+                              "bool array"])
+@pytest.mark.parametrize("function", ["lp_norm", "lp_action", "weighted_average_th"])
+def test_an_exponent_must_be_an_integer_or_float(s3_q, s3_t, function, bad, name):
+    # numpy would read "2" and b"2" as 2.0 and True as 1.0; each is refused
+    # by type, while a float array of one exponent per vector still runs
+    rho = ca.RhoFunction(s3_q, np.ones((3, 3)))
+    phi = ca.DensityFunction(ca.quotient_carrier(s3_q), np.ones((3, 3)))
+    call = {"lp_norm": lambda p: ca.lp_norm(ca.quasi_invariant_lambda(s3_q, rho), phi, p),
+            "lp_action": lambda p: ca.lp_action(s3_t, rho, "left", ca.delta_h(s3_q), phi,
+                                                p).values,
+            "weighted_average_th": lambda p: ca.weighted_average_th(
+                s3_q, rho, p, ca.compose_with_projection(s3_q, phi)).values}[function]
+    with pytest.raises(TypeError, match=f"^p must be an integer or float, not {re.escape(name)}$"):
+        call(bad)
+    for p in (np.array([1.0, 2.0, 1.5]), np.array([1, 2, 3])):
+        assert np.shape(call(p)) == ((3,) if function == "lp_norm" else (3, 3))
 
 
 # --- identity solving -----------------------------------------------------------------
@@ -696,38 +723,37 @@ def test_identity_residual_counts_the_double_cosets(data):
 @pytest.mark.parametrize("group,gens", [("builtin:S3", ["(12)"])] + IDENTITY_PAIRS[3:],
                          ids=["S3/<(12)>", "D6/<s>", "D6/<r^3>"])
 def test_base_coset_sharing_its_suborbit_is_refused(monkeypatch, group, gens):
-    # the rows of suborbits doubled, then the base column and the next one
-    # trade their second halves: every coset appears as often as before and
-    # the labels stay, but the base coset shares a suborbit with the next,
-    # so the rows (base, z) no longer pin delta_H
+    # the suborbits of the base coset and the next merged under the lesser
+    # of their labels: each suborbit is still labelled by its least member,
+    # but the base coset shares its suborbit, so the rows (base, z) no
+    # longer pin delta_H
     G = ca.builtin_from_token(group)
     H = ca.subgroup_from_tokens(G, gens)
     T = ca.structure_table(ca.build_coset_space(G, H))
-    base, r = T.quotient.base_coset, T.suborbits.shape[0]
-    other = (base + 1) % T.coset_count
-    suborbits = np.concatenate([T.suborbits, T.suborbits])
-    suborbits[r:, [base, other]] = suborbits[r:, [other, base]]
-    planted = dataclasses.replace(T, suborbits=suborbits)
+    base = T.quotient.base_coset
+    pair = T.labels[[base, (base + 1) % T.coset_count]]
+    labels = T.labels.copy()
+    labels[np.isin(labels, pair)] = pair.min()
+    planted = dataclasses.replace(T, labels=labels)
     _assert_refused(monkeypatch, G, H, planted,
                     (ca.find_left_identity, ca.find_two_sided_identity))
 
 
 def test_suborbit_column_faults_are_refused(monkeypatch):
-    # S4/<(12)>: columns 7 and 8 trade their last entries, so each leaves
-    # its suborbit, though no entry is below its column's label; or the
-    # columns of the suborbit {1, 2} list it in descending order, so row 0
-    # no longer holds its least member. Each coset appears as often as
-    # before, and the base coset is still a suborbit of its own
+    # S4/<(12)>: coset 7 moved to the suborbit {8, 10}, so that suborbit's
+    # label is not its least member, and the label of {9} is no member of
+    # it; or the suborbit {1, 2} labelled 2. The base coset is still a
+    # suborbit of its own
     G = ca.builtin_from_token("S4")
     H = ca.subgroup_from_tokens(G, ["(12)"])
     T = ca.structure_table(ca.build_coset_space(G, H))
-    assert T.suborbits[:, [1, 2, 7, 8]].tolist() == [[1, 1, 7, 8], [2, 2, 9, 10]]
-    moved = T.suborbits.copy()
-    moved[-1, [7, 8]] = moved[-1, [8, 7]]
-    relabelled = T.suborbits.copy()
-    relabelled[:, [1, 2]] = relabelled[::-1, [1, 2]]
-    for suborbits in (moved, relabelled):
-        planted = dataclasses.replace(T, suborbits=suborbits)
+    assert T.labels[[1, 2, 7, 8, 9, 10]].tolist() == [1, 1, 7, 8, 7, 8]
+    moved = T.labels.copy()
+    moved[7] = 8
+    relabelled = T.labels.copy()
+    relabelled[[1, 2]] = 2
+    for labels in (moved, relabelled):
+        planted = dataclasses.replace(T, labels=labels)
         _assert_refused(monkeypatch, G, H, planted,
                         (ca.find_left_identity, ca.find_two_sided_identity))
         monkeypatch.undo()
@@ -771,17 +797,16 @@ def test_identity_decision_on_hand_built_tables():
     T = ca.structure_table(ca.build_coset_space(G, ca.generate_subgroup(G, [])))
     assert T.quotient.base_coset == 0
 
-    def planted(shift=None, suborbits=None):
+    def planted(shift=None, labels=None):
         return qa.StructureTable(T.quotient,
                                  T.shift if shift is None else np.array(shift, dtype=np.int32),
-                                 T.suborbits if suborbits is None
-                                 else np.array(suborbits, dtype=np.int32))
+                                 T.labels if labels is None else np.array(labels, dtype=np.int32))
 
-    # suborbits equals shift[base], but shift[base] is no permutation:
-    # delta_H sends delta_1 to 0 and delta_2 to delta_1 + delta_2, so the
-    # system is inconsistent, and its residual, which presumes permutation
-    # rows, refuses the table
-    broken = planted([[0, 2, 2], *T.shift[1:].tolist()], [[0, 2, 2]])
+    # the suborbit {1, 2}, labelled by its least member and kept by
+    # shift[base], but shift[base] is no permutation: the system is
+    # inconsistent, and its residual, which presumes permutation rows,
+    # refuses the table
+    broken = planted([[0, 2, 2], *T.shift[1:].tolist()], [0, 1, 1])
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         with pytest.raises(ValueError, match="corrupt structure table"):
             solver(broken)
@@ -795,7 +820,7 @@ def test_identity_decision_on_hand_built_tables():
     # the base coset shares the suborbit {0, 1}, consistently labelled
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         with pytest.raises(ValueError, match="corrupt structure table"):
-            solver(planted(suborbits=[[0, 0, 2], [1, 1, 2]]))
+            solver(planted(labels=[0, 0, 2]))
 
 
 def test_degenerate_whole_group(s3):
@@ -932,8 +957,8 @@ def test_exact_quotient_convolution_refused_before_allocating(monkeypatch):
                          ids=["S3/<(12)>", "D4/<s>", "Q8/<i>", "S4/S3", "S5/<(12)>"])
 def test_stacked_factors_give_the_table_of_each_choice(token, gens):
     # one gather over a stack of ten representative choices (and the same
-    # choices as a 2 x 5 stack): choice for choice, the shift and suborbits
-    # of structure_table, and the count tensor of the definition
+    # choices as a 2 x 5 stack): choice for choice, the shift and labels of
+    # structure_table, and the count tensor of the definition
     G = ca.builtin_from_token(token)
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
     k = Q.coset_count
@@ -945,10 +970,8 @@ def test_stacked_factors_give_the_table_of_each_choice(token, gens):
     assert np.array_equal(nested[1].reshape(10, k), labels)
     for j, alt in enumerate(choices):
         T = ca.structure_table(Q, alt)
-        suborbits = qa._suborbits(labels[j])
-        assert np.array_equal(shift[j], T.shift) and np.array_equal(suborbits, T.suborbits)
-        assert np.array_equal(suborbits[0], labels[j])
-        stacked = qa.StructureTable(Q, shift[j], suborbits)
+        assert np.array_equal(shift[j], T.shift) and np.array_equal(labels[j], T.labels)
+        stacked = qa.StructureTable(Q, shift[j], labels[j])
         assert np.array_equal(stacked.counts, onehot_counts(Q, alt))
 
 
@@ -1030,6 +1053,21 @@ def test_exact_quotient_convolution_byte_check_int64_operands(monkeypatch, token
 
     # the exception and its message take ~3.6 KB on S4/S3
     assert traced_peak(refused) < checked[0] // 2
+
+
+def test_exact_means_keep_int64_numerators_where_the_cycled_table_did(monkeypatch):
+    # S4/S3, suborbits of 1 and 3 cosets, numerators 2**29: a mean's
+    # numerator is at most lcm(1, 3) = 3 times a term, so the products stay
+    # below 2**63 as the cycled table's did; bounding a suborbit's sum by
+    # its largest suborbit before scaling by 3 / size would widen them
+    G = ca.builtin_from_token("S4")
+    T = ca.structure_table(ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)", "(123)"])))
+    s = ExactVector(np.full(4, 2 ** 29), np.zeros(4, dtype=np.int64))
+    out = ca.quotient_convolve_exact(T, s, s)
+    assert out.re.dtype == np.int64 and out.bound < 2 ** 63
+    assert out == cycled_quotient_convolve(T.shift, T.labels, s, s)
+    checked, peak = checked_peak(monkeypatch, qa, lambda: ca.quotient_convolve_exact(T, s, s))
+    assert checked == [40 * (4 * 4 + 4 * 4) + (1 << 13)] and peak <= checked[0]   # int64
 
 
 def test_actions_reuse_the_table(monkeypatch, s3_q, s3_t):

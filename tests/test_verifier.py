@@ -121,17 +121,18 @@ def test_conv_and_algebra_exact_mode(s3_pair):
         assert report.max_residual == 0.0
 
 
-@pytest.mark.parametrize("entry", [0, 1, 5])
-def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, entry):
-    # one entry of suborbits moved to another coset, in the table the exact
-    # convolution reads
+@pytest.mark.parametrize("coset", [1, 2])
+def test_exact_mode_catches_a_planted_count(s3_pair, monkeypatch, coset):
+    # one coset of the suborbit {1, 2} moved to the base coset's suborbit
+    # {0}, in the table the exact convolution reads
     G, H = s3_pair
     convolve = verifier.quotient_convolve_exact
 
     def planted(T, s1, s2):
-        suborbits = T.suborbits.copy()
-        suborbits.flat[entry] = (suborbits.flat[entry] + 1) % T.coset_count
-        return convolve(dataclasses.replace(T, suborbits=suborbits), s1, s2)
+        labels = T.labels.copy()
+        assert labels.tolist() == [0, 1, 1]
+        labels[coset] = 0
+        return convolve(dataclasses.replace(T, labels=labels), s1, s2)
 
     monkeypatch.setattr(verifier, "quotient_convolve_exact", planted)
     for cid in ("D6_CONV", "T8_ALGEBRA"):
@@ -243,9 +244,7 @@ def test_d6_reports_the_first_representative_choice_that_differs(monkeypatch, bl
 
 def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
     # S4/S3: a choice whose labels differ, though its shift table is right,
-    # fails at that choice; an entry table whose suborbits are not the table
-    # of its own labels (rows 1 and 2 swapped: the same labels and the same
-    # tensor) differs from every choice and fails at the first
+    # fails at that choice
     G = ca.builtin_from_token("S4")
     T = make_context(G, ca.subgroup_from_tokens(G, ["(12)", "(123)"])).T
     choices = verifier._alternative_reps(rng(77), T.quotient, 10)
@@ -261,13 +260,6 @@ def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
     with pytest.raises(verifier._Fail) as err:
         verifier._probe_representatives(rng(77), T)
     assert err.value.counterexample["reps"] == choices[4].tolist()
-    monkeypatch.undo()
-    assert T.suborbits[:, 1].tolist() == [1, 2, 3]
-    listed_otherwise = dataclasses.replace(T, suborbits=T.suborbits[[0, 2, 1]])
-    with pytest.raises(verifier._Fail) as err:
-        verifier._probe_representatives(rng(77), listed_otherwise)
-    assert err.value.counterexample == {"reason": "tensor depends on representative choice",
-                                        "reps": choices[0].tolist()}
 
 
 def test_d6_probe_within_its_byte_checks(monkeypatch):
@@ -277,7 +269,7 @@ def test_d6_probe_within_its_byte_checks(monkeypatch):
     # and choice; one byte short refuses the probe
     G = ca.builtin_from_token("S5")
     T = make_context(G, ca.subgroup_from_tokens(G, [])).T
-    k, labels, factors = T.coset_count, T.suborbits[0], ca.quotient_algebra._factors
+    k, labels, factors = T.coset_count, T.labels, ca.quotient_algebra._factors
     want = labels.take(T.shift)
     for block_bytes, per_gather in ((verifier._BLOCK_BYTES, 1), (1 << 60, 10)):
         monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
@@ -297,11 +289,11 @@ def test_d6_probe_within_its_byte_checks(monkeypatch):
         monkeypatch.undo()
 
 
-def _tensor_of(shift, suborbits, h):
-    """counts[a, b, z] = (|H| / r) #{i : suborbits[i, b] = shift[a, z]} from
-    its definition, for any integer shift: one-hot over (i, a, b, z)."""
-    r = suborbits.shape[0]
-    return (suborbits[:, None, :, None] == shift[None, :, None, :]).sum(axis=0) * (h // r)
+def _tensor_of(shift, labels, h):
+    """counts[a, b, z] = (|H| / |O_b|) [labels[shift[a, z]] = labels[b]] from
+    its definition, for any integer shift: one-hot over (a, b, z)."""
+    sizes = np.bincount(labels)[labels]
+    return (labels[shift][:, None, :] == labels[None, :, None]) * (h // sizes)[None, :, None]
 
 
 def _faults(labels):
@@ -339,7 +331,7 @@ def test_d6_probe_agrees_with_the_dense_tensor(monkeypatch, relabelled_s3_pair, 
     # tensor differs from T's, or passes when none does
     G, H = _d6_pair(pair, relabelled_s3_pair)
     T = make_context(G, H).T
-    Q, h, labels = T.quotient, H.order, T.suborbits[0]
+    Q, h, labels = T.quotient, H.order, T.labels
     choices = verifier._alternative_reps(rng(79), Q, 10)
     assert all(np.array_equal(onehot_counts(Q, c), T.counts) for c in choices)
     verifier._probe_representatives(rng(79), T)
@@ -347,7 +339,7 @@ def test_d6_probe_agrees_with_the_dense_tensor(monkeypatch, relabelled_s3_pair, 
     for name, plant in _faults(labels).items():
         planted = [factors(Q, c)[0] if j < 3 else plant(factors(Q, c)[0])
                    for j, c in enumerate(choices)]
-        differ = [not np.array_equal(_tensor_of(s, T.suborbits, h), T.counts) for s in planted]
+        differ = [not np.array_equal(_tensor_of(s, labels, h), T.counts) for s in planted]
         assert differ == [False] * 3 + [name != "same suborbit"] * 7, name
 
         seen = []
@@ -819,8 +811,8 @@ def test_nan_residuals_fail(monkeypatch, s3_pair, kernel, failing):
 
 
 def test_basis_tests_on_planted_tables(s3_pair, s3_normal_pair):
-    # S3/<(12)> (suborbits [[0, 1, 1], [0, 2, 2]]) and S3/A3 (suborbits
-    # [[0, 1]], shift [[0, 1], [1, 0]]), base coset 0, with one factor planted
+    # S3/<(12)> (labels [0, 1, 1]) and S3/A3 (labels [0, 1], shift
+    # [[0, 1], [1, 0]]), base coset 0, with one factor planted
     right, left = verifier._right_identity_on_basis, verifier._left_identity_on_basis
     products = verifier._point_mass_products
     ctx, normal = make_context(*s3_pair), make_context(*s3_normal_pair)
@@ -832,14 +824,14 @@ def test_basis_tests_on_planted_tables(s3_pair, s3_normal_pair):
 
     assert (right(T, Q), left(T, Q), products(T, Q)) == (None, 1, False)
     assert (right(N, normal.Q), left(N, normal.Q), products(N, normal.Q)) == (None, None, True)
-    # the base column lists coset 1 too; row 2 of shift holds the base coset
-    # twice; row 1 holds it once, off the diagonal
-    assert right(planted(T, suborbits=[[0, 1, 1], [1, 2, 2]]), Q) == 0
+    # the base coset shares its suborbit with coset 1; row 2 of shift holds
+    # the base coset twice; row 1 holds it once, off the diagonal
+    assert right(planted(T, labels=[0, 0, 2]), Q) == 0
     assert right(planted(T, shift=[[0, 1, 2], [2, 0, 1], [0, 1, 0]]), Q) == 2
     assert right(planted(T, shift=[[0, 1, 2], [0, 2, 1], [2, 1, 0]]), Q) == 1
-    # S3/A3 with the base coset's column doubled to {0, 1}, or with shift
+    # S3/A3 with the base coset's suborbit doubled to {0, 1}, or with shift
     # sending C1 * C0 to C0
-    doubled = planted(N, suborbits=[[0, 1], [1, 1]])
+    doubled = planted(N, labels=[0, 0])
     assert (left(doubled, normal.Q), products(doubled, normal.Q)) == (0, False)
     assert not products(planted(N, shift=[[0, 1], [0, 1]]), normal.Q)
 
