@@ -2,7 +2,8 @@
 
 Each is written in gathers, sums over an axis or its segments, divisions and
 one matrix product, which ExactVector implements too, so each runs on
-complex128 arrays and exact vectors. Operands may carry leading batch axes,
+complex128 arrays and exact vectors through one entry point, which sizes its
+one byte check by their arithmetic. Operands may carry leading batch axes,
 with the carrier on the last axis: a call on a batch gives, row by row, the
 calls on its vectors. The group convolution runs in row blocks of x, about
 BLOCK_BYTES of temporaries each, so no call holds its n x n expansion, and its
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 
+from .exact import ExactVector
 from .groups import require_bytes
 
 # Kept as a constant: benchmark results are stamped with it.
@@ -23,6 +25,11 @@ BACKEND = "numpy"
 
 # temporaries per block of a group convolution's rows x
 BLOCK_BYTES = 1 << 20
+
+# bytes per gathered entry (x, z) and vector of a group convolution: float,
+# the intp index rows and the complex gather multiplied in place (24 from
+# order 120 up, up to 35 below); exact on int64, 48 to 52 measured
+GROUP_RATE, GROUP_EXACT_RATE = 40, 56
 
 
 def _batch_shape(*operands) -> tuple[int, ...]:
@@ -44,29 +51,37 @@ def _row_blocks(n: int, entry_bytes: int, vectors: int) -> tuple[int, int]:
     return rows, row * vectors * (rows + (rows < n))
 
 
+def _wide_digits(v1: ExactVector, v2: ExactVector, terms: int) -> int:
+    """0 while sums of `terms` products of v1's and v2's entries fit int64,
+    else the 30-bit digits of their bound."""
+    bound = 2 * max(v1.bound, 1) * max(v2.bound, 1) * terms
+    return math.ceil(bound.bit_length() / 30) if bound >= 2 ** 63 else 0
+
+
 def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
     """out[z] = sum_x w1[x] * w2[x^-1 z], each column summed in x order
     whatever the block size; the columns z and zh of a right-H-invariant w2
-    agree bit for bit."""
+    agree bit for bit. A float block carries the running sum into its first
+    row, so every column is still summed in x order; exact blocks add their
+    sums."""
     n, batch = mul.shape[0], _batch_shape(w1, w2)
-    # per block of rows x, the intp index rows and the complex gather,
-    # multiplied in place: 24 bytes per entry from order 120 up, up to 35
-    # below, per vector
-    rows, nbytes = _row_blocks(n, 40, math.prod(batch))
-    require_bytes(nbytes, f"group convolution of order {n}")
-    return _convolve_rows(mul, inv, w1, w2, batch, rows)
-
-
-def _convolve_rows(mul: np.ndarray, inv: np.ndarray, w1, w2, batch: tuple, rows: int):
-    """group_convolve_weights, unchecked, of operands whose batch axes
-    _batch_shape gives, in blocks of `rows` rows x. A float block carries the
-    running sum into its first row, so every column is still summed in x
-    order; exact blocks add their sums."""
+    if isinstance(w1, ExactVector):
+        # on Python ints, 140 to 170 bytes per pair measured and the four
+        # products' digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
+        digits = _wide_digits(w1, w2, n)
+        rows, nbytes = _row_blocks(n, 200 + 16 * digits if digits else GROUP_EXACT_RATE,
+                                   math.prod(batch))
+        require_bytes(nbytes + (1 << 13), f"exact group convolution of order {n}")
+        if digits:   # the gathers then share the operands' ints, not widen each
+            w1, w2 = w1.widened(), w2.widened()
+    else:
+        rows, nbytes = _row_blocks(n, GROUP_RATE, math.prod(batch))
+        require_bytes(nbytes, f"group convolution of order {n}")
     out = None
-    for start in range(0, mul.shape[0], rows):
+    for start in range(0, n, rows):
         stop = start + rows
         # one block indexes by inv itself: a slice would cost a numpy call
-        terms = w2.take(mul[inv if rows == len(inv) else inv[start:stop]], axis=-1)
+        terms = w2.take(mul[inv if rows == n else inv[start:stop]], axis=-1)
         # in place when w2 carries the whole batch
         terms = np.multiply(w1[..., start:stop, None], terms,
                             out=terms if terms.shape[:-2] == batch else None)
@@ -92,11 +107,21 @@ def quotient_convolve_weights(shift: np.ndarray, segments: tuple, s1, s2):
     k = len(order)
     if shift.shape != (k, k):
         raise ValueError(f"shift must be one ({k}, {k}) table, not {shift.shape}")
-    # the complex gathers and their intp index copies: 16 to 17 bytes per
-    # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, and the
-    # means' few gathers of k entries, per vector
-    require_bytes((32 * k * k + 64 * k) * math.prod(_batch_shape(s1, s2)),
-                  f"quotient convolution with {k} cosets")
+    vectors = math.prod(_batch_shape(s1, s2))
+    if isinstance(s1, ExactVector):
+        # peaks per entry of k² + 4k and per vector past ~4 KB: 17 to 33
+        # bytes on int64 or Python ints, 87 to 114 when int64 operands widen,
+        # and ~6k wide ints at 4 bytes per 30-bit digit of bound; each mean's
+        # numerator is at most lcm(sizes) times s2's
+        digits = _wide_digits(s1, s2, math.lcm(*set(sizes.tolist())) * k)
+        per_vector = 120 * (k * k + 4 * k) + 24 * k * digits if digits else 40 * (k * k + 4 * k)
+        require_bytes(per_vector * vectors + (1 << 13),
+                      f"exact quotient convolution with {k} cosets")
+    else:
+        # the complex gathers and their intp index copies: 16 to 17 bytes per
+        # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, and the
+        # means' few gathers of k entries, per vector
+        require_bytes((32 * k * k + 64 * k) * vectors, f"quotient convolution with {k} cosets")
     means = np.add.reduceat(s2.take(order, axis=-1), starts, axis=-1) / sizes
     return (s1[..., None, :] @ means.take(rank, axis=-1).take(shift, axis=-1))[..., 0, :]
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import _batch_shape, quotient_convolve_weights
+from ._kernels import quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
 from .groups import QuotientSpace, _freeze, require_bytes
@@ -149,19 +149,11 @@ def quotient_convolve(T: StructureTable, sigma1: ComplexMeasure,
 def quotient_convolve_exact(T: StructureTable, s1: ExactVector,
                             s2: ExactVector) -> ExactVector:
     """Exact convolution of Gaussian-rational weight vectors, or of batches
-    of them: the float kernel run on exact vectors."""
+    of them: the kernel run on exact vectors, which sizes its byte check by
+    their numerators."""
     k = T.coset_count
     if s1.shape[-1] != k or s2.shape[-1] != k:
         raise CarrierMismatch(f"exact weights must have one entry per coset ({k})")
-    # peaks per entry of k² + 4k and per vector past ~4 KB: 17 to 33 bytes on
-    # int64 or Python ints, 87 to 114 when int64 operands widen, and ~6k wide
-    # ints at 4 bytes per 30-bit digit of bound; each mean's numerator is at
-    # most lcm(sizes) times s2's
-    bound = 2 * max(s1.bound, 1) * max(s2.bound, 1) * math.lcm(*set(T.suborbit_sizes.tolist())) * k
-    per_vector = (120 * (k * k + 4 * k) + 24 * k * math.ceil(bound.bit_length() / 30)
-                  if bound >= 2 ** 63 else 40 * (k * k + 4 * k))
-    require_bytes(per_vector * math.prod(_batch_shape(s1, s2)) + (1 << 13),
-                  f"exact quotient convolution with {k} cosets")
     return quotient_convolve_weights(T.shift, T.segments, s1, s2)
 
 

@@ -16,7 +16,6 @@ with a and b uniform on 1..4, and points uniform on a group or coset space.
 from __future__ import annotations
 
 import copy
-import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -26,9 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import exact, quotient_algebra
-from ._kernels import (_batch_shape, _convolve_rows, _row_blocks, group_convolve_weights,
-                       lift_weights, push_weights)
+from . import _kernels, exact, quotient_algebra
+from ._kernels import group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
@@ -259,11 +257,12 @@ _BLOCK_BYTES = 1 << 19
 def _trial_bytes(spec: CheckSpec, ctx: EntryContext, largest: str) -> int:
     """Kernel temporaries of one trial, by its largest array: a group
     convolution's, a quotient convolution's, or a few vectors per member of
-    H. The rate per entry is the convolution kernels' byte check (an exact
-    one's in exact mode)."""
+    H. The rate per entry is the group convolution kernel's (its int64
+    exact one in exact mode)."""
     n, k, h = ctx.G.order, ctx.Q.coset_count, ctx.H.order
     entries = {"group": n * n, "quotient": k * k + n, "vectors": (h + 4) * n}[largest]
-    return (56 if spec.mode == "exact" else 40) * entries
+    rate = _kernels.GROUP_EXACT_RATE if spec.mode == "exact" else _kernels.GROUP_RATE
+    return rate * entries
 
 
 def _trials(n: int, trial: Callable, per_trial: int, worst: float = 0.0,
@@ -351,7 +350,7 @@ def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
         draw=lambda rng, count, m: _rational_draws(rng, count, m, k),
         convolve=lambda a, b: quotient_convolve_exact(T, a, b),
         group_route=lambda a, b: push_weights(
-            Q.member_table, _exact_convolution(Q.group, lift(a), lift(b))),
+            Q.member_table, group_convolve_weights(Q.group.mul, Q.group.inv, lift(a), lift(b))),
         delta_h=ExactVector.from_fractions(exact.unit_vector(k, Q.base_coset)),
         measure=lambda s: ComplexMeasure(Q, s.to_complex()),
         gap=lambda a, b, norm=None: _differ(a, b).astype(np.float64))
@@ -484,27 +483,6 @@ def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace, count: int = 1
     what count * k calls rng.integers(0, |H|), choice by choice, drew."""
     k = Q.coset_count
     return Q.member_table[rng.integers(0, Q.subgroup.order, (count, k)), np.arange(k)]
-
-
-def _exact_convolution(G: FiniteGroup, w1: ExactVector, w2: ExactVector) -> ExactVector:
-    """Group convolution over Gaussian rationals, of vectors or batches: the
-    float kernel run on exact vectors, in row blocks of x that hold about as
-    many bytes as a float block."""
-    n = G.order
-    bound = 2 * max(w1.bound, 1) * max(w2.bound, 1) * n
-    # measured peaks per pair (x, z) and per vector, past a few KB of small
-    # arrays: 48 to 52 bytes on int64; on Python ints 140 to 170 and the
-    # four products' 30-bit digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
-    wide = bound >= 2 ** 63
-    rate = 200 + 16 * math.ceil(bound.bit_length() / 30) if wide else 56
-    batch = _batch_shape(w1, w2)
-    rows, nbytes = _row_blocks(n, rate, math.prod(batch))
-    require_bytes(nbytes + (1 << 13), f"exact group convolution of order {n}")
-    if wide:
-        # Python ints before the gather, which then shares the operands' ints
-        # instead of widening each gathered entry to an int of its own
-        w1, w2 = w1.widened(), w2.widened()
-    return _convolve_rows(G.mul, G.inv, w1, w2, batch, rows)
 
 
 def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:

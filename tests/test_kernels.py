@@ -254,13 +254,13 @@ def test_batched_kernels_match_their_rows(token, gens):
     e1, e2 = _exact_weights(g, (4, k)), _exact_weights(g, (4, k))
     f1, f2 = _exact_weights(g, (4, n)), _exact_weights(g, (4, n))
     exact_q = ca.quotient_convolve_exact(T, e1, e2)
-    exact_g = verifier._exact_convolution(G, f1, f2)
+    exact_g = _kernels.group_convolve_weights(G.mul, G.inv, f1, f2)
     exact_lift = _kernels.lift_weights(Q.coset_of, h, e1)
     exact_push = _kernels.push_weights(Q.member_table, f1)
     assert exact_q.shape == (4, k) and exact_g.shape == (4, n)
     for i in range(4):
         assert exact_q[i] == ca.quotient_convolve_exact(T, e1[i], e2[i])
-        assert exact_g[i] == verifier._exact_convolution(G, f1[i], f2[i])
+        assert exact_g[i] == _kernels.group_convolve_weights(G.mul, G.inv, f1[i], f2[i])
         assert exact_lift[i] == _kernels.lift_weights(Q.coset_of, h, e1[i])
         assert exact_push[i] == _kernels.push_weights(Q.member_table, f1[i])
         # and against the float kernels, within roundoff
@@ -282,8 +282,8 @@ def test_batched_kernels_within_their_byte_checks(monkeypatch):
     calls = [
         (_kernels, lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)),
         (_kernels, lambda: _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)),
-        (ca.quotient_algebra, lambda: ca.quotient_convolve_exact(T, e1, e2)),
-        (verifier, lambda: verifier._exact_convolution(G, f1, f2)),
+        (_kernels, lambda: ca.quotient_convolve_exact(T, e1, e2)),
+        (_kernels, lambda: _kernels.group_convolve_weights(G.mul, G.inv, f1, f2)),
     ]
     for module, call in calls:
         checked, peak = checked_peak(monkeypatch, module, call)
@@ -305,8 +305,7 @@ def _spy_row_blocks(monkeypatch):
         calls.append((n, entry_bytes, vectors, rows))
         return rows, nbytes
 
-    for module in (_kernels, verifier):
-        monkeypatch.setattr(module, "_row_blocks", spy)
+    monkeypatch.setattr(_kernels, "_row_blocks", spy)
     return calls
 
 
@@ -354,7 +353,7 @@ def test_group_convolution_bits_do_not_depend_on_the_block_size(monkeypatch, tok
             if s2 == (n,):
                 assert np.all(ca.membership_mgh(Q, ca.ComplexMeasure(G, got))), (s1, rows)
             exact = _in_blocks_of(monkeypatch, calls, rows,
-                                  lambda: verifier._exact_convolution(G, e1, e2))
+                                  lambda: _kernels.group_convolve_weights(G.mul, G.inv, e1, e2))
             assert exact.shape == exact_want.shape and exact == exact_want, (s1, s2, rows)
 
 
@@ -369,8 +368,8 @@ def test_group_convolution_byte_check_sizes_one_block(monkeypatch, mode, batch):
         "float": (_kernels, "group convolution of order 720",
                   partial(_kernels.group_convolve_weights, G.mul, G.inv,
                           random_weights(g, shape), random_weights(g, shape))),
-        "exact": (verifier, "exact group convolution of order 720",
-                  partial(verifier._exact_convolution, G,
+        "exact": (_kernels, "exact group convolution of order 720",
+                  partial(_kernels.group_convolve_weights, G.mul, G.inv,
                           _exact_weights(g, shape), _exact_weights(g, shape))),
     }[mode]
     calls = _spy_row_blocks(monkeypatch)
@@ -393,11 +392,13 @@ def test_exact_group_convolution_fits_a_budget_below_its_whole_expansion(monkeyp
     n = G.order
     g = rng(87)
     w1, w2 = _exact_weights(g, (4, n)), _exact_weights(g, (4, n))
-    checked, _ = checked_peak(monkeypatch, verifier, lambda: verifier._exact_convolution(G, w1, w2))
+    checked, _ = checked_peak(monkeypatch, _kernels,
+                              lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2))
     whole = 56 * n * n * 4 + (1 << 13)
     assert checked[0] < whole
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", (checked[0] + whole) // 2)
-    assert verifier._exact_convolution(G, w1, w2) == _exact_one_block(G.mul, G.inv, w1, w2)
+    assert (_kernels.group_convolve_weights(G.mul, G.inv, w1, w2)
+            == _exact_one_block(G.mul, G.inv, w1, w2))
 
 
 def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):

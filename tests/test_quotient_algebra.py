@@ -940,7 +940,7 @@ def test_exact_quotient_convolution_refused_before_allocating(monkeypatch):
               for _ in range(2))
     assert s1.re.dtype == object and s2.im.dtype == object
 
-    checked, peak = checked_peak(monkeypatch, qa,
+    checked, peak = checked_peak(monkeypatch, _kernels,
                                  lambda: ca.quotient_convolve_exact(T, s1, s2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
@@ -1017,7 +1017,8 @@ def test_exact_quotient_convolution_byte_check_grows_with_the_numerators(monkeyp
                                       for row in g.integers(-99, 100, (3, 3))], dtype=object)
                             for _ in range(2)), 7)
               for _ in range(2))
-    checked, peak = checked_peak(monkeypatch, qa, lambda: ca.quotient_convolve_exact(T, s1, s2))
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: ca.quotient_convolve_exact(T, s1, s2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
 
@@ -1043,7 +1044,8 @@ def test_exact_quotient_convolution_byte_check_int64_operands(monkeypatch, token
     assert s1.re.dtype == np.int64
     out = ca.quotient_convolve_exact(T, s1, s2)
     assert out.re.dtype == (np.int64 if kind == "int64" else object)
-    checked, peak = checked_peak(monkeypatch, qa, lambda: ca.quotient_convolve_exact(T, s1, s2))
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: ca.quotient_convolve_exact(T, s1, s2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
 
@@ -1066,7 +1068,8 @@ def test_exact_means_keep_int64_numerators_where_the_cycled_table_did(monkeypatc
     out = ca.quotient_convolve_exact(T, s, s)
     assert out.re.dtype == np.int64 and out.bound < 2 ** 63
     assert out == cycled_quotient_convolve(T.shift, T.labels, s, s)
-    checked, peak = checked_peak(monkeypatch, qa, lambda: ca.quotient_convolve_exact(T, s, s))
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: ca.quotient_convolve_exact(T, s, s))
     assert checked == [40 * (4 * 4 + 4 * 4) + (1 << 13)] and peak <= checked[0]   # int64
 
 

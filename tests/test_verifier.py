@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetalg as ca
-from cosetalg import verifier
+from cosetalg import _kernels, verifier
 from cosetalg.errors import CapExceeded, UnknownCheckId
 from cosetalg.exact import ExactVector
 from cosetalg.groups import DEFAULT_ORDER_CAP
@@ -670,12 +670,12 @@ def test_exact_group_convolution_byte_check(monkeypatch):
     G = ca.builtin_from_token("S5")
     g = rng(25)
     w1, w2 = (verifier.draw_rational_weights(g, G.order) for _ in range(2))
-    checked, peak = checked_peak(monkeypatch, verifier,
-                                 lambda: verifier._exact_convolution(G, w1, w2))
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
     with pytest.raises(CapExceeded, match="exact group convolution of order 120"):
-        verifier._exact_convolution(G, w1, w2)
+        _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)
 
 
 @pytest.mark.parametrize("kind", ["python-int", "widening"])
@@ -693,14 +693,14 @@ def test_exact_group_convolution_byte_check_wide_operands(monkeypatch, token, ki
         w1, w2 = (ExactVector(*g.integers(-2 ** 40, 2 ** 40, (2, G.order)), 3)
                   for _ in range(2))
         assert w1.re.dtype == np.int64
-    checked, peak = checked_peak(monkeypatch, verifier,
-                                 lambda: verifier._exact_convolution(G, w1, w2))
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
 
     def refused():
         with pytest.raises(CapExceeded, match=f"exact group convolution of order {G.order}"):
-            verifier._exact_convolution(G, w1, w2)
+            _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)
 
     assert traced_peak(refused) < checked[0] // 10
 
@@ -715,14 +715,14 @@ def test_exact_group_convolution_byte_check_grows_with_the_numerators(monkeypatc
     w1, w2 = (ExactVector(*(np.array([int(v) << bits for v in g.integers(-99, 100, G.order)],
                                      dtype=object) for _ in range(2)), 7)
               for _ in range(2))
-    checked, peak = checked_peak(monkeypatch, verifier,
-                                 lambda: verifier._exact_convolution(G, w1, w2))
+    checked, peak = checked_peak(monkeypatch, _kernels,
+                                 lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2))
     assert len(checked) == 1 and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
 
     def refused():
         with pytest.raises(CapExceeded, match=f"exact group convolution of order {G.order}"):
-            verifier._exact_convolution(G, w1, w2)
+            _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)
 
     assert traced_peak(refused) < checked[0] // 10
 
