@@ -447,11 +447,19 @@ def _quaternion8() -> FiniteGroup:
 def direct_product_group(g1: FiniteGroup, g2: FiniteGroup, name: str = "") -> FiniteGroup:
     """Componentwise product; element (a, b) packs to index a*|G2| + b."""
     n1, n2 = g1.order, g2.order
+    n = n1 * n2
+    # the table, written in place, the labels' characters and ~64 bytes of
+    # object and tuple slot per label, and numpy's iterator buffers
+    chars = n2 * sum(map(len, g1.labels)) + n1 * sum(map(len, g2.labels))
+    require_bytes(8 * n * n + chars + 64 * n + (1 << 17), f"direct product of order {n}")
     labels = tuple(f"({g1.labels[a]},{g2.labels[b]})"
                    for a in range(n1) for b in range(n2))
-    a_idx, b_idx = np.divmod(np.arange(n1 * n2), n2)
-    table = g1.mul[np.ix_(a_idx, a_idx)] * n2 + g2.mul[np.ix_(b_idx, b_idx)]
-    return build_from_cayley_table(labels, table, name=name or f"{g1.name}x{g2.name}")
+    # table[a, b, c, d] = mul1[a, c] * n2 + mul2[b, d], the product of (a, b)
+    # and (c, d)
+    table = np.multiply(g1.mul[:, None, :, None], n2, out=np.empty((n1, n2, n1, n2), np.int64))
+    table += g2.mul[None, :, None, :]
+    return build_from_cayley_table(labels, table.reshape(n, n),
+                                   name=name or f"{g1.name}x{g2.name}")
 
 
 # family -> (alias letter, least n, generators of degree n); the generator

@@ -16,6 +16,7 @@ with a and b uniform on 1..4, and points uniform on a group or coset space.
 from __future__ import annotations
 
 import copy
+import numbers
 import time
 import zlib
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ class CheckSpec:
             raise UnknownCheckId(f"unknown check id {self.id!r}; the ids are {', '.join(CHECK_IDS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.mode not in ("float", "exact"):

@@ -1,13 +1,16 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cosetalg as ca
+from cosetalg import cli
 from cosetalg.cli import main
 from cosetalg.errors import CapExceeded
 
@@ -120,6 +123,46 @@ def test_table_json_matches_its_pinned_bytes(capsys, name):
                              "--subgroup", subgroup, "--format", "json")
     assert (code, err) == (0, "")
     assert out.encode() == (TABLES / f"{name}.json").read_bytes()
+
+
+def _table_past_its_request(monkeypatch, argv, short=False):
+    """table's exit code, what it allocated from its one byte request on
+    (traced, output to a sink) and that request; with short, the budget is
+    one byte below the request from the request on."""
+    requests = []
+
+    def check(nbytes, what):
+        requests.append((nbytes, tracemalloc.get_traced_memory()[0]))
+        if short:
+            monkeypatch.setattr(ca.groups, "BYTE_BUDGET", nbytes - 1)
+        tracemalloc.reset_peak()
+        ca.groups.require_bytes(nbytes, what)
+
+    monkeypatch.setattr(cli, "require_bytes", check)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["table", *argv])
+            (request, held), = requests
+            return code, tracemalloc.get_traced_memory()[1] - held, request
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("group,subgroup", [("S4", "(12)"), ("S5", "(12)")])
+def test_table_rows_stay_within_their_byte_check(monkeypatch, capsys, group, subgroup, fmt):
+    # 12 and 60 cosets, up to 216,000 entries, written a row at a time:
+    # what the command allocates past its request stays within it, and a
+    # budget one byte short exits 2, naming the cosets, before any row
+    argv = ("--group", f"builtin:{group}", "--subgroup", subgroup, "--format", fmt)
+    code, grown, request = _table_past_its_request(monkeypatch, argv)
+    assert code == 0 and grown <= request, (grown, request)
+    code, grown, _ = _table_past_its_request(monkeypatch, argv, short=True)
+    assert code == 2 and grown < request // 10, (grown, request)
+    k = 12 if group == "S4" else 60
+    assert capsys.readouterr().err == (f"error: table rows with {k} cosets needs {request} "
+                                       f"bytes, over the byte budget of {request - 1} bytes\n")
 
 
 def test_conv_quotient_worked_example(tmp_path, capsys):

@@ -457,6 +457,29 @@ def test_direct_product():
     assert all(G.op(a, b) == G.op(b, a) for a in range(6) for b in range(6))
 
 
+def test_direct_product_checks_its_bytes_before_building(monkeypatch):
+    # Q8 x S3 gives the pairwise products; C40 x C40: the construction's one
+    # request covers its traced peak before validation, and a budget one
+    # byte short refuses before the table is built
+    q8, s3 = ca.builtin_from_token("Q8"), ca.builtin_from_token("S3")
+    a, b = np.divmod(np.arange(48), 6)
+    G = groups.direct_product_group(q8, s3)
+    assert (G.mul == q8.mul[np.ix_(a, a)] * 6 + s3.mul[np.ix_(b, b)]).all()
+    assert G.labels[7] == f"({q8.labels[1]},{s3.labels[1]})"
+    c40 = ca.builtin_catalog("cyclic", 40)
+    monkeypatch.setattr(groups, "build_from_cayley_table", lambda labels, table, name: table)
+    checked, peak = checked_peak(monkeypatch, groups,
+                                 lambda: groups.direct_product_group(c40, c40))
+    assert len(checked) == 1 and peak <= checked[0], (peak, checked)
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="direct product of order 1600 needs"):
+            groups.direct_product_group(c40, c40)
+
+    assert traced_peak(refused) < checked[0] // 10
+
+
 def test_unknown_builtin():
     with pytest.raises(UnknownName):
         ca.builtin_catalog("sporadic", 1)

@@ -4,6 +4,7 @@ D4/<(24)>, S4/S3) pairs. Counts are integers, so those must be equal."""
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -419,6 +420,88 @@ def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
         with pytest.raises(ValueError, match=refusal):
             ca.quotient_convolve_exact(ca.StructureTable(Q, shift, T.labels), e1, e2)
     assert checked == []
+
+
+# --- one byte request per convolution call -----------------------------------
+#
+# Each kernel sizes its one request by its operands' arithmetic. The figures
+# are those of the checks that sized these calls before the exact entry
+# points were folded into the kernels: float in the kernels, exact in the
+# exact group and quotient convolutions.
+
+_ONE_REQUEST = {
+    ("S4", "complex", ()): ((23040, "group convolution of order 24"),
+                            (768, "quotient convolution with 4 cosets")),
+    ("S4", "complex", (3,)): ((69120, "group convolution of order 24"),
+                              (2304, "quotient convolution with 4 cosets")),
+    ("S4", "int64", ()): ((40448, "exact group convolution of order 24"),
+                          (9472, "exact quotient convolution with 4 cosets")),
+    ("S4", "int64", (3,)): ((104960, "exact group convolution of order 24"),
+                            (12032, "exact quotient convolution with 4 cosets")),
+    ("S4", "python-int", ()): ((169472, "exact group convolution of order 24"),
+                               (12512, "exact quotient convolution with 4 cosets")),
+    ("S4", "python-int", (3,)): ((492032, "exact group convolution of order 24"),
+                                 (21152, "exact quotient convolution with 4 cosets")),
+    ("S5", "complex", ()): ((576000, "group convolution of order 120"),
+                            (119040, "quotient convolution with 60 cosets")),
+    ("S5", "complex", (3,)): ((1051200, "group convolution of order 120"),
+                              (357120, "quotient convolution with 60 cosets")),
+    ("S5", "int64", ()): ((814592, "exact group convolution of order 120"),
+                          (161792, "exact quotient convolution with 60 cosets")),
+    ("S5", "int64", (3,)): ((1076672, "exact group convolution of order 120"),
+                            (468992, "exact quotient convolution with 60 cosets")),
+    ("S5", "python-int", ()): ((1083392, "exact group convolution of order 120"),
+                               (476192, "exact quotient convolution with 60 cosets")),
+    ("S5", "python-int", (3,)): ((1116992, "exact group convolution of order 120"),
+                                 (1412192, "exact quotient convolution with 60 cosets")),
+}
+
+
+def _spy_every_byte_check(monkeypatch):
+    """The (nbytes, what) of every require_bytes call, in every module that
+    binds it."""
+    requests = []
+    check = ca.groups.require_bytes
+
+    def spy(nbytes, what):
+        requests.append((nbytes, what))
+        check(nbytes, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cosetalg" and getattr(module, "require_bytes", None) is check:
+            monkeypatch.setattr(module, "require_bytes", spy)
+    return requests
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "batch"])
+@pytest.mark.parametrize("kind", ["complex", "int64", "python-int"])
+@pytest.mark.parametrize("token,gens", [("S4", ["(12)", "(123)"]), ("S5", ["(12)"])],
+                         ids=["S4/S3", "S5/<(12)>"])
+def test_each_convolution_call_makes_one_byte_request(monkeypatch, token, gens, kind, batch):
+    # both kernels, and the exact quotient convolution on exact operands:
+    # one request each, of the size and message pinned above
+    G, Q = _setup(token, gens)
+    T = ca.structure_table(Q)
+
+    def operand(size):
+        if kind == "complex":
+            return np.full((*batch, size), 0.5 + 0.25j)
+        numerator = 2 ** 64 if kind == "python-int" else 5
+        return ExactVector(np.full((*batch, size), numerator, dtype=object),
+                           np.full((*batch, size), -3, dtype=object), 7)
+
+    w, s = operand(G.order), operand(T.coset_count)
+    group_request, quotient_request = _ONE_REQUEST[token, kind, batch]
+    calls = [(lambda: _kernels.group_convolve_weights(G.mul, G.inv, w, w), group_request),
+             (lambda: _kernels.quotient_convolve_weights(T.shift, T.segments, s, s),
+              quotient_request)]
+    if kind != "complex":
+        calls.append((lambda: ca.quotient_convolve_exact(T, s, s), quotient_request))
+    requests = _spy_every_byte_check(monkeypatch)
+    for call, request in calls:
+        requests.clear()
+        call()
+        assert requests == [request]
 
 
 # --- the quotient kernel's segment sums against the cycled suborbit table ----

@@ -94,6 +94,9 @@ def test_spec_validation():
         CheckSpec(id="W0_WEIL", tolerance=0.0)
     with pytest.raises(ValueError):
         CheckSpec(id="W0_WEIL", mode="both")
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            CheckSpec(id="W0_WEIL", seed=seed)
 
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
