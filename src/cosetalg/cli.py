@@ -109,10 +109,10 @@ def _cmd_table(args) -> int:
     Q = build_coset_space(G, H)
     T = structure_table(Q)
     k = T.coset_count
-    # one row's Fractions, strings and line, the coset and representative
-    # labels, and the output's buffers: traced, 105 to 110 bytes per coset
-    # past ~20 KB at 12 to 180 cosets
-    require_bytes(128 * k + (1 << 15), f"table rows with {k} cosets")
+    # one row's Fractions, strings, JSON pieces and line, the label lists and
+    # the output's buffers: traced, 25 KB at 12 cosets, 81 KB at 360 and
+    # 534 KB at 2,520 (S7/<(12)>)
+    require_bytes(256 * k + (1 << 15), f"table rows with {k} cosets")
     cosets, reps = list(Q.labels), [G.labels[int(r)] for r in Q.reps]
 
     def row(a: int, b: int) -> list[str]:

@@ -1,9 +1,10 @@
 """Named, runnable checks over a catalog of (group, subgroup, rho) triples.
 
 Each check encodes one algebraic statement about the coset convolution
-machinery and reports pass/fail plus statistics; probes of questions the
-library only observes (solution-space dimension, left-identity search,
-lift-compatibility variants) report status "info" and never fail a suite.
+machinery and reports pass/fail plus statistics; the two probes of
+questions the library only observes, P1_MHG (the dimension of the
+invariance system's solutions) and L17_COMPAT (lift-compatibility
+variants), report status "info" and never fail a suite.
 
 Randomness: PCG64 generators seeded through SeedSequence from
 (seed, catalog index, crc32 of the check id), so every (check, entry) pair is
