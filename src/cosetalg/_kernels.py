@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from .exact import ExactVector
 from .groups import require_bytes
 
 # Kept as a constant: benchmark results are stamped with it.
@@ -51,9 +50,9 @@ def _row_blocks(n: int, entry_bytes: int, vectors: int) -> tuple[int, int]:
     return rows, row * vectors * (rows + (rows < n))
 
 
-def _wide_digits(v1: ExactVector, v2: ExactVector, terms: int) -> int:
-    """0 while sums of `terms` products of v1's and v2's entries fit int64,
-    else the 30-bit digits of their bound."""
+def _wide_digits(v1, v2, terms: int) -> int:
+    """0 while sums of `terms` products of the exact vectors v1's and v2's
+    entries fit int64, else the 30-bit digits of their bound."""
     bound = 2 * max(v1.bound, 1) * max(v2.bound, 1) * terms
     return math.ceil(bound.bit_length() / 30) if bound >= 2 ** 63 else 0
 
@@ -65,18 +64,18 @@ def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
     row, so every column is still summed in x order; exact blocks add their
     sums."""
     n, batch = mul.shape[0], _batch_shape(w1, w2)
-    if isinstance(w1, ExactVector):
-        # on Python ints, 140 to 170 bytes per pair measured and the four
-        # products' digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
+    if isinstance(w1, np.ndarray):
+        rows, nbytes = _row_blocks(n, GROUP_RATE, math.prod(batch))
+        require_bytes(nbytes, f"group convolution of order {n}")
+    else:
+        # exact: on Python ints, 140 to 170 bytes per pair measured and the
+        # four products' digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
         digits = _wide_digits(w1, w2, n)
         rows, nbytes = _row_blocks(n, 200 + 16 * digits if digits else GROUP_EXACT_RATE,
                                    math.prod(batch))
         require_bytes(nbytes + (1 << 13), f"exact group convolution of order {n}")
         if digits:   # the gathers then share the operands' ints, not widen each
             w1, w2 = w1.widened(), w2.widened()
-    else:
-        rows, nbytes = _row_blocks(n, GROUP_RATE, math.prod(batch))
-        require_bytes(nbytes, f"group convolution of order {n}")
     out = None
     for start in range(0, n, rows):
         stop = start + rows
@@ -108,20 +107,20 @@ def quotient_convolve_weights(shift: np.ndarray, segments: tuple, s1, s2):
     if shift.shape != (k, k):
         raise ValueError(f"shift must be one ({k}, {k}) table, not {shift.shape}")
     vectors = math.prod(_batch_shape(s1, s2))
-    if isinstance(s1, ExactVector):
-        # peaks per entry of k² + 4k and per vector past ~4 KB: 17 to 33
-        # bytes on int64 or Python ints, 87 to 114 when int64 operands widen,
-        # and ~6k wide ints at 4 bytes per 30-bit digit of bound; each mean's
-        # numerator is at most lcm(sizes) times s2's
-        digits = _wide_digits(s1, s2, math.lcm(*set(sizes.tolist())) * k)
-        per_vector = 120 * (k * k + 4 * k) + 24 * k * digits if digits else 40 * (k * k + 4 * k)
-        require_bytes(per_vector * vectors + (1 << 13),
-                      f"exact quotient convolution with {k} cosets")
-    else:
+    if isinstance(s1, np.ndarray):
         # the complex gathers and their intp index copies: 16 to 17 bytes per
         # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, and the
         # means' few gathers of k entries, per vector
         require_bytes((32 * k * k + 64 * k) * vectors, f"quotient convolution with {k} cosets")
+    else:
+        # exact: peaks per entry of k² + 4k and per vector past ~4 KB: 17 to
+        # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands
+        # widen, and ~6k wide ints at 4 bytes per 30-bit digit of bound; each
+        # mean's numerator is at most lcm(sizes) times s2's
+        digits = _wide_digits(s1, s2, math.lcm(*set(sizes.tolist())) * k)
+        per_vector = 120 * (k * k + 4 * k) + 24 * k * digits if digits else 40 * (k * k + 4 * k)
+        require_bytes(per_vector * vectors + (1 << 13),
+                      f"exact quotient convolution with {k} cosets")
     means = np.add.reduceat(s2.take(order, axis=-1), starts, axis=-1) / sizes
     return (s1[..., None, :] @ means.take(rank, axis=-1).take(shift, axis=-1))[..., 0, :]
 
