@@ -5,10 +5,15 @@ one matrix product, which ExactVector implements too, so each runs on
 complex128 arrays and exact vectors through one entry point, which sizes its
 one byte check by their arithmetic. Operands may carry leading batch axes,
 with the carrier on the last axis: a call on a batch gives, row by row, the
-calls on its vectors. The group convolution runs in row blocks of x, about
-BLOCK_BYTES of temporaries each, so no call holds its n x n expansion, and its
-bits do not depend on the block size. The gathers use take: numpy's fancy
-indexing after an ellipsis, w[..., idx], is about twice as slow on one vector.
+calls on its vectors. The group convolution runs in row blocks of x and the
+quotient convolution in column blocks of z, each about BLOCK_BYTES of
+temporaries, so no call holds its n x n or k x k expansion. A float group
+block carries the running sum into its first row, so its bits do not depend
+on the block size; each quotient output entry is one matrix product over all
+k rows, and blocks of a whole multiple of 64 columns keep the bits of one
+product over every column (the tests compare them on one BLAS thread). The
+gathers use take: numpy's fancy indexing after an ellipsis, w[..., idx], is
+about twice as slow on one vector.
 """
 
 from __future__ import annotations
@@ -22,13 +27,21 @@ from .groups import require_bytes
 # Kept as a constant: benchmark results are stamped with it.
 BACKEND = "numpy"
 
-# temporaries per block of a group convolution's rows x
+# temporaries per block of a group convolution's rows x or of a quotient
+# convolution's columns z; the verifier sizes its blocks of trials against it
+# too, and at this size each check of the default catalog runs its 100
+# trials in one block
 BLOCK_BYTES = 1 << 20
 
 # bytes per gathered entry (x, z) and vector of a group convolution: float,
 # the intp index rows and the complex gather multiplied in place (24 from
 # order 120 up, up to 35 below); exact on int64, 48 to 52 measured
 GROUP_RATE, GROUP_EXACT_RATE = 40, 56
+
+# bytes per gathered entry (a, z) and vector of a quotient convolution: float,
+# the complex gather and its intp index copy (16 to 17 from 240 cosets up, 21
+# to 28 at 30 to 120); exact on int64, 17 to 33 measured
+QUOTIENT_RATE, QUOTIENT_EXACT_RATE = 32, 40
 
 
 def _batch_shape(*operands) -> tuple[int, ...]:
@@ -48,6 +61,15 @@ def _row_blocks(n: int, entry_bytes: int, vectors: int) -> tuple[int, int]:
     row = entry_bytes * n
     rows = max(1, min(n, BLOCK_BYTES // (row * max(vectors, 1))))
     return rows, row * vectors * (rows + (rows < n))
+
+
+def _column_blocks(k: int, column_bytes: int, vectors: int) -> int:
+    """Columns z per block of a quotient convolution with k cosets at
+    column_bytes per column and vector: a whole multiple of 64 of about
+    BLOCK_BYTES (sized for one vector when the batch is empty), at least 64,
+    and all k when they fit."""
+    columns = BLOCK_BYTES // (column_bytes * max(vectors, 1)) // 64 * 64
+    return min(k, max(64, columns))
 
 
 def _wide_digits(v1, v2, terms: int) -> int:
@@ -100,29 +122,38 @@ def quotient_convolve_weights(shift: np.ndarray, segments: tuple, s1, s2):
     over the suborbit of coset c: a point mass at coset a acts as the left
     translate by rep_a of that mean. The suborbits are the segments (order,
     starts, sizes, rank) of StructureTable.segments; each is summed once,
-    its members in ascending order, and divided by its size. Raises
-    ValueError unless shift is one (k, k) table for their k cosets."""
+    its members in ascending order, and divided by its size. Runs in blocks
+    of columns z (_column_blocks), each entry still one matrix product over
+    all k rows a; exact blocks are joined by ExactVector's concatenate.
+    Raises ValueError unless shift is one (k, k) table for their k cosets."""
     order, starts, sizes, rank = segments
     k = len(order)
     if shift.shape != (k, k):
         raise ValueError(f"shift must be one ({k}, {k}) table, not {shift.shape}")
     vectors = math.prod(_batch_shape(s1, s2))
     if isinstance(s1, np.ndarray):
-        # the complex gathers and their intp index copies: 16 to 17 bytes per
-        # k^2 entry from 240 cosets up, 21 to 28 at 30 to 120 cosets, and the
-        # means' few gathers of k entries, per vector
-        require_bytes((32 * k * k + 64 * k) * vectors, f"quotient convolution with {k} cosets")
+        # per column and vector the gather, and per vector the means' few
+        # gathers of k entries and the blocks' outputs
+        columns = _column_blocks(k, QUOTIENT_RATE * k, vectors)
+        require_bytes((QUOTIENT_RATE * k * columns + 64 * k) * vectors,
+                      f"quotient convolution with {k} cosets")
     else:
-        # exact: peaks per entry of k² + 4k and per vector past ~4 KB: 17 to
+        # exact: per entry of k·columns + 4k and per vector past ~4 KB, 17 to
         # 33 bytes on int64 or Python ints, 87 to 114 when int64 operands
         # widen, and ~6k wide ints at 4 bytes per 30-bit digit of bound; each
         # mean's numerator is at most lcm(sizes) times s2's
         digits = _wide_digits(s1, s2, math.lcm(*set(sizes.tolist())) * k)
-        per_vector = 120 * (k * k + 4 * k) + 24 * k * digits if digits else 40 * (k * k + 4 * k)
-        require_bytes(per_vector * vectors + (1 << 13),
+        rate = 120 if digits else QUOTIENT_EXACT_RATE
+        columns = _column_blocks(k, rate * k, vectors)
+        require_bytes((rate * (k * columns + 4 * k) + 24 * k * digits) * vectors + (1 << 13),
                       f"exact quotient convolution with {k} cosets")
     means = np.add.reduceat(s2.take(order, axis=-1), starts, axis=-1) / sizes
-    return (s1[..., None, :] @ means.take(rank, axis=-1).take(shift, axis=-1))[..., 0, :]
+    v, s1 = means.take(rank, axis=-1), s1[..., None, :]
+    if columns == k:
+        return (s1 @ v.take(shift, axis=-1))[..., 0, :]
+    # a block's gather is freed once its product is taken
+    return np.concatenate([(s1 @ v.take(shift[:, z:z + columns], axis=-1))[..., 0, :]
+                           for z in range(0, k, columns)], axis=-1)
 
 
 def lift_weights(coset_of: np.ndarray, h: int, s):

@@ -19,7 +19,6 @@ import re
 import sys
 import time
 from functools import partial
-from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -109,27 +108,35 @@ def _cmd_table(args) -> int:
     Q = build_coset_space(G, H)
     T = structure_table(Q)
     k = T.coset_count
-    # one row's Fractions, strings, JSON pieces and line, the label lists and
-    # the output's buffers: traced, 25 KB at 12 cosets, 81 KB at 360 and
-    # 534 KB at 2,520 (S7/<(12)>)
+    # one row's mask, strings, JSON pieces and line, the label lists and the
+    # output's buffers: traced, 25 KB at 12 cosets, 81 KB at 360 and 534 KB
+    # at 2,520 (S7/<(12)>)
     require_bytes(256 * k + (1 << 15), f"table rows with {k} cosets")
     cosets, reps = list(Q.labels), [G.labels[int(r)] for r in Q.reps]
+    labels, ones = T.labels.tolist(), [f"1/{size}" for size in T.suborbit_sizes.tolist()]
 
-    def row(a: int, b: int) -> list[str]:
-        return [f"{v.numerator}/{v.denominator}" for v in T.row(a, b)]
+    def rows(a: int):
+        """Rows (a, b) for b in turn, as strings: c[a][b][z] is 1/|O_b| where
+        shift[a, z] lies in the suborbit O_b of b, else 0."""
+        row_labels = T.labels.take(T.shift[a])
+        for b in range(k):
+            one = ones[b]
+            yield [one if hit else "0/1" for hit in (row_labels == labels[b]).tolist()]
 
     write = sys.stdout.write
     if args.format == "json":
         write('{"c": [[')
-        for a, b in product(range(k), repeat=2):
-            write((", " if b else "], [" if a else "") + json.dumps(row(a, b)))
+        for a in range(k):
+            for b, row in enumerate(rows(a)):
+                write((", " if b else "], [" if a else "") + json.dumps(row))
         write(f']], "cosets": {json.dumps(cosets)}, "group": {json.dumps(G.name)}, '
               f'"representatives": {json.dumps(reps)}}}\n')
     else:
         print(f"structure constants for {G.name}/H, cosets: "
               + " ".join(f"{c}={r}H" for c, r in zip(cosets, reps)))
-        for a, b in product(range(k), repeat=2):
-            print(f"  c[{cosets[a]}][{cosets[b]}] = ({', '.join(row(a, b))})")
+        for a in range(k):
+            for b, row in enumerate(rows(a)):
+                print(f"  c[{cosets[a]}][{cosets[b]}] = ({', '.join(row)})")
     return 0
 
 

@@ -153,6 +153,18 @@ class ExactVector:
                                      for a in _integers(bound, v.re, v.im)), v.den, bound)
         return NotImplemented
 
+    def __array_function__(self, func, types, args, kwargs):
+        """np.concatenate(vectors, axis=...) of exact vectors, over their
+        denominators' least common multiple; no other numpy function."""
+        if func is not np.concatenate:
+            return NotImplemented
+        vectors, axis = args[0], kwargs.get("axis", args[1] if len(args) > 1 else 0)
+        den = math.lcm(*(v.den for v in vectors))
+        bound = max(_bound(v.bound, den // v.den) for v in vectors)
+        parts = [[a if v.den == den else a * (den // v.den) for a in _integers(bound, v.re, v.im)]
+                 for v in vectors]
+        return ExactVector._of(*(np.concatenate(p, axis=axis) for p in zip(*parts)), den, bound)
+
     def equal(self, other: "ExactVector") -> np.ndarray:
         """Entrywise value equality, broadcast as numpy's == broadcasts."""
         bound = max(_bound(self.bound, other.den), _bound(other.bound, self.den))

@@ -99,10 +99,6 @@ class StructureTable:
             m.astype(dtype) * (self.quotient.subgroup.order // sizes).astype(dtype)
         return _freeze(m.take(self.shift, axis=0).transpose(0, 2, 1))
 
-    def row(self, a: int, b: int) -> list[Fraction]:
-        size = int(self.suborbit_sizes[b])
-        return [Fraction(int(v), size) for v in self.labels.take(self.shift[a]) == self.labels[b]]
-
 
 def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
     """Whether every row of `rows` is a permutation of range(k): a sorted copy,

@@ -31,7 +31,7 @@ from . import _kernels, exact, quotient_algebra
 from ._kernels import group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
-from .groups import (FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
+from .groups import (_SCAN_ENTRIES, FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
                      builtin_from_token, require_bytes,
                      subgroup_from_tokens, test_normality)
 from .measures import (ComplexMeasure, DensityFunction, from_density,
@@ -250,35 +250,31 @@ def _worst_of(residuals, worst: float = 0.0) -> float:
     return _worst(worst, float(r[r.argmax()])) if r.size else worst
 
 
-# kernel temporaries per block of trials. Measured on the default catalog,
-# 512 KiB blocks run the suite as fast as 1 to 32 MiB ones, and its peak RSS
-# stays within 0.1 MB of a run with one trial per block (32 MiB blocks added
-# 2.6 MB); past ~115 cosets, or elements for a check that convolves on G, a
-# block is one trial
-_BLOCK_BYTES = 1 << 19
-
-
-def _trial_bytes(spec: CheckSpec, ctx: EntryContext, largest: str) -> int:
-    """Kernel temporaries of one trial, by its largest array: a group
-    convolution's, a quotient convolution's, or a few vectors per member of
-    H. The rate per entry is the group convolution kernel's (its int64
-    exact one in exact mode)."""
+def _trial_bytes(spec: CheckSpec, ctx: EntryContext, on_table: bool = False) -> int:
+    """What one trial holds beside the kernels' blocks, which size
+    themselves: its operand and result vectors, two per member of H and four
+    more of |G| entries at 16 bytes each, and each kernel's smallest block
+    for one vector at its rate in the spec's mode: two rows x of a group
+    convolution and, for a trial that convolves on the table, 64 columns z
+    (at most k) of a quotient convolution."""
     n, k, h = ctx.G.order, ctx.Q.coset_count, ctx.H.order
-    entries = {"group": n * n, "quotient": k * k + n, "vectors": (h + 4) * n}[largest]
-    rate = _kernels.GROUP_EXACT_RATE if spec.mode == "exact" else _kernels.GROUP_RATE
-    return rate * entries
+    exact = spec.mode == "exact"
+    group_rate = _kernels.GROUP_EXACT_RATE if exact else _kernels.GROUP_RATE
+    quotient_rate = _kernels.QUOTIENT_EXACT_RATE if exact else _kernels.QUOTIENT_RATE
+    return 16 * (2 * h + 4) * n + group_rate * 2 * n + on_table * quotient_rate * min(k, 64) * k
 
 
 def _trials(n: int, trial: Callable, per_trial: int, worst: float = 0.0,
             witness: Optional[dict] = None) -> tuple[float, Optional[dict]]:
-    """Run the trials t < n in blocks, as many per block as fit _BLOCK_BYTES
-    at per_trial bytes each (at least one). trial(ts) gets a block's trial
-    numbers and yields, in its program order, (residuals, witness) pairs,
-    one residual per trial of the block (or one for all) and witness(t) or
-    None, and _Fails. Returns the worst residual, ranked by _worse in
-    (trial, yield) order from `worst` on, and its witness. Raises the first
-    failure in (trial, yield) order, as a _Fail of trials_run t + 1."""
-    block = max(1, min(n, _BLOCK_BYTES // max(per_trial, 1)))
+    """Run the trials t < n in blocks, as many per block as fit the kernels'
+    BLOCK_BYTES at per_trial bytes each (at least one). trial(ts) gets a
+    block's trial numbers and yields, in its program order, (residuals,
+    witness) pairs, one residual per trial of the block (or one for all) and
+    witness(t) or None, and _Fails. Returns the worst residual, ranked by
+    _worse in (trial, yield) order from `worst` on, and its witness. Raises
+    the first failure in (trial, yield) order, as a _Fail of trials_run
+    t + 1."""
+    block = max(1, min(n, _kernels.BLOCK_BYTES // max(per_trial, 1)))
     for start in range(0, n, block):
         ts = np.arange(start, min(n, start + block))
         ranked, fails = [], []
@@ -369,16 +365,17 @@ def _check_w0_weil(spec, ctx, rng):
         lhs, rhs = quotient_integral_check(Q, RhoFunction(Q, rhos), f)
         yield np.abs(lhs - rhs), lambda t: {"trial": t, "rho": rhos[t - ts[0]].tolist()}
 
-    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors")))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx)))
 
 
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
     """Max violation of the literal system: sum over x*C of weights minus the
     weight at x, over all elements x and cosets C, in blocks of rows x."""
     n, k = Q.group.order, Q.coset_count
-    # rows x of ~1 M gathered weights; per row its (k, |H|) index gather and
-    # the complex weights through it, and its k sums and their differences
-    block = max(1, min(n, (1 << 20) // n))
+    # rows x of about as many gathered weights as a scan of G's table reads;
+    # per row its (k, |H|) index gather and the complex weights through it,
+    # and its k sums and their differences
+    block = max(1, min(n, _SCAN_ENTRIES // n))
     require_bytes(block * (24 * n + 48 * k), f"invariance residual of order {n}")
     worst = 0.0
     for start in range(0, n, block):
@@ -401,7 +398,7 @@ def _check_p1_mhg(spec, ctx, rng):
             yield [_invariance_residual(Q, w) for w in conv.weights], None
 
         worst = _worst(worst, _invariance_residual(Q, vector.weights))
-        worst, _ = _trials(draws, trial, _trial_bytes(spec, ctx, "group"), worst)
+        worst, _ = _trials(draws, trial, _trial_bytes(spec, ctx), worst)
     notes = (f"literal invariance system: dimension={len(basis)}; "
              f"left-convolution closure residual={_stable(worst):.3g} "
              f"on {draws} draws per basis vector")
@@ -430,7 +427,7 @@ def _check_p2_density(spec, ctx, rng):
             yield _Fails(membership_mgh(Q, mu + bump),
                          _at(reason="perturbed measure still reported invariant"))
 
-    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors"))
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx))
     # a point mass at the identity is never right-invariant
     if h > 1 and membership_mgh(Q, point_mass(G, G.identity)):
         raise _Fail({"reason": "identity point mass reported invariant"}, trials_run=spec.trials)
@@ -459,8 +456,8 @@ def _check_p3_lift(spec, ctx, rng):
         yield _Fails(_differ(lifted.abs_squared() * (h * h), s.abs_squared()[..., Q.coset_of]),
                      _at(reason="exact lift norm identity failed"))
 
-    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "group"))
-    _trials(min(spec.trials, 10), exact_trial, _trial_bytes(spec, ctx, "vectors"))
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx))
+    _trials(min(spec.trials, 10), exact_trial, _trial_bytes(spec, ctx))
     return _verdict(spec, worst, witness)
 
 
@@ -476,7 +473,7 @@ def _check_p4_isometry(spec, ctx, rng):
         lifted = lift_to_invariant(Q, ComplexMeasure(Q, sigma))
         yield np.abs(total_variation(pushforward_rh(Q, lifted)) - total_variation(lifted)), _at()
 
-    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors"))
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx))
     _verdict(spec, excess[0], {"reason": "pushforward increased total variation"})
     return _verdict(spec, worst, witness)
 
@@ -499,7 +496,8 @@ def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
     Q, k, labels = T.quotient, T.coset_count, T.labels
     choices = _alternative_reps(rng, Q, 10)
     # as many choices per gather as _factors' byte check fits in a block
-    block = min(len(choices), max(1, _BLOCK_BYTES // (20 * (k * k + Q.subgroup.order * k))))
+    block = min(len(choices),
+                max(1, _kernels.BLOCK_BYTES // (20 * (k * k + Q.subgroup.order * k))))
     # T's gathered labels, and per choice its shift and the gather's intp
     # index copy, int32 result and mask, more than the 16 bytes per entry of
     # _factors' own gathers; and numpy's index buffers
@@ -550,7 +548,7 @@ def _check_d6_conv(spec, ctx, rng):
         target = Q.coset_of[G.mul[x, Q.reps[b]]]
         yield total_variation(moved - point_mass(Q, target)), witness
 
-    per_trial = _trial_bytes(spec, ctx, "group")
+    per_trial = _trial_bytes(spec, ctx, on_table=True)
     worst, witness = _trials(spec.trials, trial, per_trial)
     # exact mode reports the exact comparison alone
     return _verdict(spec, *_trials(0 if spec.mode == "exact" else min(spec.trials, 25),
@@ -570,7 +568,7 @@ def _check_t8_algebra(spec, ctx, rng):
                   - total_variation(m1) * total_variation(m2))
         yield _Fails(_worse(excess, SUBMULT_TOL), _at(law="submultiplicativity"), excess)
 
-    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient"))
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, on_table=True))
     ident = find_left_identity(T)
     if ident.solution is not None:
         notes = "left identity found: unit mass on the base coset" \
@@ -610,7 +608,7 @@ def _check_l11_right_id(spec, ctx, rng):
         (s,) = mode.draw(rng, len(ts), 1)
         yield mode.gap(mode.convolve(s, mode.delta_h), s), _at()
 
-    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient")))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, on_table=True)))
 
 
 def _check_c13_unique_id(spec, ctx, rng):
@@ -681,7 +679,7 @@ def _check_p15_normality(spec, ctx, rng):
         yield total_variation(quotient_convolve(T, dh, s) - s), None
 
     worst, _ = _trials(min(spec.trials, 25) if normal else 0, trial,
-                       _trial_bytes(spec, ctx, "quotient"))
+                       _trial_bytes(spec, ctx, on_table=True))
     _verdict(spec, worst, {"reason": "left identity residual too large"})
     return "pass", worst, f"normal={normal}; all three criteria agree", spec.trials
 
@@ -707,8 +705,8 @@ def _check_p16_embed(spec, ctx, rng):
         yield _Fails(_differ((phi * lam).abs_squared(), phi.abs_squared() * (lam * lam)),
                      _at(reason="exact norm identity failed"))
 
-    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx, "vectors"))
-    _trials(min(spec.trials, 10), exact_trial, _trial_bytes(spec, ctx, "vectors"))
+    worst, witness = _trials(spec.trials, trial, _trial_bytes(spec, ctx))
+    _trials(min(spec.trials, 10), exact_trial, _trial_bytes(spec, ctx))
     return _verdict(spec, worst, witness)
 
 
@@ -731,7 +729,7 @@ def _check_l17_compat(spec, ctx, rng):
                 unweighted[u] = _worst_of(r_u[unit == u], unweighted[u])
 
     draws = min(spec.trials, 25)
-    weighted_worst, _ = _trials(draws, trial, _trial_bytes(spec, ctx, "vectors"))
+    weighted_worst, _ = _trials(draws, trial, _trial_bytes(spec, ctx))
     notes = (f"rho-weighted lift reproduces the embedded density for all sampled rho "
              f"(max residual {_stable(weighted_worst):.3g}); unweighted lift matches "
              f"for rho=1 (max residual {_stable(unweighted[True]):.3g}) and deviates "
@@ -750,7 +748,7 @@ def _check_t18_ideal(spec, ctx, rng):
         target = quotient_convolve(T, embed_density(lam, phi), sigma)
         yield total_variation(embed_density(lam, psi) - target), _at()
 
-    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "quotient")))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, on_table=True)))
 
 
 def _operator_route(Q: QuotientSpace, rho: RhoFunction, p,
@@ -831,7 +829,7 @@ def _check_p19_lp(spec, ctx, rng):
                                                "reason": "explicit and operator routes differ"},
                          gaps[j])
 
-    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, "group")))
+    return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, on_table=True)))
 
 
 # check id -> (check, default tolerance)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -125,6 +126,22 @@ def checked_peak(monkeypatch, module, fn):
 
     monkeypatch.setattr(module, "require_bytes", record)
     return checked, traced_peak(fn)
+
+
+def spy_every_byte_check(monkeypatch):
+    """The (nbytes, what) of every require_bytes call, in every module that
+    binds it."""
+    requests = []
+    check = ca.groups.require_bytes
+
+    def spy(nbytes, what):
+        requests.append((nbytes, what))
+        check(nbytes, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cosetalg" and getattr(module, "require_bytes", None) is check:
+            monkeypatch.setattr(module, "require_bytes", spy)
+    return requests
 
 
 def oracle_perm_label(p) -> str:

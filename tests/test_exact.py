@@ -210,6 +210,23 @@ def test_int64_edge_sums_and_scales_stay_exact():
     assert ExactVector(np.array([-(2 ** 63)]), np.array([0])).re.dtype == object
 
 
+def test_concatenate_joins_exact_vectors_over_their_common_denominator():
+    # np.concatenate on exact vectors, as the quotient kernel joins its
+    # column blocks: the values in order, over the least common multiple of
+    # the denominators, typed by the scaled bound; no other numpy function
+    a = ExactVector.from_fractions([F(1, 2), F(-1, 3)], [F(0), F(1, 6)])
+    b = ExactVector.from_fractions([F(2, 5)], [F(-7, 10)])
+    joined = np.concatenate([a, b], axis=-1)
+    assert values(joined) == values(a) + values(b) and joined.den == 30
+    rows = np.concatenate([ExactVector(a.re[None], a.im[None], a.den)] * 2, axis=0)
+    assert rows.shape == (2, 2) and all(rows[i] == a for i in range(2))
+    top = ExactVector(np.array([2 ** 62]), np.array([0]))
+    wide = np.concatenate([top, ExactVector(np.array([1]), np.array([0]), 2)], axis=-1)
+    assert wide.re.dtype == object and values(wide) == [(F(2 ** 62), F(0)), (F(1, 2), F(0))]
+    with pytest.raises(TypeError):
+        np.stack([a, a])
+
+
 def test_exact_vector_rejects_bad_input():
     with pytest.raises(TypeError):
         ExactVector(np.array([0.5]), np.array([0]))

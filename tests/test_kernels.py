@@ -2,23 +2,29 @@
 their slow definitions, on normal (Q8/<i>) and non-normal (S3/<(12)>,
 D4/<(24)>, S4/S3) pairs. Counts are integers, so those must be equal."""
 
+import json
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cosetalg as ca
-from cosetalg import _kernels, verifier
+from cosetalg import _kernels, cli, verifier
 from cosetalg.errors import CapExceeded
 from cosetalg.exact import ExactVector
 
 from conftest import (checked_peak, cycled_quotient_convolve, cycled_suborbits, onehot_counts,
-                      random_weights, rng, traced_peak)
+                      random_weights, rng, spy_every_byte_check, traced_peak)
 
 PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
@@ -57,7 +63,7 @@ def test_group_convolve_kernel_oracle(s3):
 
 
 @pytest.mark.parametrize("token,gens", PAIRS)
-def test_structure_counts_kernel_oracle(token, gens):
+def test_structure_counts_kernel_oracle(capsys, token, gens):
     G, Q = _setup(token, gens)
     members = np.array(Q.subgroup.members, dtype=np.int64)
     k = Q.coset_count
@@ -69,7 +75,12 @@ def test_structure_counts_kernel_oracle(token, gens):
                 want[a, b, z] += 1
     T = ca.structure_table(Q)
     assert np.array_equal(T.counts, want)
-    assert all(T.row(a, b) == [Fraction(int(v), len(members)) for v in want[a, b]]
+    # and the rows that `table` writes
+    assert cli.main(["table", "--group", f"builtin:{token}", "--subgroup", ",".join(gens),
+                     "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["c"]
+    assert all([Fraction(v) for v in rows[a][b]]
+               == [Fraction(int(v), len(members)) for v in want[a, b]]
                for a in range(k) for b in range(k))
 
 
@@ -402,6 +413,153 @@ def test_exact_group_convolution_fits_a_budget_below_its_whole_expansion(monkeyp
             == _exact_one_block(G.mul, G.inv, w1, w2))
 
 
+# --- the quotient convolution in column blocks of z ---------------------------
+#
+# Blocks are whole multiples of 64 columns, forced here through
+# _column_blocks. Every output entry is one matrix product over all k rows,
+# so float blocks keep the one-block bits. OpenBLAS splits one product's
+# columns among its threads, and where a thread's share is not a multiple of
+# its kernel's column group the product's own bits move with the thread
+# count (D130/<s> at k = 130 on two threads), so the float comparison runs
+# in a fresh interpreter on one BLAS thread.
+
+# the reflection i -> -i of D130, which fixes points 1 and 66: 130 cosets
+D130_S = "".join(f"({p},{132 - p})" for p in range(2, 66))
+COLUMN_PAIRS = [(e.group.removeprefix("builtin:"), list(e.subgroup))
+                for e in ca.default_catalog()] + [("S6", ["(12)"]), ("S6", []), ("D130", [D130_S])]
+COLUMN_IDS = [e.name for e in ca.default_catalog()] + ["S6/<(12)>", "S6/{e}", "D130/<s>"]
+
+
+def _table(token, gens):
+    G, Q = _setup(token, gens)
+    return ca.structure_table(Q)
+
+
+def _in_columns_of(width, call):
+    """call() with the quotient kernel run in blocks of `width` columns z
+    (one block of all k when width >= k)."""
+    blocks = _kernels._column_blocks
+    _kernels._column_blocks = lambda k, column_bytes, vectors: min(width, k)
+    try:
+        return call()
+    finally:
+        _kernels._column_blocks = blocks
+
+
+def _column_block_mismatches() -> list[str]:
+    """The pairs, batches and widths whose float outputs in blocks of 64 or
+    128 columns differ in any bit from the one-block product."""
+    mismatches = []
+    for (token, gens), name in zip(COLUMN_PAIRS, COLUMN_IDS):
+        T = _table(token, gens)
+        k, g = T.coset_count, rng(89)
+        for shape in ((k,), (5, k)):
+            s1, s2 = random_weights(g, shape), random_weights(g, shape)
+
+            def call():
+                return _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
+
+            want = _in_columns_of(k, call)
+            mismatches += [f"{name} {shape} width {width}" for width in (64, 128)
+                           if _in_columns_of(width, call).tobytes() != want.tobytes()]
+    return mismatches
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"],
+                         ids=["host", "Haswell", "Prescott"])
+def test_quotient_column_blocks_keep_the_one_block_bits(coretype):
+    # the host's OpenBLAS kernel, and two older x86-64 ones
+    if coretype and platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS core types are x86-64 kernels")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    code = (f"import json, sys; sys.path.insert(0, {str(tests)!r}); import test_kernels; "
+            "print(json.dumps(test_kernels._column_block_mismatches()))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("token,gens", COLUMN_PAIRS, ids=COLUMN_IDS)
+def test_exact_quotient_column_blocks_keep_the_values(token, gens):
+    # int64 numerators on every pair, Python ints where k is small: blocks
+    # of 64 and 128 columns give the one-block values
+    T = _table(token, gens)
+    k, g = T.coset_count, rng(90)
+    kinds = ["int64"] + ["python-int"] * (k <= 130)
+    for kind, shape in product(kinds, ((k,), (3, k))):
+        s1, s2 = _exact_weights(g, shape), _exact_weights(g, shape)
+        if kind == "python-int":
+            s1 = ExactVector(s1.re * 2 ** 62, s1.im, s1.den)
+
+        def call():
+            return ca.quotient_convolve_exact(T, s1, s2)
+
+        want = _in_columns_of(k, call)
+        for width in (64, 128):
+            got = _in_columns_of(width, call)
+            assert got.shape == want.shape and got == want, (kind, shape, width)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "batch"])
+@pytest.mark.parametrize("kind", ["complex", "int64", "python-int"])
+def test_quotient_convolution_byte_check_sizes_one_block(monkeypatch, kind, batch):
+    # S6/<(12)>, 360 cosets (S5/{e}, 120, on Python ints): one request per
+    # call, of one block of a whole multiple of 64 columns, covers the traced
+    # peak, and a budget one byte short refuses the call before it
+    # allocates; with BLOCK_BYTES raised until one block holds all k
+    # columns, the request is the one-block figure the kernel asked before
+    # it ran in blocks
+    T = _table("S5", []) if kind == "python-int" else _table("S6", ["(12)"])
+    k, v, g = T.coset_count, math.prod(batch), rng(91)
+    if kind == "complex":
+        s1, s2 = random_weights(g, (*batch, k)), random_weights(g, (*batch, k))
+        what, slack = f"quotient convolution with {k} cosets", 0
+    else:
+        s1, s2 = _exact_weights(g, (*batch, k)), _exact_weights(g, (*batch, k))
+        if kind == "python-int":
+            s1 = ExactVector(s1.re * 2 ** 62, s1.im, s1.den)
+        what, slack = f"exact quotient convolution with {k} cosets", 1 << 13
+    digits = 0 if kind == "complex" else \
+        _kernels._wide_digits(s1, s2, math.lcm(*set(T.suborbit_sizes.tolist())) * k)
+    assert (kind == "python-int") == (digits > 0)
+
+    def request(columns):
+        if kind == "complex":
+            return (32 * k * columns + 64 * k) * v
+        rate = 120 if digits else 40
+        return (rate * (k * columns + 4 * k) + 24 * k * digits) * v + slack
+
+    widths = []
+    blocks = _kernels._column_blocks
+    monkeypatch.setattr(_kernels, "_column_blocks",
+                        lambda *args: widths.append(blocks(*args)) or widths[-1])
+
+    def call():
+        return _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
+
+    checked, peak = checked_peak(monkeypatch, _kernels, call)
+    width, = widths
+    assert width % 64 == 0 and width < k and checked == [request(width)], (width, checked)
+    assert peak <= checked[0], (peak, checked)
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=what):
+            call()
+
+    assert traced_peak(refused) < checked[0] // 10
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 60)
+    checked, _ = checked_peak(monkeypatch, _kernels, call)
+    one_block = 32 * k * k + 64 * k if kind == "complex" else \
+        (120 if digits else 40) * (k * k + 4 * k) + 24 * k * digits
+    assert checked == [one_block * v + slack]
+
+
 def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
     # S5/<(12)>: a (2, k, k) stack of shift tables, a table one column short
     # and a flat one are refused by the kernel, before its byte check, and
@@ -457,22 +615,6 @@ _ONE_REQUEST = {
 }
 
 
-def _spy_every_byte_check(monkeypatch):
-    """The (nbytes, what) of every require_bytes call, in every module that
-    binds it."""
-    requests = []
-    check = ca.groups.require_bytes
-
-    def spy(nbytes, what):
-        requests.append((nbytes, what))
-        check(nbytes, what)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cosetalg" and getattr(module, "require_bytes", None) is check:
-            monkeypatch.setattr(module, "require_bytes", spy)
-    return requests
-
-
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "batch"])
 @pytest.mark.parametrize("kind", ["complex", "int64", "python-int"])
 @pytest.mark.parametrize("token,gens", [("S4", ["(12)", "(123)"]), ("S5", ["(12)"])],
@@ -497,7 +639,7 @@ def test_each_convolution_call_makes_one_byte_request(monkeypatch, token, gens, 
               quotient_request)]
     if kind != "complex":
         calls.append((lambda: ca.quotient_convolve_exact(T, s, s), quotient_request))
-    requests = _spy_every_byte_check(monkeypatch)
+    requests = spy_every_byte_check(monkeypatch)
     for call, request in calls:
         requests.clear()
         call()

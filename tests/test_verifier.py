@@ -16,7 +16,7 @@ from cosetalg.verifier import (CHECK_IDS, CatalogEntry, CheckSpec, all_check_spe
                                build_entry, default_catalog, exit_code, make_context,
                                run_check, run_suite)
 
-from conftest import checked_peak, onehot_counts, rng, traced_peak
+from conftest import checked_peak, onehot_counts, rng, spy_every_byte_check, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_default_tolerances_are_pinned():
 
 def test_trials_rank_residuals_and_keep_the_first_witness():
     # with a trial per block and with all trials in one block
-    for per_trial in (verifier._BLOCK_BYTES, 1):
+    for per_trial in (_kernels.BLOCK_BYTES, 1):
         def run(*residuals):
             r = np.array(residuals)
             return verifier._trials(len(r), lambda ts: [(r[ts], lambda t: {"trial": t})],
@@ -220,7 +220,7 @@ def test_d6_reports_the_first_representative_choice_that_differs(monkeypatch, bl
     # a fault planted on the 4th choice of the probe alone, on S4/S3 and
     # S3/<(12)>: D6 fails with that choice's representatives
     factors = ca.quotient_algebra._factors
-    monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
     for token, gens in (("S4", ["(12)", "(123)"]), ("S3", ["(12)"])):
         G = ca.builtin_from_token(token)
         ctx = make_context(G, ca.subgroup_from_tokens(G, gens))
@@ -266,22 +266,23 @@ def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
 
 
 def test_d6_probe_within_its_byte_checks(monkeypatch):
-    # S5/{e}, 120 cosets: one choice per gather by default, and all ten in
-    # one; the probe's one check covers its traced peak and, of that, the
-    # gather's intp index copy, int32 result and mask at 13 bytes per entry
-    # and choice; one byte short refuses the probe
+    # S5/{e}, 120 cosets: three choices per gather by default (the last
+    # gather one), and all ten in one; the probe's one check covers its
+    # traced peak and, of that, the gather's intp index copy, int32 result
+    # and mask at 13 bytes per entry and choice; one byte short refuses the
+    # probe
     G = ca.builtin_from_token("S5")
     T = make_context(G, ca.subgroup_from_tokens(G, [])).T
     k, labels, factors = T.coset_count, T.labels, ca.quotient_algebra._factors
     want = labels.take(T.shift)
-    for block_bytes, per_gather in ((verifier._BLOCK_BYTES, 1), (1 << 60, 10)):
-        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+    for block_bytes, per_gather in ((_kernels.BLOCK_BYTES, 3), (1 << 60, 10)):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
         sizes = []
         monkeypatch.setattr(ca.quotient_algebra, "_factors",
                             lambda Q, reps: sizes.append(len(reps)) or factors(Q, reps))
         checked, peak = checked_peak(monkeypatch, verifier,
                                      lambda: verifier._probe_representatives(rng(73), T))
-        assert sizes == [per_gather] * (10 // per_gather)
+        assert sizes == [per_gather] * (10 // per_gather) + [10 % per_gather] * (per_gather == 3)
         assert len(checked) == 1 and peak <= checked[0], (block_bytes, peak, checked)
         shift, _ = factors(T.quotient, verifier._alternative_reps(rng(73), T.quotient, per_gather))
         gather = traced_peak(lambda: (labels.take(shift) != want).any(axis=(-2, -1)))
@@ -878,7 +879,7 @@ def _planted_trials(residuals, fails=()):
             yield verifier._Fails(np.array(mask, dtype=bool)[ts],
                                   lambda t, j=j: {"trial": t, "fail": j}, 2.0 + j)
 
-    return verifier._trials(len(r), trial, verifier._BLOCK_BYTES // 3)
+    return verifier._trials(len(r), trial, _kernels.BLOCK_BYTES // 3)
 
 
 def test_trials_on_planted_residual_arrays():
@@ -944,7 +945,7 @@ def test_trials_rank_scalar_and_per_trial_residuals_in_trial_order(data):
     if failed is not None:
         t, j = failed
         with pytest.raises(verifier._Fail) as err:
-            verifier._trials(n, trial, verifier._BLOCK_BYTES // block_bytes)
+            verifier._trials(n, trial, _kernels.BLOCK_BYTES // block_bytes)
         got = (err.value.counterexample, err.value.residual, err.value.trials_run)
         want = ({"trial": t, "fail": j}, at(masks[j][1], t), t + 1)
         assert str(got) == str(want)
@@ -954,7 +955,7 @@ def test_trials_rank_scalar_and_per_trial_residuals_in_trial_order(data):
         for j, column in enumerate(columns):
             if verifier._worse(at(column, t), worst):
                 worst, witness = at(column, t), {"trial": t, "yield": j}
-    got = verifier._trials(n, trial, verifier._BLOCK_BYTES // block_bytes)
+    got = verifier._trials(n, trial, _kernels.BLOCK_BYTES // block_bytes)
     assert str(got) == str((worst, witness))
 
 
@@ -969,10 +970,69 @@ def test_block_bytes_set_the_block_size(monkeypatch):
                                          (1 << 25, 1 << 30, [[0], [1], [2], [3], [4]]),
                                          (1 << 25, 1, [[0, 1, 2, 3, 4]]),
                                          (1, 1, [[0], [1], [2], [3], [4]])):
-        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
         blocks.clear()
         assert verifier._trials(5, trial, per_trial) == (4, None)
         assert blocks == want
+
+
+def _spy_trial_blocks(monkeypatch):
+    """Per _trials call, in order: its trials, its bytes per trial and the
+    length of each block it ran."""
+    calls = []
+    trials = verifier._trials
+
+    def spy(n, trial, per_trial, *args):
+        blocks = []
+        calls.append((n, per_trial, blocks))
+
+        def counted(ts):
+            blocks.append(len(ts))
+            return trial(ts)
+
+        return trials(n, counted, per_trial, *args)
+
+    monkeypatch.setattr(verifier, "_trials", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_catalog_checks_run_their_trials_in_one_block(monkeypatch, mode):
+    # every pass of trials in the default suite is one block: the 100 trials
+    # of ten checks on each of the eight pairs, and the shorter passes
+    calls = _spy_trial_blocks(monkeypatch)
+    assert exit_code(run_suite(default_catalog(), all_check_specs(mode=mode))) == 0
+    assert [c for c in calls if c[2] != [c[0]] * (c[0] > 0)] == []
+    assert sum(n == 100 for n, _, _ in calls) == 10 * len(default_catalog())
+
+
+@pytest.mark.parametrize("token,gens", [("S5", []), ("A6", []), ("S6", ["(12)"])],
+                         ids=["S5/{e}", "A6/{e}", "S6/<(12)>"])
+def test_check_peaks_stay_within_their_blocks_and_byte_requests(monkeypatch, token, gens):
+    # 50 float trials, more than a block holds on these pairs: each check's
+    # traced peak stays within its largest block of trials at the bytes per
+    # trial it was sized by, plus the largest byte request made while it
+    # runs and 16 KiB for its report (after a first run, whose one-off
+    # allocations are not the check's); and a block batches no more trials
+    # than keep each convolution's request within about one kernel block
+    G = ca.builtin_from_token(token)
+    ctx = make_context(G, ca.subgroup_from_tokens(G, gens))
+    calls = _spy_trial_blocks(monkeypatch)
+    requests = spy_every_byte_check(monkeypatch)
+    several = 0
+    for cid in CHECK_IDS:
+        run_check(CheckSpec(id=cid, trials=1), ctx)
+        calls.clear()
+        requests.clear()
+        peak = traced_peak(lambda: run_check(CheckSpec(id=cid, trials=50), ctx))
+        block = max((max(blocks, default=0) * per_trial for _, per_trial, blocks in calls),
+                    default=0)
+        request = max((n for n, _ in requests), default=0)
+        assert peak <= block + request + (1 << 14), (cid, peak, block, request)
+        assert all(n <= 2 * _kernels.BLOCK_BYTES for n, what in requests
+                   if "convolution" in what), (cid, requests)
+        several += any(len(blocks) > 1 for _, _, blocks in calls)
+    assert several >= 8
 
 
 BLOCK_PAIRS = default_catalog() + [CatalogEntry("S4/<(12)>", "builtin:S4", ("(12)",))]
@@ -987,7 +1047,7 @@ def _reports_by_block_size(monkeypatch, spec, ctx, index):
     """The report of one trial per block, and of the whole run in one block."""
     reports = []
     for block_bytes in (1, 1 << 60):
-        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
         reports.append(run_check(spec, ctx, index).to_dict())
     return reports
 
@@ -1109,7 +1169,7 @@ def test_batched_draws_leave_the_generator_where_single_draws_do(monkeypatch, ci
         want = rng(71)
         _draws_one_at_a_time(cid, mode, want, ctx, spec.trials)
         for block_bytes in (1, 1 << 60):
-            monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
             got = rng(71)
             verifier._CHECKS[cid][0](spec, ctx, got)
             assert got.bit_generator.state == want.bit_generator.state, (token, gens)
@@ -1138,7 +1198,7 @@ def test_weil_trials_cut_f_and_rho_from_one_row(monkeypatch):
             return np.abs(rho.values - 1).sum(axis=-1), 0.0
 
         monkeypatch.setattr(verifier, "quotient_integral_check", planted)
-        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
         report = run_check(CheckSpec(id="W0_WEIL", trials=trials), ctx, 3)
         got_rho, got_f = (np.concatenate(part) for part in zip(*seen))
         assert np.array_equal(got_f, rows[:, :n] + 1j * rows[:, n:2 * n])
