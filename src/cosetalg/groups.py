@@ -359,13 +359,18 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
     width, images = degree * np.dtype(dtype).itemsize, np.array(gens, np.intp).reshape(m, degree)
     # Schreier vectors: steps[x * m + j] is the index of elems[x]∘gens[j],
     # and each element y > 0 was first reached as elems[parent[y]]∘gens[via[y]]
-    front = np.arange(degree, dtype=dtype).reshape(1, degree)
-    index, rounds, steps, parent, via = {front.tobytes(): 0}, [front], [], [0], [0]
-    while len(front):
+    steps, parent, via = [], [0], [0]
+
+    def require_round(frontier: int) -> None:
         # the rows so far and their keys; this round's products, their keys
         # and the next frontier (per-object overhead is not counted)
-        require_bytes(width * (2 * len(parent) + 3 * m * len(front)),
+        require_bytes(width * (2 * len(parent) + 3 * m * frontier),
                       f"permutation closure of degree {degree}")
+
+    require_round(1)   # before the identity's row and key are built
+    front = np.arange(degree, dtype=dtype).reshape(1, degree)
+    index, rounds = {front.tobytes(): 0}, [front]
+    while len(front):
         head, fresh = len(parent) - len(front), []
         products = front[:, images].reshape(-1, degree)   # (x∘g)(i) = x[g[i]], in (x, g) order
         for t, row in enumerate(products):
@@ -376,6 +381,8 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
                 parent.append(head + t // m)
                 via.append(t % m)
                 fresh.append(t)
+        if fresh:
+            require_round(len(fresh))
         front = products[fresh]
         rounds.append(front)
     perms = np.concatenate(rounds)
@@ -462,15 +469,17 @@ def direct_product_group(g1: FiniteGroup, g2: FiniteGroup, name: str = "") -> Fi
                                    name=name or f"{g1.name}x{g2.name}")
 
 
-# family -> (alias letter, least n, generators of degree n); the generator
-# order fixes the element order
+# family -> (alias letter, least n, generators of degree n, factors of the
+# order at n); the generator order fixes the element order
 _FAMILIES = {
-    "cyclic": ("C", 1, lambda n: [[*range(1, n), 0]]),
-    "dihedral": ("D", 3, lambda n: [[*range(1, n), 0], [-i % n for i in range(n)]]),
-    "symmetric": ("S", 1, lambda n: [[1, 0, *range(2, n)], [*range(1, n), 0]]),
-    # consecutive 3-cycles generate A_n
+    "cyclic": ("C", 1, lambda n: [[*range(1, n), 0]], lambda n: (n,)),
+    "dihedral": ("D", 3, lambda n: [[*range(1, n), 0], [-i % n for i in range(n)]],
+                 lambda n: (2, n)),
+    "symmetric": ("S", 1, lambda n: [[1, 0, *range(2, n)], [*range(1, n), 0]],
+                  lambda n: range(2, n + 1)),
+    # consecutive 3-cycles generate A_n, of order n!/2
     "alternating": ("A", 3, lambda n: [[*range(i), i + 1, i + 2, i, *range(i + 3, n)]
-                                       for i in range(n - 2)]),
+                                       for i in range(n - 2)], lambda n: range(3, n + 1)),
 }
 
 
@@ -484,12 +493,18 @@ def builtin_catalog(name: str, *parameters: int) -> FiniteGroup:
     """
     key = name.strip().lower()
     if key in _FAMILIES:
-        letter, least, generators = _FAMILIES[key]
+        letter, least, generators, factors = _FAMILIES[key]
         p = parameters[0] if parameters else None
         if not p or p < least:
             raise UnknownName(f"{key}(n) needs n >= {least}")
         if key == "symmetric" and p == 1:
             return builtin_catalog("cyclic", 1)
+        # the closure's refusal, before the generators' n-point lists are built
+        order = 1
+        for f in factors(p):
+            order *= f
+            if order > DEFAULT_ORDER_CAP:
+                raise CapExceeded(f"closure exceeds cap {DEFAULT_ORDER_CAP}")
         return build_from_permutation_generators(p, generators(p), name=f"{letter}{p}")
     if key == "quaternion8":
         return _quaternion8()
@@ -512,7 +527,7 @@ def builtin_from_token(token: str) -> FiniteGroup:
     if t.lower() in ("q8", "quaternion8"):
         return builtin_catalog("quaternion8")
     m = re.match(r"^([A-Za-z])(\d+)$", t)
-    for family, (letter, _, _) in _FAMILIES.items():
+    for family, (letter, *_) in _FAMILIES.items():
         if m and m.group(1).upper() == letter:
             return builtin_catalog(family, int(m.group(2)))
     raise UnknownName(f"cannot parse builtin group token {token!r}")

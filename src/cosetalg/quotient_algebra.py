@@ -106,15 +106,22 @@ def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
     return bool((np.sort(rows, axis=1) == np.arange(k, dtype=rows.dtype)).all())
 
 
+def _factor_bytes(Q: QuotientSpace) -> int:
+    """What _factors holds per representative choice: per entry of its k x k
+    shift gather and its |H| x k label gather, the int64 product, its int64
+    coset and the int32 copy."""
+    k = Q.coset_count
+    return 20 * (k * k + Q.subgroup.order * k)
+
+
 def _factors(Q: QuotientSpace, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Int32 shift tables (..., k, k) and suborbit labels (..., k) of
     representative choices (..., k): column b of H's action on the cosets
     holds b's suborbit, whose least member labels it."""
-    G, k, h = Q.group, Q.coset_count, Q.subgroup.order
+    G, k = Q.group, Q.coset_count
     reps = np.asarray(reps, dtype=np.int64)
-    # per entry: the int64 product, its int64 coset and the int32 copy; and
-    # numpy's fancy-index buffers
-    require_bytes(20 * (k * k + h * k) * math.prod(reps.shape[:-1]) + (1 << 15),
+    # per choice, and numpy's fancy-index buffers
+    require_bytes(_factor_bytes(Q) * math.prod(reps.shape[:-1]) + (1 << 15),
                   f"structure table with {k} cosets")
     members = np.array(Q.subgroup.members, dtype=np.int64)
     shift = Q.coset_of[G.mul[G.inv[reps][..., :, None], reps[..., None, :]]].astype(np.int32)

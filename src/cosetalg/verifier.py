@@ -31,9 +31,8 @@ from . import _kernels, exact, quotient_algebra
 from ._kernels import group_convolve_weights, lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
-from .groups import (_SCAN_ENTRIES, FiniteGroup, QuotientSpace, Subgroup, build_coset_space,
-                     builtin_from_token, require_bytes,
-                     subgroup_from_tokens, test_normality)
+from .groups import (FiniteGroup, QuotientSpace, Subgroup, _scan_block, build_coset_space,
+                     builtin_from_token, require_bytes, subgroup_from_tokens, test_normality)
 from .measures import (ComplexMeasure, DensityFunction, from_density,
                        group_convolve, integrate, point_mass, total_variation)
 from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
@@ -371,12 +370,11 @@ def _check_w0_weil(spec, ctx, rng):
 def _invariance_residual(Q: QuotientSpace, weights: np.ndarray) -> float:
     """Max violation of the literal system: sum over x*C of weights minus the
     weight at x, over all elements x and cosets C, in blocks of rows x."""
-    n, k = Q.group.order, Q.coset_count
-    # rows x of about as many gathered weights as a scan of G's table reads;
-    # per row its (k, |H|) index gather and the complex weights through it,
-    # and its k sums and their differences
-    block = max(1, min(n, _SCAN_ENTRIES // n))
-    require_bytes(block * (24 * n + 48 * k), f"invariance residual of order {n}")
+    n = Q.group.order
+    # rows x as a scan of G's table reads them; per gathered entry (x, member)
+    # its int64 index and complex weight, and per row its k sums and their
+    # differences, at most 48 bytes an entry as k <= n
+    block = _scan_block(n, n, 72, f"invariance residual of order {n}")
     worst = 0.0
     for start in range(0, n, block):
         rows = slice(start, start + block)
@@ -408,20 +406,19 @@ def _check_p1_mhg(spec, ctx, rng):
 def _check_p2_density(spec, ctx, rng):
     G, Q, H = ctx.G, ctx.Q, ctx.H
     n, k, h = G.order, Q.coset_count, H.order
-    members, moved = np.arange(h)[:, None], G.mul[:, H.members].T   # moved[j, x] = x h_j
 
     def trial(ts):
         # phi, a density per h_j, and a point when H is not trivial
         raw = rng.random((len(ts), 2 * (k + h * n) + (h > 1)))
         (phi,) = _split(raw[:, :2 * k], k)
-        (g,) = _split(raw[:, 2 * k:2 * (k + h * n)].reshape(len(ts), h, 2 * n), n)
+        densities = raw[:, 2 * k:2 * (k + h * n)].reshape(len(ts), h, 2 * n)
         mu = from_density(G, compose_with_projection(Q, DensityFunction(Q, phi)))
         yield _Fails(~membership_mgh(Q, mu), _at(reason="coset-constant density not invariant"))
-        per_h = ComplexMeasure(G, mu.weights[:, None])
-        gaps = np.abs(integrate(per_h, DensityFunction(G, g[:, members, moved]))  # x -> g(x h)
-                      - integrate(per_h, DensityFunction(G, g)))
         for j, x in enumerate(H.members):
-            yield gaps[:, j], _at(h=G.labels[x])
+            (g,) = _split(densities[:, j], n)
+            moved = DensityFunction(G, g.take(G.mul[:, x], axis=-1))   # x' -> g(x' h_j)
+            yield (np.abs(integrate(mu, moved) - integrate(mu, DensityFunction(G, g))),
+                   _at(h=G.labels[x]))
         if h > 1:
             bump = point_mass(G, _index(raw[:, -1], n)) * (0.5 + 0.25j)
             yield _Fails(membership_mgh(Q, mu + bump),
@@ -496,11 +493,9 @@ def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
     Q, k, labels = T.quotient, T.coset_count, T.labels
     choices = _alternative_reps(rng, Q, 10)
     # as many choices per gather as _factors' byte check fits in a block
-    block = min(len(choices),
-                max(1, _kernels.BLOCK_BYTES // (20 * (k * k + Q.subgroup.order * k))))
+    block = min(len(choices), max(1, _kernels.BLOCK_BYTES // quotient_algebra._factor_bytes(Q)))
     # T's gathered labels, and per choice its shift and the gather's intp
-    # index copy, int32 result and mask, more than the 16 bytes per entry of
-    # _factors' own gathers; and numpy's index buffers
+    # index copy, int32 result and mask; and numpy's index buffers
     require_bytes((4 + 17 * block) * k * k + (1 << 15), f"representative probe with {k} cosets")
     want = labels.take(T.shift)
 
@@ -777,16 +772,12 @@ def _l1_convolve_operator(Q: QuotientSpace, rho: RhoFunction,
                            psi.values[..., Q.coset_of] * r)
 
 
-# P19's routes, in each trial's order: the two sides, then at p = 1 the
-# action of an embedded density and the density convolution
-_P19_ROUTES = ("left", "right", "left", "left")
-
-
 def _check_p19_lp(spec, ctx, rng):
     Q, T, k = ctx.Q, ctx.T, ctx.Q.coset_count
 
-    def p_of(t: int) -> float:
-        return float((1, 2, 3)[t % 3])
+    def at(side: str, **fields) -> Callable[[int], dict]:
+        # trial t runs at p = 1, 2, 3 in turn
+        return lambda t: {"trial": t, "p": 1.0 + t % 3, "side": side, **fields}
 
     def trial(ts):
         # sigma, phi and the acting density phi2, which only p = 1 reads
@@ -794,17 +785,26 @@ def _check_p19_lp(spec, ctx, rng):
         rho_t = RhoFunction(Q, _trial_rhos(ctx, ts, rhos))
         lam = quasi_invariant_lambda(Q, rho_t)
         sigma, phi = ComplexMeasure(Q, sigmas), DensityFunction(Q, phis)
-        p = 1.0 + ts % 3     # each trial's exponent, 1, 2, 3 in turn
+        p = 1.0 + ts % 3     # each trial's exponent
         bound = total_variation(sigma) * lp_norm(lam, phi, p)
-        # per route, each trial's gap to its operator route (-inf where a
-        # trial has none)
-        gaps = np.full((4, len(ts)), -np.inf)
-        for j, side in enumerate(("left", "right")):
+
+        def on_rows(values, rows=slice(None)) -> np.ndarray:
+            # one value per trial of the block: values on rows, -inf elsewhere
+            out = np.full(len(ts), -np.inf)
+            out[rows] = values
+            return out
+
+        def matches(result, operator, side, rows=slice(None)) -> _Fails:
+            # a result must match its operator route; the gap is a pass/fail
+            # cross-check and stays out of the reported residual
+            gap = on_rows(np.max(np.abs(result.values - operator), axis=-1), rows)
+            return _Fails(_worse(gap, spec.tol),
+                          at(side, reason="explicit and operator routes differ"), gap)
+
+        for side in ("left", "right"):
             out = lp_action(T, rho_t, side, sigma, phi, p)
-            operator = _lp_action_operator(Q, rho_t, side, sigma, phi, p)
-            gaps[j] = np.max(np.abs(out.values - operator), axis=-1)
-            yield (lp_norm(lam, out, p) - bound,
-                   lambda t, side=side: {"trial": t, "p": p_of(t), "side": side})
+            yield lp_norm(lam, out, p) - bound, at(side)
+            yield matches(out, _lp_action_operator(Q, rho_t, side, sigma, phi, p), side)
         # on the p = 1 trials, embedding the acting density turns the action
         # into the coset density convolution
         rows = np.flatnonzero(ts % 3 == 0)
@@ -814,20 +814,11 @@ def _check_p19_lp(spec, ctx, rng):
         acting = embed_density(lam_1, phi2)
         via_action = lp_action(T, rho_1, "left", acting, phi_1, 1.0)
         via_densities = l1_convolve(T, lam_1, phi2, phi_1)
-        gaps[2, rows] = np.max(np.abs(
-            via_action.values - _lp_action_operator(Q, rho_1, "left", acting, phi_1, 1.0)), axis=-1)
-        gaps[3, rows] = np.max(np.abs(
-            via_densities.values - _l1_convolve_operator(Q, rho_1, phi2, phi_1)), axis=-1)
-        cross = np.full(len(ts), -np.inf)
-        cross[rows] = np.max(np.abs(via_action.values - via_densities.values), axis=-1)
-        yield cross, _at(part="density convolution cross-check")
-        # each result must match its operator route; the gap is a pass/fail
-        # cross-check and stays out of the reported residual
-        for j, side in enumerate(_P19_ROUTES):
-            yield _Fails(_worse(gaps[j], spec.tol),
-                         lambda t, side=side: {"trial": t, "p": p_of(t), "side": side,
-                                               "reason": "explicit and operator routes differ"},
-                         gaps[j])
+        yield matches(via_action, _lp_action_operator(Q, rho_1, "left", acting, phi_1, 1.0),
+                      "left", rows)
+        yield matches(via_densities, _l1_convolve_operator(Q, rho_1, phi2, phi_1), "left", rows)
+        yield (on_rows(np.max(np.abs(via_action.values - via_densities.values), axis=-1), rows),
+               _at(part="density convolution cross-check"))
 
     return _verdict(spec, *_trials(spec.trials, trial, _trial_bytes(spec, ctx, on_table=True)))
 

@@ -290,6 +290,43 @@ def test_closure_rows_are_byte_checked_as_they_grow(monkeypatch):
         ca.build_from_permutation_generators(degree, [swap])
 
 
+@pytest.mark.parametrize("source", ["builtin:C30000000", "builtin:D30000000",
+                                    "builtin:S30000000", "builtin:A30000000", "file"])
+def test_oversized_permutation_builds_are_refused_before_they_allocate(tmp_path, capsys, source):
+    # a builtin past the order cap is refused before its generators' n-point
+    # lists are built, and a group file of degree 4 * 10**8 by the first
+    # round's byte check, before the identity's row: each raises CapExceeded
+    # within 1 MB traced, and the CLI exits 2
+    message = "closure exceeds cap 10080"
+    if source == "file":
+        source = str(tmp_path / "big.json")
+        with open(source, "w") as f:
+            json.dump({"permutations": {"degree": 400_000_000, "generators": []}}, f)
+        message = ("permutation closure of degree 400000000 needs 3200000000 bytes, "
+                   "over the byte budget of 1073741824 bytes")
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            cli._resolve_group(source)
+
+    assert traced_peak(refused) < 1 << 20
+    assert cli.main(["groups", "--group", source]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_builtins_past_the_cap_are_refused_by_their_order(monkeypatch):
+    # under a cap of 6: C6, D3 and S3, of order 6, build; C7, D4, A4 and S4,
+    # of orders 7 to 24, are refused without a closure
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 6)
+    for token in ("C6", "D3", "S3"):
+        assert ca.builtin_from_token(token).order == 6
+    monkeypatch.setattr(groups, "build_from_permutation_generators",
+                        lambda *args, **kwargs: pytest.fail("a closure was started"))
+    for token in ("C7", "D4", "A4", "S4"):
+        with pytest.raises(CapExceeded, match="^closure exceeds cap 6$"):
+            ca.builtin_from_token(token)
+
+
 def _bfs_closure(degree, gens):
     """The closure's definition: breadth-first from the identity, successors
     x*g in generator order."""
