@@ -212,9 +212,3 @@ def _integers(bound: int, *arrays) -> list[np.ndarray]:
     if any(a.dtype.kind not in "iubO" for a in out):
         raise TypeError("exact vectors hold and scale by integers only")
     return [a if a.dtype == dtype else a.astype(dtype) for a in out]
-
-
-def unit_vector(n: int, j: int) -> list[Fraction]:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v

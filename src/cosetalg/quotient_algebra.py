@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exact
 from ._kernels import quotient_convolve_weights
 from .errors import CarrierMismatch
 from .exact import ExactVector
@@ -73,36 +71,38 @@ class StructureTable:
     def counts(self) -> np.ndarray:
         """The dense (k, k, k) count tensor counts[a, b, z] = |H| c[a, b, z],
         read-only, in the narrowest signed integer dtype that holds |H| (int8
-        up to |H| = 127, then int16); each (a, b) row sums to |H|."""
-        return self._dense(np.min_scalar_type(-self.quotient.subgroup.order - 1))
+        up to |H| = 127, then int16); each (a, b) row sums to |H|. It is
+        m[shift[a, z], b] for m[w, b] = [labels[w] = labels[b]] |H|/|O_b|:
+        one gather of whole rows of m, read through a transposed view. Raises
+        ValueError when a row of shift is not a permutation."""
+        k, what = self.coset_count, f"dense structure tensor with {self.coset_count} cosets"
+        if not rows_are_permutations(self.shift, k, what):
+            raise ValueError("corrupt structure table: a row of shift is not a permutation")
+        order = self.quotient.subgroup.order
+        dtype = np.min_scalar_type(-order - 1)
+        # the view, then m in dtype with either the boolean m or the gather's
+        # intp copy of shift, and numpy's small arrays
+        require_bytes(k * k * (k * dtype.itemsize + dtype.itemsize + 8) + (1 << 15), what)
+        m = (self.labels[:, None] == self.labels).astype(dtype)
+        m *= (order // self.suborbit_sizes).astype(dtype)
+        return _freeze(m.take(self.shift, axis=0).transpose(0, 2, 1))
 
     @cached_property
     def c(self) -> np.ndarray:
-        """The dense (k, k, k) float64 tensor c, read-only."""
-        return self._dense(np.dtype(np.float64))
-
-    def _dense(self, dtype: np.dtype) -> np.ndarray:
-        """counts[a, b, z] = m[shift[a, z], b] for the suborbit indicator
-        m[w, b] = [labels[w] = labels[b]], in dtype (float: divided by |O_b|,
-        integer: times |H|/|O_b|): one gather of whole rows of m, read through
-        a transposed view. Raises ValueError when a row of shift is not a
-        permutation."""
-        k, size = self.coset_count, dtype.itemsize
-        # the view, then m in dtype with either the boolean m or the gather's
-        # intp copy of shift, and the permutation test's buffers
-        require_bytes(k * k * (k * size + size + 8) + (1 << 15),
-                      f"dense structure tensor with {k} cosets")
-        if not rows_are_permutations(self.shift, k):
-            raise ValueError("corrupt structure table: a row of shift is not a permutation")
-        m, sizes = self.labels[:, None] == self.labels, self.suborbit_sizes
-        m = m / sizes if dtype.kind == "f" else \
-            m.astype(dtype) * (self.quotient.subgroup.order // sizes).astype(dtype)
-        return _freeze(m.take(self.shift, axis=0).transpose(0, 2, 1))
+        """The dense (k, k, k) float64 tensor c = counts / |H|, read-only.
+        Each suborbit size divides |H|, so each entry rounds to the double
+        nearest 1/|O_b|, as a float division by |O_b| would."""
+        counts, k = self.counts, self.coset_count
+        # the view and numpy's buffers for the cast (~67 KB measured)
+        require_bytes(8 * k ** 3 + (1 << 17), f"dense structure tensor with {k} cosets")
+        return _freeze(counts / self.quotient.subgroup.order)
 
 
-def rows_are_permutations(rows: np.ndarray, k: int) -> bool:
-    """Whether every row of `rows` is a permutation of range(k): a sorted copy,
-    a mask and ~33 KB of numpy buffers (the range has the rows' dtype)."""
+def rows_are_permutations(rows: np.ndarray, k: int, what: str) -> bool:
+    """Whether every row of int32 `rows` is a permutation of range(k), after
+    a byte check named by `what`: the sorted copy and its mask, five bytes
+    per entry, and 64 KiB of numpy buffers (~33 KB measured)."""
+    require_bytes(5 * k * k + (1 << 16), what)
     return bool((np.sort(rows, axis=1) == np.arange(k, dtype=rows.dtype)).all())
 
 
@@ -249,13 +249,13 @@ def ideal_factorize(lam: QuotientMeasure, T: StructureTable,
 class IdentitySolution:
     """Outcome of exact identity solving on a structure table.
 
-    solution/measure are set when the linear system is consistent; residual
-    is the float least-squares residual otherwise (0 when solved). unique
-    reports whether the consistent system pinned every coordinate.
+    solution is set when the linear system is consistent: delta_H's weights,
+    0 or 1 per coset; residual is the float least-squares residual otherwise
+    (0 when solved). unique reports whether the consistent system pinned
+    every coordinate.
     """
 
-    solution: Optional[tuple[Fraction, ...]]
-    measure: Optional[ComplexMeasure]
+    solution: Optional[tuple[int, ...]]
     residual: float
     unique: bool
 
@@ -303,12 +303,11 @@ def _solve_identity(T: StructureTable) -> IdentitySolution:
         raise ValueError("corrupt structure table: a suborbit is not labelled by its least member")
     d = int(np.count_nonzero(labels == np.arange(k)))
     if d == k:
-        return IdentitySolution(solution=tuple(exact.unit_vector(k, base)),
-                                measure=delta_h(T.quotient), residual=0.0, unique=True)
-    require_bytes(5 * k * k + (1 << 16), f"identity residual with {k} cosets")
-    if not rows_are_permutations(T.shift, k):
+        return IdentitySolution(solution=(0,) * base + (1,) + (0,) * (k - 1 - base),
+                                residual=0.0, unique=True)
+    if not rows_are_permutations(T.shift, k, f"identity residual with {k} cosets"):
         raise ValueError("corrupt structure table: a row of shift is not a permutation")
-    return IdentitySolution(solution=None, measure=None, residual=math.sqrt(k - d), unique=False)
+    return IdentitySolution(solution=None, residual=math.sqrt(k - d), unique=False)
 
 
 def find_left_identity(T: StructureTable) -> IdentitySolution:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import cosetalg as ca
-from cosetalg import exact
 from cosetalg._kernels import group_convolve_weights, lift_weights, push_weights
 from cosetalg.exact import ExactVector
 from cosetalg.verifier import (CatalogEntry, CheckSpec, all_check_specs,
@@ -114,7 +113,7 @@ def test_criterion_04_right_identity_exact(catalog_ctx):
                 want = H.order if z == a else 0
                 ok = ok and int(T.counts[a, b0, z]) == want
         g = _rng("L11_RIGHT_ID")
-        delta = ExactVector.from_fractions(exact.unit_vector(T.coset_count, b0))
+        delta = ExactVector.from_fractions([int(c == b0) for c in range(T.coset_count)])
         for _ in range(10):
             s = draw_rational_weights(g, T.coset_count)
             out = ca.quotient_convolve_exact(T, s, delta)

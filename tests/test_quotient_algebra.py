@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -555,7 +556,7 @@ def test_left_identity_normal_cases(s3, s3_a3):
 
 def test_left_identity_nonnormal_is_infeasible(s3_t):
     sol = ca.find_left_identity(s3_t)
-    assert sol.solution is None and sol.measure is None
+    assert sol.solution is None and not sol.unique
     assert sol.residual == pytest.approx(1.0, abs=1e-9)  # frozen least-squares residual
 
 
@@ -850,23 +851,80 @@ def test_counts_dtype_holds_the_subgroup_order(token, gens, dtype):
             view[0, 0, 0] = 0
 
 
+C_PAIRS = [(e.group.removeprefix("builtin:"), list(e.subgroup)) for e in ca.default_catalog()] + [
+    ("S5", []), ("S5", ["(12)", "(123)"]), ("S6", ["(12)", "(345)"]), ("A5", ["(123)"]),
+]
+
+
+@pytest.mark.parametrize("token,gens", C_PAIRS, ids=[e.name for e in ca.default_catalog()]
+                         + ["S5/{e}", "S5/<(12),(123)>", "S6/<(12),(345)>", "A5/<(123)>"])
+def test_c_is_counts_over_the_subgroup_order_bit_for_bit(token, gens):
+    # every suborbit size divides |H|, so (|H|/|O_b|) / |H| rounds to the
+    # double that 1/|O_b| rounds to: c keeps the bits of the float gather
+    # of the suborbit indicator over |O_b|
+    G = ca.builtin_from_token(token)
+    H = ca.subgroup_from_tokens(G, gens) if gens else ca.generate_subgroup(G, [])
+    T = ca.structure_table(ca.build_coset_space(G, H))
+    m = (T.labels[:, None] == T.labels) / T.suborbit_sizes
+    bits = T.c.view(np.uint64)
+    assert np.array_equal(bits, (T.counts / H.order).view(np.uint64))
+    assert np.array_equal(bits, m.take(T.shift, axis=0).transpose(0, 2, 1).view(np.uint64))
+
+
+def _view_requests(monkeypatch, T, view, short=None):
+    """The byte requests that reading a fresh table's view makes, as
+    [nbytes, bytes held at the request, what is allocated from it until the
+    next request] (traced), and the CapExceeded raised, if any; with short=i,
+    the budget is one byte below request i from that request on."""
+    requests = []
+
+    def spy(nbytes, what):
+        if requests:
+            requests[-1][2] = tracemalloc.get_traced_memory()[1] - requests[-1][1]
+        requests.append([nbytes, tracemalloc.get_traced_memory()[0], 0])
+        if len(requests) == short:
+            monkeypatch.setattr(ca.groups, "BYTE_BUDGET", nbytes - 1)
+        tracemalloc.reset_peak()
+        ca.groups.require_bytes(nbytes, what)
+
+    monkeypatch.setattr(qa, "require_bytes", spy)
+    tracemalloc.start()
+    try:
+        getattr(T, view)
+        refused = None
+    except CapExceeded as e:
+        refused = e
+    finally:
+        requests[-1][2] = tracemalloc.get_traced_memory()[1] - requests[-1][1]
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return requests, refused
+
+
 @pytest.mark.parametrize("token,gens", [("S5", []), ("S6", ["(12)"])],
                          ids=["S5/{e}", "S6/<(12)>"])
 def test_dense_views_within_their_byte_checks(monkeypatch, token, gens):
-    # k = 120 and 360: each view's traced peak is within its own check, and a
-    # budget one byte short refuses it before any allocation
+    # k = 120 and 360: counts requests the permutation test of shift and then
+    # its gather, and c, read first, those two and then its own division.
+    # What each request is followed by stays within it, and a budget one
+    # byte short at any request refuses the view there, before it allocates
     G = ca.builtin_from_token(token)
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
-    for view in ("counts", "c"):
-        T = ca.structure_table(Q)
-        checked, peak = checked_peak(monkeypatch, qa, lambda: getattr(T, view))
-        assert len(checked) == 1 and getattr(T, view).nbytes < peak <= checked[0], view
-        monkeypatch.undo()
-        monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
-        T = ca.structure_table(Q)
-        with pytest.raises(CapExceeded, match=f"dense structure tensor with {Q.coset_count}"):
-            getattr(T, view)
-        monkeypatch.undo()
+    k = Q.coset_count
+    for view, count in (("counts", 2), ("c", 3)):
+        requests, refused = _view_requests(monkeypatch, ca.structure_table(Q), view)
+        assert refused is None and len(requests) == count, view
+        assert requests[0][0] == 5 * k * k + (1 << 16), view
+        for nbytes, _, grown in requests:
+            assert grown <= nbytes, (view, grown, nbytes)
+        assert requests[-1][2] > getattr(ca.structure_table(Q), view).nbytes, view
+        for short in range(1, count + 1):
+            T = ca.structure_table(Q)
+            requests, refused = _view_requests(monkeypatch, T, view, short)
+            assert re.search(f"dense structure tensor with {k}", str(refused)), (view, short)
+            # the refusal's message and traceback alone
+            assert len(requests) == short and requests[-1][2] < 1 << 14, (view, short, requests)
+            assert view not in T.__dict__
 
 
 def test_carrier_guards(s3_q, s3_t, d4, same_labelled_quotients):
