@@ -30,9 +30,10 @@ class ExactVector:
     arrays of one shape (at least 1-D) over one positive integer denominator.
 
     `bound` bounds every |numerator|: measured when not given, else derived
-    by the operation that made the vector from its operands' bounds. The
-    arrays are int64 when bound < 2**63 and object (Python ints) otherwise,
-    so no operation wraps. == compares values, not representations.
+    by the operation that made the vector from its operands' bounds; a given
+    bound below the measured one raises ValueError. The arrays are int64
+    when bound < 2**63 and object (Python ints) otherwise, so no operation
+    wraps. == compares values, not representations.
     """
 
     re: np.ndarray
@@ -44,7 +45,11 @@ class ExactVector:
         re, im = np.asarray(self.re), np.asarray(self.im)
         if re.shape != im.shape or re.ndim < 1:
             raise ValueError("need two numerator arrays of one shape (1-D or more)")
-        bound = self.bound if self.bound is not None else _magnitude(re, im)
+        bound = _magnitude(re, im)
+        if self.bound is not None:
+            if self.bound < bound:
+                raise ValueError(f"bound {self.bound} is below the numerators' magnitude {bound}")
+            bound = self.bound
         re, im = _integers(bound, re, im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)

@@ -20,10 +20,11 @@ structure is an explicit table. Conventions, pinned by unit tests:
 
 from __future__ import annotations
 
+import numbers
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -133,24 +134,21 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
                             name: str = "") -> FiniteGroup:
     """Validate a full multiplication table from outside as a FiniteGroup.
 
-    Checks, in order: closure, associativity, identity, inverses. Errors name
-    the first offending tuple in row-major order. Associativity is decided by
-    Light's test on a generating set (O(n²) per generator); only a table that
-    fails it pays for the full triple scan that finds the first offending
-    (a, b, c).
+    Checks, in order: closure (every entry an integer in range),
+    associativity, identity, inverses. Errors name the first offending tuple
+    in row-major order. Associativity is decided by Light's test on a
+    generating set (O(n²) per generator); only a table that fails it pays
+    for the full triple scan that finds the first offending (a, b, c).
     """
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     if len(set(labels)) != n:
         raise NotClosed("duplicate element labels")
     require_bytes(n * n * 8, f"Cayley table of order {n}")
-    table = np.asarray(mul, dtype=np.int64)
+    table = np.asarray(mul)
     if table.shape != (n, n):
         raise NotClosed(f"table shape {table.shape} does not match {n} labels")
-    bad = np.argwhere((table < 0) | (table >= n))
-    if len(bad):
-        a, b = map(int, bad[0])
-        raise NotClosed(f"entry mul({a},{b}) = {int(table[a, b])} out of range")
+    table = _entries_in_range(table, mul, n, lambda i: f"entry mul({i[0]},{i[1]})", NotClosed)
 
     generators = tuple(_generating_set(table))
     if not _light_associative(table, generators):
@@ -161,6 +159,23 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
     inv = _inverses(table, e, labels)
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
                        identity=e, generators=generators, name=name)
+
+
+def _entries_in_range(a: np.ndarray, values, n: int, entry: Callable[[tuple], str],
+                      error: type) -> np.ndarray:
+    """a = np.asarray(values) as an int64 array whose entries are integers in
+    range(n). `error` names the first entry in row-major order that is not
+    an integer (a bool or a float is refused even when whole) or is out of
+    range, as entry(index) and its value as `values` gave it."""
+    if a.dtype.kind not in "iu":
+        a = np.asarray(values, dtype=object)
+        for index, x in np.ndenumerate(a):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise error(f"{entry(index)} = {x!r} is not an integer")
+    if a.size and (a.min() < 0 or a.max() >= n):   # masks only for a refusal
+        index = tuple(map(int, np.argwhere((a < 0) | (a >= n))[0]))
+        raise error(f"{entry(index)} = {a[index]} out of range")
+    return a.astype(np.int64, copy=False)
 
 
 # table entries per block of a scan: ~8 MB of gathered rows, or ~1 MB per mask
@@ -349,10 +364,16 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
     table by construction, so it is not validated again: the identity is
     element 0, and inverses follow the closure's tree. Labels are formatted
     from point names made once per build."""
-    gens: list[list[int]] = []
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 1:
+        raise NotAPermutation(f"degree must be an integer >= 1, got {degree!r}")
+    gens: list[np.ndarray] = []
     for gi, g in enumerate(generators):
-        p = [int(x) for x in g]
-        if len(p) != degree or sorted(p) != list(range(degree)):
+        p = np.asarray(g)
+        if p.shape != (degree,):
+            raise NotAPermutation(f"generator {gi} is not a permutation of 0..{degree - 1}")
+        p = _entries_in_range(p, g, degree, lambda i: f"generator {gi} entry {i[0]}",
+                              NotAPermutation)
+        if not np.bincount(p, minlength=degree).all():   # each point in range hit once
             raise NotAPermutation(f"generator {gi} is not a permutation of 0..{degree - 1}")
         gens.append(p)
     m, dtype = len(gens), np.int16 if degree < 1 << 15 else np.int32
@@ -653,7 +674,7 @@ def group_from_dict(d: dict) -> FiniteGroup:
     if "permutations" in d:
         sub = d["permutations"]
         return build_from_permutation_generators(
-            int(sub["degree"]), sub["generators"], name=d.get("name", ""))
+            sub["degree"], sub["generators"], name=d.get("name", ""))
     if "table" in d and "elements" in d:
         return build_from_cayley_table(d["elements"], d["table"],
                                        name=d.get("name", ""))

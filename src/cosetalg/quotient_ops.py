@@ -101,19 +101,38 @@ def rho_ones(Q: QuotientSpace) -> RhoFunction:
 
 def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:
     """File schema {"values": {representative_label: positive number}};
-    missing cosets default to 1."""
+    missing cosets default to 1. A value is a JSON number or a string of a
+    decimal or a fraction "n/d" (see _rho_string)."""
     if not isinstance(d, dict):
         raise CosetAlgError("a rho file must be a JSON object")
     values = d.get("values", {})
     if not isinstance(values, dict):
         raise CosetAlgError("a rho file's 'values' must be an object of label: value")
-    vals: list[Union[Fraction, float]] = [Fraction(1)] * Q.coset_count
+    vals: list[Union[int, float]] = [1] * Q.coset_count
     rep_to_coset = {Q.group.labels[int(r)]: c for c, r in enumerate(Q.reps)}
     for lab, v in values.items():
         if lab not in rep_to_coset:
             raise CarrierMismatch(f"{lab!r} is not a coset representative label")
-        vals[rep_to_coset[lab]] = Fraction(str(v)) if not isinstance(v, float) else v
+        if isinstance(v, str):
+            v = _rho_string(lab, v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise CosetAlgError(f"rho value {v!r} of {lab!r} is not a number")
+        vals[rep_to_coset[lab]] = v
     return validate_rho(Q, vals)
+
+
+def _rho_string(lab: str, s: str) -> float:
+    """The double nearest a rho file's string value: a fraction "n/d" read by
+    Fraction, a decimal by float, which rounds it as float(Fraction(s))
+    would without computing 10**exponent. Refused, naming the label, unless
+    it is a positive finite double."""
+    try:
+        x = float(Fraction(s)) if "/" in s else float(s)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        x = np.nan
+    if not 0 < x < np.inf:
+        raise CosetAlgError(f"rho value {s!r} of {lab!r} is not a positive finite number")
+    return x
 
 
 # --- averaging operators ----------------------------------------------------

@@ -96,7 +96,9 @@ class CheckReport:
 
 
 def _stable(x: float) -> float:
-    """Round to 12 significant digits so reports do not depend on the BLAS."""
+    """Round to 12 significant digits, so runs on one host give identical
+    reports. A residual at roundoff level still moves with the BLAS kernel
+    (ROADMAP item 17)."""
     return float(f"{float(x):.12g}")
 
 

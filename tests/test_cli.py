@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,65 @@ def test_malformed_rho_file_exits_2(tmp_path, capsys, content, message):
     rho.write_text(json.dumps(content))    # writes NaN and Infinity, as json reads them
     code, out, err = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
                              "--rho", str(rho), "--trials", "1", "--format", "json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1/0", "rho value '1/0' of '(123)' is not a positive finite number"),
+    ("1/2x", "rho value '1/2x' of '(123)' is not a positive finite number"),
+    ("-1/2", "rho value '-1/2' of '(123)' is not a positive finite number"),
+    ("inf", "rho value 'inf' of '(123)' is not a positive finite number"),
+    ("1e-400", "rho value '1e-400' of '(123)' is not a positive finite number"),
+    (True, "rho value True of '(123)' is not a number"),
+    (None, "rho value None of '(123)' is not a number"),
+], ids=["zero-denominator", "no-number", "negative", "infinite", "underflow", "bool", "null"])
+def test_rho_file_string_that_is_no_positive_number_exits_2(tmp_path, capsys, value, message):
+    # "1/0" raised ZeroDivisionError, a traceback and exit 1
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"values": {"(123)": value}}))
+    code, out, err = run_cli(capsys, "check", "--group", "builtin:S3", "--subgroup", "(12)",
+                             "--rho", str(rho), "--trials", "1", "--format", "json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_rho_file_string_with_a_huge_exponent_exits_2_at_once(tmp_path):
+    # Fraction("1e999999999999") computes 10**999999999999 and does not
+    # return; a fresh interpreter under a timeout fails instead of hanging
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"values": {"(123)": "1e999999999999", "(23)": "1/2"}}))
+    done = subprocess.run([sys.executable, "-m", "cosetalg.cli", "check", "--group", "builtin:S3",
+                           "--subgroup", "(12)", "--rho", str(rho), "--trials", "1"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stderr) == (
+        2, "error: rho value '1e999999999999' of '(123)' is not a positive finite number\n")
+
+
+def test_rho_file_strings_read_as_the_numbers_they_name(s3_q):
+    # a fraction or decimal string is the double nearest it, as
+    # float(Fraction(s)) rounds it
+    strings = ca.rho_from_dict(s3_q, {"values": {"(123)": "1/3", "(23)": " 1e-1 "}})
+    assert strings.values.tolist() == [1.0, float(Fraction(1, 3)), float(Fraction("0.1"))]
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"elements": ["e", "a"], "table": [[0.2, 1.9], [1, 0]]},
+     "entry mul(0,0) = 0.2 is not an integer"),
+    ({"elements": ["e", "a"], "table": [[0, 1], [1, 10 ** 29]]},
+     f"entry mul(1,1) = {10 ** 29} out of range"),
+    ({"permutations": {"degree": 2, "generators": [[1, 0.5]]}},
+     "generator 0 entry 1 = 0.5 is not an integer"),
+    ({"permutations": {"degree": 2, "generators": [[True, False]]}},
+     "generator 0 entry 0 = True is not an integer"),
+    ({"permutations": {"degree": 2.9, "generators": [[1, 0]]}},
+     "degree must be an integer >= 1, got 2.9"),
+], ids=["truncated", "beyond-int64", "half", "bools", "float-degree"])
+def test_group_file_entry_that_is_no_integer_in_range_exits_2(tmp_path, capsys, spec, message):
+    # the truncated table and the three permutation files built C2 and S2
+    # (exit 0), and 10**29 raised OverflowError, a traceback and exit 1
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "groups", "--group", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -239,6 +239,17 @@ def test_exact_vector_rejects_bad_input():
 
 
 
+def test_exact_vector_refuses_an_understated_bound():
+    # stored as int64 under bound 1, 2**40 squared read [0]
+    with pytest.raises(ValueError, match="bound 1 is below the numerators' magnitude 2199"):
+        ExactVector(np.array([2 ** 40]), np.array([-(2 ** 41)]), bound=1)
+    with pytest.raises(ValueError, match="bound 4 is below the numerators' magnitude 5"):
+        ExactVector(np.array([0, 1]), np.array([-5, 0]), bound=4)
+    v = ExactVector(np.array([2 ** 40]), np.array([0]), bound=2 ** 40)
+    assert values(v * v) == [(F(2 ** 80), F(0))]
+    assert ExactVector(np.array([3]), np.array([0]), bound=2 ** 70).re.dtype == object
+
+
 @pytest.mark.parametrize("bad", [0.1, 2.5, 2.0, 0, -3, True, F(2)])
 def test_denominators_and_divisors_must_be_integers_at_least_one(bad):
     # 12 * 0.1 would truncate to a denominator of 1, giving 3 for 2.5

@@ -132,6 +132,40 @@ def test_out_of_range_entry_rejected():
         ca.build_from_cayley_table(["e", "a"], [[0, 1], [1, 2]])
 
 
+@pytest.mark.parametrize("table,message", [
+    ([[0.2, 1.9], [1, 0]], "entry mul(0,0) = 0.2 is not an integer"),
+    ([[0, 1], [1, 0.0]], "entry mul(1,1) = 0.0 is not an integer"),
+    ([[True, False], [False, True]], "entry mul(0,0) = True is not an integer"),
+    ([[0, "1"], [1, 0]], "entry mul(0,1) = '1' is not an integer"),
+    ([[0, 1], [1, 10 ** 29]], f"entry mul(1,1) = {10 ** 29} out of range"),
+    ([[0, -1], [1, 0]], "entry mul(0,1) = -1 out of range"),
+], ids=["truncated", "whole-float", "bool", "string", "beyond-int64", "negative"])
+def test_table_entries_must_be_integers_in_range(table, message):
+    # the truncated table was accepted as C2, and 10**29 raised OverflowError
+    with pytest.raises(NotClosed, match=re.escape(message)):
+        ca.build_from_cayley_table(["e", "a"], table)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"degree": 2, "generators": [[1, 0.5]]}, "generator 0 entry 1 = 0.5 is not an integer"),
+    ({"degree": 2, "generators": [[True, False]]}, "generator 0 entry 0 = True is not an integer"),
+    ({"degree": 2, "generators": [[1, "0"]]}, "generator 0 entry 1 = '0' is not an integer"),
+    ({"degree": 2, "generators": [[1, 0], [1, 10 ** 29]]},
+     f"generator 1 entry 1 = {10 ** 29} out of range"),
+    ({"degree": 2, "generators": [[1, -1]]}, "generator 0 entry 1 = -1 out of range"),
+    ({"degree": 2, "generators": [[1, 1]]}, "generator 0 is not a permutation of 0..1"),
+    ({"degree": 2, "generators": [[1, 0, 2]]}, "generator 0 is not a permutation of 0..1"),
+    ({"degree": 2.9, "generators": [[1, 0]]}, "degree must be an integer >= 1, got 2.9"),
+    ({"degree": "2", "generators": [[1, 0]]}, "degree must be an integer >= 1, got '2'"),
+    ({"degree": 0, "generators": []}, "degree must be an integer >= 1, got 0"),
+], ids=["half", "bools", "string", "beyond-int64", "negative", "repeat", "long", "float-degree",
+        "string-degree", "zero-degree"])
+def test_permutation_entries_must_be_integers_in_range(spec, message):
+    # the first three built S2, and a degree of 2.9 was read as 2
+    with pytest.raises(NotAPermutation, match=re.escape(message)):
+        ca.group_from_dict({"permutations": spec})
+
+
 def test_non_associative_rejected():
     ca.build_from_cayley_table(list("eab"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     with pytest.raises(NotAssociative, match=r"\(1,1,1\)"):
