@@ -863,7 +863,7 @@ def test_c_is_counts_over_the_subgroup_order_bit_for_bit(token, gens):
     # double that 1/|O_b| rounds to: c keeps the bits of the float gather
     # of the suborbit indicator over |O_b|
     G = ca.builtin_from_token(token)
-    H = ca.subgroup_from_tokens(G, gens) if gens else ca.generate_subgroup(G, [])
+    H = ca.subgroup_from_tokens(G, gens)
     T = ca.structure_table(ca.build_coset_space(G, H))
     m = (T.labels[:, None] == T.labels) / T.suborbit_sizes
     bits = T.c.view(np.uint64)
