@@ -1,12 +1,12 @@
 """Measure algebras on finite coset spaces G/H.
 
 Build a finite group, pick a subgroup, and work with complex measures on the
-left-coset space: convolution through an integer structure table (a coset
-`shift` table and suborbit `labels`), exact Gaussian-rational arithmetic on
-`ExactVector`, averaging and lifting operators between the group and the
-quotient, quasi-invariant coset measures, and a seeded verification harness
-that checks the algebraic laws on a catalog of concrete pairs (`verifier`,
-loaded on first use).
+left-coset space: convolution through an integer structure table (the
+suborbit relation matrix `rel` and suborbit `labels`), exact Gaussian-rational
+arithmetic on `ExactVector`, averaging and lifting operators between the group
+and the quotient, quasi-invariant coset measures, and a seeded verification
+harness that checks the algebraic laws on a catalog of concrete pairs
+(`verifier`, loaded on first use).
 """
 
 from ._kernels import BACKEND

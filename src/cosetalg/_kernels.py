@@ -117,19 +117,19 @@ def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
     return out
 
 
-def quotient_convolve_weights(shift: np.ndarray, segments: tuple, s1, s2):
-    """out[z] = sum_a s1[a] * v[shift[a, z]], where v[c] is the mean of s2
-    over the suborbit of coset c: a point mass at coset a acts as the left
-    translate by rep_a of that mean. The suborbits are the segments (order,
-    starts, sizes, rank) of StructureTable.segments; each is summed once,
-    its members in ascending order, and divided by its size. Runs in blocks
-    of columns z (_column_blocks), each entry still one matrix product over
-    all k rows a; exact blocks are joined by ExactVector's concatenate.
-    Raises ValueError unless shift is one (k, k) table for their k cosets."""
-    order, starts, sizes, rank = segments
+def quotient_convolve_weights(rel: np.ndarray, segments: tuple, s1, s2):
+    """out[z] = sum_a s1[a] * means[rel[a, z]], means[i] the mean of s2 over
+    suborbit i: a point mass at coset a acts as the left translate by rep_a of
+    those means. The suborbits are the segments (order, starts, sizes, rank)
+    of StructureTable.segments, each summed once, its members in ascending
+    order, and divided by its size. Runs in blocks of columns z
+    (_column_blocks), each entry one matrix product over all k rows a; exact
+    blocks are joined by ExactVector's concatenate. Raises ValueError unless
+    rel is one (k, k) table for their k cosets."""
+    order, starts, sizes, _ = segments
     k = len(order)
-    if shift.shape != (k, k):
-        raise ValueError(f"shift must be one ({k}, {k}) table, not {shift.shape}")
+    if rel.shape != (k, k):
+        raise ValueError(f"rel must be one ({k}, {k}) table, not {rel.shape}")
     vectors = math.prod(_batch_shape(s1, s2))
     if isinstance(s1, np.ndarray):
         # per column and vector the gather, and per vector the means' few
@@ -148,11 +148,11 @@ def quotient_convolve_weights(shift: np.ndarray, segments: tuple, s1, s2):
         require_bytes((rate * (k * columns + 4 * k) + 24 * k * digits) * vectors + (1 << 13),
                       f"exact quotient convolution with {k} cosets")
     means = np.add.reduceat(s2.take(order, axis=-1), starts, axis=-1) / sizes
-    v, s1 = means.take(rank, axis=-1), s1[..., None, :]
+    s1 = s1[..., None, :]
     if columns == k:
-        return (s1 @ v.take(shift, axis=-1))[..., 0, :]
+        return (s1 @ means.take(rel, axis=-1))[..., 0, :]
     # a block's gather is freed once its product is taken
-    return np.concatenate([(s1 @ v.take(shift[:, z:z + columns], axis=-1))[..., 0, :]
+    return np.concatenate([(s1 @ means.take(rel[:, z:z + columns], axis=-1))[..., 0, :]
                            for z in range(0, k, columns)], axis=-1)
 
 

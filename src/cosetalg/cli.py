@@ -113,15 +113,15 @@ def _cmd_table(args) -> int:
     # at 2,520 (S7/<(12)>)
     require_bytes(256 * k + (1 << 15), f"table rows with {k} cosets")
     cosets, reps = list(Q.labels), [G.labels[int(r)] for r in Q.reps]
-    labels, ones = T.labels.tolist(), [f"1/{size}" for size in T.suborbit_sizes.tolist()]
+    rank, ones = T.segments[3].tolist(), [f"1/{size}" for size in T.suborbit_sizes.tolist()]
 
     def rows(a: int):
         """Rows (a, b) for b in turn, as strings: c[a][b][z] is 1/|O_b| where
-        shift[a, z] lies in the suborbit O_b of b, else 0."""
-        row_labels = T.labels.take(T.shift[a])
+        rel[a, z] is the suborbit O_b of b, else 0."""
+        row = T.rel[a]
         for b in range(k):
             one = ones[b]
-            yield [one if hit else "0/1" for hit in (row_labels == labels[b]).tolist()]
+            yield [one if hit else "0/1" for hit in (row == rank[b]).tolist()]
 
     write = sys.stdout.write
     if args.format == "json":

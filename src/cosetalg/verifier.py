@@ -40,7 +40,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
                                find_two_sided_identity, ideal_factorize,
                                l1_convolve, lp_action, lp_norm, module_action,
                                quotient_convolve, quotient_convolve_exact,
-                               rows_are_permutations, structure_table)
+                               rows_hold_the_suborbits, structure_table)
 from .quotient_ops import (RhoFunction, _exponent, compose_with_projection, lift_to_invariant,
                            membership_mgh, pushforward_rh, quasi_invariant_lambda,
                            quotient_integral_check, rho_from_dict, rho_ones,
@@ -486,40 +486,27 @@ def _alternative_reps(rng: np.random.Generator, Q: QuotientSpace, count: int = 1
 
 
 def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
-    """Raise _Fail at the first of ten random representative choices whose
-    tensor differs from T's. In the factored table c[a][b][z] =
-    [labels[shift[a, z]] = labels[b]] / |O_b|, O_b the suborbit of b, so a
-    choice gives T's tensor exactly when its labels are T's and
-    labels[shift] = labels[T.shift] entry by entry. The choices come from
-    rng."""
-    Q, k, labels = T.quotient, T.coset_count, T.labels
+    """Raise _Fail at the first of ten representative choices drawn from rng
+    whose tensor differs from T's. The suborbits do not depend on the choice,
+    so by c[a][b][z] = [rel[a, z] = rank[b]] / |O_b| a choice gives T's tensor
+    iff it gives T.rel: its row blocks are compared up to the first that differs."""
+    Q, k = T.quotient, T.coset_count
     choices = _alternative_reps(rng, Q, 10)
-    # as many choices per gather as _factors' byte check fits in a block
-    block = min(len(choices), max(1, _kernels.BLOCK_BYTES // quotient_algebra._factor_bytes(Q)))
-    # T's gathered labels, and per choice its shift and the gather's intp
-    # index copy, int32 result and mask; and numpy's index buffers
-    require_bytes((4 + 17 * block) * k * k + (1 << 15), f"representative probe with {k} cosets")
-    want = labels.take(T.shift)
-
-    def differs(reps: np.ndarray) -> np.ndarray:
-        # a block's tables are freed before the next block's are gathered
-        shift, alt_labels = quotient_algebra._factors(Q, reps)
-        return (alt_labels != labels).any(axis=-1) | (labels.take(shift) != want).any(axis=(-2, -1))
-
-    for start in range(0, len(choices), block):
-        reps = choices[start:start + block]
-        differ = differs(reps)
-        if differ.any():
-            raise _Fail({"reason": "tensor depends on representative choice",
-                         "reps": reps[differ.argmax()].tolist()})
+    elem_rank = T.segments[3].astype(T.rel.dtype).take(Q.coset_of)
+    for reps in choices:
+        for start, block in quotient_algebra._rel_rows(
+                Q, reps, elem_rank, f"representative probe with {k} cosets",
+                choices.nbytes + elem_rank.nbytes):
+            if not np.array_equal(block, T.rel[start:start + len(block)]):
+                raise _Fail({"reason": "tensor depends on representative choice",
+                             "reps": reps.tolist()})
 
 
 def _check_d6_conv(spec, ctx, rng):
     T, Q, G = ctx.T, ctx.Q, ctx.G
     k = T.coset_count
-    # every row of shift a permutation of the cosets makes every row of
-    # counts sum to |H|
-    if not rows_are_permutations(T.shift, k, f"shift permutation test with {k} cosets"):
+    # rows of rel that hold each suborbit its size times make counts' rows sum to |H|
+    if not rows_hold_the_suborbits(T, f"suborbit histogram test with {k} cosets"):
         raise _Fail({"reason": "row sums differ from |H|"})
     _probe_representatives(rng, T)
     mode = _mode(spec, ctx)
@@ -584,11 +571,11 @@ def _right_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[in
     """None when the base coset acts as a right identity on every point mass;
     otherwise the first coset index witnessing failure: delta_a * delta_H is
     delta_a iff the base coset is a suborbit of its own, found at a alone in
-    row a of shift."""
+    row a of rel."""
     k, base = T.coset_count, Q.base_coset
-    # the mask of shift, its row counts and its diagonal
-    require_bytes(k * k + 16 * k + (1 << 16), f"right identity test with {k} cosets")
-    hits = T.shift == base
+    # the mask of rel, its row counts and its diagonal, and the segments
+    require_bytes(k * k + 96 * k + (1 << 16), f"right identity test with {k} cosets")
+    hits = T.rel == int(T.segments[3][base])   # a Python int keeps rel's dtype
     bad = np.flatnonzero((np.count_nonzero(hits, axis=1) != 1) | ~hits.diagonal()
                          | (T.suborbit_sizes[base] != 1))
     return int(bad[0]) if len(bad) else None
@@ -624,9 +611,8 @@ def _check_c13_unique_id(spec, ctx, rng):
 def _left_identity_on_basis(T: StructureTable, Q: QuotientSpace) -> Optional[int]:
     """None when the base coset acts as a left identity on every point mass;
     otherwise the first coset index witnessing failure: delta_H * delta_b is
-    delta_b iff coset b is a suborbit of its own and shift[base, b] = b."""
-    k = T.coset_count
-    bad = np.flatnonzero((T.suborbit_sizes != 1) | (T.shift[Q.base_coset] != np.arange(k)))
+    delta_b iff coset b is a suborbit of its own, which rel[base] holds at b."""
+    bad = np.flatnonzero((T.suborbit_sizes != 1) | (T.rel[Q.base_coset] != T.segments[3]))
     return int(bad[0]) if len(bad) else None
 
 
@@ -649,15 +635,15 @@ def _check_c14_involution(spec, ctx, rng):
 
 def _point_mass_products(T: StructureTable, Q: QuotientSpace) -> bool:
     """Whether every product of two point masses is a point mass: every
-    coset b is a suborbit of its own, found in row a of shift at the coset
-    of rep_a * rep_b."""
+    coset b is a suborbit of its own, so that rank is a bijection, and
+    row a of rel holds b's suborbit at the coset of rep_a * rep_b."""
     k = T.coset_count
     # the int64 index z (two int64 gathers while it is built), then, with z
-    # held, the gathered int32 shift entries and their mask
+    # held, the gathered rel entries and their mask
     require_bytes(16 * k * k + (1 << 16), f"point-mass product test with {k} cosets")
     z = Q.coset_of[Q.group.mul[Q.reps[:, None], Q.reps[None, :]]]
     return bool((T.suborbit_sizes == 1).all()
-                and (T.shift[np.arange(k)[:, None], z] == np.arange(k, dtype=T.shift.dtype)).all())
+                and (T.rel[np.arange(k)[:, None], z] == T.segments[3].astype(T.rel.dtype)).all())
 
 
 def _check_p15_normality(spec, ctx, rng):

@@ -33,7 +33,8 @@ def s3_a3(s3):
 def relabelled_s3_pair(s3):
     """S3 relabelled so that (12) is element 0 and the identity element 5,
     with H = {0, 5}: the base coset's least member, its representative, is
-    not the identity, so shift[base] is [0, 2, 1], not the identity."""
+    not the identity, so the coset of rep_base^-1 * rep_z is [0, 2, 1][z],
+    not z."""
     t = ca.find_element(s3, "(12)")
     order = [t] + [x for x in range(6) if x not in (t, s3.identity)] + [s3.identity]
     table = np.argsort(order)[s3.mul[np.ix_(order, order)]]
@@ -75,10 +76,43 @@ def onehot_counts(Q, reps=None):
     return onehot.sum(axis=1, dtype=np.int64)
 
 
+def oracle_factors(Q, reps=None):
+    """Int32 shift tables (..., k, k) and suborbit labels (..., k) of
+    representative choices (..., k), by default Q.reps, as the structure
+    table once stored them: shift[a, z] is the coset of rep_a^-1 * rep_z,
+    and column b of H's action on the cosets holds b's suborbit, whose
+    least member labels it. The reference for rel = rank[shift]."""
+    G = Q.group
+    reps = np.asarray(Q.reps if reps is None else reps, dtype=np.int64)
+    members = np.array(Q.subgroup.members, dtype=np.int64)
+    shift = Q.coset_of[G.mul[G.inv[reps][..., :, None], reps[..., None, :]]].astype(np.int32)
+    labels = Q.coset_of[G.mul[members[:, None], reps[..., None, :]]].min(axis=-2)
+    return shift, labels.astype(np.int32)
+
+
+def oracle_rel(Q, reps=None):
+    """rank[shift] for the oracle's shift and labels of one representative
+    choice, rank numbering the suborbits by label."""
+    shift, labels = oracle_factors(Q, reps)
+    return np.unique(labels, return_inverse=True)[1][shift]
+
+
+def planted_table(T, shift=None, labels=None):
+    """T with a fault planted in the oracle's factors of its quotient: the
+    given shift table or labels in place of the oracle's, and rel rebuilt as
+    rank[shift] for the ranks of the labels."""
+    oracle_shift, oracle_labels = oracle_factors(T.quotient)
+    shift = oracle_shift if shift is None else np.asarray(shift)
+    labels = oracle_labels if labels is None else np.asarray(labels, dtype=np.int32)
+    rank = np.unique(labels, return_inverse=True)[1]
+    return ca.StructureTable(T.quotient, rank[shift].astype(T.rel.dtype), labels)
+
+
 def cycled_suborbits(labels):
     """The suborbit table of least-member labels as it was once stored:
     column b lists b's suborbit ascending, cycled to r = lcm(suborbit sizes)
-    rows, so that c[a, b, z] = #{i : suborbits[i, b] = shift[a, z]} / r."""
+    rows, so that c[a, b, z] = #{i : suborbits[i, b] = shift[a, z]} / r,
+    with shift the table of oracle_factors."""
     labels = np.asarray(labels)
     sizes = np.bincount(labels, minlength=len(labels))
     start = np.cumsum(sizes) - sizes

@@ -24,7 +24,7 @@ from cosetalg.errors import CapExceeded
 from cosetalg.exact import ExactVector
 
 from conftest import (checked_peak, cycled_quotient_convolve, cycled_suborbits, onehot_counts,
-                      random_weights, rng, spy_every_byte_check, traced_peak)
+                      oracle_factors, random_weights, rng, spy_every_byte_check, traced_peak)
 
 PAIRS = [("S3", ["(12)"]), ("D4", ["(24)"]), ("Q8", ["i"]), ("S4", ["(12)", "(123)"])]
 
@@ -92,7 +92,7 @@ def test_quotient_convolve_kernel_oracle(token, gens):
     s1 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     s2 = rng.random(Q.coset_count) + 1j * rng.random(Q.coset_count)
     T = ca.structure_table(Q)
-    got = _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
+    got = _kernels.quotient_convolve_weights(T.rel, T.segments, s1, s2)
     qc = ca.quotient_carrier(Q)
     lifted = [ca.lift_to_invariant(Q, ca.ComplexMeasure(qc, s)) for s in (s1, s2)]
     want = ca.pushforward_rh(Q, ca.group_convolve(G, *lifted)).weights
@@ -216,8 +216,8 @@ def test_one_vector_calls_keep_their_bits(token, gens):
     w1, w2 = random_weights(g, G.order), random_weights(g, G.order)
     h = Q.subgroup.order
     pairs = [
-        (_kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2),
-         _quotient_one_vector(T.shift, T.labels, s1, s2)),
+        (_kernels.quotient_convolve_weights(T.rel, T.segments, s1, s2),
+         _quotient_one_vector(*oracle_factors(Q), s1, s2)),
         (_kernels.group_convolve_weights(G.mul, G.inv, w1, w2),
          _group_one_vector(G.mul, G.inv, w1, w2)),
         (_kernels.lift_weights(Q.coset_of, h, s1), s1[Q.coset_of] / h),
@@ -242,7 +242,7 @@ def test_batched_kernels_match_their_rows(token, gens):
     gs = [random_weights(g, (2, 3, n)) for _ in range(2)]
 
     def quotient(a, b):
-        return _kernels.quotient_convolve_weights(T.shift, T.segments, a, b)
+        return _kernels.quotient_convolve_weights(T.rel, T.segments, a, b)
 
     def group(a, b):
         return _kernels.group_convolve_weights(G.mul, G.inv, a, b)
@@ -293,7 +293,7 @@ def test_batched_kernels_within_their_byte_checks(monkeypatch):
     f1, f2 = _exact_weights(g, (8, n)), _exact_weights(g, (8, n))
     calls = [
         (_kernels, lambda: _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)),
-        (_kernels, lambda: _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)),
+        (_kernels, lambda: _kernels.quotient_convolve_weights(T.rel, T.segments, s1, s2)),
         (_kernels, lambda: ca.quotient_convolve_exact(T, e1, e2)),
         (_kernels, lambda: _kernels.group_convolve_weights(G.mul, G.inv, f1, f2)),
     ]
@@ -457,7 +457,7 @@ def _column_block_mismatches() -> list[str]:
             s1, s2 = random_weights(g, shape), random_weights(g, shape)
 
             def call():
-                return _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
+                return _kernels.quotient_convolve_weights(T.rel, T.segments, s1, s2)
 
             want = _in_columns_of(k, call)
             mismatches += [f"{name} {shape} width {width}" for width in (64, 128)
@@ -539,7 +539,7 @@ def test_quotient_convolution_byte_check_sizes_one_block(monkeypatch, kind, batc
                         lambda *args: widths.append(blocks(*args)) or widths[-1])
 
     def call():
-        return _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
+        return _kernels.quotient_convolve_weights(T.rel, T.segments, s1, s2)
 
     checked, peak = checked_peak(monkeypatch, _kernels, call)
     width, = widths
@@ -561,7 +561,7 @@ def test_quotient_convolution_byte_check_sizes_one_block(monkeypatch, kind, batc
 
 
 def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
-    # S5/<(12)>: a (2, k, k) stack of shift tables, a table one column short
+    # S5/<(12)>: a (2, k, k) stack of relation matrices, one a column short
     # and a flat one are refused by the kernel, before its byte check, and
     # by the exact convolution through a StructureTable holding them
     G, Q = _setup("S5", ["(12)"])
@@ -571,12 +571,12 @@ def test_quotient_kernels_refuse_a_shift_that_is_not_one_table(monkeypatch):
     e1, e2 = _exact_weights(g, (k,)), _exact_weights(g, (k,))
     checked = []
     monkeypatch.setattr(_kernels, "require_bytes", lambda nbytes, what: checked.append(nbytes))
-    refusal = rf"^shift must be one \({k}, {k}\) table, not "
-    for shift in (np.stack([T.shift, T.shift]), T.shift[:, :-1], T.shift.ravel()):
-        with pytest.raises(ValueError, match=refusal + re.escape(str(shift.shape))):
-            _kernels.quotient_convolve_weights(shift, T.segments, s1, s2)
+    refusal = rf"^rel must be one \({k}, {k}\) table, not "
+    for rel in (np.stack([T.rel, T.rel]), T.rel[:, :-1], T.rel.ravel()):
+        with pytest.raises(ValueError, match=refusal + re.escape(str(rel.shape))):
+            _kernels.quotient_convolve_weights(rel, T.segments, s1, s2)
         with pytest.raises(ValueError, match=refusal):
-            ca.quotient_convolve_exact(ca.StructureTable(Q, shift, T.labels), e1, e2)
+            ca.quotient_convolve_exact(ca.StructureTable(Q, rel, T.labels), e1, e2)
     assert checked == []
 
 
@@ -635,7 +635,7 @@ def test_each_convolution_call_makes_one_byte_request(monkeypatch, token, gens, 
     w, s = operand(G.order), operand(T.coset_count)
     group_request, quotient_request = _ONE_REQUEST[token, kind, batch]
     calls = [(lambda: _kernels.group_convolve_weights(G.mul, G.inv, w, w), group_request),
-             (lambda: _kernels.quotient_convolve_weights(T.shift, T.segments, s, s),
+             (lambda: _kernels.quotient_convolve_weights(T.rel, T.segments, s, s),
               quotient_request)]
     if kind != "complex":
         calls.append((lambda: ca.quotient_convolve_exact(T, s, s), quotient_request))
@@ -661,8 +661,8 @@ def _assert_matches_the_cycled_oracle(T, g):
     r = math.lcm(*set(T.suborbit_sizes.tolist()))
     for shape in ((k,), (2, k)):
         s1, s2 = random_weights(g, shape), random_weights(g, shape)
-        got = _kernels.quotient_convolve_weights(T.shift, T.segments, s1, s2)
-        want = cycled_quotient_convolve(T.shift, T.labels, s1, s2)
+        got = _kernels.quotient_convolve_weights(T.rel, T.segments, s1, s2)
+        want = cycled_quotient_convolve(*oracle_factors(T.quotient), s1, s2)
         assert got.shape == want.shape
         if r <= 2:
             assert got.tobytes() == want.tobytes(), r
@@ -670,7 +670,7 @@ def _assert_matches_the_cycled_oracle(T, g):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), r
         e1, e2 = _exact_weights(g, shape), _exact_weights(g, shape)
         assert ca.quotient_convolve_exact(T, e1, e2) == \
-            cycled_quotient_convolve(T.shift, T.labels, e1, e2)
+            cycled_quotient_convolve(*oracle_factors(T.quotient), e1, e2)
 
 
 @pytest.mark.parametrize("token,gens", [

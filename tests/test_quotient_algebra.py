@@ -20,7 +20,7 @@ from cosetalg.verifier import (_l1_convolve_operator, _lp_action_operator,
                                build_entry, default_catalog)
 
 from conftest import (_rref_fractions, checked_peak, cycled_quotient_convolve, onehot_counts,
-                      random_weights, rng, traced_peak)
+                      oracle_factors, oracle_rel, planted_table, random_weights, rng, traced_peak)
 
 # independently derived count tensor for S3 / <(12)>, cosets
 # C0={e,(12)}, C1={(123),(13)}, C2={(23),(132)}, |H| = 2
@@ -485,7 +485,7 @@ def test_a_number_and_a_one_element_array_give_the_bits_of_a_number(p):
     phi = ca.DensityFunction(Q, random_weights(g, k) - (0.5 + 0.5j))
     lam, f, rp = ca.quasi_invariant_lambda(Q, rho), ca.compose_with_projection(Q, phi), \
         rho.values ** (1.0 / p)
-    kernel = functools.partial(_kernels.quotient_convolve_weights, T.shift, T.segments)
+    kernel = functools.partial(_kernels.quotient_convolve_weights, T.rel, T.segments)
     routes = {
         "lp_norm": (lambda p: ca.lp_norm(lam, phi, p),
                     np.sum(np.abs(phi.values) ** p * lam.weights) ** (1.0 / p)),
@@ -697,7 +697,9 @@ def test_identity_solvers_match_fraction_oracle_beyond_catalog(group, gens):
 
 def test_identity_solvers_match_fraction_oracle_with_relabelled_identity(relabelled_s3_pair):
     T = ca.structure_table(ca.build_coset_space(*relabelled_s3_pair))
-    assert T.shift[T.quotient.base_coset].tolist() == [0, 2, 1]
+    base = T.quotient.base_coset
+    assert oracle_factors(T.quotient)[0][base].tolist() == [0, 2, 1]
+    assert T.rel[base].tolist() == T.segments[3].tolist() == [0, 1, 1]
     _matches_oracle(T)
 
 
@@ -735,7 +737,7 @@ def test_base_coset_sharing_its_suborbit_is_refused(monkeypatch, group, gens):
     pair = T.labels[[base, (base + 1) % T.coset_count]]
     labels = T.labels.copy()
     labels[np.isin(labels, pair)] = pair.min()
-    planted = dataclasses.replace(T, labels=labels)
+    planted = planted_table(T, labels=labels)
     _assert_refused(monkeypatch, G, H, planted,
                     (ca.find_left_identity, ca.find_two_sided_identity))
 
@@ -777,51 +779,54 @@ def _assert_refused(monkeypatch, G, H, planted, readers):
 
 
 def test_corrupt_shift_is_refused(monkeypatch):
-    # S4/<(12)>: two non-base rows of shift swap their entries in a column
-    # off the diagonal and off the base coset. The base-coset rows still pin
-    # delta_H, but neither row is a permutation, so shift has no inverse
+    # S4/<(12)>: two non-base rows of the oracle's shift swap their entries
+    # in a column off the diagonal and off the base coset, which lie in
+    # different suborbits. The base-coset rows of rel still pin delta_H, but
+    # neither row of rel holds each suborbit its size times
     G = ca.builtin_from_token("S4")
     H = ca.subgroup_from_tokens(G, ["(12)"])
     T = ca.structure_table(ca.build_coset_space(G, H))
-    assert T.quotient.base_coset == 0
-    shift = T.shift.copy()
+    assert T.quotient.base_coset == 0 and T.rel[1, 3] != T.rel[2, 3]
+    shift = oracle_factors(T.quotient)[0]
     shift[[1, 2], 3] = shift[[2, 1], 3]
-    planted = dataclasses.replace(T, shift=shift)
+    planted = planted_table(T, shift=shift)
+    assert np.count_nonzero(planted.rel != T.rel) == 2
     _assert_refused(monkeypatch, G, H, planted,
                     (ca.find_left_identity, ca.find_two_sided_identity,
                      lambda T: T.counts, lambda T: T.c))
 
 
 def test_identity_decision_on_hand_built_tables():
-    # C3/{e} (base coset 0) with one factor changed
-    G = ca.builtin_from_token("C3")
-    T = ca.structure_table(ca.build_coset_space(G, ca.generate_subgroup(G, [])))
-    assert T.quotient.base_coset == 0
-
-    def planted(shift=None, labels=None):
+    # C3/{e} and C4/{e} (base coset 0) with one factor changed
+    def planted(token, rel=None, labels=None):
+        G = ca.builtin_from_token(token)
+        T = ca.structure_table(ca.build_coset_space(G, ca.generate_subgroup(G, [])))
+        assert T.quotient.base_coset == 0
         return qa.StructureTable(T.quotient,
-                                 T.shift if shift is None else np.array(shift, dtype=np.int32),
+                                 T.rel if rel is None else np.array(rel, dtype=T.rel.dtype),
                                  T.labels if labels is None else np.array(labels, dtype=np.int32))
 
-    # the suborbit {1, 2}, labelled by its least member and kept by
-    # shift[base], but shift[base] is no permutation: the system is
-    # inconsistent, and its residual, which presumes permutation rows,
+    # C4/{e} with the suborbit {1, 2}, labelled by its least member and kept
+    # by rel[base], but row 1 of rel holds suborbit 2 twice: the system is
+    # inconsistent, and its residual, which presumes rows of translations,
     # refuses the table
-    broken = planted([[0, 2, 2], *T.shift[1:].tolist()], [0, 1, 1])
+    broken = planted("C4", [[0, 1, 1, 2], [1, 0, 2, 2], [1, 2, 0, 1], [2, 1, 1, 0]],
+                     [0, 1, 1, 3])
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         with pytest.raises(ValueError, match="corrupt structure table"):
             solver(broken)
-    # shift == base off the diagonal, or not on it, or shift[base] moves
-    # coset 1 to coset 2, another suborbit: the rows (base, z) do not pin delta_H
-    for shift in ([[0, 1, 2], [0, 0, 1], [1, 2, 0]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]],
-                  [[0, 2, 1], [1, 0, 2], [2, 1, 0]]):
+    # on C3/{e}, where rank is the identity: rel holds the base coset's
+    # suborbit off the diagonal, or not on it, or rel[base] moves coset 1 to
+    # suborbit 2: the rows (base, z) do not pin delta_H
+    for rel in ([[0, 1, 2], [0, 0, 1], [1, 2, 0]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]],
+                [[0, 2, 1], [1, 0, 2], [2, 1, 0]]):
         for solver in (ca.find_left_identity, ca.find_two_sided_identity):
             with pytest.raises(ValueError, match="corrupt structure table"):
-                solver(planted(shift))
+                solver(planted("C3", rel))
     # the base coset shares the suborbit {0, 1}, consistently labelled
     for solver in (ca.find_left_identity, ca.find_two_sided_identity):
         with pytest.raises(ValueError, match="corrupt structure table"):
-            solver(planted(labels=[0, 0, 2]))
+            solver(planted("C3", labels=[0, 0, 2]))
 
 
 def test_degenerate_whole_group(s3):
@@ -865,10 +870,10 @@ def test_c_is_counts_over_the_subgroup_order_bit_for_bit(token, gens):
     G = ca.builtin_from_token(token)
     H = ca.subgroup_from_tokens(G, gens)
     T = ca.structure_table(ca.build_coset_space(G, H))
-    m = (T.labels[:, None] == T.labels) / T.suborbit_sizes
+    m = (np.arange(len(T.segments[2]))[:, None] == T.segments[3]) / T.suborbit_sizes
     bits = T.c.view(np.uint64)
     assert np.array_equal(bits, (T.counts / H.order).view(np.uint64))
-    assert np.array_equal(bits, m.take(T.shift, axis=0).transpose(0, 2, 1).view(np.uint64))
+    assert np.array_equal(bits, m.take(T.rel, axis=0).transpose(0, 2, 1).view(np.uint64))
 
 
 def _view_requests(monkeypatch, T, view, short=None):
@@ -904,7 +909,7 @@ def _view_requests(monkeypatch, T, view, short=None):
 @pytest.mark.parametrize("token,gens", [("S5", []), ("S6", ["(12)"])],
                          ids=["S5/{e}", "S6/<(12)>"])
 def test_dense_views_within_their_byte_checks(monkeypatch, token, gens):
-    # k = 120 and 360: counts requests the permutation test of shift and then
+    # k = 120 and 360: counts requests the suborbit histogram test of rel and then
     # its gather, and c, read first, those two and then its own division.
     # What each request is followed by stays within it, and a budget one
     # byte short at any request refuses the view there, before it allocates
@@ -914,7 +919,7 @@ def test_dense_views_within_their_byte_checks(monkeypatch, token, gens):
     for view, count in (("counts", 2), ("c", 3)):
         requests, refused = _view_requests(monkeypatch, ca.structure_table(Q), view)
         assert refused is None and len(requests) == count, view
-        assert requests[0][0] == 5 * k * k + (1 << 16), view
+        assert requests[0][0] == 3 * k * k + (1 << 16), view   # uint8 rel
         for nbytes, _, grown in requests:
             assert grown <= nbytes, (view, grown, nbytes)
         assert requests[-1][2] > getattr(ca.structure_table(Q), view).nbytes, view
@@ -1014,53 +1019,111 @@ def test_exact_quotient_convolution_refused_before_allocating(monkeypatch):
                                         ("S4", ["(12)", "(123)"]), ("S5", ["(12)"])],
                          ids=["S3/<(12)>", "D4/<s>", "Q8/<i>", "S4/S3", "S5/<(12)>"])
 def test_stacked_factors_give_the_table_of_each_choice(token, gens):
-    # one gather over a stack of ten representative choices (and the same
-    # choices as a 2 x 5 stack): choice for choice, the shift and labels of
-    # structure_table, and the count tensor of the definition
+    # the oracle's factors of ten representative choices, gathered as one
+    # stack and as a 2 x 5 stack: choice for choice, structure_table gives
+    # their labels and rel = rank[shift], and the count tensor of the
+    # definition
     G = ca.builtin_from_token(token)
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
     k = Q.coset_count
     choices = verifier._alternative_reps(rng(76), Q, 10)
-    shift, labels = qa._factors(Q, choices)
+    shift, labels = oracle_factors(Q, choices)
     assert shift.shape == (10, k, k) and labels.shape == (10, k)
-    nested = qa._factors(Q, choices.reshape(2, 5, k))
+    nested = oracle_factors(Q, choices.reshape(2, 5, k))
     assert np.array_equal(nested[0].reshape(10, k, k), shift)
     assert np.array_equal(nested[1].reshape(10, k), labels)
     for j, alt in enumerate(choices):
         T = ca.structure_table(Q, alt)
-        assert np.array_equal(shift[j], T.shift) and np.array_equal(labels[j], T.labels)
-        stacked = qa.StructureTable(Q, shift[j], labels[j])
-        assert np.array_equal(stacked.counts, onehot_counts(Q, alt))
+        rank = np.unique(labels[j], return_inverse=True)[1]
+        assert np.array_equal(T.rel, rank[shift[j]]) and np.array_equal(T.labels, labels[j])
+        assert np.array_equal(T.counts, onehot_counts(Q, alt))
 
 
-def test_stacked_factors_within_their_byte_check(monkeypatch):
-    # S5/<(12)>, 60 cosets: the one check of a stacked gather is linear in
-    # the stack plus numpy's index buffers, covers the traced peak, and one
-    # byte short refuses it
-    G = ca.builtin_from_token("S5")
+REL_PAIRS = C_PAIRS + [
+    ("S4", ["(12)"]), ("S4", ["(12)(34)", "(13)(24)"]), ("A4", ["(12)(34)"]), ("S5", ["(12)"]),
+    ("D6", ["(26)(35)"]), ("D6", ["(14)(25)(36)"]), ("S6", ["(12)"]), ("S6", ["(12)", "(12345)"]),
+    ("S6", []), ("C256", []), ("C257", []), ("relabelled", None)]
+
+
+@pytest.mark.parametrize("token,gens", REL_PAIRS, ids=[
+    *(e.name for e in ca.default_catalog()), "S5/{e}", "S5/<(12),(123)>", "S6/<(12),(345)>",
+    "A5/<(123)>", "S4/<(12)>", "S4/V4", "A4/<(12)(34)>", "S5/<(12)>", "D6/<(26)(35)>",
+    "D6/<(14)(25)(36)>", "S6/<(12)>", "S6/<(12),(12345)>", "S6/{e}", "C256/{e}", "C257/{e}",
+    "S3 relabelled"])
+def test_rel_is_the_rank_of_the_oracle_shift(request, token, gens):
+    # the default representatives and two random choices on every catalog
+    # and test pair: rel is rank[shift] for the oracle's shift, read-only,
+    # in uint8 up to 256 suborbits and in uint16 beyond, and the labels are
+    # the oracle's
+    if token == "relabelled":
+        G, H = request.getfixturevalue("relabelled_s3_pair")
+    else:
+        G = ca.builtin_from_token(token)
+        H = ca.subgroup_from_tokens(G, gens)
+    Q = ca.build_coset_space(G, H)
+    for reps in (None, *verifier._alternative_reps(rng(80), Q, 2)):
+        T = ca.structure_table(Q, reps)
+        assert T.rel.dtype == (np.uint8 if len(T.segments[2]) <= 256 else np.uint16)
+        assert np.array_equal(T.rel, oracle_rel(Q, reps))
+        assert np.array_equal(T.labels, oracle_factors(Q, reps)[1])
+        with pytest.raises(ValueError, match="read-only"):
+            T.rel[0, 0] = 0
+
+
+def test_rel_rows_within_their_byte_check(monkeypatch):
+    # S6/<(12)>, 360 cosets: the row-block builder makes one check, of one
+    # block of about BLOCK_BYTES; its blocks are rel's rows in order, and
+    # walking them while comparing each with rel, as the probe does, stays
+    # within the check; one byte short refuses before the first block
+    G = ca.builtin_from_token("S6")
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, ["(12)"]))
-    choices = verifier._alternative_reps(rng(78), Q, 10)
-    checked, peak = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, choices))
-    assert len(checked) == 1 and peak <= checked[0]
-    single, _ = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, choices[0]))
-    buffers = 1 << 15
-    assert checked[0] - buffers == 10 * (single[-1] - buffers)
+    T, k = ca.structure_table(Q), Q.coset_count
+    elem_rank = T.segments[3].astype(T.rel.dtype).take(Q.coset_of)
+    rows = _kernels.BLOCK_BYTES // (20 * k)
+
+    def walk():
+        starts = []
+        for start, block in qa._rel_rows(Q, Q.reps, elem_rank, "rel rows"):
+            assert np.array_equal(block, T.rel[start:start + len(block)])
+            starts.append(start)
+        return starts
+
+    assert walk() == list(range(0, k, rows)) and len(walk()) == 3
+    checked, peak = checked_peak(monkeypatch, qa, walk)
+    assert checked == [20 * rows * k + (1 << 15)] and peak <= checked[0]
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
-    with pytest.raises(CapExceeded, match="structure table with 60 cosets"):
-        qa._factors(Q, choices)
+    with pytest.raises(CapExceeded, match="^rel rows needs"):
+        walk()
 
 
 @pytest.mark.parametrize("token,gens", [("S4", ["(12)"]), ("S5", ["(12)"]),
                                         ("S5", ["(12)", "(123)"])],
                          ids=["S4/<(12)>", "S5/<(12)>", "S5/<(12),(123)>"])
 def test_one_choice_factors_within_their_byte_check(monkeypatch, token, gens):
-    # one representative choice on a small pair: numpy's fancy-index
-    # buffers, not the per-entry arrays, set the traced peak
+    # one representative choice on a small pair: the labels' check and then
+    # the row blocks' check, which counts rel, each cover the traced peak up
+    # to the next; numpy's fancy-index buffers, not the per-entry arrays,
+    # set the first
     G = ca.builtin_from_token(token)
     Q = ca.build_coset_space(G, ca.subgroup_from_tokens(G, gens))
-    qa._factors(Q, Q.reps)
-    checked, peak = checked_peak(monkeypatch, qa, lambda: qa._factors(Q, Q.reps))
-    assert len(checked) == 1 and peak <= checked[0]
+    ca.structure_table(Q)
+    requests = []
+
+    def spy(nbytes, what):
+        requests.append([nbytes, tracemalloc.get_traced_memory()[1]])
+        tracemalloc.reset_peak()
+        ca.groups.require_bytes(nbytes, what)
+
+    monkeypatch.setattr(qa, "require_bytes", spy)
+    tracemalloc.start()
+    try:
+        T = ca.structure_table(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(requests) == 2 and requests[1][0] > T.rel.nbytes
+    for (nbytes, _), grown in zip(requests, [requests[1][1], peak]):
+        assert grown <= nbytes, (grown, nbytes)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -1125,7 +1188,7 @@ def test_exact_means_keep_int64_numerators_where_the_cycled_table_did(monkeypatc
     s = ExactVector(np.full(4, 2 ** 29), np.zeros(4, dtype=np.int64))
     out = ca.quotient_convolve_exact(T, s, s)
     assert out.re.dtype == np.int64 and out.bound < 2 ** 63
-    assert out == cycled_quotient_convolve(T.shift, T.labels, s, s)
+    assert out == cycled_quotient_convolve(*oracle_factors(T.quotient), s, s)
     checked, peak = checked_peak(monkeypatch, _kernels,
                                  lambda: ca.quotient_convolve_exact(T, s, s))
     assert checked == [40 * (4 * 4 + 4 * 4) + (1 << 13)] and peak <= checked[0]   # int64
@@ -1133,11 +1196,11 @@ def test_exact_means_keep_int64_numerators_where_the_cycled_table_did(monkeypatc
 
 def test_actions_reuse_the_table(monkeypatch, s3_q, s3_t):
     # the L^p actions and the L^1 convolution read the table they are given
-    # and never rebuild its factors
+    # and never rebuild its relation matrix
     def rebuild(*args):
         raise AssertionError("structure table factors rebuilt")
 
-    monkeypatch.setattr(qa, "_factors", rebuild)
+    monkeypatch.setattr(qa, "_rel_rows", rebuild)
     rho = ca.validate_rho(s3_q, [1.0, 2.0, 0.5])
     lam = ca.quasi_invariant_lambda(s3_q, rho)
     g = rng(27)

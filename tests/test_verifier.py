@@ -155,11 +155,13 @@ def _d6_pair(pair, relabelled_s3_pair):
 
 
 def _swap_shift_entries(T):
-    """shift[0, 0] and shift[1, 0] swapped: rows 0 and 1 each repeat a coset."""
-    shift = T.shift.copy()
-    shift[[0, 1], 0] = shift[[1, 0], 0]
-    assert len(set(shift[0])) < T.coset_count
-    return dataclasses.replace(T, shift=shift)
+    """The image in rel of shift[0, 0] and shift[1, 0] swapped, which left
+    rows 0 and 1 each repeating a coset: rel[0, 0] and rel[1, 0] swapped, so
+    that neither row holds each suborbit its size times."""
+    rel = T.rel.copy()
+    rel[[0, 1], 0] = rel[[1, 0], 0]
+    assert rel[0, 0] != rel[1, 0]
+    return dataclasses.replace(T, rel=rel)
 
 
 @pytest.mark.parametrize("pair", D6_PAIRS, ids=["S3/<(12)>", "S3/A3", "D4/<s>", "S3 relabelled"])
@@ -178,27 +180,35 @@ def test_d6_catches_a_shift_row_that_is_no_permutation(monkeypatch, relabelled_s
         assert report.counterexample == {"reason": "row sums differ from |H|"}, report
 
 
+_REL_ROWS = ca.quotient_algebra._rel_rows
+
+
+def _planted_rows(plant):
+    """The row-block builder with plant(Q, reps, start, block) applied to
+    each block it yields."""
+    def planted(Q, reps, *args):
+        return ((start, plant(Q, reps, start, block))
+                for start, block in _REL_ROWS(Q, reps, *args))
+    return planted
+
+
 @pytest.mark.parametrize("pair", D6_PAIRS, ids=["S3/<(12)>", "S3/A3", "D4/<s>", "S3 relabelled"])
 def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_pair, pair):
     G, H = _d6_pair(pair, relabelled_s3_pair)
-    factors = ca.quotient_algebra._factors
 
-    def planted(Q, reps):
-        # rows 0 and 1 of shift swapped for every choice of a stack whose
-        # representatives are not Q's
-        shift, labels = factors(Q, reps)
-        other = (np.asarray(reps) != Q.reps).any(axis=-1)
-        shift = np.where(other[..., None, None],
-                         shift[..., [1, 0, *range(2, Q.coset_count)], :], shift)
-        return shift, labels
+    def plant(Q, reps, start, block):
+        # rows 0 and 1 of rel swapped for every choice whose representatives
+        # are not Q's
+        if start or (np.asarray(reps) == Q.reps).all():
+            return block
+        return block[[1, 0, *range(2, len(block))]]
 
-    monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
+    monkeypatch.setattr(ca.quotient_algebra, "_rel_rows", _planted_rows(plant))
     for mode in ("float", "exact"):
         report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), make_context(G, H))
         assert report.status == "fail", report
         assert report.counterexample["reason"] == "tensor depends on representative choice"
         assert report.counterexample["reps"] != ca.build_coset_space(G, H).reps.tolist()
-
 
 
 @pytest.mark.parametrize("token,gens", [("S3", []), ("S3", ["(12)"]), ("S3", ["(123)"]),
@@ -218,111 +228,107 @@ def test_alternative_reps_draw_in_one_call_what_scalar_calls_drew(token, gens):
 @pytest.mark.parametrize("block_bytes", [1, 1 << 60], ids=["one table", "all tables"])
 def test_d6_reports_the_first_representative_choice_that_differs(monkeypatch, block_bytes):
     # a fault planted on the 4th choice of the probe alone, on S4/S3 and
-    # S3/<(12)>: D6 fails with that choice's representatives
-    factors = ca.quotient_algebra._factors
+    # S3/<(12)>, with blocks of one row of rel or of all rows: D6 fails with
+    # that choice's representatives, once it has read the first block of
+    # that choice, which differs
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
     for token, gens in (("S4", ["(12)", "(123)"]), ("S3", ["(12)"])):
         G = ca.builtin_from_token(token)
         ctx = make_context(G, ca.subgroup_from_tokens(G, gens))
+        k = ctx.T.coset_count
         for mode in ("float", "exact"):
-            seen = []
+            seen, blocks = [], []
 
-            def planted(Q, reps):
-                # the probe's choices come in stacks (m, k), in order
-                shift, labels = factors(Q, reps)
-                fourth = 3 - len(seen)
-                seen.extend(np.asarray(reps).tolist())
-                if 0 <= fourth < len(reps):
-                    shift = shift.copy()
-                    shift[fourth] = shift[fourth][[1, 0, *range(2, Q.coset_count)]]
-                return shift, labels
+            def plant(Q, reps, start, block):
+                # the probe's choices come one at a time, in order
+                if start == 0:
+                    seen.append(np.asarray(reps).tolist())
+                blocks.append(len(seen))
+                if len(seen) == 4 and start == 0:
+                    block = block.copy()
+                    block[0] = ctx.T.rel[1, :block.shape[1]]
+                return block
 
-            monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
+            monkeypatch.setattr(ca.quotient_algebra, "_rel_rows", _planted_rows(plant))
             report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), ctx)
-            assert len(seen) == 4 if block_bytes == 1 else len(seen) == 10
+            assert len(seen) == 4 and blocks.count(4) == 1, (seen, blocks)
+            assert len(blocks) == (3 * k + 1 if block_bytes == 1 else 4)
             assert report.status == "fail", report
             assert report.counterexample == {"reason": "tensor depends on representative choice",
                                              "reps": seen[3]}, report
 
 
 def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
-    # S4/S3: a choice whose labels differ, though its shift table is right,
+    # S4/S3, suborbits {0} and {1, 2, 3}: a choice whose rel holds the same
+    # partition of each row, but with the two suborbits' numbers exchanged,
     # fails at that choice
     G = ca.builtin_from_token("S4")
     T = make_context(G, ca.subgroup_from_tokens(G, ["(12)", "(123)"])).T
+    assert T.segments[3].tolist() == [0, 1, 1, 1]
     choices = verifier._alternative_reps(rng(77), T.quotient, 10)
-    factors = ca.quotient_algebra._factors
 
-    def planted(Q, reps):
-        shift, labels = factors(Q, reps)
-        labels = labels.copy()
-        labels[(np.asarray(reps) == choices[4]).all(axis=-1)] = np.arange(Q.coset_count)
-        return shift, labels
+    def plant(Q, reps, start, block):
+        return 1 - block if (np.asarray(reps) == choices[4]).all() else block
 
-    monkeypatch.setattr(ca.quotient_algebra, "_factors", planted)
+    monkeypatch.setattr(ca.quotient_algebra, "_rel_rows", _planted_rows(plant))
     with pytest.raises(verifier._Fail) as err:
         verifier._probe_representatives(rng(77), T)
     assert err.value.counterexample["reps"] == choices[4].tolist()
 
 
 def test_d6_probe_within_its_byte_checks(monkeypatch):
-    # S5/{e}, 120 cosets: three choices per gather by default (the last
-    # gather one), and all ten in one; the probe's one check covers its
-    # traced peak and, of that, the gather's intp index copy, int32 result
-    # and mask at 13 bytes per entry and choice; one byte short refuses the
-    # probe
+    # S5/{e}, 120 cosets: one check per choice, the row-block builder's, for
+    # blocks of all 120 rows by default and of one row; it counts the ten
+    # choices and the suborbit of each element, covers the probe's traced
+    # peak and, of that, a block's flat index, gather, suborbits and mask
+    # at 20 bytes per entry; one byte short refuses the probe
     G = ca.builtin_from_token("S5")
     T = make_context(G, ca.subgroup_from_tokens(G, [])).T
-    k, labels, factors = T.coset_count, T.labels, ca.quotient_algebra._factors
-    want = labels.take(T.shift)
-    for block_bytes, per_gather in ((_kernels.BLOCK_BYTES, 3), (1 << 60, 10)):
+    k = T.coset_count
+    held = 10 * k * 8 + G.order * T.rel.itemsize
+    for block_bytes, rows in ((_kernels.BLOCK_BYTES, k), (1, 1)):
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
-        sizes = []
-        monkeypatch.setattr(ca.quotient_algebra, "_factors",
-                            lambda Q, reps: sizes.append(len(reps)) or factors(Q, reps))
         # the generator is built outside the trace: the first one in a
         # process imports numpy.random's lazily loaded modules
         g = rng(73)
-        checked, peak = checked_peak(monkeypatch, verifier,
+        checked, peak = checked_peak(monkeypatch, ca.quotient_algebra,
                                      lambda: verifier._probe_representatives(g, T))
-        assert sizes == [per_gather] * (10 // per_gather) + [10 % per_gather] * (per_gather == 3)
-        assert len(checked) == 1 and peak <= checked[0], (block_bytes, peak, checked)
-        shift, _ = factors(T.quotient, verifier._alternative_reps(rng(73), T.quotient, per_gather))
-        gather = traced_peak(lambda: (labels.take(shift) != want).any(axis=(-2, -1)))
-        assert gather <= 13 * per_gather * k * k, (per_gather, gather)
+        assert checked == [held + 20 * rows * k + (1 << 15)] * 10, (block_bytes, checked)
+        assert peak <= checked[0], (block_bytes, peak, checked)
+        elem_rank = T.segments[3].astype(T.rel.dtype).take(T.quotient.coset_of)
+        blocks = ca.quotient_algebra._rel_rows(T.quotient, T.quotient.reps, elem_rank, "")
+        gather = traced_peak(lambda: [np.array_equal(block, T.rel[start:start + rows])
+                                      for start, block in blocks])
+        assert gather <= 20 * rows * k + (1 << 15), (rows, gather)
         monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
         with pytest.raises(CapExceeded, match="^representative probe with 120 cosets needs"):
             verifier._probe_representatives(rng(73), T)
         monkeypatch.undo()
 
 
-def _tensor_of(shift, labels, h):
-    """counts[a, b, z] = (|H| / |O_b|) [labels[shift[a, z]] = labels[b]] from
-    its definition, for any integer shift: one-hot over (a, b, z)."""
-    sizes = np.bincount(labels)[labels]
-    return (labels[shift][:, None, :] == labels[None, :, None]) * (h // sizes)[None, :, None]
+def _tensor_of(rel, T):
+    """counts[a, b, z] = (|H| / |O_b|) [rel[a, z] = rank[b]] from its
+    definition, for any rel over T's suborbits: one-hot over (a, b, z)."""
+    rank, h = T.segments[3], T.quotient.subgroup.order
+    return (rel[:, None, :] == rank[None, :, None]) * (h // T.suborbit_sizes)[None, :, None]
 
 
-def _faults(labels):
-    """Faults planted in one choice's shift table: rows 0 and 1 swapped
-    (another tensor), an entry moved to another coset of its suborbit (the
-    same tensor, though no permutation), and one moved to another suborbit."""
-    def moved(same):
-        def plant(shift):
-            # the first entry, in row-major order, that has such a coset
-            shift = shift.copy()
-            flat = shift.reshape(-1)
-            i, c = next((i, c) for i, v in enumerate(flat.tolist()) for c in range(len(labels))
-                        if c != v and (labels[c] == labels[v]) == same)
-            flat[i] = c
-            return shift
-        return plant
+def _faults(T):
+    """Faults planted in one choice's rel: rows 0 and 1 swapped, the first
+    entry moved to another suborbit, and row 1 filled with the suborbit of
+    its first entry, a row whose histogram is no longer the suborbit sizes."""
+    def moved(rel):
+        rel = rel.copy()
+        rel[0, 0] = (int(rel[0, 0]) + 1) % len(T.segments[2])
+        return rel
 
-    faults = {"rows swapped": lambda shift: shift[[1, 0, *range(2, len(labels))]],
-              "other suborbit": moved(False)}
-    if len(set(labels.tolist())) < len(labels):
-        faults["same suborbit"] = moved(True)
-    return faults
+    def filled(rel):
+        rel = rel.copy()
+        rel[1] = rel[1, 0]
+        return rel
+
+    return {"rows swapped": lambda rel: rel[[1, 0, *range(2, len(rel))]],
+            "other suborbit": moved, "wrong histogram": filled}
 
 
 @pytest.mark.parametrize("pair", [
@@ -335,36 +341,29 @@ def test_d6_probe_agrees_with_the_dense_tensor(monkeypatch, relabelled_s3_pair, 
     # the probe's verdict against equality of one-hot count tensors: every
     # choice's tensor from its definition is T's, and with a fault planted
     # from the 4th choice on, the probe names the first choice whose planted
-    # tensor differs from T's, or passes when none does
+    # tensor differs from T's
     G, H = _d6_pair(pair, relabelled_s3_pair)
     T = make_context(G, H).T
-    Q, h, labels = T.quotient, H.order, T.labels
+    Q = T.quotient
     choices = verifier._alternative_reps(rng(79), Q, 10)
     assert all(np.array_equal(onehot_counts(Q, c), T.counts) for c in choices)
     verifier._probe_representatives(rng(79), T)
-    factors = ca.quotient_algebra._factors
-    for name, plant in _faults(labels).items():
-        planted = [factors(Q, c)[0] if j < 3 else plant(factors(Q, c)[0])
+    for name, fault in _faults(T).items():
+        planted = [ca.structure_table(Q, c).rel if j < 3 else fault(ca.structure_table(Q, c).rel)
                    for j, c in enumerate(choices)]
-        differ = [not np.array_equal(_tensor_of(s, labels, h), T.counts) for s in planted]
-        assert differ == [False] * 3 + [name != "same suborbit"] * 7, name
-
+        differ = [not np.array_equal(_tensor_of(rel, T), T.counts) for rel in planted]
+        assert differ == [False] * 3 + [True] * 7, name
         seen = []
 
-        def planted_factors(Q, reps):
-            # the probe's choices come in blocks, in order
-            start = len(seen)
-            seen.extend(reps)
-            return np.stack(planted[start:len(seen)]), factors(Q, reps)[1]
+        def planted_rows(Q, reps, *args):
+            # the probe's choices come one at a time, in order, in one block
+            seen.append(reps)
+            return iter([(0, planted[len(seen) - 1])])
 
-        monkeypatch.setattr(ca.quotient_algebra, "_factors", planted_factors)
-        if any(differ):
-            with pytest.raises(verifier._Fail) as err:
-                verifier._probe_representatives(rng(79), T)
-            assert err.value.counterexample["reps"] == choices[differ.index(True)].tolist()
-        else:
+        monkeypatch.setattr(ca.quotient_algebra, "_rel_rows", planted_rows)
+        with pytest.raises(verifier._Fail) as err:
             verifier._probe_representatives(rng(79), T)
-            assert len(seen) == 10
+        assert err.value.counterexample["reps"] == choices[3].tolist() and len(seen) == 4
         monkeypatch.undo()
 
 
@@ -819,29 +818,33 @@ def test_nan_residuals_fail(monkeypatch, s3_pair, kernel, failing):
 
 
 def test_basis_tests_on_planted_tables(s3_pair, s3_normal_pair):
-    # S3/<(12)> (labels [0, 1, 1]) and S3/A3 (labels [0, 1], shift
-    # [[0, 1], [1, 0]]), base coset 0, with one factor planted
+    # S3/<(12)> (labels [0, 1, 1], rel [[0, 1, 1], [1, 0, 1], [1, 1, 0]]) and
+    # S3/A3 (labels [0, 1], rel [[0, 1], [1, 0]]), base coset 0, with one
+    # factor planted
     right, left = verifier._right_identity_on_basis, verifier._left_identity_on_basis
     products = verifier._point_mass_products
     ctx, normal = make_context(*s3_pair), make_context(*s3_normal_pair)
     T, Q, N = ctx.T, ctx.Q, normal.T
+    assert T.rel.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert N.rel.tolist() == [[0, 1], [1, 0]]
 
-    def planted(T, **factors):
-        return dataclasses.replace(T, **{f: np.array(v, dtype=np.int32)
-                                         for f, v in factors.items()})
+    def planted(T, labels=None, rel=None):
+        return dataclasses.replace(T, **{f: np.array(v, dtype=getattr(T, f).dtype)
+                                         for f, v in (("labels", labels), ("rel", rel))
+                                         if v is not None})
 
     assert (right(T, Q), left(T, Q), products(T, Q)) == (None, 1, False)
     assert (right(N, normal.Q), left(N, normal.Q), products(N, normal.Q)) == (None, None, True)
-    # the base coset shares its suborbit with coset 1; row 2 of shift holds
-    # the base coset twice; row 1 holds it once, off the diagonal
+    # the base coset shares its suborbit with coset 1; row 2 of rel holds
+    # the base coset's suborbit twice; row 1 holds it once, off the diagonal
     assert right(planted(T, labels=[0, 0, 2]), Q) == 0
-    assert right(planted(T, shift=[[0, 1, 2], [2, 0, 1], [0, 1, 0]]), Q) == 2
-    assert right(planted(T, shift=[[0, 1, 2], [0, 2, 1], [2, 1, 0]]), Q) == 1
-    # S3/A3 with the base coset's suborbit doubled to {0, 1}, or with shift
+    assert right(planted(T, rel=[[0, 1, 1], [1, 0, 1], [0, 1, 0]]), Q) == 2
+    assert right(planted(T, rel=[[0, 1, 1], [0, 1, 1], [1, 1, 0]]), Q) == 1
+    # S3/A3 with the base coset's suborbit doubled to {0, 1}, or with rel
     # sending C1 * C0 to C0
     doubled = planted(N, labels=[0, 0])
     assert (left(doubled, normal.Q), products(doubled, normal.Q)) == (0, False)
-    assert not products(planted(N, shift=[[0, 1], [0, 1]]), normal.Q)
+    assert not products(planted(N, rel=[[0, 1], [0, 1]]), normal.Q)
 
 
 @pytest.mark.parametrize("cid,basis_test,what", [
