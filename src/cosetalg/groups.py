@@ -145,7 +145,7 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
     if len(set(labels)) != n:
         raise NotClosed("duplicate element labels")
     require_bytes(n * n * 8, f"Cayley table of order {n}")
-    table = np.asarray(mul)
+    table = _as_array(mul, (n,), lambda i, row: f"table row {i} is not {n} entries", NotClosed)
     if table.shape != (n, n):
         raise NotClosed(f"table shape {table.shape} does not match {n} labels")
     table = _entries_in_range(table, mul, n, lambda i: f"entry mul({i[0]},{i[1]})", NotClosed)
@@ -159,6 +159,20 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
     inv = _inverses(table, e, labels)
     return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
                        identity=e, generators=generators, name=name)
+
+
+def _as_array(values, shape: tuple, item: Callable[[int, object], str],
+              error: type) -> np.ndarray:
+    """np.asarray(values). numpy refuses ragged values without saying where,
+    so `error` then names, as item(i, values[i]), the first item (a row or a
+    point) that is no array of `shape`."""
+    with suppress(ValueError):
+        return np.asarray(values)
+    for i, x in enumerate(values):
+        with suppress(ValueError):
+            if np.asarray(x).shape == shape:
+                continue
+        raise error(item(i, x))
 
 
 def _entries_in_range(a: np.ndarray, values, n: int, entry: Callable[[tuple], str],
@@ -368,7 +382,8 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
         raise NotAPermutation(f"degree must be an integer >= 1, got {degree!r}")
     gens: list[np.ndarray] = []
     for gi, g in enumerate(generators):
-        p = np.asarray(g)
+        p = _as_array(g, (), lambda j, x: f"generator {gi} entry {j} = {x!r} is not an integer",
+                      NotAPermutation)
         if p.shape != (degree,):
             raise NotAPermutation(f"generator {gi} is not a permutation of 0..{degree - 1}")
         p = _entries_in_range(p, g, degree, lambda i: f"generator {gi} entry {i[0]}",

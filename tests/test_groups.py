@@ -139,9 +139,13 @@ def test_out_of_range_entry_rejected():
     ([[0, "1"], [1, 0]], "entry mul(0,1) = '1' is not an integer"),
     ([[0, 1], [1, 10 ** 29]], f"entry mul(1,1) = {10 ** 29} out of range"),
     ([[0, -1], [1, 0]], "entry mul(0,1) = -1 out of range"),
-], ids=["truncated", "whole-float", "bool", "string", "beyond-int64", "negative"])
+    ([[0, 1], [1]], "table row 1 is not 2 entries"),
+    ([[0, [1]], [1, 0]], "table row 0 is not 2 entries"),
+], ids=["truncated", "whole-float", "bool", "string", "beyond-int64", "negative", "ragged",
+        "nested"])
 def test_table_entries_must_be_integers_in_range(table, message):
-    # the truncated table was accepted as C2, and 10**29 raised OverflowError
+    # the truncated table was accepted as C2, 10**29 raised OverflowError,
+    # and numpy refused the ragged and nested tables naming no row
     with pytest.raises(NotClosed, match=re.escape(message)):
         ca.build_from_cayley_table(["e", "a"], table)
 
@@ -158,10 +162,12 @@ def test_table_entries_must_be_integers_in_range(table, message):
     ({"degree": 2.9, "generators": [[1, 0]]}, "degree must be an integer >= 1, got 2.9"),
     ({"degree": "2", "generators": [[1, 0]]}, "degree must be an integer >= 1, got '2'"),
     ({"degree": 0, "generators": []}, "degree must be an integer >= 1, got 0"),
+    ({"degree": 2, "generators": [[1, [0]]]}, "generator 0 entry 1 = [0] is not an integer"),
 ], ids=["half", "bools", "string", "beyond-int64", "negative", "repeat", "long", "float-degree",
-        "string-degree", "zero-degree"])
+        "string-degree", "zero-degree", "nested"])
 def test_permutation_entries_must_be_integers_in_range(spec, message):
-    # the first three built S2, and a degree of 2.9 was read as 2
+    # the first three built S2, a degree of 2.9 was read as 2, and numpy
+    # refused the nested point naming none
     with pytest.raises(NotAPermutation, match=re.escape(message)):
         ca.group_from_dict({"permutations": spec})
 
