@@ -53,12 +53,13 @@ def _batch_shape(*operands) -> tuple[int, ...]:
     return tuple(map(max, zip(*((1,) * (ndim - len(s)) + s for s in shapes))))
 
 
-def _row_blocks(n: int, entry_bytes: int, vectors: int) -> tuple[int, int]:
-    """(rows x per block, bytes held) of a group convolution of order n at
-    entry_bytes per entry (x, z) and vector: about BLOCK_BYTES a block (sized
-    for one vector when the batch is empty), at least one row and at most n;
-    past one block the running sums count as one row more."""
-    row = entry_bytes * n
+def _row_blocks(n: int, entry_bytes: int, vectors: int, width: int) -> tuple[int, int]:
+    """(rows x per block, bytes held) of a group convolution of order n into
+    `width` output columns at entry_bytes per entry (x, z) and vector: about
+    BLOCK_BYTES a block (sized for one vector when the batch is empty), at
+    least one row and at most n; past one block the running sums count as
+    one row more."""
+    row = entry_bytes * width
     rows = max(1, min(n, BLOCK_BYTES // (row * max(vectors, 1))))
     return rows, row * vectors * (rows + (rows < n))
 
@@ -79,22 +80,25 @@ def _wide_digits(v1, v2, terms: int) -> int:
     return math.ceil(bound.bit_length() / 30) if bound >= 2 ** 63 else 0
 
 
-def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
-    """out[z] = sum_x w1[x] * w2[x^-1 z], each column summed in x order
-    whatever the block size; the columns z and zh of a right-H-invariant w2
-    agree bit for bit. A float block carries the running sum into its first
-    row, so every column is still summed in x order; exact blocks add their
-    sums."""
+def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2, columns=None):
+    """out[z] = sum_x w1[x] * w2[x^-1 z] for each z of `columns`, an index
+    array (None: all n), each column summed in x order whatever the block
+    size or the other columns; the columns z and zh of a right-H-invariant
+    w2 agree bit for bit. A block of rows x gathers mul[inv[x], z] for its
+    own rows only, so no call holds an n x len(columns) index table. A float
+    block carries the running sum into its first row, so every column is
+    still summed in x order; exact blocks add their sums."""
     n, batch = mul.shape[0], _batch_shape(w1, w2)
+    width = n if columns is None else len(columns)
     if isinstance(w1, np.ndarray):
-        rows, nbytes = _row_blocks(n, GROUP_RATE, math.prod(batch))
+        rows, nbytes = _row_blocks(n, GROUP_RATE, math.prod(batch), width)
         require_bytes(nbytes, f"group convolution of order {n}")
     else:
         # exact: on Python ints, 140 to 170 bytes per pair measured and the
         # four products' digits at 4 bytes each (S4, A5, S5; bound < 2**2070)
         digits = _wide_digits(w1, w2, n)
         rows, nbytes = _row_blocks(n, 200 + 16 * digits if digits else GROUP_EXACT_RATE,
-                                   math.prod(batch))
+                                   math.prod(batch), width)
         require_bytes(nbytes + (1 << 13), f"exact group convolution of order {n}")
         if digits:   # the gathers then share the operands' ints, not widen each
             w1, w2 = w1.widened(), w2.widened()
@@ -102,19 +106,30 @@ def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2):
     for start in range(0, n, rows):
         stop = start + rows
         # one block indexes by inv itself: a slice would cost a numpy call
-        terms = w2.take(mul[inv if rows == n else inv[start:stop]], axis=-1)
+        block = inv if rows == n else inv[start:stop]
+        terms = w2.take(mul[block] if columns is None else mul[block[:, None], columns],
+                        axis=-1)
         # in place when w2 carries the whole batch
         terms = np.multiply(w1[..., start:stop, None], terms,
                             out=terms if terms.shape[:-2] == batch else None)
         if out is None:
-            out = terms.sum(axis=-2)
+            out = _sum_rows(terms)
         elif isinstance(terms, np.ndarray):
             terms[..., 0, :] += out
-            out = terms.sum(axis=-2)
+            out = _sum_rows(terms)
         else:
             out = out + terms.sum(axis=-2)
         del terms   # before the next block's gather
     return out
+
+
+def _sum_rows(terms):
+    """terms summed over their rows x, each column in x order. numpy sums
+    the rows of several columns in order, but a lone column of several rows
+    pairwise, so that float column is accumulated instead."""
+    if terms.shape[-1] == 1 < terms.shape[-2] and isinstance(terms, np.ndarray):
+        return np.add.accumulate(terms, axis=-2)[..., -1, :]
+    return terms.sum(axis=-2)
 
 
 def quotient_convolve_weights(rel: np.ndarray, segments: tuple, s1, s2):

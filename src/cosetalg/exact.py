@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 _INT64_BOUND = 2 ** 63
+# every integer of magnitude at most this is a double
+_DOUBLE_BOUND = 2 ** 53
 _INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 
@@ -118,11 +120,12 @@ class ExactVector:
         """Division by an integer q >= 1, or entrywise by an integer array of
         them as numpy's / broadcasts: the denominator grows by their least
         common multiple L, the numerators by L / q, and their bound is then
-        measured (a sum of s terms over s is at most L times a term)."""
+        measured (a sum of s terms over s is at most L times a term). L / q
+        is int64 while L < 2**63."""
         lcm = math.lcm(*(_positive_integer(v, "divisor") for v in set(np.ravel(q).tolist())))
         if np.ndim(q) == 0:
             return ExactVector._of(self.re, self.im, self.den * lcm, self.bound)
-        v = self * (lcm // np.asarray(q, dtype=object))
+        v = self * (lcm // np.asarray(q, dtype=_INT64 if lcm < _INT64_BOUND else _OBJECT))
         bound = _magnitude(v.re, v.im)
         return ExactVector._of(*_integers(bound, v.re, v.im), v.den * lcm, bound)
 
@@ -182,8 +185,14 @@ class ExactVector:
         return self.shape == other.shape and bool(self.equal(other).all())
 
     def to_complex(self) -> np.ndarray:
-        """complex128 values, each part rounded as float(Fraction) rounds."""
+        """complex128 values, each part rounded as float(Fraction) rounds. While
+        the bound and den are at most 2**53, both are exact doubles and one
+        float64 division rounds as Python's int / int does."""
         out = np.empty(self.re.shape, dtype=np.complex128)
+        if self.bound <= _DOUBLE_BOUND and self.den <= _DOUBLE_BOUND:
+            out.real = self.re / self.den
+            out.imag = self.im / self.den
+            return out
         out.real = self.re.astype(object) / self.den
         out.imag = self.im.astype(object) / self.den
         return out

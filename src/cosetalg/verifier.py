@@ -21,14 +21,13 @@ import numbers
 import time
 import zlib
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels, quotient_algebra
-from ._kernels import group_convolve_weights, lift_weights, push_weights
+from ._kernels import lift_weights, push_weights
 from .errors import UnknownCheckId
 from .exact import ExactVector
 from .groups import (FiniteGroup, QuotientSpace, Subgroup, _scan_block, build_coset_space,
@@ -44,7 +43,7 @@ from .quotient_algebra import (IdentitySolution, StructureTable, delta_h,
 from .quotient_ops import (RhoFunction, _exponent, compose_with_projection, lift_to_invariant,
                            membership_mgh, pushforward_rh, quasi_invariant_lambda,
                            quotient_integral_check, rho_from_dict, rho_ones,
-                           solve_mhg_space, validate_rho, weighted_average_th)
+                           solve_mhg_space, validate_rho)
 
 SUBMULT_TOL = 1e-12
 
@@ -346,12 +345,13 @@ def _mode(spec: CheckSpec, ctx: EntryContext) -> SimpleNamespace:
             group_route=lambda a, b: module_action(Q, lift_to_invariant(Q, a), b),
             delta_h=delta_h(Q), measure=lambda m: m,
             gap=lambda a, b, norm=total_variation: norm(a - b))
-    lift = partial(lift_weights, Q.coset_of, Q.subgroup.order)
+    # push(lift a * lift b) as module_action computes it: lift a convolved
+    # with b∘pi = |H| lift b, at the representatives
     return SimpleNamespace(
         draw=lambda rng, count, m: _rational_draws(rng, count, m, k),
         convolve=lambda a, b: quotient_convolve_exact(T, a, b),
-        group_route=lambda a, b: push_weights(
-            Q.member_table, group_convolve_weights(Q.group.mul, Q.group.inv, lift(a), lift(b))),
+        group_route=lambda a, b: quotient_algebra._at_reps(
+            Q, lift_weights(Q.coset_of, Q.subgroup.order, a), b.take(Q.coset_of, axis=-1)),
         delta_h=ExactVector((np.arange(k) == Q.base_coset).astype(np.int64), np.zeros(k, np.int64)),
         measure=lambda s: ComplexMeasure(Q, s.to_complex()),
         gap=lambda a, b, norm=None: _differ(a, b).astype(np.float64))
@@ -489,9 +489,13 @@ def _probe_representatives(rng: np.random.Generator, T: StructureTable) -> None:
     """Raise _Fail at the first of ten representative choices drawn from rng
     whose tensor differs from T's. The suborbits do not depend on the choice,
     so by c[a][b][z] = [rel[a, z] = rank[b]] / |O_b| a choice gives T's tensor
-    iff it gives T.rel: its row blocks are compared up to the first that differs."""
+    iff it gives T.rel: its row blocks are compared up to the first that
+    differs. At H = {e} the choices are drawn, so the trials draw what they
+    would, but not built: each is Q.reps."""
     Q, k = T.quotient, T.coset_count
     choices = _alternative_reps(rng, Q, 10)
+    if Q.subgroup.order == 1:   # Q.reps is then the only choice: nothing to compare
+        return
     elem_rank = T.segments[3].astype(T.rel.dtype).take(Q.coset_of)
     for reps in choices:
         for start, block in quotient_algebra._rel_rows(
@@ -735,9 +739,10 @@ def _check_t18_ideal(spec, ctx, rng):
 
 def _operator_route(Q: QuotientSpace, rho: RhoFunction, p,
                     w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """The rho-weighted coset average of the group convolution of two lifts."""
-    conv = group_convolve_weights(Q.group.mul, Q.group.inv, w1, w2)
-    return weighted_average_th(Q, rho, p, DensityFunction(Q.group, conv)).values
+    """The rho-weighted coset average of the group convolution of two lifts:
+    w2 is right-H-invariant, so the product is constant on each coset and
+    its average is its value at the representative, over rho^(1/p)."""
+    return quotient_algebra._at_reps(Q, w1, w2) / rho.values ** (1.0 / _exponent(p))
 
 
 def _lp_action_operator(Q: QuotientSpace, rho: RhoFunction, side: str,

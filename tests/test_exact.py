@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -361,3 +362,49 @@ def test_sums_that_leave_int64_widen():
     a = ExactVector(np.array([2 ** 31]), np.array([2 ** 31]))
     b = ExactVector(np.array([[2 ** 31]]), np.array([[-(2 ** 31)]]))
     assert values(a @ b) == [(F(2 ** 63), F(0))]
+
+
+# --- conversions and divisions in machine arithmetic ----------------------------
+
+_EDGES = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
+
+
+def _object_complex(v: ExactVector) -> np.ndarray:
+    """to_complex as the object route computes it: Python's int / int per part."""
+    re, im = (np.ravel(a).astype(object).tolist() for a in (v.re, v.im))
+    return np.array([complex(r / v.den, i / v.den) for r, i in zip(re, im)]).reshape(v.shape)
+
+
+@pytest.mark.parametrize("den", [1, 3, 7, 12] + _EDGES)
+def test_to_complex_rounds_as_the_object_route(den):
+    # numerators at and around 2**53, negative ones among them, over
+    # denominators at and around it: bit for bit the object route's values,
+    # in float64 while the bound and den are at most 2**53, by the fallback
+    # past it; there, over these denominators, a float division would round
+    # twice and differ
+    nums = [0, 1, -1, 5, -7] + _EDGES + [-n for n in _EDGES] + [n - 2 for n in _EDGES]
+    for part in ([n for n in nums if abs(n) <= 2 ** 53], nums):
+        re = np.array(part, dtype=np.int64)
+        v = ExactVector(re, -re[::-1], den)
+        assert v.to_complex().tobytes() == _object_complex(v).tobytes(), (den, part)
+    if den in (3, 7, 12, 2 ** 53 + 1):
+        assert any(float(n) / float(den) != n / den for n in nums), den
+
+
+@pytest.mark.parametrize("divisors", [[1, 2, 3, 4], [6, 10, 15, 6], [2 ** 62, 3, 1, 1],
+                                      [2 ** 61, 5, 2 ** 61, 5]],
+                         ids=["small", "repeats", "lcm past 2**63", "lcm past 2**63, repeats"])
+def test_division_by_an_int64_array_matches_the_object_scaling(divisors):
+    # v / q over int64 divisors: the values, dtype and bound of the scaling by
+    # L // q over an object array, with L = lcm(q) past 2**63 in two of them
+    q = np.array(divisors, dtype=np.int64)
+    lcm = math.lcm(*divisors)
+    for nums in ([3, -5, 7, 0], [2 ** 40, -(2 ** 40), 1, 2]):
+        v = ExactVector(np.array(nums), np.array(nums[::-1]), 12)
+        scale = lcm // np.array(divisors, dtype=object)
+        want = ExactVector(v.re.astype(object) * scale, v.im.astype(object) * scale, 12 * lcm)
+        got = v / q
+        assert got == want and got.den == want.den and got.bound == want.bound
+        assert got.re.dtype == want.re.dtype == (np.int64 if want.bound < 2 ** 63 else object)
+        assert values(got) == [(F(r, 12 * d), F(i, 12 * d)) for r, i, d in
+                               zip(nums, nums[::-1], divisors)]

@@ -312,9 +312,9 @@ def _spy_row_blocks(monkeypatch):
     calls = []
     sizes = _kernels._row_blocks
 
-    def spy(n, entry_bytes, vectors):
-        rows, nbytes = sizes(n, entry_bytes, vectors)
-        calls.append((n, entry_bytes, vectors, rows))
+    def spy(n, entry_bytes, vectors, width):
+        rows, nbytes = sizes(n, entry_bytes, vectors, width)
+        calls.append((n, entry_bytes, vectors, width, rows))
         return rows, nbytes
 
     monkeypatch.setattr(_kernels, "_row_blocks", spy)
@@ -325,8 +325,8 @@ def _in_blocks_of(monkeypatch, calls, rows, call):
     """call() with BLOCK_BYTES patched so that it runs `rows` rows x a block."""
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
     call()
-    n, entry_bytes, vectors, _ = calls[-1]
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", rows * entry_bytes * n * max(vectors, 1))
+    _, entry_bytes, vectors, width, _ = calls[-1]
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", rows * entry_bytes * width * max(vectors, 1))
     out = call()
     assert calls[-1][-1] == rows
     return out
@@ -411,6 +411,119 @@ def test_exact_group_convolution_fits_a_budget_below_its_whole_expansion(monkeyp
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", (checked[0] + whole) // 2)
     assert (_kernels.group_convolve_weights(G.mul, G.inv, w1, w2)
             == _exact_one_block(G.mul, G.inv, w1, w2))
+
+
+# --- the group convolution at chosen columns z --------------------------------
+#
+# With `columns`, each block of rows x gathers only those columns of the
+# product; a right-H-invariant right factor makes the product constant on
+# each coset, so the columns at the representatives, times |H|, are its
+# pushforward.
+
+_H_IS_G = [("S3", ["(12)", "(123)"]), ("D4", ["(1234)", "(24)"])]
+REPS_PAIRS = CATALOG_AND_LADDER + [("S4", [])] + _H_IS_G + ["relabelled"]
+REPS_IDS = ([e.name for e in ca.default_catalog()]
+            + ["D60/<s>", "S5/S4", "S5/{e}", "A6/{e}", "S6/<(12)>", "S4/{e}", "S3/S3", "D4/D4",
+               "S3 relabelled"])
+
+
+def _reps_pair(pair, request):
+    if pair == "relabelled":
+        G, H = request.getfixturevalue("relabelled_s3_pair")
+        return G, ca.build_coset_space(G, H)
+    return _setup(*pair)
+
+
+@pytest.mark.parametrize("pair", REPS_PAIRS, ids=REPS_IDS)
+def test_exact_columns_at_the_representatives_are_the_pushforward(request, pair):
+    # |H| (w1 * lift s)(rep_z) = push(w1 * lift s)(z) entry for entry, for
+    # a w1 that is not invariant, on one vector and on a batch
+    G, Q = _reps_pair(pair, request)
+    n, k, h = G.order, Q.coset_count, Q.subgroup.order
+    assert (h == 1) == (k == n) and (h == n) == (k == 1)
+    g = rng(88)
+    for batch in ((), (3,)):
+        w1 = _exact_weights(g, (*batch, n))
+        lifted = _kernels.lift_weights(Q.coset_of, h, _exact_weights(g, (*batch, k)))
+        full = _kernels.group_convolve_weights(G.mul, G.inv, w1, lifted)
+        at_reps = _kernels.group_convolve_weights(G.mul, G.inv, w1, lifted, Q.reps)
+        assert at_reps.shape == (*batch, k)
+        assert at_reps * h == _kernels.push_weights(Q.member_table, full), batch
+
+
+@pytest.mark.parametrize("pair", REPS_PAIRS, ids=REPS_IDS)
+def test_module_action_is_the_pushforward_of_the_group_route(request, pair):
+    # module_action against push(mu * lift sigma) within roundoff, and at
+    # H = {e} with its bits
+    G, Q = _reps_pair(pair, request)
+    g = rng(90)
+    mu = ca.ComplexMeasure(G, random_weights(g, (2, G.order)))
+    sigma = ca.ComplexMeasure(Q, random_weights(g, (2, Q.coset_count)))
+    got = ca.module_action(Q, mu, sigma).weights
+    want = ca.pushforward_rh(Q, ca.group_convolve(G, mu, ca.lift_to_invariant(Q, sigma))).weights
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+    if Q.subgroup.order == 1:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("token,gens", [("S4", ["(12)", "(123)"]), ("S5", ["(12)", "(1234)"]),
+                                        ("A6", ["(123)"]), ("S3", ["(12)", "(123)"])],
+                         ids=["S4/S3", "S5/S4", "A6/<(123)>", "S3/S3"])
+def test_float_columns_keep_the_bits_of_the_whole_product(monkeypatch, token, gens):
+    # columns = c gives the whole product's [..., c] bit for bit, at
+    # BLOCK_BYTES and in blocks of one row x: for the representatives, one
+    # column (which numpy would sum pairwise), a few, and repeats out of
+    # order; on single vectors, batches on either side and an empty batch
+    G, Q = _setup(token, gens)
+    n, k = G.order, Q.coset_count
+    g = rng(89)
+    column_sets = [Q.reps, Q.reps[-1:], np.sort(g.choice(n, min(n, 7), replace=False)),
+                   g.integers(0, n, 9), np.arange(2)]
+    lift = _kernels.lift_weights(Q.coset_of, Q.subgroup.order, random_weights(g, (3, k)))
+    operands = [(random_weights(g, n), lift), (random_weights(g, (3, n)), lift[0]),
+                (random_weights(g, (3, n)), random_weights(g, (3, n))),
+                (random_weights(g, (0, n)), random_weights(g, (0, n)))]
+    calls, default = _spy_row_blocks(monkeypatch), _kernels.BLOCK_BYTES
+    for w1, w2 in operands:
+        full = _kernels.group_convolve_weights(G.mul, G.inv, w1, w2)
+        for columns in column_sets:
+            want = full[..., columns]
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES", default)
+            got = _kernels.group_convolve_weights(G.mul, G.inv, w1, w2, columns)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), columns
+            got = _in_blocks_of(monkeypatch, calls, 1, lambda: _kernels.group_convolve_weights(
+                G.mul, G.inv, w1, w2, columns))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), columns
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "batch"])
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("token", ["S5", "S6"])
+def test_columns_byte_check_covers_the_traced_peak(monkeypatch, token, mode, batch):
+    # S5/<(12)> and S6/<(12)> at their representatives: one check, sized by
+    # rows x len(columns), covers the traced peak and is at most the whole
+    # product's; a budget one byte short refuses the call before it allocates
+    G, Q = _setup(token, ["(12)"])
+    n, k = G.order, Q.coset_count
+    g, shape = rng(91), (*batch, n)
+    if mode == "float":
+        w1, w2, rate = random_weights(g, shape), random_weights(g, shape), _kernels.GROUP_RATE
+    else:
+        w1, w2, rate = _exact_weights(g, shape), _exact_weights(g, shape), _kernels.GROUP_EXACT_RATE
+    call = partial(_kernels.group_convolve_weights, G.mul, G.inv, w1, w2, Q.reps)
+    checked, peak = checked_peak(monkeypatch, _kernels, call)
+    _, nbytes = _kernels._row_blocks(n, rate, math.prod(batch), k)
+    assert checked == [nbytes + (mode == "exact") * (1 << 13)] and peak <= checked[0], (peak, checked)
+    whole, _ = checked_peak(monkeypatch, _kernels,
+                            partial(_kernels.group_convolve_weights, G.mul, G.inv, w1, w2))
+    assert checked[0] <= whole[0]
+    monkeypatch.setattr(ca.groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"group convolution of order {n}"):
+            call()
+
+    assert traced_peak(refused) < checked[0] // 10
 
 
 # --- the quotient convolution in column blocks of z ---------------------------

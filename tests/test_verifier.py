@@ -211,6 +211,80 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
         assert report.counterexample["reps"] != ca.build_coset_space(G, H).reps.tolist()
 
 
+# Planted faults against the group route at the representatives: S4/S3,
+# A4/V4 and S3/A3 read the k columns, S3/<(12)> the whole product (|H| = 2),
+# and S4/{e} the whole product with no probe builds.
+ROUTE_PAIRS = [("builtin:S4", ["(12)", "(123)"]), ("builtin:A4", ["(12)(34)", "(13)(24)"]),
+               ("builtin:S3", ["(123)"]), ("builtin:S3", ["(12)"]), ("builtin:S4", [])]
+ROUTE_IDS = ["S4/S3", "A4/V4", "S3/A3", "S3/<(12)>", "S4/{e}"]
+
+
+@pytest.mark.parametrize("pair", ROUTE_PAIRS, ids=ROUTE_IDS)
+def test_d6_group_route_catches_swapped_rel_rows(monkeypatch, pair):
+    # rows 0 and 1 of the entry's rel swapped: each row still holds every
+    # suborbit its size times, so where |H| > 1 only the probe, switched off
+    # here, or the comparison with the group route can catch it
+    G, H = _d6_pair(pair, None)
+    table = verifier.structure_table
+
+    def swapped(Q, *reps):
+        T = table(Q, *reps)
+        rel = T.rel[[1, 0, *range(2, T.coset_count)]]
+        assert not np.array_equal(rel, T.rel)
+        return T if reps else dataclasses.replace(T, rel=rel)
+
+    monkeypatch.setattr(verifier, "structure_table", swapped)
+    if H.order > 1:
+        monkeypatch.setattr(verifier, "_probe_representatives", lambda rng, T: None)
+    for mode in ("float", "exact"):
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), make_context(G, H))
+        assert report.status == "fail" and report.max_residual > 1e-3, report
+        assert "trial" in report.counterexample, report
+
+
+@pytest.mark.parametrize("pair", ROUTE_PAIRS[:4], ids=ROUTE_IDS[:4])
+def test_d6_catches_a_group_kernel_that_drops_a_column_block(monkeypatch, pair):
+    # the group kernel returns zeros for its first columns, as a kernel that
+    # skipped a block of them would: D6 fails in both modes
+    G, H = _d6_pair(pair, None)
+    kernel = ca.quotient_algebra.group_convolve_weights
+
+    def dropped(mul, inv, w1, w2, columns=None):
+        out = kernel(mul, inv, w1, w2, columns)
+        block = slice(0, max(1, out.shape[-1] // 3))
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out[..., block] = 0
+            return out
+        re, im = out.re.copy(), out.im.copy()
+        re[..., block] = im[..., block] = 0
+        return ExactVector(re, im, out.den)
+
+    monkeypatch.setattr(ca.quotient_algebra, "group_convolve_weights", dropped)
+    for mode in ("float", "exact"):
+        report = run_check(CheckSpec(id="D6_CONV", trials=3, mode=mode), make_context(G, H))
+        assert report.status == "fail" and report.max_residual > 1e-3, report
+
+
+@pytest.mark.parametrize("pair", ROUTE_PAIRS[:4], ids=ROUTE_IDS[:4])
+def test_p3_catches_a_lift_that_is_not_right_invariant(monkeypatch, pair):
+    # right-invariance of the lift, and so of nu * lift, licenses the group
+    # route at the representatives: one member of coset 0 given twice the
+    # weight of the others fails P3 at its first trial
+    G, H = _d6_pair(pair, None)
+    lift = verifier.lift_to_invariant
+
+    def uneven(Q, sigma):
+        w = lift(Q, sigma).weights.copy()
+        w[..., Q.member_table[-1, 0]] *= 2
+        return ca.ComplexMeasure(Q.group, w)
+
+    monkeypatch.setattr(verifier, "lift_to_invariant", uneven)
+    report = run_check(CheckSpec(id="P3_LIFT", trials=3), make_context(G, H))
+    assert report.status == "fail", report
+    assert report.counterexample == {"trial": 0, "reason": "lift not right-invariant"}, report
+
+
 @pytest.mark.parametrize("token,gens", [("S3", []), ("S3", ["(12)"]), ("S3", ["(123)"]),
                                         ("A4", ["(12)(34)", "(13)(24)"]),
                                         ("S4", ["(12)", "(123)"])],
@@ -277,13 +351,13 @@ def test_d6_probe_compares_each_choices_suborbits(monkeypatch):
 
 
 def test_d6_probe_within_its_byte_checks(monkeypatch):
-    # S5/{e}, 120 cosets: one check per choice, the row-block builder's, for
-    # blocks of all 120 rows by default and of one row; it counts the ten
+    # A6/<(123)>, 120 cosets: one check per choice, the row-block builder's,
+    # for blocks of all 120 rows by default and of one row; it counts the ten
     # choices and the suborbit of each element, covers the probe's traced
     # peak and, of that, a block's flat index, gather, suborbits and mask
     # at 20 bytes per entry; one byte short refuses the probe
-    G = ca.builtin_from_token("S5")
-    T = make_context(G, ca.subgroup_from_tokens(G, [])).T
+    G = ca.builtin_from_token("A6")
+    T = make_context(G, ca.subgroup_from_tokens(G, ["(123)"])).T
     k = T.coset_count
     held = 10 * k * 8 + G.order * T.rel.itemsize
     for block_bytes, rows in ((_kernels.BLOCK_BYTES, k), (1, 1)):
@@ -304,6 +378,26 @@ def test_d6_probe_within_its_byte_checks(monkeypatch):
         with pytest.raises(CapExceeded, match="^representative probe with 120 cosets needs"):
             verifier._probe_representatives(rng(73), T)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("token", ["S3", "S5"])
+def test_d6_probe_at_the_trivial_subgroup_draws_but_builds_nothing(monkeypatch, token):
+    # at H = {e} every choice is Q.reps: the probe still draws its ten
+    # choices, through which the generator is read, but builds no rel, even
+    # one planted to differ from T's
+    G = ca.builtin_from_token(token)
+    T = make_context(G, ca.subgroup_from_tokens(G, [])).T
+    builds, draws = [], []
+    monkeypatch.setattr(ca.quotient_algebra, "_rel_rows",
+                        lambda *args: builds.append(args) or iter([(0, 1 - T.rel)]))
+    alternative_reps = verifier._alternative_reps
+    monkeypatch.setattr(verifier, "_alternative_reps",
+                        lambda rng, Q, count=1: draws.append(count) or alternative_reps(rng, Q, count))
+    want, got = rng(78), rng(78)
+    alternative_reps(want, T.quotient, 10)
+    verifier._probe_representatives(got, T)
+    assert builds == [] and draws == [10]
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 def _tensor_of(rel, T):
@@ -806,7 +900,7 @@ def test_nan_residuals_fail(monkeypatch, s3_pair, kernel, failing):
         monkeypatch.setattr(ca.quotient_algebra, "quotient_convolve_weights",
                             _nan_in_first_entry(ca.quotient_algebra.quotient_convolve_weights))
     else:
-        for module in (ca.measures, verifier):
+        for module in (ca.measures, ca.quotient_algebra):
             monkeypatch.setattr(module, "group_convolve_weights",
                                 _nan_in_first_entry(module.group_convolve_weights))
     ctx = make_context(*s3_pair)
