@@ -113,21 +113,21 @@ def group_convolve_weights(mul: np.ndarray, inv: np.ndarray, w1, w2, columns=Non
         terms = np.multiply(w1[..., start:stop, None], terms,
                             out=terms if terms.shape[:-2] == batch else None)
         if out is None:
-            out = _sum_rows(terms)
+            out = terms.sum(axis=-2) if width > 1 else _sum_column(terms)
         elif isinstance(terms, np.ndarray):
             terms[..., 0, :] += out
-            out = _sum_rows(terms)
+            out = terms.sum(axis=-2) if width > 1 else _sum_column(terms)
         else:
             out = out + terms.sum(axis=-2)
         del terms   # before the next block's gather
     return out
 
 
-def _sum_rows(terms):
-    """terms summed over their rows x, each column in x order. numpy sums
-    the rows of several columns in order, but a lone column of several rows
-    pairwise, so that float column is accumulated instead."""
-    if terms.shape[-1] == 1 < terms.shape[-2] and isinstance(terms, np.ndarray):
+def _sum_column(terms):
+    """A lone column's terms summed over their rows x in x order: numpy sums
+    the rows of several columns in order but a lone column's pairwise, so a
+    float one is accumulated."""
+    if isinstance(terms, np.ndarray):
         return np.add.accumulate(terms, axis=-2)[..., -1, :]
     return terms.sum(axis=-2)
 

@@ -190,14 +190,17 @@ def _at_reps(Q: QuotientSpace, w1, w2):
     right-H-invariant w2 the product is right-H-invariant, (w1 * w2)(xh) =
     sum_y w1(y) w2(y^-1 x h) = (w1 * w2)(x), so push(w1 * w2) is |H| times
     this and a coset average is this itself (Folland, A Course in Abstract
-    Harmonic Analysis, 2.6). The kernel gathers the k columns at n·k cost;
-    while |H| <= 2 (k >= n/2) the whole product is as fast, as whole rows of
-    mul gather about twice as fast per entry, and its columns have the same
-    bits."""
+    Harmonic Analysis, 2.6). The kernel gathers the k columns at n·k cost.
+    On float arrays while |H| <= 2 the whole product, with the same bits in
+    those columns, is faster: whole rows of mul gather three to five times as
+    fast per entry as chosen columns, and the gather outweighs the float
+    arithmetic (S7/{e}, S7/<(12)>; from |H| = 3 the columns are faster).
+    Exact arithmetic outweighs the gather, so exact vectors always take the
+    columns."""
     G = Q.group
-    if 2 * Q.coset_count < G.order:
-        return group_convolve_weights(G.mul, G.inv, w1, w2, Q.reps)
-    return group_convolve_weights(G.mul, G.inv, w1, w2).take(Q.reps, axis=-1)
+    if isinstance(w1, np.ndarray) and 2 * Q.coset_count >= G.order:
+        return group_convolve_weights(G.mul, G.inv, w1, w2).take(Q.reps, axis=-1)
+    return group_convolve_weights(G.mul, G.inv, w1, w2, Q.reps)
 
 
 # --- the function algebra on cosets ------------------------------------------

@@ -466,6 +466,23 @@ def test_module_action_is_the_pushforward_of_the_group_route(request, pair):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("pair", REPS_PAIRS, ids=REPS_IDS)
+def test_group_route_at_the_representatives_has_the_columns_bits(request, pair):
+    # _at_reps, whichever product it forms (the whole one for float arrays
+    # while |H| <= 2), gives the k-column call's values with its bits
+    G, Q = _reps_pair(pair, request)
+    g = rng(91)
+    for w1, s in ((random_weights(g, (2, G.order)), random_weights(g, (2, Q.coset_count))),
+                  (_exact_weights(g, (2, G.order)), _exact_weights(g, (2, Q.coset_count)))):
+        w2 = s.take(Q.coset_of, axis=-1)
+        got = ca.quotient_algebra._at_reps(Q, w1, w2)
+        want = _kernels.group_convolve_weights(G.mul, G.inv, w1, w2, Q.reps)
+        if isinstance(got, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+
 @pytest.mark.parametrize("token,gens", [("S4", ["(12)", "(123)"]), ("S5", ["(12)", "(1234)"]),
                                         ("A6", ["(123)"]), ("S3", ["(12)", "(123)"])],
                          ids=["S4/S3", "S5/S4", "A6/<(123)>", "S3/S3"])

@@ -212,8 +212,9 @@ def test_d6_catches_representative_dependent_factors(monkeypatch, relabelled_s3_
 
 
 # Planted faults against the group route at the representatives: S4/S3,
-# A4/V4 and S3/A3 read the k columns, S3/<(12)> the whole product (|H| = 2),
-# and S4/{e} the whole product with no probe builds.
+# A4/V4 and S3/A3 read the k columns, S3/<(12)> and S4/{e} the whole product
+# in float mode and the k columns in exact mode, and at S4/{e} the probe
+# builds nothing.
 ROUTE_PAIRS = [("builtin:S4", ["(12)", "(123)"]), ("builtin:A4", ["(12)(34)", "(13)(24)"]),
                ("builtin:S3", ["(123)"]), ("builtin:S3", ["(12)"]), ("builtin:S4", [])]
 ROUTE_IDS = ["S4/S3", "A4/V4", "S3/A3", "S3/<(12)>", "S4/{e}"]
