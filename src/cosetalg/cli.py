@@ -112,7 +112,7 @@ def _cmd_table(args) -> int:
     # output's buffers: traced, 25 KB at 12 cosets, 81 KB at 360 and 534 KB
     # at 2,520 (S7/<(12)>)
     require_bytes(256 * k + (1 << 15), f"table rows with {k} cosets")
-    cosets, reps = list(Q.labels), [G.labels[int(r)] for r in Q.reps]
+    cosets, reps = list(Q.labels), list(map(G.label, Q.reps.tolist()))
     rank, ones = T.segments[3].tolist(), [f"1/{size}" for size in T.suborbit_sizes.tolist()]
 
     def rows(a: int):
@@ -151,10 +151,8 @@ def _cmd_conv(args) -> int:
     payload = measure_to_dict(out)
 
     def render(d):
-        for lab in out.carrier.labels:
-            if lab in d["weights"]:
-                re, im = d["weights"][lab]
-                print(f"  {lab}: {re:+.12g}{im:+.12g}i")
+        for lab, (re, im) in d["weights"].items():   # in point order
+            print(f"  {lab}: {re:+.12g}{im:+.12g}i")
 
     _emit(payload, args.format, render)
     return 0

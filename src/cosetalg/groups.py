@@ -23,7 +23,8 @@ from __future__ import annotations
 import numbers
 import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,9 +46,10 @@ BYTE_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group with labels, full Cayley table, and inverse table."""
+    """A finite group with full Cayley table and inverse table. A permutation
+    group formats its element labels on first use: `label(x)` one, `labels`
+    all; a table group keeps the labels it was given."""
 
-    labels: tuple[str, ...]
     mul: np.ndarray          # (n, n) int64, mul[a, b] = index of a*b
     inv: np.ndarray          # (n,) int64
     identity: int
@@ -58,10 +60,39 @@ class FiniteGroup:
     # permutation-built groups: (n, degree) int16 (int32 from degree 2**15),
     # row a the permutation of element a; None for table groups
     perms: Optional[np.ndarray] = None
+    # table groups: the labels given with the table; None for permutation
+    # groups, which format theirs from `perms`
+    table_labels: Optional[tuple[str, ...]] = None
+    order: int = field(init=False)   # len(inv), a plain attribute read per measure built
 
-    @property
-    def order(self) -> int:
-        return len(self.labels)
+    def __post_init__(self):
+        object.__setattr__(self, "order", len(self.inv))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every element's label: a table group's given labels, or a
+        permutation group's rows in cycle notation (see perm_label),
+        formatted from point names made once."""
+        if self.perms is None:
+            return self.table_labels
+        n, degree = self.perms.shape
+        require_bytes(_label_bytes(n, degree), f"labels of order {n} and degree {degree}")
+        names, sep = _point_names(range(degree), degree)
+        # a row at a time: a whole tolist() would hold degree Python ints per
+        # element
+        return tuple(_cycle_notation(p.tolist(), names, sep) for p in self.perms)
+
+    def label(self, x: int) -> str:
+        """Element x's label, formatted alone: only the points x moves are
+        named, so it costs no other label and no name of a fixed point."""
+        if self.perms is None:
+            return self.table_labels[x]
+        row = self.perms[x]
+        moved = np.flatnonzero(row != np.arange(len(row)))
+        # the moved points renumbered 0, 1, ... in their order, so the walk
+        # starts each cycle from the same least point as over all points
+        return _cycle_notation(np.searchsorted(moved, row[moved]).tolist(),
+                               *_point_names(moved.tolist(), len(row)))
 
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -82,25 +113,33 @@ class Subgroup:
         return len(self.members)
 
     def __repr__(self) -> str:
-        labs = ",".join(self.parent.labels[m] for m in self.members[:6])
+        labs = ",".join(map(self.parent.label, self.members[:6]))
         more = ",..." if self.order > 6 else ""
         return f"Subgroup({{{labs}{more}}}, order={self.order})"
 
 
 @dataclass(frozen=True)
 class QuotientSpace:
-    """Left-coset decomposition G/H with canonical minimal-index representatives."""
+    """Left-coset decomposition G/H with canonical minimal-index
+    representatives; coset c is labelled "C<c>"."""
 
     group: FiniteGroup
     subgroup: Subgroup
     coset_of: np.ndarray     # (|G|,) element index -> coset index
     reps: np.ndarray         # (k,) coset index -> representative element index
-    labels: tuple[str, ...]  # "C0", "C1", ...
     member_table: np.ndarray  # (|H|, k): row i holds the i-th smallest member of each coset
+    coset_count: int = field(init=False)   # a plain attribute, as FiniteGroup.order
 
-    @property
-    def coset_count(self) -> int:
-        return len(self.reps)
+    def __post_init__(self):
+        object.__setattr__(self, "coset_count", len(self.reps))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(self.label, range(self.coset_count)))
+
+    @staticmethod
+    def label(c: int) -> str:
+        return f"C{c}"
 
     @property
     def base_coset(self) -> int:
@@ -157,8 +196,8 @@ def build_from_cayley_table(labels: Sequence[str], mul: Sequence[Sequence[int]],
 
     e = _identity(table)
     inv = _inverses(table, e, labels)
-    return FiniteGroup(labels=labels, mul=_freeze(table), inv=_freeze(inv),
-                       identity=e, generators=generators, name=name)
+    return FiniteGroup(mul=_freeze(table), inv=_freeze(inv), identity=e,
+                       generators=generators, name=name, table_labels=labels)
 
 
 def _as_array(values, shape: tuple, item: Callable[[int, object], str],
@@ -313,10 +352,20 @@ def _first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
 
 # --- permutations ---------------------------------------------------------
 
-def _point_names(degree: int) -> tuple[list[str], str]:
-    """The 1-based names of a degree's points, and the separator between the
-    points of a cycle: none for degree <= 9, a comma beyond that."""
-    return [str(i + 1) for i in range(degree)], "" if degree <= 9 else ","
+def _point_names(points: Iterable[int], degree: int) -> tuple[list[str], str]:
+    """The 1-based names of the given points, and the separator between the
+    points of a cycle at this degree: none for degree <= 9, a comma beyond."""
+    return [str(i + 1) for i in points], "" if degree <= 9 else ","
+
+
+def _label_bytes(n: int, degree: int) -> int:
+    """Bytes that formatting all n labels of a degree holds at most: per
+    label ~57 bytes of string object and tuple slot and its characters, at
+    most every point's name, a separator and a parenthesis each; per point
+    its name (~64 bytes with its list slot), one row's Python int (~40) and
+    its slot in a cycle (8); and 64 KiB for the tuple's growth."""
+    name_chars = sum(len(str(i + 1)) for i in range(degree))
+    return n * (57 + name_chars + 2 * degree) + 112 * degree + (1 << 16)
 
 
 def _cycle_notation(p: list[int], names: Sequence[str], sep: str) -> str:
@@ -340,7 +389,7 @@ def perm_label(p: Sequence[int]) -> str:
     Points are written back to back for degree <= 9 and comma-separated
     beyond that, e.g. '(123)' vs '(1,2,13)'.
     """
-    return _cycle_notation(list(p), *_point_names(len(p)))
+    return _cycle_notation(list(p), *_point_names(range(len(p)), len(p)))
 
 
 def parse_cycles(token: str, degree: int) -> tuple[int, ...]:
@@ -376,8 +425,8 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
     """Breadth-first closure of permutation generators under composition, up
     to DEFAULT_ORDER_CAP elements. Its table is composition itself, a group
     table by construction, so it is not validated again: the identity is
-    element 0, and inverses follow the closure's tree. Labels are formatted
-    from point names made once per build."""
+    element 0, and inverses follow the closure's tree. No label is formatted
+    here: FiniteGroup formats them on first use."""
     if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 1:
         raise NotAPermutation(f"degree must be an integer >= 1, got {degree!r}")
     gens: list[np.ndarray] = []
@@ -426,11 +475,7 @@ def build_from_permutation_generators(degree: int, generators: Iterable[Sequence
     del index, products, rounds
     mul, inv = _schreier_table(steps, parent, via)
     del steps, parent, via
-    names, sep = _point_names(degree)
-    # labels a row at a time: a whole tolist() would hold degree Python ints
-    # per element
-    return FiniteGroup(labels=tuple(_cycle_notation(p.tolist(), names, sep) for p in perms),
-                       mul=_freeze(mul), inv=_freeze(inv), identity=0, name=name,
+    return FiniteGroup(mul=_freeze(mul), inv=_freeze(inv), identity=0, name=name,
                        perms=_freeze(perms), generators=generators)
 
 
@@ -631,16 +676,15 @@ def build_coset_space(G: FiniteGroup, H: Subgroup) -> QuotientSpace:
     for every x at once by one gather and np.unique."""
     n, h = G.order, H.order
     # the (n, |H|) gather; per element unique's copies and the member
-    # table's; per coset its label; ~6 KB of small arrays (measured)
-    require_bytes(8 * n * h + 48 * n + 64 * (n // h) + (1 << 13), f"coset space of order {n}")
+    # table's; ~6 KB of small arrays (measured)
+    require_bytes(8 * n * h + 48 * n + (1 << 13), f"coset space of order {n}")
     mem = np.array(H.members, dtype=np.int64)
     reps, coset_of = np.unique(G.mul[:, mem].min(axis=1), return_inverse=True)
     k = len(reps)
     assert k * h == n
     member_table = np.sort(G.mul[reps[:, None], mem], axis=1).T.copy()
-    labels = tuple(f"C{i}" for i in range(k))
     return QuotientSpace(group=G, subgroup=H, coset_of=_freeze(coset_of), reps=_freeze(reps),
-                         labels=labels, member_table=_freeze(member_table))
+                         member_table=_freeze(member_table))
 
 
 def element_order(G: FiniteGroup, x: int) -> int:

@@ -16,14 +16,15 @@ from __future__ import annotations
 import cmath
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from numbers import Number
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ._kernels import group_convolve_weights
-from .errors import CarrierMismatch, CosetAlgError
-from .groups import FiniteGroup, QuotientSpace
+from .errors import CarrierMismatch, CosetAlgError, UnknownName
+from .groups import FiniteGroup, QuotientSpace, find_element
 
 DEFAULT_TOL = 1e-9
 
@@ -41,9 +42,17 @@ def quotient_carrier(Q: QuotientSpace) -> Carrier:
     return Q
 
 
-def _as_weights(values, size: int, dtype=np.complex128) -> np.ndarray:
-    """A read-only copy of the values: one vector of `size` entries, or a
-    batch of them when there are leading axes and the last has `size`."""
+def _size(carrier: Carrier) -> int:
+    """The number of points of a carrier: a group's order, a coset space's
+    coset count (both plain attributes)."""
+    return carrier.order if carrier.__class__ is FiniteGroup else carrier.coset_count
+
+
+def _as_weights(values, carrier: Carrier, dtype=np.complex128) -> np.ndarray:
+    """A read-only copy of the values: one vector of the carrier's size, or
+    a batch of them when there are leading axes and the last has that size."""
+    # _size without the call: this runs for every measure built
+    size = carrier.order if carrier.__class__ is FiniteGroup else carrier.coset_count
     w = np.asarray(values, dtype=dtype)
     w = (w if w.ndim > 1 and w.shape[-1] == size else w.reshape(size)).copy()
     w.setflags(write=False)
@@ -61,7 +70,7 @@ class ComplexMeasure:
     weights: np.ndarray  # complex128, one weight per carrier point
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _as_weights(self.weights, len(self.carrier.labels)))
+        object.__setattr__(self, "weights", _as_weights(self.weights, self.carrier))
 
     def __add__(self, other: "ComplexMeasure") -> "ComplexMeasure":
         _require_same(self.carrier, other)
@@ -90,7 +99,7 @@ class DensityFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_weights(self.values, len(self.carrier.labels)))
+        object.__setattr__(self, "values", _as_weights(self.values, self.carrier))
 
     def __add__(self, other: "DensityFunction") -> "DensityFunction":
         _require_same(self.carrier, other)
@@ -116,7 +125,7 @@ def _require_same(carrier: Carrier, *operands) -> None:
 def point_mass(carrier: Carrier, point) -> ComplexMeasure:
     """Unit mass at one carrier point, or a batch of them at an integer
     array of points."""
-    size, point = len(carrier.labels), np.asarray(point)
+    size, point = _size(carrier), np.asarray(point)
     if ((point < 0) | (point >= size)).any():
         raise IndexError(f"point {point} out of range for carrier of size {size}")
     w = np.zeros(point.shape + (size,), dtype=np.complex128)
@@ -150,9 +159,11 @@ def integrate(mu: ComplexMeasure, f: DensityFunction) -> complex:
 
 def measure_to_dict(mu: ComplexMeasure) -> dict:
     """JSON form {"carrier": kind, "weights": {label: [re, im]}}; zero weights
-    are omitted (absent labels mean 0)."""
-    weights = {lab: [float(w.real), float(w.imag)]
-               for lab, w in zip(mu.carrier.labels, mu.weights) if w != 0}
+    are omitted (absent labels mean 0), and only the labels of the others
+    are formatted."""
+    points = np.flatnonzero(mu.weights)
+    weights = {mu.carrier.label(i): [w.real, w.imag]
+               for i, w in zip(points.tolist(), mu.weights[points].tolist())}
     return {"carrier": _kind(mu.carrier), "weights": weights}
 
 
@@ -184,11 +195,25 @@ def measure_from_dict(carrier: Carrier, d: dict) -> ComplexMeasure:
     weights = d.get("weights", {})
     if not isinstance(weights, dict):
         raise CosetAlgError("a measure file's 'weights' must be an object of label: weight")
-    index = {lab: i for i, lab in enumerate(carrier.labels)}
-    w = np.zeros(len(index), dtype=np.complex128)
+    w = np.zeros(_size(carrier), dtype=np.complex128)
+    lookup = (partial(_printed_as, carrier)
+              if isinstance(carrier, FiniteGroup) and carrier.perms is not None
+              else {lab: i for i, lab in enumerate(carrier.labels)}.get)
     for lab, val in weights.items():
         z = _weight(lab, val)
-        if lab not in index:
+        i = lookup(lab)
+        if i is None:
             raise CarrierMismatch(f"no point {lab!r} on this carrier")
-        w[index[lab]] = z
+        w[i] = z
     return ComplexMeasure(carrier, w)
+
+
+def _printed_as(G: FiniteGroup, label: str) -> Optional[int]:
+    """The element of a permutation group whose label is `label`, or None:
+    the permutation the string spells, found by find_element, if it prints
+    as that same string. No other label is formatted."""
+    with suppress(UnknownName):
+        x = find_element(G, label)
+        if G.label(x) == label:
+            return x
+    return None

@@ -32,7 +32,7 @@ class RhoFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_weights(
-            self.values, self.quotient.coset_count, np.float64))
+            self.values, self.quotient, np.float64))
 
     carrier = property(lambda self: self.quotient)   # for the carrier guard
 
@@ -48,7 +48,7 @@ class QuotientMeasure:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _as_weights(
-            self.weights, self.quotient.coset_count, np.float64))
+            self.weights, self.quotient, np.float64))
 
     carrier = property(lambda self: self.quotient)   # for the carrier guard
 
@@ -71,8 +71,8 @@ def validate_rho(Q: QuotientSpace,
         if len(bad):
             c, i = map(int, bad[0])
             y, first = (int(Q.member_table[j, c]) for j in (i + 1, 0))
-            raise NotCosetConstant(f"value at {Q.group.labels[y]} differs from "
-                                   f"{Q.group.labels[first]} inside coset C{c}")
+            raise NotCosetConstant(f"value at {Q.group.label(y)} differs from "
+                                   f"{Q.group.label(first)} inside coset C{c}")
         per_coset = arr[Q.reps]
     elif len(vals) == k:
         per_coset = np.asarray([_float(v) for v in vals], dtype=np.float64)
@@ -109,7 +109,7 @@ def rho_from_dict(Q: QuotientSpace, d: dict) -> RhoFunction:
     if not isinstance(values, dict):
         raise CosetAlgError("a rho file's 'values' must be an object of label: value")
     vals: list[Union[int, float]] = [1] * Q.coset_count
-    rep_to_coset = {Q.group.labels[int(r)]: c for c, r in enumerate(Q.reps)}
+    rep_to_coset = {Q.group.label(r): c for c, r in enumerate(Q.reps.tolist())}
     for lab, v in values.items():
         if lab not in rep_to_coset:
             raise CarrierMismatch(f"{lab!r} is not a coset representative label")

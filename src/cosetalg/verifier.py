@@ -420,7 +420,7 @@ def _check_p2_density(spec, ctx, rng):
             (g,) = _split(densities[:, j], n)
             moved = DensityFunction(G, g.take(G.mul[:, x], axis=-1))   # x' -> g(x' h_j)
             yield (np.abs(integrate(mu, moved) - integrate(mu, DensityFunction(G, g))),
-                   _at(h=G.labels[x]))
+                   lambda t, x=x: {"trial": t, "h": G.label(x)})   # formatted if named
         if h > 1:
             bump = point_mass(G, _index(raw[:, -1], n)) * (0.5 + 0.25j)
             yield _Fails(membership_mgh(Q, mu + bump),

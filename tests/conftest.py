@@ -201,6 +201,13 @@ def oracle_perm_label(p) -> str:
     return "".join(cycles) if cycles else "e"
 
 
+def eager_labels(G):
+    """The labels a permutation group's build once formatted for every
+    element, one oracle_perm_label per row of perms: the reference for the
+    labels formatted on first use."""
+    return tuple(map(oracle_perm_label, G.perms.tolist()))
+
+
 def oracle_permutation_group(degree, generators):
     """(mul, inv, labels) of the breadth-first closure of permutation
     generators, assembled as the definition reads: the Cayley table column

@@ -190,6 +190,11 @@ def test_conv_group(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["weights"] == {"(23)": [1.0, 0.0]}
+    # text mode prints the nonzero weights in point order: (123) is element
+    # 2 of S3, (23) element 3
+    a.write_text(json.dumps({"carrier": "group", "weights": {"(12)": [2, 0], "e": [1, -0.5]}}))
+    code, out, _ = run_cli(capsys, "conv", "--m1", str(a), "--m2", str(b), "--group", "builtin:S3")
+    assert (code, out) == (0, "  (123): +1-0.5i\n  (23): +2+0i\n")
 
 
 def test_check_single_pair_json(capsys):
@@ -436,13 +441,13 @@ def test_table_needs_no_dense_tensor(capsys, monkeypatch):
 
 
 def test_check_over_byte_budget_exits_2(capsys, monkeypatch):
-    # a refused coset space is an input error, not a failing check: S4/S3,
+    # a refused coset space is an input error, not a failing check: S4/A4,
     # whose Cayley table (10688 bytes) fits the budget
     monkeypatch.setattr(ca.groups, "BYTE_BUDGET", 10700)
     code, out, err = run_cli(capsys, "check", "--group", "builtin:S4", "--subgroup",
-                             "(12),(123)", "--trials", "1", "--format", "json")
+                             "(123),(234)", "--trials", "1", "--format", "json")
     assert (code, out) == (2, "")
-    assert err == ("error: coset space of order 24 needs 10752 bytes, "
+    assert err == ("error: coset space of order 24 needs 11648 bytes, "
                    "over the byte budget of 10700 bytes\n")
 
 

@@ -14,7 +14,8 @@ from cosetalg.errors import (CapExceeded, NoIdentity, NoInverse, NotAPermutation
                              NotAssociative, NotClosed, UnknownName)
 from cosetalg.groups import parse_cycles, perm_label
 
-from conftest import checked_peak, oracle_perm_label, oracle_permutation_group, traced_peak
+from conftest import (checked_peak, eager_labels, oracle_perm_label, oracle_permutation_group,
+                      traced_peak)
 
 
 def compose(p, q):
@@ -120,9 +121,9 @@ def test_inverse_scan_within_its_byte_check_on_group_tables(monkeypatch, token):
     # past the first block (C1200 takes two), the last block's are counted
     # with the per-row temporaries
     G = _light_group(token)
-    table, found = np.array(G.mul), []
+    table, found, labels = np.array(G.mul), [], G.labels   # formatted before the trace
     checked, peak = checked_peak(monkeypatch, groups, lambda: found.append(
-        groups._inverses(table, G.identity, G.labels)))
+        groups._inverses(table, G.identity, labels)))
     assert found[0].tolist() == G.inv.tolist()
     assert len(checked) == 1 and peak <= checked[0]
 
@@ -544,6 +545,7 @@ def test_direct_product_checks_its_bytes_before_building(monkeypatch):
     assert (G.mul == q8.mul[np.ix_(a, a)] * 6 + s3.mul[np.ix_(b, b)]).all()
     assert G.labels[7] == f"({q8.labels[1]},{s3.labels[1]})"
     c40 = ca.builtin_catalog("cyclic", 40)
+    c40.labels   # the factor's own labels, formatted under their own request
     monkeypatch.setattr(groups, "build_from_cayley_table", lambda labels, table, name: table)
     checked, peak = checked_peak(monkeypatch, groups,
                                  lambda: groups.direct_product_group(c40, c40))
@@ -999,6 +1001,99 @@ def test_labels_parse_back_to_their_permutations(token):
     degree = G.perms.shape[1]
     for label, row in zip(G.labels, G.perms.tolist()):
         assert parse_cycles(label, degree) == tuple(row)
+
+
+# every group of the default catalog, the benchmark ladder and solve steps,
+# and the tests, with the first of degree 10 (comma-separated points) and
+# the C1200, D1000 and S7 of the byte tests and CI
+LABELLED_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C17", "C24", "C40", "C1100", "C1200",
+                   "D4", "D5", "D6", "D10", "D12", "D20", "D60", "D1000", "S1", "S3", "S4",
+                   "S5", "S6", "S7", "A4", "A5", "A6", "Q8", "direct_product(2,6)",
+                   "degree-12-file")
+
+
+@pytest.mark.parametrize("token", LABELLED_GROUPS)
+def test_labels_on_first_use_match_the_eager_oracle(token):
+    # `labels` formats every row once, as the build did before, and label(x)
+    # formats one element alone to the same string; a table group indexes
+    # its given labels
+    G = (ca.group_from_dict(DEGREE_12_SPEC) if token == "degree-12-file"
+         else ca.builtin_from_token(token))
+    assert "labels" not in vars(G)   # nothing formatted by the build
+    alone = [G.label(x) for x in range(G.order)]
+    if G.perms is None:
+        assert G.labels is G.table_labels
+    else:
+        assert G.labels == eager_labels(G)
+    assert tuple(alone) == G.labels and G.labels is G.labels
+    assert G.order == len(G.labels) == len(G.inv) and type(G.order) is int
+
+
+def test_coset_labels_on_first_use(s3, s3_q):
+    assert "labels" not in vars(s3_q) or s3_q.labels == ("C0", "C1", "C2")
+    Q = ca.build_coset_space(s3, ca.generate_subgroup(s3, []))
+    assert "labels" not in vars(Q)
+    assert Q.labels == tuple(f"C{c}" for c in range(6)) == tuple(map(Q.label, range(6)))
+    assert Q.coset_count == 6 and type(Q.coset_count) is int
+
+
+def test_no_label_is_formatted_until_one_is_printed(monkeypatch):
+    # the library's work never reads a label: builds, coset spaces, the
+    # structure table, both convolutions and a float P3_LIFT run format none;
+    # measure_to_dict formats the labels of the nonzero weights alone
+    calls = []
+    cycle_notation = groups._cycle_notation
+
+    def counted(*args):
+        calls.append(args)
+        return cycle_notation(*args)
+
+    monkeypatch.setattr(groups, "_cycle_notation", counted)
+    S6, D60 = ca.builtin_from_token("S6"), ca.builtin_from_token("D60")
+    Q = ca.build_coset_space(S6, ca.subgroup_from_tokens(S6, ["(12)"]))
+    T = ca.structure_table(Q)
+    x = ca.ComplexMeasure(Q, np.arange(Q.coset_count))
+    ca.quotient_convolve(T, x, x)
+    y = ca.point_mass(D60, [1, 2])
+    ca.group_convolve(D60, y, y)
+    ctx = ca.verifier.make_context(D60, ca.generate_subgroup(D60, D60.generators[1:]))   # <s>
+    report = ca.run_check(ca.CheckSpec(id="P3_LIFT", trials=5, seed=1, mode="float"), ctx)
+    assert report.status == "pass" and calls == []
+    d = ca.measure_to_dict(ca.point_mass(S6, 400))
+    assert len(calls) == 1 and list(d["weights"]) == [S6.label(400)]
+    assert "labels" not in vars(S6) and "labels" not in vars(D60)
+
+
+@pytest.mark.parametrize("token", ["D60", "S6", "C1200"])
+def test_all_labels_within_their_byte_check(monkeypatch, token):
+    # D60 (degree 60), S6 (degree 6) and C1200 (degree 1200): formatting the
+    # whole tuple makes one request, sized from the order and the degree,
+    # that covers its traced peak; a budget one byte short refuses it before
+    # any point is named
+    G = ca.builtin_from_token(token)
+    n, degree = G.perms.shape
+    checked, peak = checked_peak(monkeypatch, groups, lambda: G.labels)
+    assert checked == [groups._label_bytes(n, degree)] and peak <= checked[0], (peak, checked)
+    monkeypatch.undo()
+    G = ca.builtin_from_token(token)
+    monkeypatch.setattr(groups, "BYTE_BUDGET", checked[0] - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"^labels of order {n} and degree {degree} needs"):
+            G.labels
+
+    assert traced_peak(refused) < checked[0] // 10
+
+
+def test_one_label_names_only_the_points_it_moves():
+    # a transposition of degree 2**15: its label names two points; all the
+    # point names would take ~2 MB, the one label well under 16 bytes a point
+    degree = 1 << 15
+    G = ca.build_from_permutation_generators(degree, [[1, 0] + list(range(2, degree))])
+    G.label(0)   # warm
+    label = []
+    assert traced_peak(lambda: label.append(G.label(1))) < 16 * degree
+    assert label == ["(1,2)"] and G.label(0) == "e"
 
 
 def _find_by_search(G, token):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,3 +235,23 @@ def test_group_measure_file_with_every_label_reads_back():
     d["weights"]["(16)"] = [1, 0]
     with pytest.raises(CarrierMismatch, match=r"^no point '\(16\)' on this carrier$"):
         ca.measure_from_dict(G, d)
+
+
+@pytest.mark.parametrize("token", ["S5", "D12", "Q8"])
+def test_measure_file_labels_accepted_exactly_as_the_carrier_prints_them(token):
+    # a permutation group resolves each file label through its permutation
+    # and then requires that point's own label, so it accepts exactly the
+    # printed labels, as the lookup among all labels did; every other
+    # spelling of a point is refused with the same message
+    G = ca.builtin_from_token(token)
+    printed = set(G.labels)
+    keys = sorted(printed) + ["()", " e", "e ", "(21)", "(1,2)", "(2,1)", "(12)(3)", "(1,12)",
+                              "(16)", "(123", "x", "", " i", "-1", "1", "(11,1)", "(1,11)"]
+    for key in keys:
+        d = {"carrier": "group", "weights": {key: [1.5, -2]}}
+        if key in printed:
+            mu = ca.measure_from_dict(G, d)
+            assert mu.weights.tolist() == [1.5 - 2j if lab == key else 0 for lab in G.labels]
+        else:
+            with pytest.raises(CarrierMismatch, match=f"^no point {re.escape(repr(key))} on"):
+                ca.measure_from_dict(G, d)
